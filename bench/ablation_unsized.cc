@@ -21,10 +21,10 @@ run_with_limit(std::uint32_t limit, std::uint32_t threads)
     cfg.huge_regions = 4;
     cfg.unsized_limit = limit;
     pod::PodConfig pc;
-    pc.device =
-        cxlalloc::Layout(cfg).device_config(cxl::CoherenceMode::PartialHwcc);
+    pc.device = cxlalloc::PodShardedAllocator::device_config(
+        cfg, pc.topology, cxl::CoherenceMode::PartialHwcc);
     pod::Pod pod(pc);
-    cxlalloc::CxlAllocator heap(pod, cfg);
+    cxlalloc::PodShardedAllocator heap(pod, cfg);
     baselines::CxlallocAdapter adapter(&heap);
     pod::Process* proc = pod.create_process();
     heap.attach(*proc);
@@ -58,7 +58,7 @@ run_with_limit(std::uint32_t limit, std::uint32_t threads)
     }
     auto probe = pod.create_thread(proc);
     heap.attach_thread(*probe);
-    auto stats = heap.stats(probe->mem());
+    auto stats = heap.shard(0).stats(probe->mem());
     pod.release_thread(std::move(probe));
     std::printf("ablate unsized-limit=%-3u t=%-2u  %7.2f Mops/s  "
                 "cas=%-8llu cas-fail=%-6llu heap=%u slabs "

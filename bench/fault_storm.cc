@@ -79,7 +79,7 @@ struct Worker {
 struct Rig {
     Plan plan;
     pod::Topology topo;
-    bench::PodBundle b;
+    bench::Bundle b;
     cxlalloc::CxlAllocator* cell_shard = nullptr;
     cxl::HeapOffset cells = 0;
     cxl::HeapOffset lease_base = 0;
@@ -115,7 +115,8 @@ struct Rig {
         // NoHwcc: all synchronization rides the NMP engine, so the scripted
         // doorbell stall/delay hits the real mCAS path (under HWcc the
         // remote-free batch never rings a doorbell).
-        b = bench::make_pod_bundle(topo, geom, bench::MemoryMode::CxlMcas);
+        b = bench::make_bundle("cxlalloc", geom, bench::MemoryMode::CxlMcas,
+                               topo);
         cell_shard = &b.heap->shard(topo.home_of(0));
         cells = cell_shard->layout().app_sync();
         lease_base = cells + static_cast<cxl::HeapOffset>(plan.objects) * 8;

@@ -37,17 +37,17 @@ run_spread(bench::Bundle& b, std::uint32_t threads, std::uint32_t processes,
            Body&& body)
 {
     std::vector<pod::Process*> procs(processes);
-    procs[0] = b.process;
+    procs[0] = b.host_process[0];
     for (std::uint32_t p = 1; p < processes; p++) {
         procs[p] = b.pod->create_process();
-        b.cxl_heap->attach(*procs[p]);
+        b.heap->attach(*procs[p]);
     }
     std::vector<std::thread> workers;
     std::vector<std::uint64_t> ops(threads, 0);
     auto t0 = std::chrono::steady_clock::now();
     for (std::uint32_t w = 0; w < threads; w++) {
         workers.emplace_back([&, w] {
-            auto ctx = b.thread(procs[w % processes]);
+            auto ctx = b.thread_in(*procs[w % processes]);
             ops[w] = body(*ctx, w);
             b.pod->release_thread(std::move(ctx));
         });
@@ -63,7 +63,7 @@ run_spread(bench::Bundle& b, std::uint32_t threads, std::uint32_t processes,
         r.ops += o;
     }
     r.committed_bytes = b.pod->device().committed_bytes();
-    r.hwcc_bytes = b.cxl_heap->layout().hwcc_bytes();
+    r.hwcc_bytes = b.heap->hwcc_bytes();
     return r;
 }
 
@@ -85,7 +85,7 @@ threadtest_huge(std::uint32_t threads, std::uint32_t processes)
                     b.alloc->deallocate(ctx, h);
                     pairs++;
                 }
-                b.cxl_heap->cleanup(ctx);
+                b.heap->cleanup(ctx);
             }
             return 2 * pairs;
         });
@@ -100,16 +100,14 @@ xmalloc_huge(std::uint32_t threads, std::uint32_t processes)
 {
     bench::Bundle b = bench::make_bundle("cxlalloc", huge_geometry(threads));
     workload::XmallocRing ring(threads, /*ring_capacity=*/4);
-    std::uint64_t faults_before = 0;
     bench::RunResult r = run_spread(
         b, threads, processes, [&](pod::ThreadContext& ctx, std::uint32_t w) {
             std::uint64_t done = workload::run_xmalloc(
                 *b.alloc, ctx, ring, w, kPairsPerThread, kObjectSize,
                 /*touch=*/true);
-            b.cxl_heap->cleanup(ctx);
+            b.heap->cleanup(ctx);
             return done;
         });
-    (void)faults_before;
     std::printf("fig10  xmalloc-huge     p=%-2u t=%-2u  %9.1f Kops/s  "
                 "mapped=%s\n",
                 processes, threads, r.mops_wall() * 1000,

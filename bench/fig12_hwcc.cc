@@ -25,11 +25,6 @@ run_one(const char* workload_name, const std::string& alloc_name,
 {
     bench::Geometry geom;
     bench::Bundle b = bench::make_bundle(alloc_name, geom, mode);
-    // Latency model on for every mode so simulated numbers are comparable.
-    b.use_latency_model = true;
-    if (mode == bench::MemoryMode::Local) {
-        b.latency = cxl::LatencyModel::local_dram();
-    }
     bench::RunResult r;
     bool is_threadtest = std::string(workload_name) == "threadtest-small";
     if (is_threadtest) {

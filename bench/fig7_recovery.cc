@@ -110,11 +110,11 @@ run(Variant variant, std::uint32_t crash_threads)
                     // ---- the crash + recovery path ----
                     cxl::ThreadId tid = ctx->tid();
                     b.pod->mark_crashed(std::move(ctx));
-                    ctx = b.pod->adopt_thread(b.process, tid);
+                    ctx = b.pod->adopt_thread(b.host_process[0], tid);
                     b.alloc->attach_thread(*ctx);
                     if (variant == Variant::Cxlalloc) {
                         // Non-blocking: only this thread does work.
-                        b.cxl_heap->recover(*ctx);
+                        b.heap->recover(*ctx);
                     } else if (variant == Variant::RallocGc) {
                         // Blocking: stop the world, scan the heap.
                         std::unique_lock<std::shared_mutex> stop(gate);
@@ -203,10 +203,9 @@ run(Variant variant, std::uint32_t crash_threads)
 
 template <bool UseMap>
 void
-series(const char* label)
+series(const char* label, const std::vector<Variant>& variants)
 {
-    for (Variant v :
-         {Variant::Cxlalloc, Variant::RallocLeak, Variant::RallocGc}) {
+    for (Variant v : variants) {
         for (std::uint32_t crashes : {0u, 1u, 2u}) {
             Outcome o = run<UseMap>(v, crashes);
             char extra[64] = "";
@@ -232,9 +231,16 @@ main(int argc, char** argv)
     std::printf("Fig. 7: insert+remove %llu objects (8 B-1 KiB) through "
                 "recoverable structures with 0/1/2 thread crashes\n\n",
                 static_cast<unsigned long long>(kObjects));
-    series<false>("queue");
+    // --smoke runs cxlalloc alone: the ralloc-gc hashmap run can deadlock
+    // when the host's cores are oversubscribed (a baseline defect).
+    std::vector<Variant> variants{Variant::Cxlalloc};
+    if (!opt.smoke) {
+        variants.push_back(Variant::RallocLeak);
+        variants.push_back(Variant::RallocGc);
+    }
+    series<false>("queue", variants);
     std::puts("");
-    series<true>("hashmap");
+    series<true>("hashmap", variants);
     std::puts("\nPaper shape (Fig. 7): cxlalloc's time is flat in the crash "
               "count (non-blocking recovery, no leak);");
     std::puts("ralloc must either leak tens of KiB per crash (ralloc-leak) "

@@ -145,7 +145,8 @@ run_pod_one(const pod::Topology& topo, std::uint32_t threads_per_host,
     geom.large_slabs = 32;
     geom.extra_bytes = kv::HashTable::footprint(kBuckets);
 
-    bench::PodBundle b = bench::make_pod_bundle(topo, geom);
+    bench::Bundle b = bench::make_bundle("cxlalloc", geom,
+                                         bench::MemoryMode::CxlHwcc, topo);
     std::uint32_t hosts = topo.hosts();
     std::vector<std::unique_ptr<kv::KvStore>> stores;
     for (std::uint32_t h = 0; h < hosts; h++) {
@@ -160,9 +161,10 @@ run_pod_one(const pod::Topology& topo, std::uint32_t threads_per_host,
     }
 
     workload::KvWorkloadSpec spec = workload::ycsb_a();
-    return bench::run_pod_threads(
-        b, hosts, threads_per_host,
-        [&](pod::ThreadContext& ctx, pod::HostId host, std::uint32_t w) {
+    return bench::run_threads(
+        b, hosts * threads_per_host,
+        [&](pod::ThreadContext& ctx, std::uint32_t w) {
+            auto host = static_cast<std::uint32_t>(ctx.process().host());
             workload::KvOpStream stream(spec, 9'000 + w);
             std::vector<char> value(spec.val_max ? spec.val_max : 8, 'v');
             std::vector<char> read_buf(4096);

@@ -112,8 +112,8 @@ run_one(const pod::Topology& topo, const Plan& plan, Wl wl,
             (100 * blocks_per_slab) +
         2);
 
-    bench::PodBundle b = bench::make_pod_bundle(topo, geom,
-                                                bench::MemoryMode::Local);
+    bench::Bundle b = bench::make_bundle("cxlalloc", geom,
+                                         bench::MemoryMode::Local, topo);
     cxl::DeviceId home = topo.home_of(0);
     cxlalloc::CxlAllocator& cell_shard = b.heap->shard(home);
     cxl::HeapOffset cells = cell_shard.layout().app_sync();

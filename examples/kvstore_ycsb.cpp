@@ -12,7 +12,7 @@
 
 #include "baselines/cxlalloc_adapter.h"
 #include "common/stats.h"
-#include "cxlalloc/allocator.h"
+#include "cxlalloc/pod_shard.h"
 #include "kv/kv_store.h"
 #include "workload/kv_workload.h"
 
@@ -23,19 +23,20 @@ main()
     constexpr std::uint64_t kOpsPerThread = 100'000;
     constexpr int kThreads = 2;
 
+    // One host is the 1x1 pod (the PodConfig default topology): one
+    // device window holding the heap plus the index's bucket array, which
+    // lives past the heap in extra window space.
     cxlalloc::Config config;
     config.small_slabs = 4096; // 128 MiB small space for 960 B values
     pod::PodConfig pod_config;
-    pod_config.device = cxlalloc::Layout(config).device_config(
-        cxl::CoherenceMode::PartialHwcc);
-    // The index's bucket array lives past the heap, in extra device space.
-    cxl::HeapOffset buckets = pod_config.device.size;
-    pod_config.device.size += kv::HashTable::footprint(kBuckets);
+    pod_config.device = cxlalloc::PodShardedAllocator::device_config(
+        config, pod_config.topology, cxl::CoherenceMode::PartialHwcc,
+        /*simulate_cache=*/false, kv::HashTable::footprint(kBuckets));
     pod::Pod pod(pod_config);
 
-    cxlalloc::CxlAllocator heap(pod, config);
+    cxlalloc::PodShardedAllocator heap(pod, config);
     baselines::CxlallocAdapter adapter(&heap);
-    kv::KvStore store(pod, buckets, kBuckets, &adapter);
+    kv::KvStore store(pod, heap.extra_base(0), kBuckets, &adapter);
 
     auto t0 = std::chrono::steady_clock::now();
     std::vector<std::thread> workers;
@@ -84,7 +85,7 @@ main()
     std::printf("memory committed: %s (HWcc share: %s)\n",
                 cxlcommon::format_bytes(pod.device().committed_bytes())
                     .c_str(),
-                cxlcommon::format_bytes(heap.layout().hwcc_bytes()).c_str());
+                cxlcommon::format_bytes(heap.hwcc_bytes()).c_str());
     std::puts("kvstore_ycsb OK");
     return 0;
 }

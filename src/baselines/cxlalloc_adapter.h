@@ -1,20 +1,21 @@
 /// @file
 /// PodAllocator adapter over the real cxlalloc implementation, so the
 /// key-value store and benchmarks can treat it uniformly with baselines.
+/// It wraps the pod heap (PodShardedAllocator): a single host is its 1x1
+/// pod, a multi-host run a larger one.
 
 #pragma once
 
 #include "baselines/pod_allocator.h"
-#include "cxlalloc/allocator.h"
+#include "cxlalloc/pod_shard.h"
 
 namespace baselines {
 
 class CxlallocAdapter : public PodAllocator {
   public:
-    /// @param recoverable  false selects the cxlalloc-nonrecoverable
-    ///                     ablation label (the allocator itself must have
-    ///                     been built with the matching Config).
-    explicit CxlallocAdapter(cxlalloc::CxlAllocator* alloc)
+    /// The name and Table 1 row follow the shards' Config::recoverable:
+    /// false is the cxlalloc-nonrecoverable ablation.
+    explicit CxlallocAdapter(cxlalloc::PodShardedAllocator* alloc)
         : alloc_(alloc)
     {
     }
@@ -22,8 +23,7 @@ class CxlallocAdapter : public PodAllocator {
     const char*
     name() const override
     {
-        return alloc_->config().recoverable ? "cxlalloc"
-                                            : "cxlalloc-nonrecoverable";
+        return recoverable() ? "cxlalloc" : "cxlalloc-nonrecoverable";
     }
 
     AllocTraits
@@ -34,10 +34,9 @@ class CxlallocAdapter : public PodAllocator {
         t.cross_process = true;
         t.mmap_support = true;
         t.nonblocking_failure = true;
-        t.recovery = alloc_->config().recoverable
-                         ? AllocTraits::Recovery::NonBlocking
-                         : AllocTraits::Recovery::None;
-        t.strategy = alloc_->config().recoverable ? "App" : "-";
+        t.recovery = recoverable() ? AllocTraits::Recovery::NonBlocking
+                                   : AllocTraits::Recovery::None;
+        t.strategy = recoverable() ? "App" : "-";
         return t;
     }
 
@@ -62,15 +61,15 @@ class CxlallocAdapter : public PodAllocator {
     std::uint64_t
     hwcc_bytes(cxl::MemSession&) override
     {
-        // Only the metadata the layout places in the HWcc region — the
-        // headline §3.2 result.
-        return alloc_->layout().hwcc_bytes();
+        // Only the metadata the layouts place in the HWcc region (one
+        // prefix per window) — the headline §3.2 result.
+        return alloc_->hwcc_bytes();
     }
 
-    cxlalloc::CxlAllocator& impl() { return *alloc_; }
-
   private:
-    cxlalloc::CxlAllocator* alloc_;
+    bool recoverable() const { return alloc_->shard(0).config().recoverable; }
+
+    cxlalloc::PodShardedAllocator* alloc_;
 };
 
 } // namespace baselines

@@ -34,25 +34,23 @@ Device::Device(const DeviceConfig& config)
     CXL_FATAL_IF(config_.windows == 0, "device needs at least one window");
     CXL_FATAL_IF(config_.windows > kMaxDevices,
                  "more windows than kMaxDevices");
-    if (config_.windows > 1 || config_.window_bits != 0) {
-        CXL_FATAL_IF(config_.window_bits < 12 || config_.window_bits >= 63,
-                     "window bits out of range");
-        CXL_FATAL_IF(config_.size !=
-                         (static_cast<std::uint64_t>(config_.windows)
-                          << config_.window_bits),
-                     "windowed device size must be windows << window_bits");
-        CXL_FATAL_IF(config_.sync_region_size >
-                         (std::uint64_t{1} << config_.window_bits),
-                     "sync region larger than a window");
-    } else {
-        CXL_FATAL_IF(config_.sync_region_size > config_.size,
-                     "sync region larger than device");
+    // The smallest window holding size / windows bytes; several windows
+    // must tile the device exactly (size is page aligned, so bits >= 12).
+    std::uint64_t per_window = config_.size / config_.windows;
+    while ((std::uint64_t{1} << window_bits_) < per_window) {
+        window_bits_++;
     }
+    CXL_FATAL_IF(config_.windows > 1 &&
+                     config_.size != (static_cast<std::uint64_t>(
+                                          config_.windows)
+                                      << window_bits_),
+                 "multi-window device size must be windows << window bits");
+    CXL_FATAL_IF(config_.sync_region_size > config_.size / config_.windows,
+                 "sync region larger than a window");
     // A fresh device is zero-filled: cxlalloc relies on zeroed memory being
     // a valid, initialized heap (paper §4). mmap gives that for free and
-    // commits pages lazily — a windowed pod arena reserves
-    // windows << window_bits bytes of address space but only pages the
-    // workload touches cost physical memory.
+    // commits pages lazily — a pod arena reserves its whole size in address
+    // space but only pages the workload touches cost physical memory.
 #if defined(__unix__) || defined(__APPLE__)
     void* map = ::mmap(nullptr, config_.size, PROT_READ | PROT_WRITE,
                        MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);

@@ -24,7 +24,7 @@ namespace cxl {
 /// Static configuration of the device.
 struct DeviceConfig {
     /// Total capacity in bytes (must be page-aligned). With windows > 1
-    /// this must equal windows << window_bits.
+    /// this must equal windows << k for some k (the window bits).
     std::uint64_t size = 256ULL << 20;
 
     /// Coherence support.
@@ -41,21 +41,21 @@ struct DeviceConfig {
     /// to the arena (fast path for benchmarks); flush/fence are counted.
     bool simulate_cache = false;
 
-    /// Pod mode: the arena is partitioned into `windows` equal power-of-two
-    /// windows of 1 << window_bits bytes, one per pod memory device; the
-    /// device id of an offset is its high bits (cxl::pod_device_of). The
-    /// defaults (1 window, 0 bits) are the legacy single-device arena.
-    /// Each window carries its own sync-region prefix, so every device
-    /// contributes HWcc (or device-biased) words for the metadata that
-    /// lives on it.
+    /// The arena is partitioned into `windows` equal power-of-two windows,
+    /// one per pod memory device; the device id of an offset is its high
+    /// bits (cxl::pod_device_of). The window bits derive from size: a
+    /// single window spans the next power of two >= size (so any page
+    /// multiple is a valid one-device pod), several must tile size
+    /// exactly. Each window carries its own sync-region prefix, so every
+    /// device contributes HWcc (or device-biased) words for the metadata
+    /// that lives on it.
     std::uint32_t windows = 1;
-    std::uint32_t window_bits = 0;
 };
 
 /// The shared memory device: a flat byte arena plus commit accounting.
-/// In pod mode the one arena models all of the pod's device heads —
-/// offsets stay globally unique (PC-S across hosts holds by construction)
-/// and the window high bits carry the device id.
+/// The one arena models all of the pod's device heads — offsets stay
+/// globally unique (PC-S across hosts holds by construction) and the window
+/// high bits carry the device id.
 class Device {
   public:
     explicit Device(const DeviceConfig& config);
@@ -68,35 +68,35 @@ class Device {
     std::uint64_t size() const { return config_.size; }
     CoherenceMode mode() const { return config_.mode; }
 
-    /// Number of device windows (1 = legacy single device).
+    /// Number of device windows (one per pod memory device).
     std::uint32_t windows() const { return config_.windows; }
-    std::uint32_t window_bits() const { return config_.window_bits; }
+    /// log2 of the window size, derived from the config (see DeviceConfig).
+    std::uint32_t window_bits() const { return window_bits_; }
 
     /// Device id owning @p offset (0 on a single-window device).
     DeviceId
     device_of(HeapOffset offset) const
     {
-        return pod_device_of(offset, config_.window_bits);
+        return pod_device_of(offset, window_bits_);
     }
 
     /// First offset of window @p device.
     HeapOffset
     window_base(DeviceId device) const
     {
-        return static_cast<HeapOffset>(device) << config_.window_bits;
+        return static_cast<HeapOffset>(device) << window_bits_;
     }
 
     /// True if @p offset lies in the region where inter-host atomics work
-    /// (HWcc or device-biased, depending on mode). Windowed devices carry
-    /// one such prefix per window.
+    /// (HWcc or device-biased, depending on mode): a prefix of every
+    /// window.
     bool
     in_sync_region(HeapOffset offset) const
     {
         if (config_.mode == CoherenceMode::FullHwcc) {
             return true;
         }
-        return pod_local_of(offset, config_.window_bits) <
-               config_.sync_region_size;
+        return pod_local_of(offset, window_bits_) < config_.sync_region_size;
     }
 
     /// Raw pointer into the arena. Callers outside MemSession should only
@@ -130,6 +130,7 @@ class Device {
 
   private:
     DeviceConfig config_;
+    std::uint32_t window_bits_ = 0;
     /// Arena storage: mmap'd (lazy-zero, so a 16-window pod arena costs
     /// physical memory only for pages actually touched) with a new[]
     /// fallback; `arena_` is the base either way.

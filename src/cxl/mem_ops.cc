@@ -138,7 +138,8 @@ DirtyLineSet::contains(std::uint64_t line) const
 }
 
 MemSession::MemSession(Device* device, Nmp* nmp, ThreadId tid)
-    : device_(device), nmp_(nmp), tid_(tid), cache_(device)
+    : device_(device), nmp_(nmp), tid_(tid), cache_(device),
+      window_bits_(device->window_bits())
 {
     CXL_ASSERT(tid != kNoThread && tid <= kMaxThreads,
                "session requires a valid thread id");
@@ -159,7 +160,6 @@ MemSession::set_pod_routing(const EdgeCost* row, std::uint32_t devices,
     edge_devices_ = devices;
     home_device_ = home;
     host_ = host;
-    window_bits_ = device_->window_bits();
     edge_ops_.assign(devices, 0);
     edge_ns_.assign(devices, 0);
     edge_hist_.assign(devices, obs::Histogram{});
@@ -322,10 +322,8 @@ MemSession::cas64(HeapOffset offset, std::uint64_t& expected,
     check_access(offset, 8);
     if (device_->mode() == CoherenceMode::NoHwcc) {
         counters_.mcas_ops++;
-        // Stall-aware spwr/doorbell/poll (the legacy Nmp::mcas wrapper
-        // asserts the doorbell answered, which a stalled engine violates):
-        // post the operand, then climb the same bounded retry ladder
-        // mcas_doorbell() uses before escalating.
+        // A one-operand ring: post the operand, then climb the same bounded
+        // stall-retry ladder mcas_doorbell() uses before escalating.
         bool posted = nmp_->spwr_post(
             tid_, McasOperand{.target = offset, .expected = expected,
                               .swap = desired});
@@ -494,25 +492,9 @@ MemSession::publish_metrics(obs::MetricsRegistry& registry) const
             sh.add(registry.counter(name), value);
         }
     };
-    pub("mem.loads", c.loads);
-    pub("mem.stores", c.stores);
-    pub("mem.flushes", c.flushes);
-    pub("mem.flushed_lines", c.flushed_lines);
-    pub("mem.fences", c.fences);
-    pub("mem.cas_ops", c.cas_ops);
-    pub("mem.cas_failures", c.cas_failures);
-    pub("mem.mcas_ops", c.mcas_ops);
-    pub("mem.mcas_conflicts", c.mcas_conflicts);
-    pub("mem.mcas_batches", c.mcas_batches);
-    pub("mem.mcas_batch_ops", c.mcas_batch_ops);
-    pub("mem.faults", c.faults);
-    pub("mem.tlb_hits", c.tlb_hits);
-    pub("mem.tlb_misses", c.tlb_misses);
-    pub("pod.local_ops", c.pod_local);
-    pub("pod.remote_ops", c.pod_remote);
-    pub("pod.dram_ops", c.pod_dram);
-    pub("pod.edge_down_ops", c.pod_edge_down);
-    pub("mem.nmp_stall_escalations", c.nmp_stall_escalations);
+    for (const MemEventField& f : kMemEventFields) {
+        pub(f.metric, c.*f.member);
+    }
     pub("cache.evictions", cache_.evictions());
     pub("mem.sim_ns", sim_ns_);
     if (mcas_round_trip_ns_.count() != 0) {

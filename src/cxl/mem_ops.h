@@ -96,31 +96,68 @@ struct MemEventCounters {
     /// NMP engine and escalated to an NmpStallError device-failure report.
     std::uint64_t nmp_stall_escalations = 0;
 
-    MemEventCounters&
-    operator+=(const MemEventCounters& o)
-    {
-        loads += o.loads;
-        stores += o.stores;
-        flushes += o.flushes;
-        flushed_lines += o.flushed_lines;
-        fences += o.fences;
-        cas_ops += o.cas_ops;
-        cas_failures += o.cas_failures;
-        mcas_ops += o.mcas_ops;
-        mcas_conflicts += o.mcas_conflicts;
-        mcas_batches += o.mcas_batches;
-        mcas_batch_ops += o.mcas_batch_ops;
-        faults += o.faults;
-        tlb_hits += o.tlb_hits;
-        tlb_misses += o.tlb_misses;
-        pod_local += o.pod_local;
-        pod_remote += o.pod_remote;
-        pod_dram += o.pod_dram;
-        pod_edge_down += o.pod_edge_down;
-        nmp_stall_escalations += o.nmp_stall_escalations;
-        return *this;
-    }
+    MemEventCounters& operator+=(const MemEventCounters& o);
+    bool operator==(const MemEventCounters&) const = default;
 };
+
+/// One MemEventCounters field and the metric MemSession::publish_metrics
+/// exports it as.
+struct MemEventField {
+    const char* metric;
+    std::uint64_t MemEventCounters::*member;
+};
+
+/// The single field list of MemEventCounters: aggregation and publishing
+/// both walk it, in this (metric registration) order.
+inline constexpr MemEventField kMemEventFields[] = {
+    {"mem.loads", &MemEventCounters::loads},
+    {"mem.stores", &MemEventCounters::stores},
+    {"mem.flushes", &MemEventCounters::flushes},
+    {"mem.flushed_lines", &MemEventCounters::flushed_lines},
+    {"mem.fences", &MemEventCounters::fences},
+    {"mem.cas_ops", &MemEventCounters::cas_ops},
+    {"mem.cas_failures", &MemEventCounters::cas_failures},
+    {"mem.mcas_ops", &MemEventCounters::mcas_ops},
+    {"mem.mcas_conflicts", &MemEventCounters::mcas_conflicts},
+    {"mem.mcas_batches", &MemEventCounters::mcas_batches},
+    {"mem.mcas_batch_ops", &MemEventCounters::mcas_batch_ops},
+    {"mem.faults", &MemEventCounters::faults},
+    {"mem.tlb_hits", &MemEventCounters::tlb_hits},
+    {"mem.tlb_misses", &MemEventCounters::tlb_misses},
+    {"pod.local_ops", &MemEventCounters::pod_local},
+    {"pod.remote_ops", &MemEventCounters::pod_remote},
+    {"pod.dram_ops", &MemEventCounters::pod_dram},
+    {"pod.edge_down_ops", &MemEventCounters::pod_edge_down},
+    {"mem.nmp_stall_escalations", &MemEventCounters::nmp_stall_escalations},
+};
+
+/// True when no two entries of kMemEventFields name the same member.
+constexpr bool
+mem_event_fields_distinct()
+{
+    for (std::size_t i = 0; i < std::size(kMemEventFields); i++) {
+        for (std::size_t j = i + 1; j < std::size(kMemEventFields); j++) {
+            if (kMemEventFields[i].member == kMemEventFields[j].member) {
+                return false;
+            }
+        }
+    }
+    return true;
+}
+
+static_assert(std::size(kMemEventFields) * sizeof(std::uint64_t) ==
+                      sizeof(MemEventCounters) &&
+                  mem_event_fields_distinct(),
+              "kMemEventFields must list every MemEventCounters field once");
+
+inline MemEventCounters&
+MemEventCounters::operator+=(const MemEventCounters& o)
+{
+    for (const MemEventField& f : kMemEventFields) {
+        this->*f.member += o.*f.member;
+    }
+    return *this;
+}
 
 /// Interface the pod layer implements to intercept accesses to not-yet-
 /// mapped offsets (the SIGSEGV-handler analog providing PC-T).
@@ -216,18 +253,17 @@ class MemSession {
     /// device, @p host the host id (metric labels only). From then on
     /// every access is checked against the row's reachability, charged the
     /// edge's extra latency on top of the base model, and counted into the
-    /// pod_local/pod_remote split plus per-edge ops/ns accounting. The
-    /// device must be window-partitioned (pod/topology.h); a session
-    /// without routing behaves exactly as before. @p states, when non-null,
-    /// is the host's runtime edge-health row (pod::Topology::state_row,
-    /// same lifetime contract as @p row): accesses over a Down edge are
-    /// rejected with EdgeDownError exactly like statically-unreachable
-    /// ones.
+    /// pod_local/pod_remote split plus per-edge ops/ns accounting. A
+    /// session without routing (the 1x1 pod) skips all of that. @p states,
+    /// when non-null, is the host's runtime edge-health row
+    /// (pod::Topology::state_row, same lifetime contract as @p row):
+    /// accesses over a Down edge are rejected with EdgeDownError exactly
+    /// like statically-unreachable ones.
     void set_pod_routing(const EdgeCost* row, std::uint32_t devices,
                          DeviceId home, std::uint32_t host,
                          const EdgeStateCell* states = nullptr);
 
-    /// Device id an offset routes to (0 without a windowed device).
+    /// Device id an offset routes to (its window).
     DeviceId
     device_of(HeapOffset offset) const
     {
@@ -606,7 +642,9 @@ class MemSession {
     std::uint32_t edge_devices_ = 0;
     DeviceId home_device_ = 0;
     std::uint32_t host_ = 0;
-    std::uint32_t window_bits_ = 0;
+    /// device_->window_bits(), set at construction (routing or not) so
+    /// device_of() is right on every session.
+    std::uint32_t window_bits_;
     /// Per-device accounting for this session's host row: accesses, extra
     /// edge nanoseconds, and the edge-latency distribution (published as
     /// pod.edge.h<host>.d<dev>.* by publish_metrics).

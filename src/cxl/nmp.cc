@@ -8,7 +8,7 @@
 
 namespace cxl {
 
-// ------------------------------------------------------------ batched path
+// ---------------------------------------------------- the spwr/sprd ring
 
 bool
 Nmp::spwr_post(ThreadId tid, const McasOperand& op)
@@ -124,52 +124,6 @@ Nmp::poll(ThreadId tid, McasResult* out)
     ring.head = (ring.head + 1) % kNmpRingSlots;
     ring.size--;
     return true;
-}
-
-std::uint32_t
-Nmp::spwr_batch(ThreadId tid, const McasOperand* ops, std::uint32_t n)
-{
-    std::uint32_t accepted = 0;
-    while (accepted < n && spwr_post(tid, ops[accepted])) {
-        accepted++;
-    }
-    doorbell(tid);
-    return accepted;
-}
-
-// ------------------------------------------------------ legacy two-phase
-
-void
-Nmp::spwr(ThreadId tid, HeapOffset target, std::uint64_t expected,
-          std::uint64_t swap)
-{
-    CXL_ASSERT(ring_occupancy(tid) == 0,
-               "spwr while previous mCAS still in flight");
-    bool posted = spwr_post(
-        tid, McasOperand{.target = target, .expected = expected,
-                         .swap = swap});
-    CXL_ASSERT(posted, "empty ring rejected a post");
-    (void)posted;
-}
-
-McasResult
-Nmp::sprd(ThreadId tid)
-{
-    CXL_ASSERT(ring_occupancy(tid) != 0, "sprd without matching spwr");
-    doorbell(tid);
-    McasResult result;
-    bool ok = poll(tid, &result);
-    CXL_ASSERT(ok, "doorbell produced no completion");
-    (void)ok;
-    return result;
-}
-
-McasResult
-Nmp::mcas(ThreadId tid, HeapOffset target, std::uint64_t expected,
-          std::uint64_t swap)
-{
-    spwr(tid, target, expected, swap);
-    return sprd(tid);
 }
 
 // ------------------------------------------------------ fault injection

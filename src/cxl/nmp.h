@@ -22,12 +22,11 @@
 ///  - all engine work is serialized at the device, which is what provides
 ///    atomicity without any cache coherence.
 ///
-/// The spwr()/sprd() pair is the legacy single-operand path (a ring of
-/// one), kept so the original two-phase tests and the uncontended allocator
-/// fast path read exactly as the paper describes. spwr_post()/doorbell()/
-/// poll() expose the same phases batched, and let tests interleave
-/// competing batches deterministically; spwr_batch() and mcas() are the
-/// convenience wrappers consumers use.
+/// spwr_post()/doorbell()/poll() are the whole interface: the paper's
+/// two-phase spwr/sprd pair is a post + doorbell + poll of a one-operand
+/// ring. MemSession drives them (cas64 as a ring of one, mcas_batch as a
+/// full ring, both behind its stall-retry ladder), and tests call them
+/// directly to interleave competing operands deterministically.
 ///
 /// Persistence: the ring lives in device memory, which survives host and
 /// process crashes (paper §2.1 failure model). Recovery code inspects a
@@ -171,24 +170,7 @@ class Nmp {
   public:
     explicit Nmp(Device* device) : device_(device) {}
 
-    // ---- legacy two-phase path (single operand; a ring of one) ----
-
-    /// Phase 1: thread @p tid posts operands to its spwr ring, which must
-    /// be empty (one in-flight operation, the pre-batching discipline).
-    /// The operand is conflict-checked against every staged operand
-    /// pod-wide; a doomed operand is reported as a conflict by sprd().
-    void spwr(ThreadId tid, HeapOffset target, std::uint64_t expected,
-              std::uint64_t swap);
-
-    /// Phase 2: thread @p tid reads its sprd cacheline, triggering the
-    /// compare-and-swap (doorbell + poll of a one-operand ring).
-    McasResult sprd(ThreadId tid);
-
-    /// Full spwr+sprd round trip.
-    McasResult mcas(ThreadId tid, HeapOffset target, std::uint64_t expected,
-                    std::uint64_t swap);
-
-    // ---- batched path ----
+    // ---- the spwr/sprd ring ----
 
     /// Stages @p op into the next free slot of @p tid's ring without
     /// ringing the doorbell. Returns false if the ring is full (the caller
@@ -206,12 +188,6 @@ class Nmp {
     /// Harvests the oldest executed operand's result into @p out. Returns
     /// false when no executed result is pending. Results are FIFO.
     bool poll(ThreadId tid, McasResult* out);
-
-    /// Convenience: stages up to @p n operands (stopping early if the ring
-    /// fills) and doorbells once. Returns the number accepted; the caller
-    /// polls that many results.
-    std::uint32_t spwr_batch(ThreadId tid, const McasOperand* ops,
-                             std::uint32_t n);
 
     // ---- fault injection (pod fault layer; see pod/faults.h) ----
 

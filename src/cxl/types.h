@@ -49,8 +49,8 @@ const char* to_string(CoherenceMode mode);
 
 // ---- Pod topology primitives (see pod/topology.h for the pod model). ----
 
-/// Identifies one memory device (head) of the pod. With a window-partitioned
-/// device the id is carried in the high bits of every HeapOffset.
+/// Identifies one memory device (head) of the pod. The id is carried in the
+/// high window bits of every HeapOffset.
 using DeviceId = std::uint16_t;
 
 /// Maximum devices per pod: DeviceId values are 0..kMaxDevices-1.
@@ -158,31 +158,18 @@ class EdgeDownError : public std::exception {
 };
 
 /// Offset -> device routing for a window-partitioned arena: device d owns
-/// offsets [d << window_bits, (d+1) << window_bits). window_bits == 0 means
-/// the legacy single-device arena (everything routes to device 0).
+/// offsets [d << window_bits, (d+1) << window_bits).
 constexpr DeviceId
 pod_device_of(HeapOffset offset, std::uint32_t window_bits)
 {
-    return window_bits == 0 ? DeviceId{0}
-                            : static_cast<DeviceId>(offset >> window_bits);
+    return static_cast<DeviceId>(offset >> window_bits);
 }
 
 /// Device-local offset (the low window bits).
 constexpr HeapOffset
 pod_local_of(HeapOffset offset, std::uint32_t window_bits)
 {
-    return window_bits == 0
-               ? offset
-               : offset & ((HeapOffset{1} << window_bits) - 1);
-}
-
-/// Composes a pod-global offset from a device id and a device-local offset.
-constexpr HeapOffset
-pod_encode(DeviceId device, HeapOffset local, std::uint32_t window_bits)
-{
-    return window_bits == 0
-               ? local
-               : (static_cast<HeapOffset>(device) << window_bits) | local;
+    return offset & ((HeapOffset{1} << window_bits) - 1);
 }
 
 } // namespace cxl

@@ -213,20 +213,19 @@ HugeHeap::allocate(pod::ThreadContext& ctx, ThreadState& ts,
     std::uint64_t start = 0;
     bool cleaned = false;
     while (!ts.huge_free.take(size, &start)) {
-        std::uint32_t region = 0;
-        if (claim_region(ctx, ts, &region)) {
-            ts.huge_free.insert(layout_->huge_region_data(region),
-                                region_size_);
-            continue;
-        }
         if (!cleaned) {
-            // Before reporting exhaustion, run the asynchronous reclaim
-            // pass once: freed-but-unreclaimed mappings may be waiting.
+            // Reclaim before claiming: space freed remotely waits here until
+            // the owner's cleanup pass, and claiming a fresh region instead
+            // lets a thread whose objects others free hoard every region.
             cleanup(ctx, ts);
             cleaned = true;
             continue;
         }
-        return 0; // address space exhausted
+        std::uint32_t region = 0;
+        if (!claim_region(ctx, ts, &region)) {
+            return 0; // address space exhausted
+        }
+        ts.huge_free.insert(layout_->huge_region_data(region), region_size_);
     }
     if (ts.free_descs.empty()) {
         cleanup(ctx, ts); // try to recycle freed descriptors

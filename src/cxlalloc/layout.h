@@ -74,11 +74,11 @@ struct Config {
     /// (kSmallMax).
     std::uint64_t dram_max_block = 0;
 
-    /// Device offset the layout starts at (page-aligned). 0 is the legacy
-    /// whole-device heap; a pod shard sets this to its device window's
-    /// base so every derived offset carries the window's device id in its
-    /// high bits (PC-S still holds: all processes compute the same
-    /// layout from the same Config).
+    /// Device offset the layout starts at (page-aligned). 0 is a heap at
+    /// the front of the device (window 0); a pod shard sets this to its
+    /// device window's base so every derived offset carries the window's
+    /// device id in its high bits (PC-S still holds: all processes compute
+    /// the same layout from the same Config).
     HeapOffset base = 0;
 };
 

@@ -52,7 +52,6 @@ HotSlabMigrator::HotSlabMigrator(PodShardedAllocator& heap,
     // moves to small blocks.
     options_.max_block = std::min<std::uint64_t>(options_.max_block, kSmallMax);
     active_ = heap.pod().topology().has_dram_tier();
-    window_bits_ = heap.pod().device().window_bits();
     heat_.resize(heap.shard_count());
     for (cxl::DeviceId d = 0; d < heap.shard_count(); d++) {
         heat_[d].slabs = heap.shard(d).config().small_slabs;
@@ -123,7 +122,7 @@ HotSlabMigrator::free_loser(pod::ThreadContext& ctx, cxl::HeapOffset row,
 {
     cxl::MemSession& mem = ctx.mem();
     cxl::HeapOffset block = free_new ? new_off : old_off;
-    cxl::DeviceId fdev = free_new ? target : pod_device_of_(old_off);
+    cxl::DeviceId fdev = free_new ? target : device_of(old_off);
     CxlAllocator& freeing = heap_.shard(fdev);
 
     // Quiesce BEFORE the durable Free stage: Free-stage recovery re-frees
@@ -146,7 +145,7 @@ HotSlabMigrator::migrate_one(pod::ThreadContext& ctx, cxl::HeapOffset cell,
 {
     namespace mp = migratepoint;
     cxl::MemSession& mem = ctx.mem();
-    CxlAllocator& cw = heap_.shard(pod_device_of_(cell));
+    CxlAllocator& cw = heap_.shard(device_of(cell));
     CxlAllocator& tgt = heap_.shard(target);
     cxl::HeapOffset row = cw.layout().recovery_row(ctx.tid());
     CXL_ASSERT((old_off >> 3) <= 0xffffffffULL && (old_off & 7) == 0,
@@ -219,13 +218,13 @@ HotSlabMigrator::debug_migrate_cell(pod::ThreadContext& ctx,
                                     cxl::HeapOffset cell,
                                     cxl::DeviceId target)
 {
-    CxlAllocator& cw = heap_.shard(pod_device_of_(cell));
+    CxlAllocator& cw = heap_.shard(device_of(cell));
     std::uint32_t val = cw.dcas().read(ctx.mem(), cell);
     if (val == 0) {
         return false;
     }
     auto off = static_cast<cxl::HeapOffset>(val) << 3;
-    cxl::DeviceId dev = pod_device_of_(off);
+    cxl::DeviceId dev = device_of(off);
     if (dev == target) {
         return false;
     }
@@ -260,7 +259,7 @@ HotSlabMigrator::evacuate_device(pod::ThreadContext& ctx,
             continue;
         }
         auto off = static_cast<cxl::HeapOffset>(val) << 3;
-        if (pod_device_of_(off) != source) {
+        if (device_of(off) != source) {
             continue;
         }
         // Evacuation covers what migrate_one can move: small blocks with
@@ -304,7 +303,7 @@ HotSlabMigrator::rehome(pod::ThreadContext& ctx, cxl::DeviceId target)
             continue;
         }
         auto off = static_cast<cxl::HeapOffset>(val) << 3;
-        cxl::DeviceId dev = pod_device_of_(off);
+        cxl::DeviceId dev = device_of(off);
         const Layout& l = heap_.shard(dev).layout();
         if (!l.in_small_data(off)) {
             continue;
@@ -372,7 +371,7 @@ HotSlabMigrator::run_epoch(pod::ThreadContext& ctx)
             continue;
         }
         auto off = static_cast<cxl::HeapOffset>(val) << 3;
-        cxl::DeviceId dev = pod_device_of_(off);
+        cxl::DeviceId dev = device_of(off);
         if (dev >= heap_.shard_count()) {
             continue;
         }
@@ -547,7 +546,7 @@ HotSlabMigrator::recover(pod::ThreadContext& ctx)
         // tells whether it also executed (then shard recovery already
         // redid it — re-freeing would double-free).
         cxl::HeapOffset block = free_new ? new_off : old_off;
-        cxl::DeviceId fdev = free_new ? target : pod_device_of_(old_off);
+        cxl::DeviceId fdev = free_new ? target : device_of(old_off);
         if (!is_free_op(snap[fdev].op)) {
             heap_.shard(fdev).deallocate(ctx, block);
         }

@@ -127,7 +127,7 @@ class HotSlabMigrator {
         if (!active_) {
             return;
         }
-        cxl::DeviceId dev = pod_device_of_(offset);
+        cxl::DeviceId dev = device_of(offset);
         if (dev >= heat_.size() || heat_[dev].slabs == 0) {
             return;
         }
@@ -236,9 +236,9 @@ class HotSlabMigrator {
     }
 
     cxl::DeviceId
-    pod_device_of_(cxl::HeapOffset offset) const
+    device_of(cxl::HeapOffset offset) const
     {
-        return cxl::pod_device_of(offset, window_bits_);
+        return heap_.pod().device().device_of(offset);
     }
 
     /// One crash-consistent migration of the object in @p cell (currently
@@ -271,7 +271,6 @@ class HotSlabMigrator {
     PodShardedAllocator& heap_;
     Options options_;
     bool active_ = false;
-    std::uint32_t window_bits_ = 0;
     std::vector<DeviceHeat> heat_;
     cxl::HeapOffset cells_ = 0;
     std::uint32_t cell_count_ = 0;

@@ -53,8 +53,8 @@ PodShardedAllocator::device_config(const Config& shard_config,
 
     cxl::DeviceConfig dev;
     dev.windows = topology.devices();
-    dev.window_bits = window_bits_for(window);
-    dev.size = static_cast<std::uint64_t>(dev.windows) << dev.window_bits;
+    dev.size = static_cast<std::uint64_t>(dev.windows)
+               << window_bits_for(window);
     dev.mode = mode;
     dev.sync_region_size = sync;
     dev.simulate_cache = simulate_cache;
@@ -70,10 +70,6 @@ PodShardedAllocator::PodShardedAllocator(pod::Pod& pod,
                           : kSmallMax)
 {
     const pod::Topology& topo = pod.topology();
-    CXL_FATAL_IF(topo.trivial(),
-                 "pod-sharded allocation needs a non-trivial topology");
-    CXL_FATAL_IF(pod.device().windows() != topo.devices(),
-                 "device windows must match topology devices");
     CXL_FATAL_IF(topo.has_dram_tier() && dram_config == nullptr,
                  "tiered topology needs a DRAM shard config");
 
@@ -345,12 +341,16 @@ PodShardedAllocator::recover(pod::ThreadContext& ctx)
     // recover() resets that ring, so the batch shard must go first.
     // Redoing the remaining shards' stale-but-completed records is
     // idempotent by design.
+    // A lone shard (the 1x1 pod) has no ordering to get wrong, so it skips
+    // the probe and recovers exactly as a bare CxlAllocator does.
     const std::vector<cxl::DeviceId>& reach = sweep_of(ctx);
     cxl::DeviceId batch_shard = static_cast<cxl::DeviceId>(shards_.size());
-    for (cxl::DeviceId d : reach) {
-        if (shards_[d]->pending_op(ctx) == Op::FreeRemoteBatch) {
-            batch_shard = d;
-            break;
+    if (reach.size() > 1) {
+        for (cxl::DeviceId d : reach) {
+            if (shards_[d]->pending_op(ctx) == Op::FreeRemoteBatch) {
+                batch_shard = d;
+                break;
+            }
         }
     }
     if (batch_shard < shards_.size()) {

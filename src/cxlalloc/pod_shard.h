@@ -1,9 +1,11 @@
 /// @file
-/// PodShardedAllocator: topology-aware allocation over a multi-device pod.
+/// PodShardedAllocator: topology-aware allocation over a pod.
 ///
-/// One CxlAllocator shard lives in each device window of a window-
-/// partitioned pod arena (cxl::DeviceConfig windows/window_bits; see
-/// docs/POD_TOPOLOGY.md). All shards share the pod-global thread-id space,
+/// One CxlAllocator shard lives in each device window of the pod arena
+/// (cxl::DeviceConfig::windows; see docs/POD_TOPOLOGY.md). A single host
+/// is the 1x1 pod: one window, one shard, a zero-cost edge — the same heap
+/// a bare CxlAllocator gives, reached through the same router every larger
+/// pod uses. All shards share the pod-global thread-id space,
 /// so any thread can allocate from, free into, and recover any shard —
 /// the placement policy, not a capability wall, is what keeps traffic
 /// host-local:
@@ -80,9 +82,9 @@ class PodShardedAllocator : public pod::FaultResolver {
         std::uint64_t extra_window_bytes = 0,
         const Config* dram_config = nullptr);
 
-    /// Binds one shard per device window of @p pod (whose topology must be
-    /// non-trivial and match the device's window count). @p shard_config
-    /// is the per-shard geometry; Config::base is derived per shard.
+    /// Binds one shard per device window of @p pod (any topology, the 1x1
+    /// pod included). @p shard_config is the per-shard geometry;
+    /// Config::base is derived per shard.
     /// LocalDram windows get a shard of @p dram_config's geometry instead
     /// (must be non-null iff the topology has a DRAM tier); shard_config's
     /// dram_percent / dram_max_block drive the tiered placement policy.

@@ -3,9 +3,16 @@
 /// a fresh pod, runs per-thread workloads, and reports wall-clock plus
 /// simulated time and memory (see DESIGN.md §2 on why both).
 ///
+/// There is one construction path: cxlalloc always runs as a
+/// PodShardedAllocator over the requested topology, and a single host is
+/// the 1x1 pod (one window, one shard, a zero-cost edge). Baselines run on
+/// a single-host pod only.
+///
 /// Memory-mode naming follows Fig. 12: "local" = host DRAM latencies,
 /// "hwcc" = CXL memory with inter-host HWcc, "mcas" = CXL memory with no
-/// HWcc (all synchronization through the NMP engine).
+/// HWcc (all synchronization through the NMP engine). Every bundle thread
+/// runs under its mode's latency model, so simulated time is always
+/// reported next to wall-clock.
 
 #pragma once
 
@@ -19,14 +26,13 @@
 
 #include "baselines/boostish.h"
 #include "baselines/cxlalloc_adapter.h"
-#include "baselines/pod_sharded_adapter.h"
 #include "baselines/cxlshmish.h"
 #include "baselines/lightningish.h"
 #include "baselines/mimic.h"
 #include "baselines/rallocish.h"
+#include "common/assert.h"
 #include "common/cacheline.h"
 #include "common/stats.h"
-#include "cxlalloc/allocator.h"
 #include "cxlalloc/pod_shard.h"
 #include "obs/registry.h"
 #include "pod/pod.h"
@@ -75,26 +81,51 @@ all_allocators()
 
 /// One fully constructed allocator-under-test on its own fresh pod.
 struct Bundle {
-    std::string name;
-    MemoryMode mode = MemoryMode::Local;
     std::unique_ptr<pod::Pod> pod;
-    std::unique_ptr<cxlalloc::CxlAllocator> cxl_heap; // when cxlalloc
+    /// The cxlalloc heap (null for baselines): one shard per device window.
+    std::unique_ptr<cxlalloc::PodShardedAllocator> heap;
     std::unique_ptr<baselines::PodAllocator> alloc;
-    pod::Process* process = nullptr;
+    /// One process per host (index = HostId), attached to the heap.
+    std::vector<pod::Process*> host_process;
+    /// The mode's latency model, installed on every bundle thread.
     cxl::LatencyModel latency;
-    bool use_latency_model = false;
-    /// Device offset of the extra region callers requested (index arrays).
+    /// Device offset of host 0's extra region (Geometry::extra_bytes).
     cxl::HeapOffset extra_base = 0;
+    /// Bytes of each host's extra slice (cacheline-rounded extra_bytes).
+    std::uint64_t extra_per_host = 0;
 
+    /// Spawns a thread in @p proc.
     std::unique_ptr<pod::ThreadContext>
-    thread(pod::Process* proc = nullptr)
+    thread_in(pod::Process& proc)
     {
-        auto ctx = pod->create_thread(proc != nullptr ? proc : process);
+        auto ctx = pod->create_thread(&proc);
         alloc->attach_thread(*ctx);
-        if (use_latency_model) {
-            ctx->mem().set_latency_model(&latency);
-        }
+        ctx->mem().set_latency_model(&latency);
         return ctx;
+    }
+
+    /// Spawns a thread in @p host's process.
+    std::unique_ptr<pod::ThreadContext>
+    thread(pod::HostId host = 0)
+    {
+        return thread_in(*host_process[host]);
+    }
+
+    /// Device offset of @p host's private extra slice (cxlalloc bundles):
+    /// hosts sharing a home device get consecutive extra_per_host slices
+    /// of its window.
+    cxl::HeapOffset
+    extra_base_for_host(pod::HostId host) const
+    {
+        const pod::Topology& topo = pod->topology();
+        cxl::DeviceId home = topo.home_of(host);
+        std::uint64_t rank = 0;
+        for (pod::HostId h = 0; h < host; h++) {
+            if (topo.home_of(h) == home) {
+                rank++;
+            }
+        }
+        return heap->extra_base(home) + rank * extra_per_host;
     }
 };
 
@@ -122,14 +153,16 @@ struct Geometry {
     std::uint64_t dram_max_block = 0;    // 0 = small blocks only
 };
 
-/// Builds @p which ("cxlalloc", "ralloc-like", ...) on a fresh device.
+/// Builds @p which ("cxlalloc", "ralloc-like", ...) on a fresh pod of
+/// @p topology. cxlalloc gets one shard of @p geom's geometry per device
+/// window, plus enough extra window space to give every host homed on it a
+/// private Geometry::extra_bytes slice. Baselines need the 1x1 topology.
 inline Bundle
 make_bundle(const std::string& which, const Geometry& geom,
-            MemoryMode mode = MemoryMode::Local)
+            MemoryMode mode = MemoryMode::Local,
+            const pod::Topology& topology = pod::Topology())
 {
     Bundle b;
-    b.name = which;
-    b.mode = mode;
     switch (mode) {
       case MemoryMode::Local:
         b.latency = cxl::LatencyModel::local_dram();
@@ -141,12 +174,13 @@ make_bundle(const std::string& which, const Geometry& geom,
         b.latency = cxl::LatencyModel::cxl_mcas();
         break;
     }
-    b.use_latency_model = mode != MemoryMode::Local;
     cxl::CoherenceMode coherence = mode == MemoryMode::CxlMcas
                                        ? cxl::CoherenceMode::NoHwcc
                                        : (geom.full_hwcc
                                               ? cxl::CoherenceMode::FullHwcc
                                               : cxl::CoherenceMode::PartialHwcc);
+    pod::PodConfig pc;
+    pc.checked_mappings = geom.checked_mappings;
 
     if (which == "cxlalloc" || which == "cxlalloc-nonrecoverable") {
         cxlalloc::Config cfg;
@@ -155,21 +189,52 @@ make_bundle(const std::string& which, const Geometry& geom,
         cfg.huge_regions = geom.huge_regions;
         cfg.huge_region_size = geom.huge_region_size;
         cfg.recoverable = which == "cxlalloc";
-        pod::PodConfig pc;
-        pc.device = cxlalloc::Layout(cfg).device_config(coherence);
-        pc.checked_mappings = geom.checked_mappings;
-        b.extra_base = pc.device.size;
-        pc.device.size += (geom.extra_bytes + cxl::kPageSize - 1) &
-                          ~(cxl::kPageSize - 1);
+        cfg.app_sync_bytes = geom.app_sync_bytes;
+        cfg.dram_percent = geom.dram_percent;
+        cfg.dram_max_block = geom.dram_max_block;
+
+        // LocalDram windows hold a smaller host-private shard; the policy
+        // split (dram_percent) rides on the shard config above.
+        bool tiered = topology.has_dram_tier();
+        cxlalloc::Config dram_cfg = cfg;
+        if (tiered) {
+            dram_cfg.small_slabs = geom.dram_small_slabs;
+            dram_cfg.large_slabs = 8;
+            dram_cfg.huge_regions = 1;
+            dram_cfg.huge_region_size = 1 << 20;
+        }
+
+        // Worst-case hosts homed on one device decides the per-window
+        // extra.
+        std::vector<std::uint32_t> homed(topology.devices(), 0);
+        for (pod::HostId h = 0; h < topology.hosts(); h++) {
+            homed[topology.home_of(h)]++;
+        }
+        std::uint32_t max_homed = 1;
+        for (std::uint32_t n : homed) {
+            max_homed = std::max(max_homed, n);
+        }
+        b.extra_per_host = cxlcommon::align_up(geom.extra_bytes,
+                                               cxlcommon::kCacheLine);
+
+        pc.device = cxlalloc::PodShardedAllocator::device_config(
+            cfg, topology, coherence, /*simulate_cache=*/false,
+            /*extra_window_bytes=*/b.extra_per_host * max_homed,
+            tiered ? &dram_cfg : nullptr);
+        pc.topology = topology;
         b.pod = std::make_unique<pod::Pod>(pc);
-        b.cxl_heap = std::make_unique<cxlalloc::CxlAllocator>(*b.pod, cfg);
-        b.cxl_heap->set_metrics(bundle_metrics());
-        b.process = b.pod->create_process();
-        b.cxl_heap->attach(*b.process);
-        b.alloc =
-            std::make_unique<baselines::CxlallocAdapter>(b.cxl_heap.get());
+        b.heap = std::make_unique<cxlalloc::PodShardedAllocator>(
+            *b.pod, cfg, tiered ? &dram_cfg : nullptr);
+        b.heap->set_metrics(bundle_metrics());
+        for (pod::HostId h = 0; h < topology.hosts(); h++) {
+            b.host_process.push_back(b.pod->create_process(h));
+            b.heap->attach(*b.host_process.back());
+        }
+        b.alloc = std::make_unique<baselines::CxlallocAdapter>(b.heap.get());
+        b.extra_base = b.extra_base_for_host(0);
         return b;
     }
+    CXL_FATAL_IF(!topology.trivial(), "baselines run on a single-host pod");
 
     // Baselines share a flat arena; ralloc's metadata goes at the front of
     // the sync region so it works under mCAS.
@@ -184,15 +249,13 @@ make_bundle(const std::string& which, const Geometry& geom,
     std::uint64_t arena =
         (64 + meta_bytes + cxl::kPageSize - 1) & ~(cxl::kPageSize - 1);
 
-    pod::PodConfig pc;
     pc.device.mode = coherence;
-    pc.checked_mappings = geom.checked_mappings;
     pc.device.sync_region_size = arena; // metadata prefix is coherent
     b.extra_base = arena + arena_size;
     pc.device.size = ((b.extra_base + geom.extra_bytes + cxl::kPageSize - 1) &
                       ~(cxl::kPageSize - 1));
     b.pod = std::make_unique<pod::Pod>(pc);
-    b.process = b.pod->create_process();
+    b.host_process.push_back(b.pod->create_process());
 
     if (which == "mimalloc-like") {
         b.alloc = std::make_unique<baselines::Mimic>(*b.pod, arena,
@@ -242,15 +305,17 @@ struct RunResult {
     }
 };
 
-/// Runs @p body once per thread (each on its own pod process when
-/// @p process_per_thread) and aggregates results. @p body returns the
-/// number of operations it performed.
+/// Runs @p body once per thread and aggregates results. Threads spread
+/// evenly over the pod's hosts in index order: worker w runs on host
+/// w * hosts / nthreads, so hosts x k threads give each host k
+/// consecutive workers. @p body returns the number of operations it
+/// performed.
 inline RunResult
 run_threads(Bundle& b, std::uint32_t nthreads,
             const std::function<std::uint64_t(pod::ThreadContext&,
-                                              std::uint32_t)>& body,
-            bool process_per_thread = false)
+                                              std::uint32_t)>& body)
 {
+    auto hosts = static_cast<std::uint32_t>(b.host_process.size());
     std::vector<std::thread> workers;
     std::vector<std::uint64_t> ops(nthreads, 0);
     std::vector<std::uint64_t> sim(nthreads, 0);
@@ -258,14 +323,8 @@ run_threads(Bundle& b, std::uint32_t nthreads,
     auto t0 = std::chrono::steady_clock::now();
     for (std::uint32_t w = 0; w < nthreads; w++) {
         workers.emplace_back([&, w] {
-            pod::Process* proc = b.process;
-            if (process_per_thread) {
-                proc = b.pod->create_process();
-                if (b.cxl_heap != nullptr) {
-                    b.cxl_heap->attach(*proc);
-                }
-            }
-            auto ctx = b.thread(proc);
+            auto host = static_cast<pod::HostId>(w * hosts / nthreads);
+            auto ctx = b.thread(host);
             ops[w] = body(*ctx, w);
             sim[w] = ctx->mem().sim_ns();
             events[w] = ctx->mem().counters();
@@ -314,181 +373,6 @@ print_row(const char* figure, const std::string& workload,
                     .c_str(),
                 cxlcommon::format_bytes(r.hwcc_bytes).c_str(),
                 note[0] != '\0' ? "  " : "", note);
-}
-
-// ---------------------------------------------------------------------------
-// Multi-host pod runs (topology-aware sharded allocation; see
-// docs/POD_TOPOLOGY.md).
-
-/// A sharded cxlalloc heap on a multi-host pod: one process per host, one
-/// allocator shard per device window.
-struct PodBundle {
-    MemoryMode mode = MemoryMode::CxlHwcc;
-    std::unique_ptr<pod::Pod> pod;
-    std::unique_ptr<cxlalloc::PodShardedAllocator> heap;
-    std::unique_ptr<baselines::PodShardedAdapter> alloc;
-    std::vector<pod::Process*> host_process; // index = HostId
-    cxl::LatencyModel latency;
-    /// Per-host private extra bytes (from Geometry::extra_bytes), placed in
-    /// the host's home window after the shard layout.
-    std::uint64_t extra_per_host = 0;
-
-    /// Spawns a thread on @p host. The latency model is always installed:
-    /// pod runs exist to measure edge costs.
-    std::unique_ptr<pod::ThreadContext>
-    thread(pod::HostId host)
-    {
-        auto ctx = pod->create_thread(host_process[host]);
-        alloc->attach_thread(*ctx);
-        ctx->mem().set_latency_model(&latency);
-        return ctx;
-    }
-
-    /// Device offset of @p host's private extra slice: hosts sharing a home
-    /// device get consecutive extra_per_host slices of its window.
-    cxl::HeapOffset
-    extra_base_for_host(pod::HostId host) const
-    {
-        const pod::Topology& topo = pod->topology();
-        cxl::DeviceId home = topo.home_of(host);
-        std::uint64_t rank = 0;
-        for (pod::HostId h = 0; h < host; h++) {
-            if (topo.home_of(h) == home) {
-                rank++;
-            }
-        }
-        return heap->extra_base(home) + rank * extra_per_host;
-    }
-};
-
-/// Builds a sharded cxlalloc heap over @p topology. Each device window
-/// holds one shard of @p geom's geometry plus enough extra space to give
-/// every host homed on it a private Geometry::extra_bytes slice.
-inline PodBundle
-make_pod_bundle(const pod::Topology& topology, const Geometry& geom,
-                MemoryMode mode = MemoryMode::CxlHwcc)
-{
-    PodBundle b;
-    b.mode = mode;
-    switch (mode) {
-      case MemoryMode::Local:
-        b.latency = cxl::LatencyModel::local_dram();
-        break;
-      case MemoryMode::CxlHwcc:
-        b.latency = cxl::LatencyModel::cxl_hwcc();
-        break;
-      case MemoryMode::CxlMcas:
-        b.latency = cxl::LatencyModel::cxl_mcas();
-        break;
-    }
-    cxl::CoherenceMode coherence = mode == MemoryMode::CxlMcas
-                                       ? cxl::CoherenceMode::NoHwcc
-                                       : (geom.full_hwcc
-                                              ? cxl::CoherenceMode::FullHwcc
-                                              : cxl::CoherenceMode::PartialHwcc);
-
-    cxlalloc::Config cfg;
-    cfg.small_slabs = geom.small_slabs;
-    cfg.large_slabs = geom.large_slabs;
-    cfg.huge_regions = geom.huge_regions;
-    cfg.huge_region_size = geom.huge_region_size;
-    cfg.app_sync_bytes = geom.app_sync_bytes;
-    cfg.dram_percent = geom.dram_percent;
-    cfg.dram_max_block = geom.dram_max_block;
-
-    // LocalDram windows hold a smaller host-private shard; the policy split
-    // (dram_percent) rides on the shard config above.
-    bool tiered = topology.has_dram_tier();
-    cxlalloc::Config dram_cfg = cfg;
-    if (tiered) {
-        dram_cfg.small_slabs = geom.dram_small_slabs;
-        dram_cfg.large_slabs = 8;
-        dram_cfg.huge_regions = 1;
-        dram_cfg.huge_region_size = 1 << 20;
-    }
-
-    // Worst-case hosts homed on one device decides the per-window extra.
-    std::vector<std::uint32_t> homed(topology.devices(), 0);
-    for (pod::HostId h = 0; h < topology.hosts(); h++) {
-        homed[topology.home_of(h)]++;
-    }
-    std::uint32_t max_homed = 1;
-    for (std::uint32_t n : homed) {
-        max_homed = std::max(max_homed, n);
-    }
-    b.extra_per_host = (geom.extra_bytes + cxlcommon::kCacheLine - 1) &
-                       ~std::uint64_t{cxlcommon::kCacheLine - 1};
-
-    pod::PodConfig pc;
-    pc.device = cxlalloc::PodShardedAllocator::device_config(
-        cfg, topology, coherence, /*simulate_cache=*/false,
-        /*extra_window_bytes=*/b.extra_per_host * max_homed,
-        tiered ? &dram_cfg : nullptr);
-    pc.checked_mappings = geom.checked_mappings;
-    pc.topology = topology;
-    b.pod = std::make_unique<pod::Pod>(pc);
-    b.heap = std::make_unique<cxlalloc::PodShardedAllocator>(
-        *b.pod, cfg, tiered ? &dram_cfg : nullptr);
-    b.heap->set_metrics(bundle_metrics());
-    b.host_process.resize(topology.hosts());
-    for (pod::HostId h = 0; h < topology.hosts(); h++) {
-        b.host_process[h] = b.pod->create_process(h);
-        b.heap->attach(*b.host_process[h]);
-    }
-    b.alloc = std::make_unique<baselines::PodShardedAdapter>(b.heap.get());
-    return b;
-}
-
-/// Runs @p body on @p hosts x @p threads_per_host threads — thread (h, i)
-/// runs on host h's process and sees worker index h * threads_per_host + i.
-/// Aggregation matches run_threads.
-inline RunResult
-run_pod_threads(PodBundle& b, std::uint32_t hosts,
-                std::uint32_t threads_per_host,
-                const std::function<std::uint64_t(pod::ThreadContext&,
-                                                  pod::HostId,
-                                                  std::uint32_t)>& body)
-{
-    std::uint32_t nthreads = hosts * threads_per_host;
-    std::vector<std::thread> workers;
-    std::vector<std::uint64_t> ops(nthreads, 0);
-    std::vector<std::uint64_t> sim(nthreads, 0);
-    std::vector<cxl::MemEventCounters> events(nthreads);
-    auto t0 = std::chrono::steady_clock::now();
-    for (std::uint32_t w = 0; w < nthreads; w++) {
-        workers.emplace_back([&, w] {
-            auto host = static_cast<pod::HostId>(w / threads_per_host);
-            auto ctx = b.thread(host);
-            ops[w] = body(*ctx, host, w);
-            sim[w] = ctx->mem().sim_ns();
-            events[w] = ctx->mem().counters();
-            if (obs::MetricsRegistry* reg = bundle_metrics()) {
-                ctx->mem().publish_metrics(*reg);
-                reg->shard(ctx->tid()).add(reg->counter("run.ops"), ops[w]);
-            }
-            b.pod->release_thread(std::move(ctx));
-        });
-    }
-    for (auto& th : workers) {
-        th.join();
-    }
-    RunResult r;
-    r.wall_s = std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                             t0)
-                   .count();
-    for (std::uint32_t w = 0; w < nthreads; w++) {
-        r.ops += ops[w];
-        r.sim_ns = std::max(r.sim_ns, sim[w]);
-        r.events += events[w];
-    }
-    if (obs::MetricsRegistry* reg = bundle_metrics()) {
-        reg->set_gauge(reg->gauge("run.sim_ns_max"),
-                       static_cast<double>(r.sim_ns));
-    }
-    r.committed_bytes = b.pod->device().committed_bytes();
-    r.metadata_bytes = b.alloc->metadata_overhead_bytes();
-    r.hwcc_bytes = b.heap->hwcc_bytes();
-    return r;
 }
 
 } // namespace bench

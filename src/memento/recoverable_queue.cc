@@ -103,7 +103,13 @@ RecoverableQueue::pop(pod::ThreadContext& ctx)
 {
     cxl::MemSession& mem = ctx.mem();
     while (true) {
-        std::uint32_t head = dcas_.read(mem, head_);
+        // Expect the whole tagged head word, not just its value: if the
+        // node is popped, freed, reallocated and pushed back before our
+        // CAS, the value matches again but the tag does not (ABA), and a
+        // value-only CAS would install a stale next — a node another
+        // thread already popped and freed.
+        std::uint64_t word = dcas_.read_word(mem, head_);
+        std::uint32_t head = cxlsync::DcasWord::value(word);
         if (head == 0) {
             return false;
         }
@@ -115,8 +121,8 @@ RecoverableQueue::pop(pod::ThreadContext& ctx)
         // Record the node we are trying to take, per attempt, so recovery
         // can finish the free if we die after the CAS.
         write_record(mem, QOp::Pop, ver, node);
-        auto r = dcas_.try_cas(mem, head_, head,
-                               static_cast<std::uint32_t>(next / 8), ver);
+        auto r = dcas_.try_cas_word(mem, head_, word,
+                                    static_cast<std::uint32_t>(next / 8), ver);
         if (r.success) {
             ctx.maybe_crash(qcrash::kAfterUnlink);
             alloc_->deallocate(ctx, node);

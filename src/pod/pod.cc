@@ -7,8 +7,7 @@ namespace pod {
 Pod::Pod(const PodConfig& config)
     : config_(config), device_(config.device), nmp_(&device_)
 {
-    CXL_FATAL_IF(!config_.topology.trivial() &&
-                     device_.windows() != config_.topology.devices(),
+    CXL_FATAL_IF(device_.windows() != config_.topology.devices(),
                  "topology devices must match device windows");
     slots_.fill(SlotState::Free);
 }

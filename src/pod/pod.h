@@ -24,10 +24,11 @@ struct PodConfig {
     /// When true, processes run in checked-mapping mode: PC-T is enforced
     /// per access and faults go through the handler.
     bool checked_mappings = false;
-    /// Host/device topology. The default (trivial 1x1) is the legacy
-    /// single-host, single-device pod; a non-trivial topology requires a
-    /// window-partitioned device with windows == topology.devices(), and
-    /// every thread's session is routed through its host's edge row.
+    /// Host/device topology; the device must have windows ==
+    /// topology.devices(). The default is the 1x1 pod: one host, one
+    /// device, a zero-cost edge (a single host is the smallest pod).
+    /// Beyond 1x1, every thread's session is routed through its host's
+    /// edge row.
     Topology topology;
 };
 

@@ -12,6 +12,8 @@ ThreadContext::ThreadContext(Process* process, cxl::ThreadId tid)
     if (process->checked()) {
         mem_.set_mapping_guard(process);
     }
+    // The 1x1 pod has one zero-cost edge: routing it would only add
+    // per-access work and pod.local_ops counts to every single-host run.
     const Topology& topo = process->pod().topology();
     if (!topo.trivial()) {
         auto host = static_cast<HostId>(process->host());

@@ -12,7 +12,7 @@
 /// rides on top of the base LatencyModel and `reachable == false` means
 /// there is no wire.
 ///
-/// Offsets carry their device id in the high window bits (cxl::DeviceConfig
+/// Offsets carry their device id in the high window bits (cxl::Device
 /// windows/window_bits), so routing an offset is a shift — no table lookup
 /// on the access path. The topology *shape* (who is wired to what, at what
 /// cost) is immutable after construction and shared read-only by every
@@ -40,8 +40,8 @@ inline constexpr std::uint32_t kMaxHosts = 16;
 /// An immutable N-host x M-device reachability/latency/bandwidth matrix.
 class Topology {
   public:
-    /// The trivial 1x1 pod: one host, one device, zero-cost edge — the
-    /// legacy single-device configuration.
+    /// The 1x1 pod: one host, one device, zero-cost edge — how a single
+    /// host runs.
     Topology() : Topology(1, 1) {}
 
     /// A pod of @p hosts x @p devices with every edge reachable at zero
@@ -74,7 +74,8 @@ class Topology {
     std::uint32_t hosts() const { return hosts_; }
     std::uint32_t devices() const { return devices_; }
 
-    /// True for the legacy 1 host x 1 device configuration.
+    /// True for the 1 host x 1 device pod, whose sessions skip per-access
+    /// routing (there is one zero-cost edge to route over).
     bool trivial() const { return hosts_ == 1 && devices_ == 1; }
 
     cxl::EdgeCost&

@@ -15,18 +15,37 @@ DetectableCas::try_cas(cxl::MemSession& mem, cxl::HeapOffset word_offset,
     if (DcasWord::value(current) != expected) {
         return Result{false, DcasWord::value(current)};
     }
+    return cas_word(mem, word_offset, current, desired, version);
+}
+
+DetectableCas::Result
+DetectableCas::try_cas_word(cxl::MemSession& mem,
+                            cxl::HeapOffset word_offset,
+                            std::uint64_t expected_word,
+                            std::uint32_t desired, std::uint16_t version)
+{
+    sched::hook(sched::Op::DcasTry, word_offset, desired);
+    return cas_word(mem, word_offset, expected_word, desired, version);
+}
+
+DetectableCas::Result
+DetectableCas::cas_word(cxl::MemSession& mem, cxl::HeapOffset word_offset,
+                        std::uint64_t expected_word, std::uint32_t desired,
+                        std::uint16_t version)
+{
     // Before displacing a tagged word, publish the displaced owner's success
     // so its recovery can detect it even after the word moves on.
-    if (detectable_ && DcasWord::tid(current) != cxl::kNoThread) {
-        record_help(mem, DcasWord::tid(current), DcasWord::version(current));
+    if (detectable_ && DcasWord::tid(expected_word) != cxl::kNoThread) {
+        record_help(mem, DcasWord::tid(expected_word),
+                    DcasWord::version(expected_word));
     }
     std::uint64_t desired_word =
         DcasWord::pack(desired, mem.tid(), version);
-    std::uint64_t expected_word = current;
-    if (mem.cas64(word_offset, expected_word, desired_word)) {
-        return Result{true, expected};
+    std::uint64_t seen = expected_word;
+    if (mem.cas64(word_offset, seen, desired_word)) {
+        return Result{true, DcasWord::value(expected_word)};
     }
-    return Result{false, DcasWord::value(expected_word)};
+    return Result{false, DcasWord::value(seen)};
 }
 
 bool

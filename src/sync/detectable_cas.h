@@ -90,6 +90,14 @@ class DetectableCas {
                    std::uint32_t expected, std::uint32_t desired,
                    std::uint16_t version);
 
+    /// try_cas against a whole tagged word from read_word(): fails when any
+    /// CAS landed since that read, even one that restored the same value.
+    /// Lock-free structures whose nodes are freed and reallocated use it to
+    /// rule out ABA.
+    Result try_cas_word(cxl::MemSession& mem, cxl::HeapOffset word_offset,
+                        std::uint64_t expected_word, std::uint32_t desired,
+                        std::uint16_t version);
+
     /// Phase 1 of a batched detectable CAS — the staging half of try_cas:
     /// value-checks the word and publishes the displaced owner's success,
     /// then emits the raw word-level operand for MemSession::mcas_post /
@@ -122,7 +130,15 @@ class DetectableCas {
     std::uint32_t
     read(cxl::MemSession& mem, cxl::HeapOffset word_offset)
     {
-        return DcasWord::value(mem.atomic_load64(word_offset));
+        return DcasWord::value(read_word(mem, word_offset));
+    }
+
+    /// Reads the whole tagged word (value plus the tag of the CAS that
+    /// wrote it), for try_cas_word.
+    std::uint64_t
+    read_word(cxl::MemSession& mem, cxl::HeapOffset word_offset)
+    {
+        return mem.atomic_load64(word_offset);
     }
 
     /// Recovery query: did thread @p mem.tid()'s CAS tagged @p version on
@@ -133,6 +149,13 @@ class DetectableCas {
     bool detectable() const { return detectable_; }
 
   private:
+    /// The CAS step shared by try_cas and try_cas_word: publishes the
+    /// displaced owner's success, then swaps @p expected_word for the
+    /// caller's tagged @p desired.
+    Result cas_word(cxl::MemSession& mem, cxl::HeapOffset word_offset,
+                    std::uint64_t expected_word, std::uint32_t desired,
+                    std::uint16_t version);
+
     /// Records that @p tid's CAS tagged @p version is known to have
     /// succeeded (its tag was observed in a word).
     void record_help(cxl::MemSession& mem, cxl::ThreadId tid,

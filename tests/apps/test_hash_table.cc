@@ -4,46 +4,34 @@
 #include <set>
 #include <thread>
 
-#include "baselines/cxlalloc_adapter.h"
 #include "common/random.h"
 #include "kv/kv_store.h"
-#include "../cxlalloc/fixture.h"
+#include "small_geometry.h"
 
 namespace {
 
-using cxltest::Rig;
-
-/// A rig with a hash table whose bucket array lives in the huge region
-/// (carved directly; not an allocator allocation).
+/// A single-host cxlalloc bundle with a hash table whose bucket array lives
+/// in the bundle's extra region (carved directly; not an allocation).
 struct KvRig {
-    KvRig() : rig(options()), adapter(&rig.alloc)
+    KvRig()
+        : b(bench::make_bundle(
+              "cxlalloc",
+              apptest::small_geometry(kv::HashTable::footprint(kBuckets))))
     {
-        // Steal the tail of the device for buckets (outside heap data).
-        cxl::HeapOffset buckets =
-            rig.pod.device().size() - kv::HashTable::footprint(kBuckets);
-        table = std::make_unique<kv::HashTable>(rig.pod, buckets, kBuckets,
-                                                &adapter);
+        table = std::make_unique<kv::HashTable>(*b.pod, b.extra_base,
+                                                kBuckets, b.alloc.get());
     }
 
     static constexpr std::uint64_t kBuckets = 1024;
 
-    static cxltest::RigOptions
-    options()
-    {
-        cxltest::RigOptions opt;
-        opt.extra_device_bytes = kv::HashTable::footprint(kBuckets);
-        return opt;
-    }
-
-    Rig rig;
-    baselines::CxlallocAdapter adapter;
+    bench::Bundle b;
     std::unique_ptr<kv::HashTable> table;
 };
 
 TEST(HashTableTest, InsertGetRemove)
 {
     KvRig kv;
-    auto t = kv.rig.thread();
+    auto t = kv.b.thread();
     EXPECT_TRUE(kv.table->insert(*t, "alpha", 5, "one", 3));
     char out[16] = {};
     std::uint32_t vlen = 0;
@@ -55,13 +43,13 @@ TEST(HashTableTest, InsertGetRemove)
     EXPECT_FALSE(kv.table->get(*t, "alpha", 5, nullptr, 0, nullptr));
     EXPECT_FALSE(kv.table->remove(*t, "alpha", 5));
     kv.table->clear(*t);
-    kv.rig.pod.release_thread(std::move(t));
+    kv.b.pod->release_thread(std::move(t));
 }
 
 TEST(HashTableTest, ManyKeysSurviveCollisions)
 {
     KvRig kv;
-    auto t = kv.rig.thread();
+    auto t = kv.b.thread();
     constexpr int kN = 5000; // ~5 keys per bucket: chains exercised
     for (std::uint64_t i = 0; i < kN; i++) {
         ASSERT_TRUE(kv.table->insert(*t, &i, 8, &i, 8));
@@ -80,13 +68,13 @@ TEST(HashTableTest, ManyKeysSurviveCollisions)
         EXPECT_EQ(kv.table->get(*t, &i, 8, nullptr, 0, nullptr), i % 2 == 1);
     }
     kv.table->clear(*t);
-    kv.rig.pod.release_thread(std::move(t));
+    kv.b.pod->release_thread(std::move(t));
 }
 
 TEST(HashTableTest, DeletedMemoryIsReclaimedThroughEbr)
 {
     KvRig kv;
-    auto t = kv.rig.thread();
+    auto t = kv.b.thread();
     // Insert/remove churn far exceeding the heap if nodes leaked.
     for (std::uint64_t round = 0; round < 50; round++) {
         for (std::uint64_t i = 0; i < 500; i++) {
@@ -101,7 +89,7 @@ TEST(HashTableTest, DeletedMemoryIsReclaimedThroughEbr)
         }
     }
     kv.table->clear(*t);
-    kv.rig.pod.release_thread(std::move(t));
+    kv.b.pod->release_thread(std::move(t));
 }
 
 TEST(HashTableTest, ConcurrentMixedOperations)
@@ -112,7 +100,7 @@ TEST(HashTableTest, ConcurrentMixedOperations)
     std::vector<std::thread> workers;
     for (int w = 0; w < kThreads; w++) {
         workers.emplace_back([&kv, w] {
-            auto t = kv.rig.thread();
+            auto t = kv.b.thread();
             cxlcommon::Xoshiro rng(w * 31 + 1);
             for (int i = 0; i < kOps; i++) {
                 std::uint64_t key = rng.next_below(256);
@@ -130,26 +118,26 @@ TEST(HashTableTest, ConcurrentMixedOperations)
                     break;
                 }
             }
-            kv.rig.pod.release_thread(std::move(t));
+            kv.b.pod->release_thread(std::move(t));
         });
     }
     for (auto& w : workers) {
         w.join();
     }
-    auto t = kv.rig.thread();
+    auto t = kv.b.thread();
     // Every node the walk sees must be retrievable.
     kv.table->for_each_node([&](cxl::HeapOffset node) {
         EXPECT_NE(node, 0u);
     });
     kv.table->clear(*t);
-    kv.rig.alloc.check_invariants(t->mem());
-    kv.rig.pod.release_thread(std::move(t));
+    kv.b.heap->check_invariants(t->mem());
+    kv.b.pod->release_thread(std::move(t));
 }
 
 TEST(HashTableTest, DetectableNodeLifecycle)
 {
     KvRig kv;
-    auto t = kv.rig.thread();
+    auto t = kv.b.thread();
     std::uint64_t key = 42;
     std::uint64_t node = kv.table->alloc_node(*t, &key, 8, "v", 1);
     ASSERT_NE(node, 0u);
@@ -159,7 +147,7 @@ TEST(HashTableTest, DetectableNodeLifecycle)
     EXPECT_TRUE(kv.table->contains_node(*t, node));
     EXPECT_TRUE(kv.table->get(*t, &key, 8, nullptr, 0, nullptr));
     kv.table->clear(*t);
-    kv.rig.pod.release_thread(std::move(t));
+    kv.b.pod->release_thread(std::move(t));
 }
 
 TEST(KvStoreTest, FormatKeyDeterministicAndSized)

@@ -3,8 +3,7 @@
 
 #include <gtest/gtest.h>
 
-#include "baselines/cxlalloc_adapter.h"
-#include "../cxlalloc/fixture.h"
+#include "small_geometry.h"
 
 namespace {
 
@@ -13,32 +12,31 @@ using memento::RecoverableQueue;
 using pod::ThreadCrashed;
 
 struct MementoRig {
-    MementoRig() : rig(options()), adapter(&rig.alloc)
+    MementoRig() : b(bench::make_bundle("cxlalloc", geometry()))
     {
-        // Queue + map metadata and the bucket array live in extra device
-        // space past the heap. The queue's detectable CAS needs coherent
-        // words there, so the rig runs under FullHwcc — matching the
-        // paper, whose Fig. 7 experiment runs on regular DRAM.
-        cxl::HeapOffset at = rig.alloc.layout().end();
-        queue = std::make_unique<RecoverableQueue>(rig.pod, at, &adapter);
+        // Queue + map metadata and the bucket array live in the bundle's
+        // extra region past the heap. The queue's detectable CAS needs
+        // coherent words there, so the rig runs under FullHwcc — matching
+        // the paper, whose Fig. 7 experiment runs on regular DRAM.
+        cxl::HeapOffset at = b.extra_base;
+        queue = std::make_unique<RecoverableQueue>(*b.pod, at, b.alloc.get());
         at += RecoverableQueue::meta_size();
         cxl::HeapOffset mmeta = at;
         at += RecoverableMap::meta_size();
-        map = std::make_unique<RecoverableMap>(rig.pod, mmeta, at, kBuckets,
-                                               &adapter);
+        map = std::make_unique<RecoverableMap>(*b.pod, mmeta, at, kBuckets,
+                                               b.alloc.get());
     }
 
     static constexpr std::uint64_t kBuckets = 512;
 
-    static cxltest::RigOptions
-    options()
+    static bench::Geometry
+    geometry()
     {
-        cxltest::RigOptions opt;
-        opt.mode = cxl::CoherenceMode::FullHwcc;
-        opt.extra_device_bytes = RecoverableQueue::meta_size() +
-                                 RecoverableMap::meta_size() +
-                                 kv::HashTable::footprint(kBuckets);
-        return opt;
+        bench::Geometry geom = apptest::small_geometry(
+            RecoverableQueue::meta_size() + RecoverableMap::meta_size() +
+            kv::HashTable::footprint(kBuckets));
+        geom.full_hwcc = true;
+        return geom;
     }
 
     /// Crashes ctx at app point @p point while running @p op, then adopts
@@ -60,9 +58,9 @@ struct MementoRig {
             return false;
         }
         cxl::ThreadId tid = ctx->tid();
-        rig.pod.mark_crashed(std::move(ctx));
-        ctx = rig.pod.adopt_thread(rig.process, tid);
-        rig.alloc.recover(*ctx);
+        b.pod->mark_crashed(std::move(ctx));
+        ctx = b.pod->adopt_thread(b.host_process[0], tid);
+        b.heap->recover(*ctx);
         if (use_map) {
             map->recover(*ctx);
         } else {
@@ -71,8 +69,7 @@ struct MementoRig {
         return true;
     }
 
-    cxltest::Rig rig;
-    baselines::CxlallocAdapter adapter;
+    bench::Bundle b;
     std::unique_ptr<RecoverableQueue> queue;
     std::unique_ptr<RecoverableMap> map;
 };
@@ -80,7 +77,7 @@ struct MementoRig {
 TEST(MementoQueue, PushPopRoundTrip)
 {
     MementoRig m;
-    auto t = m.rig.thread();
+    auto t = m.b.thread();
     for (int i = 0; i < 100; i++) {
         ASSERT_TRUE(m.queue->push(*t, 64 + i, 0xab));
     }
@@ -89,8 +86,8 @@ TEST(MementoQueue, PushPopRoundTrip)
         ASSERT_TRUE(m.queue->pop(*t));
     }
     EXPECT_FALSE(m.queue->pop(*t));
-    m.rig.alloc.check_invariants(t->mem());
-    m.rig.pod.release_thread(std::move(t));
+    m.b.heap->check_invariants(t->mem());
+    m.b.pod->release_thread(std::move(t));
 }
 
 class QueueCrash : public ::testing::TestWithParam<int> {};
@@ -98,7 +95,7 @@ class QueueCrash : public ::testing::TestWithParam<int> {};
 TEST_P(QueueCrash, PushCrashNeverLosesOrLeaksObjects)
 {
     MementoRig m;
-    auto t = m.rig.thread();
+    auto t = m.b.thread();
     for (int i = 0; i < 10; i++) {
         ASSERT_TRUE(m.queue->push(*t, 128, 1));
     }
@@ -118,8 +115,8 @@ TEST_P(QueueCrash, PushCrashNeverLosesOrLeaksObjects)
     // Everything still pops and frees cleanly.
     while (m.queue->pop(*t)) {
     }
-    m.rig.alloc.check_invariants(t->mem());
-    m.rig.pod.release_thread(std::move(t));
+    m.b.heap->check_invariants(t->mem());
+    m.b.pod->release_thread(std::move(t));
 }
 
 INSTANTIATE_TEST_SUITE_P(Points, QueueCrash,
@@ -130,7 +127,7 @@ INSTANTIATE_TEST_SUITE_P(Points, QueueCrash,
 TEST(MementoQueue, PopCrashFreesUnlinkedNode)
 {
     MementoRig m;
-    auto t = m.rig.thread();
+    auto t = m.b.thread();
     for (int i = 0; i < 5; i++) {
         ASSERT_TRUE(m.queue->push(*t, 256, 3));
     }
@@ -145,14 +142,14 @@ TEST(MementoQueue, PopCrashFreesUnlinkedNode)
         ASSERT_TRUE(m.queue->push(*t, 256, 4));
         ASSERT_TRUE(m.queue->pop(*t));
     }
-    m.rig.alloc.check_invariants(t->mem());
-    m.rig.pod.release_thread(std::move(t));
+    m.b.heap->check_invariants(t->mem());
+    m.b.pod->release_thread(std::move(t));
 }
 
 TEST(MementoMap, InsertRemoveContains)
 {
     MementoRig m;
-    auto t = m.rig.thread();
+    auto t = m.b.thread();
     for (std::uint64_t id = 0; id < 200; id++) {
         ASSERT_TRUE(m.map->insert(*t, id, 64 + id % 512));
     }
@@ -164,7 +161,7 @@ TEST(MementoMap, InsertRemoveContains)
     }
     EXPECT_FALSE(m.map->contains(*t, 0));
     m.map->clear(*t);
-    m.rig.pod.release_thread(std::move(t));
+    m.b.pod->release_thread(std::move(t));
 }
 
 class MapCrash : public ::testing::TestWithParam<int> {};
@@ -172,7 +169,7 @@ class MapCrash : public ::testing::TestWithParam<int> {};
 TEST_P(MapCrash, InsertCrashRecoversWithoutLoss)
 {
     MementoRig m;
-    auto t = m.rig.thread();
+    auto t = m.b.thread();
     for (std::uint64_t id = 0; id < 10; id++) {
         ASSERT_TRUE(m.map->insert(*t, id, 64));
     }
@@ -188,8 +185,8 @@ TEST_P(MapCrash, InsertCrashRecoversWithoutLoss)
         EXPECT_TRUE(m.map->contains(*t, id));
     }
     m.map->clear(*t);
-    m.rig.alloc.check_invariants(t->mem());
-    m.rig.pod.release_thread(std::move(t));
+    m.b.heap->check_invariants(t->mem());
+    m.b.pod->release_thread(std::move(t));
 }
 
 INSTANTIATE_TEST_SUITE_P(Points, MapCrash,
@@ -200,7 +197,7 @@ INSTANTIATE_TEST_SUITE_P(Points, MapCrash,
 TEST(MementoQueue, GcRootsWalkMatchesContents)
 {
     MementoRig m;
-    auto t = m.rig.thread();
+    auto t = m.b.thread();
     for (int i = 0; i < 25; i++) {
         ASSERT_TRUE(m.queue->push(*t, 64, 1));
     }
@@ -208,7 +205,7 @@ TEST(MementoQueue, GcRootsWalkMatchesContents)
     m.queue->for_each(*t, [&](cxl::HeapOffset) { walked++; });
     EXPECT_EQ(walked, 25);
     m.queue->drain(*t);
-    m.rig.pod.release_thread(std::move(t));
+    m.b.pod->release_thread(std::move(t));
 }
 
 } // namespace

@@ -5,11 +5,10 @@
 #include <atomic>
 #include <thread>
 
-#include "baselines/cxlalloc_adapter.h"
 #include "common/random.h"
 #include "memento/recoverable_map.h"
 #include "memento/recoverable_queue.h"
-#include "../cxlalloc/fixture.h"
+#include "small_geometry.h"
 
 namespace {
 
@@ -18,32 +17,30 @@ using memento::RecoverableQueue;
 using pod::ThreadCrashed;
 
 struct MRig {
-    MRig() : rig(options()), adapter(&rig.alloc)
+    MRig() : b(bench::make_bundle("cxlalloc", geometry()))
     {
-        cxl::HeapOffset at = rig.alloc.layout().end();
-        queue = std::make_unique<RecoverableQueue>(rig.pod, at, &adapter);
+        cxl::HeapOffset at = b.extra_base;
+        queue = std::make_unique<RecoverableQueue>(*b.pod, at, b.alloc.get());
         at += RecoverableQueue::meta_size();
         cxl::HeapOffset mmeta = at;
         at += RecoverableMap::meta_size();
-        map = std::make_unique<RecoverableMap>(rig.pod, mmeta, at, kBuckets,
-                                               &adapter);
+        map = std::make_unique<RecoverableMap>(*b.pod, mmeta, at, kBuckets,
+                                               b.alloc.get());
     }
 
     static constexpr std::uint64_t kBuckets = 2048;
 
-    static cxltest::RigOptions
-    options()
+    static bench::Geometry
+    geometry()
     {
-        cxltest::RigOptions opt;
-        opt.mode = cxl::CoherenceMode::FullHwcc;
-        opt.extra_device_bytes = RecoverableQueue::meta_size() +
-                                 RecoverableMap::meta_size() +
-                                 kv::HashTable::footprint(kBuckets);
-        return opt;
+        bench::Geometry geom = apptest::small_geometry(
+            RecoverableQueue::meta_size() + RecoverableMap::meta_size() +
+            kv::HashTable::footprint(kBuckets));
+        geom.full_hwcc = true;
+        return geom;
     }
 
-    cxltest::Rig rig;
-    baselines::CxlallocAdapter adapter;
+    bench::Bundle b;
     std::unique_ptr<RecoverableQueue> queue;
     std::unique_ptr<RecoverableMap> map;
 };
@@ -57,26 +54,26 @@ TEST(MementoConcurrent, QueuePushPopBalanceAcrossThreads)
     std::atomic<std::uint64_t> pops{0};
     for (int w = 0; w < kThreads; w++) {
         workers.emplace_back([&] {
-            auto t = m.rig.thread();
+            auto t = m.b.thread();
             for (int i = 0; i < kPer; i++) {
                 ASSERT_TRUE(m.queue->push(*t, 64, 1));
                 if (m.queue->pop(*t)) {
                     pops.fetch_add(1);
                 }
             }
-            m.rig.pod.release_thread(std::move(t));
+            m.b.pod->release_thread(std::move(t));
         });
     }
     for (auto& th : workers) {
         th.join();
     }
-    auto t = m.rig.thread();
+    auto t = m.b.thread();
     std::uint64_t remaining = m.queue->approximate_size(*t);
     EXPECT_EQ(pops.load() + remaining,
               static_cast<std::uint64_t>(kThreads) * kPer);
     m.queue->drain(*t);
-    m.rig.alloc.check_invariants(t->mem());
-    m.rig.pod.release_thread(std::move(t));
+    m.b.heap->check_invariants(t->mem());
+    m.b.pod->release_thread(std::move(t));
 }
 
 TEST(MementoConcurrent, CrashWhileOthersKeepPushing)
@@ -85,7 +82,7 @@ TEST(MementoConcurrent, CrashWhileOthersKeepPushing)
     std::atomic<bool> crashed_done{false};
     std::atomic<std::uint64_t> victim_pushes{0};
     std::thread victim_thread([&] {
-        auto t = m.rig.thread();
+        auto t = m.b.thread();
         t->arm_crash(memento::qcrash::kAfterLink, 500);
         try {
             for (int i = 0; i < 100000; i++) {
@@ -96,30 +93,30 @@ TEST(MementoConcurrent, CrashWhileOthersKeepPushing)
             // The armed push completed its link before the crash fired.
             victim_pushes.fetch_add(1);
             cxl::ThreadId tid = t->tid();
-            m.rig.pod.mark_crashed(std::move(t));
-            auto recovered = m.rig.pod.adopt_thread(m.rig.process, tid);
-            m.rig.alloc.recover(*recovered);
+            m.b.pod->mark_crashed(std::move(t));
+            auto recovered = m.b.pod->adopt_thread(m.b.host_process[0], tid);
+            m.b.heap->recover(*recovered);
             m.queue->recover(*recovered);
-            m.rig.pod.release_thread(std::move(recovered));
+            m.b.pod->release_thread(std::move(recovered));
         }
         crashed_done.store(true);
     });
     std::uint64_t live_pushes = 0;
     {
-        auto t = m.rig.thread();
+        auto t = m.b.thread();
         while (!crashed_done.load()) {
             ASSERT_TRUE(m.queue->push(*t, 32, 3));
             live_pushes++;
         }
-        m.rig.pod.release_thread(std::move(t));
+        m.b.pod->release_thread(std::move(t));
     }
     victim_thread.join();
-    auto t = m.rig.thread();
+    auto t = m.b.thread();
     EXPECT_EQ(m.queue->approximate_size(*t),
               victim_pushes.load() + live_pushes);
     m.queue->drain(*t);
-    m.rig.alloc.check_invariants(t->mem());
-    m.rig.pod.release_thread(std::move(t));
+    m.b.heap->check_invariants(t->mem());
+    m.b.pod->release_thread(std::move(t));
 }
 
 TEST(MementoConcurrent, MapParallelDistinctKeyRanges)
@@ -130,17 +127,17 @@ TEST(MementoConcurrent, MapParallelDistinctKeyRanges)
     std::vector<std::thread> workers;
     for (int w = 0; w < kThreads; w++) {
         workers.emplace_back([&, w] {
-            auto t = m.rig.thread();
+            auto t = m.b.thread();
             for (std::uint64_t i = 0; i < kPer; i++) {
                 ASSERT_TRUE(m.map->insert(*t, w * kPer + i, 40 + w));
             }
-            m.rig.pod.release_thread(std::move(t));
+            m.b.pod->release_thread(std::move(t));
         });
     }
     for (auto& th : workers) {
         th.join();
     }
-    auto t = m.rig.thread();
+    auto t = m.b.thread();
     for (std::uint64_t id = 0; id < kThreads * kPer; id++) {
         EXPECT_TRUE(m.map->contains(*t, id)) << "id " << id;
     }
@@ -148,14 +145,14 @@ TEST(MementoConcurrent, MapParallelDistinctKeyRanges)
         EXPECT_TRUE(m.map->remove(*t, id));
     }
     m.map->clear(*t);
-    m.rig.alloc.check_invariants(t->mem());
-    m.rig.pod.release_thread(std::move(t));
+    m.b.heap->check_invariants(t->mem());
+    m.b.pod->release_thread(std::move(t));
 }
 
 TEST(MementoConcurrent, RepeatedCrashesAcrossBothStructures)
 {
     MRig m;
-    auto t = m.rig.thread();
+    auto t = m.b.thread();
     cxlcommon::Xoshiro rng(12);
     int crashes = 0;
     std::uint64_t next_id = 0;
@@ -176,19 +173,19 @@ TEST(MementoConcurrent, RepeatedCrashesAcrossBothStructures)
         } catch (const ThreadCrashed&) {
             crashes++;
             cxl::ThreadId tid = t->tid();
-            m.rig.pod.mark_crashed(std::move(t));
-            t = m.rig.pod.adopt_thread(m.rig.process, tid);
-            m.rig.alloc.recover(*t);
+            m.b.pod->mark_crashed(std::move(t));
+            t = m.b.pod->adopt_thread(m.b.host_process[0], tid);
+            m.b.heap->recover(*t);
             m.queue->recover(*t);
             m.map->recover(*t);
-            m.rig.alloc.check_invariants(t->mem());
+            m.b.heap->check_invariants(t->mem());
         }
     }
     EXPECT_GT(crashes, 10);
     m.queue->drain(*t);
     m.map->clear(*t);
-    m.rig.alloc.check_invariants(t->mem());
-    m.rig.pod.release_thread(std::move(t));
+    m.b.heap->check_invariants(t->mem());
+    m.b.pod->release_thread(std::move(t));
 }
 
 } // namespace

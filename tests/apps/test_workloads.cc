@@ -5,8 +5,7 @@
 #include <map>
 #include <thread>
 
-#include "baselines/cxlalloc_adapter.h"
-#include "../cxlalloc/fixture.h"
+#include "small_geometry.h"
 
 namespace {
 
@@ -103,20 +102,20 @@ TEST(KvWorkloads, SkewedStreamHammersHotKeys)
 
 TEST(Threadtest, RunsExactWorkAmount)
 {
-    cxltest::Rig rig;
-    baselines::CxlallocAdapter adapter(&rig.alloc);
-    auto t = rig.thread();
-    std::uint64_t pairs = run_threadtest(adapter, *t, /*rounds=*/10,
+    bench::Bundle b =
+        bench::make_bundle("cxlalloc", apptest::small_geometry());
+    auto t = b.thread();
+    std::uint64_t pairs = run_threadtest(*b.alloc, *t, /*rounds=*/10,
                                          /*batch=*/100, /*size=*/64);
     EXPECT_EQ(pairs, 1000u);
-    rig.alloc.check_local_invariants(t->mem());
-    rig.pod.release_thread(std::move(t));
+    b.heap->shard(0).check_local_invariants(t->mem());
+    b.pod->release_thread(std::move(t));
 }
 
 TEST(Xmalloc, RingCompletesAndBalances)
 {
-    cxltest::Rig rig;
-    baselines::CxlallocAdapter adapter(&rig.alloc);
+    bench::Bundle b =
+        bench::make_bundle("cxlalloc", apptest::small_geometry());
     constexpr std::uint32_t kThreads = 3;
     constexpr std::uint64_t kCount = 2000;
     XmallocRing ring(kThreads);
@@ -124,9 +123,9 @@ TEST(Xmalloc, RingCompletesAndBalances)
     std::vector<std::uint64_t> done(kThreads, 0);
     for (std::uint32_t w = 0; w < kThreads; w++) {
         workers.emplace_back([&, w] {
-            auto t = rig.thread();
-            done[w] = run_xmalloc(adapter, *t, ring, w, kCount, 128);
-            rig.pod.release_thread(std::move(t));
+            auto t = b.thread();
+            done[w] = run_xmalloc(*b.alloc, *t, ring, w, kCount, 128);
+            b.pod->release_thread(std::move(t));
         });
     }
     for (auto& th : workers) {
@@ -135,9 +134,9 @@ TEST(Xmalloc, RingCompletesAndBalances)
     for (std::uint32_t w = 0; w < kThreads; w++) {
         EXPECT_EQ(done[w], 2 * kCount) << "thread " << w;
     }
-    auto checker = rig.thread();
-    rig.alloc.check_invariants(checker->mem());
-    rig.pod.release_thread(std::move(checker));
+    auto checker = b.thread();
+    b.heap->check_invariants(checker->mem());
+    b.pod->release_thread(std::move(checker));
 }
 
 TEST(SpscRingTest, OrderAndCapacity)

@@ -126,11 +126,16 @@ TEST(MemOpsEdge, McasConflictCountedAndRecovered)
     Rig rig(CoherenceMode::NoHwcc);
     MemSession s1 = rig.session(1);
     MemSession s2 = rig.session(2);
-    rig.nmp.spwr(1, 256, 0, 7); // leave thread 1's op in flight
+    // Leave thread 1's operand staged (posted, doorbell not yet rung).
+    ASSERT_TRUE(rig.nmp.spwr_post(
+        1, cxl::McasOperand{.target = 256, .expected = 0, .swap = 7}));
     std::uint64_t expected = 0;
     EXPECT_FALSE(s2.cas64(256, expected, 9));
     EXPECT_EQ(s2.counters().mcas_conflicts, 1u);
-    EXPECT_TRUE(rig.nmp.sprd(1).success);
+    EXPECT_EQ(rig.nmp.doorbell(1), 1u);
+    cxl::McasResult r1;
+    ASSERT_TRUE(rig.nmp.poll(1, &r1));
+    EXPECT_TRUE(r1.success);
     // After the in-flight op completes, thread 2 succeeds (with the fresh
     // expected value cas64 reloaded).
     EXPECT_EQ(expected, 0u); // conflict happened before T1's write landed

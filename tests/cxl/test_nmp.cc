@@ -9,6 +9,7 @@ namespace {
 using cxl::CoherenceMode;
 using cxl::Device;
 using cxl::DeviceConfig;
+using cxl::McasOperand;
 using cxl::McasResult;
 using cxl::Nmp;
 
@@ -32,13 +33,43 @@ class NmpTest : public ::testing::Test {
             .load(std::memory_order_acquire);
     }
 
+    /// Phase 1 of the paper's pair (spwr): stage one operand. Conflict
+    /// detection happens here, on arrival.
+    void
+    post(cxl::ThreadId tid, cxl::HeapOffset target, std::uint64_t expected,
+         std::uint64_t swap)
+    {
+        ASSERT_TRUE(nmp_.spwr_post(
+            tid, McasOperand{.target = target, .expected = expected,
+                             .swap = swap}));
+    }
+
+    /// Phase 2 (sprd): doorbell the one-operand ring and harvest it.
+    McasResult
+    complete(cxl::ThreadId tid)
+    {
+        EXPECT_EQ(nmp_.doorbell(tid), 1u);
+        McasResult r;
+        EXPECT_TRUE(nmp_.poll(tid, &r));
+        return r;
+    }
+
+    /// Both phases back to back.
+    McasResult
+    round_trip(cxl::ThreadId tid, cxl::HeapOffset target,
+               std::uint64_t expected, std::uint64_t swap)
+    {
+        post(tid, target, expected, swap);
+        return complete(tid);
+    }
+
     Device dev_;
     Nmp nmp_;
 };
 
 TEST_F(NmpTest, SuccessfulSwapWritesMemory)
 {
-    McasResult r = nmp_.mcas(1, 128, 0, 42);
+    McasResult r = round_trip(1, 128, 0, 42);
     EXPECT_TRUE(r.success);
     EXPECT_FALSE(r.conflict);
     EXPECT_EQ(r.previous, 0u);
@@ -47,8 +78,8 @@ TEST_F(NmpTest, SuccessfulSwapWritesMemory)
 
 TEST_F(NmpTest, MismatchFailsAndReturnsPrevious)
 {
-    nmp_.mcas(1, 128, 0, 42);
-    McasResult r = nmp_.mcas(2, 128, 0, 99);
+    round_trip(1, 128, 0, 42);
+    McasResult r = round_trip(2, 128, 0, 99);
     EXPECT_FALSE(r.success);
     EXPECT_FALSE(r.conflict);
     EXPECT_EQ(r.previous, 42u);
@@ -57,14 +88,14 @@ TEST_F(NmpTest, MismatchFailsAndReturnsPrevious)
 
 TEST_F(NmpTest, CompetingInFlightOpOnSameAddressFails)
 {
-    // Fig. 6(b): T1 posts spwr first; T2's spwr to the same target while
-    // T1's pair is in flight dooms T2's operation.
-    nmp_.spwr(1, 256, 0, 1);
-    nmp_.spwr(2, 256, 0, 2);
-    McasResult r2 = nmp_.sprd(2);
+    // Fig. 6(b): T1 posts first; T2's post to the same target while T1's
+    // operand is in flight dooms T2's operation.
+    post(1, 256, 0, 1);
+    post(2, 256, 0, 2);
+    McasResult r2 = complete(2);
     EXPECT_TRUE(r2.conflict);
     EXPECT_FALSE(r2.success);
-    McasResult r1 = nmp_.sprd(1);
+    McasResult r1 = complete(1);
     EXPECT_TRUE(r1.success);
     EXPECT_EQ(word(256), 1u);
     EXPECT_EQ(nmp_.total_conflicts(), 1u);
@@ -72,21 +103,21 @@ TEST_F(NmpTest, CompetingInFlightOpOnSameAddressFails)
 
 TEST_F(NmpTest, DifferentAddressesDoNotConflict)
 {
-    nmp_.spwr(1, 256, 0, 1);
-    nmp_.spwr(2, 512, 0, 2);
-    EXPECT_TRUE(nmp_.sprd(2).success);
-    EXPECT_TRUE(nmp_.sprd(1).success);
+    post(1, 256, 0, 1);
+    post(2, 512, 0, 2);
+    EXPECT_TRUE(complete(2).success);
+    EXPECT_TRUE(complete(1).success);
 }
 
 TEST_F(NmpTest, ConflictDoomsTheLaterArrival)
 {
-    // The first-in-flight op completes even if the competitor's sprd is
-    // issued first.
-    nmp_.spwr(1, 256, 0, 7);
-    nmp_.spwr(2, 256, 0, 8);
-    McasResult r1 = nmp_.sprd(1);
+    // The first-in-flight op completes even if the competitor completes
+    // first.
+    post(1, 256, 0, 7);
+    post(2, 256, 0, 8);
+    McasResult r1 = complete(1);
     EXPECT_TRUE(r1.success);
-    McasResult r2 = nmp_.sprd(2);
+    McasResult r2 = complete(2);
     EXPECT_TRUE(r2.conflict);
     EXPECT_EQ(word(256), 7u);
 }
@@ -104,7 +135,7 @@ TEST_F(NmpTest, SerializedRetriesEventuallySucceed)
             for (int i = 0; i < kIncrements; i++) {
                 while (true) {
                     std::uint64_t cur = word(1024);
-                    McasResult r = nmp_.mcas(tid, 1024, cur, cur + 1);
+                    McasResult r = round_trip(tid, 1024, cur, cur + 1);
                     if (r.success) {
                         break;
                     }
@@ -120,8 +151,8 @@ TEST_F(NmpTest, SerializedRetriesEventuallySucceed)
 
 TEST_F(NmpTest, OpsAreCounted)
 {
-    nmp_.mcas(1, 128, 0, 1);
-    nmp_.mcas(1, 128, 1, 2);
+    round_trip(1, 128, 0, 1);
+    round_trip(1, 128, 1, 2);
     EXPECT_EQ(nmp_.total_ops(), 2u);
 }
 

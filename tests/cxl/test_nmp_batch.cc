@@ -143,7 +143,9 @@ TEST_F(NmpBatchTest, PartialBatchConflictOnlyHitsTheOverlappingTarget)
     EXPECT_TRUE(r.conflict); // 256: doomed by T1's staged operand
     ASSERT_TRUE(nmp_.poll(2, &r));
     EXPECT_TRUE(r.success); // 768
-    EXPECT_TRUE(nmp_.sprd(1).success);
+    EXPECT_EQ(nmp_.doorbell(1), 1u);
+    ASSERT_TRUE(nmp_.poll(1, &r));
+    EXPECT_TRUE(r.success);
     EXPECT_EQ(word(256), 1u);
     EXPECT_EQ(word(512), 2u);
     EXPECT_EQ(word(768), 4u);
@@ -232,8 +234,9 @@ TEST_F(NmpBatchTest, ResetRingDiscardsStagedOperandsAndStopsDooming)
 
 TEST_F(NmpBatchTest, ConcurrentBatchesLinearize)
 {
-    // 4 threads batch increments over striped words through spwr_batch,
-    // retrying failures; every successful increment must be reflected.
+    // 4 threads batch increments over striped words (post a full ring,
+    // one doorbell), retrying failures; every successful increment must be
+    // reflected.
     constexpr int kThreads = 4;
     constexpr int kIncrements = 300;
     constexpr std::uint32_t kStripes = 16;
@@ -253,7 +256,11 @@ TEST_F(NmpBatchTest, ConcurrentBatchesLinearize)
                     std::uint64_t cur = word(target);
                     ops[j] = op(target, cur, cur + 1);
                 }
-                std::uint32_t accepted = nmp_.spwr_batch(tid, ops, want);
+                std::uint32_t accepted = 0;
+                while (accepted < want && nmp_.spwr_post(tid, ops[accepted])) {
+                    accepted++;
+                }
+                nmp_.doorbell(tid);
                 for (std::uint32_t k = 0; k < accepted; k++) {
                     McasResult r;
                     if (!nmp_.poll(tid, &r)) {

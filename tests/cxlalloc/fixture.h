@@ -15,8 +15,6 @@ struct RigOptions {
     bool simulate_cache = false;
     bool checked_mappings = false;
     bool recoverable = true;
-    /// Extra device space past the heap layout (index bucket arrays etc.).
-    std::uint64_t extra_device_bytes = 0;
 };
 
 struct Rig {
@@ -49,8 +47,6 @@ struct Rig {
         pod::PodConfig pc;
         pc.device =
             cxlalloc::Layout(cfg).device_config(opt.mode, opt.simulate_cache);
-        pc.device.size += (opt.extra_device_bytes + cxl::kPageSize - 1) &
-                          ~(cxl::kPageSize - 1);
         pc.checked_mappings = opt.checked_mappings;
         return pc;
     }

@@ -57,6 +57,30 @@ TEST(HugeAlloc, AddressSpaceAndDescriptorsRecycle)
     rig.pod.release_thread(std::move(t));
 }
 
+TEST(HugeAlloc, RemotelyFreedRegionsAreReusedBeforeClaimingNew)
+{
+    // A producer whose huge objects another thread frees must reclaim that
+    // space before claiming a fresh region; claiming first hoards every
+    // region (the xmalloc-huge pattern) and a third thread finds none.
+    Rig rig;
+    auto producer = rig.thread();
+    auto consumer = rig.thread();
+    const std::uint64_t region = rig.config.huge_region_size;
+    for (std::uint32_t i = 0; i < rig.config.huge_regions; i++) {
+        cxl::HeapOffset p = rig.alloc.allocate(*producer, region);
+        ASSERT_NE(p, 0u) << "iteration " << i;
+        rig.alloc.deallocate(*consumer, p);
+    }
+    auto third = rig.thread();
+    cxl::HeapOffset q = rig.alloc.allocate(*third, region);
+    ASSERT_NE(q, 0u) << "producer hoarded every huge region";
+    rig.alloc.deallocate(*third, q);
+    rig.alloc.check_invariants(third->mem());
+    rig.pod.release_thread(std::move(producer));
+    rig.pod.release_thread(std::move(consumer));
+    rig.pod.release_thread(std::move(third));
+}
+
 TEST(HugeAlloc, PcTFaultInstallsMappingInOtherProcess)
 {
     RigOptions opt;

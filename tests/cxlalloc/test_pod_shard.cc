@@ -1,7 +1,8 @@
 /// @file
-/// Topology-aware sharded allocation over a multi-device pod: home
-/// placement, cross-host stealing on exhaustion, deterministic rejection
-/// under sparse topologies, cross-host free routing, and recovery.
+/// Topology-aware sharded allocation over a pod: home placement,
+/// cross-host stealing on exhaustion, deterministic rejection under sparse
+/// topologies, cross-host free routing, recovery, and the 1x1 pod matching
+/// a bare shard operation for operation.
 
 #include <gtest/gtest.h>
 
@@ -10,6 +11,7 @@
 #include <vector>
 
 #include "cxlalloc/pod_shard.h"
+#include "cxlalloc/recovery.h"
 #include "pod/pod.h"
 #include "pod/topology.h"
 
@@ -31,17 +33,24 @@ far_edge()
     return e;
 }
 
-/// A pod with one tiny shard per device (2 small slabs = 64 1-KiB blocks).
-struct ShardWorld {
-    explicit ShardWorld(Topology topo)
-    {
-        cfg.small_slabs = 2;
-        cfg.large_slabs = 2;
-        cfg.huge_regions = 2;
-        cfg.huge_region_size = 1 << 20;
-        cfg.huge_descs_per_thread = 4;
-        cfg.hazard_slots_per_thread = 4;
+/// A tiny shard geometry (2 small slabs = 64 1-KiB blocks).
+cxlalloc::Config
+tiny_shard_config()
+{
+    cxlalloc::Config cfg;
+    cfg.small_slabs = 2;
+    cfg.large_slabs = 2;
+    cfg.huge_regions = 2;
+    cfg.huge_region_size = 1 << 20;
+    cfg.huge_descs_per_thread = 4;
+    cfg.hazard_slots_per_thread = 4;
+    return cfg;
+}
 
+/// A pod with one tiny shard per device.
+struct ShardWorld {
+    explicit ShardWorld(Topology topo) : cfg(tiny_shard_config())
+    {
         PodConfig pc;
         pc.device = PodShardedAllocator::device_config(
             cfg, topo, cxl::CoherenceMode::PartialHwcc);
@@ -240,14 +249,86 @@ TEST(PodShard, RecoverSweepsEveryReachableShard)
     w.pod->release_thread(std::move(rescuer));
 }
 
-TEST(PodShardDeathTest, TrivialTopologyIsRejected)
+/// What one fixed sequence left behind: every offset it was handed, then
+/// each thread's session counters.
+struct SequenceTrace {
+    std::vector<cxl::HeapOffset> offsets;
+    std::vector<cxl::MemEventCounters> counters;
+};
+
+/// Allocates every heap tier, frees half locally and half from a second
+/// thread, crashes mid-allocation, recovers the adopted slot and keeps
+/// using it. @p Heap is a bare CxlAllocator or a PodShardedAllocator: both
+/// expose the same calls.
+template <typename Heap>
+SequenceTrace
+run_fixed_sequence(Pod& pod, Heap& heap)
 {
-    cxlalloc::Config cfg;
-    PodConfig pc;
-    pc.device = cxlalloc::Layout(cfg).device_config(
+    SequenceTrace out;
+    pod::Process* proc = pod.create_process();
+    heap.attach(*proc);
+    auto a = pod.create_thread(proc);
+    heap.attach_thread(*a);
+    auto b = pod.create_thread(proc);
+    heap.attach_thread(*b);
+
+    // Small (one class per small slab), large and huge (1 MiB regions)
+    // blocks of tiny_shard_config.
+    for (std::uint64_t size : {8u, 64u, 4096u, 600u << 10}) {
+        out.offsets.push_back(heap.allocate(*a, size));
+    }
+    for (std::size_t i = 0; i < out.offsets.size(); i++) {
+        heap.deallocate(i % 2 == 0 ? *a : *b, out.offsets[i]);
+    }
+
+    a->arm_crash(cxlalloc::crashpoint::kAfterRecord, 1);
+    EXPECT_THROW(heap.allocate(*a, 64), pod::ThreadCrashed);
+    out.counters.push_back(a->mem().counters());
+    cxl::ThreadId tid = a->tid();
+    pod.mark_crashed(std::move(a));
+    auto rescuer = pod.adopt_thread(proc, tid);
+    heap.recover(*rescuer);
+    cxl::HeapOffset p = heap.allocate(*rescuer, 64);
+    out.offsets.push_back(p);
+    heap.deallocate(*rescuer, p);
+
+    out.counters.push_back(b->mem().counters());
+    out.counters.push_back(rescuer->mem().counters());
+    pod.release_thread(std::move(b));
+    pod.release_thread(std::move(rescuer));
+    return out;
+}
+
+TEST(PodShard, TrivialPodMatchesBareAllocator)
+{
+    // A single host is the 1x1 pod: routing through the sharded heap must
+    // hand out the same offsets and issue the same memory operations as
+    // the bare shard it wraps.
+    cxlalloc::Config cfg = tiny_shard_config();
+
+    PodConfig bare_pc;
+    bare_pc.device = cxlalloc::Layout(cfg).device_config(
         cxl::CoherenceMode::PartialHwcc);
+    Pod bare_pod(bare_pc);
+    cxlalloc::CxlAllocator bare(bare_pod, cfg);
+    SequenceTrace want = run_fixed_sequence(bare_pod, bare);
+
+    PodConfig pc;
+    pc.device = PodShardedAllocator::device_config(
+        cfg, pc.topology, cxl::CoherenceMode::PartialHwcc);
     Pod pod(pc);
-    EXPECT_DEATH(PodShardedAllocator alloc(pod, cfg), "topology");
+    PodShardedAllocator sharded(pod, cfg);
+    SequenceTrace got = run_fixed_sequence(pod, sharded);
+
+    for (cxl::HeapOffset off : want.offsets) {
+        EXPECT_NE(off, 0u);
+    }
+    EXPECT_EQ(got.offsets, want.offsets);
+    ASSERT_EQ(got.counters.size(), want.counters.size());
+    for (std::size_t i = 0; i < want.counters.size(); i++) {
+        EXPECT_TRUE(got.counters[i] == want.counters[i]) << "thread " << i;
+    }
+    EXPECT_GT(want.counters.back().loads, 0u);
 }
 
 } // namespace

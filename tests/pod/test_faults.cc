@@ -46,7 +46,6 @@ struct FaultPod {
     {
         PodConfig pc;
         pc.device.windows = 2;
-        pc.device.window_bits = 16;
         pc.device.size = 2ull << 16;
         pc.device.sync_region_size = 4096;
         pc.topology = Topology::dense(2, 2, cxl::EdgeCost{}, far_edge());

@@ -39,7 +39,8 @@ TEST(PodEncoding, RoundTripsAcrossWindowSizes)
             for (std::uint64_t local :
                  {std::uint64_t{0}, std::uint64_t{63},
                   (std::uint64_t{1} << bits) - 1}) {
-                cxl::HeapOffset off = cxl::pod_encode(dev, local, bits);
+                cxl::HeapOffset off =
+                    (static_cast<cxl::HeapOffset>(dev) << bits) | local;
                 EXPECT_EQ(cxl::pod_device_of(off, bits), dev);
                 EXPECT_EQ(cxl::pod_local_of(off, bits), local);
             }
@@ -47,21 +48,35 @@ TEST(PodEncoding, RoundTripsAcrossWindowSizes)
     }
 }
 
-TEST(PodEncoding, ZeroWindowBitsIsTheLegacySingleDevice)
+TEST(PodEncoding, SingleWindowDeviceOfAnySizeRoutesToDeviceZero)
 {
-    EXPECT_EQ(cxl::pod_device_of(0xdeadbeef, 0), 0);
-    EXPECT_EQ(cxl::pod_local_of(0xdeadbeef, 0), 0xdeadbeefu);
+    // A one-device pod need not be a power of two: its window spans the
+    // next power of two >= size, so every offset routes to device 0 and
+    // the sync prefix reads exactly as the device-wide boundary.
+    cxl::DeviceConfig dc;
+    dc.size = 3ull << 16; // 192 KiB: window bits 18
+    dc.sync_region_size = 4096;
+    cxl::Device dev(dc);
+    EXPECT_EQ(dev.windows(), 1u);
+    EXPECT_EQ(dev.window_bits(), 18u);
+    EXPECT_EQ(dev.window_base(0), 0u);
+    for (cxl::HeapOffset off :
+         {cxl::HeapOffset{0}, cxl::HeapOffset{4095}, cxl::HeapOffset{4096},
+          (cxl::HeapOffset{1} << 16) + 8, dc.size - 1}) {
+        EXPECT_EQ(dev.device_of(off), 0);
+        EXPECT_EQ(dev.in_sync_region(off), off < dc.sync_region_size);
+    }
 }
 
 TEST(PodEncoding, DeviceWindowsPartitionTheArena)
 {
     cxl::DeviceConfig dc;
     dc.windows = 4;
-    dc.window_bits = 16;
     dc.size = 4ull << 16;
     dc.sync_region_size = 4096;
     cxl::Device dev(dc);
     EXPECT_EQ(dev.windows(), 4u);
+    EXPECT_EQ(dev.window_bits(), 16u);
     EXPECT_EQ(dev.device_of(0), 0);
     EXPECT_EQ(dev.device_of((1ull << 16) - 1), 0);
     EXPECT_EQ(dev.device_of(1ull << 16), 1);
@@ -77,11 +92,19 @@ TEST(PodEncoding, DeviceWindowsPartitionTheArena)
 
 TEST(PodEncodingDeathTest, MisshapenWindowConfigDies)
 {
+    // Several windows must tile the device exactly: 3 << 16 over 4 windows
+    // (48 KiB each) and over 2 (96 KiB each) are no power of two.
     cxl::DeviceConfig dc;
     dc.windows = 4;
-    dc.window_bits = 16;
-    dc.size = 3ull << 16; // not windows << window_bits
+    dc.size = 3ull << 16;
     EXPECT_DEATH(cxl::Device dev(dc), "windows");
+    dc.windows = 2;
+    EXPECT_DEATH(cxl::Device dev(dc), "windows");
+    // The same size over 3 windows tiles 64 KiB windows exactly.
+    dc.windows = 3;
+    dc.sync_region_size = 4096;
+    cxl::Device ok(dc);
+    EXPECT_EQ(ok.window_bits(), 16u);
 }
 
 // ---------------------------------------------------------------------------
@@ -155,7 +178,6 @@ struct RoutedPod {
     {
         PodConfig pc;
         pc.device.windows = topo.devices();
-        pc.device.window_bits = 16;
         pc.device.size = static_cast<std::uint64_t>(topo.devices()) << 16;
         pc.device.sync_region_size = 4096;
         pc.topology = topo;
@@ -261,7 +283,6 @@ TEST(PodRoutingDeathTest, TopologyMustMatchWindows)
 {
     PodConfig pc;
     pc.device.windows = 2;
-    pc.device.window_bits = 16;
     pc.device.size = 2ull << 16;
     pc.device.sync_region_size = 4096;
     pc.topology = Topology::dense(2, 4, EdgeCost{}, far_edge());

@@ -83,6 +83,27 @@ TEST(DetectableCas, FailureReturnsObservedValue)
     EXPECT_EQ(r.observed, 123u);
 }
 
+TEST(DetectableCas, WordCasFailsAfterAbaThatValueCasMisses)
+{
+    Rig rig;
+    MemSession s1 = rig.session(1);
+    MemSession s2 = rig.session(2);
+    ASSERT_TRUE(rig.dcas.try_cas(s1, kWord, 0, 7, 1).success);
+    std::uint64_t seen = rig.dcas.read_word(s1, kWord);
+    // Thread 2 moves the value away and back: same value, new tag.
+    ASSERT_TRUE(rig.dcas.try_cas(s2, kWord, 7, 8, 1).success);
+    ASSERT_TRUE(rig.dcas.try_cas(s2, kWord, 8, 7, 2).success);
+    auto r = rig.dcas.try_cas_word(s1, kWord, seen, 9, 2);
+    EXPECT_FALSE(r.success);
+    EXPECT_EQ(r.observed, 7u);
+    EXPECT_EQ(rig.dcas.read(s1, kWord), 7u);
+    // Against the fresh word the same CAS lands.
+    seen = rig.dcas.read_word(s1, kWord);
+    EXPECT_TRUE(rig.dcas.try_cas_word(s1, kWord, seen, 9, 3).success);
+    EXPECT_EQ(rig.dcas.read(s1, kWord), 9u);
+    EXPECT_TRUE(rig.dcas.did_succeed(s1, kWord, 3));
+}
+
 TEST(DetectableCas, RecoveryDetectsSuccessWhileTagInPlace)
 {
     Rig rig;
