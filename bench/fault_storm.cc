@@ -14,10 +14,10 @@
 ///
 ///  - post-storm throughput (sim ns/op of the surviving worker) must stay
 ///    >= 90% of the pre-storm baseline;
-///  - exact block accounting after the final drain: zero parked frees and,
-///    on every classed small slab of both shards, free counter == bitmap
-///    popcount == class capacity (a lost free or a double free after
-///    host-kill recovery + quarantine replay cannot hide from this);
+///  - exact block accounting after the final drain: the heap audit is ok
+///    with zero live blocks and zero parked frees (a lost free or a double
+///    free after host-kill recovery + quarantine replay cannot hide from
+///    this);
 ///  - one host death, at least one false suspect, a nonzero evacuation
 ///    with zero aborted moves, and the parked stash fully replayed.
 
@@ -345,9 +345,9 @@ struct Rig {
                         : 0.0;
     }
 
-    /// Frees every live object, drains the parked list, and sweeps both
-    /// shards: every classed small slab must read free counter == bitmap
-    /// popcount == class capacity. Returns the number of violations.
+    /// Frees every live object, drains the parked list and audits both
+    /// shards: a lost free strands live blocks, a double free breaks the
+    /// remote balance. Returns 1 on failure.
     std::uint32_t
     drain_and_verify()
     {
@@ -363,40 +363,12 @@ struct Rig {
         b.heap->refresh_placement();
         replayed += b.heap->replay_parked(*w0.ctx);
 
-        std::uint32_t bad = 0;
-        if (b.heap->parked_frees() != 0) {
-            std::printf("FAIL: %" PRIu64 " frees still parked after full "
-                        "drain\n",
-                        b.heap->parked_frees());
-            bad++;
+        cxlalloc::AuditReport audit = b.heap->audit(mem);
+        if (audit.ok() && audit.live_blocks == 0 && audit.parked_frees == 0) {
+            return 0;
         }
-        for (cxl::DeviceId d = 0; d < b.heap->shard_count(); d++) {
-            cxlalloc::CxlAllocator& shard = b.heap->shard(d);
-            cxlalloc::SlabHeap& small = shard.small_heap();
-            for (std::uint32_t s = 0; s < shard.config().small_slabs; s++) {
-                std::uint8_t biased = small.debug_class_biased(mem, s);
-                if (biased == 0) {
-                    continue;
-                }
-                std::uint32_t free_blocks = small.debug_free_blocks(mem, s);
-                std::uint32_t popcount = small.debug_bitset_count(mem, s);
-                std::uint32_t remote = small.debug_remote_free(mem, s);
-                // Conservation law on a quiescent slab: the bitset and its
-                // shadow counter agree, and the remote-free down-counter
-                // has come all the way down to the locally-freed count —
-                // i.e. zero live blocks. A lost free (edge outage, dead
-                // host, dropped quarantine replay) strands the counter
-                // high; a double free trips the underflow assert upstream.
-                if (free_blocks != popcount || remote != free_blocks) {
-                    std::printf("FAIL: shard %u slab %u: free=%u pop=%u "
-                                "remote=%u\n",
-                                d, s, free_blocks, popcount, remote);
-                    bad++;
-                }
-            }
-        }
-        b.heap->check_invariants(mem);
-        return bad;
+        std::printf("FAIL: drain %s\n", audit.to_string().c_str());
+        return 1;
     }
 
     std::uint64_t

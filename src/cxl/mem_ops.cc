@@ -19,21 +19,7 @@ covered_lines(HeapOffset offset, std::uint64_t len)
     return (line_of(offset + len - 1) - line_of(offset)) / kCacheLine + 1;
 }
 
-std::atomic<bool> g_edge_down_panics{false};
-
 } // namespace
-
-void
-set_edge_down_panics(bool on)
-{
-    g_edge_down_panics.store(on, std::memory_order_relaxed);
-}
-
-bool
-edge_down_panics()
-{
-    return g_edge_down_panics.load(std::memory_order_relaxed);
-}
 
 DirtyLineSet::DirtyLineSet() : slots_(kInitialSlots, kEmpty) {}
 
@@ -150,7 +136,8 @@ MemSession::set_pod_routing(const EdgeCost* row, std::uint32_t devices,
                             DeviceId home, std::uint32_t host,
                             const EdgeStateCell* states)
 {
-    CXL_ASSERT(row != nullptr && devices > 0, "empty edge row");
+    CXL_ASSERT(row != nullptr && states != nullptr && devices > 0,
+               "empty edge or edge-health row");
     CXL_ASSERT(devices <= device_->windows(),
                "more topology devices than device windows");
     CXL_ASSERT(home < devices, "home device out of range");

@@ -40,13 +40,6 @@ class MetricsRegistry;
 
 namespace cxl {
 
-/// Debug knob restoring the historical behavior of an access over an
-/// unusable edge: when true, check_access dies with CXL_FATAL (the
-/// pre-fault-layer contract) instead of throwing EdgeDownError. Process-
-/// global; meant for debugging a pod that should never see edge faults.
-void set_edge_down_panics(bool on);
-bool edge_down_panics();
-
 /// Doorbell retries MemSession attempts against a stalled NMP engine
 /// before escalating to NmpStallError, each separated by one McasBackoff
 /// step — the bounded timeout of the retry ladder (worst case roughly
@@ -254,14 +247,14 @@ class MemSession {
     /// every access is checked against the row's reachability, charged the
     /// edge's extra latency on top of the base model, and counted into the
     /// pod_local/pod_remote split plus per-edge ops/ns accounting. A
-    /// session without routing (the 1x1 pod) skips all of that. @p states,
-    /// when non-null, is the host's runtime edge-health row
-    /// (pod::Topology::state_row, same lifetime contract as @p row):
-    /// accesses over a Down edge are rejected with EdgeDownError exactly
-    /// like statically-unreachable ones.
+    /// session without routing (the 1x1 pod) skips all of that. @p states
+    /// is the host's runtime edge-health row (pod::Topology::state_row,
+    /// same lifetime contract as @p row): accesses over a Down edge are
+    /// rejected with EdgeDownError exactly like statically-unreachable
+    /// ones.
     void set_pod_routing(const EdgeCost* row, std::uint32_t devices,
                          DeviceId home, std::uint32_t host,
-                         const EdgeStateCell* states = nullptr);
+                         const EdgeStateCell* states);
 
     /// Device id an offset routes to (its window).
     DeviceId
@@ -485,18 +478,12 @@ class MemSession {
             // recoverable rejection: a sparse topology's stray access and
             // a runtime-Down edge both surface as EdgeDownError so the
             // caller can degrade (park the free, re-place the alloc)
-            // instead of dying. set_edge_down_panics() restores the
-            // historical CXL_FATAL for debugging.
+            // instead of dying.
             bool wired = edge_row_[dev].reachable;
-            if (!wired ||
-                (edge_state_row_ != nullptr &&
-                 edge_state_row_[dev].state.load(
-                     std::memory_order_acquire) ==
-                     static_cast<std::uint8_t>(EdgeState::Down))) {
+            if (!wired || edge_state_row_[dev].state.load(
+                              std::memory_order_acquire) ==
+                              static_cast<std::uint8_t>(EdgeState::Down)) {
                 counters_.pod_edge_down++;
-                CXL_FATAL_IF(edge_down_panics(),
-                             "access to pod device unreachable from this "
-                             "host");
                 throw EdgeDownError(dev, offset, wired);
             }
             if (edge_row_[dev].tier == MemTier::LocalDram) {
@@ -636,8 +623,7 @@ class MemSession {
     // ---- Pod routing (set_pod_routing; all empty/zero otherwise). ----
     /// This host's row of the edge-cost matrix (edge_devices_ entries).
     const EdgeCost* edge_row_ = nullptr;
-    /// Runtime edge-health row (null when the caller routes without the
-    /// fault layer — then only static reachability is enforced).
+    /// Runtime edge-health row (edge_devices_ entries).
     const EdgeStateCell* edge_state_row_ = nullptr;
     std::uint32_t edge_devices_ = 0;
     DeviceId home_device_ = 0;

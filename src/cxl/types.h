@@ -127,8 +127,7 @@ struct EdgeStateCell {
 /// Typed, recoverable rejection of an access over an edge with no usable
 /// path: either the topology has no wire at all (static sparse-pod
 /// unreachability) or the edge is runtime-Down. Callers in degraded pods
-/// catch this, refresh placement, and retry elsewhere; the historical
-/// hard-panic behavior is available behind cxl::set_edge_down_panics().
+/// catch this, refresh placement, and retry elsewhere.
 class EdgeDownError : public std::exception {
   public:
     EdgeDownError(DeviceId device, HeapOffset offset, bool wired)

@@ -373,12 +373,14 @@ CxlAllocator::resolve_fault(pod::Process& process, cxl::MemSession& mem,
     return huge_.resolve(mem, offset, out);
 }
 
-void
-CxlAllocator::check_invariants(cxl::MemSession& mem)
+AuditReport
+CxlAllocator::audit(cxl::MemSession& mem, AuditReport report)
 {
-    small_.check_global_invariants(mem);
-    large_.check_global_invariants(mem);
-    huge_.check_invariants(mem);
+    cxl::DeviceId shard = pod_.device().device_of(layout_.base());
+    small_.audit(mem, shard, report);
+    large_.audit(mem, shard, report);
+    huge_.audit(mem, shard, report);
+    return report;
 }
 
 void

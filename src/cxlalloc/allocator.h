@@ -133,8 +133,15 @@ class CxlAllocator : public pod::FaultResolver {
     /// Runs the huge heap's asynchronous reclamation pass for this thread.
     void cleanup(pod::ThreadContext& ctx);
 
-    /// Runtime invariant checks (paper §5.1). Requires quiescence.
-    void check_invariants(cxl::MemSession& mem);
+    /// Block-accounting audit (paper §5.1) of the small, large and huge
+    /// heaps, appended to @p report; see cxlalloc/audit.h. Requires
+    /// quiescence.
+    AuditReport audit(cxl::MemSession& mem, AuditReport report = {});
+
+    /// audit(), panicking with the report unless it is ok.
+    void check_invariants(cxl::MemSession& mem) { audit(mem).require_ok(); }
+
+    /// Owner-side checks of @p mem's thread's local lists.
     void check_local_invariants(cxl::MemSession& mem);
 
     /// Aggregate statistics.
@@ -167,7 +174,7 @@ class CxlAllocator : public pod::FaultResolver {
     /// Per-thread volatile state (exposed for tests).
     ThreadState& thread_state(cxl::ThreadId tid);
 
-    /// Heap internals (exposed for tests: counter/bitset cross-checks).
+    /// Heap internals (the migrator reads raw slab descriptors).
     SlabHeap& small_heap() { return small_; }
     SlabHeap& large_heap() { return large_; }
 

@@ -518,31 +518,47 @@ HugeHeap::recover(pod::ThreadContext& ctx, ThreadState& ts,
 // -------------------------------------------------------------- diagnostics
 
 void
-HugeHeap::check_invariants(cxl::MemSession& mem)
+HugeHeap::audit(cxl::MemSession& mem, cxl::DeviceId shard,
+                AuditReport& report)
 {
+    auto violate = [&](std::uint32_t index, const char* what,
+                       std::uint64_t expected, std::uint64_t actual) {
+        report.violations.push_back({shard, AuditHeap::Huge, index,
+                                     AuditLaw::HugeDesc, what, expected,
+                                     actual});
+    };
+    std::uint64_t data_end =
+        data_base_ + static_cast<std::uint64_t>(num_regions_) * region_size_;
     for (std::uint32_t tid = 1; tid <= cxl::kMaxThreads; tid++) {
         cxl::HeapOffset head = layout_->huge_local(tid);
         mem.flush(head, 8);
         std::uint32_t raw = mem.load<std::uint32_t>(head);
-        std::uint32_t steps = 0;
-        while (raw != 0) {
-            CXL_ASSERT(++steps <= layout_->huge_desc_count(),
-                       "huge descriptor list cyclic");
+        for (std::uint32_t steps = 1; raw != 0; steps++) {
             std::uint32_t index = raw - 1;
+            if (steps > layout_->huge_desc_count()) {
+                violate(index, "descriptor list length <= descriptors",
+                        layout_->huge_desc_count(), steps);
+                break;
+            }
             refetch_desc(mem, index);
-            std::uint32_t flags = desc_flags(mem, index);
-            if (flags & HugeDescField::kFlagAllocated) {
+            if (desc_flags(mem, index) & HugeDescField::kFlagAllocated) {
                 std::uint64_t start = desc_offset(mem, index);
-                std::uint64_t size = desc_size(mem, index);
-                CXL_ASSERT(start >= data_base_ && start + size <=
-                               data_base_ + static_cast<std::uint64_t>(
-                                                num_regions_) * region_size_,
-                           "huge allocation outside huge data region");
-                auto region = static_cast<std::uint32_t>(
-                    (start - data_base_) / region_size_);
-                CXL_ASSERT(region_owner(mem, region) == tid,
-                           "huge allocation in region owned by another "
-                           "thread");
+                std::uint64_t end = start + desc_size(mem, index);
+                if (start < data_base_) {
+                    violate(index, "allocation start >= huge data start",
+                            data_base_, start);
+                } else if (end > data_end) {
+                    violate(index, "allocation end <= huge data end",
+                            data_end, end);
+                } else {
+                    auto region = static_cast<std::uint32_t>(
+                        (start - data_base_) / region_size_);
+                    cxl::ThreadId who = region_owner(mem, region);
+                    if (who != tid) {
+                        violate(index, "owner of the allocation's region",
+                                tid, who);
+                    }
+                }
             }
             raw = desc_next(mem, index);
         }

@@ -21,6 +21,7 @@
 #include <cstdint>
 
 #include "cxl/mem_ops.h"
+#include "cxlalloc/audit.h"
 #include "cxlalloc/layout.h"
 #include "cxlalloc/recovery.h"
 #include "cxlalloc/thread_state.h"
@@ -70,9 +71,10 @@ class HugeHeap {
     void recover(pod::ThreadContext& ctx, ThreadState& ts,
                  const OpRecord& record);
 
-    /// Invariants: descriptor lists acyclic, allocated descs within owned
-    /// regions, free bits consistent.
-    void check_invariants(cxl::MemSession& mem);
+    /// Adds this heap's AuditLaw::HugeDesc violations (cxlalloc/audit.h),
+    /// as shard @p shard, to @p report. Requires quiescence.
+    void audit(cxl::MemSession& mem, cxl::DeviceId shard,
+               AuditReport& report);
 
     struct Stats {
         std::uint32_t regions_claimed = 0;

@@ -1,6 +1,7 @@
 #include "cxlalloc/pod_shard.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/assert.h"
 #include "common/cacheline.h"
@@ -383,12 +384,17 @@ PodShardedAllocator::sweep_of(pod::ThreadContext& ctx) const
     return sweep_[static_cast<pod::HostId>(ctx.process().host())];
 }
 
-void
-PodShardedAllocator::check_invariants(cxl::MemSession& mem)
+AuditReport
+PodShardedAllocator::audit(cxl::MemSession& mem)
 {
-    for (auto& shard : shards_) {
-        shard->check_invariants(mem);
+    // Only the shards this host reaches: a sparse pod's session refuses to
+    // touch the others at all.
+    AuditReport report;
+    for (cxl::DeviceId d : sweep_[mem.pod_host()]) {
+        report = shards_[d]->audit(mem, std::move(report));
     }
+    report.parked_frees = parked_frees();
+    return report;
 }
 
 void

@@ -149,8 +149,12 @@ class PodShardedAllocator : public pod::FaultResolver {
     std::uint32_t down_mask(pod::HostId host) const;
     std::uint32_t suspect_mask(pod::HostId host) const;
 
-    /// Quiescent invariant sweep over every shard.
-    void check_invariants(cxl::MemSession& mem);
+    /// Audit of every shard @p mem's host reaches (probe order plus DRAM
+    /// window), with the parked-free count. Requires quiescence.
+    AuditReport audit(cxl::MemSession& mem);
+
+    /// audit(), panicking with the report unless it is ok.
+    void check_invariants(cxl::MemSession& mem) { audit(mem).require_ok(); }
 
     /// Wires "alloc.*" instrumentation of every shard plus the pod-level
     /// placement counters (pod.alloc_home / pod.alloc_steal /

@@ -1194,23 +1194,62 @@ SlabHeap::recover(pod::ThreadContext& ctx, ThreadState& ts,
 // --------------------------------------------------------------- invariants
 
 void
-SlabHeap::check_global_invariants(cxl::MemSession& mem)
+SlabHeap::audit(cxl::MemSession& mem, cxl::DeviceId shard,
+                AuditReport& report)
 {
+    AuditHeap heap = large_ ? AuditHeap::Large : AuditHeap::Small;
+    auto violate = [&](std::uint32_t slab, AuditLaw law, const char* what,
+                       std::uint64_t expected, std::uint64_t actual) {
+        report.violations.push_back(
+            {shard, heap, slab, law, what, expected, actual});
+    };
     std::uint32_t len = length(mem);
-    CXL_ASSERT(len <= num_slabs_, "heap length exceeds capacity");
-    std::uint64_t word = mem.atomic_load64(free_word_);
-    std::uint32_t raw = DcasWord::value(word);
-    std::uint32_t steps = 0;
-    while (raw != 0) {
-        CXL_ASSERT(++steps <= num_slabs_, "global free list is cyclic");
+    // At most len distinct in-range slabs: a longer walk has looped.
+    std::uint32_t raw = DcasWord::value(mem.atomic_load64(free_word_));
+    for (std::uint32_t steps = 1; raw != 0; steps++) {
         std::uint32_t slab = raw - 1;
-        CXL_ASSERT(slab < len, "global free list references unmapped slab");
+        if (steps > len) {
+            violate(slab, AuditLaw::GlobalList,
+                    "global list length <= heap length", len, steps);
+            break;
+        }
+        if (slab >= len) {
+            violate(slab, AuditLaw::GlobalList, "global slab < heap length",
+                    len, slab);
+            break;
+        }
         mem.flush(desc(slab), desc_stride_);
-        CXL_ASSERT(owner(mem, slab) == cxl::kNoThread,
-                   "slab on global free list has an owner");
-        CXL_ASSERT(state(mem, slab) == SlabState::Global,
-                   "slab on global free list not in Global state");
+        if (cxl::ThreadId who = owner(mem, slab); who != cxl::kNoThread) {
+            violate(slab, AuditLaw::GlobalList, "global slab owner",
+                    cxl::kNoThread, who);
+        }
+        if (SlabState st = state(mem, slab); st != SlabState::Global) {
+            violate(slab, AuditLaw::GlobalList, "global slab state",
+                    static_cast<std::uint64_t>(SlabState::Global),
+                    static_cast<std::uint64_t>(st));
+        }
         raw = next_raw(mem, slab);
+    }
+    // Classless (unsized, global) slabs keep stale bitsets by design.
+    for (std::uint32_t slab = 0; slab < len; slab++) {
+        mem.flush(desc(slab), desc_stride_);
+        std::uint32_t biased = class_biased(mem, slab);
+        if (biased == 0) {
+            continue;
+        }
+        std::uint32_t free = free_blocks(mem, slab);
+        std::uint32_t bits = bitset_count(mem, slab, biased - 1);
+        if (free != bits) {
+            violate(slab, AuditLaw::FreeCounter,
+                    "free counter == bitset popcount", bits, free);
+        }
+        std::uint32_t remote = dcas_->read(mem, hwcc(slab));
+        if (remote < free) {
+            violate(slab, AuditLaw::RemoteBalance,
+                    "remote-free counter >= free counter", free, remote);
+        } else {
+            report.live_blocks += remote - free;
+        }
     }
 }
 

@@ -22,6 +22,7 @@
 #include <cstdint>
 
 #include "cxl/mem_ops.h"
+#include "cxlalloc/audit.h"
 #include "cxlalloc/layout.h"
 #include "cxlalloc/recovery.h"
 #include "cxlalloc/thread_state.h"
@@ -81,9 +82,10 @@ class SlabHeap {
     void recover(pod::ThreadContext& ctx, ThreadState& ts,
                  const OpRecord& record);
 
-    /// Runtime invariant checks (paper §5.1). Global: free list acyclic,
-    /// slabs on it unowned. Requires quiescence.
-    void check_global_invariants(cxl::MemSession& mem);
+    /// Adds this heap's slab-law violations and live blocks (audit.h), as
+    /// shard @p shard, to @p report. Requires quiescence.
+    void audit(cxl::MemSession& mem, cxl::DeviceId shard,
+               AuditReport& report);
 
     /// Invariants over @p mem's thread's local lists: sized slabs are
     /// non-full, owned, correctly classed; lists acyclic.
@@ -107,8 +109,8 @@ class SlabHeap {
     /// Data offset of slab @p slab.
     cxl::HeapOffset slab_data(std::uint32_t slab) const;
 
-    // ---- test-only observers (model tests cross-check the O(1) counter
-    //      against a full bitset scan after every operation) ----
+    // ---- raw descriptor observers (HotSlabMigrator, perfbench's own
+    //      sweep; audit() is the consistency oracle) ----
 
     /// Raw SWccDesc.free counter of @p slab.
     std::uint32_t debug_free_blocks(cxl::MemSession& mem, std::uint32_t slab);
@@ -117,12 +119,8 @@ class SlabHeap {
     std::uint32_t debug_bitset_count(cxl::MemSession& mem, std::uint32_t slab);
     /// Size class + 1; 0 = classless (bitset and counter are meaningless).
     std::uint8_t debug_class_biased(cxl::MemSession& mem, std::uint32_t slab);
-    /// Raw HWcc remote-free down-counter of @p slab. Starts at the class's
-    /// block count and decrements per remote free, so on a quiescent slab
-    /// `remote_free - free_blocks` is the number of live blocks — the
-    /// conservation law the fault-storm drain oracle sweeps (remote frees
-    /// never merge into the bitset until the slab is fully stolen, so the
-    /// bitset alone cannot prove a heap empty).
+    /// Raw HWcc remote-free down-counter of @p slab: the class's block
+    /// count minus its remote frees (see AuditLaw::RemoteBalance).
     std::uint32_t debug_remote_free(cxl::MemSession& mem, std::uint32_t slab);
 
     /// Owning thread of @p slab (cxl::kNoThread once the slab has been

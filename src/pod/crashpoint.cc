@@ -28,14 +28,15 @@ CrashPointRegistry::instance()
 
 void
 CrashPointRegistry::add(CrashPointId id, std::string_view name,
-                        std::string_view site)
+                        std::string_view site, PointKind kind)
 {
     std::lock_guard<std::mutex> lock(g_mu);
     auto [it, inserted] = points().try_emplace(
-        id, CrashPointInfo{id, std::string(name), std::string(site)});
+        id, CrashPointInfo{id, std::string(name), std::string(site), kind});
     if (!inserted) {
-        CXL_ASSERT(it->second.name == name,
-                   "crashpoint id registered twice with different names");
+        CXL_ASSERT(it->second.name == name && it->second.kind == kind,
+                   "point id registered twice with different names or "
+                   "kinds");
     }
 }
 
@@ -58,13 +59,13 @@ CrashPointRegistry::find_name(std::string_view name) const
 }
 
 std::vector<CrashPointInfo>
-CrashPointRegistry::all() const
+CrashPointRegistry::all(PointKind kind) const
 {
     std::lock_guard<std::mutex> lock(g_mu);
     std::vector<CrashPointInfo> out;
-    out.reserve(points().size());
     for (const auto& [id, info] : points())
-        out.push_back(info);
+        if (info.kind == kind)
+            out.push_back(info);
     return out;
 }
 

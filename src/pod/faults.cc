@@ -1,8 +1,6 @@
 #include "pod/faults.h"
 
 #include <algorithm>
-#include <map>
-#include <mutex>
 
 #include "common/assert.h"
 #include "pod/pod.h"
@@ -10,90 +8,24 @@
 
 namespace pod {
 
-namespace {
-std::mutex g_mu;
-
-/// Node-based so pointers handed out by find() survive later add() calls
-/// (same storage discipline as crashpoint.cc).
-std::map<FaultPointId, FaultPointInfo>&
-points()
-{
-    static std::map<FaultPointId, FaultPointInfo> map;
-    return map;
-}
-} // namespace
-
-FaultPointRegistry&
-FaultPointRegistry::instance()
-{
-    static FaultPointRegistry registry;
-    return registry;
-}
-
-void
-FaultPointRegistry::add(FaultPointId id, std::string_view name,
-                        std::string_view site)
-{
-    std::lock_guard<std::mutex> lock(g_mu);
-    auto [it, inserted] = points().try_emplace(
-        id, FaultPointInfo{id, std::string(name), std::string(site)});
-    if (!inserted) {
-        CXL_ASSERT(it->second.name == name,
-                   "fault point id registered twice with different names");
-    }
-}
-
-const FaultPointInfo*
-FaultPointRegistry::find(FaultPointId id) const
-{
-    std::lock_guard<std::mutex> lock(g_mu);
-    auto it = points().find(id);
-    return it != points().end() ? &it->second : nullptr;
-}
-
-const FaultPointInfo*
-FaultPointRegistry::find_name(std::string_view name) const
-{
-    std::lock_guard<std::mutex> lock(g_mu);
-    for (const auto& [id, info] : points())
-        if (info.name == name)
-            return &info;
-    return nullptr;
-}
-
-std::vector<FaultPointInfo>
-FaultPointRegistry::all() const
-{
-    std::lock_guard<std::mutex> lock(g_mu);
-    std::vector<FaultPointInfo> out;
-    out.reserve(points().size());
-    for (const auto& [id, info] : points())
-        out.push_back(info);
-    return out;
-}
-
-std::string
-fault_point_name(FaultPointId id)
-{
-    const FaultPointInfo* info = FaultPointRegistry::instance().find(id);
-    return info != nullptr ? info->name : "faultpoint:" + std::to_string(id);
-}
-
 void
 register_fault_points()
 {
-    FaultPointRegistry& r = FaultPointRegistry::instance();
+    CrashPointRegistry& r = CrashPointRegistry::instance();
+    constexpr PointKind kFault = PointKind::Fault;
     r.add(faultpoint::kEdgeDown, "fault.edge_down",
-          "Topology::set_edge_state(Down)");
+          "Topology::set_edge_state(Down)", kFault);
     r.add(faultpoint::kEdgeFlap, "fault.edge_flap",
-          "Topology::set_edge_state(Down..Up)");
-    r.add(faultpoint::kNmpStall, "fault.nmp_stall", "Nmp::inject_stall");
-    r.add(faultpoint::kNmpDelay, "fault.nmp_delay", "Nmp::inject_delay");
+          "Topology::set_edge_state(Down..Up)", kFault);
+    r.add(faultpoint::kNmpStall, "fault.nmp_stall", "Nmp::inject_stall",
+          kFault);
+    r.add(faultpoint::kNmpDelay, "fault.nmp_delay", "Nmp::inject_delay",
+          kFault);
     r.add(faultpoint::kHostKill, "fault.host_kill",
-          "FaultInjector::host_killed");
+          "FaultInjector::host_killed", kFault);
 }
 
-FaultPointId
+CrashPointId
 fault_point_of(FaultKind kind)
 {
     switch (kind) {
@@ -155,7 +87,7 @@ FaultPlan::host_kill(HostId host, std::uint64_t at_step)
 }
 
 FaultPlan
-FaultPlan::for_point(FaultPointId point, HostId host, cxl::DeviceId device,
+FaultPlan::for_point(CrashPointId point, HostId host, cxl::DeviceId device,
                      std::uint64_t at_step)
 {
     FaultPlan plan;

@@ -1,12 +1,13 @@
 /// @file
 /// Deterministic pod fault injection: declarative FaultPlans (edge-down,
 /// edge-flap, NMP doorbell stall/delay, host-kill) driven by a step clock,
-/// plus the central fault-point registry mirroring pod/crashpoint.h.
+/// plus the pod's fault points in the central point registry
+/// (pod/crashpoint.h, kind PointKind::Fault).
 ///
-/// Where the crashpoint registry names the *protocol* points a thread can
-/// die at, the fault-point registry names the *infrastructure* faults the
-/// pod must survive: link health transitions, engine stalls, whole-host
-/// deaths. Sweep tests iterate FaultPointRegistry::all() and inject every
+/// Where crash points name the *protocol* points a thread can die at,
+/// fault points name the *infrastructure* faults the pod must survive:
+/// link health transitions, engine stalls, whole-host deaths. Sweep tests
+/// iterate CrashPointRegistry::all(PointKind::Fault) and inject every
 /// point mid-workload (FaultPlan::for_point), asserting the accounting
 /// oracles hold after recovery — exactly the discipline the crashpoint
 /// sweeps established for §5.1 thread crashes.
@@ -33,70 +34,32 @@
 
 #include <array>
 #include <cstdint>
-#include <string>
-#include <string_view>
 #include <vector>
 
 #include "cxl/types.h"
+#include "pod/crashpoint.h"
 #include "pod/topology.h"
 
 namespace pod {
 
 class Pod;
 
-/// Identifies one injectable fault site. Same id discipline as
-/// CrashPointId: plain ints in a global namespace, registered by name.
-using FaultPointId = int;
-
-struct FaultPointInfo {
-    FaultPointId id = 0;
-    /// Stable dotted name, e.g. "fault.edge_down".
-    std::string name;
-    /// Human-readable site, e.g. "Topology::set_edge_state(Down)".
-    std::string site;
-};
-
-/// Process-wide fault-point registry; mirrors CrashPointRegistry
-/// (idempotent add, conflicting re-registration aborts, node-stable
-/// storage).
-class FaultPointRegistry {
-  public:
-    static FaultPointRegistry& instance();
-
-    void add(FaultPointId id, std::string_view name, std::string_view site);
-
-    /// Null if the id was never registered.
-    const FaultPointInfo* find(FaultPointId id) const;
-
-    /// Null if no point has this name.
-    const FaultPointInfo* find_name(std::string_view name) const;
-
-    /// Every registered point, sorted by id.
-    std::vector<FaultPointInfo> all() const;
-
-  private:
-    FaultPointRegistry() = default;
-};
-
-/// Registered name of @p id, or "faultpoint:<id>" for unknown points.
-std::string fault_point_name(FaultPointId id);
-
 /// The pod-level fault points. Ids 50+ keep clear of the allocator's
 /// crashpoints (single digits), memento's app points, and the migrator's
 /// 30-35 block — fault ids ride the same sched::Op::CrashPoint hook aux
-/// channel, so the spaces must not collide.
+/// channel, and the registry aborts on a collision.
 namespace faultpoint {
 
-inline constexpr FaultPointId kEdgeDown = 50; ///< edge drops, stays Down
-inline constexpr FaultPointId kEdgeFlap = 51; ///< edge drops, later recovers
-inline constexpr FaultPointId kNmpStall = 52; ///< doorbells unanswered
-inline constexpr FaultPointId kNmpDelay = 53; ///< doorbells answered slowly
-inline constexpr FaultPointId kHostKill = 54; ///< whole host dies
+inline constexpr CrashPointId kEdgeDown = 50; ///< edge drops, stays Down
+inline constexpr CrashPointId kEdgeFlap = 51; ///< edge drops, later recovers
+inline constexpr CrashPointId kNmpStall = 52; ///< doorbells unanswered
+inline constexpr CrashPointId kNmpDelay = 53; ///< doorbells answered slowly
+inline constexpr CrashPointId kHostKill = 54; ///< whole host dies
 
 } // namespace faultpoint
 
-/// Registers the pod fault points with FaultPointRegistry (idempotent;
-/// called by the FaultInjector constructor).
+/// Registers the pod fault points with CrashPointRegistry as
+/// PointKind::Fault (idempotent; called by the FaultInjector constructor).
 void register_fault_points();
 
 /// The injectable fault kinds, one per registered fault point.
@@ -108,7 +71,7 @@ enum class FaultKind : std::uint8_t {
     HostKill, ///< host dies: harness crashes its threads, leases stop
 };
 
-FaultPointId fault_point_of(FaultKind kind);
+CrashPointId fault_point_of(FaultKind kind);
 
 /// One scripted fault of a FaultPlan.
 struct FaultEvent {
@@ -145,7 +108,7 @@ struct FaultPlan {
     /// Sweep helper: the canonical single-event plan for a registered
     /// fault point (sane defaults: flaps recover after 4 steps, stalls
     /// cover 2 doorbells, delays add 500 ns). Aborts on unknown ids.
-    static FaultPlan for_point(FaultPointId point, HostId host,
+    static FaultPlan for_point(CrashPointId point, HostId host,
                                cxl::DeviceId device, std::uint64_t at_step);
 };
 

@@ -57,6 +57,17 @@ class OracleFailure : public std::runtime_error {
     using std::runtime_error::runtime_error;
 };
 
+/// End-oracle helper: fails the schedule with @p report's text unless it
+/// is ok (a heap audit, cxlalloc::AuditReport, from a layer above this).
+template <typename Report>
+void
+fail_unless_ok(const Report& report)
+{
+    if (!report.ok()) {
+        throw OracleFailure(report.to_string());
+    }
+}
+
 /// Internal: thrown through parked virtual threads to unwind them when a
 /// schedule ends early (violation, kill cleanup, step bound). Test bodies
 /// must not catch it (catch VthreadKilled / OracleFailure specifically).

@@ -2,6 +2,6 @@
 
 namespace sched {
 
-thread_local Listener* t_listener = nullptr;
+constinit thread_local Listener* t_listener = nullptr;
 
 } // namespace sched

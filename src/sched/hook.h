@@ -62,8 +62,8 @@ class Listener {
 };
 
 /// Active listener of the calling thread; null (the default everywhere)
-/// means hooks are no-ops.
-extern thread_local Listener* t_listener;
+/// means hooks are no-ops. constinit: a plain TLS access, no init wrapper.
+extern constinit thread_local Listener* t_listener;
 
 /// Instrumentation point. The listener is cleared around the dispatch so
 /// that memory operations issued *by* the scheduler or an oracle (state

@@ -15,6 +15,7 @@ struct RigOptions {
     bool simulate_cache = false;
     bool checked_mappings = false;
     bool recoverable = true;
+    std::uint32_t small_slabs = 128; // 4 MiB small data
 };
 
 struct Rig {
@@ -31,7 +32,7 @@ struct Rig {
     small_config(const RigOptions& opt)
     {
         cxlalloc::Config cfg;
-        cfg.small_slabs = 128;           // 4 MiB small data
+        cfg.small_slabs = opt.small_slabs;
         cfg.large_slabs = 16;            // 8 MiB large data
         cfg.huge_regions = 8;
         cfg.huge_region_size = 4 << 20;  // 32 MiB huge data

@@ -1,0 +1,110 @@
+/// @file
+/// Every audit law fires: one raw store breaks one law, and the report
+/// holds exactly that violation; a leaked block is one live block.
+
+#include <gtest/gtest.h>
+
+#include <vector>
+
+#include "cxlalloc/size_class.h"
+#include "fixture.h"
+#include "sync/detectable_cas.h"
+
+namespace {
+
+using cxlalloc::AuditHeap;
+using cxlalloc::AuditLaw;
+using cxlalloc::AuditReport;
+using cxlsync::DcasWord;
+
+/// A rig whose thread holds one live 64 B block in small slab `slab`.
+struct AuditRig {
+    cxltest::Rig rig;
+    std::unique_ptr<pod::ThreadContext> t = rig.thread();
+    cxl::HeapOffset block = rig.alloc.allocate(*t, 64);
+    const cxlalloc::Layout& l = rig.alloc.layout();
+    std::uint32_t slab = static_cast<std::uint32_t>(
+        (block - l.small_data()) / cxlalloc::kSmallSlabSize);
+    cxl::HeapOffset free_at =
+        l.small_swcc_desc(slab) + cxlalloc::DescField::kFree;
+    cxl::MemSession& mem = t->mem();
+
+    AuditReport audit() { return rig.alloc.audit(mem); }
+};
+
+/// @p report holds exactly one violation: shard 0, @p heap, @p slab, @p law.
+void
+expect_only(const AuditReport& report, AuditHeap heap, std::uint32_t slab,
+            AuditLaw law)
+{
+    ASSERT_EQ(report.violations.size(), 1u) << report.to_string();
+    const cxlalloc::AuditViolation& v = report.violations[0];
+    EXPECT_TRUE(v.shard == 0 && v.heap == heap && v.slab == slab &&
+                v.law == law)
+        << report.to_string();
+}
+
+TEST(Audit, LeakedBlockIsOneLiveBlock)
+{
+    AuditRig r;
+    AuditReport report = r.audit();
+    EXPECT_TRUE(report.ok()) << report.to_string();
+    EXPECT_EQ(report.live_blocks, 1u);
+    r.rig.alloc.deallocate(*r.t, r.block);
+    EXPECT_EQ(r.audit().live_blocks, 0u);
+}
+
+TEST(Audit, CorruptedFreeCounterBreaksTheFreeCounterLaw)
+{
+    AuditRig r;
+    auto free = r.mem.load<std::uint16_t>(r.free_at);
+    r.mem.store(r.free_at, static_cast<std::uint16_t>(free - 1));
+    AuditReport report = r.audit();
+    expect_only(report, AuditHeap::Small, r.slab, AuditLaw::FreeCounter);
+    EXPECT_EQ(report.violations[0].expected, free);
+    EXPECT_EQ(report.violations[0].actual, free - 1u);
+}
+
+TEST(Audit, LoweredRemoteCounterBreaksTheRemoteBalance)
+{
+    // Fewer blocks outstanding than the free counter admits: a double free.
+    AuditRig r;
+    auto free = r.mem.load<std::uint16_t>(r.free_at);
+    r.mem.atomic_store64(r.l.small_hwcc_desc(r.slab),
+                         DcasWord::pack(free - 1, 0, 0));
+    expect_only(r.audit(), AuditHeap::Small, r.slab, AuditLaw::RemoteBalance);
+}
+
+TEST(Audit, CyclicGlobalListBreaksTheGlobalListLaw)
+{
+    // Filling and emptying eight 1 KiB slabs spills the unsized surplus
+    // onto the global list; then its head links to itself.
+    AuditRig r;
+    std::vector<cxl::HeapOffset> blocks;
+    for (int i = 0; i < 8 * 32; i++) {
+        blocks.push_back(r.rig.alloc.allocate(*r.t, 1024));
+    }
+    for (cxl::HeapOffset p : blocks) {
+        r.rig.alloc.deallocate(*r.t, p);
+    }
+    std::uint32_t head = DcasWord::value(r.mem.atomic_load64(r.l.small_free()));
+    ASSERT_NE(head, 0u) << "no slab reached the global list";
+    r.mem.store(r.l.small_swcc_desc(head - 1) + cxlalloc::DescField::kNext,
+                head);
+    expect_only(r.audit(), AuditHeap::Small, head - 1, AuditLaw::GlobalList);
+}
+
+TEST(Audit, ForeignRegionOwnerBreaksTheHugeDescLaw)
+{
+    AuditRig r;
+    cxl::HeapOffset huge = r.rig.alloc.allocate(*r.t, 1 << 20);
+    ASSERT_NE(huge, 0u);
+    auto region = static_cast<std::uint32_t>(
+        (huge - r.l.huge_data()) / r.rig.config.huge_region_size);
+    r.mem.atomic_store64(r.l.huge_reservation(region),
+                         DcasWord::pack(r.t->tid() + 1, 0, 0));
+    std::uint32_t desc = r.mem.load<std::uint32_t>(r.l.huge_local(r.t->tid()));
+    expect_only(r.audit(), AuditHeap::Huge, desc - 1, AuditLaw::HugeDesc);
+}
+
+} // namespace

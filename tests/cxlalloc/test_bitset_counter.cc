@@ -16,23 +16,13 @@ namespace {
 using cxltest::Rig;
 using pod::ThreadCrashed;
 
-/// Asserts counter == popcount for every classed slab of both slab heaps.
-/// Classless slabs (unsized/global) are skipped: their bitset is stale
-/// leftovers by design and the counter is rebuilt by the next bitset_fill.
+/// The audit, whose free-counter law checks counter == popcount on every
+/// classed slab of both slab heaps.
 void
-check_counters(Rig& rig, cxl::MemSession& mem)
+expect_audit_ok(Rig& rig, cxl::MemSession& mem)
 {
-    for (auto* heap : {&rig.alloc.small_heap(), &rig.alloc.large_heap()}) {
-        std::uint32_t len = heap->length(mem);
-        for (std::uint32_t slab = 0; slab < len; slab++) {
-            if (heap->debug_class_biased(mem, slab) == 0) {
-                continue;
-            }
-            ASSERT_EQ(heap->debug_free_blocks(mem, slab),
-                      heap->debug_bitset_count(mem, slab))
-                << "slab " << slab << " counter diverged from bitset";
-        }
-    }
+    cxlalloc::AuditReport audit = rig.alloc.audit(mem);
+    ASSERT_TRUE(audit.ok()) << audit.to_string();
 }
 
 TEST(BitsetCounter, RandomizedAllocFreeKeepsCounterExact)
@@ -56,13 +46,12 @@ TEST(BitsetCounter, RandomizedAllocFreeKeepsCounterExact)
             live[pick] = live.back();
             live.pop_back();
         }
-        check_counters(rig, t->mem());
+        expect_audit_ok(rig, t->mem());
     }
     for (auto p : live) {
         rig.alloc.deallocate(*t, p);
     }
-    check_counters(rig, t->mem());
-    rig.alloc.check_invariants(t->mem());
+    expect_audit_ok(rig, t->mem());
     rig.alloc.check_local_invariants(t->mem());
     rig.pod.release_thread(std::move(t));
 }
@@ -81,20 +70,20 @@ TEST(BitsetCounter, RemoteFreeAndStealKeepCounterExact)
         ASSERT_NE(p, 0u);
         blocks.push_back(p);
     }
-    check_counters(rig, producer->mem());
+    expect_audit_ok(rig, producer->mem());
     for (std::size_t i = 0; i < blocks.size(); i++) {
         rig.alloc.deallocate(*consumer, blocks[i]);
         if (i % 64 == 0) {
-            check_counters(rig, consumer->mem());
+            expect_audit_ok(rig, consumer->mem());
         }
     }
-    check_counters(rig, consumer->mem());
+    expect_audit_ok(rig, consumer->mem());
     // Stolen slabs must be reusable with a consistent counter.
     for (int i = 0; i < 600; i++) {
         cxl::HeapOffset p = rig.alloc.allocate(*consumer, 64);
         ASSERT_NE(p, 0u);
     }
-    check_counters(rig, consumer->mem());
+    expect_audit_ok(rig, consumer->mem());
     rig.pod.release_thread(std::move(producer));
     rig.pod.release_thread(std::move(consumer));
 }
@@ -111,18 +100,17 @@ TEST(BitsetCounter, ScavengeUnderPressureKeepsCounterExact)
     while ((p = rig.alloc.allocate(*t, 512)) != 0) {
         live.push_back(p);
     }
-    check_counters(rig, t->mem());
+    expect_audit_ok(rig, t->mem());
     for (auto q : live) {
         rig.alloc.deallocate(*t, q);
     }
-    check_counters(rig, t->mem());
+    expect_audit_ok(rig, t->mem());
     live.clear();
     while ((p = rig.alloc.allocate(*t, 1024)) != 0) {
         live.push_back(p);
     }
     EXPECT_FALSE(live.empty());
-    check_counters(rig, t->mem());
-    rig.alloc.check_invariants(t->mem());
+    expect_audit_ok(rig, t->mem());
     rig.alloc.check_local_invariants(t->mem());
     rig.pod.release_thread(std::move(t));
 }
@@ -170,8 +158,7 @@ TEST(BitsetCounter, CrashpointSweepKeepsCounterExact)
                 rig.pod.mark_crashed(std::move(t));
                 t = rig.pod.adopt_thread(rig.process, tid);
                 rig.alloc.recover(*t);
-                check_counters(rig, t->mem());
-                rig.alloc.check_invariants(t->mem());
+                expect_audit_ok(rig, t->mem());
                 rig.alloc.check_local_invariants(t->mem());
             }
             if (crashed) {
@@ -184,7 +171,7 @@ TEST(BitsetCounter, CrashpointSweepKeepsCounterExact)
             ASSERT_NE(p, 0u);
             rig.alloc.deallocate(*t, p);
         }
-        check_counters(rig, t->mem());
+        expect_audit_ok(rig, t->mem());
         rig.pod.release_thread(std::move(t));
     }
 }

@@ -138,6 +138,16 @@ struct TieredWorld {
         return true;
     }
 
+    /// Allocated blocks across the pod once the audit passes — the
+    /// no-lost/no-duplicated-blocks oracle of the migration crash sweep.
+    std::uint64_t
+    live_blocks(cxl::MemSession& mem)
+    {
+        cxlalloc::AuditReport audit = alloc->audit(mem);
+        EXPECT_TRUE(audit.ok()) << audit.to_string();
+        return audit.live_blocks;
+    }
+
     cxlalloc::Config cfg;
     cxlalloc::Config dram_cfg;
     Topology topo;
@@ -146,33 +156,6 @@ struct TieredWorld {
     std::unique_ptr<HotSlabMigrator> migrator;
     std::vector<pod::Process*> procs;
 };
-
-/// Free-counter == bitset-popcount for every classed small slab of every
-/// shard, and the exact number of allocated small blocks across the pod —
-/// the no-lost/no-duplicated-blocks oracle of the migration crash sweep.
-std::uint64_t
-sweep_and_count_allocated(TieredWorld& w, cxl::MemSession& mem)
-{
-    std::uint64_t allocated = 0;
-    for (cxl::DeviceId d = 0; d < w.alloc->shard_count(); d++) {
-        cxlalloc::SlabHeap& heap = w.alloc->shard(d).small_heap();
-        std::uint32_t length = heap.length(mem);
-        for (std::uint32_t slab = 0; slab < length; slab++) {
-            std::uint8_t biased = heap.debug_class_biased(mem, slab);
-            if (biased == 0) {
-                continue;
-            }
-            std::uint32_t counter = heap.debug_free_blocks(mem, slab);
-            std::uint32_t popcount = heap.debug_bitset_count(mem, slab);
-            EXPECT_EQ(counter, popcount)
-                << "shard " << d << " slab " << slab;
-            std::uint64_t capacity =
-                cxlalloc::small_blocks_per_slab(biased - 1);
-            allocated += capacity - counter;
-        }
-    }
-    return allocated;
-}
 
 TEST(TieredPlacement, StrideSplitsEligibleAllocations)
 {
@@ -249,6 +232,7 @@ TEST(TieredPlacement, ForeignHostDramIsNeverUsed)
         for (cxl::HeapOffset p : held) {
             w.alloc->deallocate(*ctx, p);
         }
+        w.alloc->check_invariants(ctx->mem()); // never the other host's DRAM
         w.pod->release_thread(std::move(ctx));
     }
 }
@@ -286,7 +270,7 @@ TEST(Migrate, DebugMigrateRoundTripsWithIntactPayload)
     cxl::MemSession& mem = ctx->mem();
     cxl::HeapOffset obj = w.make_object(*ctx, 0, 0xab);
     EXPECT_EQ(w.device_of(obj), w.home());
-    EXPECT_EQ(sweep_and_count_allocated(w, mem), 1u);
+    EXPECT_EQ(w.live_blocks(mem), 1u);
 
     // Promote: cell follows the copy, payload intact, loser freed.
     ASSERT_TRUE(w.migrator->debug_migrate_cell(*ctx, w.cell(0), w.dram()));
@@ -296,7 +280,7 @@ TEST(Migrate, DebugMigrateRoundTripsWithIntactPayload)
     EXPECT_NE(promoted, obj);
     EXPECT_EQ(w.device_of(promoted), w.dram());
     EXPECT_TRUE(w.payload_is(mem, promoted, 0xab));
-    EXPECT_EQ(sweep_and_count_allocated(w, mem), 1u);
+    EXPECT_EQ(w.live_blocks(mem), 1u);
 
     // Migrating to the tier it already lives on is a no-op.
     EXPECT_FALSE(w.migrator->debug_migrate_cell(*ctx, w.cell(0), w.dram()));
@@ -308,11 +292,10 @@ TEST(Migrate, DebugMigrateRoundTripsWithIntactPayload)
     auto demoted = static_cast<cxl::HeapOffset>(val) << 3;
     EXPECT_EQ(w.device_of(demoted), w.home());
     EXPECT_TRUE(w.payload_is(mem, demoted, 0xab));
-    EXPECT_EQ(sweep_and_count_allocated(w, mem), 1u);
+    EXPECT_EQ(w.live_blocks(mem), 1u);
 
     w.alloc->deallocate(*ctx, demoted);
-    EXPECT_EQ(sweep_and_count_allocated(w, mem), 0u);
-    w.alloc->check_invariants(mem);
+    EXPECT_EQ(w.live_blocks(mem), 0u);
     w.pod->release_thread(std::move(ctx));
 }
 
@@ -360,8 +343,7 @@ TEST(Migrate, RunEpochPromotesHotDemotesColdAndDecaysHeat)
     // Heat decayed by half at the epoch boundary.
     EXPECT_EQ(w.migrator->debug_heat(w.home(), hot_slab), 16u);
 
-    EXPECT_EQ(sweep_and_count_allocated(w, mem), 3u);
-    w.alloc->check_invariants(mem);
+    EXPECT_EQ(w.live_blocks(mem), 3u);
     w.pod->release_thread(std::move(ctx));
 }
 
@@ -373,7 +355,8 @@ migrate_crash_points()
     cxlalloc::register_migrate_crash_points();
     std::vector<pod::CrashPointInfo> points;
     for (const pod::CrashPointInfo& info :
-         pod::CrashPointRegistry::instance().all()) {
+         pod::CrashPointRegistry::instance().all(
+             pod::PointKind::Crash)) {
         if (info.name.rfind("migrate.", 0) == 0) {
             points.push_back(info);
         }
@@ -411,8 +394,7 @@ TEST(MigrateCrash, EveryCrashPointRecoversWithExactBlockAccounting)
         EXPECT_TRUE(w.payload_is(mem, winner, 0x5c));
         cxl::DeviceId dev = w.device_of(winner);
         EXPECT_TRUE(dev == w.home() || dev == w.dram());
-        EXPECT_EQ(sweep_and_count_allocated(w, mem), 1u);
-        w.alloc->check_invariants(mem);
+        EXPECT_EQ(w.live_blocks(mem), 1u);
 
         // The adopted slot keeps working, and a fresh migration of the
         // same cell completes cleanly after recovery.
@@ -425,7 +407,7 @@ TEST(MigrateCrash, EveryCrashPointRecoversWithExactBlockAccounting)
         w.alloc->deallocate(
             *rescuer,
             static_cast<cxl::HeapOffset>(w.cell_value(mem, 0)) << 3);
-        EXPECT_EQ(sweep_and_count_allocated(w, mem), 0u);
+        EXPECT_EQ(w.live_blocks(mem), 0u);
         w.pod->release_thread(std::move(rescuer));
     }
 }
@@ -458,8 +440,7 @@ TEST(MigrateCrash, RecoveryReentersAfterCrashingMidRecovery)
     auto winner = static_cast<cxl::HeapOffset>(val) << 3;
     EXPECT_EQ(winner, obj) << "unpublished migration keeps the original";
     EXPECT_TRUE(w.payload_is(mem, winner, 0x77));
-    EXPECT_EQ(sweep_and_count_allocated(w, mem), 1u);
-    w.alloc->check_invariants(mem);
+    EXPECT_EQ(w.live_blocks(mem), 1u);
     w.alloc->deallocate(*r2, winner);
     w.pod->release_thread(std::move(r2));
 }

@@ -23,8 +23,8 @@ using cxl::EdgeState;
 using cxlalloc::PodShardedAllocator;
 using pod::FaultInjector;
 using pod::FaultPlan;
-using pod::FaultPointInfo;
-using pod::FaultPointRegistry;
+using pod::CrashPointInfo;
+using pod::CrashPointRegistry;
 using pod::HostId;
 using pod::Pod;
 using pod::PodConfig;
@@ -78,24 +78,15 @@ struct DegradedWorld {
         return pod->device().device_of(p);
     }
 
-    /// Quiescent conservation oracle: free counter == bitset popcount on
-    /// every classed small slab of every shard.
+    /// Exact block accounting once everything is freed and replayed: a
+    /// clean audit with no live block and nothing parked.
     void
-    sweep_accounting(cxl::MemSession& mem)
+    expect_drained(cxl::MemSession& mem)
     {
-        for (cxl::DeviceId d = 0; d < alloc->shard_count(); d++) {
-            cxlalloc::SlabHeap& heap = alloc->shard(d).small_heap();
-            std::uint32_t length = heap.length(mem);
-            for (std::uint32_t slab = 0; slab < length; slab++) {
-                if (heap.debug_class_biased(mem, slab) == 0) {
-                    continue;
-                }
-                EXPECT_EQ(heap.debug_free_blocks(mem, slab),
-                          heap.debug_bitset_count(mem, slab))
-                    << "shard " << d << " slab " << slab;
-            }
-        }
-        alloc->check_invariants(mem);
+        cxlalloc::AuditReport audit = alloc->audit(mem);
+        EXPECT_TRUE(audit.ok()) << audit.to_string();
+        EXPECT_EQ(audit.live_blocks, 0u);
+        EXPECT_EQ(audit.parked_frees, 0u);
     }
 
     cxlalloc::Config cfg;
@@ -162,7 +153,7 @@ TEST(PodDegraded, DownDeviceIsNeverProbed)
     for (cxl::HeapOffset h : held) {
         w.alloc->deallocate(*ctx, h);
     }
-    w.sweep_accounting(ctx->mem());
+    w.expect_drained(ctx->mem());
     w.pod->release_thread(std::move(ctx));
 }
 
@@ -193,7 +184,7 @@ TEST(PodDegraded, SuspectDeviceIsProbedOnlyAfterHealthyExhaustion)
     for (cxl::HeapOffset h : held) {
         w.alloc->deallocate(*ctx, h);
     }
-    w.sweep_accounting(ctx->mem());
+    w.expect_drained(ctx->mem());
     w.pod->release_thread(std::move(ctx));
 }
 
@@ -229,9 +220,7 @@ TEST(PodDegraded, FreesIntoADownDeviceParkAndReplayAfterRecovery)
     w.topo.set_edge_state(0, 1, EdgeState::Up);
     w.alloc->refresh_placement();
     EXPECT_EQ(w.alloc->replay_parked(*c0), 8u);
-    EXPECT_EQ(w.alloc->parked_frees(), 0u);
-
-    w.sweep_accounting(c0->mem());
+    w.expect_drained(c0->mem());
     w.pod->release_thread(std::move(c0));
     w.pod->release_thread(std::move(c1));
 }
@@ -263,7 +252,7 @@ TEST(PodDegraded, BatchFreeParksOnlyTheDownPortion)
     w.alloc->refresh_placement();
     EXPECT_EQ(w.alloc->replay_parked(*c0), 4u);
 
-    w.sweep_accounting(c0->mem());
+    w.expect_drained(c0->mem());
     w.pod->release_thread(std::move(c0));
     w.pod->release_thread(std::move(c1));
 }
@@ -278,11 +267,8 @@ TEST(PodDegraded, BatchFreeParksOnlyTheDownPortion)
 TEST(PodDegraded, RegistrySweepEveryFaultPointKeepsBlockAccounting)
 {
     pod::register_fault_points();
-    for (const FaultPointInfo& info : FaultPointRegistry::instance().all()) {
-        if (info.id < faultpoint::kEdgeDown ||
-            info.id > faultpoint::kHostKill) {
-            continue; // crashpoint ids live in other registries' sweeps
-        }
+    for (const CrashPointInfo& info :
+         CrashPointRegistry::instance().all(pod::PointKind::Fault)) {
         SCOPED_TRACE(info.name);
 
         DegradedWorld w;
@@ -351,9 +337,7 @@ TEST(PodDegraded, RegistrySweepEveryFaultPointKeepsBlockAccounting)
             w.alloc->deallocate(c1 != nullptr ? *c1 : *c0, p);
         }
         w.alloc->replay_parked(*c0);
-        EXPECT_EQ(w.alloc->parked_frees(), 0u);
-
-        w.sweep_accounting(c0->mem());
+        w.expect_drained(c0->mem());
         w.pod->release_thread(std::move(c0));
         if (c1 != nullptr) {
             w.pod->release_thread(std::move(c1));

@@ -168,6 +168,7 @@ TEST(PodShard, SparseTopologyRejectsInsteadOfMisrouting)
     for (cxl::HeapOffset q : held) {
         w.alloc->deallocate(*ctx, q);
     }
+    w.alloc->check_invariants(ctx->mem()); // audits the reachable arm only
     w.pod->release_thread(std::move(ctx));
 }
 

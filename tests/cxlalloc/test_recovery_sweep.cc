@@ -25,7 +25,8 @@ allocator_crash_points()
     cxlalloc::register_crash_points();
     std::vector<int> points;
     for (const pod::CrashPointInfo& info :
-         pod::CrashPointRegistry::instance().all()) {
+         pod::CrashPointRegistry::instance().all(
+             pod::PointKind::Crash)) {
         const std::string& name = info.name;
         if (name.rfind("slab.", 0) == 0 || name.rfind("huge.", 0) == 0) {
             points.push_back(info.id);

@@ -176,22 +176,9 @@ TEST(TieredThreads, ConcurrentMigrationAndChurnStayConsistent)
               dram);
     EXPECT_GT(migrator.promotions(), 0u);
 
-    // Quiescent sweep: counter == popcount on every window, and the heap
-    // still round-trips.
-    cxl::MemSession& mem = setup->mem();
-    for (cxl::DeviceId d = 0; d < alloc.shard_count(); d++) {
-        cxlalloc::SlabHeap& heap = alloc.shard(d).small_heap();
-        std::uint32_t length = heap.length(mem);
-        for (std::uint32_t slab = 0; slab < length; slab++) {
-            if (heap.debug_class_biased(mem, slab) == 0) {
-                continue;
-            }
-            EXPECT_EQ(heap.debug_free_blocks(mem, slab),
-                      heap.debug_bitset_count(mem, slab))
-                << "shard " << d << " slab " << slab;
-        }
-    }
-    alloc.check_invariants(mem);
+    // Quiescent audit of every window, and the heap still round-trips.
+    cxlalloc::AuditReport audit = alloc.audit(setup->mem());
+    EXPECT_TRUE(audit.ok()) << audit.to_string();
     cxl::HeapOffset p = alloc.allocate(*setup, kObjSize);
     ASSERT_NE(p, 0u);
     alloc.deallocate(*setup, p);

@@ -182,23 +182,10 @@ TEST(FaultThreads, ConcurrentBeatsPollsFlapsAndParkedFreesStayConsistent)
     EXPECT_EQ(detector.health(0), pod::HostHealth::Alive);
     EXPECT_EQ(detector.health(1), pod::HostHealth::Alive);
 
-    // Exact block accounting: nothing parked, and counter == popcount on
-    // every classed slab of both shards.
-    EXPECT_EQ(alloc.parked_frees(), 0u);
-    cxl::MemSession& mem = monitor_ctx->mem();
-    for (cxl::DeviceId d = 0; d < alloc.shard_count(); d++) {
-        cxlalloc::SlabHeap& heap = alloc.shard(d).small_heap();
-        std::uint32_t length = heap.length(mem);
-        for (std::uint32_t slab = 0; slab < length; slab++) {
-            if (heap.debug_class_biased(mem, slab) == 0) {
-                continue;
-            }
-            EXPECT_EQ(heap.debug_free_blocks(mem, slab),
-                      heap.debug_bitset_count(mem, slab))
-                << "shard " << d << " slab " << slab;
-        }
-    }
-    alloc.check_invariants(mem);
+    // Exact block accounting on both shards, nothing parked.
+    cxlalloc::AuditReport audit = alloc.audit(monitor_ctx->mem());
+    EXPECT_TRUE(audit.ok()) << audit.to_string();
+    EXPECT_EQ(audit.parked_frees, 0u);
 }
 
 } // namespace

@@ -1,6 +1,6 @@
 /// @file
-/// Pod fault-injection framework: the fault-point registry (mirroring the
-/// crashpoint registry's discipline), FaultPlan builders and the
+/// Pod fault-injection framework: the fault points in the central point
+/// registry (kind PointKind::Fault), FaultPlan builders and the
 /// for_point sweep helper, and the deterministic FaultInjector step clock
 /// applied to a live 2x2 pod — edge health flips on the shared topology
 /// table, NMP stall/delay arming on the engine, host-kill latching.
@@ -18,12 +18,12 @@
 namespace {
 
 using cxl::EdgeState;
-using pod::FaultEvent;
+using pod::CrashPointInfo;
+using pod::CrashPointRegistry;
 using pod::FaultInjector;
 using pod::FaultKind;
 using pod::FaultPlan;
-using pod::FaultPointInfo;
-using pod::FaultPointRegistry;
+using pod::PointKind;
 using pod::Pod;
 using pod::PodConfig;
 using pod::Topology;
@@ -65,19 +65,20 @@ TEST(FaultRegistry, RegistersEveryPodPointIdempotently)
     pod::register_fault_points();
     pod::register_fault_points(); // second call must be a no-op
 
-    const FaultPointRegistry& reg = FaultPointRegistry::instance();
-    const FaultPointInfo* down = reg.find(faultpoint::kEdgeDown);
+    const CrashPointRegistry& reg = CrashPointRegistry::instance();
+    const CrashPointInfo* down = reg.find(faultpoint::kEdgeDown);
     ASSERT_NE(down, nullptr);
     EXPECT_EQ(down->name, "fault.edge_down");
+    EXPECT_EQ(down->kind, PointKind::Fault);
     ASSERT_NE(reg.find(faultpoint::kEdgeFlap), nullptr);
     ASSERT_NE(reg.find(faultpoint::kNmpStall), nullptr);
     ASSERT_NE(reg.find(faultpoint::kNmpDelay), nullptr);
-    const FaultPointInfo* kill = reg.find(faultpoint::kHostKill);
+    const CrashPointInfo* kill = reg.find(faultpoint::kHostKill);
     ASSERT_NE(kill, nullptr);
     EXPECT_EQ(kill->name, "fault.host_kill");
     EXPECT_FALSE(kill->site.empty());
 
-    const FaultPointInfo* by_name = reg.find_name("fault.nmp_stall");
+    const CrashPointInfo* by_name = reg.find_name("fault.nmp_stall");
     ASSERT_NE(by_name, nullptr);
     EXPECT_EQ(by_name->id, faultpoint::kNmpStall);
 
@@ -88,36 +89,39 @@ TEST(FaultRegistry, RegistersEveryPodPointIdempotently)
 TEST(FaultRegistry, AllIsSortedById)
 {
     pod::register_fault_points();
-    std::vector<FaultPointInfo> all = FaultPointRegistry::instance().all();
-    ASSERT_GE(all.size(), 5u);
+    std::vector<CrashPointInfo> all =
+        CrashPointRegistry::instance().all(PointKind::Fault);
+    ASSERT_EQ(all.size(), 5u); // exactly the five pod points
     for (std::size_t i = 1; i < all.size(); i++) {
         EXPECT_LT(all[i - 1].id, all[i].id);
     }
-    // The five pod points all appear.
-    std::uint32_t seen = 0;
-    for (const FaultPointInfo& info : all) {
-        if (info.id >= faultpoint::kEdgeDown &&
-            info.id <= faultpoint::kHostKill) {
-            seen++;
-        }
-    }
-    EXPECT_EQ(seen, 5u);
 }
 
 TEST(FaultRegistry, NameLookupFallsBackForUnknownIds)
 {
     pod::register_fault_points();
-    EXPECT_EQ(pod::fault_point_name(faultpoint::kEdgeFlap),
-              "fault.edge_flap");
-    EXPECT_EQ(pod::fault_point_name(999), "faultpoint:999");
+    EXPECT_EQ(pod::crashpoint_name(faultpoint::kEdgeFlap), "fault.edge_flap");
+    EXPECT_EQ(pod::crashpoint_name(999), "crashpoint:999");
 }
 
 TEST(FaultRegistryDeathTest, ConflictingReRegistrationDies)
 {
     pod::register_fault_points();
-    EXPECT_DEATH(FaultPointRegistry::instance().add(
-                     faultpoint::kEdgeDown, "fault.renamed", "elsewhere"),
+    EXPECT_DEATH(CrashPointRegistry::instance().add(
+                     faultpoint::kEdgeDown, "fault.renamed", "elsewhere",
+                     PointKind::Fault),
                  "different names");
+}
+
+TEST(FaultRegistryDeathTest, FaultPointOnACrashPointIdDies)
+{
+    // One id space: a fault point may not take a crash point's id (here
+    // the migrator's first), not even under the same name.
+    CrashPointRegistry& reg = CrashPointRegistry::instance();
+    reg.add(30, "migrate.after_arm", "HotSlabMigrator::migrate_one");
+    EXPECT_DEATH(reg.add(30, "migrate.after_arm", "FaultInjector::fire",
+                         PointKind::Fault),
+                 "different names or kinds");
 }
 
 TEST(FaultRegistry, EveryKindMapsToARegisteredPoint)
@@ -126,8 +130,8 @@ TEST(FaultRegistry, EveryKindMapsToARegisteredPoint)
     for (FaultKind kind :
          {FaultKind::EdgeDown, FaultKind::EdgeFlap, FaultKind::NmpStall,
           FaultKind::NmpDelay, FaultKind::HostKill}) {
-        const FaultPointInfo* info =
-            FaultPointRegistry::instance().find(pod::fault_point_of(kind));
+        const CrashPointInfo* info =
+            CrashPointRegistry::instance().find(pod::fault_point_of(kind));
         ASSERT_NE(info, nullptr);
     }
 }
@@ -170,11 +174,8 @@ TEST(FaultPlan, ForPointCoversEveryRegisteredPointWithSaneDefaults)
     // The sweep contract: iterate the registry, get a one-event plan per
     // point. Unknown ids abort (tested below), so a point added without a
     // for_point arm cannot silently produce an empty sweep entry.
-    for (const FaultPointInfo& info : FaultPointRegistry::instance().all()) {
-        if (info.id < faultpoint::kEdgeDown ||
-            info.id > faultpoint::kHostKill) {
-            continue;
-        }
+    for (const CrashPointInfo& info :
+         CrashPointRegistry::instance().all(PointKind::Fault)) {
         FaultPlan plan = FaultPlan::for_point(info.id, 0, 1, 6);
         ASSERT_EQ(plan.events.size(), 1u) << info.name;
         EXPECT_EQ(pod::fault_point_of(plan.events[0].kind), info.id);
@@ -188,10 +189,9 @@ TEST(FaultPlan, ForPointCoversEveryRegisteredPointWithSaneDefaults)
                   .events[0]
                   .count,
               2u);
-    const FaultEvent& delay =
-        FaultPlan::for_point(faultpoint::kNmpDelay, 0, 0, 1).events[0];
-    EXPECT_EQ(delay.delay_ns, 500u);
-    EXPECT_EQ(delay.count, 2u);
+    FaultPlan delay = FaultPlan::for_point(faultpoint::kNmpDelay, 0, 0, 1);
+    EXPECT_EQ(delay.events[0].delay_ns, 500u);
+    EXPECT_EQ(delay.events[0].count, 2u);
 }
 
 TEST(FaultPlanDeathTest, ForPointUnknownIdDies)

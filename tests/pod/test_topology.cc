@@ -252,18 +252,6 @@ TEST(PodRouting, UnreachableWindowRejectsAccess)
     EXPECT_EQ(t0->mem().counters().pod_edge_down, 1u);
 }
 
-TEST(PodRoutingDeathTest, UnreachableWindowPanicsWithKnobOn)
-{
-    // The historical abort-on-unreachable contract survives behind the
-    // debug knob for harnesses that want misroutes to be loud.
-    RoutedPod rig(Topology::octopus(2, 2, 1, EdgeCost{}, far_edge()));
-    auto* p0 = rig.pod->create_process(0);
-    auto t0 = rig.pod->create_thread(p0);
-    cxl::set_edge_down_panics(true);
-    EXPECT_DEATH(t0->mem().load<std::uint64_t>(1ull << 16), "unreachable");
-    cxl::set_edge_down_panics(false);
-}
-
 TEST(PodRoutingDeathTest, WindowSpanningAccessDies)
 {
     RoutedPod rig(Topology::dense(2, 2, EdgeCost{}, far_edge()));

@@ -7,8 +7,8 @@
 /// free batches and the edge epoch. The crash variant kills either worker
 /// at any yield, takes the whole host down, drives the detector to the
 /// Dead verdict with the beats gone, adopts every crashed slot on the
-/// survivor, runs ordered multi-shard recovery, and sweeps the
-/// free-counter == bitset-popcount oracle over both shards per schedule.
+/// survivor, runs ordered multi-shard recovery, and audits both shards per
+/// schedule.
 
 #include <gtest/gtest.h>
 
@@ -126,30 +126,6 @@ struct FaultWorld {
     std::vector<cxl::HeapOffset> blocks;
 };
 
-/// Free-counter == popcount for every classed slab of BOTH shards.
-void
-sweep_shard_invariant(FaultWorld& w, cxl::MemSession& mem)
-{
-    for (cxl::DeviceId d = 0; d < w.alloc.shard_count(); d++) {
-        cxlalloc::SlabHeap& heap = w.alloc.shard(d).small_heap();
-        std::uint32_t length = heap.length(mem);
-        for (std::uint32_t slab = 0; slab < length; slab++) {
-            if (heap.debug_class_biased(mem, slab) == 0) {
-                continue;
-            }
-            std::uint32_t counter = heap.debug_free_blocks(mem, slab);
-            std::uint32_t popcount = heap.debug_bitset_count(mem, slab);
-            if (counter != popcount) {
-                throw OracleFailure(
-                    "shard " + std::to_string(d) + " slab " +
-                    std::to_string(slab) + " free counter " +
-                    std::to_string(counter) + " != bitset popcount " +
-                    std::to_string(popcount));
-            }
-        }
-    }
-}
-
 /// Finishes the fault plan (flap recovery included) and re-arms healthy
 /// placement; at_end runs outside any vthread so the firings are plain.
 void
@@ -255,8 +231,7 @@ TEST(SchedFaults, SuspicionRacesBeatsAndRemoteFreesWithoutFalseDeaths)
                 w->detector->false_suspects() == 0) {
                 throw OracleFailure("suspect host did not return to Alive");
             }
-            sweep_shard_invariant(*w, mem);
-            w->alloc.check_invariants(mem);
+            sched::fail_unless_ok(w->alloc.audit(mem));
         });
     });
     EXPECT_TRUE(r.ok) << r.summary();
@@ -314,8 +289,7 @@ TEST(SchedFaults, KillAWorkerAtAnyYieldThenDetectAdoptRecoverAndSweep)
                     w->pod.release_thread(std::move(rec));
                 }
             }
-            sweep_shard_invariant(*w, monitor_mem);
-            w->alloc.check_invariants(monitor_mem);
+            sched::fail_unless_ok(w->alloc.audit(monitor_mem));
         });
     });
     EXPECT_TRUE(r.ok) << r.summary();

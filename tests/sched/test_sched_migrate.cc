@@ -6,8 +6,7 @@
 /// same cells — the publish CAS decides each race. The crash variant
 /// kills any participant at any yield, adopts the slot, runs
 /// HotSlabMigrator::recover (migration record first, then every shard)
-/// and sweeps the free-counter == bitset-popcount oracle plus cell
-/// sanity over ALL THREE windows.
+/// and checks the heap audit plus cell sanity over ALL THREE windows.
 
 #include <gtest/gtest.h>
 
@@ -159,30 +158,12 @@ struct MigrateWorld {
     cxl::HeapOffset cells = 0;
 };
 
-/// Free-counter == bitset-popcount for every classed slab of every shard
-/// (both CXL windows and the DRAM window), plus cell sanity: every
-/// nonzero cell names a small block in a classed slab of a valid window.
+/// The audit of every shard (both CXL windows and the DRAM window), plus
+/// cell sanity: every nonzero cell names a small block of a valid window.
 void
 sweep_tiered_invariant(MigrateWorld& w, cxl::MemSession& mem)
 {
-    for (cxl::DeviceId d = 0; d < w.alloc.shard_count(); d++) {
-        cxlalloc::SlabHeap& heap = w.alloc.shard(d).small_heap();
-        std::uint32_t length = heap.length(mem);
-        for (std::uint32_t slab = 0; slab < length; slab++) {
-            if (heap.debug_class_biased(mem, slab) == 0) {
-                continue;
-            }
-            std::uint32_t counter = heap.debug_free_blocks(mem, slab);
-            std::uint32_t popcount = heap.debug_bitset_count(mem, slab);
-            if (counter != popcount) {
-                throw OracleFailure(
-                    "shard " + std::to_string(d) + " slab " +
-                    std::to_string(slab) + " free counter " +
-                    std::to_string(counter) + " != bitset popcount " +
-                    std::to_string(popcount));
-            }
-        }
-    }
+    sched::fail_unless_ok(w.alloc.audit(mem));
     for (std::uint32_t i = 0; i < kCells; i++) {
         std::uint32_t val =
             cxlsync::DcasWord::value(mem.atomic_load64(w.cell(i)));
@@ -274,9 +255,7 @@ TEST(SchedMigrate, MigrationRacesKeepAllTiersConsistent)
         auto w = std::make_shared<MigrateWorld>();
         spawn_workload(run, w, /*killable=*/false);
         run.at_end([w](const sched::RunEnd&) {
-            cxl::MemSession& mem = w->ctxs[0]->mem();
-            sweep_tiered_invariant(*w, mem);
-            w->alloc.check_invariants(mem);
+            sweep_tiered_invariant(*w, w->ctxs[0]->mem());
         });
     });
     EXPECT_TRUE(r.ok) << r.summary();
@@ -306,7 +285,6 @@ TEST(SchedMigrate, KillAnyParticipantThenMigratorRecoverAndSweep)
                                        ? adopted->mem()
                                        : w->ctxs[0]->mem();
             sweep_tiered_invariant(*w, mem);
-            w->alloc.check_invariants(mem);
             if (adopted != nullptr) {
                 cxl::HeapOffset p = w->alloc.allocate(*adopted, kObjSize);
                 if (p == 0) {

@@ -4,8 +4,7 @@
 /// remote-free the owner's blocks over the far edge, racing the remote
 /// counter to zero and the resulting steal — then the crash variant kills
 /// any participant, adopts the slot, recovers every shard (NMP-batch shard
-/// first) and sweeps the free-counter == bitset-popcount oracle over BOTH
-/// shards.
+/// first) and audits BOTH shards.
 
 #include <gtest/gtest.h>
 
@@ -98,30 +97,6 @@ struct PodStealWorld {
     std::vector<cxl::HeapOffset> blocks;
 };
 
-/// Free-counter == popcount for every classed slab of EVERY shard.
-void
-sweep_shard_invariant(PodStealWorld& w, cxl::MemSession& mem)
-{
-    for (cxl::DeviceId d = 0; d < w.alloc.shard_count(); d++) {
-        cxlalloc::SlabHeap& heap = w.alloc.shard(d).small_heap();
-        std::uint32_t length = heap.length(mem);
-        for (std::uint32_t slab = 0; slab < length; slab++) {
-            if (heap.debug_class_biased(mem, slab) == 0) {
-                continue;
-            }
-            std::uint32_t counter = heap.debug_free_blocks(mem, slab);
-            std::uint32_t popcount = heap.debug_bitset_count(mem, slab);
-            if (counter != popcount) {
-                throw OracleFailure(
-                    "shard " + std::to_string(d) + " slab " +
-                    std::to_string(slab) + " free counter " +
-                    std::to_string(counter) + " != bitset popcount " +
-                    std::to_string(popcount));
-            }
-        }
-    }
-}
-
 void
 spawn_workload(Run& run, const std::shared_ptr<PodStealWorld>& w,
                bool killable)
@@ -168,9 +143,7 @@ TEST(SchedPodSteal, CrossHostFreeRacesKeepBothShardsConsistent)
         auto w = std::make_shared<PodStealWorld>();
         spawn_workload(run, w, /*killable=*/false);
         run.at_end([w](const sched::RunEnd&) {
-            cxl::MemSession& mem = w->ctxs[0]->mem();
-            sweep_shard_invariant(*w, mem);
-            w->alloc.check_invariants(mem);
+            sched::fail_unless_ok(w->alloc.audit(w->ctxs[0]->mem()));
         });
     });
     EXPECT_TRUE(r.ok) << r.summary();
@@ -201,8 +174,7 @@ TEST(SchedPodSteal, KillAnyParticipantThenRecoverAllShardsAndSweep)
             cxl::MemSession& mem = adopted != nullptr
                                        ? adopted->mem()
                                        : w->ctxs[0]->mem();
-            sweep_shard_invariant(*w, mem);
-            w->alloc.check_invariants(mem);
+            sched::fail_unless_ok(w->alloc.audit(mem));
             if (adopted != nullptr) {
                 // The recovered slot must still be able to allocate, and
                 // the allocation lands on the adopter's home shard.

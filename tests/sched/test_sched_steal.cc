@@ -2,10 +2,11 @@
 /// Slab steal/scavenge races under explored schedules (paper §3.2.1): an
 /// owner churns its local heap while two remote threads free disjoint
 /// halves of the owner's detached slabs, racing the remote-free counter
-/// to zero and the resulting steal. End oracles sweep every classed slab
-/// for the free-counter == bitset-popcount invariant and run the full
-/// heap invariant checker; the crash variant kills any participant at an
-/// arbitrary yield, recovers the slot, and sweeps again.
+/// to zero and the resulting steal. The end oracle is the heap audit
+/// (free counter == bitset popcount on every classed slab, remote
+/// balance, global list, huge descriptors); the crash variant kills any
+/// participant at an arbitrary yield, recovers the slot, and audits
+/// again.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "cxlalloc/allocator.h"
+#include "cxlalloc/size_class.h"
 #include "pod/pod.h"
 #include "sched/explorer.h"
 
@@ -79,30 +81,9 @@ struct StealWorld {
     std::vector<std::unique_ptr<pod::ThreadContext>> ctxs;
     std::vector<cxl::ThreadId> tids;
     std::vector<cxl::HeapOffset> blocks;
+    /// The owner ends by lowering one held block's slab free counter.
+    bool corrupt = false;
 };
-
-/// Free-counter == popcount for every slab that currently has a class.
-/// Holds at quiescence: local alloc/free maintain both together and
-/// remote frees touch neither (they decrement only the HWcc counter).
-void
-sweep_slab_invariant(StealWorld& w, cxl::MemSession& mem)
-{
-    cxlalloc::SlabHeap& heap = w.alloc.small_heap();
-    std::uint32_t length = heap.length(mem);
-    for (std::uint32_t slab = 0; slab < length; slab++) {
-        if (heap.debug_class_biased(mem, slab) == 0) {
-            continue;
-        }
-        std::uint32_t counter = heap.debug_free_blocks(mem, slab);
-        std::uint32_t popcount = heap.debug_bitset_count(mem, slab);
-        if (counter != popcount) {
-            throw OracleFailure(
-                "slab " + std::to_string(slab) + " free counter " +
-                std::to_string(counter) + " != bitset popcount " +
-                std::to_string(popcount));
-        }
-    }
-}
 
 void
 spawn_workload(Run& run, const std::shared_ptr<StealWorld>& w, bool killable)
@@ -115,6 +96,17 @@ spawn_workload(Run& run, const std::shared_ptr<StealWorld>& w, bool killable)
                 for (int n = 0; n < 8; n++) {
                     cxl::HeapOffset p = w->alloc.allocate(*w->ctxs[0], 1024);
                     w->alloc.deallocate(*w->ctxs[0], p);
+                }
+                if (w->corrupt) {
+                    cxl::HeapOffset p = w->alloc.allocate(*w->ctxs[0], 1024);
+                    const cxlalloc::Layout& l = w->alloc.layout();
+                    auto slab = static_cast<std::uint32_t>(
+                        (p - l.small_data()) / cxlalloc::kSmallSlabSize);
+                    cxl::HeapOffset free_at =
+                        l.small_swcc_desc(slab) + cxlalloc::DescField::kFree;
+                    cxl::MemSession& mem = w->ctxs[0]->mem();
+                    auto free = mem.load<std::uint16_t>(free_at);
+                    mem.store(free_at, static_cast<std::uint16_t>(free - 1));
                 }
             } catch (const sched::VthreadKilled&) {
                 w->pod.mark_crashed(std::move(w->ctxs[0]));
@@ -140,21 +132,29 @@ spawn_workload(Run& run, const std::shared_ptr<StealWorld>& w, bool killable)
     }
 }
 
+/// The unkilled steal race with the heap audit as its end oracle; with
+/// @p corrupt the owner breaks one free counter before the end.
+std::function<void(sched::Run&)>
+audited_steal(bool corrupt)
+{
+    return [corrupt](sched::Run& run) {
+        auto w = std::make_shared<StealWorld>();
+        w->corrupt = corrupt;
+        spawn_workload(run, w, /*killable=*/false);
+        run.at_end([w](const sched::RunEnd&) {
+            cxl::MemSession& mem = w->ctxs[0]->mem();
+            sched::fail_unless_ok(w->alloc.audit(mem));
+            w->alloc.check_local_invariants(mem);
+        });
+    };
+}
+
 TEST(SchedSteal, RemoteFreeRacesKeepCounterAndBitsetConsistent)
 {
     Options opt;
     opt.seed = 61;
     opt.schedules = 48;
-    Result r = Explorer(opt).run([](sched::Run& run) {
-        auto w = std::make_shared<StealWorld>();
-        spawn_workload(run, w, /*killable=*/false);
-        run.at_end([w](const sched::RunEnd&) {
-            cxl::MemSession& mem = w->ctxs[0]->mem();
-            sweep_slab_invariant(*w, mem);
-            w->alloc.check_invariants(mem);
-            w->alloc.check_local_invariants(mem);
-        });
-    });
+    Result r = Explorer(opt).run(audited_steal(/*corrupt=*/false));
     EXPECT_TRUE(r.ok) << r.summary();
     EXPECT_EQ(r.truncated, 0u);
 }
@@ -166,14 +166,7 @@ TEST(SchedSteal, PctSchedulesKeepInvariants)
     opt.seed = 67;
     opt.schedules = 48;
     opt.pct_depth = 3;
-    Result r = Explorer(opt).run([](sched::Run& run) {
-        auto w = std::make_shared<StealWorld>();
-        spawn_workload(run, w, /*killable=*/false);
-        run.at_end([w](const sched::RunEnd&) {
-            sweep_slab_invariant(*w, w->ctxs[0]->mem());
-            w->alloc.check_invariants(w->ctxs[0]->mem());
-        });
-    });
+    Result r = Explorer(opt).run(audited_steal(/*corrupt=*/false));
     EXPECT_TRUE(r.ok) << r.summary();
 }
 
@@ -197,8 +190,7 @@ TEST(SchedSteal, KillAnyParticipantThenRecoverAndSweep)
             cxl::MemSession& mem = adopted != nullptr
                                        ? adopted->mem()
                                        : w->ctxs[0]->mem();
-            sweep_slab_invariant(*w, mem);
-            w->alloc.check_invariants(mem);
+            sched::fail_unless_ok(w->alloc.audit(mem));
             if (adopted != nullptr) {
                 // The recovered slot must still be able to allocate.
                 cxl::HeapOffset p = w->alloc.allocate(*adopted, 1024);
@@ -211,6 +203,23 @@ TEST(SchedSteal, KillAnyParticipantThenRecoverAndSweep)
     });
     EXPECT_TRUE(r.ok) << r.summary();
     EXPECT_GT(r.kills, 0u);
+}
+
+TEST(SchedSteal, CorruptedFreeCounterFailsTheAuditAndReplays)
+{
+    Options opt;
+    opt.seed = 73;
+    opt.schedules = 8;
+    Explorer ex(opt);
+    Result r = ex.run(audited_steal(/*corrupt=*/true));
+    ASSERT_FALSE(r.ok) << "the broken counter escaped the audit";
+    EXPECT_NE(r.summary().find("[free-counter]"), std::string::npos)
+        << r.summary();
+
+    Result again = ex.replay(*r.failure, audited_steal(/*corrupt=*/true));
+    ASSERT_FALSE(again.ok);
+    EXPECT_EQ(again.failure->message, r.failure->message);
+    EXPECT_EQ(again.failure->trace, r.failure->trace);
 }
 
 } // namespace

@@ -5,12 +5,13 @@
 ///   cxlalloc_inspect --list-faultpoints
 ///
 /// prints every registered crash-injection (resp. pod fault-injection)
-/// point as `id<TAB>name<TAB>site`, one per line, sorted by id. Sweep
-/// scripts iterate this instead of hard-coding point numbers, so adding a
-/// point to any layer automatically widens every sweep — crash points
-/// cover where a *thread* can die mid-protocol, fault points cover which
-/// *infrastructure* failures (edge down/flap, NMP stall/delay, host kill)
-/// a storm can inject (see pod/faults.h).
+/// point — one registry, filtered by PointKind — as `id<TAB>name<TAB>site`,
+/// one per line, sorted by id. Sweep scripts iterate this instead of
+/// hard-coding point numbers, so adding a point to any layer automatically
+/// widens every sweep — crash points cover where a *thread* can die
+/// mid-protocol, fault points cover which *infrastructure* failures (edge
+/// down/flap, NMP stall/delay, host kill) a storm can inject (see
+/// pod/faults.h).
 
 #include <cstring>
 #include <iostream>
@@ -25,6 +26,17 @@
 namespace {
 
 int
+list_points(pod::PointKind kind)
+{
+    for (const pod::CrashPointInfo& point :
+         pod::CrashPointRegistry::instance().all(kind)) {
+        std::cout << point.id << '\t' << point.name << '\t' << point.site
+                  << '\n';
+    }
+    return 0;
+}
+
+int
 list_crashpoints()
 {
     // Pull in every layer's points without building heaps.
@@ -33,25 +45,14 @@ list_crashpoints()
     memento::register_queue_crash_points();
     memento::register_map_crash_points();
 
-    for (const pod::CrashPointInfo& point :
-         pod::CrashPointRegistry::instance().all()) {
-        std::cout << point.id << '\t' << point.name << '\t' << point.site
-                  << '\n';
-    }
-    return 0;
+    return list_points(pod::PointKind::Crash);
 }
 
 int
 list_faultpoints()
 {
     pod::register_fault_points();
-
-    for (const pod::FaultPointInfo& point :
-         pod::FaultPointRegistry::instance().all()) {
-        std::cout << point.id << '\t' << point.name << '\t' << point.site
-                  << '\n';
-    }
-    return 0;
+    return list_points(pod::PointKind::Fault);
 }
 
 void
