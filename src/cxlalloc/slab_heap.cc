@@ -1,5 +1,6 @@
 #include "cxlalloc/slab_heap.h"
 
+#include <algorithm>
 #include <bit>
 #include <vector>
 
@@ -571,7 +572,7 @@ SlabHeap::pop_global(pod::ThreadContext& ctx, ThreadState& ts)
 {
     cxl::MemSession& mem = ctx.mem();
     while (true) {
-        std::uint64_t word = mem.atomic_load64(free_word_);
+        std::uint64_t word = dcas_->read_word(mem, free_word_);
         std::uint32_t headraw = DcasWord::value(word);
         if (headraw == 0) {
             return false;
@@ -579,7 +580,10 @@ SlabHeap::pop_global(pod::ThreadContext& ctx, ThreadState& ts)
         std::uint32_t slab = headraw - 1;
         // SWcc read protocol (§3.2.2): flush before loading another
         // thread's flushed next pointer. A stale value would be caught by
-        // the CAS on the list head failing.
+        // the CAS on the list head failing. The CAS is on the whole tagged
+        // word: if the head was popped, its next popped, and the head
+        // pushed back since our read (Treiber-stack ABA), a value CAS
+        // would succeed and install a slab another thread now owns.
         mem.flush(desc(slab) + DescField::kNext, 4);
         std::uint32_t next = next_raw(mem, slab);
         std::uint16_t ver = ts.next_version();
@@ -589,7 +593,7 @@ SlabHeap::pop_global(pod::ThreadContext& ctx, ThreadState& ts)
                                 .version = ver,
                                 .index = slab});
         ctx.maybe_crash(crashpoint::kAfterRecord);
-        auto r = dcas_->try_cas(mem, free_word_, headraw, next, ver);
+        auto r = dcas_->try_cas_word(mem, free_word_, word, next, ver);
         if (r.success) {
             ctx.maybe_crash(crashpoint::kAfterDcas);
             acquire_to_unsized(ctx, slab);
@@ -603,7 +607,7 @@ SlabHeap::extend(pod::ThreadContext& ctx, ThreadState& ts)
 {
     cxl::MemSession& mem = ctx.mem();
     while (true) {
-        std::uint64_t word = mem.atomic_load64(len_word_);
+        std::uint64_t word = dcas_->read_word(mem, len_word_);
         std::uint32_t len = DcasWord::value(word);
         if (len >= num_slabs_) {
             return false;
@@ -615,7 +619,7 @@ SlabHeap::extend(pod::ThreadContext& ctx, ThreadState& ts)
                                 .version = ver,
                                 .index = len});
         ctx.maybe_crash(crashpoint::kAfterRecord);
-        auto r = dcas_->try_cas(mem, len_word_, len, len + 1, ver);
+        auto r = dcas_->try_cas_word(mem, len_word_, word, len + 1, ver);
         if (r.success) {
             std::uint32_t slab = len;
             ctx.maybe_crash(crashpoint::kAfterDcas);
@@ -733,71 +737,77 @@ SlabHeap::deallocate_batch(pod::ThreadContext& ctx, ThreadState& ts,
         }
         return remote;
     }
-    std::vector<cxl::HeapOffset> pending(offsets, offsets + n);
+    // Local frees need no CAS. Remote ones are grouped by slab in
+    // first-occurrence order: one operand lands a whole group's
+    // decrements, so a drain costs one round trip per slab, not per
+    // block. Ownership is read once: only our own steal could make one of
+    // these slabs ours, and the steal lands the slab's last decrement.
+    struct SlabFrees {
+        std::uint32_t slab;
+        std::uint32_t count; ///< decrements still to land
+    };
+    std::vector<SlabFrees> pending;
+    for (std::uint32_t i = 0; i < n; i++) {
+        auto slab = static_cast<std::uint32_t>((offsets[i] - data_base_) /
+                                               slab_size_);
+        if (owner(mem, slab) == mem.tid()) {
+            remote += deallocate(ctx, ts, offsets[i]) ? 1 : 0;
+            continue;
+        }
+        auto it = std::find_if(pending.begin(), pending.end(),
+                               [slab](const SlabFrees& g) {
+                                   return g.slab == slab;
+                               });
+        if (it == pending.end()) {
+            pending.push_back(SlabFrees{slab, 1});
+        } else {
+            it->count++;
+        }
+    }
     cxl::McasBackoff backoff;
     while (!pending.empty()) {
-        std::vector<cxl::HeapOffset> retry;
-        // Offsets needing serial work — final decrements (counter would
-        // hit zero and steal) and frees of slabs we own — drain AFTER the
-        // ring empties: the serial path's own mCAS asserts an empty ring.
-        std::vector<cxl::HeapOffset> serial;
-        std::uint32_t staged_slab[cxl::kNmpRingSlots];
-        cxl::HeapOffset staged_off[cxl::kNmpRingSlots];
+        std::vector<SlabFrees> retry;
+        // Final decrements (they steal) run serially AFTER the ring
+        // empties: the serial path's own mCAS asserts an empty ring.
+        std::vector<std::uint32_t> finals;
+        std::uint32_t staged_group[cxl::kNmpRingSlots];
+        std::uint32_t staged_k[cxl::kNmpRingSlots];
         cxl::McasOperand staged_op[cxl::kNmpRingSlots];
         std::uint16_t last_ver = 0;
         std::uint32_t staged = 0;
-        for (cxl::HeapOffset offset : pending) {
-            auto slab = static_cast<std::uint32_t>((offset - data_base_) /
-                                                   slab_size_);
-            // Re-check ownership every round: a steal in an earlier
-            // round's serial phase may have made this slab local.
-            if (owner(mem, slab) == mem.tid()) {
-                serial.push_back(offset);
-                continue;
-            }
+        for (std::uint32_t g = 0; g < pending.size(); g++) {
+            const SlabFrees& group = pending[g];
             if (staged == cxl::kNmpRingSlots) {
-                retry.push_back(offset);
+                retry.push_back(group);
                 continue;
             }
-            // One operand per target pod-wide (Fig. 6(b)): a same-slab
-            // duplicate this round would doom itself against our own
-            // earlier slot.
-            bool dup = false;
-            for (std::uint32_t k = 0; k < staged; k++) {
-                dup |= staged_slab[k] == slab;
-            }
-            if (dup) {
-                retry.push_back(offset);
-                continue;
-            }
-            std::uint32_t cur = dcas_->read(mem, hwcc(slab));
-            CXL_ASSERT(cur > 0,
+            std::uint64_t word = dcas_->read_word(mem, hwcc(group.slab));
+            std::uint32_t cur = DcasWord::value(word);
+            CXL_ASSERT(cur >= group.count,
                        "remote-free counter underflow (double free?)");
-            if (cur == 1) {
-                serial.push_back(offset);
+            // A batched operand never lands a zero counter: when the group
+            // holds the slab's last decrement, k - 1 ride the ring and the
+            // stealing one stays serial.
+            std::uint32_t k = cur == group.count ? group.count - 1
+                                                 : group.count;
+            if (k == 0) {
+                finals.push_back(group.slab);
                 continue;
             }
-            // cur >= 2, so a successful staged CAS lands a counter >= 1:
-            // a batched operand can never be the stealing decrement.
             std::uint16_t ver = ts.next_version();
-            cxl::McasOperand op;
-            cxlsync::DetectableCas::Result fail;
-            if (!dcas_->stage(mem, hwcc(slab), cur, cur - 1, ver, &op,
-                              &fail)) {
-                retry.push_back(offset); // counter moved under us
-                continue;
-            }
-            staged_op[staged] = op;
-            staged_slab[staged] = slab;
-            staged_off[staged] = offset;
+            staged_op[staged] =
+                dcas_->stage_word(mem, hwcc(group.slab), word, cur - k, ver);
+            staged_group[staged] = g;
+            staged_k[staged] = k;
             last_ver = ver;
             staged++;
         }
         if (staged > 0) {
-            // Post only after the scan: stage() records help via the
-            // serial mCAS path, which requires an empty ring.
-            for (std::uint32_t k = 0; k < staged; k++) {
-                bool posted = mem.mcas_post(staged_op[k]);
+            // Help before anything executes (the serial path's order), and
+            // before posting: the help CAS needs an empty ring.
+            dcas_->record_displaced(mem, staged_op, staged);
+            for (std::uint32_t i = 0; i < staged; i++) {
+                bool posted = mem.mcas_post(staged_op[i]);
                 CXL_ASSERT(posted, "ring rejected a ring-bounded batch");
             }
             ctx.maybe_crash(crashpoint::kMidBatchStage);
@@ -808,20 +818,24 @@ SlabHeap::deallocate_batch(pod::ThreadContext& ctx, ThreadState& ts,
                                .large_heap = large_,
                                .aux = static_cast<std::uint16_t>(staged),
                                .version = last_ver,
-                               .index = staged_slab[0]});
+                               .index = pending[staged_group[0]].slab});
             ctx.maybe_crash(crashpoint::kMidBatchDoorbell);
             mem.mcas_doorbell();
             ctx.maybe_crash(crashpoint::kMidBatchDrain);
             bool conflicted = false;
-            for (std::uint32_t k = 0; k < staged; k++) {
+            for (std::uint32_t i = 0; i < staged; i++) {
                 cxl::McasResult r;
                 bool polled = mem.mcas_poll(&r);
                 CXL_ASSERT(polled, "doorbell executed fewer ops than staged");
+                const SlabFrees& group = pending[staged_group[i]];
                 if (r.success) {
-                    remote++;
+                    remote += staged_k[i];
+                    if (staged_k[i] < group.count) {
+                        finals.push_back(group.slab);
+                    }
                 } else {
                     conflicted |= r.conflict;
-                    retry.push_back(staged_off[k]);
+                    retry.push_back(group);
                 }
             }
             if (conflicted) {
@@ -830,15 +844,9 @@ SlabHeap::deallocate_batch(pod::ThreadContext& ctx, ThreadState& ts,
                 backoff.reset();
             }
         }
-        for (cxl::HeapOffset offset : serial) {
-            auto slab = static_cast<std::uint32_t>((offset - data_base_) /
-                                                   slab_size_);
-            if (owner(mem, slab) == mem.tid()) {
-                remote += deallocate(ctx, ts, offset) ? 1 : 0;
-            } else {
-                free_remote(ctx, ts, slab);
-                remote++;
-            }
+        for (std::uint32_t slab : finals) {
+            free_remote(ctx, ts, slab);
+            remote++;
         }
         pending = std::move(retry);
     }
@@ -886,7 +894,8 @@ SlabHeap::free_remote(pod::ThreadContext& ctx, ThreadState& ts,
 {
     cxl::MemSession& mem = ctx.mem();
     while (true) {
-        std::uint32_t cur = dcas_->read(mem, hwcc(slab));
+        std::uint64_t word = dcas_->read_word(mem, hwcc(slab));
+        std::uint32_t cur = DcasWord::value(word);
         CXL_ASSERT(cur > 0, "remote-free counter underflow (double free?)");
         std::uint16_t ver = ts.next_version();
         log_->log(mem, OpRecord{.op = Op::FreeRemote,
@@ -895,7 +904,7 @@ SlabHeap::free_remote(pod::ThreadContext& ctx, ThreadState& ts,
                                 .version = ver,
                                 .index = slab});
         ctx.maybe_crash(crashpoint::kAfterRecord);
-        auto r = dcas_->try_cas(mem, hwcc(slab), cur, cur - 1, ver);
+        auto r = dcas_->try_cas_word(mem, hwcc(slab), word, cur - 1, ver);
         if (!r.success) {
             continue;
         }
@@ -935,7 +944,7 @@ SlabHeap::push_global_one(pod::ThreadContext& ctx, ThreadState& ts)
     ctx.process().pod().device().note_decommitted(slab_data(slab),
                                                   slab_size_);
     while (true) {
-        std::uint64_t word = mem.atomic_load64(free_word_);
+        std::uint64_t word = dcas_->read_word(mem, free_word_);
         std::uint32_t headraw = DcasWord::value(word);
         set_next_raw(mem, slab, headraw);
         std::uint16_t ver = ts.next_version();
@@ -959,7 +968,8 @@ SlabHeap::push_global_one(pod::ThreadContext& ctx, ThreadState& ts)
             mem.fence();
         }
         ctx.maybe_crash(crashpoint::kMidPushGlobal);
-        if (dcas_->try_cas(mem, free_word_, headraw, slab + 1, ver).success) {
+        if (dcas_->try_cas_word(mem, free_word_, word, slab + 1, ver)
+                .success) {
             return;
         }
     }
@@ -1120,9 +1130,11 @@ SlabHeap::recover(pod::ThreadContext& ctx, ThreadState& ts,
         if (DcasWord::tid(word) == mem.tid() &&
             DcasWord::version(word) == record.version &&
             DcasWord::value(word) == 0) {
-            // Our decrement was the last one: we are the stealer.
-            if (!on_unsized_list(mem, slab) &&
-                owner(mem, slab) != mem.tid()) {
+            // Our decrement was the last one: we are the stealer. Finish
+            // the steal unless the slab is on our unsized list. The owner
+            // field cannot tell: an interrupted acquire (or trim pop) may
+            // already have made it ours while it sits on no list.
+            if (!on_unsized_list(mem, slab)) {
                 acquire_to_unsized(ctx, slab);
                 trim_unsized(ctx, ts);
             }
@@ -1134,7 +1146,8 @@ SlabHeap::recover(pod::ThreadContext& ctx, ThreadState& ts,
         // redo state is the thread's NMP operand ring, which is device
         // memory and survived the crash. Snapshot it, release it (the
         // serial redo path below posts its own operands and requires an
-        // empty ring), then redo every decrement that never landed.
+        // empty ring), then redo every operand that never landed: its
+        // expected - swap decrements, one serial free each.
         cxl::Nmp& nmp = ctx.process().pod().nmp();
         cxl::NmpSlotView views[cxl::kNmpRingSlots];
         std::uint32_t live =
@@ -1154,13 +1167,19 @@ SlabHeap::recover(pod::ThreadContext& ctx, ThreadState& ts,
                 (v.op.target - hwcc_base_) / 8);
             CXL_ASSERT(DcasWord::tid(v.op.swap) == mem.tid(),
                        "foreign operand in adopted ring");
-            std::uint16_t ver = DcasWord::version(v.op.swap);
-            if (!dcas_->did_succeed(mem, v.op.target, ver)) {
-                // The decrement never landed: redo it serially.
+            // Whether it landed is the slot's own result. did_succeed
+            // cannot tell: help[tid] >= v also follows when a LATER operand
+            // of this ring landed and was displaced since. A landed operand
+            // left a counter >= 1 (finals never ride the ring): no steal to
+            // finish.
+            bool landed =
+                v.state == cxl::NmpSlotState::Executed && v.result.success;
+            std::uint32_t k = landed ? 0
+                                     : DcasWord::value(v.op.expected) -
+                                           DcasWord::value(v.op.swap);
+            for (; k > 0; k--) {
                 free_remote(ctx, ts, s);
             }
-            // else: it landed with a counter >= 1 by construction (final
-            // decrements never ride the ring), so no steal to finish.
         }
         break;
       }
@@ -1174,12 +1193,12 @@ SlabHeap::recover(pod::ThreadContext& ctx, ThreadState& ts,
         set_class_biased(mem, slab, 0);
         set_state(mem, slab, SlabState::Global);
         while (true) {
-            std::uint64_t word = mem.atomic_load64(free_word_);
+            std::uint64_t word = dcas_->read_word(mem, free_word_);
             std::uint32_t headraw = DcasWord::value(word);
             set_next_raw(mem, slab, headraw);
             flush_desc(mem, slab);
             std::uint16_t ver = ts.next_version();
-            if (dcas_->try_cas(mem, free_word_, headraw, slab + 1, ver)
+            if (dcas_->try_cas_word(mem, free_word_, word, slab + 1, ver)
                     .success) {
                 break;
             }

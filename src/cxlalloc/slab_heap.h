@@ -53,14 +53,17 @@ class SlabHeap {
                     cxl::HeapOffset offset);
 
     /// Frees @p n blocks of this heap in one drain. Semantically equal to
-    /// n deallocate() calls; under NoHwcc the remote decrements of
-    /// DISTINCT slabs share batched NMP doorbells (one device round trip
-    /// per ring, §4) instead of one round trip each. Final decrements
-    /// (counter would reach zero and steal) stay on the serial path so a
-    /// batched operand can never land a zero counter — the invariant the
-    /// Op::FreeRemoteBatch recovery case relies on. Conflicted operands
-    /// retry with bounded exponential backoff. Returns the number of
-    /// frees that took the remote path.
+    /// n deallocate() calls; under NoHwcc the remote frees are grouped by
+    /// slab (first-occurrence order) and each group of k lands as ONE
+    /// operand, cur -> cur - k, built from the counter word it read. Up
+    /// to a ring of such operands share one NMP doorbell (one device round
+    /// trip, §4), so a drain costs a round trip per ring of slabs, not per
+    /// block. When cur == k the ring carries k - 1 and the final
+    /// decrement (it steals) stays serial, so a batched operand never
+    /// lands a zero counter — the invariant the Op::FreeRemoteBatch
+    /// recovery case relies on. Failed operands retry their whole group,
+    /// with bounded exponential backoff after a conflict. Returns the
+    /// number of frees that took the remote path.
     std::uint32_t deallocate_batch(pod::ThreadContext& ctx, ThreadState& ts,
                                    const cxl::HeapOffset* offsets,
                                    std::uint32_t n);

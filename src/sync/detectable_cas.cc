@@ -48,69 +48,31 @@ DetectableCas::cas_word(cxl::MemSession& mem, cxl::HeapOffset word_offset,
     return Result{false, DcasWord::value(seen)};
 }
 
-bool
-DetectableCas::stage(cxl::MemSession& mem, cxl::HeapOffset word_offset,
-                     std::uint32_t expected, std::uint32_t desired,
-                     std::uint16_t version, cxl::McasOperand* out,
-                     Result* failed)
-{
-    std::uint64_t current = mem.atomic_load64(word_offset);
-    if (DcasWord::value(current) != expected) {
-        *failed = Result{false, DcasWord::value(current)};
-        return false;
-    }
-    // Before displacing a tagged word, publish the displaced owner's
-    // success so its recovery can detect it even after the word moves on.
-    if (detectable_ && DcasWord::tid(current) != cxl::kNoThread) {
-        record_help(mem, DcasWord::tid(current), DcasWord::version(current));
-    }
-    *out = cxl::McasOperand{
-        .target = word_offset,
-        .expected = current,
-        .swap = DcasWord::pack(desired, mem.tid(), version)};
-    return true;
-}
-
 void
-DetectableCas::try_cas_batch(cxl::MemSession& mem, const BatchOp* ops,
-                             std::uint32_t n, Result* results)
+DetectableCas::record_displaced(cxl::MemSession& mem,
+                                const cxl::McasOperand* ops, std::uint32_t n)
 {
-    std::uint32_t i = 0;
-    while (i < n) {
-        // Stage one ring's worth of survivors.
-        cxl::McasOperand operands[cxl::kNmpRingSlots];
-        std::uint32_t index_of[cxl::kNmpRingSlots];
-        std::uint32_t staged = 0;
-        while (i < n && staged < cxl::kNmpRingSlots) {
-            if (stage(mem, ops[i].word_offset, ops[i].expected,
-                      ops[i].desired, ops[i].version, &operands[staged],
-                      &results[i])) {
-                index_of[staged] = i;
-                staged++;
-            }
-            i++;
+    if (!detectable_) {
+        return;
+    }
+    for (std::uint32_t i = 0; i < n; i++) {
+        cxl::ThreadId tid = DcasWord::tid(ops[i].expected);
+        bool covered = tid == cxl::kNoThread;
+        for (std::uint32_t j = 0; j < i && !covered; j++) {
+            covered = DcasWord::tid(ops[j].expected) == tid;
         }
-        if (staged == 0) {
-            continue;
+        if (covered) {
+            continue; // untagged, or recorded with an earlier operand
         }
-        cxl::McasResult raw[cxl::kNmpRingSlots];
-        std::uint32_t done = mem.mcas_batch(operands, staged, raw);
-        CXL_ASSERT(done == staged, "ring-sized chunk not fully accepted");
-        (void)done;
-        for (std::uint32_t k = 0; k < staged; k++) {
-            Result& r = results[index_of[k]];
-            if (raw[k].success) {
-                r = Result{true, ops[index_of[k]].expected};
-            } else if (raw[k].conflict) {
-                // Hardware reports no previous value on conflict; reload
-                // so the caller's retry loop sees fresh state.
-                r = Result{false,
-                           DcasWord::value(mem.atomic_load64(
-                               ops[index_of[k]].word_offset))};
-            } else {
-                r = Result{false, DcasWord::value(raw[k].previous)};
+        std::uint16_t newest = DcasWord::version(ops[i].expected);
+        for (std::uint32_t j = i + 1; j < n; j++) {
+            std::uint16_t v = DcasWord::version(ops[j].expected);
+            if (DcasWord::tid(ops[j].expected) == tid &&
+                !version_geq(newest, v)) {
+                newest = v;
             }
         }
+        record_help(mem, tid, newest);
     }
 }
 

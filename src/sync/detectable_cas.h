@@ -93,38 +93,34 @@ class DetectableCas {
     /// try_cas against a whole tagged word from read_word(): fails when any
     /// CAS landed since that read, even one that restored the same value.
     /// Lock-free structures whose nodes are freed and reallocated use it to
-    /// rule out ABA.
+    /// rule out ABA; a caller that already holds the word also saves
+    /// try_cas's reload (one uncached read under NoHwcc).
     Result try_cas_word(cxl::MemSession& mem, cxl::HeapOffset word_offset,
                         std::uint64_t expected_word, std::uint32_t desired,
                         std::uint16_t version);
 
-    /// Phase 1 of a batched detectable CAS — the staging half of try_cas:
-    /// value-checks the word and publishes the displaced owner's success,
-    /// then emits the raw word-level operand for MemSession::mcas_post /
-    /// mcas_batch. Returns false when the value check already fails
-    /// (@p failed filled; nothing to submit). The displaced-owner help
-    /// record is written BEFORE the operand can execute, preserving the
-    /// recovery invariant of the serial path.
-    bool stage(cxl::MemSession& mem, cxl::HeapOffset word_offset,
-               std::uint32_t expected, std::uint32_t desired,
-               std::uint16_t version, cxl::McasOperand* out, Result* failed);
+    /// The operand of a batched detectable CAS: swaps @p expected_word
+    /// (from read_word()) for the caller's tagged @p desired, like
+    /// try_cas_word, for MemSession::mcas_post. Builds it only; call
+    /// record_displaced() on the round's operands before posting any.
+    cxl::McasOperand
+    stage_word(const cxl::MemSession& mem, cxl::HeapOffset word_offset,
+               std::uint64_t expected_word, std::uint32_t desired,
+               std::uint16_t version) const
+    {
+        return cxl::McasOperand{
+            .target = word_offset,
+            .expected = expected_word,
+            .swap = DcasWord::pack(desired, mem.tid(), version)};
+    }
 
-    /// One staged detectable CAS in a batch.
-    struct BatchOp {
-        cxl::HeapOffset word_offset = 0;
-        std::uint32_t expected = 0;
-        std::uint32_t desired = 0;
-        std::uint16_t version = 0;
-    };
-
-    /// Batched detectable CAS over INDEPENDENT words (distinct
-    /// word_offsets; duplicates conflict per Fig. 6(b)): stages every op,
-    /// then submits the survivors in ring-sized chunks — one device round
-    /// trip per chunk under NoHwcc, a serial coherent-CAS loop otherwise.
-    /// results[i] mirrors try_cas: on any failure the freshest observed
-    /// value is reported so callers can retry.
-    void try_cas_batch(cxl::MemSession& mem, const BatchOp* ops,
-                       std::uint32_t n, Result* results);
+    /// The help records of @p n staged operands, written BEFORE any of
+    /// them is posted (the serial path's help-before-execute order; the
+    /// help CAS itself needs an empty ring). One record per displaced
+    /// thread, at its newest displaced version: help entries only move
+    /// forward, so the newest covers the older ones.
+    void record_displaced(cxl::MemSession& mem, const cxl::McasOperand* ops,
+                          std::uint32_t n);
 
     /// Reads the 32-bit value currently stored at @p word_offset.
     std::uint32_t

@@ -1,12 +1,15 @@
 /// Batched NMP engine tests: deterministic competing-batch interleavings,
 /// partial-batch conflicts, ring wrap-around and full-ring rejection at the
-/// engine level; then the allocator's batched remote-free drain, including
-/// a crash inside a half-submitted batch recovered through the §5.1
+/// engine level; then the allocator's batched remote-free drain (one
+/// operand per slab, k decrements each), including real-thread drain races
+/// and a crash inside a half-submitted batch recovered through the §5.1
 /// machinery (the operand ring is device memory and survives the crash).
 
 #include "cxl/nmp.h"
 
 #include <gtest/gtest.h>
+#include <algorithm>
+#include <atomic>
 #include <thread>
 #include <vector>
 
@@ -325,7 +328,7 @@ TEST(DeallocateBatch, DistinctSlabsShareOneDoorbell)
     rig.pod.release_thread(std::move(t2));
 }
 
-TEST(DeallocateBatch, SameSlabDuplicatesFallBackWithoutSelfConflict)
+TEST(DeallocateBatch, SameSlabFreesCoalesceIntoOneOperand)
 {
     Rig rig(nohwcc_opts());
     auto t1 = rig.thread();
@@ -336,14 +339,102 @@ TEST(DeallocateBatch, SameSlabDuplicatesFallBackWithoutSelfConflict)
         ASSERT_NE(p, 0u);
         offs.push_back(p);
     }
-    // All twelve live in one slab: the drain must serialize them (one per
-    // round) rather than doom its own duplicates.
+    std::uint64_t live0 = rig.alloc.audit(t1->mem()).live_blocks;
+    // All twelve live in one slab: one operand takes the counter down by
+    // twelve, in one doorbell.
+    const auto& c = t2->mem().counters();
+    std::uint64_t batches0 = c.mcas_batches;
+    std::uint64_t ops0 = c.mcas_batch_ops;
     rig.alloc.deallocate_batch(*t2, offs.data(),
                                static_cast<std::uint32_t>(offs.size()));
-    EXPECT_EQ(t2->mem().counters().mcas_conflicts, 0u);
-    rig.alloc.check_invariants(t1->mem());
+    EXPECT_EQ(c.mcas_batches - batches0, 1u);
+    EXPECT_EQ(c.mcas_batch_ops - ops0, 1u);
+    EXPECT_EQ(c.mcas_conflicts, 0u);
+    cxlalloc::AuditReport r = rig.alloc.audit(t1->mem());
+    EXPECT_TRUE(r.ok()) << r.to_string();
+    EXPECT_EQ(live0 - r.live_blocks, 12u);
     rig.pod.release_thread(std::move(t1));
     rig.pod.release_thread(std::move(t2));
+}
+
+TEST(DeallocateBatch, GroupEqualToItsCounterLeavesTheStealSerial)
+{
+    Rig rig(nohwcc_opts());
+    auto t1 = rig.thread();
+    auto t2 = rig.thread();
+    constexpr int kBlocks = 32; // a full 1 KiB-class slab: counter 32
+    std::vector<cxl::HeapOffset> offs;
+    for (int i = 0; i < kBlocks; i++) {
+        cxl::HeapOffset p = rig.alloc.allocate(*t1, 1024);
+        ASSERT_NE(p, 0u);
+        offs.push_back(p);
+    }
+    std::uint32_t len = rig.alloc.stats(t1->mem()).small.length;
+    rig.alloc.deallocate_batch(*t2, offs.data(), kBlocks);
+    // 31 decrements ride one operand (32 -> 1); the 32nd is the serial
+    // mCAS that lands zero and steals.
+    EXPECT_EQ(t2->mem().counters().mcas_batches, 1u);
+    EXPECT_EQ(t2->mem().counters().mcas_batch_ops, 1u);
+    cxlalloc::AuditReport r = rig.alloc.audit(t2->mem());
+    EXPECT_TRUE(r.ok()) << r.to_string();
+    EXPECT_EQ(r.live_blocks, 0u);
+    // t2 stole the slab: it serves t2's next slab without growing the heap.
+    for (int i = 0; i < kBlocks; i++) {
+        ASSERT_NE(rig.alloc.allocate(*t2, 1024), 0u);
+    }
+    EXPECT_EQ(rig.alloc.stats(t2->mem()).small.length, len);
+    rig.alloc.check_local_invariants(t2->mem());
+    rig.pod.release_thread(std::move(t1));
+    rig.pod.release_thread(std::move(t2));
+}
+
+/// Counts the hook events of one kind on the installing thread.
+class CountOp : public sched::Listener {
+  public:
+    explicit CountOp(sched::Op op) : op_(op) {}
+
+    void
+    on_event(const sched::Event& event) override
+    {
+        count_ += event.op == op_ ? 1 : 0;
+    }
+
+    std::uint32_t count() const { return count_; }
+
+  private:
+    sched::Op op_;
+    std::uint32_t count_ = 0;
+};
+
+TEST(DeallocateBatch, DisplacedTagsOfOneThreadRecordHelpOnce)
+{
+    Rig rig(nohwcc_opts());
+    auto t1 = rig.thread();
+    auto t2 = rig.thread();
+    auto t3 = rig.thread();
+    // Two blocks in each of four slabs; t3 frees one of each serially, so
+    // every counter carries a tag of t3 (four versions).
+    std::vector<cxl::HeapOffset> offs;
+    for (std::uint64_t size : {64, 128, 256, 512}) {
+        cxl::HeapOffset first = rig.alloc.allocate(*t1, size);
+        ASSERT_NE(first, 0u);
+        rig.alloc.deallocate(*t3, first);
+        offs.push_back(rig.alloc.allocate(*t1, size));
+        ASSERT_NE(offs.back(), 0u);
+    }
+    CountOp help(sched::Op::DcasHelp);
+    sched::t_listener = &help;
+    rig.alloc.deallocate_batch(*t2, offs.data(),
+                               static_cast<std::uint32_t>(offs.size()));
+    sched::t_listener = nullptr;
+    // One ring displaces all four tags: t3's newest version covers them.
+    EXPECT_EQ(help.count(), 1u);
+    EXPECT_EQ(t2->mem().counters().mcas_batches, 1u);
+    cxlalloc::AuditReport r = rig.alloc.audit(t1->mem());
+    EXPECT_TRUE(r.ok()) << r.to_string();
+    rig.pod.release_thread(std::move(t1));
+    rig.pod.release_thread(std::move(t2));
+    rig.pod.release_thread(std::move(t3));
 }
 
 TEST(DeallocateBatch, MixedLocalRemoteAndHugeMatchSerialSemantics)
@@ -367,8 +458,69 @@ TEST(DeallocateBatch, MixedLocalRemoteAndHugeMatchSerialSemantics)
     rig.pod.release_thread(std::move(t2));
 }
 
+TEST(DeallocateBatch, ConcurrentCoalescedDrainsLandEveryFreeOnce)
+{
+    // Real threads: three drainers free interleaved thirds of an owner's
+    // full 1 KiB slabs, 8 at a time, racing every slab's counter to zero
+    // (coalesced operands, retries, serial steals). Each round must end
+    // with a clean audit and no live block, and stolen slabs recycle, so
+    // the heap stops growing.
+    Rig rig(nohwcc_opts());
+    constexpr int kDrainers = 3;
+    constexpr int kSlabs = 6;
+    constexpr int kPerSlab = 32;
+    constexpr std::size_t kBatch = 8;
+    auto owner = rig.thread();
+    std::vector<std::unique_ptr<pod::ThreadContext>> drainers;
+    for (int d = 0; d < kDrainers; d++) {
+        drainers.push_back(rig.thread());
+    }
+    for (int round = 0; round < 64; round++) {
+        std::vector<cxl::HeapOffset> blocks;
+        for (int i = 0; i < kSlabs * kPerSlab; i++) {
+            blocks.push_back(rig.alloc.allocate(*owner, 1024));
+            ASSERT_NE(blocks.back(), 0u);
+        }
+        std::atomic<int> ready{0};
+        std::vector<std::thread> threads;
+        for (int d = 0; d < kDrainers; d++) {
+            threads.emplace_back([&, d] {
+                std::vector<cxl::HeapOffset> mine;
+                for (std::size_t i = d; i < blocks.size(); i += kDrainers) {
+                    mine.push_back(blocks[i]);
+                }
+                ready.fetch_add(1);
+                while (ready.load() < kDrainers) {
+                    std::this_thread::yield();
+                }
+                for (std::size_t at = 0; at < mine.size(); at += kBatch) {
+                    rig.alloc.deallocate_batch(
+                        *drainers[d], mine.data() + at,
+                        static_cast<std::uint32_t>(
+                            std::min(kBatch, mine.size() - at)));
+                }
+            });
+        }
+        for (std::thread& t : threads) {
+            t.join();
+        }
+        cxlalloc::AuditReport r = rig.alloc.audit(owner->mem());
+        ASSERT_TRUE(r.ok()) << "round " << round << ": " << r.to_string();
+        ASSERT_EQ(r.live_blocks, 0u) << "round " << round;
+    }
+    // Drainers keep at most unsized_limit stolen slabs each; the owner's
+    // refills take the rest back from the global list.
+    EXPECT_LE(rig.alloc.stats(owner->mem()).small.length,
+              kSlabs + kDrainers * rig.config.unsized_limit);
+    for (auto& d : drainers) {
+        rig.alloc.check_local_invariants(d->mem());
+        rig.pod.release_thread(std::move(d));
+    }
+    rig.pod.release_thread(std::move(owner));
+}
+
 /// Fills one 1 KiB-class slab from a victim thread, remote-frees most
-/// blocks in batches, crashes the freeing thread at @p point inside a
+/// blocks in a batch, crashes the freeing thread at @p point inside a
 /// half-submitted batch, recovers via adoption, completes the remaining
 /// frees, and proves exactly-once decrement semantics by stealing the slab
 /// at counter zero: the final allocations must reuse the stolen slab (heap
@@ -403,8 +555,8 @@ batch_crash_roundtrip(int point)
     rig.alloc.deallocate(*t2, scratch);
     len_before = rig.alloc.stats(t1->mem()).small.length;
 
-    // Crash inside the next batch (7 decrements; all target one slab, so
-    // the first round stages exactly offs[24]).
+    // Crash inside the next batch: 7 decrements of one slab, staged as
+    // ONE operand 8 -> 1.
     t2->arm_crash(point, 1);
     bool crashed = false;
     try {
@@ -422,12 +574,10 @@ batch_crash_roundtrip(int point)
 
     // kMidBatchStage: no record was logged, so recovery discarded the
     // staged operand — all 7 frees remain to be done. At the doorbell /
-    // drain points the record was logged and recovery guarantees offs[24]'s
-    // decrement landed exactly once — only the other 6 remain.
+    // drain points the record was logged and recovery landed the operand's
+    // 7 decrements exactly once (redone 7-fold if it never executed).
     if (point == cxlalloc::crashpoint::kMidBatchStage) {
         rig.alloc.deallocate_batch(*t2, offs.data() + 24, 7);
-    } else {
-        rig.alloc.deallocate_batch(*t2, offs.data() + 25, 6);
     }
     // Counter is now 1; the last free takes it to zero and t2 steals the
     // fully-remotely-freed slab (paper §3.2.1).
@@ -459,6 +609,46 @@ TEST(DeallocateBatchCrash, MidBatchDoorbell)
 TEST(DeallocateBatchCrash, MidBatchDrain)
 {
     batch_crash_roundtrip(cxlalloc::crashpoint::kMidBatchDrain);
+}
+
+TEST(DeallocateBatchCrash, FailedOperandIsRedoneAfterALaterOneIsDisplaced)
+{
+    // t2's ring holds A (version v) then B (v + 1). A fails (t3 moved its
+    // counter after t2 read it), B lands, t2 dies before polling, and t3
+    // then displaces B's tag, so help[t2] >= v + 1 > v. Recovery must
+    // still redo A: the help array would call it landed.
+    Rig rig(nohwcc_opts());
+    auto t1 = rig.thread();
+    auto t2 = rig.thread();
+    auto t3 = rig.thread();
+    cxl::HeapOffset a1 = rig.alloc.allocate(*t1, 64);
+    cxl::HeapOffset a2 = rig.alloc.allocate(*t1, 64);
+    cxl::HeapOffset b1 = rig.alloc.allocate(*t1, 128);
+    cxl::HeapOffset b2 = rig.alloc.allocate(*t1, 128);
+    ASSERT_TRUE(a1 != 0 && a2 != 0 && b1 != 0 && b2 != 0);
+    std::uint64_t live0 = rig.alloc.audit(t1->mem()).live_blocks;
+
+    cxltest::FireOnce race(
+        [](const sched::Event& e) { return e.op == sched::Op::McasPost; },
+        [&] { rig.alloc.deallocate(*t3, a2); });
+    cxl::HeapOffset batch[] = {a1, b1};
+    t2->arm_crash(cxlalloc::crashpoint::kMidBatchDrain, 1);
+    sched::t_listener = &race;
+    EXPECT_THROW(rig.alloc.deallocate_batch(*t2, batch, 2), ThreadCrashed);
+    sched::t_listener = nullptr;
+    ASSERT_TRUE(race.fired());
+    rig.alloc.deallocate(*t3, b2); // displaces t2's tag on B
+
+    cxl::ThreadId tid = t2->tid();
+    rig.pod.mark_crashed(std::move(t2));
+    t2 = rig.pod.adopt_thread(rig.process, tid);
+    rig.alloc.recover(*t2);
+    cxlalloc::AuditReport r = rig.alloc.audit(t2->mem());
+    EXPECT_TRUE(r.ok()) << r.to_string();
+    EXPECT_EQ(live0 - r.live_blocks, 4u) << "a decrement was lost";
+    rig.pod.release_thread(std::move(t1));
+    rig.pod.release_thread(std::move(t2));
+    rig.pod.release_thread(std::move(t3));
 }
 
 TEST(DeallocateBatchCrash, SweepCountdownsThroughMixedBatches)

@@ -3,10 +3,12 @@
 
 #pragma once
 
+#include <functional>
 #include <memory>
 
 #include "cxlalloc/allocator.h"
 #include "pod/pod.h"
+#include "sched/hook.h"
 
 namespace cxltest {
 
@@ -16,6 +18,36 @@ struct RigOptions {
     bool checked_mappings = false;
     bool recoverable = true;
     std::uint32_t small_slabs = 128; // 4 MiB small data
+    std::uint32_t unsized_limit = cxlalloc::Config{}.unsized_limit;
+};
+
+/// Runs @p fire once, from inside the first hook event of the installing
+/// thread that @p match accepts (install with sched::t_listener = &it):
+/// a deterministic way to interleave another thread's work at one exact
+/// point of an operation. Hooks are off while @p fire runs.
+class FireOnce : public sched::Listener {
+  public:
+    FireOnce(std::function<bool(const sched::Event&)> match,
+             std::function<void()> fire)
+        : match_(std::move(match)), fire_(std::move(fire))
+    {
+    }
+
+    void
+    on_event(const sched::Event& event) override
+    {
+        if (!fired_ && match_(event)) {
+            fired_ = true;
+            fire_();
+        }
+    }
+
+    bool fired() const { return fired_; }
+
+  private:
+    std::function<bool(const sched::Event&)> match_;
+    std::function<void()> fire_;
+    bool fired_ = false;
 };
 
 struct Rig {
@@ -39,6 +71,7 @@ struct Rig {
         cfg.huge_descs_per_thread = 16;
         cfg.hazard_slots_per_thread = 8;
         cfg.recoverable = opt.recoverable;
+        cfg.unsized_limit = opt.unsized_limit;
         return cfg;
     }
 

@@ -11,6 +11,7 @@
 #include "common/random.h"
 #include "cxl/cache_model.h"
 #include "cxlalloc/recovery.h"
+#include "cxlalloc/size_class.h"
 #include "fixture.h"
 
 namespace {
@@ -303,6 +304,53 @@ TEST(CrashRecovery, CrashMidStealCompletesSteal)
     EXPECT_TRUE(crashed);
     // The steal completed during recovery: the recovered thread can
     // allocate 64 blocks without extending the heap.
+    std::uint32_t len = rig.alloc.stats(other->mem()).small.length;
+    for (int i = 0; i < 64; i++) {
+        ASSERT_NE(rig.alloc.allocate(*other, 512), 0u);
+    }
+    EXPECT_EQ(rig.alloc.stats(other->mem()).small.length, len);
+    verify_consistent(rig, *other);
+    rig.pod.release_thread(std::move(owner));
+    rig.pod.release_thread(std::move(other));
+}
+
+TEST(CrashRecovery, CrashInsideStealAcquireCompletesSteal)
+{
+    // As above, but the crash lands inside the steal's acquire: the slab
+    // is already ours (owner field written) yet on no list. Recovery must
+    // still link it, or the slab is lost to every thread.
+    Rig rig;
+    auto owner = rig.thread();
+    auto other = rig.thread();
+    std::vector<cxl::HeapOffset> ptrs;
+    for (int i = 0; i < 64; i++) {
+        ptrs.push_back(rig.alloc.allocate(*owner, 512));
+    }
+    for (int i = 0; i < 63; i++) {
+        rig.alloc.deallocate(*other, ptrs[i]);
+    }
+    const cxlalloc::Layout& l = rig.alloc.layout();
+    auto slab = static_cast<std::uint32_t>((ptrs[0] - l.small_data()) /
+                                           cxlalloc::kSmallSlabSize);
+    cxl::HeapOffset class_field =
+        l.small_swcc_desc(slab) + cxlalloc::DescField::kClass;
+    // acquire_to_unsized stores the owner, then the class: die between.
+    cxltest::FireOnce die(
+        [class_field](const sched::Event& e) {
+            return e.op == sched::Op::Store && e.addr == class_field;
+        },
+        [] { throw ThreadCrashed{-1}; });
+    sched::t_listener = &die;
+    EXPECT_THROW(rig.alloc.deallocate(*other, ptrs[63]), ThreadCrashed);
+    sched::t_listener = nullptr;
+    ASSERT_TRUE(die.fired());
+    ASSERT_EQ(rig.alloc.small_heap().debug_owner(other->mem(), slab),
+              other->tid());
+    cxl::ThreadId tid = other->tid();
+    rig.pod.mark_crashed(std::move(other));
+    other = rig.pod.adopt_thread(rig.process, tid);
+    rig.alloc.recover(*other);
+
     std::uint32_t len = rig.alloc.stats(other->mem()).small.length;
     for (int i = 0; i < 64; i++) {
         ASSERT_NE(rig.alloc.allocate(*other, 512), 0u);

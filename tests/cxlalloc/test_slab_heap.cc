@@ -235,6 +235,57 @@ TEST(SlabAlloc, GlobalListFeedsOtherThreads)
     rig.pod.release_thread(std::move(t2));
 }
 
+TEST(SlabAlloc, GlobalPopCasFailsAfterHeadAba)
+{
+    // Treiber-stack ABA on the global free list: t1 reads head A and
+    // next(A) = B; before its CAS, t2 pops A, pops B and pushes A back.
+    // The head again holds A, but B now belongs to t2 — the CAS must fail
+    // rather than install B.
+    RigOptions opt;
+    opt.unsized_limit = 0; // every recycled slab goes straight to global
+    Rig rig(opt);
+    auto t1 = rig.thread();
+    auto t2 = rig.thread();
+    constexpr int kPerSlab = 32; // 1 KiB blocks in a 32 KiB slab
+    std::vector<cxl::HeapOffset> blocks;
+    for (int i = 0; i < 3 * kPerSlab; i++) {
+        blocks.push_back(rig.alloc.allocate(*t1, 1024));
+        ASSERT_NE(blocks.back(), 0u);
+    }
+    for (cxl::HeapOffset p : blocks) {
+        rig.alloc.deallocate(*t1, p);
+    }
+    // The first slab stays warm in its class; the other two are global.
+    ASSERT_EQ(rig.alloc.stats(t1->mem()).small.global_free, 2u);
+
+    cxl::HeapOffset head = rig.alloc.layout().small_free();
+    cxltest::FireOnce aba(
+        [head](const sched::Event& e) {
+            return e.op == sched::Op::DcasTry && e.addr == head;
+        },
+        [&] {
+            std::vector<cxl::HeapOffset> mine;
+            for (int i = 0; i < kPerSlab + 1; i++) { // pops A, then B
+                mine.push_back(rig.alloc.allocate(*t2, 1024));
+            }
+            for (int i = 0; i < kPerSlab; i++) { // A empties: pushed back
+                rig.alloc.deallocate(*t2, mine[i]);
+            }
+        });
+    sched::t_listener = &aba;
+    cxl::HeapOffset p = rig.alloc.allocate(*t1, 64); // pops the head
+    sched::t_listener = nullptr;
+    ASSERT_TRUE(aba.fired());
+    ASSERT_NE(p, 0u);
+
+    cxlalloc::AuditReport r = rig.alloc.audit(t1->mem());
+    EXPECT_TRUE(r.ok()) << r.to_string();
+    rig.alloc.check_local_invariants(t1->mem());
+    rig.alloc.check_local_invariants(t2->mem());
+    rig.pod.release_thread(std::move(t1));
+    rig.pod.release_thread(std::move(t2));
+}
+
 TEST(SlabAlloc, HeapExhaustionReturnsNull)
 {
     Rig rig;

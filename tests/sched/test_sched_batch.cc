@@ -1,0 +1,262 @@
+/// @file
+/// Coalesced remote-free drains under explored schedules (paper §3.2.1,
+/// §4): two drainers free interleaved halves of an owner's full slabs
+/// through deallocate_batch — one operand per slab per ring, the final
+/// decrement serial — while the owner frees blocks of its own locally.
+/// With crash injection any participant dies at any yield, and a
+/// recoverer adopts and recovers its slot while the others keep running
+/// (until then the dead thread's staged operands doom every competing
+/// mCAS on their targets). The end oracle is the heap audit plus: every
+/// slab whose counter reached zero was stolen exactly once.
+
+#include <gtest/gtest.h>
+
+#include <functional>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "cxlalloc/allocator.h"
+#include "cxlalloc/size_class.h"
+#include "pod/pod.h"
+#include "sched/explorer.h"
+
+namespace {
+
+using sched::Explorer;
+using sched::kNoVthread;
+using sched::Options;
+using sched::OracleFailure;
+using sched::Result;
+using sched::Run;
+
+constexpr int kDrainers = 2;  // vthreads 1..kDrainers; 0 is the owner
+constexpr int kSlabs = 2;     // full 1 KiB-class slabs the drainers free
+constexpr int kPerSlab = 32;
+constexpr std::uint32_t kBatch = 8;
+constexpr int kLocal = 4; // 64 B blocks the owner frees itself
+static_assert(kSlabs * kPerSlab % (kDrainers * kBatch) == 0,
+              "each drainer's share splits into whole batches");
+
+struct DrainWorld {
+    DrainWorld() : cfg(make_config()), pod(make_pod(cfg)), alloc(pod, cfg)
+    {
+        process = pod.create_process();
+        alloc.attach(*process);
+        for (int i = 0; i <= kDrainers; i++) {
+            ctxs.push_back(pod.create_thread(process));
+            alloc.attach_thread(*ctxs.back());
+            tids.push_back(ctxs.back()->tid());
+        }
+        // Unhooked pre-state: the owner fills kSlabs slabs (detached
+        // full) and holds a few blocks it will free locally.
+        std::vector<cxl::HeapOffset> full;
+        for (int n = 0; n < kSlabs * kPerSlab; n++) {
+            full.push_back(alloc.allocate(*ctxs[0], 1024));
+        }
+        for (int n = 0; n < kLocal; n++) {
+            local.push_back(alloc.allocate(*ctxs[0], 64));
+        }
+        // Drainer d takes every kDrainers-th block of every slab,
+        // slab-interleaved: each batch holds one same-slab group per slab.
+        drains.resize(kDrainers);
+        for (int b = 0; b < kPerSlab; b++) {
+            for (int s = 0; s < kSlabs; s++) {
+                drains[b % kDrainers].push_back(full[s * kPerSlab + b]);
+            }
+        }
+        for (int s = 0; s < kSlabs; s++) {
+            slabs.push_back(static_cast<std::uint32_t>(
+                (full[s * kPerSlab] - alloc.layout().small_data()) /
+                cxlalloc::kSmallSlabSize));
+        }
+    }
+
+    static cxlalloc::Config
+    make_config()
+    {
+        cxlalloc::Config cfg;
+        cfg.small_slabs = 32;
+        cfg.large_slabs = 8;
+        cfg.huge_regions = 2;
+        cfg.huge_region_size = 1 << 20;
+        cfg.huge_descs_per_thread = 4;
+        cfg.hazard_slots_per_thread = 4;
+        return cfg;
+    }
+
+    static pod::PodConfig
+    make_pod(const cxlalloc::Config& cfg)
+    {
+        pod::PodConfig pc;
+        // Every sync op is an NMP mCAS; no cache simulation, so the end
+        // oracle may read every thread's lists from one session.
+        pc.device = cxlalloc::Layout(cfg).device_config(
+            cxl::CoherenceMode::NoHwcc, /*simulate_cache=*/false);
+        return pc;
+    }
+
+    /// True if @p slab is on @p tid's small unsized list.
+    bool
+    on_unsized_list(cxl::MemSession& mem, cxl::ThreadId tid,
+                    std::uint32_t slab)
+    {
+        const cxlalloc::Layout& l = alloc.layout();
+        auto raw = mem.load<std::uint32_t>(l.small_local(tid));
+        for (std::uint32_t steps = 0; raw != 0 && steps <= cfg.small_slabs;
+             steps++) {
+            if (raw - 1 == slab) {
+                return true;
+            }
+            raw = mem.load<std::uint32_t>(l.small_swcc_desc(raw - 1) +
+                                          cxlalloc::DescField::kNext);
+        }
+        return false;
+    }
+
+    /// Every slab whose counter reached zero sits on exactly one
+    /// drainer's unsized list, owned by that drainer; every other slab is
+    /// on none. With @p all_freed (no drainer died) every slab was stolen.
+    void
+    check_steals(cxl::MemSession& mem, bool all_freed)
+    {
+        cxlalloc::SlabHeap& heap = alloc.small_heap();
+        for (std::uint32_t slab : slabs) {
+            bool stolen = heap.debug_remote_free(mem, slab) == 0;
+            int holders = 0;
+            bool owner_holds = false;
+            for (int d = 1; d <= kDrainers; d++) {
+                if (on_unsized_list(mem, tids[d], slab)) {
+                    holders++;
+                    owner_holds |= heap.debug_owner(mem, slab) == tids[d];
+                }
+            }
+            std::string at = "slab " + std::to_string(slab) + ": ";
+            if (stolen && (holders != 1 || !owner_holds)) {
+                throw OracleFailure(at + "stolen, but on " +
+                                    std::to_string(holders) +
+                                    " drainer lists (owner holds: " +
+                                    std::to_string(owner_holds) + ")");
+            }
+            if (!stolen && holders != 0) {
+                throw OracleFailure(at + "on a drainer list, counter > 0");
+            }
+            if (all_freed && !stolen) {
+                throw OracleFailure(at + "every block freed, never stolen");
+            }
+        }
+    }
+
+    cxlalloc::Config cfg;
+    pod::Pod pod;
+    cxlalloc::CxlAllocator alloc;
+    pod::Process* process;
+    std::vector<std::unique_ptr<pod::ThreadContext>> ctxs;
+    std::vector<cxl::ThreadId> tids;
+    std::vector<cxl::HeapOffset> local;
+    std::vector<std::vector<cxl::HeapOffset>> drains;
+    std::vector<std::uint32_t> slabs;
+    /// Vthreads run one at a time, so plain fields suffice.
+    int finished = 0;
+    std::uint32_t dead = kNoVthread;
+};
+
+void
+spawn_workload(Run& run, const std::shared_ptr<DrainWorld>& w, bool killable)
+{
+    auto body = [w](std::uint32_t v, auto work) {
+        return [w, v, work] {
+            try {
+                work();
+            } catch (const sched::VthreadKilled&) {
+                w->pod.mark_crashed(std::move(w->ctxs[v]));
+                w->dead = v;
+            }
+            w->finished++;
+        };
+    };
+    run.spawn("owner",
+              body(0,
+                   [w] {
+                       for (cxl::HeapOffset p : w->local) {
+                           w->alloc.deallocate(*w->ctxs[0], p);
+                       }
+                   }),
+              killable);
+    for (std::uint32_t d = 1; d <= kDrainers; d++) {
+        run.spawn("drain" + std::to_string(d),
+                  body(d,
+                       [w, d] {
+                           const auto& mine = w->drains[d - 1];
+                           for (std::size_t at = 0; at < mine.size();
+                                at += kBatch) {
+                               w->alloc.deallocate_batch(*w->ctxs[d],
+                                                         mine.data() + at,
+                                                         kBatch);
+                           }
+                       }),
+                  killable);
+    }
+    // Adopts and recovers a killed slot while the others run.
+    run.spawn("recoverer", [w] {
+        while (w->finished <= kDrainers ||
+               (w->dead != kNoVthread && w->ctxs[w->dead] == nullptr)) {
+            if (w->dead != kNoVthread && w->ctxs[w->dead] == nullptr) {
+                w->ctxs[w->dead] =
+                    w->pod.adopt_thread(w->process, w->tids[w->dead]);
+                w->alloc.recover(*w->ctxs[w->dead]);
+            } else {
+                sched::hook(sched::Op::Load); // yield until there is work
+            }
+        }
+    });
+}
+
+/// The drain race; with @p crash one participant dies at a random yield.
+std::function<void(sched::Run&)>
+drain_race(bool crash)
+{
+    return [crash](sched::Run& run) {
+        auto w = std::make_shared<DrainWorld>();
+        spawn_workload(run, w, /*killable=*/crash);
+        run.at_end([w](const sched::RunEnd& end) {
+            cxl::MemSession& mem = w->ctxs[0]->mem();
+            sched::fail_unless_ok(w->alloc.audit(mem));
+            // A dead owner loses no drainer's free: every slab must fall.
+            w->check_steals(mem, /*all_freed=*/end.killed == kNoVthread ||
+                                     end.killed == 0);
+            for (auto& ctx : w->ctxs) {
+                cxl::HeapOffset p = w->alloc.allocate(*ctx, 1024);
+                if (p == 0) {
+                    throw OracleFailure("allocation failed after the drain");
+                }
+                w->alloc.deallocate(*ctx, p);
+            }
+        });
+    };
+}
+
+TEST(SchedBatch, CoalescedDrainsStealEachSlabExactlyOnce)
+{
+    Options opt;
+    opt.seed = 83;
+    opt.schedules = 48;
+    Result r = Explorer(opt).run(drain_race(/*crash=*/false));
+    EXPECT_TRUE(r.ok) << r.summary();
+    EXPECT_EQ(r.truncated, 0u);
+}
+
+TEST(SchedBatch, KillAnyParticipantRecoverConcurrentlyAndAudit)
+{
+    Options opt;
+    opt.seed = 89;
+    opt.schedules = 96;
+    opt.crash = true;
+    opt.crash_horizon = 400;
+    Result r = Explorer(opt).run(drain_race(/*crash=*/true));
+    EXPECT_TRUE(r.ok) << r.summary();
+    EXPECT_GT(r.kills, 0u);
+    EXPECT_EQ(r.truncated, 0u);
+}
+
+} // namespace
