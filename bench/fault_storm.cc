@@ -256,10 +256,8 @@ struct Rig {
             // host 0's seat and pull the reachable blocks home while it
             // still answers.
             topo.set_edge_state(0, 1, cxl::EdgeState::Suspect);
-            b.heap->refresh_placement();
             evacuated += migrator->evacuate_device(*w0.ctx, 1, 0);
             topo.set_edge_state(0, 1, cxl::EdgeState::Up);
-            b.heap->refresh_placement();
         }
         if (injector->host_killed(1) && workers[1].ctx != nullptr) {
             // Host 1 dies: its context vanishes without writeback. The
@@ -307,7 +305,6 @@ struct Rig {
         if (storm) {
             injector->step();
             scripted(injector->now());
-            b.heap->refresh_placement();
         }
         for (Worker& w : workers) {
             if (w.ctx != nullptr) {
@@ -360,7 +357,6 @@ struct Rig {
                                    static_cast<cxl::HeapOffset>(val) << 3);
             }
         }
-        b.heap->refresh_placement();
         replayed += b.heap->replay_parked(*w0.ctx);
 
         cxlalloc::AuditReport audit = b.heap->audit(mem);

@@ -10,6 +10,8 @@
 /// _per_op) must exist in the fresh snapshot and must not regress beyond
 /// kBudgetRatio (plus a small absolute epsilon for near-zero gauges). This
 /// is the CI gate that keeps the fence-elision work from silently rotting.
+/// Most budgeted gauges are lower-is-better; the few where more is better
+/// (higher_is_better) fail when they drop below the baseline instead.
 ///
 /// Pod-topology runs add pod.* summary gauges (pod.remote_op_ratio,
 /// pod.steal_per_op — see docs/POD_TOPOLOGY.md) to the same gate: a change
@@ -59,6 +61,15 @@ prefixed_sum(const obs::json::Value& counters, const std::string& prefix)
 constexpr double kBudgetRatio = 1.15;
 constexpr double kBudgetEpsilon = 0.1;
 
+/// Budgeted gauges that regress by shrinking: the tier split's DRAM share
+/// and the migrator's promotion volume (BENCH_tiered.json). A placement
+/// change that quietly stops using the DRAM tier fails the budget.
+bool
+higher_is_better(const std::string& name)
+{
+    return name == "alloc.tier_dram_ratio" || name == "migrate.promotions";
+}
+
 bool
 budget_gauge(const std::string& name)
 {
@@ -86,8 +97,7 @@ budget_gauge(const std::string& name)
         return true;
     }
     if (name.rfind("alloc.", 0) == 0) {
-        // Tier-split quality (alloc.tier_dram_ratio): a placement change
-        // that quietly stops using the DRAM tier fails the budget.
+        // Tier-split quality (alloc.tier_dram_ratio).
         return ends_with("_ratio");
     }
     if (name.rfind("migrate.", 0) == 0) {
@@ -119,7 +129,8 @@ load_json(const char* path)
 }
 
 /// Every budget gauge in @p baseline must be present in @p fresh and no
-/// worse than ratio * baseline + epsilon.
+/// worse than ratio * baseline + epsilon (baseline / ratio - epsilon for a
+/// higher_is_better gauge).
 void
 check_budget(const obs::json::Value& fresh, const obs::json::Value& baseline)
 {
@@ -147,12 +158,15 @@ check_budget(const obs::json::Value& fresh, const obs::json::Value& baseline)
         }
         double base = base_value.as_number();
         double cur = now->as_number();
-        double limit = base * kBudgetRatio + kBudgetEpsilon;
+        bool higher = higher_is_better(name);
+        double limit = higher ? base / kBudgetRatio - kBudgetEpsilon
+                              : base * kBudgetRatio + kBudgetEpsilon;
         compared++;
-        if (cur > limit) {
-            std::fprintf(stderr, "  %s: %.4f exceeds budget %.4f "
+        if (higher ? cur < limit : cur > limit) {
+            std::fprintf(stderr, "  %s: %.4f %s budget %.4f "
                                  "(baseline %.4f)\n",
-                         name.c_str(), cur, limit, base);
+                         name.c_str(), cur, higher ? "below" : "exceeds",
+                         limit, base);
             check(false, "per-op budget respected");
         }
     }

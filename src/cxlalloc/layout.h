@@ -64,15 +64,11 @@ struct Config {
     std::uint64_t app_sync_bytes = 0;
 
     /// Tiering policy (PodShardedAllocator only; ignored by a single
-    /// heap): percentage of eligible allocations the stride scheduler
-    /// steers to the host's local-DRAM shard when the topology has one.
-    /// 0 (the default) disables the DRAM tier even on tiered topologies.
+    /// heap): percentage of eligible allocations (small ones, <=
+    /// kSmallMax) the per-thread tier credit steers to the host's
+    /// local-DRAM shard when the topology has one. 0 (the default)
+    /// disables the DRAM tier even on tiered topologies.
     std::uint32_t dram_percent = 0;
-
-    /// Largest allocation the tiering policy places in DRAM; bigger
-    /// requests always go to the CXL tier. 0 means "small heap only"
-    /// (kSmallMax).
-    std::uint64_t dram_max_block = 0;
 
     /// Device offset the layout starts at (page-aligned). 0 is a heap at
     /// the front of the device (window 0); a pod shard sets this to its

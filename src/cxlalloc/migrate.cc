@@ -1,7 +1,5 @@
 #include "cxlalloc/migrate.h"
 
-#include <algorithm>
-
 #include "common/assert.h"
 #include "pod/crashpoint.h"
 #include "sync/detectable_cas.h"
@@ -48,9 +46,6 @@ HotSlabMigrator::HotSlabMigrator(PodShardedAllocator& heap,
     : heap_(heap), options_(options)
 {
     register_migrate_crash_points();
-    // The copy staging buffer (and the record's 32-bit size field) bound
-    // moves to small blocks.
-    options_.max_block = std::min<std::uint64_t>(options_.max_block, kSmallMax);
     active_ = heap.pod().topology().has_dram_tier();
     heat_.resize(heap.shard_count());
     for (cxl::DeviceId d = 0; d < heap.shard_count(); d++) {
@@ -150,7 +145,9 @@ HotSlabMigrator::migrate_one(pod::ThreadContext& ctx, cxl::HeapOffset cell,
     cxl::HeapOffset row = cw.layout().recovery_row(ctx.tid());
     CXL_ASSERT((old_off >> 3) <= 0xffffffffULL && (old_off & 7) == 0,
                "cell values are offset >> 3 in 32 bits");
-    CXL_ASSERT(size <= options_.max_block, "migration block too large");
+    // The copy staging buffer (and the record's 32-bit size field) bound
+    // moves to small blocks.
+    CXL_ASSERT(size <= kSmallMax, "migration block too large");
 
     // Arm: durable (cell, old, target, size) before the target alloc, so
     // Armed recovery can attribute an Op::Alloc record on the quiesced
@@ -213,30 +210,50 @@ HotSlabMigrator::migrate_one(pod::ThreadContext& ctx, cxl::HeapOffset cell,
     return res.success;
 }
 
+template <typename Keep>
+bool
+HotSlabMigrator::walk_cell(cxl::MemSession& mem, cxl::HeapOffset cell,
+                           Keep keep, CellBlock* out)
+{
+    std::uint32_t val = cxlsync::DcasWord::value(mem.atomic_load64(cell));
+    if (val == 0) {
+        return false;
+    }
+    CellBlock& b = *out;
+    b.off = static_cast<cxl::HeapOffset>(val) << 3;
+    b.dev = device_of(b.off);
+    if (b.dev >= heap_.shard_count()) {
+        return false;
+    }
+    const Layout& l = heap_.shard(b.dev).layout();
+    if (!l.in_small_data(b.off)) {
+        return false;
+    }
+    b.slab = static_cast<std::uint32_t>((b.off - l.small_data()) /
+                                        kSmallSlabSize);
+    if (!keep(b)) {
+        return false;
+    }
+    std::uint8_t biased =
+        heap_.shard(b.dev).small_heap().debug_class_biased(mem, b.slab);
+    if (biased == 0) {
+        return false;
+    }
+    b.size = small_class_size(biased - 1);
+    return true;
+}
+
 bool
 HotSlabMigrator::debug_migrate_cell(pod::ThreadContext& ctx,
                                     cxl::HeapOffset cell,
                                     cxl::DeviceId target)
 {
-    CxlAllocator& cw = heap_.shard(device_of(cell));
-    std::uint32_t val = cw.dcas().read(ctx.mem(), cell);
-    if (val == 0) {
+    CellBlock b;
+    auto elsewhere = [&](const CellBlock& c) { return c.dev != target; };
+    if (!walk_cell(ctx.mem(), cell, elsewhere, &b)) {
         return false;
     }
-    auto off = static_cast<cxl::HeapOffset>(val) << 3;
-    cxl::DeviceId dev = device_of(off);
-    if (dev == target) {
-        return false;
-    }
-    const Layout& l = heap_.shard(dev).layout();
-    CXL_ASSERT(l.in_small_data(off), "debug migration of a non-small block");
-    auto slab = static_cast<std::uint32_t>((off - l.small_data()) /
-                                           kSmallSlabSize);
-    std::uint8_t biased =
-        heap_.shard(dev).small_heap().debug_class_biased(ctx.mem(), slab);
-    CXL_ASSERT(biased != 0, "cell names a block in a classless slab");
-    std::uint64_t size = small_class_size(biased - 1);
-    return migrate_one(ctx, cell, off, target, size);
+    return migrate_one(ctx, cell, b.off, target, b.size);
 }
 
 std::uint32_t
@@ -246,39 +263,15 @@ HotSlabMigrator::evacuate_device(pod::ThreadContext& ctx,
     CXL_ASSERT(source < heap_.shard_count() && target < heap_.shard_count(),
                "evacuation names no shard");
     CXL_ASSERT(source != target, "evacuation must change device");
-    if (cell_count_ == 0) {
-        return 0;
-    }
-    cxl::MemSession& mem = ctx.mem();
-    const Layout& l = heap_.shard(source).layout();
+    // Evacuation covers what migrate_one can move: small blocks with a
+    // live size class. Anything else stays for edge recovery.
+    auto on_source = [&](const CellBlock& c) { return c.dev == source; };
     std::uint32_t moved = 0;
     for (std::uint32_t i = 0; i < cell_count_; i++) {
         cxl::HeapOffset cell = cells_ + static_cast<cxl::HeapOffset>(i) * 8;
-        std::uint32_t val = cxlsync::DcasWord::value(mem.atomic_load64(cell));
-        if (val == 0) {
-            continue;
-        }
-        auto off = static_cast<cxl::HeapOffset>(val) << 3;
-        if (device_of(off) != source) {
-            continue;
-        }
-        // Evacuation covers what migrate_one can move: small blocks with
-        // a live size class. Anything else stays for edge recovery.
-        if (!l.in_small_data(off)) {
-            continue;
-        }
-        auto slab = static_cast<std::uint32_t>((off - l.small_data()) /
-                                               kSmallSlabSize);
-        std::uint8_t biased =
-            heap_.shard(source).small_heap().debug_class_biased(mem, slab);
-        if (biased == 0) {
-            continue;
-        }
-        std::uint64_t size = small_class_size(biased - 1);
-        if (size > options_.max_block) {
-            continue;
-        }
-        if (migrate_one(ctx, cell, off, target, size)) {
+        CellBlock b;
+        if (walk_cell(ctx.mem(), cell, on_source, &b) &&
+            migrate_one(ctx, cell, b.off, target, b.size)) {
             moved++;
             evacuations_++;
             bump(inst_.registry, ctx.tid(), inst_.evacuations);
@@ -291,28 +284,13 @@ std::uint32_t
 HotSlabMigrator::rehome(pod::ThreadContext& ctx, cxl::DeviceId target)
 {
     CXL_ASSERT(target < heap_.shard_count(), "rehome names no shard");
-    if (cell_count_ == 0) {
-        return 0;
-    }
     cxl::MemSession& mem = ctx.mem();
+    auto any = [](const CellBlock&) { return true; };
     std::uint32_t moved = 0;
     for (std::uint32_t i = 0; i < cell_count_; i++) {
         cxl::HeapOffset cell = cells_ + static_cast<cxl::HeapOffset>(i) * 8;
-        std::uint32_t val = cxlsync::DcasWord::value(mem.atomic_load64(cell));
-        if (val == 0) {
-            continue;
-        }
-        auto off = static_cast<cxl::HeapOffset>(val) << 3;
-        cxl::DeviceId dev = device_of(off);
-        const Layout& l = heap_.shard(dev).layout();
-        if (!l.in_small_data(off)) {
-            continue;
-        }
-        auto slab = static_cast<std::uint32_t>((off - l.small_data()) /
-                                               kSmallSlabSize);
-        SlabHeap& sh = heap_.shard(dev).small_heap();
-        std::uint8_t biased = sh.debug_class_biased(mem, slab);
-        if (biased == 0) {
+        CellBlock b;
+        if (!walk_cell(mem, cell, any, &b)) {
             continue;
         }
         // Skip blocks whose frees already stay host-local AND will keep
@@ -322,16 +300,12 @@ HotSlabMigrator::rehome(pod::ThreadContext& ctx, cxl::DeviceId target)
         // itself (full_transition) and every later free pays the mCAS —
         // so its blocks are pulled out even while the owner field still
         // reads as ours.
-        if (dev == target && sh.debug_owner(mem, slab) == ctx.tid() &&
-            sh.debug_remote_free(mem, slab) ==
-                small_blocks_per_slab(biased - 1)) {
+        SlabHeap& sh = heap_.shard(b.dev).small_heap();
+        if (b.dev == target && sh.debug_owner(mem, b.slab) == ctx.tid() &&
+            sh.debug_remote_free(mem, b.slab) == kSmallSlabSize / b.size) {
             continue;
         }
-        std::uint64_t size = small_class_size(biased - 1);
-        if (size > options_.max_block) {
-            continue;
-        }
-        if (migrate_one(ctx, cell, off, target, size)) {
+        if (migrate_one(ctx, cell, b.off, target, b.size)) {
             moved++;
             rehomed_++;
             bump(inst_.registry, ctx.tid(), inst_.rehomed);
@@ -364,41 +338,20 @@ HotSlabMigrator::run_epoch(pod::ThreadContext& ctx)
     std::vector<Move> demotes;
     std::vector<Move> promotes;
 
+    bool demote = false;
+    auto hot_or_cold = [&](const CellBlock& c) {
+        std::uint32_t heat =
+            heat_[c.dev].counts[c.slab].load(std::memory_order_relaxed);
+        demote = c.dev == dram && heat <= kDemoteMaxHeat;
+        return demote || (c.dev != dram && heat >= kPromoteMinHeat);
+    };
     for (std::uint32_t i = 0; i < cell_count_; i++) {
         cxl::HeapOffset cell = cells_ + static_cast<cxl::HeapOffset>(i) * 8;
-        std::uint32_t val = cxlsync::DcasWord::value(mem.atomic_load64(cell));
-        if (val == 0) {
+        CellBlock b;
+        if (!walk_cell(mem, cell, hot_or_cold, &b)) {
             continue;
         }
-        auto off = static_cast<cxl::HeapOffset>(val) << 3;
-        cxl::DeviceId dev = device_of(off);
-        if (dev >= heap_.shard_count()) {
-            continue;
-        }
-        const Layout& l = heap_.shard(dev).layout();
-        if (!l.in_small_data(off)) {
-            continue;
-        }
-        auto slab = static_cast<std::uint32_t>((off - l.small_data()) /
-                                               kSmallSlabSize);
-        std::uint32_t heat =
-            heat_[dev].counts[slab].load(std::memory_order_relaxed);
-        bool demote = dev == dram && heat <= options_.demote_max_heat;
-        bool promote =
-            dev != dram && heat >= options_.promote_min_heat;
-        if (!demote && !promote) {
-            continue;
-        }
-        std::uint8_t biased =
-            heap_.shard(dev).small_heap().debug_class_biased(mem, slab);
-        if (biased == 0) {
-            continue;
-        }
-        std::uint64_t size = small_class_size(biased - 1);
-        if (size > options_.max_block) {
-            continue;
-        }
-        Move m{cell, off, demote ? home : dram, size, promote};
+        Move m{cell, b.off, demote ? home : dram, b.size, !demote};
         (demote ? demotes : promotes).push_back(m);
     }
 
@@ -443,16 +396,9 @@ HotSlabMigrator::recover(pod::ThreadContext& ctx)
     // untouched pod every row's stage is Idle and this degrades to plain
     // shard recovery.
     cxl::MemSession& mem = ctx.mem();
-    const pod::Topology& topo = heap_.pod().topology();
-    auto host = static_cast<pod::HostId>(ctx.process().host());
-
     // Everything the adopter's host can reach: the CXL placement order
     // plus its private DRAM window (excluded from placement by design).
-    std::vector<cxl::DeviceId> sweep = topo.placement_order(host);
-    cxl::DeviceId dram = topo.dram_device_of(host);
-    if (dram < topo.devices()) {
-        sweep.push_back(dram);
-    }
+    const std::vector<cxl::DeviceId>& sweep = heap_.sweep_of(ctx);
 
     // Snapshot every shard's allocator record BEFORE shard recovery redoes
     // and clears them — Armed/Free dispatch below needs the pre-recovery

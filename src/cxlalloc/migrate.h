@@ -95,16 +95,15 @@ void register_migrate_crash_points();
 class HotSlabMigrator {
   public:
     struct Options {
-        /// Decayed per-slab access count at or above which a CXL-resident
-        /// object is promoted to DRAM.
-        std::uint32_t promote_min_heat = 16;
-        /// Count at or below which a DRAM resident is demoted back to CXL.
-        std::uint32_t demote_max_heat = 1;
         /// Moves per run_epoch call (promotions + demotions).
         std::uint32_t max_moves_per_epoch = 128;
-        /// Largest object the migrator moves.
-        std::uint64_t max_block = kSmallMax;
     };
+
+    /// Decayed per-slab access count at or above which a CXL-resident
+    /// object is promoted to DRAM.
+    static constexpr std::uint32_t kPromoteMinHeat = 16;
+    /// Count at or below which a DRAM resident is demoted back to CXL.
+    static constexpr std::uint32_t kDemoteMaxHeat = 1;
 
     explicit HotSlabMigrator(PodShardedAllocator& heap);
     HotSlabMigrator(PodShardedAllocator& heap, const Options& options);
@@ -201,7 +200,8 @@ class HotSlabMigrator {
     }
 
     /// Test hook: migrate the object in @p cell to @p target now, skipping
-    /// the heat policy (drives the protocol deterministically).
+    /// the heat policy (drives the protocol deterministically). False when
+    /// the cell names no small block or one already on @p target.
     bool debug_migrate_cell(pod::ThreadContext& ctx, cxl::HeapOffset cell,
                             cxl::DeviceId target);
 
@@ -240,6 +240,23 @@ class HotSlabMigrator {
     {
         return heap_.pod().device().device_of(offset);
     }
+
+    /// The small block a reference cell names.
+    struct CellBlock {
+        cxl::HeapOffset off = 0;
+        cxl::DeviceId dev = 0;
+        std::uint32_t slab = 0;  ///< small slab of off in shard dev
+        std::uint64_t size = 0;  ///< from the slab's class byte
+    };
+
+    /// One step of every cell walk: loads @p cell, resolves the small
+    /// block it names, asks the caller's @p keep filter (device, heat: no
+    /// memory traffic), and only then reads the slab's class byte. False
+    /// for an empty cell, a block outside every small heap, a block
+    /// @p keep rejects, or a classless slab.
+    template <typename Keep>
+    bool walk_cell(cxl::MemSession& mem, cxl::HeapOffset cell, Keep keep,
+                   CellBlock* out);
 
     /// One crash-consistent migration of the object in @p cell (currently
     /// at @p old_off, @p size bytes) into shard @p target.

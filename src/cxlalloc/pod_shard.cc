@@ -65,10 +65,7 @@ PodShardedAllocator::device_config(const Config& shard_config,
 PodShardedAllocator::PodShardedAllocator(pod::Pod& pod,
                                          const Config& shard_config,
                                          const Config* dram_config)
-    : pod_(pod), dram_percent_(shard_config.dram_percent),
-      dram_max_block_(shard_config.dram_max_block != 0
-                          ? shard_config.dram_max_block
-                          : kSmallMax)
+    : pod_(pod), dram_percent_(shard_config.dram_percent)
 {
     const pod::Topology& topo = pod.topology();
     CXL_FATAL_IF(topo.has_dram_tier() && dram_config == nullptr,
@@ -91,56 +88,12 @@ PodShardedAllocator::PodShardedAllocator(pod::Pod& pod,
                      "host reaches no device in this topology");
         CXL_FATAL_IF(order_[h].front() != topo.home_of(h),
                      "placement order must start at the home device");
-        dram_of_[h] = topo.dram_device_of(h);
-        if (dram_of_[h] >= topo.devices()) {
-            dram_of_[h] = static_cast<cxl::DeviceId>(shards_.size());
-        }
+        dram_of_[h] = topo.dram_device_of(h); // devices() = none
         sweep_[h] = order_[h];
         if (dram_of_[h] < shards_.size()) {
             sweep_[h].push_back(dram_of_[h]);
         }
     }
-    for (auto& s : stride_) {
-        s.configure(dram_percent_);
-    }
-    health_ = std::vector<HealthMask>(topo.hosts());
-    refresh_placement();
-}
-
-void
-PodShardedAllocator::refresh_placement()
-{
-    const pod::Topology& topo = pod_.topology();
-    for (pod::HostId h = 0; h < topo.hosts(); h++) {
-        std::uint32_t down = 0;
-        std::uint32_t suspect = 0;
-        for (cxl::DeviceId d : sweep_[h]) {
-            switch (topo.edge_state(h, d)) {
-              case cxl::EdgeState::Down:
-                down |= 1u << d;
-                break;
-              case cxl::EdgeState::Suspect:
-                suspect |= 1u << d;
-                break;
-              case cxl::EdgeState::Up:
-                break;
-            }
-        }
-        health_[h].down.store(down, std::memory_order_release);
-        health_[h].suspect.store(suspect, std::memory_order_release);
-    }
-}
-
-std::uint32_t
-PodShardedAllocator::down_mask(pod::HostId host) const
-{
-    return health_[host].down.load(std::memory_order_acquire);
-}
-
-std::uint32_t
-PodShardedAllocator::suspect_mask(pod::HostId host) const
-{
-    return health_[host].suspect.load(std::memory_order_acquire);
 }
 
 void
@@ -169,76 +122,78 @@ cxl::HeapOffset
 PodShardedAllocator::allocate(pod::ThreadContext& ctx, std::uint64_t size)
 {
     auto host = static_cast<pod::HostId>(ctx.process().host());
-    std::uint32_t down = health_[host].down.load(std::memory_order_acquire);
-    std::uint32_t suspect =
-        health_[host].suspect.load(std::memory_order_acquire);
-    // Tier split first: the stride scheduler consumes a ticket only for
-    // eligible requests, so the DRAM share applies to what could actually
-    // have gone to DRAM. Exhaustion of the capacity-limited DRAM shard
-    // falls through to the normal CXL probe order, as does a DRAM window
-    // behind a degraded edge.
-    bool tier_split = tiered(host) && size <= dram_max_block_;
-    if (tier_split && (((down | suspect) >> dram_of_[host]) & 1) == 0 &&
-        stride_[ctx.tid()].next_dram()) {
+    const pod::Topology& topo = pod_.topology();
+    // Tier split first: the credit moves only for eligible requests, so
+    // the DRAM share applies to what could actually have gone to DRAM.
+    // Exhaustion of the capacity-limited DRAM shard falls through to the
+    // normal CXL probe order, as does a DRAM window behind a degraded
+    // edge.
+    bool tier_split = tiered(host) && size <= kSmallMax;
+    if (tier_split &&
+        topo.edge_state(host, dram_of_[host]) == cxl::EdgeState::Up &&
+        pick_dram(credit_[ctx.tid()], dram_percent_)) {
         cxl::HeapOffset offset = shards_[dram_of_[host]]->allocate(ctx, size);
         if (offset != 0) {
-            if (inst_.registry != nullptr) {
-                inst_.registry->shard(ctx.tid()).add(inst_.tier_dram);
-            }
+            count(ctx, inst_.tier_dram);
             return offset;
         }
     }
-    // Two-pass probe: healthy edges first, Suspect edges only once every
-    // healthy shard is exhausted, Down edges never (the session would
-    // throw EdgeDownError anyway — the mask makes degradation a placement
-    // decision instead of an exception).
     const std::vector<cxl::DeviceId>& order = order_[host];
-    for (int pass = 0; pass < 2; pass++) {
-        for (std::size_t i = 0; i < order.size(); i++) {
-            cxl::DeviceId d = order[i];
-            if ((down >> d) & 1) {
-                continue;
+    auto probe = [&](std::size_t i, bool degraded) {
+        cxl::HeapOffset offset = shards_[order[i]]->allocate(ctx, size);
+        if (offset != 0 && inst_.registry != nullptr) {
+            obs::MetricsShard& sh = inst_.registry->shard(ctx.tid());
+            sh.add(i == 0 ? inst_.alloc_home : inst_.alloc_steal);
+            if (tier_split) {
+                sh.add(inst_.tier_cxl);
             }
-            bool is_suspect = (suspect >> d) & 1;
-            if (is_suspect != (pass == 1)) {
-                continue;
+            if (degraded) {
+                sh.add(inst_.alloc_degraded);
             }
-            cxl::HeapOffset offset = shards_[d]->allocate(ctx, size);
-            if (offset != 0) {
-                if (inst_.registry != nullptr) {
-                    obs::MetricsShard& sh = inst_.registry->shard(ctx.tid());
-                    sh.add(i == 0 ? inst_.alloc_home : inst_.alloc_steal);
-                    if (tier_split) {
-                        sh.add(inst_.tier_cxl);
-                    }
-                    if (pass == 1) {
-                        sh.add(inst_.alloc_degraded);
-                    }
-                }
+        }
+        return offset;
+    };
+    // Healthy edges first, Suspect edges only once every healthy shard is
+    // exhausted, Down edges never (the session would throw EdgeDownError
+    // anyway — reading the edge first makes degradation a placement
+    // decision instead of an exception). Each edge is read once: the
+    // healthy pass notes the Suspect ones by probe position.
+    std::uint32_t suspect = 0;
+    for (std::size_t i = 0; i < order.size(); i++) {
+        cxl::EdgeState state = topo.edge_state(host, order[i]);
+        if (state == cxl::EdgeState::Suspect) {
+            suspect |= 1u << i;
+        } else if (state == cxl::EdgeState::Up) {
+            if (cxl::HeapOffset offset = probe(i, false)) {
                 return offset;
             }
         }
-        if (suspect == 0) {
-            break; // no Suspect edges: the second pass probes nothing
+    }
+    for (std::size_t i = 0; suspect != 0; i++, suspect >>= 1) {
+        if ((suspect & 1) != 0) {
+            if (cxl::HeapOffset offset = probe(i, true)) {
+                return offset;
+            }
         }
     }
-    if (inst_.registry != nullptr) {
-        inst_.registry->shard(ctx.tid()).add(inst_.alloc_exhausted);
-    }
+    count(ctx, inst_.alloc_exhausted);
     return 0;
 }
 
 void
-PodShardedAllocator::park_free(pod::ThreadContext& ctx,
-                               cxl::HeapOffset offset)
+PodShardedAllocator::count(pod::ThreadContext& ctx, obs::MetricId id,
+                           std::uint64_t n)
 {
-    {
-        std::lock_guard<std::mutex> lock(park_mu_);
-        parked_.push_back(offset);
+    if (inst_.registry != nullptr && n != 0) {
+        inst_.registry->shard(ctx.tid()).add(id, n);
     }
-    if (inst_.registry != nullptr) {
-        inst_.registry->shard(ctx.tid()).add(inst_.parked);
-    }
+}
+
+void
+PodShardedAllocator::park(const cxl::HeapOffset* offsets, std::uint32_t n)
+{
+    std::lock_guard<std::mutex> lock(park_mu_);
+    parked_.insert(parked_.end(), offsets, offsets + n);
 }
 
 void
@@ -248,8 +203,9 @@ PodShardedAllocator::deallocate(pod::ThreadContext& ctx,
     cxl::DeviceId d = pod_.device().device_of(offset);
     CXL_ASSERT(d < shards_.size(), "free offset names no shard");
     auto host = static_cast<pod::HostId>(ctx.process().host());
-    if ((health_[host].down.load(std::memory_order_acquire) >> d) & 1) {
-        park_free(ctx, offset);
+    if (pod_.topology().edge_state(host, d) == cxl::EdgeState::Down) {
+        park(&offset, 1);
+        count(ctx, inst_.parked);
         return;
     }
     shards_[d]->deallocate(ctx, offset);
@@ -260,6 +216,14 @@ PodShardedAllocator::deallocate_batch(pod::ThreadContext& ctx,
                                       const cxl::HeapOffset* offsets,
                                       std::uint32_t n)
 {
+    count(ctx, inst_.parked, free_or_park(ctx, offsets, n));
+}
+
+std::uint32_t
+PodShardedAllocator::free_or_park(pod::ThreadContext& ctx,
+                                  const cxl::HeapOffset* offsets,
+                                  std::uint32_t n)
+{
     // Partition by owning window so each shard still sees one contiguous
     // batch (one NMP doorbell per ring, as in the single-heap path).
     std::vector<std::vector<cxl::HeapOffset>> parts(shards_.size());
@@ -269,21 +233,20 @@ PodShardedAllocator::deallocate_batch(pod::ThreadContext& ctx,
         parts[d].push_back(offsets[i]);
     }
     auto host = static_cast<pod::HostId>(ctx.process().host());
-    std::uint32_t down = health_[host].down.load(std::memory_order_acquire);
+    std::uint32_t parked = 0;
     for (cxl::DeviceId d = 0; d < parts.size(); d++) {
-        if (parts[d].empty()) {
+        auto k = static_cast<std::uint32_t>(parts[d].size());
+        if (k == 0) {
             continue;
         }
-        if ((down >> d) & 1) {
-            for (cxl::HeapOffset off : parts[d]) {
-                park_free(ctx, off);
-            }
+        if (pod_.topology().edge_state(host, d) == cxl::EdgeState::Down) {
+            park(parts[d].data(), k);
+            parked += k;
             continue;
         }
-        shards_[d]->deallocate_batch(
-            ctx, parts[d].data(),
-            static_cast<std::uint32_t>(parts[d].size()));
+        shards_[d]->deallocate_batch(ctx, parts[d].data(), k);
     }
+    return parked;
 }
 
 std::uint64_t
@@ -304,30 +267,12 @@ PodShardedAllocator::replay_parked(pod::ThreadContext& ctx)
     if (taken.empty()) {
         return 0;
     }
-    auto host = static_cast<pod::HostId>(ctx.process().host());
-    std::uint32_t down = health_[host].down.load(std::memory_order_acquire);
-    std::vector<cxl::HeapOffset> replay;
-    std::vector<cxl::HeapOffset> still_down;
-    for (cxl::HeapOffset off : taken) {
-        cxl::DeviceId d = pod_.device().device_of(off);
-        ((down >> d) & 1 ? still_down : replay).push_back(off);
-    }
-    if (!still_down.empty()) {
-        std::lock_guard<std::mutex> lock(park_mu_);
-        parked_.insert(parked_.end(), still_down.begin(), still_down.end());
-    }
-    if (replay.empty()) {
-        return 0;
-    }
-    // The batch path keeps the NMP doorbell packing of a bulk drain; it
-    // re-reads the mask, so a device that went Down again since the
-    // filter above simply re-parks its offsets (a free is never lost).
-    deallocate_batch(ctx, replay.data(),
-                     static_cast<std::uint32_t>(replay.size()));
-    if (inst_.registry != nullptr) {
-        inst_.registry->shard(ctx.tid()).add(inst_.replayed, replay.size());
-    }
-    return static_cast<std::uint32_t>(replay.size());
+    // The batch path keeps the NMP doorbell packing of a bulk drain and
+    // parks again whatever is still Down (a free is never lost).
+    auto n = static_cast<std::uint32_t>(taken.size());
+    std::uint32_t replayed = n - free_or_park(ctx, taken.data(), n);
+    count(ctx, inst_.replayed, replayed);
+    return replayed;
 }
 
 void

@@ -25,23 +25,25 @@
 /// is just a remote free into that shard (the slab heaps already handle
 /// remote frees), charged the edge cost like every other access.
 ///
-/// Graceful degradation (runtime edge health, see pod/faults.h): the
-/// probe order is filtered through per-host Down/Suspect device masks
-/// recomputed from the topology's runtime health table by
-/// refresh_placement(). Allocation probes healthy edges first and falls
-/// back to Suspect edges only when every healthy shard is exhausted;
-/// Down edges are never probed. Frees destined for a Down device are
-/// parked (the block stays allocated — a parked free is deferred, never
-/// lost) and replayed by replay_parked() once the edge recovers, so
-/// exact block accounting holds across an outage: counter == popcount on
-/// every shard once the parked frees have drained. Counted as
-/// pod.alloc_degraded / pod.parked_frees / pod.replayed_frees.
+/// Graceful degradation (runtime edge health, see pod/faults.h): every
+/// placement decision reads the calling host's edges straight from the
+/// topology's shared health table (pod::Topology::edge_state, the cells a
+/// routed MemSession checks on every access), once per edge per call —
+/// there is no copy to refresh, so a transition steers the very next call.
+/// Allocation probes Up edges first and falls back to Suspect edges only
+/// when every healthy shard is exhausted; Down edges are never probed.
+/// Frees destined for a Down device are parked (the block stays allocated
+/// — a parked free is deferred, never lost) and replayed by
+/// replay_parked() once the edge recovers, so exact block accounting holds
+/// across an outage: counter == popcount on every shard once the parked
+/// frees have drained. Counted as pod.alloc_degraded / pod.parked_frees /
+/// pod.replayed_frees.
 ///
 /// Tiered placement (topologies with per-host LocalDram windows, see
 /// pod::Topology::with_local_dram): the host's private DRAM window holds a
 /// smaller shard of its own geometry (@p dram_config), and a per-thread
-/// ticketed stride scheduler steers Config::dram_percent% of eligible
-/// allocations (size <= Config::dram_max_block) there first — falling back
+/// credit (pick_dram) steers Config::dram_percent% of eligible
+/// allocations (size <= kSmallMax) there first — falling back
 /// to the normal CXL probe order when the DRAM shard is exhausted, so the
 /// DRAM capacity limit degrades placement, never correctness. Counted as
 /// alloc.tier_dram / alloc.tier_cxl. DRAM-placed blocks are host-private:
@@ -51,15 +53,14 @@
 
 #pragma once
 
+#include <algorithm>
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <vector>
 
 #include "cxlalloc/allocator.h"
-#include "cxlalloc/stride.h"
 #include "pod/topology.h"
 
 namespace cxlalloc {
@@ -87,7 +88,7 @@ class PodShardedAllocator : public pod::FaultResolver {
     /// Config::base is derived per shard.
     /// LocalDram windows get a shard of @p dram_config's geometry instead
     /// (must be non-null iff the topology has a DRAM tier); shard_config's
-    /// dram_percent / dram_max_block drive the tiered placement policy.
+    /// dram_percent drives the tiered placement policy.
     PodShardedAllocator(pod::Pod& pod, const Config& shard_config,
                         const Config* dram_config = nullptr);
 
@@ -127,27 +128,14 @@ class PodShardedAllocator : public pod::FaultResolver {
     /// Huge-heap reclamation pass on every shard.
     void cleanup(pod::ThreadContext& ctx);
 
-    /// Recomputes every host's Down/Suspect device masks from the
-    /// topology's runtime edge health (pod::Topology::edge_state). Call
-    /// after a fault or a recovery transition; safe to call concurrently
-    /// with allocating/freeing threads (the masks are atomics — a racing
-    /// thread sees either the old or the new degradation, both of which
-    /// were true instants ago).
-    void refresh_placement();
-
     /// Frees currently parked because their device's edge was Down when
     /// they were issued (blocks still allocated, replay pending).
     std::uint64_t parked_frees() const;
 
-    /// Replays every parked free whose device @p ctx's host currently
-    /// reaches (per its refresh_placement masks); frees whose device is
-    /// still Down stay parked. Returns the number replayed. Call after
-    /// refresh_placement() once a Down edge comes back.
+    /// Hands every parked free to the batch path from @p ctx's host, which
+    /// parks again whatever is still behind a Down edge. Returns the
+    /// number that landed. Call once a Down edge comes back.
     std::uint32_t replay_parked(pod::ThreadContext& ctx);
-
-    /// Test hooks: the degradation masks of @p host (bit d = shard d).
-    std::uint32_t down_mask(pod::HostId host) const;
-    std::uint32_t suspect_mask(pod::HostId host) const;
 
     /// Audit of every shard @p mem's host reaches (probe order plus DRAM
     /// window), with the parked-free count. Requires quiescence.
@@ -189,6 +177,27 @@ class PodShardedAllocator : public pod::FaultResolver {
         return dram_of_[host] < shards_.size() && dram_percent_ > 0;
     }
 
+    /// The tier split, one eligible allocation at a time: true sends it
+    /// to the DRAM tier. @p credit is the calling thread's (starting at
+    /// 0); DRAM goes while it is non-negative and costs 100 - p, CXL earns
+    /// p (@p dram_percent, clamped to 100). After n draws exactly
+    /// floor((n - 1) * p / 100) + 1 went to DRAM (none when p is 0), and
+    /// the credit stays within [-99, 98].
+    static bool
+    pick_dram(std::int32_t& credit, std::uint32_t dram_percent)
+    {
+        auto p = static_cast<std::int32_t>(std::min(dram_percent, 100u));
+        if (p == 0) {
+            return false;
+        }
+        if (credit >= 0) {
+            credit -= 100 - p;
+            return true;
+        }
+        credit += p;
+        return false;
+    }
+
     /// First offset of window @p device's extra application region (the
     /// extra_window_bytes requested from device_config), page-aligned
     /// after the shard layout.
@@ -200,15 +209,15 @@ class PodShardedAllocator : public pod::FaultResolver {
 
     pod::Pod& pod() { return pod_; }
 
-  private:
-    /// The shards @p ctx's host is wired to, home first (its probe order).
-    const std::vector<cxl::DeviceId>& reach_of(pod::ThreadContext& ctx) const;
-
     /// Everything recovery/cleanup must sweep for @p ctx's host: the CXL
     /// probe order plus the host's DRAM shard (which placement_order
     /// excludes by design, but which holds recovery records and slabs of
     /// its own).
     const std::vector<cxl::DeviceId>& sweep_of(pod::ThreadContext& ctx) const;
+
+  private:
+    /// The shards @p ctx's host is wired to, home first (its probe order).
+    const std::vector<cxl::DeviceId>& reach_of(pod::ThreadContext& ctx) const;
 
     pod::Pod& pod_;
     std::vector<std::unique_ptr<CxlAllocator>> shards_;
@@ -221,19 +230,21 @@ class PodShardedAllocator : public pod::FaultResolver {
     std::vector<cxl::DeviceId> dram_of_;
     /// Tiering policy from shard_config (see Config).
     std::uint32_t dram_percent_ = 0;
-    std::uint64_t dram_max_block_ = 0;
-    /// Per-thread stride scheduler (single-writer: the owning thread).
-    std::array<StrideScheduler, cxl::kMaxThreads + 1> stride_{};
+    /// Per-thread tier-split credit (single-writer: the owning thread).
+    std::array<std::int32_t, cxl::kMaxThreads + 1> credit_{};
 
-    /// Degraded-placement masks, one per host (bit d = shard d). Written
-    /// only by refresh_placement, read lock-free on the allocation path.
-    struct HealthMask {
-        std::atomic<std::uint32_t> down{0};
-        std::atomic<std::uint32_t> suspect{0};
-    };
-    std::vector<HealthMask> health_;
+    /// deallocate_batch without the pod.parked_frees count: returns how
+    /// many frees parked, so replay_parked can re-park without counting
+    /// a free twice.
+    std::uint32_t free_or_park(pod::ThreadContext& ctx,
+                               const cxl::HeapOffset* offsets,
+                               std::uint32_t n);
 
-    void park_free(pod::ThreadContext& ctx, cxl::HeapOffset offset);
+    void park(const cxl::HeapOffset* offsets, std::uint32_t n);
+
+    /// Adds @p n to counter @p id on @p ctx's shard (metrics wired only).
+    void count(pod::ThreadContext& ctx, obs::MetricId id,
+               std::uint64_t n = 1);
 
     /// Frees deferred while their device was Down (see file comment).
     mutable std::mutex park_mu_;

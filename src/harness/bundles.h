@@ -146,11 +146,9 @@ struct Geometry {
     std::uint64_t app_sync_bytes = 0;
     /// Tiered placement knobs, used only when the pod topology has
     /// LocalDram windows (pod::Topology::with_local_dram): geometry of the
-    /// per-host DRAM shard and the Config::dram_percent /
-    /// Config::dram_max_block policy split.
+    /// per-host DRAM shard and the Config::dram_percent policy split.
     std::uint32_t dram_small_slabs = 64; // 2 MiB
     std::uint32_t dram_percent = 0;
-    std::uint64_t dram_max_block = 0;    // 0 = small blocks only
 };
 
 /// Builds @p which ("cxlalloc", "ralloc-like", ...) on a fresh pod of
@@ -191,7 +189,6 @@ make_bundle(const std::string& which, const Geometry& geom,
         cfg.recoverable = which == "cxlalloc";
         cfg.app_sync_bytes = geom.app_sync_bytes;
         cfg.dram_percent = geom.dram_percent;
-        cfg.dram_max_block = geom.dram_max_block;
 
         // LocalDram windows hold a smaller host-private shard; the policy
         // split (dram_percent) rides on the shard config above.

@@ -101,26 +101,6 @@ Pod::crashed_threads() const
     return out;
 }
 
-HostId
-Pod::slot_host(cxl::ThreadId tid) const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return slot_host_[tid];
-}
-
-std::vector<cxl::ThreadId>
-Pod::threads_of_host(HostId host) const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    std::vector<cxl::ThreadId> out;
-    for (std::uint32_t tid = 1; tid <= cxl::kMaxThreads; tid++) {
-        if (slots_[tid] != SlotState::Free && slot_host_[tid] == host) {
-            out.push_back(static_cast<cxl::ThreadId>(tid));
-        }
-    }
-    return out;
-}
-
 std::vector<cxl::ThreadId>
 Pod::mark_host_crashed(HostId host)
 {

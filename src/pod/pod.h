@@ -90,13 +90,6 @@ class Pod {
     /// Thread IDs currently in Crashed state (recovery work list).
     std::vector<cxl::ThreadId> crashed_threads() const;
 
-    /// Host that owns @p tid's slot (recorded at create/adopt time; stale
-    /// for Free slots). Adoption moves the slot to the adopter's host.
-    HostId slot_host(cxl::ThreadId tid) const;
-
-    /// Thread IDs whose slot is Live or Crashed and owned by @p host.
-    std::vector<cxl::ThreadId> threads_of_host(HostId host) const;
-
     /// Declares a whole host dead (liveness verdict or scripted
     /// host-kill): every Live slot owned by @p host flips to Crashed, and
     /// the transitioned tids are returned as the adoption work list.

@@ -33,19 +33,6 @@ Topology::Topology(std::uint32_t hosts, std::uint32_t devices)
     state_ = std::make_shared<std::vector<cxl::EdgeStateCell>>(edges_.size());
 }
 
-bool
-Topology::row_all_up(HostId host) const
-{
-    CXL_ASSERT(host < hosts_, "host id out of range");
-    for (std::uint32_t d = 0; d < devices_; d++) {
-        if (edge_state(host, static_cast<cxl::DeviceId>(d)) !=
-            cxl::EdgeState::Up) {
-            return false;
-        }
-    }
-    return true;
-}
-
 Topology
 Topology::dense(std::uint32_t hosts, std::uint32_t devices,
                 const cxl::EdgeCost& near, const cxl::EdgeCost& far)

@@ -171,10 +171,6 @@ class Topology {
                          std::memory_order_release);
     }
 
-    /// True when every edge of @p host's row is Up (fast path for
-    /// placement refresh short-circuits).
-    bool row_all_up(HostId host) const;
-
     /// Host @p host's runtime-health row (devices() entries), the
     /// companion of row() that cxl::MemSession::set_pod_routing consumes.
     /// Stable for the lifetime of the Topology and all its copies.

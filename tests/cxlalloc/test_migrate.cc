@@ -55,7 +55,6 @@ struct TieredWorld {
         cfg.hazard_slots_per_thread = 4;
         cfg.app_sync_bytes = kCells * 8;
         cfg.dram_percent = dram_percent;
-        cfg.dram_max_block = 1024;
         dram_cfg = cfg;
         dram_cfg.small_slabs = 2;
         dram_cfg.app_sync_bytes = 0;
@@ -173,7 +172,7 @@ TEST(TieredPlacement, StrideSplitsEligibleAllocations)
     }
     EXPECT_EQ(on_dram, 16u) << "50% split must be exact over whole periods";
 
-    // Oversize allocations (> dram_max_block) never tier to DRAM.
+    // Oversize allocations (> kSmallMax) never tier to DRAM.
     for (int i = 0; i < 8; i++) {
         cxl::HeapOffset p = w.alloc->allocate(*ctx, 2048);
         ASSERT_NE(p, 0u);

@@ -1,6 +1,6 @@
 /// @file
 /// Degraded-mode placement and fault recovery on the sharded pod
-/// allocator: runtime Down/Suspect masks from the topology health table,
+/// allocator: live Down/Suspect reads of the topology health table,
 /// healthy-first probing, parked frees across an edge outage (deferred,
 /// never lost) and their replay, plus the registry-driven fault sweep —
 /// every registered fault point injected mid-workload must leave exact
@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "cxlalloc/pod_shard.h"
+#include "obs/registry.h"
 #include "pod/faults.h"
 #include "pod/pod.h"
 #include "pod/topology.h"
@@ -97,31 +98,74 @@ struct DegradedWorld {
 };
 
 // ---------------------------------------------------------------------------
-// Health masks
+// Live edge health
 
-TEST(PodDegraded, RefreshPlacementTracksEdgeHealthPerHost)
+/// Placement reads the topology's health cells on every call — there is
+/// no refresh step — and health is per (host, device) edge, not per
+/// device.
+TEST(PodDegraded, EveryCallReadsItsHostsLiveEdgeHealth)
 {
+    obs::MetricsRegistry reg;
     DegradedWorld w;
-    EXPECT_EQ(w.alloc->down_mask(0), 0u);
-    EXPECT_EQ(w.alloc->suspect_mask(0), 0u);
+    w.alloc->set_metrics(&reg);
+    auto c0 = w.thread(0);
+    auto c1 = w.thread(1);
+    auto degraded = [&] {
+        return reg.snapshot().counter("pod.alloc_degraded");
+    };
 
+    // Two blocks on host 1's home device 1.
+    std::vector<cxl::HeapOffset> far;
+    for (int i = 0; i < 2; i++) {
+        cxl::HeapOffset p = w.alloc->allocate(*c1, 1024);
+        ASSERT_NE(p, 0u);
+        ASSERT_EQ(w.device_of(p), 1);
+        far.push_back(p);
+    }
+
+    // Edge (0, 1) Down: host 0's free of a device-1 block parks, and host
+    // 0 allocates on device 0 only — exhausting it returns 0.
     w.topo.set_edge_state(0, 1, EdgeState::Down);
-    w.alloc->refresh_placement();
-    EXPECT_EQ(w.alloc->down_mask(0), 1u << 1);
-    EXPECT_EQ(w.alloc->suspect_mask(0), 0u);
-    // Host 1's row is untouched: health is per (host, device) edge, not
-    // per device.
-    EXPECT_EQ(w.alloc->down_mask(1), 0u);
+    w.alloc->deallocate(*c0, far[0]);
+    EXPECT_EQ(w.alloc->parked_frees(), 1u);
+    std::vector<cxl::HeapOffset> home;
+    cxl::HeapOffset p = 0;
+    while ((p = w.alloc->allocate(*c0, 1024)) != 0) {
+        EXPECT_EQ(w.device_of(p), 0);
+        home.push_back(p);
+        ASSERT_LE(home.size(), 256u) << "runaway allocation";
+    }
+    EXPECT_GT(home.size(), 0u);
+    // Host 1's edge to device 1 is still Up: its free lands.
+    w.alloc->deallocate(*c1, far[1]);
+    EXPECT_EQ(w.alloc->parked_frees(), 1u);
 
+    // Suspect: the very next allocation falls back to device 1 as a
+    // degraded placement, and a free into it lands instead of parking.
     w.topo.set_edge_state(0, 1, EdgeState::Suspect);
-    w.alloc->refresh_placement();
-    EXPECT_EQ(w.alloc->down_mask(0), 0u);
-    EXPECT_EQ(w.alloc->suspect_mask(0), 1u << 1);
+    p = w.alloc->allocate(*c0, 1024);
+    ASSERT_NE(p, 0u);
+    EXPECT_EQ(w.device_of(p), 1);
+    EXPECT_EQ(degraded(), 1u);
+    w.alloc->deallocate(*c0, p);
+    EXPECT_EQ(w.alloc->parked_frees(), 1u);
 
+    // Up: the very next allocation is an ordinary steal, and the parked
+    // free replays.
     w.topo.set_edge_state(0, 1, EdgeState::Up);
-    w.alloc->refresh_placement();
-    EXPECT_EQ(w.alloc->down_mask(0), 0u);
-    EXPECT_EQ(w.alloc->suspect_mask(0), 0u);
+    p = w.alloc->allocate(*c0, 1024);
+    ASSERT_NE(p, 0u);
+    EXPECT_EQ(w.device_of(p), 1);
+    EXPECT_EQ(degraded(), 1u);
+    w.alloc->deallocate(*c0, p);
+    EXPECT_EQ(w.alloc->replay_parked(*c0), 1u);
+
+    for (cxl::HeapOffset h : home) {
+        w.alloc->deallocate(*c0, h);
+    }
+    w.expect_drained(c0->mem());
+    w.pod->release_thread(std::move(c0));
+    w.pod->release_thread(std::move(c1));
 }
 
 TEST(PodDegraded, DownDeviceIsNeverProbed)
@@ -129,7 +173,6 @@ TEST(PodDegraded, DownDeviceIsNeverProbed)
     DegradedWorld w;
     auto ctx = w.thread(0);
     w.topo.set_edge_state(0, 1, EdgeState::Down);
-    w.alloc->refresh_placement();
 
     // Exhaust everything host 0 may touch: every block lands at home, and
     // exhaustion returns 0 instead of spilling onto the Down device.
@@ -144,7 +187,6 @@ TEST(PodDegraded, DownDeviceIsNeverProbed)
 
     // The edge comes back: the very next allocation can spill again.
     w.topo.set_edge_state(0, 1, EdgeState::Up);
-    w.alloc->refresh_placement();
     p = w.alloc->allocate(*ctx, 1024);
     ASSERT_NE(p, 0u);
     EXPECT_EQ(w.device_of(p), 1);
@@ -162,7 +204,6 @@ TEST(PodDegraded, SuspectDeviceIsProbedOnlyAfterHealthyExhaustion)
     DegradedWorld w;
     auto ctx = w.thread(0);
     w.topo.set_edge_state(0, 1, EdgeState::Suspect);
-    w.alloc->refresh_placement();
 
     // While the healthy home shard has room, nothing lands on the Suspect
     // device; once home is exhausted the Suspect edge is still usable.
@@ -207,7 +248,6 @@ TEST(PodDegraded, FreesIntoADownDeviceParkAndReplayAfterRecovery)
     }
 
     w.topo.set_edge_state(0, 1, EdgeState::Down);
-    w.alloc->refresh_placement();
     for (cxl::HeapOffset p : blocks) {
         w.alloc->deallocate(*c0, p); // parks: the edge is Down
     }
@@ -218,7 +258,6 @@ TEST(PodDegraded, FreesIntoADownDeviceParkAndReplayAfterRecovery)
     EXPECT_EQ(w.alloc->parked_frees(), 8u);
 
     w.topo.set_edge_state(0, 1, EdgeState::Up);
-    w.alloc->refresh_placement();
     EXPECT_EQ(w.alloc->replay_parked(*c0), 8u);
     w.expect_drained(c0->mem());
     w.pod->release_thread(std::move(c0));
@@ -242,14 +281,12 @@ TEST(PodDegraded, BatchFreeParksOnlyTheDownPortion)
     }
 
     w.topo.set_edge_state(0, 1, EdgeState::Down);
-    w.alloc->refresh_placement();
     w.alloc->deallocate_batch(*c0, mixed.data(),
                               static_cast<std::uint32_t>(mixed.size()));
     // The device-0 half freed straight through; only the Down half parks.
     EXPECT_EQ(w.alloc->parked_frees(), 4u);
 
     w.topo.set_edge_state(0, 1, EdgeState::Up);
-    w.alloc->refresh_placement();
     EXPECT_EQ(w.alloc->replay_parked(*c0), 4u);
 
     w.expect_drained(c0->mem());
@@ -284,7 +321,6 @@ TEST(PodDegraded, RegistrySweepEveryFaultPointKeepsBlockAccounting)
         std::vector<cxl::HeapOffset> live0, live1;
         for (int round = 0; round < 12; round++) {
             inj.step();
-            w.alloc->refresh_placement();
             if (inj.host_killed(1) && c1 != nullptr) {
                 // Host 1 dies without writeback; the survivor adopts every
                 // crashed slot, recovers all shards, and inherits the dead
@@ -329,7 +365,6 @@ TEST(PodDegraded, RegistrySweepEveryFaultPointKeepsBlockAccounting)
                 w.topo.set_edge_state(h, d, EdgeState::Up);
             }
         }
-        w.alloc->refresh_placement();
         for (cxl::HeapOffset p : live0) {
             w.alloc->deallocate(*c0, p);
         }

@@ -1,29 +1,39 @@
 /// @file
-/// StrideScheduler unit tests: exact split ratios, deterministic tie
-/// handling, and — the point of the port — consistent ticket
-/// renormalization. Sidle's stride_scheduler zeroes both tickets only in
-/// the branch about to overflow, erasing the inter-tier phase; here the
-/// common minimum is subtracted from both tickets, so the pick sequence
-/// across the renorm boundary is byte-identical to an unrenormalized
-/// scheduler's.
+/// Tier-split unit tests for PodShardedAllocator::pick_dram: exact split
+/// ratios, deterministic tie handling, and the closed form behind them.
+/// The split is a stride schedule kept in one signed credit per thread —
+/// a DRAM ticket and a CXL ticket with their common factor removed
+/// (credit = p * draws - 100 * dram picks) — so it is bounded by
+/// construction: nothing to renormalize, nothing to overflow.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
 #include <vector>
 
-#include "cxlalloc/stride.h"
+#include "cxlalloc/pod_shard.h"
 
 namespace {
 
-using cxlalloc::StrideScheduler;
+using cxlalloc::PodShardedAllocator;
+
+/// One thread's split at a fixed percentage.
+struct Split {
+    explicit Split(std::uint32_t pct) : pct(pct) {}
+
+    bool next() { return PodShardedAllocator::pick_dram(credit, pct); }
+
+    std::uint32_t pct;
+    std::int32_t credit = 0;
+};
 
 std::uint32_t
-count_dram(StrideScheduler& s, std::uint32_t draws)
+count_dram(Split& s, std::uint32_t draws)
 {
     std::uint32_t dram = 0;
     for (std::uint32_t i = 0; i < draws; i++) {
-        if (s.next_dram()) {
+        if (s.next()) {
             dram++;
         }
     }
@@ -32,18 +42,16 @@ count_dram(StrideScheduler& s, std::uint32_t draws)
 
 TEST(Stride, ZeroPercentNeverPicksDram)
 {
-    StrideScheduler s;
-    s.configure(0);
+    Split s(0);
     EXPECT_EQ(count_dram(s, 1000), 0u);
     // Degenerate percentages clamp to the endpoints.
-    s.configure(200);
-    EXPECT_EQ(count_dram(s, 1000), 1000u);
+    Split over(200);
+    EXPECT_EQ(count_dram(over, 1000), 1000u);
 }
 
 TEST(Stride, HundredPercentAlwaysPicksDram)
 {
-    StrideScheduler s;
-    s.configure(100);
+    Split s(100);
     EXPECT_EQ(count_dram(s, 1000), 1000u);
 }
 
@@ -52,8 +60,7 @@ TEST(Stride, SplitIsExactOverWholePeriods)
     // 1000 draws is a whole number of stride periods for each of these
     // percentages, so the split is exact, not approximate.
     for (std::uint32_t pct : {10u, 20u, 25u, 50u, 75u, 90u}) {
-        StrideScheduler s;
-        s.configure(pct);
+        Split s(pct);
         EXPECT_EQ(count_dram(s, 1000), pct * 10) << "pct=" << pct;
     }
 }
@@ -62,11 +69,10 @@ TEST(Stride, EverySlidingWindowStaysNearTheTarget)
 {
     // The stride property: any window of one period length contains
     // exactly the target count +/- 1, not just the long-run average.
-    StrideScheduler s;
-    s.configure(25); // period 4: one DRAM pick per 4 draws
+    Split s(25); // period 4: one DRAM pick per 4 draws
     std::vector<bool> picks;
     for (int i = 0; i < 400; i++) {
-        picks.push_back(s.next_dram());
+        picks.push_back(s.next());
     }
     for (std::size_t start = 0; start + 4 <= picks.size(); start++) {
         int dram = 0;
@@ -80,82 +86,35 @@ TEST(Stride, EverySlidingWindowStaysNearTheTarget)
 
 TEST(Stride, TieBreaksToDram)
 {
-    StrideScheduler s;
-    s.configure(50);
-    // Equal tickets (the initial state, and every other step at 50%)
-    // go to DRAM first, then strictly alternate.
+    Split s(50);
+    // A zero credit (the initial state, and every other step at 50%) goes
+    // to DRAM first, then the picks strictly alternate.
     for (int i = 0; i < 100; i++) {
-        EXPECT_TRUE(s.next_dram()) << "step " << i;
-        EXPECT_FALSE(s.next_dram()) << "step " << i;
+        EXPECT_TRUE(s.next()) << "step " << i;
+        EXPECT_FALSE(s.next()) << "step " << i;
     }
 }
 
-TEST(Stride, ReconfigureResetsTickets)
+TEST(Stride, DramCountFollowsTheClosedForm)
 {
-    StrideScheduler s;
-    s.configure(75);
-    count_dram(s, 37); // leave the tickets mid-phase
-    s.configure(50);
-    EXPECT_EQ(s.ticket_dram(), 0u);
-    EXPECT_EQ(s.ticket_cxl(), 0u);
-    EXPECT_TRUE(s.next_dram());
-}
-
-/// The Sidle-wart regression test: drive both tickets to the renorm
-/// threshold and verify the pick sequence is identical to a scheduler
-/// whose tickets carry only the relative phase — i.e. renormalization
-/// preserved the phase exactly instead of zeroing it away.
-TEST(Stride, RenormalizationPreservesRelativePhase)
-{
-    StrideScheduler near_wrap;
-    StrideScheduler reference;
-    near_wrap.configure(30);
-    reference.configure(30);
-    // Same relative phase (cxl leads dram by 2), offset by ~threshold.
-    near_wrap.debug_set_tickets(StrideScheduler::kRenormThreshold - 5,
-                                StrideScheduler::kRenormThreshold - 3);
-    reference.debug_set_tickets(0, 2);
-    for (int i = 0; i < 10000; i++) {
-        ASSERT_EQ(near_wrap.next_dram(), reference.next_dram())
-            << "diverged at draw " << i;
-    }
-}
-
-TEST(Stride, TicketsStayBoundedAcrossManyRenorms)
-{
-    // Run enough draws to cross the renorm threshold several times and
-    // check both that the tickets never grow past threshold + max stride
-    // (no overflow possible) and that the split stays exact throughout.
-    StrideScheduler s;
-    s.configure(25);
-    s.debug_set_tickets(StrideScheduler::kRenormThreshold - 7,
-                        StrideScheduler::kRenormThreshold - 7);
-    constexpr std::uint32_t kDraws = 4u << 20; // several threshold crossings
-    std::uint32_t dram = 0;
-    for (std::uint32_t i = 0; i < kDraws; i++) {
-        if (s.next_dram()) {
-            dram++;
+    // After n draws at p%, exactly floor((n - 1) * p / 100) + 1 went to
+    // DRAM (none at p = 0), and the credit never leaves (-100, 100).
+    constexpr std::uint64_t kDraws = 1000000;
+    for (std::uint32_t p = 0; p <= 100; p++) {
+        std::int32_t credit = 0;
+        std::uint64_t dram = 0;
+        for (std::uint64_t n = 1; n <= kDraws; n++) {
+            if (PodShardedAllocator::pick_dram(credit, p)) {
+                dram++;
+            }
+            std::uint64_t want = p == 0 ? 0 : (n - 1) * p / 100 + 1;
+            if (dram != want || std::abs(credit) >= 100) {
+                FAIL() << "p=" << p << " n=" << n << ": " << dram
+                       << " DRAM picks, want " << want << "; credit "
+                       << credit;
+            }
         }
-        ASSERT_LT(s.ticket_dram(), StrideScheduler::kRenormThreshold + 100);
-        ASSERT_LT(s.ticket_cxl(), StrideScheduler::kRenormThreshold + 100);
     }
-    EXPECT_EQ(dram, kDraws / 4);
-}
-
-TEST(Stride, SkewedSplitSurvivesRenormBoundary)
-{
-    // 10% DRAM with tickets planted so the very next picks straddle a
-    // renorm: the pick stream must equal that of a scheduler carrying the
-    // same relative phase far from the boundary — the 1-in-10 cadence
-    // does not hiccup when the renorm fires.
-    StrideScheduler near_wrap;
-    StrideScheduler reference;
-    near_wrap.configure(10);
-    reference.configure(10);
-    near_wrap.debug_set_tickets(StrideScheduler::kRenormThreshold - 9,
-                                StrideScheduler::kRenormThreshold - 1);
-    reference.debug_set_tickets(0, 8);
-    EXPECT_EQ(count_dram(near_wrap, 1000), count_dram(reference, 1000));
 }
 
 } // namespace

@@ -51,7 +51,6 @@ TEST(TieredThreads, ConcurrentMigrationAndChurnStayConsistent)
     cfg.hazard_slots_per_thread = 4;
     cfg.app_sync_bytes = kCells * 8;
     cfg.dram_percent = 50;
-    cfg.dram_max_block = 1024;
     cxlalloc::Config dram_cfg = cfg;
     // Every thread that stride-places into DRAM detaches an active slab
     // there (setup + workers + the migrator), so the DRAM shard needs

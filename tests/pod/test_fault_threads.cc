@@ -2,12 +2,12 @@
 /// Real-thread (TSan-targeted) exercise of the pod fault layer: worker
 /// threads on both hosts beat their liveness leases between allocator
 /// ops while a monitor thread concurrently polls the detector, flaps an
-/// edge's runtime health (EdgeStateCell atomics), refreshes the
-/// degradation masks read lock-free on every allocation, and parks /
-/// replays frees across the flapping edge. The monitor owns ALL traffic
-/// over the flapped edge, so each Down window is sequenced against the
-/// frees it parks — every other cross-thread interaction (lease cells,
-/// health masks, shard free paths, the park list) races for real.
+/// edge's runtime health (EdgeStateCell atomics, which every allocation
+/// and free reads lock-free), and parks / replays frees across the
+/// flapping edge. The monitor owns ALL traffic over the flapped edge, so
+/// each Down window is sequenced against the frees it parks — every other
+/// cross-thread interaction (lease cells, edge-health cells, shard free
+/// paths, the park list) races for real.
 
 #include <gtest/gtest.h>
 
@@ -109,7 +109,8 @@ TEST(FaultThreads, ConcurrentBeatsPollsFlapsAndParkedFreesStayConsistent)
 
     // Workers: beat the lease, churn home-shard allocations. Their hosts'
     // edges never flap, so their sessions never cross a Down edge — the
-    // mask reads on their alloc/free paths still race refresh_placement.
+    // edge-health reads on their alloc/free paths still race the
+    // monitor's flips of the shared health table.
     for (std::size_t t = 0; t < worker_ctx.size(); t++) {
         threads.emplace_back([&, t] {
             pod::ThreadContext& ctx = *worker_ctx[t];
@@ -134,16 +135,15 @@ TEST(FaultThreads, ConcurrentBeatsPollsFlapsAndParkedFreesStayConsistent)
         });
     }
 
-    // Monitor: flap edge (0, 1), refresh the masks, trickle the cross
-    // frees (parking while Down), replay parked frees when Up, beat its
-    // own host, and poll everyone's leases.
+    // Monitor: flap edge (0, 1), trickle the cross frees (parking while
+    // Down), replay parked frees when Up, beat its own host, and poll
+    // everyone's leases.
     threads.emplace_back([&] {
         std::size_t next_cross = 0;
         for (int f = 0; f < kMonitorFlips; f++) {
             bool down = (f % 2) == 0;
             topo.set_edge_state(0, 1, down ? EdgeState::Down
                                            : EdgeState::Up);
-            alloc.refresh_placement();
             if (next_cross < cross.size()) {
                 alloc.deallocate(*monitor_ctx, cross[next_cross++]);
             }
@@ -158,7 +158,6 @@ TEST(FaultThreads, ConcurrentBeatsPollsFlapsAndParkedFreesStayConsistent)
         }
         // Drain the remaining cross blocks with the edge restored.
         topo.set_edge_state(0, 1, EdgeState::Up);
-        alloc.refresh_placement();
         while (next_cross < cross.size()) {
             alloc.deallocate(*monitor_ctx, cross[next_cross++]);
         }

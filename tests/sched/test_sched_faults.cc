@@ -126,8 +126,8 @@ struct FaultWorld {
     std::vector<cxl::HeapOffset> blocks;
 };
 
-/// Finishes the fault plan (flap recovery included) and re-arms healthy
-/// placement; at_end runs outside any vthread so the firings are plain.
+/// Finishes the fault plan (flap recovery included); at_end runs outside
+/// any vthread so the firings are plain.
 void
 settle_faults(FaultWorld& w)
 {
@@ -137,7 +137,6 @@ settle_faults(FaultWorld& w)
     if (!w.injector->done()) {
         throw OracleFailure("fault plan did not fully fire/recover");
     }
-    w.alloc.refresh_placement();
 }
 
 void
@@ -145,16 +144,15 @@ spawn_workload(Run& run, const std::shared_ptr<FaultWorld>& w,
                bool killable)
 {
     // vthread 0: the monitor. Advances the injector clock (firing the
-    // flap at some explored yield), refreshes placement, beats its own
-    // host and polls the workers' leases. Capped at 3 polls: with
-    // dead_after = 3 the in-run detector can reach Suspect but never
-    // Dead, so a starved-but-alive host is never killed mid-run — the
-    // Dead verdict is driven deterministically in at_end.
+    // flap at some explored yield; placement reads it on the next call),
+    // beats its own host and polls the workers' leases. Capped at 3
+    // polls: with dead_after = 3 the in-run detector can reach Suspect
+    // but never Dead, so a starved-but-alive host is never killed mid-run
+    // — the Dead verdict is driven deterministically in at_end.
     run.spawn("monitor-h0", [w] {
         try {
             for (int round = 0; round < 3; round++) {
                 w->injector->step();
-                w->alloc.refresh_placement();
                 w->beat(0, 0);
                 w->detector->poll(w->ctxs[0]->mem());
                 cxl::HeapOffset p = w->alloc.allocate(*w->ctxs[0], 1024);

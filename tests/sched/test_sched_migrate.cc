@@ -117,7 +117,6 @@ struct MigrateWorld {
         cfg.hazard_slots_per_thread = 4;
         cfg.app_sync_bytes = kCells * 8;
         cfg.dram_percent = 50;
-        cfg.dram_max_block = 1024;
         return cfg;
     }
 
