@@ -14,10 +14,10 @@
 ///
 ///  - post-storm throughput (sim ns/op of the surviving worker) must stay
 ///    >= 90% of the pre-storm baseline;
-///  - exact block accounting after the final drain: the heap audit is ok
-///    with zero live blocks and zero parked frees (a lost free or a double
-///    free after host-kill recovery + quarantine replay cannot hide from
-///    this);
+///  - exact block accounting after the final drain (cleanup included):
+///    the heap audit is ok with zero live blocks, zero pending and zero
+///    parked frees (a lost free or a double free after host-kill recovery
+///    + quarantine replay cannot hide from this);
 ///  - one host death, at least one false suspect, a nonzero evacuation
 ///    with zero aborted moves, and the parked stash fully replayed.
 
@@ -289,9 +289,11 @@ struct Rig {
             *w0.ctx, topo.home_of(host), topo.home_of(w0.host));
         // The storm left live blocks in slabs the survivor no longer owns
         // (slabs disown themselves when they fill while carrying remote
-        // frees), and every free into those costs a serial mCAS. Re-home
-        // them once so steady-state traffic is host-local again — this is
-        // what the >= 90% post-storm throughput gate is really gating.
+        // frees), and every free into those is a remote free: it waits in
+        // the pending list and costs its share of a cross-device mCAS
+        // drain. Re-home them once so steady-state traffic is host-local
+        // again — this is what the >= 90% post-storm throughput gate is
+        // really gating.
         rehomed += migrator->rehome(*w0.ctx, topo.home_of(w0.host));
         w0.lo = 0;
         w0.hi = plan.objects;
@@ -342,9 +344,10 @@ struct Rig {
                         : 0.0;
     }
 
-    /// Frees every live object, drains the parked list and audits both
-    /// shards: a lost free strands live blocks, a double free breaks the
-    /// remote balance. Returns 1 on failure.
+    /// Frees every live object, drains the parked list and every live
+    /// worker's pending remote frees, and audits both shards: a lost free
+    /// strands live blocks, a double free breaks the remote balance.
+    /// Returns 1 on failure.
     std::uint32_t
     drain_and_verify()
     {
@@ -358,9 +361,15 @@ struct Rig {
             }
         }
         replayed += b.heap->replay_parked(*w0.ctx);
+        for (Worker& w : workers) {
+            if (w.ctx != nullptr) {
+                b.heap->cleanup(*w.ctx);
+            }
+        }
 
         cxlalloc::AuditReport audit = b.heap->audit(mem);
-        if (audit.ok() && audit.live_blocks == 0 && audit.parked_frees == 0) {
+        if (audit.ok() && audit.live_blocks == 0 &&
+            audit.pending_frees == 0 && audit.parked_frees == 0) {
             return 0;
         }
         std::printf("FAIL: drain %s\n", audit.to_string().c_str());

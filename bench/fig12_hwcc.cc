@@ -80,6 +80,10 @@ main(int argc, char** argv)
     std::puts("on xmalloc every remote free is an mCAS: cxlalloc-mcas drops "
               "to ~1% of hwcc but scales past ralloc-mcas, whose shared");
     std::puts("slab metadata contends on the engine.");
+    std::puts("Beyond the paper: here a no-HWcc remote free waits in a "
+              "pending list and lands coalesced (one mCAS per slab");
+    std::puts("per drain), so cxlalloc-mcas xmalloc is not bound by a "
+              "round trip per free (EXPERIMENTS.md).");
     bench::finish_metrics(opt);
     return 0;
 }

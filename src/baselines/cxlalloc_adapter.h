@@ -46,6 +46,12 @@ class CxlallocAdapter : public PodAllocator {
         alloc_->attach_thread(ctx);
     }
 
+    void
+    detach_thread(pod::ThreadContext& ctx) override
+    {
+        alloc_->detach_thread(ctx);
+    }
+
     cxl::HeapOffset
     allocate(pod::ThreadContext& ctx, std::uint64_t size) override
     {

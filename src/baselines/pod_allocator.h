@@ -60,6 +60,10 @@ class PodAllocator {
     /// Called once per thread before first use.
     virtual void attach_thread(pod::ThreadContext& ctx) { (void)ctx; }
 
+    /// Called once per thread before its slot is released: work the
+    /// design defers past a free (cxlalloc's pending remote frees) lands.
+    virtual void detach_thread(pod::ThreadContext& ctx) { (void)ctx; }
+
     /// Allocates @p size bytes; 0 on failure/exhaustion/unsupported size.
     virtual cxl::HeapOffset allocate(pod::ThreadContext& ctx,
                                      std::uint64_t size) = 0;

@@ -75,6 +75,24 @@ CxlAllocator::attach_thread(pod::ThreadContext& ctx)
     pt.attached = true;
 }
 
+void
+CxlAllocator::detach_thread(pod::ThreadContext& ctx)
+{
+    PerThread& pt = threads_[ctx.tid()];
+    if (pt.attached) {
+        drain_pending(ctx, pt.state);
+    }
+}
+
+void
+CxlAllocator::drain_pending(pod::ThreadContext& ctx, ThreadState& ts)
+{
+    if (pod_.device().mode() == cxl::CoherenceMode::NoHwcc) {
+        small_.drain_pending(ctx, ts);
+        large_.drain_pending(ctx, ts);
+    }
+}
+
 ThreadState&
 CxlAllocator::state_of(pod::ThreadContext& ctx)
 {
@@ -259,18 +277,24 @@ CxlAllocator::recover(pod::ThreadContext& ctx)
     huge_.rebuild_thread_state(ctx, pt.state);
     pt.attached = true;
 
+    // An append's record counts the list it extended: redo it against
+    // that list, before any ring operand is put back into it.
+    if (record.op == Op::FreeDeferred) {
+        (record.large_heap ? large_ : small_).recover(ctx, pt.state, record);
+    }
     // Staged NMP operands are device state: a crash can leave Posted slots
     // that doom every competing mCAS on their targets (Fig. 6(b)) until
-    // released. An interrupted batch (Op::FreeRemoteBatch) needs them as
-    // its redo state — its recover case snapshots, then resets. Any other
-    // record means no batch record was logged, so staged operands belong
-    // to a batch that never (durably) happened: discard them.
-    if (record.op != Op::FreeRemoteBatch) {
-        pod_.nmp().reset_ring(ctx.tid());
-    }
+    // released. A drain round whose decrements are stamped out of its
+    // heap's pending list needs them: each heap puts its round's
+    // non-landed operands back into the list first. Everything else in
+    // the ring never durably happened: discard it.
+    small_.reconcile_ring(ctx);
+    large_.reconcile_ring(ctx);
+    pod_.nmp().reset_ring(ctx.tid());
 
     switch (record.op) {
       case Op::None:
+      case Op::FreeDeferred: // redone above
         break;
       case Op::CellPublish:
         // A cell publish has no heap effect to redo; the record's only
@@ -293,16 +317,13 @@ CxlAllocator::recover(pod::ThreadContext& ctx)
         }
         break;
     }
+    // The adopted slot's pending frees land now: nobody else may touch
+    // its lists.
+    drain_pending(ctx, pt.state);
     log_.clear(mem);
     if (inst_.registry != nullptr) {
         inst_.registry->shard(ctx.tid()).add(inst_.recoveries);
     }
-}
-
-Op
-CxlAllocator::pending_op(pod::ThreadContext& ctx)
-{
-    return log_.read(ctx.mem(), ctx.tid()).op;
 }
 
 OpRecord
@@ -353,7 +374,9 @@ CxlAllocator::record_block_offset(cxl::MemSession& mem,
 void
 CxlAllocator::cleanup(pod::ThreadContext& ctx)
 {
-    huge_.cleanup(ctx, state_of(ctx));
+    ThreadState& ts = state_of(ctx);
+    drain_pending(ctx, ts);
+    huge_.cleanup(ctx, ts);
     if (inst_.registry != nullptr) {
         inst_.registry->shard(ctx.tid()).add(inst_.cleanups);
     }

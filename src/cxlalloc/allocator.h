@@ -54,6 +54,13 @@ class CxlAllocator : public pod::FaultResolver {
     /// about in tests).
     void attach_thread(pod::ThreadContext& ctx);
 
+    /// Per-thread teardown before Pod::release_thread: under NoHwcc, lands
+    /// the thread's pending remote frees (a remote free may wait in the
+    /// freeing thread's pending list until it drains). A no-op otherwise.
+    /// A slot released without it keeps its pending frees in its list
+    /// until the next occupant's first drain.
+    void detach_thread(pod::ThreadContext& ctx);
+
     /// Allocates @p size bytes; returns the heap offset or 0 on
     /// exhaustion. Routes to the small (<= 1 KiB), large (<= 512 KiB) or
     /// huge heap.
@@ -62,11 +69,11 @@ class CxlAllocator : public pod::FaultResolver {
     /// Frees an allocation by offset (any attached thread/process).
     void deallocate(pod::ThreadContext& ctx, cxl::HeapOffset offset);
 
-    /// Frees @p n allocations in one drain. Semantically equal to n
-    /// deallocate() calls; under NoHwcc the slab heaps submit remote-free
-    /// decrements of distinct slabs as batched NMP doorbells — one device
-    /// round trip per ring instead of one per free (§4). Huge frees and
-    /// everything under HWcc modes take the serial paths unchanged.
+    /// Frees @p n allocations: n deallocate() calls, after which (under
+    /// NoHwcc) each slab heap the call touched drains its pending remote
+    /// frees — this call's and any deferred before — as batched NMP
+    /// doorbells, one device round trip per ring of slabs (§4). Huge
+    /// frees and everything under HWcc modes take the serial paths.
     void deallocate_batch(pod::ThreadContext& ctx,
                           const cxl::HeapOffset* offsets, std::uint32_t n);
 
@@ -79,16 +86,12 @@ class CxlAllocator : public pod::FaultResolver {
         return ctx.mem().data_ptr(offset, len);
     }
 
-    /// Recovers the crashed thread slot that @p ctx adopted: idempotently
-    /// redoes its interrupted operation and rebuilds volatile state.
-    /// Non-blocking: live threads keep allocating throughout.
+    /// Recovers the crashed thread slot that @p ctx adopted: puts a drain
+    /// round's non-landed ring operands back into its pending lists,
+    /// releases its NMP ring, idempotently redoes its interrupted
+    /// operation, rebuilds volatile state, and (NoHwcc) lands its pending
+    /// frees. Non-blocking: live threads keep allocating throughout.
     void recover(pod::ThreadContext& ctx);
-
-    /// The operation recorded in the adopted slot's recovery record,
-    /// without redoing anything. Pod-sharded recovery uses this to order
-    /// shard recovery: the (at most one) shard with an interrupted NMP
-    /// batch must recover before any other shard resets the thread's ring.
-    Op pending_op(pod::ThreadContext& ctx);
 
     /// The adopted slot's full recovery record, without redoing anything.
     /// Migration recovery snapshots every shard's record BEFORE shard
@@ -130,7 +133,8 @@ class CxlAllocator : public pod::FaultResolver {
     cxl::HeapOffset record_block_offset(cxl::MemSession& mem,
                                         const OpRecord& record);
 
-    /// Runs the huge heap's asynchronous reclamation pass for this thread.
+    /// Lands the calling thread's pending remote frees (NoHwcc), then runs
+    /// the huge heap's asynchronous reclamation pass for it.
     void cleanup(pod::ThreadContext& ctx);
 
     /// Block-accounting audit (paper §5.1) of the small, large and huge
@@ -217,6 +221,10 @@ class CxlAllocator : public pod::FaultResolver {
         ThreadState state;
         bool attached = false;
     };
+
+    /// Under NoHwcc, lands the calling thread's pending remote frees in
+    /// both slab heaps.
+    void drain_pending(pod::ThreadContext& ctx, ThreadState& ts);
 
     std::array<PerThread, cxl::kMaxThreads + 1> threads_{};
     Instruments inst_;

@@ -13,7 +13,8 @@ AuditReport::to_string() const
                                             "remote-balance", "huge-desc"};
     std::string out = "audit: " + std::to_string(violations.size()) +
                       " violation(s), " + std::to_string(live_blocks) +
-                      " live block(s), " + std::to_string(parked_frees) +
+                      " live block(s), " + std::to_string(pending_frees) +
+                      " pending free(s), " + std::to_string(parked_frees) +
                       " parked free(s)";
     for (const AuditViolation& v : violations) {
         out += "\n  shard " + std::to_string(v.shard) + ' ' +

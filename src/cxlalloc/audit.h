@@ -23,8 +23,10 @@ enum class AuditLaw : std::uint8_t {
     GlobalList,
     /// A classed slab's free counter equals its bitset popcount.
     FreeCounter,
-    /// A classed slab's remote-free counter is >= its free counter: the
-    /// difference is its live blocks, and less means a double free.
+    /// A classed slab's remote-free counter minus the frees pending for it
+    /// in every thread's pending list is >= its free counter: the
+    /// difference is its live blocks, and less means a double free. Only
+    /// classed, in-range slabs have pending frees.
     RemoteBalance,
     /// Huge descriptor lists are acyclic, and each allocated descriptor
     /// lies in the huge data region, in a region its list's thread owns.
@@ -43,8 +45,12 @@ struct AuditViolation {
 
 struct AuditReport {
     std::vector<AuditViolation> violations;
-    /// Sum over classed slabs of (remote-free counter - free counter).
+    /// Sum over classed slabs of (remote-free counter - pending frees -
+    /// free counter).
     std::uint64_t live_blocks = 0;
+    /// Remote frees accepted but not yet landed: the blocks in every
+    /// thread's pending list (NoHwcc; drain_pending / cleanup land them).
+    std::uint64_t pending_frees = 0;
     /// Frees parked behind a Down edge (PodShardedAllocator::audit only).
     std::uint64_t parked_frees = 0;
 

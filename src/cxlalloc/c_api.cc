@@ -130,6 +130,7 @@ cxlalloc_thread_unbind(void)
     if (tls_binding.ctx == nullptr) {
         return;
     }
+    tls_binding.pod->heap.detach_thread(*tls_binding.ctx);
     tls_binding.pod->pod.release_thread(std::move(tls_binding.ctx));
     tls_binding = ThreadBinding{};
 }

@@ -55,7 +55,8 @@ void cxlalloc_process_detach(cxlalloc_process_t* process);
 /// slots are free or the thread is already bound.
 uint16_t cxlalloc_thread_bind(cxlalloc_process_t* process);
 
-/// Releases the calling thread's slot (clean exit).
+/// Releases the calling thread's slot (clean exit). Remote frees the
+/// thread left pending (no-HWcc pods) land first.
 void cxlalloc_thread_unbind(void);
 
 /// Adopts crashed slot @p tid on the calling thread and runs recovery.

@@ -70,6 +70,10 @@ Layout::Layout(const Config& config)
     at += kRows * kLocalStride;
     large_local_ = at;
     at += kRows * kLocalStride;
+    small_pending_ = at;
+    at += kRows * kPendingStride;
+    large_pending_ = at;
+    at += kRows * kPendingStride;
     huge_local_ = at;
     at += kRows * 64;
     hazard_table_ = at;

@@ -217,6 +217,21 @@ class Layout {
         return large_local_ + static_cast<HeapOffset>(tid) * kLocalStride;
     }
 
+    /// Per-thread pending remote-free list of the small (resp. large) slab
+    /// heap: one owner-only SWcc line (see SlabHeap's PendingList). All
+    /// zero is the empty list.
+    HeapOffset
+    small_pending(cxl::ThreadId tid) const
+    {
+        return small_pending_ + static_cast<HeapOffset>(tid) * kPendingStride;
+    }
+
+    HeapOffset
+    large_pending(cxl::ThreadId tid) const
+    {
+        return large_pending_ + static_cast<HeapOffset>(tid) * kPendingStride;
+    }
+
     /// Per-thread HugeLocal: +0 descriptor list head (u32 OptIndex raw).
     HeapOffset
     huge_local(cxl::ThreadId tid) const
@@ -300,6 +315,10 @@ class Layout {
     /// Stride of one per-thread local row (shared by small/large locals).
     static constexpr HeapOffset kLocalStride = 128;
 
+    /// Stride of one per-thread pending remote-free list: one cacheline,
+    /// so every rewrite of the list is one line store.
+    static constexpr HeapOffset kPendingStride = 64;
+
     /// SWcc descriptor strides: header (16 B) + free bitset.
     static constexpr HeapOffset kSmallDescStride = 576; // 16 + 512, 64-align
     static constexpr HeapOffset kLargeDescStride = 64;  // 16 + 48
@@ -319,6 +338,8 @@ class Layout {
     HeapOffset recovery_rows_;
     HeapOffset small_local_;
     HeapOffset large_local_;
+    HeapOffset small_pending_;
+    HeapOffset large_pending_;
     HeapOffset huge_local_;
     HeapOffset hazard_table_;
     HeapOffset small_swcc_desc_;

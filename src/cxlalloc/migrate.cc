@@ -12,7 +12,8 @@ bool
 is_free_op(Op op)
 {
     return op == Op::FreeLocal || op == Op::FreeRemote ||
-           op == Op::FreeRemoteBatch || op == Op::HugeFree;
+           op == Op::FreeRemoteBatch || op == Op::FreeDeferred ||
+           op == Op::HugeFree;
 }
 
 } // namespace

@@ -280,24 +280,20 @@ PodShardedAllocator::recover(pod::ThreadContext& ctx)
 {
     // The adopter sweeps the shards its host reaches (which must include
     // everything the dead thread touched — adopt recovery work on a host
-    // wired at least as widely as the crashed one). At most one shard
-    // holds the thread's interrupted NMP batch (records are per-shard, but
-    // the thread was executing at most one operation when it died). Its
-    // redo operands live in the thread's NMP ring; every other shard's
-    // recover() resets that ring, so the batch shard must go first.
-    // Redoing the remaining shards' stale-but-completed records is
-    // idempotent by design.
+    // wired at least as widely as the crashed one). The thread's NMP ring
+    // holds at most one drain round, of one shard: that shard puts the
+    // round's non-landed operands back into its pending list, and every
+    // shard's recover() resets the ring, so the batch shard — the one the
+    // ring's operands target — must go first. Redoing the remaining
+    // shards' stale-but-completed records is idempotent by design.
     // A lone shard (the 1x1 pod) has no ordering to get wrong, so it skips
     // the probe and recovers exactly as a bare CxlAllocator does.
     const std::vector<cxl::DeviceId>& reach = sweep_of(ctx);
     cxl::DeviceId batch_shard = static_cast<cxl::DeviceId>(shards_.size());
-    if (reach.size() > 1) {
-        for (cxl::DeviceId d : reach) {
-            if (shards_[d]->pending_op(ctx) == Op::FreeRemoteBatch) {
-                batch_shard = d;
-                break;
-            }
-        }
+    cxl::NmpSlotView first;
+    if (reach.size() > 1 &&
+        pod_.nmp().ring_snapshot(ctx.tid(), &first, 1) == 1) {
+        batch_shard = pod_.device().device_of(first.op.target);
     }
     if (batch_shard < shards_.size()) {
         shards_[batch_shard]->recover(ctx);
@@ -314,6 +310,14 @@ PodShardedAllocator::cleanup(pod::ThreadContext& ctx)
 {
     for (cxl::DeviceId d : sweep_of(ctx)) {
         shards_[d]->cleanup(ctx);
+    }
+}
+
+void
+PodShardedAllocator::detach_thread(pod::ThreadContext& ctx)
+{
+    for (cxl::DeviceId d : sweep_of(ctx)) {
+        shards_[d]->detach_thread(ctx);
     }
 }
 

@@ -100,6 +100,11 @@ class PodShardedAllocator : public pod::FaultResolver {
     /// first touch so a thread that never steals never pays a foreign edge.
     void attach_thread(pod::ThreadContext& ctx);
 
+    /// Per-thread teardown before Pod::release_thread: every reachable
+    /// shard the thread touched lands its pending remote frees (NoHwcc;
+    /// see CxlAllocator::detach_thread).
+    void detach_thread(pod::ThreadContext& ctx);
+
     /// Topology-aware allocation (see file comment). Returns 0 when every
     /// shard reachable from the calling thread's host is exhausted.
     cxl::HeapOffset allocate(pod::ThreadContext& ctx, std::uint64_t size);
@@ -120,12 +125,13 @@ class PodShardedAllocator : public pod::FaultResolver {
     }
 
     /// Recovers the adopted slot across every shard. The (at most one)
-    /// shard whose recovery record is an interrupted NMP batch recovers
-    /// first: its redo state lives in the thread's operand ring, which
+    /// shard whose counters the thread's NMP ring targets recovers first:
+    /// an interrupted drain round's redo state lives in that ring, which
     /// every other shard's recovery resets.
     void recover(pod::ThreadContext& ctx);
 
-    /// Huge-heap reclamation pass on every shard.
+    /// CxlAllocator::cleanup (pending frees, then huge-heap reclamation)
+    /// on every reachable shard.
     void cleanup(pod::ThreadContext& ctx);
 
     /// Frees currently parked because their device's edge was Down when

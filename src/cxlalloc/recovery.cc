@@ -24,11 +24,11 @@ register_crash_points()
     reg.add(cp::kMidHugeFree, "huge.mid_free", "HugeHeap::deallocate");
     reg.add(cp::kMidAlloc, "slab.mid_alloc", "SlabHeap::allocate");
     reg.add(cp::kMidBatchStage, "slab.mid_batch_stage",
-            "SlabHeap::deallocate_batch");
+            "SlabHeap::drain_pending");
     reg.add(cp::kMidBatchDoorbell, "slab.mid_batch_doorbell",
-            "SlabHeap::deallocate_batch");
+            "SlabHeap::drain_pending");
     reg.add(cp::kMidBatchDrain, "slab.mid_batch_drain",
-            "SlabHeap::deallocate_batch");
+            "SlabHeap::drain_pending");
 }
 
 const char*
@@ -65,6 +65,8 @@ to_string(Op op)
         return "free-remote-batch";
       case Op::CellPublish:
         return "cell-publish";
+      case Op::FreeDeferred:
+        return "free-deferred";
     }
     return "?";
 }

@@ -19,13 +19,16 @@
 ///
 /// Durability discipline (the fence-elision case analysis):
 ///  - Operations that publish through a detectable CAS (PopGlobal,
-///    Extend, FreeRemote[Batch], PushGlobal, Huge*) use log(): store +
-///    flush + fence before the CAS. After a HOST crash the record that
+///    Extend, FreeRemote[Batch], PushGlobal, Huge*) make the record
+///    durable before the CAS: log() (store + flush + fence), or — where
+///    the pending list changes in the same step — log_local(), the list
+///    store, then flush_pending() + the list flush + one fence. After a HOST crash the record that
 ///    described the CAS must be durable for `did_succeed` version
 ///    reasoning to hold. Guarded by sched::RecordFlushOracle (and the
 ///    skip_record_publish_flush fault shows the oracle has teeth).
-///  - Purely local operations (Alloc, FreeLocal, scavenge, and the
-///    Detach/Disown descriptor transitions) use log_local(): store only.
+///  - Purely local operations (Alloc, FreeLocal, FreeDeferred, scavenge,
+///    and the Detach/Disown descriptor transitions) use log_local():
+///    store only.
 ///    Recovery from a PROCESS crash writes the thread's cache back (see
 ///    ThreadCache::writeback_all()), so recovery always reads the newest
 ///    record; no flush or fence is needed on the fast path. Guarded by
@@ -75,13 +78,14 @@ enum class Op : std::uint8_t {
     HugeReserve = 10, ///< claim a reservation region   (dcas)
     HugeAlloc = 11,   ///< build + link huge descriptor
     HugeFree = 12,    ///< set huge descriptor free bit
-    /// A ring of remote-free decrements submitted as one batched NMP
+    /// A ring of pending-list decrements submitted as one batched NMP
     /// doorbell (aux: heap|count; version: LAST of `count` consecutive
     /// dcas versions, so recovery resumes versioning past the whole
-    /// batch). The per-operand redo state — which slabs, which versions,
+    /// batch). The per-operand state — which slabs, how many blocks,
     /// which executed — lives in the thread's NMP operand ring, which is
-    /// device memory and survives the crash; see
-    /// SlabHeap::deallocate_batch and its recover case.
+    /// device memory and survives the crash; the pending list's stamp
+    /// says whether the ring's operands are out of the list. See
+    /// SlabHeap::drain_pending and reconcile_ring.
     FreeRemoteBatch = 13,
     /// An application (or migrator) reference-cell publish through the
     /// allocator's detectable CAS (CxlAllocator::cell_publish): consumes
@@ -90,6 +94,11 @@ enum class Op : std::uint8_t {
     /// an adopted slot could reuse the version and corrupt did_succeed
     /// reasoning (the help array may already have advanced to it).
     CellPublish = 14,
+    /// A NoHwcc remote free appended to the thread's pending list
+    /// (SlabHeap::defer_remote; aux: heap|list size after the append,
+    /// index: slab). Local: log_local, no flush. Recovery redoes the
+    /// append iff the list is exactly one block short of aux.
+    FreeDeferred = 15,
 };
 
 const char* to_string(Op op);

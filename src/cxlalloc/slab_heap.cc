@@ -1,6 +1,5 @@
 #include "cxlalloc/slab_heap.h"
 
-#include <algorithm>
 #include <bit>
 #include <vector>
 
@@ -48,6 +47,7 @@ SlabHeap::SlabHeap(const Layout* layout, bool large,
         desc_stride_ = Layout::kLargeDescStride;
         hwcc_base_ = layout->large_hwcc_desc(0);
         local_base_ = layout->large_local(0);
+        pending_base_ = layout->large_pending(0);
     } else {
         num_slabs_ = cfg.small_slabs;
         num_classes_ = kNumSmallClasses;
@@ -59,7 +59,95 @@ SlabHeap::SlabHeap(const Layout* layout, bool large,
         desc_stride_ = Layout::kSmallDescStride;
         hwcc_base_ = layout->small_hwcc_desc(0);
         local_base_ = layout->small_local(0);
+        pending_base_ = layout->small_pending(0);
     }
+    CXL_FATAL_IF(num_slabs_ >= (1u << 24),
+                 "slab index must fit a pending-list entry (24 bits)");
+}
+
+// ------------------------------------------------------------- pending list
+
+std::uint32_t
+PendingList::size() const
+{
+    std::uint32_t total = 0;
+    for (std::uint32_t i = 0; i < n; i++) {
+        total += count(i);
+    }
+    return total;
+}
+
+std::uint32_t
+PendingList::find(std::uint32_t s) const
+{
+    for (std::uint32_t i = 0; i < n; i++) {
+        if (slab(i) == s) {
+            return i;
+        }
+    }
+    return kSlots;
+}
+
+void
+PendingList::add(std::uint32_t s, std::uint32_t k)
+{
+    std::uint32_t i = find(s);
+    if (i == kSlots) {
+        CXL_ASSERT(n < kSlots, "pending list has no free slot");
+        i = n++;
+        entry[i] = s << 8;
+    }
+    CXL_ASSERT(count(i) + k <= 0xff, "pending count overflows its entry");
+    entry[i] += k;
+}
+
+void
+PendingList::sub(std::uint32_t s, std::uint32_t k)
+{
+    std::uint32_t i = find(s);
+    CXL_ASSERT(i != kSlots && count(i) >= k, "pending list underflow");
+    entry[i] -= k;
+    if (count(i) == 0) {
+        for (; i + 1 < n; i++) {
+            entry[i] = entry[i + 1];
+        }
+        entry[--n] = 0;
+    }
+}
+
+cxl::HeapOffset
+SlabHeap::pending_row(cxl::ThreadId tid) const
+{
+    return pending_base_ +
+           static_cast<cxl::HeapOffset>(tid) * Layout::kPendingStride;
+}
+
+PendingList
+SlabHeap::load_pending(cxl::MemSession& mem, cxl::ThreadId tid)
+{
+    PendingList list;
+    mem.read_bytes(pending_row(tid), &list, sizeof list);
+    return list;
+}
+
+void
+SlabHeap::store_pending(cxl::MemSession& mem, const PendingList& list)
+{
+    mem.write_bytes(pending_row(mem.tid()), &list, sizeof list);
+}
+
+void
+SlabHeap::flush_pending_list(cxl::MemSession& mem)
+{
+    mem.flush(pending_row(mem.tid()), sizeof(PendingList));
+}
+
+void
+SlabHeap::persist_pending(cxl::MemSession& mem, const PendingList& list)
+{
+    store_pending(mem, list);
+    flush_pending_list(mem);
+    mem.fence();
 }
 
 // ---------------------------------------------------------------- accessors
@@ -501,6 +589,12 @@ SlabHeap::refill(pod::ThreadContext& ctx, ThreadState& ts, std::uint32_t cls)
         if (scavenge_warm_slab(ctx, ts)) {
             continue; // reclaimed an idle empty slab from another class
         }
+        if (load_pending(mem, mem.tid()).n != 0) {
+            // Our own pending frees may hold the last decrements of slabs
+            // that would come back to us (or the global list) once landed.
+            drain_pending(ctx, ts);
+            continue;
+        }
         return false;
     }
 }
@@ -720,7 +814,13 @@ SlabHeap::deallocate(pod::ThreadContext& ctx, ThreadState& ts,
         free_local(ctx, ts, slab, block);
         return false;
     }
-    free_remote(ctx, ts, slab);
+    if (mem.device()->mode() == cxl::CoherenceMode::NoHwcc) {
+        // Every decrement is a device round trip: defer it to a drain
+        // that lands a ring of slabs per doorbell.
+        defer_remote(ctx, ts, slab);
+    } else {
+        free_remote(ctx, ts, slab);
+    }
     return true;
 }
 
@@ -728,129 +828,233 @@ std::uint32_t
 SlabHeap::deallocate_batch(pod::ThreadContext& ctx, ThreadState& ts,
                            const cxl::HeapOffset* offsets, std::uint32_t n)
 {
-    cxl::MemSession& mem = ctx.mem();
     std::uint32_t remote = 0;
-    if (mem.device()->mode() != cxl::CoherenceMode::NoHwcc || n <= 1) {
-        // Coherent CAS costs no device round trip: nothing to amortize.
-        for (std::uint32_t i = 0; i < n; i++) {
-            remote += deallocate(ctx, ts, offsets[i]) ? 1 : 0;
-        }
-        return remote;
-    }
-    // Local frees need no CAS. Remote ones are grouped by slab in
-    // first-occurrence order: one operand lands a whole group's
-    // decrements, so a drain costs one round trip per slab, not per
-    // block. Ownership is read once: only our own steal could make one of
-    // these slabs ours, and the steal lands the slab's last decrement.
-    struct SlabFrees {
-        std::uint32_t slab;
-        std::uint32_t count; ///< decrements still to land
-    };
-    std::vector<SlabFrees> pending;
     for (std::uint32_t i = 0; i < n; i++) {
-        auto slab = static_cast<std::uint32_t>((offsets[i] - data_base_) /
-                                               slab_size_);
-        if (owner(mem, slab) == mem.tid()) {
-            remote += deallocate(ctx, ts, offsets[i]) ? 1 : 0;
-            continue;
-        }
-        auto it = std::find_if(pending.begin(), pending.end(),
-                               [slab](const SlabFrees& g) {
-                                   return g.slab == slab;
-                               });
-        if (it == pending.end()) {
-            pending.push_back(SlabFrees{slab, 1});
-        } else {
-            it->count++;
-        }
+        remote += deallocate(ctx, ts, offsets[i]) ? 1 : 0;
     }
-    cxl::McasBackoff backoff;
-    while (!pending.empty()) {
-        std::vector<SlabFrees> retry;
-        // Final decrements (they steal) run serially AFTER the ring
-        // empties: the serial path's own mCAS asserts an empty ring.
-        std::vector<std::uint32_t> finals;
-        std::uint32_t staged_group[cxl::kNmpRingSlots];
-        std::uint32_t staged_k[cxl::kNmpRingSlots];
-        cxl::McasOperand staged_op[cxl::kNmpRingSlots];
-        std::uint16_t last_ver = 0;
-        std::uint32_t staged = 0;
-        for (std::uint32_t g = 0; g < pending.size(); g++) {
-            const SlabFrees& group = pending[g];
-            if (staged == cxl::kNmpRingSlots) {
-                retry.push_back(group);
-                continue;
-            }
-            std::uint64_t word = dcas_->read_word(mem, hwcc(group.slab));
-            std::uint32_t cur = DcasWord::value(word);
-            CXL_ASSERT(cur >= group.count,
-                       "remote-free counter underflow (double free?)");
-            // A batched operand never lands a zero counter: when the group
-            // holds the slab's last decrement, k - 1 ride the ring and the
-            // stealing one stays serial.
-            std::uint32_t k = cur == group.count ? group.count - 1
-                                                 : group.count;
-            if (k == 0) {
-                finals.push_back(group.slab);
-                continue;
-            }
-            std::uint16_t ver = ts.next_version();
-            staged_op[staged] =
-                dcas_->stage_word(mem, hwcc(group.slab), word, cur - k, ver);
-            staged_group[staged] = g;
-            staged_k[staged] = k;
-            last_ver = ver;
-            staged++;
-        }
-        if (staged > 0) {
-            // Help before anything executes (the serial path's order), and
-            // before posting: the help CAS needs an empty ring.
-            dcas_->record_displaced(mem, staged_op, staged);
-            for (std::uint32_t i = 0; i < staged; i++) {
-                bool posted = mem.mcas_post(staged_op[i]);
-                CXL_ASSERT(posted, "ring rejected a ring-bounded batch");
-            }
-            ctx.maybe_crash(crashpoint::kMidBatchStage);
-            // One record covers the whole ring; per-operand redo state is
-            // the ring itself (device memory, survives the crash).
-            log_->log(mem,
-                      OpRecord{.op = Op::FreeRemoteBatch,
-                               .large_heap = large_,
-                               .aux = static_cast<std::uint16_t>(staged),
-                               .version = last_ver,
-                               .index = pending[staged_group[0]].slab});
-            ctx.maybe_crash(crashpoint::kMidBatchDoorbell);
-            mem.mcas_doorbell();
-            ctx.maybe_crash(crashpoint::kMidBatchDrain);
-            bool conflicted = false;
-            for (std::uint32_t i = 0; i < staged; i++) {
-                cxl::McasResult r;
-                bool polled = mem.mcas_poll(&r);
-                CXL_ASSERT(polled, "doorbell executed fewer ops than staged");
-                const SlabFrees& group = pending[staged_group[i]];
-                if (r.success) {
-                    remote += staged_k[i];
-                    if (staged_k[i] < group.count) {
-                        finals.push_back(group.slab);
-                    }
-                } else {
-                    conflicted |= r.conflict;
-                    retry.push_back(group);
-                }
-            }
-            if (conflicted) {
-                mem.charge(backoff.next_ns());
-            } else {
-                backoff.reset();
-            }
-        }
-        for (std::uint32_t slab : finals) {
-            free_remote(ctx, ts, slab);
-            remote++;
-        }
-        pending = std::move(retry);
+    if (ctx.mem().device()->mode() == cxl::CoherenceMode::NoHwcc) {
+        drain_pending(ctx, ts);
     }
     return remote;
+}
+
+void
+SlabHeap::defer_remote(pod::ThreadContext& ctx, ThreadState& ts,
+                       std::uint32_t slab)
+{
+    cxl::MemSession& mem = ctx.mem();
+    PendingList list = load_pending(mem, mem.tid());
+    if (list.full()) {
+        // Only after a drain threw (the last append drained otherwise).
+        drain_pending(ctx, ts);
+        list = load_pending(mem, mem.tid());
+    }
+    // Local operation: no flush or fence. Recovery redoes the append iff
+    // the list is exactly one block short of aux.
+    log_->log_local(mem,
+                    OpRecord{.op = Op::FreeDeferred,
+                             .large_heap = large_,
+                             .aux = static_cast<std::uint16_t>(list.size() + 1),
+                             .version = ts.version,
+                             .index = slab});
+    ctx.maybe_crash(crashpoint::kAfterRecord);
+    list.add(slab, 1);
+    store_pending(mem, list);
+    // Drain once the next append might not fit, so an append never waits
+    // for a drain (whose records would overwrite its own).
+    if (list.full()) {
+        drain_pending(ctx, ts);
+    }
+}
+
+void
+SlabHeap::drain_pending(pod::ThreadContext& ctx, ThreadState& ts)
+{
+    cxl::MemSession& mem = ctx.mem();
+    try {
+        PendingList list = load_pending(mem, mem.tid());
+        if ((list.stamp & PendingList::kStampOut) != 0) {
+            // Left by a round whose put-back could not reach the list (see
+            // the handler below): clear it before this drain posts.
+            reconcile_ring(ctx);
+            list = load_pending(mem, mem.tid());
+        }
+        cxl::McasBackoff backoff;
+        while (list.n != 0) {
+            drain_round(ctx, ts, list, backoff);
+        }
+    } catch (const cxl::NmpStallError&) {
+        settle_ring(ctx);
+        throw;
+    } catch (const cxl::EdgeDownError&) {
+        settle_ring(ctx);
+        throw;
+    }
+}
+
+void
+SlabHeap::settle_ring(pod::ThreadContext& ctx)
+{
+    // Before any append can refill the list: the round's non-landed
+    // decrements go back into it and the ring is released, so nothing
+    // staged can land later. If the put-back itself cannot reach the list
+    // (its edge went Down mid-round), those decrements are lost: their
+    // slabs leak, nothing is freed twice.
+    cxl::Nmp& nmp = ctx.process().pod().nmp();
+    try {
+        reconcile_ring(ctx);
+    } catch (const cxl::EdgeDownError&) {
+        nmp.reset_ring(ctx.tid());
+        throw;
+    }
+    nmp.reset_ring(ctx.tid());
+}
+
+void
+SlabHeap::drain_round(pod::ThreadContext& ctx, ThreadState& ts,
+                      PendingList& list, cxl::McasBackoff& backoff)
+{
+    cxl::MemSession& mem = ctx.mem();
+    cxl::McasOperand ops[cxl::kNmpRingSlots];
+    std::uint32_t slab_of[cxl::kNmpRingSlots];
+    std::uint32_t k_of[cxl::kNmpRingSlots];
+    bool final_of[cxl::kNmpRingSlots];
+    // Final decrements (they steal) run serially AFTER the ring empties:
+    // the serial path's own mCAS asserts an empty ring.
+    std::uint32_t finals[PendingList::kSlots];
+    std::uint32_t staged = 0;
+    std::uint32_t nfinal = 0;
+    std::uint16_t ver = 0;
+    for (std::uint32_t i = 0; i < list.n && staged < cxl::kNmpRingSlots;
+         i++) {
+        std::uint32_t slab = list.slab(i);
+        std::uint32_t c = list.count(i);
+        std::uint64_t word = dcas_->read_word(mem, hwcc(slab));
+        std::uint32_t cur = DcasWord::value(word);
+        CXL_ASSERT(cur >= c, "remote-free counter underflow (double free?)");
+        // A batched operand never lands a zero counter: when the entry
+        // holds the slab's last decrement, k - 1 ride the ring and the
+        // stealing one stays serial.
+        std::uint32_t k = cur == c ? c - 1 : c;
+        if (k == 0) {
+            finals[nfinal++] = slab;
+            continue;
+        }
+        ver = ts.next_version();
+        ops[staged] = dcas_->stage_word(mem, hwcc(slab), word, cur - k, ver);
+        slab_of[staged] = slab;
+        k_of[staged] = k;
+        final_of[staged] = k < c;
+        staged++;
+    }
+    if (staged > 0) {
+        // Help before anything executes (the serial path's order), and
+        // before posting: the help CAS needs an empty ring.
+        dcas_->record_displaced(mem, ops, staged);
+        for (std::uint32_t i = 0; i < staged; i++) {
+            bool posted = mem.mcas_post(ops[i]);
+            CXL_ASSERT(posted, "ring rejected a ring-bounded batch");
+        }
+        ctx.maybe_crash(crashpoint::kMidBatchStage);
+        // The record, then the list without the staged decrements, stamped
+        // out: both durable (record first) before the doorbell can land
+        // anything. Until the stamp, the list still holds the decrements
+        // and recovery discards the ring.
+        log_->log_local(mem,
+                        OpRecord{.op = Op::FreeRemoteBatch,
+                                 .large_heap = large_,
+                                 .aux = static_cast<std::uint16_t>(staged),
+                                 .version = ver,
+                                 .index = slab_of[0]});
+        for (std::uint32_t i = 0; i < staged; i++) {
+            list.sub(slab_of[i], k_of[i]);
+        }
+        list.stamp = PendingList::kStampOut | ver;
+        store_pending(mem, list);
+        log_->flush_pending(mem);
+        flush_pending_list(mem);
+        mem.fence();
+        ctx.maybe_crash(crashpoint::kMidBatchDoorbell);
+        mem.mcas_doorbell();
+        ctx.maybe_crash(crashpoint::kMidBatchDrain);
+        // Read the results while the ring still holds them. Failed
+        // operands go back into the list and the stamp is cleared, durably,
+        // before any slot is released: an out stamp always means the ring
+        // holds exactly its round.
+        cxl::NmpSlotView views[cxl::kNmpRingSlots];
+        std::uint32_t live =
+            ctx.process().pod().nmp().ring_snapshot(mem.tid(), views, staged);
+        CXL_ASSERT(live == staged, "doorbell lost staged operands");
+        for (std::uint32_t i = 0; i < staged; i++) {
+            if (views[i].state == cxl::NmpSlotState::Executed &&
+                views[i].result.success) {
+                if (final_of[i]) {
+                    finals[nfinal++] = slab_of[i];
+                }
+            } else {
+                list.add(slab_of[i], k_of[i]);
+            }
+        }
+        list.stamp = ver;
+        persist_pending(mem, list);
+        bool conflicted = false;
+        for (std::uint32_t i = 0; i < staged; i++) {
+            cxl::McasResult r;
+            bool polled = mem.mcas_poll(&r);
+            CXL_ASSERT(polled, "doorbell executed fewer ops than staged");
+            conflicted |= r.conflict;
+        }
+        if (conflicted) {
+            mem.charge(backoff.next_ns());
+        } else {
+            backoff.reset();
+        }
+    }
+    for (std::uint32_t f = 0; f < nfinal; f++) {
+        free_remote(ctx, ts, finals[f], /*listed=*/true);
+    }
+    if (nfinal > 0) {
+        list = load_pending(mem, mem.tid());
+    }
+}
+
+void
+SlabHeap::reconcile_ring(pod::ThreadContext& ctx)
+{
+    cxl::MemSession& mem = ctx.mem();
+    PendingList list = load_pending(mem, mem.tid());
+    if ((list.stamp & PendingList::kStampOut) == 0) {
+        return; // no round of ours is out of the list
+    }
+    auto round = static_cast<std::uint16_t>(list.stamp & cxlsync::kVersionMask);
+    cxl::NmpSlotView views[cxl::kNmpRingSlots];
+    std::uint32_t live = ctx.process().pod().nmp().ring_snapshot(
+        mem.tid(), views, cxl::kNmpRingSlots);
+    for (std::uint32_t i = 0; i < live; i++) {
+        const cxl::NmpSlotView& v = views[i];
+        if (v.op.target < hwcc_base_ ||
+            (v.op.target - hwcc_base_) / 8 >= num_slabs_) {
+            continue; // not a counter of this heap
+        }
+        CXL_ASSERT((v.op.target - hwcc_base_) % 8 == 0,
+                   "batched operand misaligned in counter region");
+        CXL_ASSERT(DcasWord::tid(v.op.swap) == mem.tid(),
+                   "foreign operand in the thread's ring");
+        CXL_ASSERT(((round - DcasWord::version(v.op.swap)) &
+                    cxlsync::kVersionMask) < cxl::kNmpRingSlots,
+                   "ring operand outside the stamped round");
+        // Whether it landed is the slot's own result. did_succeed cannot
+        // tell: help[tid] >= v also follows when a LATER operand of this
+        // ring landed and was displaced since. A landed operand left a
+        // counter >= 1 (finals never ride the ring): nothing to finish.
+        if (v.state == cxl::NmpSlotState::Executed && v.result.success) {
+            continue;
+        }
+        list.add(static_cast<std::uint32_t>((v.op.target - hwcc_base_) / 8),
+                 DcasWord::value(v.op.expected) - DcasWord::value(v.op.swap));
+    }
+    list.stamp = round;
+    persist_pending(mem, list);
 }
 
 void
@@ -890,21 +1094,50 @@ SlabHeap::free_local(pod::ThreadContext& ctx, ThreadState& ts,
 
 void
 SlabHeap::free_remote(pod::ThreadContext& ctx, ThreadState& ts,
-                      std::uint32_t slab)
+                      std::uint32_t slab, bool listed)
 {
     cxl::MemSession& mem = ctx.mem();
+    bool in_list = listed;
     while (true) {
         std::uint64_t word = dcas_->read_word(mem, hwcc(slab));
         std::uint32_t cur = DcasWord::value(word);
         CXL_ASSERT(cur > 0, "remote-free counter underflow (double free?)");
         std::uint16_t ver = ts.next_version();
-        log_->log(mem, OpRecord{.op = Op::FreeRemote,
-                                .large_heap = large_,
-                                .aux = 0,
-                                .version = ver,
-                                .index = slab});
+        OpRecord record{.op = Op::FreeRemote,
+                        .large_heap = large_,
+                        .aux = 0,
+                        .version = ver,
+                        .index = slab};
+        if (in_list) {
+            // Record first, then the list without the decrement, one
+            // fence for both: a crash between the stores finds it in both
+            // places, and recovery keeps the list's copy.
+            log_->log_local(mem, record);
+            PendingList list = load_pending(mem, mem.tid());
+            list.sub(slab, 1);
+            store_pending(mem, list);
+            log_->flush_pending(mem);
+            flush_pending_list(mem);
+            mem.fence();
+            in_list = false;
+        } else {
+            log_->log(mem, record);
+        }
         ctx.maybe_crash(crashpoint::kAfterRecord);
-        auto r = dcas_->try_cas_word(mem, hwcc(slab), word, cur - 1, ver);
+        cxlsync::DetectableCas::Result r;
+        try {
+            r = dcas_->try_cas_word(mem, hwcc(slab), word, cur - 1, ver);
+        } catch (const cxl::NmpStallError&) {
+            if (listed) {
+                relist_final(mem, slab);
+            }
+            throw;
+        } catch (const cxl::EdgeDownError&) {
+            if (listed) {
+                relist_final(mem, slab);
+            }
+            throw;
+        }
         if (!r.success) {
             continue;
         }
@@ -918,6 +1151,16 @@ SlabHeap::free_remote(pod::ThreadContext& ctx, ThreadState& ts,
         }
         return;
     }
+}
+
+void
+SlabHeap::relist_final(cxl::MemSession& mem, std::uint32_t slab)
+{
+    // The CAS threw before it could land: the final goes back into the
+    // list (drain_pending then releases the ring).
+    PendingList list = load_pending(mem, mem.tid());
+    list.add(slab, 1);
+    persist_pending(mem, list);
 }
 
 void
@@ -1122,8 +1365,13 @@ SlabHeap::recover(pod::ThreadContext& ctx, ThreadState& ts,
       case Op::FreeRemote: {
         if (!dcas_->did_succeed(mem, hwcc(slab), record.version)) {
             // The decrement never landed; the block is still marked
-            // allocated. Complete the free now.
-            free_remote(ctx, ts, slab);
+            // allocated. Complete the free now — unless the crash fell
+            // between a final's record and its removal from the pending
+            // list, which still holds it (the drain lands it).
+            if (load_pending(mem, mem.tid()).find(slab) ==
+                PendingList::kSlots) {
+                free_remote(ctx, ts, slab);
+            }
             break;
         }
         std::uint64_t word = mem.atomic_load64(hwcc(slab));
@@ -1141,45 +1389,16 @@ SlabHeap::recover(pod::ThreadContext& ctx, ThreadState& ts,
         }
         break;
       }
-      case Op::FreeRemoteBatch: {
-        // The record only says "a batch was in flight"; the per-operand
-        // redo state is the thread's NMP operand ring, which is device
-        // memory and survived the crash. Snapshot it, release it (the
-        // serial redo path below posts its own operands and requires an
-        // empty ring), then redo every operand that never landed: its
-        // expected - swap decrements, one serial free each.
-        cxl::Nmp& nmp = ctx.process().pod().nmp();
-        cxl::NmpSlotView views[cxl::kNmpRingSlots];
-        std::uint32_t live =
-            nmp.ring_snapshot(mem.tid(), views, cxl::kNmpRingSlots);
-        nmp.reset_ring(mem.tid());
-        for (std::uint32_t i = 0; i < live; i++) {
-            const cxl::NmpSlotView& v = views[i];
-            if (v.op.target < hwcc_base_ ||
-                (v.op.target - hwcc_base_) / 8 >= num_slabs_) {
-                // Staged by a LATER batch of the other heap that crashed
-                // before logging its record: that batch never happened.
-                continue;
-            }
-            CXL_ASSERT((v.op.target - hwcc_base_) % 8 == 0,
-                       "batched operand misaligned in counter region");
-            auto s = static_cast<std::uint32_t>(
-                (v.op.target - hwcc_base_) / 8);
-            CXL_ASSERT(DcasWord::tid(v.op.swap) == mem.tid(),
-                       "foreign operand in adopted ring");
-            // Whether it landed is the slot's own result. did_succeed
-            // cannot tell: help[tid] >= v also follows when a LATER operand
-            // of this ring landed and was displaced since. A landed operand
-            // left a counter >= 1 (finals never ride the ring): no steal to
-            // finish.
-            bool landed =
-                v.state == cxl::NmpSlotState::Executed && v.result.success;
-            std::uint32_t k = landed ? 0
-                                     : DcasWord::value(v.op.expected) -
-                                           DcasWord::value(v.op.swap);
-            for (; k > 0; k--) {
-                free_remote(ctx, ts, s);
-            }
+      case Op::FreeRemoteBatch:
+        // The round's ring operands were reconciled into the pending list
+        // (reconcile_ring) before any redo; the drain after recovery
+        // lands them.
+        break;
+      case Op::FreeDeferred: {
+        PendingList list = load_pending(mem, mem.tid());
+        if (list.size() + 1 == record.aux) {
+            list.add(slab, 1); // the append never happened: redo it
+            store_pending(mem, list);
         }
         break;
       }
@@ -1249,11 +1468,33 @@ SlabHeap::audit(cxl::MemSession& mem, cxl::DeviceId shard,
         }
         raw = next_raw(mem, slab);
     }
+    // Every thread's pending frees, per slab: decrements accepted but not
+    // yet landed on the counter.
+    std::vector<std::uint32_t> pending(len);
+    for (cxl::ThreadId tid = 0; tid <= cxl::kMaxThreads; tid++) {
+        mem.flush(pending_row(tid), sizeof(PendingList));
+        PendingList list = load_pending(mem, tid);
+        for (std::uint32_t i = 0; i < list.n && i < PendingList::kSlots;
+             i++) {
+            if (list.slab(i) >= len) {
+                violate(list.slab(i), AuditLaw::RemoteBalance,
+                        "pending slab < heap length", len, list.slab(i));
+                continue;
+            }
+            pending[list.slab(i)] += list.count(i);
+            report.pending_frees += list.count(i);
+        }
+    }
     // Classless (unsized, global) slabs keep stale bitsets by design.
     for (std::uint32_t slab = 0; slab < len; slab++) {
         mem.flush(desc(slab), desc_stride_);
         std::uint32_t biased = class_biased(mem, slab);
         if (biased == 0) {
+            if (pending[slab] != 0) {
+                violate(slab, AuditLaw::RemoteBalance,
+                        "pending frees of a classless slab", 0,
+                        pending[slab]);
+            }
             continue;
         }
         std::uint32_t free = free_blocks(mem, slab);
@@ -1263,11 +1504,12 @@ SlabHeap::audit(cxl::MemSession& mem, cxl::DeviceId shard,
                     "free counter == bitset popcount", bits, free);
         }
         std::uint32_t remote = dcas_->read(mem, hwcc(slab));
-        if (remote < free) {
+        if (remote < free + pending[slab]) {
             violate(slab, AuditLaw::RemoteBalance,
-                    "remote-free counter >= free counter", free, remote);
+                    "remote-free counter - pending >= free counter",
+                    free + pending[slab], remote);
         } else {
-            report.live_blocks += remote - free;
+            report.live_blocks += remote - free - pending[slab];
         }
     }
 }

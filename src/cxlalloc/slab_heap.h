@@ -15,7 +15,9 @@
 ///    when ownership may change; readers of SWccDesc.owner may use stale
 ///    cached values safely (the case analysis in the paper);
 ///  - 8-byte redo records before every operation, with idempotent redo
-///    (§3.4.2) driven by detectable-CAS success queries.
+///    (§3.4.2) driven by detectable-CAS success queries;
+///  - without HWcc, remote frees wait in a durable per-thread pending
+///    list (PendingList) and land in coalesced NMP doorbells (§4).
 
 #pragma once
 
@@ -33,6 +35,47 @@
 
 namespace cxlalloc {
 
+/// A thread's pending remote frees in one slab heap (NoHwcc only): the
+/// decrements it has accepted but not yet landed on their slabs' HWcc
+/// counters. One owner-only SWcc line (Layout::small_pending /
+/// large_pending; all zero = empty), always rewritten whole by one line
+/// store, so a crash sees either the old or the new list, never half of
+/// an update. Entries [0, n) are live; entry i packs (slab << 8) | count.
+struct PendingList {
+    /// Entry slots in the line.
+    static constexpr std::uint32_t kSlots = 15;
+    /// Pending blocks the list holds before it drains: the most a lost
+    /// (never written back) list can leak.
+    static constexpr std::uint32_t kCapacity = 64;
+    /// Stamp flag: the decrements staged by the drain round whose version
+    /// is in the low 15 bits are out of the list, and the thread's NMP
+    /// ring holds exactly that round. Cleared (version kept) before the
+    /// round's slots are released.
+    static constexpr std::uint16_t kStampOut = 0x8000;
+
+    std::uint8_t n = 0;
+    std::uint8_t reserved = 0;
+    std::uint16_t stamp = 0;
+    std::uint32_t entry[kSlots] = {};
+
+    std::uint32_t slab(std::uint32_t i) const { return entry[i] >> 8; }
+    std::uint32_t count(std::uint32_t i) const { return entry[i] & 0xff; }
+    /// Pending blocks: the FreeDeferred record's aux.
+    std::uint32_t size() const;
+    /// Index of @p slab's entry, or kSlots.
+    std::uint32_t find(std::uint32_t slab) const;
+    /// Adds @p k pending blocks of @p slab (room must exist).
+    void add(std::uint32_t slab, std::uint32_t k);
+    /// Removes @p k of @p slab's pending blocks, dropping an emptied
+    /// entry (order of the others kept).
+    void sub(std::uint32_t slab, std::uint32_t k);
+    /// True when the next append might not fit: drain now.
+    bool full() const { return n == kSlots || size() >= kCapacity; }
+};
+
+static_assert(sizeof(PendingList) == Layout::kPendingStride,
+              "a pending list is one cacheline");
+
 /// One slab heap (small or large).
 class SlabHeap {
   public:
@@ -47,26 +90,43 @@ class SlabHeap {
 
     /// Frees the block at @p offset. Returns true when the free took the
     /// remote path (the slab is owned by another thread), which observers
-    /// count separately: remote frees cost a detectable CAS on the HWcc
-    /// down-counter rather than a local bitset write.
+    /// count separately. Under HWcc modes a remote free is one detectable
+    /// CAS on the slab's down-counter; under NoHwcc it is appended to the
+    /// thread's PendingList (an Op::FreeDeferred record, then one line
+    /// store) and lands in a later drain_pending().
     bool deallocate(pod::ThreadContext& ctx, ThreadState& ts,
                     cxl::HeapOffset offset);
 
-    /// Frees @p n blocks of this heap in one drain. Semantically equal to
-    /// n deallocate() calls; under NoHwcc the remote frees are grouped by
-    /// slab (first-occurrence order) and each group of k lands as ONE
-    /// operand, cur -> cur - k, built from the counter word it read. Up
-    /// to a ring of such operands share one NMP doorbell (one device round
-    /// trip, §4), so a drain costs a round trip per ring of slabs, not per
-    /// block. When cur == k the ring carries k - 1 and the final
-    /// decrement (it steals) stays serial, so a batched operand never
-    /// lands a zero counter — the invariant the Op::FreeRemoteBatch
-    /// recovery case relies on. Failed operands retry their whole group,
-    /// with bounded exponential backoff after a conflict. Returns the
-    /// number of frees that took the remote path.
+    /// Frees @p n blocks of this heap: n deallocate() calls, then (under
+    /// NoHwcc) drain_pending(), so every remote free of the call — and
+    /// any the thread deferred before — has landed when it returns.
+    /// Returns the number of frees that took the remote path.
     std::uint32_t deallocate_batch(pod::ThreadContext& ctx, ThreadState& ts,
                                    const cxl::HeapOffset* offsets,
                                    std::uint32_t n);
+
+    /// Lands the calling thread's pending remote frees. Each round takes
+    /// up to a ring of slab entries; an entry of k blocks becomes ONE
+    /// operand cur -> cur - k, built from the counter word it read, and
+    /// the ring shares one NMP doorbell (one device round trip, §4). When
+    /// cur == k the ring carries k - 1 and the final decrement (it
+    /// steals) stays serial, so a batched operand never lands a zero
+    /// counter. Durability: the round's Op::FreeRemoteBatch record, then
+    /// the list minus the staged decrements (stamped out), share one
+    /// flush + fence before the doorbell; after it, failed operands go
+    /// back into the list and the stamp is cleared (flush + fence) before
+    /// any ring slot is released; a serial final leaves the list inside
+    /// its Op::FreeRemote record's fence. Conflicts retry after bounded
+    /// exponential backoff. An NmpStallError / EdgeDownError is rethrown
+    /// only after the round it interrupted is reconciled and the ring
+    /// released.
+    void drain_pending(pod::ThreadContext& ctx, ThreadState& ts);
+
+    /// Recovery and drain helper: if the calling thread's list is stamped
+    /// out, puts back every operand of that round still in its NMP ring
+    /// that did not land, then clears the stamp (flush + fence); a no-op
+    /// otherwise. Leaves the ring itself to the caller (Nmp::reset_ring).
+    void reconcile_ring(pod::ThreadContext& ctx);
 
     /// True if @p offset lies in this heap's data region.
     bool contains(cxl::HeapOffset offset) const;
@@ -85,8 +145,8 @@ class SlabHeap {
     void recover(pod::ThreadContext& ctx, ThreadState& ts,
                  const OpRecord& record);
 
-    /// Adds this heap's slab-law violations and live blocks (audit.h), as
-    /// shard @p shard, to @p report. Requires quiescence.
+    /// Adds this heap's slab-law violations, live blocks and pending frees
+    /// (audit.h), as shard @p shard, to @p report. Requires quiescence.
     void audit(cxl::MemSession& mem, cxl::DeviceId shard,
                AuditReport& report);
 
@@ -127,9 +187,12 @@ class SlabHeap {
     std::uint32_t debug_remote_free(cxl::MemSession& mem, std::uint32_t slab);
 
     /// Owning thread of @p slab (cxl::kNoThread once the slab has been
-    /// disowned — every free then takes the remote mCAS path regardless
-    /// of the caller, which is what HotSlabMigrator::rehome inspects).
+    /// disowned — every free then takes the remote path regardless of
+    /// the caller, which is what HotSlabMigrator::rehome inspects).
     cxl::ThreadId debug_owner(cxl::MemSession& mem, std::uint32_t slab);
+
+    /// Offset of thread @p tid's PendingList line in this heap.
+    cxl::HeapOffset pending_row(cxl::ThreadId tid) const;
 
   private:
     // ---- descriptor field access (SWccDesc) ----
@@ -215,8 +278,33 @@ class SlabHeap {
                          std::uint32_t cls);
     void free_local(pod::ThreadContext& ctx, ThreadState& ts,
                     std::uint32_t slab, std::uint32_t block);
+    /// One serial decrement of @p slab's counter (stealing at zero). With
+    /// @p listed, the decrement is the final one of a pending entry: it
+    /// leaves the list between its record's store and the record's
+    /// flush + fence, and goes back if the CAS throws.
     void free_remote(pod::ThreadContext& ctx, ThreadState& ts,
-                     std::uint32_t slab);
+                     std::uint32_t slab, bool listed = false);
+    /// Appends a remote free of @p slab to the thread's pending list.
+    void defer_remote(pod::ThreadContext& ctx, ThreadState& ts,
+                      std::uint32_t slab);
+    /// One drain_pending round over @p list (the thread's list, updated
+    /// to what the round leaves behind).
+    void drain_round(pod::ThreadContext& ctx, ThreadState& ts,
+                     PendingList& list, cxl::McasBackoff& backoff);
+    /// After a drain threw NmpStallError / EdgeDownError: reconcile_ring,
+    /// then release the ring (also when the reconcile itself throws).
+    void settle_ring(pod::ThreadContext& ctx);
+    /// Puts a serial final whose CAS threw back into the thread's list.
+    void relist_final(cxl::MemSession& mem, std::uint32_t slab);
+
+    // ---- pending list (owner-only SWcc line) ----
+    PendingList load_pending(cxl::MemSession& mem, cxl::ThreadId tid);
+    /// One line store of the calling thread's list.
+    void store_pending(cxl::MemSession& mem, const PendingList& list);
+    /// Writes the calling thread's list back (flush only).
+    void flush_pending_list(cxl::MemSession& mem);
+    /// Stores the calling thread's list, then flush + fence.
+    void persist_pending(cxl::MemSession& mem, const PendingList& list);
     /// Takes ownership of an unlinked, empty slab onto the unsized list.
     void acquire_to_unsized(pod::ThreadContext& ctx, std::uint32_t slab);
     /// Moves one slab from TL unsized to the global free list.
@@ -253,6 +341,7 @@ class SlabHeap {
     std::uint64_t desc_stride_;
     cxl::HeapOffset hwcc_base_;
     cxl::HeapOffset local_base_;
+    cxl::HeapOffset pending_base_;
 
     /// TL unsized lists longer than this spill to the global free list
     /// (Config::unsized_limit).

@@ -323,6 +323,7 @@ run_threads(Bundle& b, std::uint32_t nthreads,
             auto host = static_cast<pod::HostId>(w * hosts / nthreads);
             auto ctx = b.thread(host);
             ops[w] = body(*ctx, w);
+            b.alloc->detach_thread(*ctx);
             sim[w] = ctx->mem().sim_ns();
             events[w] = ctx->mem().counters();
             if (obs::MetricsRegistry* reg = bundle_metrics()) {

@@ -1,19 +1,22 @@
 /// Batched NMP engine tests: deterministic competing-batch interleavings,
 /// partial-batch conflicts, ring wrap-around and full-ring rejection at the
-/// engine level; then the allocator's batched remote-free drain (one
+/// engine level; then the allocator's drain of pending remote frees (one
 /// operand per slab, k decrements each), including real-thread drain races
-/// and a crash inside a half-submitted batch recovered through the §5.1
-/// machinery (the operand ring is device memory and survives the crash).
+/// and crashes inside a half-submitted drain recovered through the §5.1
+/// machinery (the pending list is durable SWcc memory, the operand ring
+/// device memory; both survive the crash).
 
 #include "cxl/nmp.h"
 
 #include <gtest/gtest.h>
 #include <algorithm>
 #include <atomic>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "../cxlalloc/fixture.h"
+#include "cxlalloc/size_class.h"
 
 namespace {
 
@@ -412,8 +415,9 @@ TEST(DeallocateBatch, DisplacedTagsOfOneThreadRecordHelpOnce)
     auto t1 = rig.thread();
     auto t2 = rig.thread();
     auto t3 = rig.thread();
-    // Two blocks in each of four slabs; t3 frees one of each serially, so
-    // every counter carries a tag of t3 (four versions).
+    // Two blocks in each of four slabs; t3 frees one of each, so every
+    // counter carries a tag of t3 (four versions) once t3's pending frees
+    // land.
     std::vector<cxl::HeapOffset> offs;
     for (std::uint64_t size : {64, 128, 256, 512}) {
         cxl::HeapOffset first = rig.alloc.allocate(*t1, size);
@@ -422,6 +426,7 @@ TEST(DeallocateBatch, DisplacedTagsOfOneThreadRecordHelpOnce)
         offs.push_back(rig.alloc.allocate(*t1, size));
         ASSERT_NE(offs.back(), 0u);
     }
+    rig.alloc.cleanup(*t3);
     CountOp help(sched::Op::DcasHelp);
     sched::t_listener = &help;
     rig.alloc.deallocate_batch(*t2, offs.data(),
@@ -521,11 +526,12 @@ TEST(DeallocateBatch, ConcurrentCoalescedDrainsLandEveryFreeOnce)
 
 /// Fills one 1 KiB-class slab from a victim thread, remote-frees most
 /// blocks in a batch, crashes the freeing thread at @p point inside a
-/// half-submitted batch, recovers via adoption, completes the remaining
-/// frees, and proves exactly-once decrement semantics by stealing the slab
-/// at counter zero: the final allocations must reuse the stolen slab (heap
-/// length unchanged). A lost decrement leaves the counter above zero (no
-/// steal, length grows); a doubled one underflow-asserts.
+/// half-submitted batch, recovers via adoption (which lands the batch),
+/// frees the last block, and proves exactly-once decrement semantics by
+/// stealing the slab at counter zero: the final allocations must reuse the
+/// stolen slab (heap length unchanged). A lost decrement leaves the
+/// counter above zero (no steal, length grows); a doubled one
+/// underflow-asserts.
 void
 batch_crash_roundtrip(int point)
 {
@@ -546,10 +552,8 @@ batch_crash_roundtrip(int point)
 
     // Overwrite t2's record with a completed serial op (alloc + local
     // free) so a kMidBatchStage crash finds a NON-batch record: recovery
-    // must then discard the staged-but-unlogged operand rather than redo
-    // it. (With a stale FreeRemoteBatch record, redoing it would also be
-    // correct — staged operands apply exactly once either way — but the
-    // discard path is the one this test pins down.)
+    // must then discard the staged-but-unstamped operand (its decrements
+    // are still in the pending list) rather than fold it back as well.
     cxl::HeapOffset scratch = rig.alloc.allocate(*t2, 64);
     ASSERT_NE(scratch, 0u);
     rig.alloc.deallocate(*t2, scratch);
@@ -572,16 +576,16 @@ batch_crash_roundtrip(int point)
     rig.alloc.check_invariants(t2->mem());
     rig.alloc.check_local_invariants(t2->mem());
 
-    // kMidBatchStage: no record was logged, so recovery discarded the
-    // staged operand — all 7 frees remain to be done. At the doorbell /
-    // drain points the record was logged and recovery landed the operand's
-    // 7 decrements exactly once (redone 7-fold if it never executed).
-    if (point == cxlalloc::crashpoint::kMidBatchStage) {
-        rig.alloc.deallocate_batch(*t2, offs.data() + 24, 7);
-    }
+    // The 7 frees were in t2's pending list before the drain staged them,
+    // so every batch point recovers them exactly once: kMidBatchStage
+    // discarded the unstamped ring (the list still held them), the doorbell
+    // / drain points put the non-landed operand back; recovery's drain
+    // landed them either way.
+    EXPECT_EQ(rig.alloc.audit(t2->mem()).pending_frees, 0u);
     // Counter is now 1; the last free takes it to zero and t2 steals the
-    // fully-remotely-freed slab (paper §3.2.1).
+    // fully-remotely-freed slab (paper §3.2.1) once the free lands.
     rig.alloc.deallocate(*t2, offs[31]);
+    rig.alloc.cleanup(*t2);
     rig.alloc.check_invariants(t2->mem());
 
     // The stolen slab serves t2's next allocations without growing the
@@ -651,54 +655,457 @@ TEST(DeallocateBatchCrash, FailedOperandIsRedoneAfterALaterOneIsDisplaced)
     rig.pod.release_thread(std::move(t3));
 }
 
+TEST(DeallocateBatchCrash, FinalDecrementSurvivesACrashAfterTheDoorbell)
+{
+    // The last 8 blocks of a slab: one operand carries 7 (8 -> 1), the 8th
+    // (it steals) is serial. A crash after the doorbell must not lose the
+    // serial one: it is still in the pending list, and recovery lands it.
+    Rig rig(nohwcc_opts());
+    auto t1 = rig.thread();
+    auto t2 = rig.thread();
+    constexpr int kBlocks = 32; // a full 1 KiB-class slab
+    std::vector<cxl::HeapOffset> offs;
+    for (int i = 0; i < kBlocks; i++) {
+        offs.push_back(rig.alloc.allocate(*t1, 1024));
+        ASSERT_NE(offs.back(), 0u);
+    }
+    std::uint64_t live0 = rig.alloc.audit(t1->mem()).live_blocks;
+    rig.alloc.deallocate_batch(*t2, offs.data(), 24);
+    t2->arm_crash(cxlalloc::crashpoint::kMidBatchDrain, 1);
+    EXPECT_THROW(rig.alloc.deallocate_batch(*t2, offs.data() + 24, 8),
+                 ThreadCrashed);
+    cxl::ThreadId tid = t2->tid();
+    rig.pod.mark_crashed(std::move(t2));
+    t2 = rig.pod.adopt_thread(rig.process, tid);
+    rig.alloc.recover(*t2);
+    cxlalloc::AuditReport r = rig.alloc.audit(t2->mem());
+    EXPECT_TRUE(r.ok()) << r.to_string();
+    EXPECT_EQ(live0 - r.live_blocks, 32u) << "the final decrement was lost";
+    EXPECT_EQ(rig.alloc.small_heap().debug_remote_free(
+                  t2->mem(), static_cast<std::uint32_t>(
+                                 (offs[0] - rig.alloc.layout().small_data()) /
+                                 cxlalloc::kSmallSlabSize)),
+              0u)
+        << "the slab was never stolen";
+    rig.pod.release_thread(std::move(t1));
+    rig.pod.release_thread(std::move(t2));
+}
+
+TEST(DeallocateBatchCrash, QueuedGroupSurvivesACrashInARoundsFinal)
+{
+    // Nine slab groups: a full 1 KiB slab (31 ride the ring, the 32nd is
+    // serial) plus 8 single blocks in slabs of their own. The first ring
+    // takes eight groups; the ninth waits for round 2. A crash in round
+    // 1's serial final must not lose the waiting group.
+    Rig rig(nohwcc_opts());
+    auto t1 = rig.thread();
+    auto t2 = rig.thread();
+    std::vector<cxl::HeapOffset> offs;
+    for (int i = 0; i < 32; i++) {
+        offs.push_back(rig.alloc.allocate(*t1, 1024));
+        ASSERT_NE(offs.back(), 0u);
+    }
+    for (std::uint64_t size : {8, 16, 32, 64, 128, 256, 512, 600}) {
+        offs.push_back(rig.alloc.allocate(*t1, size));
+        ASSERT_NE(offs.back(), 0u);
+    }
+    std::uint64_t live0 = rig.alloc.audit(t1->mem()).live_blocks;
+    // Arm the crash for the first record after round 1's doorbell: the
+    // serial final's Op::FreeRemote.
+    cxltest::FireOnce arm(
+        [](const sched::Event& e) {
+            return e.op == sched::Op::McasDoorbell;
+        },
+        [&] { t2->arm_crash(cxlalloc::crashpoint::kAfterRecord, 1); });
+    sched::t_listener = &arm;
+    EXPECT_THROW(rig.alloc.deallocate_batch(
+                     *t2, offs.data(), static_cast<std::uint32_t>(offs.size())),
+                 ThreadCrashed);
+    sched::t_listener = nullptr;
+    ASSERT_TRUE(arm.fired());
+    cxl::ThreadId tid = t2->tid();
+    rig.pod.mark_crashed(std::move(t2));
+    t2 = rig.pod.adopt_thread(rig.process, tid);
+    rig.alloc.recover(*t2);
+    cxlalloc::AuditReport r = rig.alloc.audit(t2->mem());
+    EXPECT_TRUE(r.ok()) << r.to_string();
+    EXPECT_EQ(live0 - r.live_blocks, 40u) << "a queued group was lost";
+    rig.pod.release_thread(std::move(t1));
+    rig.pod.release_thread(std::move(t2));
+}
+
+TEST(DeallocateBatchCrash, FinalCaughtBetweenItsRecordAndTheListLandsOnce)
+{
+    // A serial final stores its Op::FreeRemote record, then the list
+    // without its decrement. Dying between the two leaves the decrement in
+    // both places: recovery must land it once, from the list.
+    Rig rig(nohwcc_opts());
+    auto t1 = rig.thread();
+    auto t2 = rig.thread();
+    std::vector<cxl::HeapOffset> offs;
+    for (int i = 0; i < 32; i++) { // a full 1 KiB-class slab
+        offs.push_back(rig.alloc.allocate(*t1, 1024));
+        ASSERT_NE(offs.back(), 0u);
+    }
+    std::uint64_t live0 = rig.alloc.audit(t1->mem()).live_blocks;
+    // Once the round's slots are polled (31 decrements in one operand, all
+    // landed) the next list store is the final's removal.
+    bool polled = false;
+    cxltest::FireOnce die(
+        [&](const sched::Event& e) {
+            polled |= e.op == sched::Op::McasPoll;
+            return polled && e.op == sched::Op::WriteBytes;
+        },
+        [] { throw ThreadCrashed{cxlalloc::crashpoint::kAfterRecord}; });
+    sched::t_listener = &die;
+    EXPECT_THROW(rig.alloc.deallocate_batch(*t2, offs.data(), 32),
+                 ThreadCrashed);
+    sched::t_listener = nullptr;
+    ASSERT_TRUE(die.fired());
+    cxl::ThreadId tid = t2->tid();
+    ASSERT_EQ(rig.alloc.pending_record(*t2).op, cxlalloc::Op::FreeRemote);
+    rig.pod.mark_crashed(std::move(t2));
+    t2 = rig.pod.adopt_thread(rig.process, tid);
+    rig.alloc.recover(*t2);
+    cxlalloc::AuditReport r = rig.alloc.audit(t2->mem());
+    EXPECT_TRUE(r.ok()) << r.to_string();
+    EXPECT_EQ(r.pending_frees, 0u);
+    EXPECT_EQ(live0 - r.live_blocks, 32u);
+    std::uint32_t len = rig.alloc.stats(t2->mem()).small.length;
+    for (int i = 0; i < 32; i++) { // the stolen slab serves these
+        ASSERT_NE(rig.alloc.allocate(*t2, 1024), 0u);
+    }
+    EXPECT_EQ(rig.alloc.stats(t2->mem()).small.length, len);
+    rig.pod.release_thread(std::move(t1));
+    rig.pod.release_thread(std::move(t2));
+}
+
 TEST(DeallocateBatchCrash, SweepCountdownsThroughMixedBatches)
 {
-    // §5.1-style sweep: mixed batched frees with the crash armed at each
-    // batch point and several countdown depths; every interrupted state
-    // must recover to a fully usable heap.
-    for (int point : {cxlalloc::crashpoint::kMidBatchStage,
+    // §5.1-style sweep with exact accounting: one batch of a full 1 KiB
+    // slab (its last decrement steals) plus two blocks in each of twelve
+    // classes — thirteen slab entries, so the drain takes two rounds —
+    // with the crash armed at each point of the free path — the
+    // FreeDeferred append and the final's record (kAfterRecord), the three
+    // batch points, the steal — at several countdowns. After recovery and
+    // cleanup exactly the accepted frees have landed: every one when the
+    // crash hit the drain, the first `countdown` appends when it hit the
+    // appends (a logged append is redone, an unlogged one never happened).
+    constexpr std::uint32_t kFull = 32;
+    constexpr std::uint64_t kSizes[] = {8,  16,  24,  32,  48,  64,
+                                        96, 128, 192, 256, 384, 512};
+    constexpr std::uint32_t kFrees = kFull + 2 * std::size(kSizes);
+    struct Case {
+        int point;
+        std::uint32_t countdown;
+    };
+    std::vector<Case> cases;
+    for (int point : {cxlalloc::crashpoint::kAfterRecord,
+                      cxlalloc::crashpoint::kMidBatchStage,
                       cxlalloc::crashpoint::kMidBatchDoorbell,
-                      cxlalloc::crashpoint::kMidBatchDrain}) {
+                      cxlalloc::crashpoint::kMidBatchDrain,
+                      cxlalloc::crashpoint::kMidSteal}) {
         for (std::uint32_t countdown = 1; countdown <= 5; countdown++) {
-            Rig rig(nohwcc_opts());
-            auto t1 = rig.thread();
-            auto t2 = rig.thread();
-            std::vector<cxl::HeapOffset> offs;
-            for (int round = 0; round < 3; round++) {
-                for (std::uint64_t size : {8, 16, 32, 64, 128, 256, 512}) {
-                    cxl::HeapOffset p = rig.alloc.allocate(*t1, size);
-                    ASSERT_NE(p, 0u);
-                    offs.push_back(p);
-                }
-            }
-            t2->arm_crash(point, countdown);
-            bool crashed = false;
-            try {
-                rig.alloc.deallocate_batch(
-                    *t2, offs.data(),
-                    static_cast<std::uint32_t>(offs.size()));
-                t2->disarm_crash();
-            } catch (const ThreadCrashed&) {
-                crashed = true;
-                cxl::ThreadId tid = t2->tid();
-                rig.pod.mark_crashed(std::move(t2));
-                t2 = rig.pod.adopt_thread(rig.process, tid);
-                rig.alloc.recover(*t2);
-            }
-            rig.alloc.check_invariants(t2->mem());
-            rig.alloc.check_local_invariants(t2->mem());
-            // The heap stays fully usable either way.
-            for (int i = 0; i < 30; i++) {
-                cxl::HeapOffset p = rig.alloc.allocate(*t2, 64);
-                ASSERT_NE(p, 0u);
-                rig.alloc.deallocate(*t2, p);
-            }
-            rig.alloc.check_invariants(t2->mem());
-            (void)crashed;
-            rig.pod.release_thread(std::move(t1));
-            rig.pod.release_thread(std::move(t2));
+            cases.push_back({point, countdown});
         }
     }
+    for (std::uint32_t countdown : {kFrees - 1, kFrees, kFrees + 1}) {
+        cases.push_back({cxlalloc::crashpoint::kAfterRecord, countdown});
+    }
+    for (const Case& c : cases) {
+        SCOPED_TRACE("point " + std::to_string(c.point) + " countdown " +
+                     std::to_string(c.countdown));
+        Rig rig(nohwcc_opts());
+        auto t1 = rig.thread();
+        auto t2 = rig.thread();
+        std::vector<cxl::HeapOffset> offs;
+        for (std::uint32_t i = 0; i < kFull; i++) {
+            offs.push_back(rig.alloc.allocate(*t1, 1024));
+        }
+        for (int round = 0; round < 2; round++) {
+            for (std::uint64_t size : kSizes) {
+                offs.push_back(rig.alloc.allocate(*t1, size));
+            }
+        }
+        for (cxl::HeapOffset p : offs) {
+            ASSERT_NE(p, 0u);
+        }
+        std::uint64_t live0 = rig.alloc.audit(t1->mem()).live_blocks;
+        std::uint32_t accepted = kFrees;
+        t2->arm_crash(c.point, c.countdown);
+        try {
+            rig.alloc.deallocate_batch(*t2, offs.data(), kFrees);
+            t2->disarm_crash();
+        } catch (const ThreadCrashed&) {
+            if (c.point == cxlalloc::crashpoint::kAfterRecord) {
+                accepted = std::min(c.countdown, kFrees);
+            }
+            cxl::ThreadId tid = t2->tid();
+            rig.pod.mark_crashed(std::move(t2));
+            t2 = rig.pod.adopt_thread(rig.process, tid);
+            rig.alloc.recover(*t2);
+        }
+        rig.alloc.cleanup(*t2);
+        cxlalloc::AuditReport r = rig.alloc.audit(t2->mem());
+        ASSERT_TRUE(r.ok()) << r.to_string();
+        EXPECT_EQ(r.pending_frees, 0u);
+        EXPECT_EQ(live0 - r.live_blocks, accepted);
+        rig.alloc.check_local_invariants(t2->mem());
+        // The heap stays fully usable either way.
+        for (int i = 0; i < 30; i++) {
+            cxl::HeapOffset p = rig.alloc.allocate(*t2, 64);
+            ASSERT_NE(p, 0u);
+            rig.alloc.deallocate(*t2, p);
+        }
+        rig.alloc.check_invariants(t2->mem());
+        rig.pod.release_thread(std::move(t1));
+        rig.pod.release_thread(std::move(t2));
+    }
+}
+
+TEST(DeallocateBatchCrash, FreshOccupantsFirstRoundIsNotItsPredecessors)
+{
+    // Occupant A of a thread slot drains one clean round at version 1 and
+    // leaves. B takes the same slot with a fresh version counter, so its
+    // first round is at version 1 too, and dies with it posted but not yet
+    // stamped: its decrements are still in the list, and recovery must not
+    // fold them back in as A's round as well.
+    Rig rig(nohwcc_opts());
+    auto t1 = rig.thread();
+    auto a = rig.thread();
+    cxl::ThreadId tid = a->tid();
+    std::vector<cxl::HeapOffset> offs;
+    for (int i = 0; i < 4; i++) { // four blocks of one 1 KiB-class slab
+        offs.push_back(rig.alloc.allocate(*t1, 1024));
+        ASSERT_NE(offs.back(), 0u);
+    }
+    std::uint64_t live0 = rig.alloc.audit(t1->mem()).live_blocks;
+    rig.alloc.deallocate_batch(*a, offs.data(), 2);
+    rig.alloc.detach_thread(*a);
+    rig.pod.release_thread(std::move(a));
+
+    auto b = rig.thread();
+    ASSERT_EQ(b->tid(), tid);
+    b->arm_crash(cxlalloc::crashpoint::kMidBatchStage, 1);
+    EXPECT_THROW(rig.alloc.deallocate_batch(*b, offs.data() + 2, 2),
+                 ThreadCrashed);
+    rig.pod.mark_crashed(std::move(b));
+    b = rig.pod.adopt_thread(rig.process, tid);
+    rig.alloc.recover(*b);
+    cxlalloc::AuditReport r = rig.alloc.audit(b->mem());
+    EXPECT_TRUE(r.ok()) << r.to_string();
+    EXPECT_EQ(r.pending_frees, 0u);
+    EXPECT_EQ(live0 - r.live_blocks, 4u) << "a decrement landed twice";
+    rig.pod.release_thread(std::move(t1));
+    rig.pod.release_thread(std::move(b));
+}
+
+/// A thread (t2 of @p rig) with one block pending in each of the first
+/// @p pending of @p offs (one slab each), whose cleanup then hits a stall
+/// that escalates: the drain must rethrow with its round back in the list
+/// and the ring released.
+void
+stall_a_drain(Rig& rig, pod::ThreadContext& t2,
+              const std::vector<cxl::HeapOffset>& offs, std::uint32_t pending)
+{
+    for (std::uint32_t i = 0; i < pending; i++) {
+        rig.alloc.deallocate(t2, offs[i]);
+    }
+    rig.pod.nmp().inject_stall(cxl::kNmpStallRetryLimit + 1);
+    EXPECT_THROW(rig.alloc.cleanup(t2), cxl::NmpStallError);
+    EXPECT_EQ(rig.pod.nmp().stall_remaining(), 0u);
+    EXPECT_EQ(rig.pod.nmp().ring_occupancy(t2.tid()), 0u);
+    EXPECT_EQ(rig.alloc.audit(t2.mem()).pending_frees, pending);
+}
+
+/// One block in each small size class: every block in a slab of its own.
+std::vector<cxl::HeapOffset>
+one_block_per_class(Rig& rig, pod::ThreadContext& owner)
+{
+    std::vector<cxl::HeapOffset> offs;
+    for (std::uint32_t c = 0; c < cxlalloc::kNumSmallClasses; c++) {
+        offs.push_back(rig.alloc.allocate(owner, cxlalloc::small_class_size(c)));
+        EXPECT_NE(offs.back(), 0u);
+    }
+    return offs;
+}
+
+TEST(DeallocateBatchStall, EscalatedRoundIsBackBeforeTheListRefills)
+{
+    // Eight pending slabs, a stall that escalates, then fifteen more
+    // distinct-slab frees: the list fills and drains with the stalled
+    // round's eight already back in it (never 23 entries at once).
+    Rig rig(nohwcc_opts());
+    auto t1 = rig.thread();
+    auto t2 = rig.thread();
+    std::vector<cxl::HeapOffset> offs = one_block_per_class(rig, *t1);
+    std::uint64_t live0 = rig.alloc.audit(t1->mem()).live_blocks;
+    stall_a_drain(rig, *t2, offs, 8);
+    for (std::uint32_t i = 8; i < 8 + 15; i++) {
+        rig.alloc.deallocate(*t2, offs[i]);
+    }
+    rig.alloc.cleanup(*t2);
+    cxlalloc::AuditReport r = rig.alloc.audit(t2->mem());
+    EXPECT_TRUE(r.ok()) << r.to_string();
+    EXPECT_EQ(r.pending_frees, 0u);
+    EXPECT_EQ(live0 - r.live_blocks, 23u);
+    rig.pod.release_thread(std::move(t1));
+    rig.pod.release_thread(std::move(t2));
+}
+
+TEST(DeallocateBatchStall, AppendLoggedAfterAStallIsRedone)
+{
+    // After an escalated stall, the next append dies between its
+    // FreeDeferred record and its list store. Its record counted the list
+    // with the stalled round back in it; recovery redoes the append.
+    Rig rig(nohwcc_opts());
+    auto t1 = rig.thread();
+    auto t2 = rig.thread();
+    std::vector<cxl::HeapOffset> offs = one_block_per_class(rig, *t1);
+    std::uint64_t live0 = rig.alloc.audit(t1->mem()).live_blocks;
+    stall_a_drain(rig, *t2, offs, 8);
+    t2->arm_crash(cxlalloc::crashpoint::kAfterRecord, 1);
+    EXPECT_THROW(rig.alloc.deallocate(*t2, offs[8]), ThreadCrashed);
+    cxl::ThreadId tid = t2->tid();
+    rig.pod.mark_crashed(std::move(t2));
+    t2 = rig.pod.adopt_thread(rig.process, tid);
+    rig.alloc.recover(*t2);
+    cxlalloc::AuditReport r = rig.alloc.audit(t2->mem());
+    EXPECT_TRUE(r.ok()) << r.to_string();
+    EXPECT_EQ(r.pending_frees, 0u);
+    EXPECT_EQ(live0 - r.live_blocks, 9u) << "the logged append was lost";
+    rig.pod.release_thread(std::move(t1));
+    rig.pod.release_thread(std::move(t2));
+}
+
+TEST(DeallocateBatchStall, StalledFinalGoesBackIntoTheList)
+{
+    // A full 1 KiB slab: one operand lands 31 decrements, then the serial
+    // final's mCAS escalates a stall. The final must go back into the
+    // list (it never landed) and land, stealing the slab, on the next
+    // drain.
+    Rig rig(nohwcc_opts());
+    auto t1 = rig.thread();
+    auto t2 = rig.thread();
+    std::vector<cxl::HeapOffset> offs;
+    for (int i = 0; i < 32; i++) {
+        offs.push_back(rig.alloc.allocate(*t1, 1024));
+        ASSERT_NE(offs.back(), 0u);
+    }
+    std::uint64_t live0 = rig.alloc.audit(t1->mem()).live_blocks;
+    for (cxl::HeapOffset p : offs) {
+        rig.alloc.deallocate(*t2, p);
+    }
+    int doorbells = 0;
+    cxltest::FireOnce stall(
+        [&](const sched::Event& e) {
+            return e.op == sched::Op::McasDoorbell && ++doorbells == 2;
+        },
+        [&] { rig.pod.nmp().inject_stall(cxl::kNmpStallRetryLimit + 1); });
+    sched::t_listener = &stall;
+    EXPECT_THROW(rig.alloc.cleanup(*t2), cxl::NmpStallError);
+    sched::t_listener = nullptr;
+    ASSERT_TRUE(stall.fired());
+    EXPECT_EQ(rig.pod.nmp().ring_occupancy(t2->tid()), 0u);
+    cxlalloc::AuditReport r = rig.alloc.audit(t2->mem());
+    EXPECT_TRUE(r.ok()) << r.to_string();
+    EXPECT_EQ(r.pending_frees, 1u);
+    rig.alloc.cleanup(*t2);
+    r = rig.alloc.audit(t2->mem());
+    EXPECT_TRUE(r.ok()) << r.to_string();
+    EXPECT_EQ(r.pending_frees, 0u);
+    EXPECT_EQ(live0 - r.live_blocks, 32u);
+    std::uint32_t len = rig.alloc.stats(t2->mem()).small.length;
+    for (int i = 0; i < 32; i++) { // the stolen slab serves these
+        ASSERT_NE(rig.alloc.allocate(*t2, 1024), 0u);
+    }
+    EXPECT_EQ(rig.alloc.stats(t2->mem()).small.length, len);
+    rig.pod.release_thread(std::move(t1));
+    rig.pod.release_thread(std::move(t2));
+}
+
+TEST(DeferredFrees, HostCrashLeaksAtMostTheUnflushedAppends)
+{
+    // Appends since the last drain are plain stores in the freeing host's
+    // cache: a host crash may lose them (a leak bounded by the list's
+    // capacity), but recovery never lands a free twice.
+    RigOptions opt = nohwcc_opts();
+    opt.simulate_cache = true;
+    Rig rig(opt);
+    auto t1 = rig.thread();
+    auto t2 = rig.thread();
+    std::vector<cxl::HeapOffset> offs;
+    for (int i = 0; i < 16; i++) {
+        offs.push_back(rig.alloc.allocate(*t1, 64));
+        ASSERT_NE(offs.back(), 0u);
+    }
+    std::uint64_t live0 = rig.alloc.audit(t1->mem()).live_blocks;
+    rig.alloc.deallocate_batch(*t2, offs.data(), 8); // drained: durable
+    for (int i = 8; i < 12; i++) {
+        rig.alloc.deallocate(*t2, offs[i]); // pending, in t2's cache only
+    }
+    cxl::ThreadId tid = t2->tid();
+    rig.pod.mark_crashed(std::move(t2), pod::Pod::CrashSeverity::Host);
+    t2 = rig.pod.adopt_thread(rig.process, tid);
+    rig.alloc.recover(*t2);
+    cxlalloc::AuditReport r = rig.alloc.audit(t1->mem());
+    EXPECT_TRUE(r.ok()) << r.to_string();
+    EXPECT_EQ(r.pending_frees, 0u);
+    EXPECT_GE(live0 - r.live_blocks, 8u) << "a drained free was lost";
+    EXPECT_LE(live0 - r.live_blocks, 12u) << "a free landed twice";
+    for (int i = 12; i < 16; i++) {
+        rig.alloc.deallocate(*t2, offs[i]);
+    }
+    rig.alloc.cleanup(*t2);
+    r = rig.alloc.audit(t1->mem());
+    EXPECT_TRUE(r.ok()) << r.to_string();
+    EXPECT_LE(r.live_blocks, 4u) << "more than the lost appends leaked";
+    rig.pod.release_thread(std::move(t1));
+    rig.pod.release_thread(std::move(t2));
+}
+
+TEST(DeferredFrees, TwoThreadsFreeIntoEachOthersSlabsAndDrainViaCleanup)
+{
+    // Real threads (the TSan job runs this): each thread frees the other's
+    // blocks — every free is remote, so it waits in the freeing thread's
+    // pending list (drained when the list fills) — then lands the rest
+    // with cleanup. Every round must end with a clean audit, nothing
+    // pending and no live block.
+    Rig rig(nohwcc_opts());
+    constexpr int kPerThread = 200;
+    auto a = rig.thread();
+    auto b = rig.thread();
+    pod::ThreadContext* ctx[2] = {a.get(), b.get()};
+    for (int round = 0; round < 16; round++) {
+        std::vector<cxl::HeapOffset> owned[2];
+        for (int t = 0; t < 2; t++) {
+            for (int i = 0; i < kPerThread; i++) {
+                std::uint64_t size = 8u << (i % 8); // 8 B .. 1 KiB
+                owned[t].push_back(rig.alloc.allocate(*ctx[t], size));
+                ASSERT_NE(owned[t].back(), 0u);
+            }
+        }
+        std::vector<std::thread> threads;
+        for (int t = 0; t < 2; t++) {
+            threads.emplace_back([&, t] {
+                for (cxl::HeapOffset p : owned[1 - t]) {
+                    rig.alloc.deallocate(*ctx[t], p);
+                }
+                rig.alloc.cleanup(*ctx[t]);
+            });
+        }
+        for (std::thread& th : threads) {
+            th.join();
+        }
+        cxlalloc::AuditReport r = rig.alloc.audit(a->mem());
+        ASSERT_TRUE(r.ok()) << "round " << round << ": " << r.to_string();
+        ASSERT_EQ(r.pending_frees, 0u) << "round " << round;
+        ASSERT_EQ(r.live_blocks, 0u) << "round " << round;
+    }
+    rig.alloc.check_local_invariants(a->mem());
+    rig.alloc.check_local_invariants(b->mem());
+    rig.pod.release_thread(std::move(a));
+    rig.pod.release_thread(std::move(b));
 }
 
 } // namespace

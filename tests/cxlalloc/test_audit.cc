@@ -75,6 +75,47 @@ TEST(Audit, LoweredRemoteCounterBreaksTheRemoteBalance)
     expect_only(r.audit(), AuditHeap::Small, r.slab, AuditLaw::RemoteBalance);
 }
 
+TEST(Audit, PendingFreeIsNeitherLiveNorLanded)
+{
+    // A NoHwcc remote free waits in the freeing thread's pending list: the
+    // block is no longer live, its counter has not moved, and cleanup
+    // lands it.
+    cxltest::RigOptions opt;
+    opt.mode = cxl::CoherenceMode::NoHwcc;
+    cxltest::Rig rig(opt);
+    auto owner = rig.thread();
+    auto freer = rig.thread();
+    cxl::HeapOffset block = rig.alloc.allocate(*owner, 64);
+    ASSERT_NE(block, 0u);
+    AuditReport before = rig.alloc.audit(owner->mem());
+    rig.alloc.deallocate(*freer, block);
+    AuditReport pending = rig.alloc.audit(owner->mem());
+    EXPECT_TRUE(pending.ok()) << pending.to_string();
+    EXPECT_EQ(pending.pending_frees, 1u);
+    EXPECT_EQ(pending.live_blocks, before.live_blocks - 1);
+    rig.alloc.cleanup(*freer);
+    AuditReport landed = rig.alloc.audit(owner->mem());
+    EXPECT_TRUE(landed.ok()) << landed.to_string();
+    EXPECT_EQ(landed.pending_frees, 0u);
+    EXPECT_EQ(landed.live_blocks, before.live_blocks - 1);
+    rig.pod.release_thread(std::move(owner));
+    rig.pod.release_thread(std::move(freer));
+}
+
+TEST(Audit, PendingEntryBeyondItsCounterBreaksTheRemoteBalance)
+{
+    // A doctored pending-list entry claims more frees of the slab than its
+    // counter has blocks outstanding: landing it would double free.
+    AuditRig r;
+    cxl::HeapOffset row = r.rig.alloc.small_heap().pending_row(r.t->tid());
+    cxlalloc::PendingList list;
+    list.add(r.slab, 2); // the slab has one live block
+    r.mem.write_bytes(row, &list, sizeof list);
+    AuditReport report = r.audit();
+    expect_only(report, AuditHeap::Small, r.slab, AuditLaw::RemoteBalance);
+    EXPECT_EQ(report.pending_frees, 2u);
+}
+
 TEST(Audit, CyclicGlobalListBreaksTheGlobalListLaw)
 {
     // Filling and emptying eight 1 KiB slabs spills the unsized surplus

@@ -14,6 +14,7 @@
 
 #include "cxlalloc/migrate.h"
 #include "cxlalloc/size_class.h"
+#include "fixture.h"
 #include "pod/crashpoint.h"
 #include "pod/pod.h"
 #include "pod/topology.h"
@@ -44,8 +45,9 @@ far_edge()
 /// A 1-host (default) pod over 2 CXL devices, optionally extended with a
 /// per-host private DRAM window, plus a migrator over the sharded heap.
 struct TieredWorld {
-    explicit TieredWorld(std::uint32_t dram_percent, bool tiered = true,
-                         HostId hosts = 1)
+    explicit TieredWorld(
+        std::uint32_t dram_percent, bool tiered = true, HostId hosts = 1,
+        cxl::CoherenceMode mode = cxl::CoherenceMode::PartialHwcc)
     {
         cfg.small_slabs = 4;
         cfg.large_slabs = 2;
@@ -64,8 +66,8 @@ struct TieredWorld {
 
         PodConfig pc;
         pc.device = PodShardedAllocator::device_config(
-            cfg, topo, cxl::CoherenceMode::PartialHwcc,
-            /*simulate_cache=*/false, 0, tiered ? &dram_cfg : nullptr);
+            cfg, topo, mode, /*simulate_cache=*/false, 0,
+            tiered ? &dram_cfg : nullptr);
         pc.topology = topo;
         pod = std::make_unique<Pod>(pc);
         alloc = std::make_unique<PodShardedAllocator>(
@@ -409,6 +411,51 @@ TEST(MigrateCrash, EveryCrashPointRecoversWithExactBlockAccounting)
         EXPECT_EQ(w.live_blocks(mem), 0u);
         w.pod->release_thread(std::move(rescuer));
     }
+}
+
+TEST(MigrateCrash, DeferredLoserFreeIsNotRefreedUnderNoHwcc)
+{
+    // Without HWcc the loser's free is remote (its slab belongs to the
+    // thread that made the object), so it waits in the migrating thread's
+    // pending list. A crash right after its Op::FreeDeferred record must
+    // leave exactly one free: shard recovery redoes the append and lands
+    // it, and Free-stage recovery sees a free-type record and does not
+    // free the loser again.
+    TieredWorld w(/*dram_percent=*/0, /*tiered=*/false, /*hosts=*/1,
+                  cxl::CoherenceMode::NoHwcc);
+    auto maker = w.thread();
+    cxl::HeapOffset obj = w.make_object(*maker, 0, 0x3c);
+    auto ctx = w.thread();
+    cxl::ThreadId tid = ctx->tid();
+    cxl::DeviceId other = w.home() == 0 ? 1 : 0;
+    cxltest::FireOnce arm(
+        [](const sched::Event& e) {
+            return e.op == sched::Op::CrashPoint &&
+                   e.aux == static_cast<std::uint64_t>(
+                                cxlalloc::migratepoint::kMidFree);
+        },
+        [&] { ctx->arm_crash(cxlalloc::crashpoint::kAfterRecord, 1); });
+    sched::t_listener = &arm;
+    EXPECT_THROW(w.migrator->debug_migrate_cell(*ctx, w.cell(0), other),
+                 ThreadCrashed);
+    sched::t_listener = nullptr;
+    ASSERT_TRUE(arm.fired());
+    EXPECT_EQ(w.alloc->shard(w.home()).pending_record(*ctx).op,
+              cxlalloc::Op::FreeDeferred);
+    w.pod->mark_crashed(std::move(ctx));
+
+    auto rescuer = w.pod->adopt_thread(w.procs[0], tid);
+    w.migrator->recover(*rescuer);
+    cxl::MemSession& mem = rescuer->mem();
+    auto winner = static_cast<cxl::HeapOffset>(w.cell_value(mem, 0)) << 3;
+    EXPECT_NE(winner, obj);
+    EXPECT_EQ(w.device_of(winner), other);
+    EXPECT_TRUE(w.payload_is(mem, winner, 0x3c));
+    EXPECT_EQ(w.live_blocks(mem), 1u) << "the loser was freed twice or never";
+    EXPECT_EQ(w.alloc->audit(mem).pending_frees, 0u);
+    w.alloc->deallocate(*rescuer, winner);
+    w.pod->release_thread(std::move(rescuer));
+    w.pod->release_thread(std::move(maker));
 }
 
 TEST(MigrateCrash, RecoveryReentersAfterCrashingMidRecovery)

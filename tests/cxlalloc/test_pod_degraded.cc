@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "cxlalloc/pod_shard.h"
+#include "fixture.h"
 #include "obs/registry.h"
 #include "pod/faults.h"
 #include "pod/pod.h"
@@ -44,7 +45,8 @@ far_edge()
 /// A 2x2 dense pod with one tiny shard per device (2 small slabs = 64
 /// 1-KiB blocks each), mirroring test_pod_shard.cc's world.
 struct DegradedWorld {
-    DegradedWorld()
+    explicit DegradedWorld(
+        cxl::CoherenceMode mode = cxl::CoherenceMode::PartialHwcc)
         : topo(Topology::dense(2, 2, EdgeCost{}, far_edge()))
     {
         cfg.small_slabs = 2;
@@ -55,8 +57,7 @@ struct DegradedWorld {
         cfg.hazard_slots_per_thread = 4;
 
         PodConfig pc;
-        pc.device = PodShardedAllocator::device_config(
-            cfg, topo, cxl::CoherenceMode::PartialHwcc);
+        pc.device = PodShardedAllocator::device_config(cfg, topo, mode);
         pc.topology = topo;
         pod = std::make_unique<Pod>(pc);
         alloc = std::make_unique<PodShardedAllocator>(*pod, cfg);
@@ -301,6 +302,52 @@ TEST(PodDegraded, BatchFreeParksOnlyTheDownPortion)
 /// FaultPlan::for_point, must leave the allocator with exact block
 /// accounting once the fault is recovered: edges restored, dead hosts
 /// adopted and recovered, parked frees drained.
+/// Without HWcc, host 0's frees into device 1 wait in its pending list
+/// for that shard. The edge goes Down after a drain round's doorbell, so
+/// the drain cannot write its list back: the ring is released but the
+/// list keeps the round's out stamp. The next drain must clear that stamp
+/// before it posts, or a crash in its round would be folded back as the
+/// stale round's operands while the list still holds them.
+TEST(PodDegraded, DrainCutByAnEdgeOutageIsSettledByTheNextDrain)
+{
+    DegradedWorld w(cxl::CoherenceMode::NoHwcc);
+    auto c0 = w.thread(0);
+    auto c1 = w.thread(1);
+    std::vector<cxl::HeapOffset> far;
+    for (int i = 0; i < 3; i++) {
+        cxl::HeapOffset p = w.alloc->allocate(*c1, 1024);
+        ASSERT_NE(p, 0u);
+        ASSERT_EQ(w.device_of(p), 1);
+        far.push_back(p);
+    }
+    w.alloc->deallocate(*c0, far[0]);
+    w.alloc->deallocate(*c0, far[1]);
+    cxltest::FireOnce outage(
+        [](const sched::Event& e) {
+            return e.op == sched::Op::McasDoorbell;
+        },
+        [&] { w.topo.set_edge_state(0, 1, EdgeState::Down); });
+    sched::t_listener = &outage;
+    EXPECT_THROW(w.alloc->cleanup(*c0), cxl::EdgeDownError);
+    sched::t_listener = nullptr;
+    ASSERT_TRUE(outage.fired());
+    EXPECT_EQ(w.pod->nmp().ring_occupancy(c0->tid()), 0u);
+    w.topo.set_edge_state(0, 1, EdgeState::Up);
+
+    w.alloc->deallocate(*c0, far[2]);
+    c0->arm_crash(cxlalloc::crashpoint::kMidBatchStage, 1);
+    EXPECT_THROW(w.alloc->cleanup(*c0), pod::ThreadCrashed);
+    cxl::ThreadId tid = c0->tid();
+    w.pod->mark_crashed(std::move(c0));
+    c0 = w.pod->adopt_thread(w.procs[0], tid);
+    w.alloc->recover(*c0);
+    cxlalloc::AuditReport audit = w.alloc->audit(c0->mem());
+    EXPECT_EQ(audit.pending_frees, 0u);
+    w.expect_drained(c0->mem());
+    w.pod->release_thread(std::move(c0));
+    w.pod->release_thread(std::move(c1));
+}
+
 TEST(PodDegraded, RegistrySweepEveryFaultPointKeepsBlockAccounting)
 {
     pod::register_fault_points();

@@ -2,7 +2,9 @@
 /// Coalesced remote-free drains under explored schedules (paper §3.2.1,
 /// §4): two drainers free interleaved halves of an owner's full slabs
 /// through deallocate_batch — one operand per slab per ring, the final
-/// decrement serial — while the owner frees blocks of its own locally.
+/// decrement serial — while the owner frees blocks of its own locally;
+/// and an owner whose frees into its own disowned slabs wait in its
+/// pending list (NoHwcc) while a neighbour batch-drains the same slabs.
 /// With crash injection any participant dies at any yield, and a
 /// recoverer adopts and recovers its slot while the others keep running
 /// (until then the dead thread's staged operands doom every competing
@@ -38,6 +40,67 @@ constexpr int kLocal = 4; // 64 B blocks the owner frees itself
 static_assert(kSlabs * kPerSlab % (kDrainers * kBatch) == 0,
               "each drainer's share splits into whole batches");
 
+/// True if @p slab is on @p tid's small unsized list.
+bool
+on_unsized_list(cxlalloc::CxlAllocator& alloc, cxl::MemSession& mem,
+                cxl::ThreadId tid, std::uint32_t slab)
+{
+    const cxlalloc::Layout& l = alloc.layout();
+    auto raw = mem.load<std::uint32_t>(l.small_local(tid));
+    for (std::uint32_t steps = 0;
+         raw != 0 && steps <= alloc.config().small_slabs; steps++) {
+        if (raw - 1 == slab) {
+            return true;
+        }
+        raw = mem.load<std::uint32_t>(l.small_swcc_desc(raw - 1) +
+                                      cxlalloc::DescField::kNext);
+    }
+    return false;
+}
+
+/// Every slab of @p slabs whose counter reached zero sits on exactly one
+/// of @p stealers' unsized lists, owned by that thread; every other slab
+/// is on none. With @p all_freed (nobody died) every slab was stolen.
+void
+check_steals(cxlalloc::CxlAllocator& alloc, cxl::MemSession& mem,
+             const std::vector<std::uint32_t>& slabs,
+             const std::vector<cxl::ThreadId>& stealers, bool all_freed)
+{
+    cxlalloc::SlabHeap& heap = alloc.small_heap();
+    for (std::uint32_t slab : slabs) {
+        bool stolen = heap.debug_remote_free(mem, slab) == 0;
+        int holders = 0;
+        bool owner_holds = false;
+        for (cxl::ThreadId tid : stealers) {
+            if (on_unsized_list(alloc, mem, tid, slab)) {
+                holders++;
+                owner_holds |= heap.debug_owner(mem, slab) == tid;
+            }
+        }
+        std::string at = "slab " + std::to_string(slab) + ": ";
+        if (stolen && (holders != 1 || !owner_holds)) {
+            throw OracleFailure(at + "stolen, but on " +
+                                std::to_string(holders) +
+                                " stealer lists (owner holds: " +
+                                std::to_string(owner_holds) + ")");
+        }
+        if (!stolen && holders != 0) {
+            throw OracleFailure(at + "on a stealer list, counter > 0");
+        }
+        if (all_freed && !stolen) {
+            throw OracleFailure(at + "every block freed, never stolen");
+        }
+    }
+}
+
+/// Slab index of small-heap block @p p.
+std::uint32_t
+slab_of(const cxlalloc::CxlAllocator& alloc, cxl::HeapOffset p)
+{
+    return static_cast<std::uint32_t>((p - alloc.layout().small_data()) /
+                                      cxlalloc::kSmallSlabSize);
+}
+
 struct DrainWorld {
     DrainWorld() : cfg(make_config()), pod(make_pod(cfg)), alloc(pod, cfg)
     {
@@ -66,9 +129,7 @@ struct DrainWorld {
             }
         }
         for (int s = 0; s < kSlabs; s++) {
-            slabs.push_back(static_cast<std::uint32_t>(
-                (full[s * kPerSlab] - alloc.layout().small_data()) /
-                cxlalloc::kSmallSlabSize));
+            slabs.push_back(slab_of(alloc, full[s * kPerSlab]));
         }
     }
 
@@ -96,57 +157,6 @@ struct DrainWorld {
         return pc;
     }
 
-    /// True if @p slab is on @p tid's small unsized list.
-    bool
-    on_unsized_list(cxl::MemSession& mem, cxl::ThreadId tid,
-                    std::uint32_t slab)
-    {
-        const cxlalloc::Layout& l = alloc.layout();
-        auto raw = mem.load<std::uint32_t>(l.small_local(tid));
-        for (std::uint32_t steps = 0; raw != 0 && steps <= cfg.small_slabs;
-             steps++) {
-            if (raw - 1 == slab) {
-                return true;
-            }
-            raw = mem.load<std::uint32_t>(l.small_swcc_desc(raw - 1) +
-                                          cxlalloc::DescField::kNext);
-        }
-        return false;
-    }
-
-    /// Every slab whose counter reached zero sits on exactly one
-    /// drainer's unsized list, owned by that drainer; every other slab is
-    /// on none. With @p all_freed (no drainer died) every slab was stolen.
-    void
-    check_steals(cxl::MemSession& mem, bool all_freed)
-    {
-        cxlalloc::SlabHeap& heap = alloc.small_heap();
-        for (std::uint32_t slab : slabs) {
-            bool stolen = heap.debug_remote_free(mem, slab) == 0;
-            int holders = 0;
-            bool owner_holds = false;
-            for (int d = 1; d <= kDrainers; d++) {
-                if (on_unsized_list(mem, tids[d], slab)) {
-                    holders++;
-                    owner_holds |= heap.debug_owner(mem, slab) == tids[d];
-                }
-            }
-            std::string at = "slab " + std::to_string(slab) + ": ";
-            if (stolen && (holders != 1 || !owner_holds)) {
-                throw OracleFailure(at + "stolen, but on " +
-                                    std::to_string(holders) +
-                                    " drainer lists (owner holds: " +
-                                    std::to_string(owner_holds) + ")");
-            }
-            if (!stolen && holders != 0) {
-                throw OracleFailure(at + "on a drainer list, counter > 0");
-            }
-            if (all_freed && !stolen) {
-                throw OracleFailure(at + "every block freed, never stolen");
-            }
-        }
-    }
-
     cxlalloc::Config cfg;
     pod::Pod pod;
     cxlalloc::CxlAllocator alloc;
@@ -161,45 +171,31 @@ struct DrainWorld {
     std::uint32_t dead = kNoVthread;
 };
 
-void
-spawn_workload(Run& run, const std::shared_ptr<DrainWorld>& w, bool killable)
+/// The body of participant vthread @p v of world @p w: runs @p work; a
+/// kill marks the slot crashed for the recoverer.
+template <typename World, typename Work>
+std::function<void()>
+participant(const std::shared_ptr<World>& w, std::uint32_t v, Work work)
 {
-    auto body = [w](std::uint32_t v, auto work) {
-        return [w, v, work] {
-            try {
-                work();
-            } catch (const sched::VthreadKilled&) {
-                w->pod.mark_crashed(std::move(w->ctxs[v]));
-                w->dead = v;
-            }
-            w->finished++;
-        };
+    return [w, v, work] {
+        try {
+            work();
+        } catch (const sched::VthreadKilled&) {
+            w->pod.mark_crashed(std::move(w->ctxs[v]));
+            w->dead = v;
+        }
+        w->finished++;
     };
-    run.spawn("owner",
-              body(0,
-                   [w] {
-                       for (cxl::HeapOffset p : w->local) {
-                           w->alloc.deallocate(*w->ctxs[0], p);
-                       }
-                   }),
-              killable);
-    for (std::uint32_t d = 1; d <= kDrainers; d++) {
-        run.spawn("drain" + std::to_string(d),
-                  body(d,
-                       [w, d] {
-                           const auto& mine = w->drains[d - 1];
-                           for (std::size_t at = 0; at < mine.size();
-                                at += kBatch) {
-                               w->alloc.deallocate_batch(*w->ctxs[d],
-                                                         mine.data() + at,
-                                                         kBatch);
-                           }
-                       }),
-                  killable);
-    }
-    // Adopts and recovers a killed slot while the others run.
-    run.spawn("recoverer", [w] {
-        while (w->finished <= kDrainers ||
+}
+
+/// Adopts and recovers a killed slot while the others run, until all
+/// @p participants have finished and any dead slot is recovered.
+template <typename World>
+void
+spawn_recoverer(Run& run, const std::shared_ptr<World>& w, int participants)
+{
+    run.spawn("recoverer", [w, participants] {
+        while (w->finished < participants ||
                (w->dead != kNoVthread && w->ctxs[w->dead] == nullptr)) {
             if (w->dead != kNoVthread && w->ctxs[w->dead] == nullptr) {
                 w->ctxs[w->dead] =
@@ -210,6 +206,29 @@ spawn_workload(Run& run, const std::shared_ptr<DrainWorld>& w, bool killable)
             }
         }
     });
+}
+
+void
+spawn_workload(Run& run, const std::shared_ptr<DrainWorld>& w, bool killable)
+{
+    auto owner = [w] {
+        for (cxl::HeapOffset p : w->local) {
+            w->alloc.deallocate(*w->ctxs[0], p);
+        }
+    };
+    run.spawn("owner", participant(w, 0, owner), killable);
+    for (std::uint32_t d = 1; d <= kDrainers; d++) {
+        auto drain = [w, d] {
+            const auto& mine = w->drains[d - 1];
+            for (std::size_t at = 0; at < mine.size(); at += kBatch) {
+                w->alloc.deallocate_batch(*w->ctxs[d], mine.data() + at,
+                                          kBatch);
+            }
+        };
+        run.spawn("drain" + std::to_string(d), participant(w, d, drain),
+                  killable);
+    }
+    spawn_recoverer(run, w, kDrainers + 1);
 }
 
 /// The drain race; with @p crash one participant dies at a random yield.
@@ -223,8 +242,10 @@ drain_race(bool crash)
             cxl::MemSession& mem = w->ctxs[0]->mem();
             sched::fail_unless_ok(w->alloc.audit(mem));
             // A dead owner loses no drainer's free: every slab must fall.
-            w->check_steals(mem, /*all_freed=*/end.killed == kNoVthread ||
-                                     end.killed == 0);
+            check_steals(w->alloc, mem, w->slabs,
+                         {w->tids.begin() + 1, w->tids.end()},
+                         /*all_freed=*/end.killed == kNoVthread ||
+                             end.killed == 0);
             for (auto& ctx : w->ctxs) {
                 cxl::HeapOffset p = w->alloc.allocate(*ctx, 1024);
                 if (p == 0) {
@@ -254,6 +275,119 @@ TEST(SchedBatch, KillAnyParticipantRecoverConcurrentlyAndAudit)
     opt.crash = true;
     opt.crash_horizon = 400;
     Result r = Explorer(opt).run(drain_race(/*crash=*/true));
+    EXPECT_TRUE(r.ok) << r.summary();
+    EXPECT_GT(r.kills, 0u);
+    EXPECT_EQ(r.truncated, 0u);
+}
+
+/// The owner's frees into its own disowned slabs are remote, so under
+/// NoHwcc they wait in its pending list (landed by its cleanup) while a
+/// neighbour batch-drains the other half of the same slabs: both race
+/// every slab's counter to zero.
+struct DeferWorld {
+    static constexpr int kOwner = 0;
+    static constexpr int kNeighbour = 1;
+    static constexpr int kSlabs = 2;
+    static constexpr std::uint32_t kBatch = 4;
+    static_assert(kPerSlab / 2 * kSlabs % kBatch == 0,
+                  "the neighbour's share splits into whole batches");
+
+    DeferWorld()
+        : cfg(DrainWorld::make_config()), pod(DrainWorld::make_pod(cfg)),
+          alloc(pod, cfg)
+    {
+        process = pod.create_process();
+        alloc.attach(*process);
+        for (int i = 0; i < 2; i++) {
+            ctxs.push_back(pod.create_thread(process));
+            alloc.attach_thread(*ctxs.back());
+            tids.push_back(ctxs.back()->tid());
+        }
+        // Unhooked pre-state: a remote free of each slab's first block
+        // lands before the owner fills the rest, so every slab disowns
+        // itself when full (31 live blocks, counter 31).
+        for (int s = 0; s < kSlabs; s++) {
+            cxl::HeapOffset first = alloc.allocate(*ctxs[kOwner], 1024);
+            alloc.deallocate_batch(*ctxs[kNeighbour], &first, 1);
+            slabs.push_back(slab_of(alloc, first));
+            for (int b = 1; b < kPerSlab; b++) {
+                cxl::HeapOffset p = alloc.allocate(*ctxs[kOwner], 1024);
+                frees[b % 2].push_back(p);
+            }
+        }
+    }
+
+    cxlalloc::Config cfg;
+    pod::Pod pod;
+    cxlalloc::CxlAllocator alloc;
+    pod::Process* process;
+    std::vector<std::unique_ptr<pod::ThreadContext>> ctxs;
+    std::vector<cxl::ThreadId> tids;
+    /// frees[v]: the blocks vthread v frees, both slabs interleaved.
+    std::vector<cxl::HeapOffset> frees[2];
+    std::vector<std::uint32_t> slabs;
+    int finished = 0;
+    std::uint32_t dead = kNoVthread;
+};
+
+/// The defer race; with @p crash one participant dies at a random yield.
+std::function<void(sched::Run&)>
+defer_race(bool crash)
+{
+    return [crash](sched::Run& run) {
+        auto w = std::make_shared<DeferWorld>();
+        auto owner = [w] {
+            pod::ThreadContext& ctx = *w->ctxs[DeferWorld::kOwner];
+            for (cxl::HeapOffset p : w->frees[DeferWorld::kOwner]) {
+                w->alloc.deallocate(ctx, p);
+            }
+            w->alloc.cleanup(ctx);
+        };
+        auto neighbour = [w] {
+            const auto& mine = w->frees[DeferWorld::kNeighbour];
+            for (std::size_t at = 0; at < mine.size();
+                 at += DeferWorld::kBatch) {
+                w->alloc.deallocate_batch(*w->ctxs[DeferWorld::kNeighbour],
+                                          mine.data() + at,
+                                          DeferWorld::kBatch);
+            }
+        };
+        run.spawn("owner", participant(w, DeferWorld::kOwner, owner), crash);
+        run.spawn("neighbour",
+                  participant(w, DeferWorld::kNeighbour, neighbour), crash);
+        spawn_recoverer(run, w, 2);
+        run.at_end([w](const sched::RunEnd& end) {
+            cxl::MemSession& mem = w->ctxs[0]->mem();
+            cxlalloc::AuditReport report = w->alloc.audit(mem);
+            sched::fail_unless_ok(report);
+            if (report.pending_frees != 0) {
+                throw OracleFailure(std::to_string(report.pending_frees) +
+                                    " pending frees never landed");
+            }
+            check_steals(w->alloc, mem, w->slabs, w->tids,
+                         /*all_freed=*/end.killed == kNoVthread);
+        });
+    };
+}
+
+TEST(SchedBatch, DeferredOwnerFreesRaceANeighboursDrain)
+{
+    Options opt;
+    opt.seed = 97;
+    opt.schedules = 48;
+    Result r = Explorer(opt).run(defer_race(/*crash=*/false));
+    EXPECT_TRUE(r.ok) << r.summary();
+    EXPECT_EQ(r.truncated, 0u);
+}
+
+TEST(SchedBatch, DeferredFreesSurviveAKillAnywhereRecoveredConcurrently)
+{
+    Options opt;
+    opt.seed = 101;
+    opt.schedules = 96;
+    opt.crash = true;
+    opt.crash_horizon = 400;
+    Result r = Explorer(opt).run(defer_race(/*crash=*/true));
     EXPECT_TRUE(r.ok) << r.summary();
     EXPECT_GT(r.kills, 0u);
     EXPECT_EQ(r.truncated, 0u);
