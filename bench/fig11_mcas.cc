@@ -214,15 +214,20 @@ run_engine(bool batched, std::uint32_t threads)
                         ops[j] = cxl::McasOperand{
                             .target = t, .expected = cur, .swap = cur + 1};
                     }
-                    cxl::McasResult results[cxl::kNmpRingSlots];
-                    std::uint32_t accepted =
-                        mem.mcas_batch(ops, want, results);
+                    // Post the window into the (empty) ring, one doorbell,
+                    // then harvest the results in posting order.
+                    for (std::uint32_t j = 0; j < want; j++) {
+                        mem.mcas_post(ops[j]);
+                    }
+                    mem.mcas_doorbell();
                     bool conflicted = false;
-                    for (std::uint32_t k = 0; k < accepted; k++) {
-                        if (results[k].success) {
+                    for (std::uint32_t k = 0; k < want; k++) {
+                        cxl::McasResult r;
+                        mem.mcas_poll(&r);
+                        if (r.success) {
                             done++;
                         } else {
-                            conflicted |= results[k].conflict;
+                            conflicted |= r.conflict;
                         }
                     }
                     // Failed operands are simply retried on later windows;

@@ -440,35 +440,6 @@ MemSession::mcas_poll(McasResult* out)
     return true;
 }
 
-std::uint32_t
-MemSession::mcas_batch(const McasOperand* ops, std::uint32_t n,
-                       McasResult* results)
-{
-    if (device_->mode() != CoherenceMode::NoHwcc) {
-        // Coherent CAS needs no engine: same result contract, one CAS per
-        // operand, conflict never reported.
-        for (std::uint32_t i = 0; i < n; i++) {
-            std::uint64_t expected = ops[i].expected;
-            bool ok = cas64(ops[i].target, expected, ops[i].swap);
-            results[i] = McasResult{.success = ok, .conflict = false,
-                                    .previous = ok ? ops[i].expected
-                                                   : expected};
-        }
-        return n;
-    }
-    std::uint32_t accepted = 0;
-    while (accepted < n && mcas_post(ops[accepted])) {
-        accepted++;
-    }
-    mcas_doorbell();
-    for (std::uint32_t i = 0; i < accepted; i++) {
-        bool ok = mcas_poll(&results[i]);
-        CXL_ASSERT(ok, "doorbell lost a completion");
-        (void)ok;
-    }
-    return accepted;
-}
-
 void
 MemSession::publish_metrics(obs::MetricsRegistry& registry) const
 {

@@ -367,16 +367,6 @@ class MemSession {
     /// doorbell. Returns false when nothing is pending.
     bool mcas_poll(McasResult* out);
 
-    /// Submits up to kNmpRingSlots INDEPENDENT operands as one batch and
-    /// harvests their results in order: post + doorbell + poll. Returns
-    /// the number accepted (< n only if @p n exceeds ring capacity).
-    /// Under HWcc modes there is no engine to batch, so this degenerates
-    /// to a serial coherent-CAS loop with identical result semantics
-    /// (conflict never reported). Operands must target distinct addresses
-    /// or later duplicates fail with a conflict (Fig. 6(b)).
-    std::uint32_t mcas_batch(const McasOperand* ops, std::uint32_t n,
-                             McasResult* results);
-
     /// Atomic (coherent) 64-bit load from the sync region.
     std::uint64_t atomic_load64(HeapOffset offset);
 

@@ -24,9 +24,11 @@
 ///
 /// spwr_post()/doorbell()/poll() are the whole interface: the paper's
 /// two-phase spwr/sprd pair is a post + doorbell + poll of a one-operand
-/// ring. MemSession drives them (cas64 as a ring of one, mcas_batch as a
-/// full ring, both behind its stall-retry ladder), and tests call them
-/// directly to interleave competing operands deterministically.
+/// ring. MemSession drives them (cas64 as a ring of one; mcas_post,
+/// mcas_doorbell and mcas_poll for a full ring, as the allocator's drain
+/// of pending remote frees uses them; every doorbell behind its
+/// stall-retry ladder), and tests call them directly to interleave
+/// competing operands deterministically.
 ///
 /// Persistence: the ring lives in device memory, which survives host and
 /// process crashes (paper §2.1 failure model). Recovery code inspects a

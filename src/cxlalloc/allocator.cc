@@ -1,7 +1,5 @@
 #include "cxlalloc/allocator.h"
 
-#include <vector>
-
 #include "common/assert.h"
 #include "obs/timer.h"
 #include "pod/process.h"
@@ -220,19 +218,19 @@ CxlAllocator::deallocate_batch(pod::ThreadContext& ctx,
     }
     ThreadState& ts = state_of(ctx);
     std::uint64_t t0 = inst_.registry != nullptr ? obs::now_ns() : 0;
-    // Partition by heap so each slab heap sees its drain in one piece and
-    // can pack distinct-slab decrements into shared doorbells. Huge frees
-    // have no remote counter to batch.
-    std::vector<cxl::HeapOffset> small_offs;
-    std::vector<cxl::HeapOffset> large_offs;
+    std::uint64_t remote = 0;
     std::uint64_t huge_count = 0;
+    bool small_touched = false;
+    bool large_touched = false;
     for (std::uint32_t i = 0; i < n; i++) {
         cxl::HeapOffset offset = offsets[i];
         CXL_ASSERT(offset != 0, "freeing null offset");
         if (small_.contains(offset)) {
-            small_offs.push_back(offset);
+            remote += small_.deallocate(ctx, ts, offset) ? 1 : 0;
+            small_touched = true;
         } else if (large_.contains(offset)) {
-            large_offs.push_back(offset);
+            remote += large_.deallocate(ctx, ts, offset) ? 1 : 0;
+            large_touched = true;
         } else if (huge_.contains(offset)) {
             huge_.deallocate(ctx, ts, offset);
             huge_count++;
@@ -240,16 +238,16 @@ CxlAllocator::deallocate_batch(pod::ThreadContext& ctx,
             CXL_FATAL("free of offset outside any heap region");
         }
     }
-    std::uint64_t remote = 0;
-    if (!small_offs.empty()) {
-        remote += small_.deallocate_batch(
-            ctx, ts, small_offs.data(),
-            static_cast<std::uint32_t>(small_offs.size()));
-    }
-    if (!large_offs.empty()) {
-        remote += large_.deallocate_batch(
-            ctx, ts, large_offs.data(),
-            static_cast<std::uint32_t>(large_offs.size()));
+    // Every remote free of the call (and any deferred before) has landed
+    // when it returns: each slab heap it touched packs its distinct-slab
+    // decrements into shared doorbells.
+    if (pod_.device().mode() == cxl::CoherenceMode::NoHwcc) {
+        if (small_touched) {
+            small_.drain_pending(ctx, ts);
+        }
+        if (large_touched) {
+            large_.drain_pending(ctx, ts);
+        }
     }
     if (inst_.registry == nullptr) {
         return;

@@ -87,8 +87,8 @@ class CxlAllocator : public pod::FaultResolver {
     }
 
     /// Recovers the crashed thread slot that @p ctx adopted: puts a drain
-    /// round's non-landed ring operands back into its pending lists,
-    /// releases its NMP ring, idempotently redoes its interrupted
+    /// round's non-landed ring operands back into its pending lists and
+    /// finishes the round's steals, releases its NMP ring, idempotently redoes its interrupted
     /// operation, rebuilds volatile state, and (NoHwcc) lands its pending
     /// frees. Non-blocking: live threads keep allocating throughout.
     void recover(pod::ThreadContext& ctx);

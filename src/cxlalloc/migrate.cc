@@ -11,9 +11,12 @@ namespace {
 bool
 is_free_op(Op op)
 {
+    // A free that empties or steals a slab can end in the unsized-list
+    // trim, leaving Op::PushGlobal (under NoHwcc, from the drain its
+    // append set off).
     return op == Op::FreeLocal || op == Op::FreeRemote ||
            op == Op::FreeRemoteBatch || op == Op::FreeDeferred ||
-           op == Op::HugeFree;
+           op == Op::PushGlobal || op == Op::HugeFree;
 }
 
 } // namespace

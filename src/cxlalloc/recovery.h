@@ -73,13 +73,14 @@ enum class Op : std::uint8_t {
     Detach = 5,     ///< full slab, no remote frees
     Disown = 6,     ///< full slab with remote frees
     FreeLocal = 7,  ///< set one block bit              (aux: heap|block)
-    FreeRemote = 8, ///< decrement remote counter       (dcas; may steal)
+    FreeRemote = 8, ///< HWcc remote-counter decrement  (dcas; may steal)
     PushGlobal = 9, ///< TL unsized overflow -> global  (dcas)
     HugeReserve = 10, ///< claim a reservation region   (dcas)
     HugeAlloc = 11,   ///< build + link huge descriptor
     HugeFree = 12,    ///< set huge descriptor free bit
     /// A ring of pending-list decrements submitted as one batched NMP
-    /// doorbell (aux: heap|count; version: LAST of `count` consecutive
+    /// doorbell, stealing the slab of each operand that lands a zero
+    /// counter (aux: heap|count; version: LAST of `count` consecutive
     /// dcas versions, so recovery resumes versioning past the whole
     /// batch). The per-operand state — which slabs, how many blocks,
     /// which executed — lives in the thread's NMP operand ring, which is

@@ -1,5 +1,6 @@
 #include "cxlalloc/slab_heap.h"
 
+#include <algorithm>
 #include <bit>
 #include <vector>
 
@@ -824,20 +825,6 @@ SlabHeap::deallocate(pod::ThreadContext& ctx, ThreadState& ts,
     return true;
 }
 
-std::uint32_t
-SlabHeap::deallocate_batch(pod::ThreadContext& ctx, ThreadState& ts,
-                           const cxl::HeapOffset* offsets, std::uint32_t n)
-{
-    std::uint32_t remote = 0;
-    for (std::uint32_t i = 0; i < n; i++) {
-        remote += deallocate(ctx, ts, offsets[i]) ? 1 : 0;
-    }
-    if (ctx.mem().device()->mode() == cxl::CoherenceMode::NoHwcc) {
-        drain_pending(ctx, ts);
-    }
-    return remote;
-}
-
 void
 SlabHeap::defer_remote(pod::ThreadContext& ctx, ThreadState& ts,
                        std::uint32_t slab)
@@ -896,10 +883,11 @@ void
 SlabHeap::settle_ring(pod::ThreadContext& ctx)
 {
     // Before any append can refill the list: the round's non-landed
-    // decrements go back into it and the ring is released, so nothing
-    // staged can land later. If the put-back itself cannot reach the list
-    // (its edge went Down mid-round), those decrements are lost: their
-    // slabs leak, nothing is freed twice.
+    // decrements go back into it, the steals it owes are finished, and the
+    // ring is released, so nothing staged can land later. If the reconcile
+    // itself cannot reach the list (its edge went Down mid-round), those
+    // decrements and steals are lost: their slabs leak, nothing is freed
+    // twice.
     cxl::Nmp& nmp = ctx.process().pod().nmp();
     try {
         reconcile_ring(ctx);
@@ -918,103 +906,89 @@ SlabHeap::drain_round(pod::ThreadContext& ctx, ThreadState& ts,
     cxl::McasOperand ops[cxl::kNmpRingSlots];
     std::uint32_t slab_of[cxl::kNmpRingSlots];
     std::uint32_t k_of[cxl::kNmpRingSlots];
-    bool final_of[cxl::kNmpRingSlots];
-    // Final decrements (they steal) run serially AFTER the ring empties:
-    // the serial path's own mCAS asserts an empty ring.
-    std::uint32_t finals[PendingList::kSlots];
-    std::uint32_t staged = 0;
-    std::uint32_t nfinal = 0;
+    const std::uint32_t staged =
+        std::min<std::uint32_t>(list.n, cxl::kNmpRingSlots);
     std::uint16_t ver = 0;
-    for (std::uint32_t i = 0; i < list.n && staged < cxl::kNmpRingSlots;
-         i++) {
-        std::uint32_t slab = list.slab(i);
-        std::uint32_t c = list.count(i);
-        std::uint64_t word = dcas_->read_word(mem, hwcc(slab));
+    for (std::uint32_t i = 0; i < staged; i++) {
+        slab_of[i] = list.slab(i);
+        k_of[i] = list.count(i);
+        std::uint64_t word = dcas_->read_word(mem, hwcc(slab_of[i]));
         std::uint32_t cur = DcasWord::value(word);
-        CXL_ASSERT(cur >= c, "remote-free counter underflow (double free?)");
-        // A batched operand never lands a zero counter: when the entry
-        // holds the slab's last decrement, k - 1 ride the ring and the
-        // stealing one stays serial.
-        std::uint32_t k = cur == c ? c - 1 : c;
-        if (k == 0) {
-            finals[nfinal++] = slab;
-            continue;
-        }
+        CXL_ASSERT(cur >= k_of[i],
+                   "remote-free counter underflow (double free?)");
         ver = ts.next_version();
-        ops[staged] = dcas_->stage_word(mem, hwcc(slab), word, cur - k, ver);
-        slab_of[staged] = slab;
-        k_of[staged] = k;
-        final_of[staged] = k < c;
-        staged++;
+        ops[i] = dcas_->stage_word(mem, hwcc(slab_of[i]), word,
+                                   cur - k_of[i], ver);
     }
-    if (staged > 0) {
-        // Help before anything executes (the serial path's order), and
-        // before posting: the help CAS needs an empty ring.
-        dcas_->record_displaced(mem, ops, staged);
-        for (std::uint32_t i = 0; i < staged; i++) {
-            bool posted = mem.mcas_post(ops[i]);
-            CXL_ASSERT(posted, "ring rejected a ring-bounded batch");
-        }
-        ctx.maybe_crash(crashpoint::kMidBatchStage);
-        // The record, then the list without the staged decrements, stamped
-        // out: both durable (record first) before the doorbell can land
-        // anything. Until the stamp, the list still holds the decrements
-        // and recovery discards the ring.
-        log_->log_local(mem,
-                        OpRecord{.op = Op::FreeRemoteBatch,
-                                 .large_heap = large_,
-                                 .aux = static_cast<std::uint16_t>(staged),
-                                 .version = ver,
-                                 .index = slab_of[0]});
-        for (std::uint32_t i = 0; i < staged; i++) {
-            list.sub(slab_of[i], k_of[i]);
-        }
-        list.stamp = PendingList::kStampOut | ver;
-        store_pending(mem, list);
-        log_->flush_pending(mem);
-        flush_pending_list(mem);
-        mem.fence();
-        ctx.maybe_crash(crashpoint::kMidBatchDoorbell);
-        mem.mcas_doorbell();
-        ctx.maybe_crash(crashpoint::kMidBatchDrain);
-        // Read the results while the ring still holds them. Failed
-        // operands go back into the list and the stamp is cleared, durably,
-        // before any slot is released: an out stamp always means the ring
-        // holds exactly its round.
-        cxl::NmpSlotView views[cxl::kNmpRingSlots];
-        std::uint32_t live =
-            ctx.process().pod().nmp().ring_snapshot(mem.tid(), views, staged);
-        CXL_ASSERT(live == staged, "doorbell lost staged operands");
-        for (std::uint32_t i = 0; i < staged; i++) {
-            if (views[i].state == cxl::NmpSlotState::Executed &&
-                views[i].result.success) {
-                if (final_of[i]) {
-                    finals[nfinal++] = slab_of[i];
-                }
-            } else {
-                list.add(slab_of[i], k_of[i]);
-            }
-        }
-        list.stamp = ver;
-        persist_pending(mem, list);
-        bool conflicted = false;
-        for (std::uint32_t i = 0; i < staged; i++) {
-            cxl::McasResult r;
-            bool polled = mem.mcas_poll(&r);
-            CXL_ASSERT(polled, "doorbell executed fewer ops than staged");
-            conflicted |= r.conflict;
-        }
-        if (conflicted) {
-            mem.charge(backoff.next_ns());
-        } else {
-            backoff.reset();
+    // Help before anything executes (the serial path's order), and before
+    // posting: the help CAS needs an empty ring.
+    dcas_->record_displaced(mem, ops, staged);
+    for (std::uint32_t i = 0; i < staged; i++) {
+        bool posted = mem.mcas_post(ops[i]);
+        CXL_ASSERT(posted, "ring rejected a ring-bounded batch");
+    }
+    ctx.maybe_crash(crashpoint::kMidBatchStage);
+    // The record, then the list without the staged decrements, stamped
+    // out: both durable (record first) before the doorbell can land
+    // anything. Until the stamp, the list still holds the decrements and
+    // recovery discards the ring.
+    log_->log_local(mem, OpRecord{.op = Op::FreeRemoteBatch,
+                                  .large_heap = large_,
+                                  .aux = static_cast<std::uint16_t>(staged),
+                                  .version = ver,
+                                  .index = slab_of[0]});
+    for (std::uint32_t i = 0; i < staged; i++) {
+        list.sub(slab_of[i], k_of[i]);
+    }
+    list.stamp = PendingList::kStampOut | ver;
+    store_pending(mem, list);
+    log_->flush_pending(mem);
+    flush_pending_list(mem);
+    mem.fence();
+    ctx.maybe_crash(crashpoint::kMidBatchDoorbell);
+    mem.mcas_doorbell();
+    ctx.maybe_crash(crashpoint::kMidBatchDrain);
+    // Read the results while the ring still holds them. A landed operand
+    // that took its counter to zero steals the slab; a failed one goes back
+    // into the list. Both happen before the stamp is cleared, durably, and
+    // before any slot is released: an out stamp always means the ring holds
+    // exactly its round, and reconcile_ring can finish its steals.
+    cxl::NmpSlotView views[cxl::kNmpRingSlots];
+    std::uint32_t live =
+        ctx.process().pod().nmp().ring_snapshot(mem.tid(), views, staged);
+    CXL_ASSERT(live == staged, "doorbell lost staged operands");
+    bool stole = false;
+    for (std::uint32_t i = 0; i < staged; i++) {
+        if (views[i].state != cxl::NmpSlotState::Executed ||
+            !views[i].result.success) {
+            list.add(slab_of[i], k_of[i]);
+        } else if (DcasWord::value(ops[i].swap) == 0) {
+            // Every block was remotely freed: the slab is detached or
+            // disowned and unlinked, so stealing needs no coordination
+            // with the previous owner (paper §3.2.1).
+            ctx.maybe_crash(crashpoint::kMidSteal);
+            acquire_to_unsized(ctx, slab_of[i]);
+            stole = true;
         }
     }
-    for (std::uint32_t f = 0; f < nfinal; f++) {
-        free_remote(ctx, ts, finals[f], /*listed=*/true);
+    list.stamp = ver;
+    persist_pending(mem, list);
+    bool conflicted = false;
+    for (std::uint32_t i = 0; i < staged; i++) {
+        cxl::McasResult r;
+        bool polled = mem.mcas_poll(&r);
+        CXL_ASSERT(polled, "doorbell executed fewer ops than staged");
+        conflicted |= r.conflict;
     }
-    if (nfinal > 0) {
-        list = load_pending(mem, mem.tid());
+    if (conflicted) {
+        mem.charge(backoff.next_ns());
+    } else {
+        backoff.reset();
+    }
+    // Only now: a trim can move a stolen slab off the unsized list, which
+    // is what reconcile_ring checks while the stamp is out.
+    if (stole) {
+        trim_unsized(ctx, ts);
     }
 }
 
@@ -1045,13 +1019,19 @@ SlabHeap::reconcile_ring(pod::ThreadContext& ctx)
                    "ring operand outside the stamped round");
         // Whether it landed is the slot's own result. did_succeed cannot
         // tell: help[tid] >= v also follows when a LATER operand of this
-        // ring landed and was displaced since. A landed operand left a
-        // counter >= 1 (finals never ride the ring): nothing to finish.
-        if (v.state == cxl::NmpSlotState::Executed && v.result.success) {
-            continue;
+        // ring landed and was displaced since.
+        auto slab = static_cast<std::uint32_t>((v.op.target - hwcc_base_) / 8);
+        if (v.state != cxl::NmpSlotState::Executed || !v.result.success) {
+            list.add(slab, DcasWord::value(v.op.expected) -
+                               DcasWord::value(v.op.swap));
+        } else if (DcasWord::value(v.op.swap) == 0 &&
+                   !on_unsized_list(mem, slab)) {
+            // It took its counter to zero: the round owes this steal. No
+            // trim runs before the stamp clears, so the unsized list tells
+            // whether the steal already happened (not the owner field: an
+            // interrupted acquire writes it before linking).
+            acquire_to_unsized(ctx, slab);
         }
-        list.add(static_cast<std::uint32_t>((v.op.target - hwcc_base_) / 8),
-                 DcasWord::value(v.op.expected) - DcasWord::value(v.op.swap));
     }
     list.stamp = round;
     persist_pending(mem, list);
@@ -1094,50 +1074,23 @@ SlabHeap::free_local(pod::ThreadContext& ctx, ThreadState& ts,
 
 void
 SlabHeap::free_remote(pod::ThreadContext& ctx, ThreadState& ts,
-                      std::uint32_t slab, bool listed)
+                      std::uint32_t slab)
 {
     cxl::MemSession& mem = ctx.mem();
-    bool in_list = listed;
+    CXL_ASSERT(mem.device()->mode() != cxl::CoherenceMode::NoHwcc,
+               "NoHwcc remote frees land through drain_pending");
     while (true) {
         std::uint64_t word = dcas_->read_word(mem, hwcc(slab));
         std::uint32_t cur = DcasWord::value(word);
         CXL_ASSERT(cur > 0, "remote-free counter underflow (double free?)");
         std::uint16_t ver = ts.next_version();
-        OpRecord record{.op = Op::FreeRemote,
-                        .large_heap = large_,
-                        .aux = 0,
-                        .version = ver,
-                        .index = slab};
-        if (in_list) {
-            // Record first, then the list without the decrement, one
-            // fence for both: a crash between the stores finds it in both
-            // places, and recovery keeps the list's copy.
-            log_->log_local(mem, record);
-            PendingList list = load_pending(mem, mem.tid());
-            list.sub(slab, 1);
-            store_pending(mem, list);
-            log_->flush_pending(mem);
-            flush_pending_list(mem);
-            mem.fence();
-            in_list = false;
-        } else {
-            log_->log(mem, record);
-        }
+        log_->log(mem, OpRecord{.op = Op::FreeRemote,
+                                .large_heap = large_,
+                                .aux = 0,
+                                .version = ver,
+                                .index = slab});
         ctx.maybe_crash(crashpoint::kAfterRecord);
-        cxlsync::DetectableCas::Result r;
-        try {
-            r = dcas_->try_cas_word(mem, hwcc(slab), word, cur - 1, ver);
-        } catch (const cxl::NmpStallError&) {
-            if (listed) {
-                relist_final(mem, slab);
-            }
-            throw;
-        } catch (const cxl::EdgeDownError&) {
-            if (listed) {
-                relist_final(mem, slab);
-            }
-            throw;
-        }
+        auto r = dcas_->try_cas_word(mem, hwcc(slab), word, cur - 1, ver);
         if (!r.success) {
             continue;
         }
@@ -1151,16 +1104,6 @@ SlabHeap::free_remote(pod::ThreadContext& ctx, ThreadState& ts,
         }
         return;
     }
-}
-
-void
-SlabHeap::relist_final(cxl::MemSession& mem, std::uint32_t slab)
-{
-    // The CAS threw before it could land: the final goes back into the
-    // list (drain_pending then releases the ring).
-    PendingList list = load_pending(mem, mem.tid());
-    list.add(slab, 1);
-    persist_pending(mem, list);
 }
 
 void
@@ -1365,13 +1308,8 @@ SlabHeap::recover(pod::ThreadContext& ctx, ThreadState& ts,
       case Op::FreeRemote: {
         if (!dcas_->did_succeed(mem, hwcc(slab), record.version)) {
             // The decrement never landed; the block is still marked
-            // allocated. Complete the free now — unless the crash fell
-            // between a final's record and its removal from the pending
-            // list, which still holds it (the drain lands it).
-            if (load_pending(mem, mem.tid()).find(slab) ==
-                PendingList::kSlots) {
-                free_remote(ctx, ts, slab);
-            }
+            // allocated. Complete the free now.
+            free_remote(ctx, ts, slab);
             break;
         }
         std::uint64_t word = mem.atomic_load64(hwcc(slab));
@@ -1390,9 +1328,9 @@ SlabHeap::recover(pod::ThreadContext& ctx, ThreadState& ts,
         break;
       }
       case Op::FreeRemoteBatch:
-        // The round's ring operands were reconciled into the pending list
-        // (reconcile_ring) before any redo; the drain after recovery
-        // lands them.
+        // Before any redo, reconcile_ring put the round's non-landed
+        // operands back into the pending list and finished the steals its
+        // landed ones owed; the drain after recovery lands the rest.
         break;
       case Op::FreeDeferred: {
         PendingList list = load_pending(mem, mem.tid());

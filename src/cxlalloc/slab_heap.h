@@ -97,35 +97,27 @@ class SlabHeap {
     bool deallocate(pod::ThreadContext& ctx, ThreadState& ts,
                     cxl::HeapOffset offset);
 
-    /// Frees @p n blocks of this heap: n deallocate() calls, then (under
-    /// NoHwcc) drain_pending(), so every remote free of the call — and
-    /// any the thread deferred before — has landed when it returns.
-    /// Returns the number of frees that took the remote path.
-    std::uint32_t deallocate_batch(pod::ThreadContext& ctx, ThreadState& ts,
-                                   const cxl::HeapOffset* offsets,
-                                   std::uint32_t n);
-
     /// Lands the calling thread's pending remote frees. Each round takes
     /// up to a ring of slab entries; an entry of k blocks becomes ONE
     /// operand cur -> cur - k, built from the counter word it read, and
-    /// the ring shares one NMP doorbell (one device round trip, §4). When
-    /// cur == k the ring carries k - 1 and the final decrement (it
-    /// steals) stays serial, so a batched operand never lands a zero
-    /// counter. Durability: the round's Op::FreeRemoteBatch record, then
-    /// the list minus the staged decrements (stamped out), share one
-    /// flush + fence before the doorbell; after it, failed operands go
-    /// back into the list and the stamp is cleared (flush + fence) before
-    /// any ring slot is released; a serial final leaves the list inside
-    /// its Op::FreeRemote record's fence. Conflicts retry after bounded
-    /// exponential backoff. An NmpStallError / EdgeDownError is rethrown
-    /// only after the round it interrupted is reconciled and the ring
-    /// released.
+    /// the ring shares one NMP doorbell (one device round trip, §4). An
+    /// operand that lands a zero counter steals its slab. Durability: the
+    /// round's Op::FreeRemoteBatch record, then the list minus the staged
+    /// decrements (stamped out), share one flush + fence before the
+    /// doorbell; after it, the round's steals run, failed operands go back
+    /// into the list and the stamp is cleared (flush + fence), all before
+    /// any ring slot is released; the unsized-list trim comes last.
+    /// Conflicts retry after bounded exponential backoff. An NmpStallError
+    /// / EdgeDownError is rethrown only after the round it interrupted is
+    /// reconciled and the ring released.
     void drain_pending(pod::ThreadContext& ctx, ThreadState& ts);
 
     /// Recovery and drain helper: if the calling thread's list is stamped
     /// out, puts back every operand of that round still in its NMP ring
-    /// that did not land, then clears the stamp (flush + fence); a no-op
-    /// otherwise. Leaves the ring itself to the caller (Nmp::reset_ring).
+    /// that did not land, finishes the steal of every landed one that
+    /// zeroed its counter (unless the slab is on the unsized list), then
+    /// clears the stamp (flush + fence); a no-op otherwise. Leaves the
+    /// ring itself to the caller (Nmp::reset_ring).
     void reconcile_ring(pod::ThreadContext& ctx);
 
     /// True if @p offset lies in this heap's data region.
@@ -278,12 +270,10 @@ class SlabHeap {
                          std::uint32_t cls);
     void free_local(pod::ThreadContext& ctx, ThreadState& ts,
                     std::uint32_t slab, std::uint32_t block);
-    /// One serial decrement of @p slab's counter (stealing at zero). With
-    /// @p listed, the decrement is the final one of a pending entry: it
-    /// leaves the list between its record's store and the record's
-    /// flush + fence, and goes back if the CAS throws.
+    /// One serial decrement of @p slab's counter, stealing at zero (HWcc
+    /// modes only: under NoHwcc every decrement lands through the drain).
     void free_remote(pod::ThreadContext& ctx, ThreadState& ts,
-                     std::uint32_t slab, bool listed = false);
+                     std::uint32_t slab);
     /// Appends a remote free of @p slab to the thread's pending list.
     void defer_remote(pod::ThreadContext& ctx, ThreadState& ts,
                       std::uint32_t slab);
@@ -294,8 +284,6 @@ class SlabHeap {
     /// After a drain threw NmpStallError / EdgeDownError: reconcile_ring,
     /// then release the ring (also when the reconcile itself throws).
     void settle_ring(pod::ThreadContext& ctx);
-    /// Puts a serial final whose CAS threw back into the thread's list.
-    void relist_final(cxl::MemSession& mem, std::uint32_t slab);
 
     // ---- pending list (owner-only SWcc line) ----
     PendingList load_pending(cxl::MemSession& mem, cxl::ThreadId tid);

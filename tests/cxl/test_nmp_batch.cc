@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "../cxlalloc/fixture.h"
+#include "cxl/latency_model.h"
 #include "cxlalloc/size_class.h"
 
 namespace {
@@ -360,7 +361,33 @@ TEST(DeallocateBatch, SameSlabFreesCoalesceIntoOneOperand)
     rig.pod.release_thread(std::move(t2));
 }
 
-TEST(DeallocateBatch, GroupEqualToItsCounterLeavesTheStealSerial)
+/// Slab index of small-heap block @p p.
+std::uint32_t
+small_slab_of(Rig& rig, cxl::HeapOffset p)
+{
+    return static_cast<std::uint32_t>((p - rig.alloc.layout().small_data()) /
+                                      cxlalloc::kSmallSlabSize);
+}
+
+/// How often @p slab is linked on @p ctx's small unsized list (a walk of at
+/// most small_slabs + 1 links, so a slab linked twice shows as a cycle).
+std::uint32_t
+unsized_links(Rig& rig, pod::ThreadContext& ctx, std::uint32_t slab)
+{
+    const cxlalloc::Layout& l = rig.alloc.layout();
+    cxl::MemSession& mem = ctx.mem();
+    auto raw = mem.load<std::uint32_t>(l.small_local(ctx.tid()));
+    std::uint32_t links = 0;
+    for (std::uint32_t steps = 0; raw != 0 && steps <= rig.config.small_slabs;
+         steps++) {
+        links += raw - 1 == slab ? 1 : 0;
+        raw = mem.load<std::uint32_t>(l.small_swcc_desc(raw - 1) +
+                                      cxlalloc::DescField::kNext);
+    }
+    return links;
+}
+
+TEST(DeallocateBatch, GroupEqualToItsCounterStealsInTheSameDoorbell)
 {
     Rig rig(nohwcc_opts());
     auto t1 = rig.thread();
@@ -374,10 +401,13 @@ TEST(DeallocateBatch, GroupEqualToItsCounterLeavesTheStealSerial)
     }
     std::uint32_t len = rig.alloc.stats(t1->mem()).small.length;
     rig.alloc.deallocate_batch(*t2, offs.data(), kBlocks);
-    // 31 decrements ride one operand (32 -> 1); the 32nd is the serial
-    // mCAS that lands zero and steals.
-    EXPECT_EQ(t2->mem().counters().mcas_batches, 1u);
-    EXPECT_EQ(t2->mem().counters().mcas_batch_ops, 1u);
+    // All 32 decrements ride one operand (32 -> 0), and the round that
+    // landed it steals: no serial mCAS runs.
+    const cxl::MemEventCounters& c = t2->mem().counters();
+    EXPECT_EQ(c.mcas_batches, 1u);
+    EXPECT_EQ(c.mcas_batch_ops, 1u);
+    EXPECT_EQ(c.mcas_ops, c.mcas_batch_ops) << "a serial mCAS ran";
+    EXPECT_EQ(unsized_links(rig, *t2, small_slab_of(rig, offs[0])), 1u);
     cxlalloc::AuditReport r = rig.alloc.audit(t2->mem());
     EXPECT_TRUE(r.ok()) << r.to_string();
     EXPECT_EQ(r.live_blocks, 0u);
@@ -463,11 +493,111 @@ TEST(DeallocateBatch, MixedLocalRemoteAndHugeMatchSerialSemantics)
     rig.pod.release_thread(std::move(t2));
 }
 
+/// What a free script leaves behind, for comparing two ways to run it.
+struct FreeTrace {
+    std::vector<cxl::HeapOffset> offsets;
+    std::vector<cxl::MemEventCounters> counters;
+    std::vector<std::uint64_t> sim_ns;
+    std::string audit;
+};
+
+/// t1 fills a 1 KiB-class slab and takes small and large blocks; t2 takes
+/// small, large and huge blocks of its own. t2 then frees all of them —
+/// local and remote, small, large and huge, the full slab stolen on its
+/// last decrement — through one deallocate_batch call when @p batched, else
+/// a deallocate loop and detach_thread (which drains both slab heaps under
+/// NoHwcc, and is a no-op otherwise). Both threads then allocate again
+/// (t2 out of the stolen slab).
+FreeTrace
+run_free_script(cxl::CoherenceMode mode, bool batched)
+{
+    RigOptions opt;
+    opt.mode = mode;
+    Rig rig(opt);
+    cxl::LatencyModel model = mode == CoherenceMode::NoHwcc
+                                  ? cxl::LatencyModel::cxl_mcas()
+                                  : cxl::LatencyModel::cxl_hwcc();
+    auto t1 = rig.thread();
+    auto t2 = rig.thread();
+    t1->mem().set_latency_model(&model);
+    t2->mem().set_latency_model(&model);
+    std::vector<cxl::HeapOffset> frees;
+    for (int i = 0; i < 32; i++) {
+        frees.push_back(rig.alloc.allocate(*t1, 1024));
+    }
+    for (std::uint64_t size : {64, 4096, 4096}) {
+        frees.push_back(rig.alloc.allocate(*t1, size));
+    }
+    for (std::uint64_t size : {64, 8192, 1 << 20, 64}) {
+        frees.push_back(rig.alloc.allocate(*t2, size));
+    }
+    // Interleave the owners and heaps: t2's own blocks between t1's.
+    std::rotate(frees.begin(), frees.begin() + 20, frees.end());
+    FreeTrace out;
+    for (cxl::HeapOffset p : frees) {
+        EXPECT_NE(p, 0u);
+    }
+    if (batched) {
+        rig.alloc.deallocate_batch(*t2, frees.data(),
+                                   static_cast<std::uint32_t>(frees.size()));
+    } else {
+        for (cxl::HeapOffset p : frees) {
+            rig.alloc.deallocate(*t2, p);
+        }
+        rig.alloc.detach_thread(*t2);
+    }
+    for (int i = 0; i < 32; i++) {
+        out.offsets.push_back(rig.alloc.allocate(*t2, 1024));
+    }
+    for (std::uint64_t size : {64, 4096}) {
+        out.offsets.push_back(rig.alloc.allocate(*t1, size));
+    }
+    out.audit = rig.alloc.audit(t1->mem()).to_string();
+    for (pod::ThreadContext* ctx : {t1.get(), t2.get()}) {
+        out.counters.push_back(ctx->mem().counters());
+        out.sim_ns.push_back(ctx->mem().sim_ns());
+    }
+    rig.pod.release_thread(std::move(t1));
+    rig.pod.release_thread(std::move(t2));
+    return out;
+}
+
+/// deallocate_batch is its deallocate loop plus (NoHwcc) a drain of each
+/// slab heap the loop touched: same offsets afterwards, same memory
+/// operations and simulated time, same audit.
+void
+expect_batch_matches_loop(cxl::CoherenceMode mode)
+{
+    FreeTrace want = run_free_script(mode, /*batched=*/false);
+    FreeTrace got = run_free_script(mode, /*batched=*/true);
+    for (cxl::HeapOffset off : want.offsets) {
+        EXPECT_NE(off, 0u);
+    }
+    EXPECT_EQ(got.offsets, want.offsets);
+    ASSERT_EQ(got.counters.size(), want.counters.size());
+    for (std::size_t i = 0; i < want.counters.size(); i++) {
+        EXPECT_TRUE(got.counters[i] == want.counters[i]) << "thread " << i;
+    }
+    EXPECT_EQ(got.sim_ns, want.sim_ns);
+    EXPECT_GT(want.sim_ns.back(), 0u);
+    EXPECT_EQ(got.audit, want.audit);
+}
+
+TEST(DeallocateBatch, MatchesADeallocateLoop)
+{
+    expect_batch_matches_loop(CoherenceMode::PartialHwcc);
+}
+
+TEST(DeallocateBatch, MatchesADeallocateLoopAndDetachUnderNoHwcc)
+{
+    expect_batch_matches_loop(CoherenceMode::NoHwcc);
+}
+
 TEST(DeallocateBatch, ConcurrentCoalescedDrainsLandEveryFreeOnce)
 {
     // Real threads: three drainers free interleaved thirds of an owner's
     // full 1 KiB slabs, 8 at a time, racing every slab's counter to zero
-    // (coalesced operands, retries, serial steals). Each round must end
+    // (coalesced operands, retries, steals in the round). Each round must end
     // with a clean audit and no live block, and stolen slabs recycle, so
     // the heap stops growing.
     Rig rig(nohwcc_opts());
@@ -657,9 +787,9 @@ TEST(DeallocateBatchCrash, FailedOperandIsRedoneAfterALaterOneIsDisplaced)
 
 TEST(DeallocateBatchCrash, FinalDecrementSurvivesACrashAfterTheDoorbell)
 {
-    // The last 8 blocks of a slab: one operand carries 7 (8 -> 1), the 8th
-    // (it steals) is serial. A crash after the doorbell must not lose the
-    // serial one: it is still in the pending list, and recovery lands it.
+    // The last 8 blocks of a slab ride one operand (8 -> 0). A crash after
+    // the doorbell, before the round reads its results, must not lose the
+    // steal that operand owes: recovery's reconcile finishes it.
     Rig rig(nohwcc_opts());
     auto t1 = rig.thread();
     auto t2 = rig.thread();
@@ -681,22 +811,21 @@ TEST(DeallocateBatchCrash, FinalDecrementSurvivesACrashAfterTheDoorbell)
     cxlalloc::AuditReport r = rig.alloc.audit(t2->mem());
     EXPECT_TRUE(r.ok()) << r.to_string();
     EXPECT_EQ(live0 - r.live_blocks, 32u) << "the final decrement was lost";
-    EXPECT_EQ(rig.alloc.small_heap().debug_remote_free(
-                  t2->mem(), static_cast<std::uint32_t>(
-                                 (offs[0] - rig.alloc.layout().small_data()) /
-                                 cxlalloc::kSmallSlabSize)),
-              0u)
-        << "the slab was never stolen";
+    std::uint32_t slab = small_slab_of(rig, offs[0]);
+    EXPECT_EQ(rig.alloc.small_heap().debug_remote_free(t2->mem(), slab), 0u)
+        << "a decrement was lost";
+    EXPECT_EQ(unsized_links(rig, *t2, slab), 1u)
+        << "the slab was not stolen exactly once";
     rig.pod.release_thread(std::move(t1));
     rig.pod.release_thread(std::move(t2));
 }
 
 TEST(DeallocateBatchCrash, QueuedGroupSurvivesACrashInARoundsFinal)
 {
-    // Nine slab groups: a full 1 KiB slab (31 ride the ring, the 32nd is
-    // serial) plus 8 single blocks in slabs of their own. The first ring
-    // takes eight groups; the ninth waits for round 2. A crash in round
-    // 1's serial final must not lose the waiting group.
+    // Nine slab groups: a full 1 KiB slab (its operand zeroes the counter
+    // and steals) plus 8 single blocks in slabs of their own. The first
+    // ring takes eight groups; the ninth waits for round 2. A crash at
+    // round 1's steal must not lose the waiting group, nor the steal.
     Rig rig(nohwcc_opts());
     auto t1 = rig.thread();
     auto t2 = rig.thread();
@@ -710,19 +839,12 @@ TEST(DeallocateBatchCrash, QueuedGroupSurvivesACrashInARoundsFinal)
         ASSERT_NE(offs.back(), 0u);
     }
     std::uint64_t live0 = rig.alloc.audit(t1->mem()).live_blocks;
-    // Arm the crash for the first record after round 1's doorbell: the
-    // serial final's Op::FreeRemote.
-    cxltest::FireOnce arm(
-        [](const sched::Event& e) {
-            return e.op == sched::Op::McasDoorbell;
-        },
-        [&] { t2->arm_crash(cxlalloc::crashpoint::kAfterRecord, 1); });
-    sched::t_listener = &arm;
+    t2->arm_crash(cxlalloc::crashpoint::kMidSteal, 1);
     EXPECT_THROW(rig.alloc.deallocate_batch(
                      *t2, offs.data(), static_cast<std::uint32_t>(offs.size())),
                  ThreadCrashed);
-    sched::t_listener = nullptr;
-    ASSERT_TRUE(arm.fired());
+    ASSERT_EQ(rig.alloc.pending_record(*t2).op,
+              cxlalloc::Op::FreeRemoteBatch);
     cxl::ThreadId tid = t2->tid();
     rig.pod.mark_crashed(std::move(t2));
     t2 = rig.pod.adopt_thread(rig.process, tid);
@@ -730,15 +852,19 @@ TEST(DeallocateBatchCrash, QueuedGroupSurvivesACrashInARoundsFinal)
     cxlalloc::AuditReport r = rig.alloc.audit(t2->mem());
     EXPECT_TRUE(r.ok()) << r.to_string();
     EXPECT_EQ(live0 - r.live_blocks, 40u) << "a queued group was lost";
+    EXPECT_EQ(unsized_links(rig, *t2, small_slab_of(rig, offs[0])), 1u)
+        << "the full slab was not stolen exactly once";
     rig.pod.release_thread(std::move(t1));
     rig.pod.release_thread(std::move(t2));
 }
 
-TEST(DeallocateBatchCrash, FinalCaughtBetweenItsRecordAndTheListLandsOnce)
+TEST(DeallocateBatchCrash,
+     RoundStealIsFinishedOnceAfterACrashBeforeTheStampClears)
 {
-    // A serial final stores its Op::FreeRemote record, then the list
-    // without its decrement. Dying between the two leaves the decrement in
-    // both places: recovery must land it once, from the list.
+    // A round steals the slab its operand zeroed before it clears the
+    // list's out stamp. Dying in between leaves a done steal that the
+    // stamp still calls owed: recovery must see the slab on the unsized
+    // list and not steal (link) it a second time.
     Rig rig(nohwcc_opts());
     auto t1 = rig.thread();
     auto t2 = rig.thread();
@@ -748,29 +874,34 @@ TEST(DeallocateBatchCrash, FinalCaughtBetweenItsRecordAndTheListLandsOnce)
         ASSERT_NE(offs.back(), 0u);
     }
     std::uint64_t live0 = rig.alloc.audit(t1->mem()).live_blocks;
-    // Once the round's slots are polled (31 decrements in one operand, all
-    // landed) the next list store is the final's removal.
-    bool polled = false;
+    // After the doorbell, the round's first list store is the one that
+    // clears the stamp; the steal's stores come before it.
+    bool rung = false;
     cxltest::FireOnce die(
         [&](const sched::Event& e) {
-            polled |= e.op == sched::Op::McasPoll;
-            return polled && e.op == sched::Op::WriteBytes;
+            rung |= e.op == sched::Op::McasDoorbell;
+            return rung && e.op == sched::Op::WriteBytes;
         },
-        [] { throw ThreadCrashed{cxlalloc::crashpoint::kAfterRecord}; });
+        [] { throw ThreadCrashed{cxlalloc::crashpoint::kMidBatchDrain}; });
     sched::t_listener = &die;
     EXPECT_THROW(rig.alloc.deallocate_batch(*t2, offs.data(), 32),
                  ThreadCrashed);
     sched::t_listener = nullptr;
     ASSERT_TRUE(die.fired());
+    std::uint32_t slab = small_slab_of(rig, offs[0]);
+    ASSERT_EQ(unsized_links(rig, *t2, slab), 1u) << "the round did not steal";
     cxl::ThreadId tid = t2->tid();
-    ASSERT_EQ(rig.alloc.pending_record(*t2).op, cxlalloc::Op::FreeRemote);
+    ASSERT_EQ(rig.alloc.pending_record(*t2).op,
+              cxlalloc::Op::FreeRemoteBatch);
     rig.pod.mark_crashed(std::move(t2));
     t2 = rig.pod.adopt_thread(rig.process, tid);
     rig.alloc.recover(*t2);
+    EXPECT_EQ(unsized_links(rig, *t2, slab), 1u) << "the slab was stolen twice";
     cxlalloc::AuditReport r = rig.alloc.audit(t2->mem());
     EXPECT_TRUE(r.ok()) << r.to_string();
     EXPECT_EQ(r.pending_frees, 0u);
     EXPECT_EQ(live0 - r.live_blocks, 32u);
+    rig.alloc.check_local_invariants(t2->mem());
     std::uint32_t len = rig.alloc.stats(t2->mem()).small.length;
     for (int i = 0; i < 32; i++) { // the stolen slab serves these
         ASSERT_NE(rig.alloc.allocate(*t2, 1024), 0u);
@@ -780,14 +911,53 @@ TEST(DeallocateBatchCrash, FinalCaughtBetweenItsRecordAndTheListLandsOnce)
     rig.pod.release_thread(std::move(t2));
 }
 
+TEST(DeallocateBatchCrash, TrimmedStolenSlabIsNotStolenAgain)
+{
+    // With unsized_limit 0 the round's steal is trimmed straight on to the
+    // global list. The trim runs after the stamp clears, so a crash inside
+    // it (an Op::PushGlobal record) leaves no steal owed: recovery finishes
+    // the push, and the slab sits on the global list only.
+    RigOptions opt = nohwcc_opts();
+    opt.unsized_limit = 0;
+    Rig rig(opt);
+    auto t1 = rig.thread();
+    auto t2 = rig.thread();
+    std::vector<cxl::HeapOffset> offs;
+    for (int i = 0; i < 32; i++) { // a full 1 KiB-class slab
+        offs.push_back(rig.alloc.allocate(*t1, 1024));
+        ASSERT_NE(offs.back(), 0u);
+    }
+    std::uint32_t slab = small_slab_of(rig, offs[0]);
+    std::uint64_t live0 = rig.alloc.audit(t1->mem()).live_blocks;
+    std::uint32_t global0 = rig.alloc.stats(t1->mem()).small.global_free;
+    t2->arm_crash(cxlalloc::crashpoint::kMidPushGlobal, 1);
+    EXPECT_THROW(rig.alloc.deallocate_batch(*t2, offs.data(), 32),
+                 ThreadCrashed);
+    cxl::ThreadId tid = t2->tid();
+    ASSERT_EQ(rig.alloc.pending_record(*t2).op, cxlalloc::Op::PushGlobal);
+    rig.pod.mark_crashed(std::move(t2));
+    t2 = rig.pod.adopt_thread(rig.process, tid);
+    rig.alloc.recover(*t2);
+    EXPECT_EQ(unsized_links(rig, *t2, slab), 0u)
+        << "the trimmed slab was stolen again";
+    cxlalloc::AuditReport r = rig.alloc.audit(t2->mem());
+    EXPECT_TRUE(r.ok()) << r.to_string();
+    EXPECT_EQ(r.pending_frees, 0u);
+    EXPECT_EQ(live0 - r.live_blocks, 32u);
+    EXPECT_EQ(rig.alloc.stats(t2->mem()).small.global_free, global0 + 1);
+    rig.alloc.check_local_invariants(t2->mem());
+    rig.pod.release_thread(std::move(t1));
+    rig.pod.release_thread(std::move(t2));
+}
+
 TEST(DeallocateBatchCrash, SweepCountdownsThroughMixedBatches)
 {
     // §5.1-style sweep with exact accounting: one batch of a full 1 KiB
-    // slab (its last decrement steals) plus two blocks in each of twelve
-    // classes — thirteen slab entries, so the drain takes two rounds —
-    // with the crash armed at each point of the free path — the
-    // FreeDeferred append and the final's record (kAfterRecord), the three
-    // batch points, the steal — at several countdowns. After recovery and
+    // slab (its operand zeroes the counter and steals) plus two blocks in
+    // each of twelve classes — thirteen slab entries, so the drain takes
+    // two rounds — with the crash armed at each point of the free path —
+    // the FreeDeferred appends (kAfterRecord), the three batch points, the
+    // round's steal — at several countdowns. After recovery and
     // cleanup exactly the accepted frees have landed: every one when the
     // crash hit the drain, the first `countdown` appends when it hit the
     // appends (a logged append is redone, an unlogged one never happened).
@@ -812,6 +982,7 @@ TEST(DeallocateBatchCrash, SweepCountdownsThroughMixedBatches)
     for (std::uint32_t countdown : {kFrees - 1, kFrees, kFrees + 1}) {
         cases.push_back({cxlalloc::crashpoint::kAfterRecord, countdown});
     }
+    bool stole_in_round = false;
     for (const Case& c : cases) {
         SCOPED_TRACE("point " + std::to_string(c.point) + " countdown " +
                      std::to_string(c.countdown));
@@ -840,6 +1011,12 @@ TEST(DeallocateBatchCrash, SweepCountdownsThroughMixedBatches)
             if (c.point == cxlalloc::crashpoint::kAfterRecord) {
                 accepted = std::min(c.countdown, kFrees);
             }
+            if (c.point == cxlalloc::crashpoint::kMidSteal) {
+                // The steal is the round's, not a serial final's.
+                EXPECT_EQ(rig.alloc.pending_record(*t2).op,
+                          cxlalloc::Op::FreeRemoteBatch);
+                stole_in_round = true;
+            }
             cxl::ThreadId tid = t2->tid();
             rig.pod.mark_crashed(std::move(t2));
             t2 = rig.pod.adopt_thread(rig.process, tid);
@@ -861,6 +1038,7 @@ TEST(DeallocateBatchCrash, SweepCountdownsThroughMixedBatches)
         rig.pod.release_thread(std::move(t1));
         rig.pod.release_thread(std::move(t2));
     }
+    EXPECT_TRUE(stole_in_round) << "no case crashed at the round's steal";
 }
 
 TEST(DeallocateBatchCrash, FreshOccupantsFirstRoundIsNotItsPredecessors)
@@ -900,10 +1078,9 @@ TEST(DeallocateBatchCrash, FreshOccupantsFirstRoundIsNotItsPredecessors)
     rig.pod.release_thread(std::move(b));
 }
 
-/// A thread (t2 of @p rig) with one block pending in each of the first
-/// @p pending of @p offs (one slab each), whose cleanup then hits a stall
-/// that escalates: the drain must rethrow with its round back in the list
-/// and the ring released.
+/// A thread (t2 of @p rig) with the first @p pending of @p offs pending,
+/// whose cleanup then hits a stall that escalates: the drain must rethrow
+/// with its round back in the list and the ring released.
 void
 stall_a_drain(Rig& rig, pod::ThreadContext& t2,
               const std::vector<cxl::HeapOffset>& offs, std::uint32_t pending)
@@ -978,12 +1155,12 @@ TEST(DeallocateBatchStall, AppendLoggedAfterAStallIsRedone)
     rig.pod.release_thread(std::move(t2));
 }
 
-TEST(DeallocateBatchStall, StalledFinalGoesBackIntoTheList)
+TEST(DeallocateBatchStall, StalledZeroingOperandGoesBackIntoTheList)
 {
-    // A full 1 KiB slab: one operand lands 31 decrements, then the serial
-    // final's mCAS escalates a stall. The final must go back into the
-    // list (it never landed) and land, stealing the slab, on the next
-    // drain.
+    // A full 1 KiB slab: one operand carries all 32 decrements (32 -> 0),
+    // and its doorbell escalates a stall. The operand never landed, so its
+    // decrements go back into the list and nothing is stolen; the next
+    // drain lands them and steals the slab exactly once.
     Rig rig(nohwcc_opts());
     auto t1 = rig.thread();
     auto t2 = rig.thread();
@@ -992,29 +1169,17 @@ TEST(DeallocateBatchStall, StalledFinalGoesBackIntoTheList)
         offs.push_back(rig.alloc.allocate(*t1, 1024));
         ASSERT_NE(offs.back(), 0u);
     }
+    std::uint32_t slab = small_slab_of(rig, offs[0]);
     std::uint64_t live0 = rig.alloc.audit(t1->mem()).live_blocks;
-    for (cxl::HeapOffset p : offs) {
-        rig.alloc.deallocate(*t2, p);
-    }
-    int doorbells = 0;
-    cxltest::FireOnce stall(
-        [&](const sched::Event& e) {
-            return e.op == sched::Op::McasDoorbell && ++doorbells == 2;
-        },
-        [&] { rig.pod.nmp().inject_stall(cxl::kNmpStallRetryLimit + 1); });
-    sched::t_listener = &stall;
-    EXPECT_THROW(rig.alloc.cleanup(*t2), cxl::NmpStallError);
-    sched::t_listener = nullptr;
-    ASSERT_TRUE(stall.fired());
-    EXPECT_EQ(rig.pod.nmp().ring_occupancy(t2->tid()), 0u);
-    cxlalloc::AuditReport r = rig.alloc.audit(t2->mem());
-    EXPECT_TRUE(r.ok()) << r.to_string();
-    EXPECT_EQ(r.pending_frees, 1u);
+    stall_a_drain(rig, *t2, offs, 32);
+    EXPECT_EQ(rig.alloc.small_heap().debug_remote_free(t2->mem(), slab), 32u);
+    EXPECT_EQ(unsized_links(rig, *t2, slab), 0u) << "stolen before landing";
     rig.alloc.cleanup(*t2);
-    r = rig.alloc.audit(t2->mem());
+    cxlalloc::AuditReport r = rig.alloc.audit(t2->mem());
     EXPECT_TRUE(r.ok()) << r.to_string();
     EXPECT_EQ(r.pending_frees, 0u);
     EXPECT_EQ(live0 - r.live_blocks, 32u);
+    EXPECT_EQ(unsized_links(rig, *t2, slab), 1u);
     std::uint32_t len = rig.alloc.stats(t2->mem()).small.length;
     for (int i = 0; i < 32; i++) { // the stolen slab serves these
         ASSERT_NE(rig.alloc.allocate(*t2, 1024), 0u);

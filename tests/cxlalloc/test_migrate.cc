@@ -47,7 +47,8 @@ far_edge()
 struct TieredWorld {
     explicit TieredWorld(
         std::uint32_t dram_percent, bool tiered = true, HostId hosts = 1,
-        cxl::CoherenceMode mode = cxl::CoherenceMode::PartialHwcc)
+        cxl::CoherenceMode mode = cxl::CoherenceMode::PartialHwcc,
+        std::uint32_t unsized_limit = cxlalloc::Config{}.unsized_limit)
     {
         cfg.small_slabs = 4;
         cfg.large_slabs = 2;
@@ -57,6 +58,7 @@ struct TieredWorld {
         cfg.hazard_slots_per_thread = 4;
         cfg.app_sync_bytes = kCells * 8;
         cfg.dram_percent = dram_percent;
+        cfg.unsized_limit = unsized_limit;
         dram_cfg = cfg;
         dram_cfg.small_slabs = 2;
         dram_cfg.app_sync_bytes = 0;
@@ -456,6 +458,73 @@ TEST(MigrateCrash, DeferredLoserFreeIsNotRefreedUnderNoHwcc)
     w.alloc->deallocate(*rescuer, winner);
     w.pod->release_thread(std::move(rescuer));
     w.pod->release_thread(std::move(maker));
+}
+
+/// The loser's own free steals its slab, and with unsized_limit 0 the trim
+/// pushes the slab straight on to the global list: the freeing shard's
+/// record ends as Op::PushGlobal. A crash there (the loser's free has
+/// happened) must not make Free-stage recovery free the loser again.
+void
+loser_free_that_trims(cxl::CoherenceMode mode)
+{
+    TieredWorld w(/*dram_percent=*/0, /*tiered=*/false, /*hosts=*/1, mode,
+                  /*unsized_limit=*/0);
+    auto maker = w.thread();
+    // Cell 0's object is the first block of a 64 B slab the maker fills;
+    // the migrating thread remote-frees every other block, so the loser's
+    // free is the slab's last decrement. Under NoHwcc 63 of those frees are
+    // still pending (no cleanup): the loser's append fills the list, and
+    // the drain it sets off steals and trims.
+    cxl::HeapOffset obj = w.make_object(*maker, 0, 0x4b);
+    std::vector<cxl::HeapOffset> rest;
+    for (std::uint64_t i = 1; i < cxlalloc::kSmallSlabSize / kObjSize; i++) {
+        rest.push_back(w.alloc->allocate(*maker, kObjSize));
+        ASSERT_GT(rest.back(), obj);
+        ASSERT_LT(rest.back(), obj + cxlalloc::kSmallSlabSize);
+    }
+    auto ctx = w.thread();
+    cxl::ThreadId tid = ctx->tid();
+    for (cxl::HeapOffset p : rest) {
+        w.alloc->deallocate(*ctx, p);
+    }
+    cxl::DeviceId other = w.home() == 0 ? 1 : 0;
+    cxltest::FireOnce arm(
+        [](const sched::Event& e) {
+            return e.op == sched::Op::CrashPoint &&
+                   e.aux == static_cast<std::uint64_t>(
+                                cxlalloc::migratepoint::kMidFree);
+        },
+        [&] { ctx->arm_crash(cxlalloc::crashpoint::kMidPushGlobal, 1); });
+    sched::t_listener = &arm;
+    EXPECT_THROW(w.migrator->debug_migrate_cell(*ctx, w.cell(0), other),
+                 ThreadCrashed);
+    sched::t_listener = nullptr;
+    ASSERT_TRUE(arm.fired());
+    EXPECT_EQ(w.alloc->shard(w.home()).pending_record(*ctx).op,
+              cxlalloc::Op::PushGlobal);
+    w.pod->mark_crashed(std::move(ctx));
+
+    auto rescuer = w.pod->adopt_thread(w.procs[0], tid);
+    w.migrator->recover(*rescuer);
+    cxl::MemSession& mem = rescuer->mem();
+    auto winner = static_cast<cxl::HeapOffset>(w.cell_value(mem, 0)) << 3;
+    EXPECT_EQ(w.device_of(winner), other);
+    EXPECT_TRUE(w.payload_is(mem, winner, 0x4b));
+    EXPECT_EQ(w.live_blocks(mem), 1u) << "the loser was freed twice or never";
+    EXPECT_EQ(w.alloc->audit(mem).pending_frees, 0u);
+    w.alloc->deallocate(*rescuer, winner);
+    w.pod->release_thread(std::move(rescuer));
+    w.pod->release_thread(std::move(maker));
+}
+
+TEST(MigrateCrash, LoserFreeThatTrimsIsNotRefreed)
+{
+    for (cxl::CoherenceMode mode :
+         {cxl::CoherenceMode::PartialHwcc, cxl::CoherenceMode::NoHwcc}) {
+        SCOPED_TRACE(mode == cxl::CoherenceMode::NoHwcc ? "NoHwcc"
+                                                        : "PartialHwcc");
+        loser_free_that_trims(mode);
+    }
 }
 
 TEST(MigrateCrash, RecoveryReentersAfterCrashingMidRecovery)

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "cxlalloc/pod_shard.h"
+#include "cxlalloc/size_class.h"
 #include "fixture.h"
 #include "obs/registry.h"
 #include "pod/faults.h"
@@ -341,6 +342,53 @@ TEST(PodDegraded, DrainCutByAnEdgeOutageIsSettledByTheNextDrain)
     w.pod->mark_crashed(std::move(c0));
     c0 = w.pod->adopt_thread(w.procs[0], tid);
     w.alloc->recover(*c0);
+    cxlalloc::AuditReport audit = w.alloc->audit(c0->mem());
+    EXPECT_EQ(audit.pending_frees, 0u);
+    w.expect_drained(c0->mem());
+    w.pod->release_thread(std::move(c0));
+    w.pod->release_thread(std::move(c1));
+}
+
+/// The same outage when the round's operand takes its counter to zero:
+/// the round cannot reach the slab's descriptor to steal it, nor the list
+/// to settle. The slab leaks (counter zero, still its old owner's detached
+/// slab), it is never stolen twice, and the next drain clears the stamp
+/// with nothing left to land.
+TEST(PodDegraded, RoundStealCutByAnEdgeOutageLeaksTheSlab)
+{
+    DegradedWorld w(cxl::CoherenceMode::NoHwcc);
+    auto c0 = w.thread(0);
+    auto c1 = w.thread(1);
+    std::vector<cxl::HeapOffset> full;
+    for (int i = 0; i < 32; i++) { // a full 1 KiB-class slab on device 1
+        cxl::HeapOffset p = w.alloc->allocate(*c1, 1024);
+        ASSERT_NE(p, 0u);
+        ASSERT_EQ(w.device_of(p), 1);
+        full.push_back(p);
+    }
+    for (cxl::HeapOffset p : full) {
+        w.alloc->deallocate(*c0, p);
+    }
+    cxltest::FireOnce outage(
+        [](const sched::Event& e) {
+            return e.op == sched::Op::McasDoorbell;
+        },
+        [&] { w.topo.set_edge_state(0, 1, EdgeState::Down); });
+    sched::t_listener = &outage;
+    EXPECT_THROW(w.alloc->cleanup(*c0), cxl::EdgeDownError);
+    sched::t_listener = nullptr;
+    ASSERT_TRUE(outage.fired());
+    EXPECT_EQ(w.pod->nmp().ring_occupancy(c0->tid()), 0u);
+    w.topo.set_edge_state(0, 1, EdgeState::Up);
+
+    w.alloc->cleanup(*c0);
+    cxlalloc::CxlAllocator& shard = w.alloc->shard(1);
+    auto slab = static_cast<std::uint32_t>(
+        (full[0] - shard.layout().small_data()) / cxlalloc::kSmallSlabSize);
+    EXPECT_EQ(shard.small_heap().debug_remote_free(c0->mem(), slab), 0u);
+    EXPECT_EQ(shard.small_heap().debug_owner(c0->mem(), slab), c1->tid())
+        << "the cut steal was finished or redone";
+    shard.check_local_invariants(c0->mem());
     cxlalloc::AuditReport audit = w.alloc->audit(c0->mem());
     EXPECT_EQ(audit.pending_frees, 0u);
     w.expect_drained(c0->mem());

@@ -1,10 +1,11 @@
 /// @file
 /// Coalesced remote-free drains under explored schedules (paper §3.2.1,
 /// §4): two drainers free interleaved halves of an owner's full slabs
-/// through deallocate_batch — one operand per slab per ring, the final
-/// decrement serial — while the owner frees blocks of its own locally;
-/// and an owner whose frees into its own disowned slabs wait in its
-/// pending list (NoHwcc) while a neighbour batch-drains the same slabs.
+/// through deallocate_batch — one operand per slab per ring, the round
+/// that zeroes a counter stealing its slab — while the owner frees blocks
+/// of its own locally; and an owner whose frees into its own disowned
+/// slabs wait in its pending list (NoHwcc) while a neighbour batch-drains
+/// the same slabs.
 /// With crash injection any participant dies at any yield, and a
 /// recoverer adopts and recovers its slot while the others keep running
 /// (until then the dead thread's staged operands doom every competing
