@@ -280,6 +280,10 @@ CxlAllocator::recover(pod::ThreadContext& ctx)
     if (record.op == Op::FreeDeferred) {
         (record.large_heap ? large_ : small_).recover(ctx, pt.state, record);
     }
+    // A kill can leave a list edit half done: relink both heaps' local
+    // lists from descriptor truth before anything walks or edits them.
+    small_.rebuild_lists(mem);
+    large_.rebuild_lists(mem);
     // Staged NMP operands are device state: a crash can leave Posted slots
     // that doom every competing mCAS on their targets (Fig. 6(b)) until
     // released. A drain round whose decrements are stamped out of its

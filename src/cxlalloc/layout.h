@@ -89,6 +89,9 @@ struct Config {
 ///        full/empty transition checks O(1) instead of O(words). Zeroed
 ///        memory is still a valid empty heap: 0 free blocks matches an
 ///        all-zero bitset. Rebuilt from the bitset by crash recovery.)
+///   +12 prev   u32  (OptIndex raw, sized lists only: the predecessor,
+///        except that a list head names the tail, so a lone head names
+///        itself; owner-only list state, rebuilt by crash recovery)
 ///   +16 free bitset (u64 words; bit set = block free)
 struct DescField {
     static constexpr std::uint64_t kNext = 0;

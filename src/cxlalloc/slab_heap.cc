@@ -439,14 +439,18 @@ void
 SlabHeap::push_sized(cxl::MemSession& mem, std::uint32_t cls,
                      std::uint32_t slab)
 {
-    cxl::HeapOffset head = sized_head_off(mem.tid(), cls);
-    std::uint32_t old = mem.load<std::uint32_t>(head);
-    set_next_raw(mem, slab, old);
-    set_prev_raw(mem, slab, 0);
-    if (old != 0) {
-        set_prev_raw(mem, old - 1, slab + 1);
+    cxl::HeapOffset head_off = sized_head_off(mem.tid(), cls);
+    std::uint32_t head = mem.load<std::uint32_t>(head_off);
+    set_next_raw(mem, slab, 0);
+    if (head == 0) {
+        set_prev_raw(mem, slab, slab + 1); // a lone head is its own tail
+        mem.store<std::uint32_t>(head_off, slab + 1);
+    } else {
+        std::uint32_t tail = prev_raw(mem, head - 1);
+        set_next_raw(mem, tail - 1, slab + 1);
+        set_prev_raw(mem, slab, tail);
+        set_prev_raw(mem, head - 1, slab + 1);
     }
-    mem.store<std::uint32_t>(head, slab + 1);
     set_state(mem, slab, SlabState::TlSized);
 }
 
@@ -454,15 +458,20 @@ void
 SlabHeap::remove_sized(cxl::MemSession& mem, std::uint32_t cls,
                        std::uint32_t slab)
 {
+    cxl::HeapOffset head_off = sized_head_off(mem.tid(), cls);
+    std::uint32_t head = mem.load<std::uint32_t>(head_off);
     std::uint32_t p = prev_raw(mem, slab);
     std::uint32_t n = next_raw(mem, slab);
-    if (p != 0) {
-        set_next_raw(mem, p - 1, n);
+    if (head == slab + 1) {
+        // p is the tail: the new head (if any) inherits it.
+        mem.store<std::uint32_t>(head_off, n);
+        if (n != 0) {
+            set_prev_raw(mem, n - 1, p);
+        }
     } else {
-        mem.store<std::uint32_t>(sized_head_off(mem.tid(), cls), n);
-    }
-    if (n != 0) {
-        set_prev_raw(mem, n - 1, p);
+        set_next_raw(mem, p - 1, n);
+        // Unlinking the tail makes p the tail, which the head names.
+        set_prev_raw(mem, n != 0 ? n - 1 : head - 1, p);
     }
     set_next_raw(mem, slab, 0);
     set_prev_raw(mem, slab, 0);
@@ -492,6 +501,13 @@ SlabHeap::pop_unsized(cxl::MemSession& mem)
     std::uint32_t c = mem.load<std::uint32_t>(cnt);
     mem.store<std::uint32_t>(cnt, c == 0 ? 0 : c - 1);
     return slab;
+}
+
+bool
+SlabHeap::shares_class(cxl::MemSession& mem, std::uint32_t slab)
+{
+    // Only a lone head names itself as the tail.
+    return next_raw(mem, slab) != 0 || prev_raw(mem, slab) != slab + 1;
 }
 
 bool
@@ -1058,10 +1074,12 @@ SlabHeap::free_local(pod::ThreadContext& ctx, ThreadState& ts,
     CXL_PARANOID_ASSERT(free == bitset_count(mem, slab, cls),
                         "free-block counter diverged from bitset");
     if (st == SlabState::Detached) {
-        // Previously full: relink so it can serve allocations again.
+        // Previously full: relink so it can serve allocations again, at the
+        // tail. The slabs ahead of it have waited longer and gathered more
+        // frees; at the head its one free block would refill it on the next
+        // allocation, which detaches it again (flush + fence).
         push_sized(mem, cls, slab);
-    } else if (free == blocks_of(cls) &&
-               (next_raw(mem, slab) != 0 || prev_raw(mem, slab) != 0)) {
+    } else if (free == blocks_of(cls) && shares_class(mem, slab)) {
         // Slab is now completely empty and the class has other slabs:
         // recycle it as unsized. (Keeping the last slab warm avoids
         // re-initializing it on every alloc/free alternation.)
@@ -1221,13 +1239,6 @@ SlabHeap::recover(pod::ThreadContext& ctx, ThreadState& ts,
       }
       case Op::Init: {
         std::uint32_t cls = record.aux;
-        std::uint32_t uh = mem.load<std::uint32_t>(
-            unsized_head_off(mem.tid()));
-        if (uh == slab + 1) {
-            // Nothing visible happened: rerun the transition.
-            init_from_unsized(ctx, slab, cls);
-            break;
-        }
         if (state(mem, slab) == SlabState::TlSized &&
             class_biased(mem, slab) == cls + 1) {
             // Completed; resync the counter with whatever bitset lines
@@ -1235,14 +1246,11 @@ SlabHeap::recover(pod::ThreadContext& ctx, ThreadState& ts,
             set_free_blocks(mem, slab, bitset_count(mem, slab, cls));
             break;
         }
-        // Popped but not (fully) initialized: since this record is the
-        // thread's last operation, no allocation has happened — refilling
-        // the bitset is safe.
-        set_owner(mem, slab, mem.tid());
-        set_class_biased(mem, slab, static_cast<std::uint8_t>(cls + 1));
-        bitset_fill(mem, slab, cls);
-        mem.atomic_store64(hwcc(slab), DcasWord::pack(blocks_of(cls), 0, 0));
-        push_sized(mem, cls, slab);
+        // The final state store never happened, so the slab is still
+        // TlUnsized and rebuild_lists kept it on the unsized list. No block
+        // was handed out: drop the half-written class and leave it there
+        // for the next refill.
+        set_class_biased(mem, slab, 0);
         break;
       }
       case Op::PopGlobal: {
@@ -1265,30 +1273,48 @@ SlabHeap::recover(pod::ThreadContext& ctx, ThreadState& ts,
         break;
       }
       case Op::Detach: {
-        std::uint32_t cls = record.aux;
-        if (state(mem, slab) != SlabState::Detached) {
-            remove_sized(mem, cls, slab);
+        // Unfinished only while still TlSized and ours (rebuild_lists
+        // relisted it). The record outlives the allocate call: a finished
+        // detach's slab may have been stolen since.
+        if (state(mem, slab) == SlabState::TlSized &&
+            owner(mem, slab) == mem.tid()) {
+            remove_sized(mem, record.aux, slab);
             set_state(mem, slab, SlabState::Detached);
         }
         flush_desc(mem, slab);
         break;
       }
       case Op::Disown: {
-        std::uint32_t cls = record.aux;
-        // No steal can have happened yet (the last block allocated from
-        // this slab never escaped the crashed allocate call), so the slab
-        // is still ours to repair.
+        // Unfinished only while still TlSized, and ours (rebuild_lists
+        // relisted it) or nobody's (the owner store landed). As for Detach,
+        // a finished disown's slab may have been stolen since (state read
+        // first, as in rebuild_lists).
         if (state(mem, slab) == SlabState::TlSized) {
-            remove_sized(mem, cls, slab);
+            cxl::ThreadId who = owner(mem, slab);
+            if (who == mem.tid()) {
+                remove_sized(mem, record.aux, slab);
+            }
+            if (who == mem.tid() || who == cxl::kNoThread) {
+                set_owner(mem, slab, cxl::kNoThread);
+                set_state(mem, slab, SlabState::Disowned);
+            }
         }
-        set_owner(mem, slab, cxl::kNoThread);
-        set_state(mem, slab, SlabState::Disowned);
         flush_desc(mem, slab);
         break;
       }
       case Op::FreeLocal: {
         std::uint32_t cls = class_biased(mem, slab);
-        CXL_ASSERT(cls != 0, "FreeLocal record against classless slab");
+        if (cls == 0) {
+            // The free emptied the slab and was recycling it (or a trim
+            // was pushing it on to the global list, whose own record comes
+            // after its owner store): finish on the unsized list.
+            if (owner(mem, slab) != mem.tid() ||
+                state(mem, slab) != SlabState::TlUnsized) {
+                acquire_to_unsized(ctx, slab);
+            }
+            trim_unsized(ctx, ts);
+            break;
+        }
         bitset_set(mem, slab, record.aux);
         mem.store<std::uint16_t>(desc(slab) + DescField::kHint, 0);
         set_free_blocks(mem, slab, bitset_count(mem, slab, cls - 1));
@@ -1297,7 +1323,7 @@ SlabHeap::recover(pod::ThreadContext& ctx, ThreadState& ts,
             push_sized(mem, cls - 1, slab);
         } else if (st == SlabState::TlSized &&
                    free_blocks(mem, slab) == blocks_of(cls - 1) &&
-                   (next_raw(mem, slab) != 0 || prev_raw(mem, slab) != 0)) {
+                   shares_class(mem, slab)) {
             remove_sized(mem, cls - 1, slab);
             set_class_biased(mem, slab, 0);
             push_unsized(mem, slab);
@@ -1364,6 +1390,53 @@ SlabHeap::recover(pod::ThreadContext& ctx, ThreadState& ts,
       }
       default:
         CXL_PANIC("slab heap asked to recover a non-slab operation");
+    }
+}
+
+void
+SlabHeap::rebuild_lists(cxl::MemSession& mem)
+{
+    const cxl::ThreadId tid = mem.tid();
+    // List c < num_classes_ is class c's sized list; list num_classes_ is
+    // the unsized list. Raw (index + 1) heads and tails.
+    std::vector<std::uint32_t> head(num_classes_ + 1);
+    std::vector<std::uint32_t> tail(num_classes_ + 1);
+    std::uint32_t unsized = 0;
+    const std::uint32_t len = length(mem);
+    for (std::uint32_t slab = 0; slab < len; slab++) {
+        // State before owner: a stealer of a slab that was ours writes the
+        // owner first and the state last, so it never reads as ours.
+        SlabState st = state(mem, slab);
+        if ((st != SlabState::TlUnsized && st != SlabState::TlSized) ||
+            owner(mem, slab) != tid) {
+            continue;
+        }
+        std::uint32_t list;
+        std::uint8_t biased = class_biased(mem, slab);
+        if (st == SlabState::TlUnsized) {
+            list = num_classes_;
+            unsized++;
+        } else if (biased != 0 && biased <= num_classes_) {
+            list = biased - 1u;
+            set_prev_raw(mem, slab, tail[list]); // the head's is set below
+        } else {
+            continue; // classless TlSized: the FreeLocal redo finishes it
+        }
+        set_next_raw(mem, slab, 0);
+        if (tail[list] == 0) {
+            head[list] = slab + 1;
+        } else {
+            set_next_raw(mem, tail[list] - 1, slab + 1);
+        }
+        tail[list] = slab + 1;
+    }
+    mem.store<std::uint32_t>(unsized_head_off(tid), head[num_classes_]);
+    mem.store<std::uint32_t>(unsized_count_off(tid), unsized);
+    for (std::uint32_t cls = 0; cls < num_classes_; cls++) {
+        mem.store<std::uint32_t>(sized_head_off(tid, cls), head[cls]);
+        if (head[cls] != 0) {
+            set_prev_raw(mem, head[cls] - 1, tail[cls]);
+        }
     }
 }
 
@@ -1469,9 +1542,11 @@ SlabHeap::check_local_invariants(cxl::MemSession& mem)
     }
     CXL_ASSERT(mem.load<std::uint32_t>(unsized_count_off(tid)) == count,
                "unsized count out of sync");
-    // Sized lists: owned, correctly classed, never full, doubly linked.
+    // Sized lists: owned, correctly classed, never full, doubly linked,
+    // the head's prev naming the tail.
     for (std::uint32_t cls = 0; cls < num_classes_; cls++) {
-        raw = mem.load<std::uint32_t>(sized_head_off(tid, cls));
+        std::uint32_t head = mem.load<std::uint32_t>(sized_head_off(tid, cls));
+        raw = head;
         std::uint32_t prev = 0;
         std::uint32_t steps = 0;
         while (raw != 0) {
@@ -1486,11 +1561,13 @@ SlabHeap::check_local_invariants(cxl::MemSession& mem)
                        "free-block counter diverged from bitset");
             CXL_ASSERT(free_blocks(mem, slab) != 0,
                        "sized list contains a full slab");
-            CXL_ASSERT(prev_raw(mem, slab) == prev,
+            CXL_ASSERT(raw == head || prev_raw(mem, slab) == prev,
                        "sized list prev link broken");
             prev = raw;
             raw = next_raw(mem, slab);
         }
+        CXL_ASSERT(head == 0 || prev_raw(mem, head - 1) == prev,
+                   "sized list head does not name its tail");
     }
 }
 

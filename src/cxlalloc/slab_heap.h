@@ -132,8 +132,18 @@ class SlabHeap {
     bool resolve(cxl::MemSession& mem, cxl::HeapOffset offset,
                  pod::MappedRange* out);
 
+    /// Recovery only, before the ring reconcile and every redo that
+    /// touches a list: relinks the calling thread's unsized list, its
+    /// count and its sized lists (tail words included) from descriptor
+    /// truth, in slab order. A slab it owns is unsized in state TlUnsized,
+    /// and sized in state TlSized with a class; every other slab stays
+    /// unlinked. One pass over the heap length: a kill can leave any list
+    /// edit half done, and no redo re-runs one.
+    void rebuild_lists(cxl::MemSession& mem);
+
     /// Idempotently redoes the interrupted operation @p record on behalf
-    /// of the crashed thread whose slot @p ctx adopted.
+    /// of the crashed thread whose slot @p ctx adopted, against the lists
+    /// rebuild_lists left: the recorded slab reaches its final state.
     void recover(pod::ThreadContext& ctx, ThreadState& ts,
                  const OpRecord& record);
 
@@ -251,10 +261,22 @@ class SlabHeap {
     cxl::HeapOffset unsized_head_off(cxl::ThreadId tid) const;
     cxl::HeapOffset unsized_count_off(cxl::ThreadId tid) const;
 
+    // A sized list is first-in, first-out: allocation takes the head, and
+    // a slab (re)joins at the tail. Links are descriptor words: next (+0)
+    // names the successor (0 ends the list), and prev (+12) names the
+    // predecessor, except that the head's prev names the tail (a lone
+    // head names itself).
+
+    /// Appends @p slab (unlinked) at the tail of @p cls's list and marks
+    /// it TlSized.
     void push_sized(cxl::MemSession& mem, std::uint32_t cls,
                     std::uint32_t slab);
+    /// Unlinks @p slab from @p cls's list, keeping the head's tail word
+    /// right when it unlinks the head or the tail; zeroes its links.
     void remove_sized(cxl::MemSession& mem, std::uint32_t cls,
                       std::uint32_t slab);
+    /// True when @p slab (on a sized list) is not its class's only slab.
+    bool shares_class(cxl::MemSession& mem, std::uint32_t slab);
     void push_unsized(cxl::MemSession& mem, std::uint32_t slab);
     /// Pops the unsized head; list must be nonempty.
     std::uint32_t pop_unsized(cxl::MemSession& mem);

@@ -314,6 +314,62 @@ TEST(CrashRecovery, CrashMidStealCompletesSteal)
     rig.pod.release_thread(std::move(other));
 }
 
+/// Kills @p ctx between operations (its record is its last finished
+/// operation's), then adopts and recovers the slot.
+void
+die_idle_and_recover(Rig& rig, std::unique_ptr<pod::ThreadContext>& ctx)
+{
+    cxl::ThreadId tid = ctx->tid();
+    rig.pod.mark_crashed(std::move(ctx));
+    ctx = rig.pod.adopt_thread(rig.process, tid);
+    rig.alloc.recover(*ctx);
+}
+
+TEST(CrashRecovery, FinishedDetachRecordLeavesTheStolenSlabAlone)
+{
+    Rig rig;
+    auto owner = rig.thread();
+    auto other = rig.thread();
+    // The 64th allocation fills the slab and detaches it: the owner's
+    // record stays Detach while the other thread frees every block and
+    // steals the slab onto its own unsized list.
+    std::vector<cxl::HeapOffset> ptrs;
+    for (int i = 0; i < 64; i++) {
+        ptrs.push_back(rig.alloc.allocate(*owner, 512));
+    }
+    for (cxl::HeapOffset p : ptrs) {
+        rig.alloc.deallocate(*other, p);
+    }
+    die_idle_and_recover(rig, owner);
+    rig.alloc.check_local_invariants(other->mem());
+    verify_consistent(rig, *owner);
+    rig.pod.release_thread(std::move(owner));
+    rig.pod.release_thread(std::move(other));
+}
+
+TEST(CrashRecovery, FinishedDisownRecordLeavesTheStolenSlabAlone)
+{
+    Rig rig;
+    auto owner = rig.thread();
+    auto other = rig.thread();
+    // One remote free before the slab fills: the filling allocation
+    // disowns it. The other thread then frees the rest and steals it.
+    std::vector<cxl::HeapOffset> ptrs;
+    for (int i = 0; i < 63; i++) {
+        ptrs.push_back(rig.alloc.allocate(*owner, 512));
+    }
+    rig.alloc.deallocate(*other, ptrs[0]);
+    ptrs[0] = rig.alloc.allocate(*owner, 512);
+    for (cxl::HeapOffset p : ptrs) {
+        rig.alloc.deallocate(*other, p);
+    }
+    die_idle_and_recover(rig, owner);
+    rig.alloc.check_local_invariants(other->mem());
+    verify_consistent(rig, *owner);
+    rig.pod.release_thread(std::move(owner));
+    rig.pod.release_thread(std::move(other));
+}
+
 TEST(CrashRecovery, CrashInsideStealAcquireCompletesSteal)
 {
     // As above, but the crash lands inside the steal's acquire: the slab

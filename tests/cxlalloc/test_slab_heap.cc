@@ -93,6 +93,8 @@ TEST(SlabAlloc, FullSlabDetachesAndLocalFreeRelinks)
 {
     Rig rig;
     auto t = rig.thread();
+    const cxl::HeapOffset base = rig.alloc.layout().small_data();
+    auto slab_of = [&](cxl::HeapOffset p) { return (p - base) / (32 << 10); };
     // Fill exactly one slab of 1 KiB blocks (32 per slab).
     std::vector<cxl::HeapOffset> ptrs;
     for (int i = 0; i < 32; i++) {
@@ -100,14 +102,75 @@ TEST(SlabAlloc, FullSlabDetachesAndLocalFreeRelinks)
     }
     // The next allocation must come from a different slab.
     cxl::HeapOffset next = rig.alloc.allocate(*t, 1024);
-    EXPECT_NE((ptrs[0] - rig.alloc.layout().small_data()) / (32 << 10),
-              (next - rig.alloc.layout().small_data()) / (32 << 10));
-    // Free one block of the full (detached) slab: it relinks, and its free
-    // block is reused before extending further.
+    EXPECT_NE(slab_of(ptrs[0]), slab_of(next));
+    std::uint32_t len = rig.alloc.stats(t->mem()).small.length;
+    // Free one block of the full (detached) slab: it relinks at the tail,
+    // so the head slab's 31 free blocks are served first, then its block,
+    // all before the heap extends.
     rig.alloc.deallocate(*t, ptrs[5]);
+    for (int i = 0; i < 31; i++) {
+        cxl::HeapOffset p = rig.alloc.allocate(*t, 1024);
+        ASSERT_EQ(slab_of(p), slab_of(next)) << "allocation " << i;
+    }
     cxl::HeapOffset reuse = rig.alloc.allocate(*t, 1024);
     EXPECT_EQ(reuse, ptrs[5]);
+    EXPECT_EQ(rig.alloc.stats(t->mem()).small.length, len);
     rig.alloc.check_local_invariants(t->mem());
+    rig.pod.release_thread(std::move(t));
+}
+
+TEST(SlabAlloc, RelinkedSlabWaitsBehindFullerSlabs)
+{
+    Rig rig;
+    auto t = rig.thread();
+    // Eight full slabs of 1 KiB blocks; slabs 4-7 get 4 free blocks each.
+    std::vector<cxl::HeapOffset> ptrs;
+    for (int i = 0; i < 8 * 32; i++) {
+        ptrs.push_back(rig.alloc.allocate(*t, 1024));
+    }
+    for (int slab = 4; slab < 8; slab++) {
+        for (int b = 0; b < 4; b++) {
+            rig.alloc.deallocate(*t, ptrs[slab * 32 + b]);
+        }
+    }
+    std::uint32_t len = rig.alloc.stats(t->mem()).small.length;
+    // Each round relinks or refills one of slabs 0-3 by one block, then
+    // allocates. A relinked slab served first would fill and detach (flush
+    // + fence) every round; behind the fuller slabs it stays linked.
+    std::uint64_t fences_before = t->mem().counters().fences;
+    for (int i = 0; i < 32; i++) {
+        rig.alloc.deallocate(*t, ptrs[(i % 4) * 32 + 4 + i / 4]);
+        ASSERT_NE(rig.alloc.allocate(*t, 1024), 0u);
+    }
+    std::uint64_t fences = t->mem().counters().fences - fences_before;
+    EXPECT_LE(fences, 8u);
+    EXPECT_EQ(rig.alloc.stats(t->mem()).small.length, len);
+    rig.alloc.check_local_invariants(t->mem());
+    rig.pod.release_thread(std::move(t));
+}
+
+TEST(SlabAllocDeathTest, DoctoredTailWordFailsLocalInvariants)
+{
+#if !defined(CXLALLOC_INVARIANT_CHECKS)
+    GTEST_SKIP() << "invariant checks compiled out";
+#endif
+    Rig rig;
+    auto t = rig.thread();
+    // Two full slabs, each relinked by one free: the class list holds
+    // slab 0 (head) then slab 1 (tail).
+    std::vector<cxl::HeapOffset> ptrs;
+    for (int i = 0; i < 64; i++) {
+        ptrs.push_back(rig.alloc.allocate(*t, 1024));
+    }
+    rig.alloc.deallocate(*t, ptrs[0]);
+    rig.alloc.deallocate(*t, ptrs[32]);
+    rig.alloc.check_local_invariants(t->mem());
+    // The head's prev word (+12 in its descriptor) names the tail (raw
+    // index + 1): point it at the head itself instead.
+    const cxlalloc::Layout& l = rig.alloc.layout();
+    t->mem().store<std::uint32_t>(l.small_swcc_desc(0) + 12, 1);
+    EXPECT_DEATH(rig.alloc.check_local_invariants(t->mem()),
+                 "head does not name its tail");
     rig.pod.release_thread(std::move(t));
 }
 

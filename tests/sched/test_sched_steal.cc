@@ -5,8 +5,8 @@
 /// to zero and the resulting steal. The end oracle is the heap audit
 /// (free counter == bitset popcount on every classed slab, remote
 /// balance, global list, huge descriptors); the crash variant kills any
-/// participant at an arbitrary yield, recovers the slot, and audits
-/// again.
+/// participant at an arbitrary yield, recovers the slot, audits again
+/// and checks the recovered slot's local lists.
 
 #include <gtest/gtest.h>
 
@@ -191,6 +191,7 @@ TEST(SchedSteal, KillAnyParticipantThenRecoverAndSweep)
                                        ? adopted->mem()
                                        : w->ctxs[0]->mem();
             sched::fail_unless_ok(w->alloc.audit(mem));
+            w->alloc.check_local_invariants(mem);
             if (adopted != nullptr) {
                 // The recovered slot must still be able to allocate.
                 cxl::HeapOffset p = w->alloc.allocate(*adopted, 1024);
