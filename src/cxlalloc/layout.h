@@ -93,6 +93,24 @@ struct Config {
 ///        except that a list head names the tail, so a lone head names
 ///        itself; owner-only list state, rebuilt by crash recovery)
 ///   +16 free bitset (u64 words; bit set = block free)
+///
+/// The slab heap reads and writes the middle eight bytes as two u32 words
+/// (little-endian, so each field keeps its offset):
+///   - the *owner word* (+4): owner | class << 16 | state << 24;
+///   - the *count word* (+8): hint | free << 16.
+/// Each fast path touches each word at most once:
+///   - allocate loads the sized-list head, the count word and the bitset
+///     word the scan stops at; it stores the record, that bitset word and
+///     the count word (hint and counter in one store);
+///   - a local free loads the owner word (owner, class and state at once),
+///     the bitset word (the double-free test's load feeds the update) and
+///     the count word; it stores the record, the bitset word and the count
+///     word. Emptying a slab adds the next and prev loads of the
+///     shares-class test;
+///   - every list edit ends with one owner-word store: a relink or Init
+///     (caller, class, TlSized), a detach (caller, class, Detached), a
+///     disown (none, class, Disowned), a recycle or steal (caller, none,
+///     TlUnsized), a push to the global list (none, none, Global).
 struct DescField {
     static constexpr std::uint64_t kNext = 0;
     static constexpr std::uint64_t kOwner = 4;
@@ -101,6 +119,10 @@ struct DescField {
     static constexpr std::uint64_t kHint = 8;
     static constexpr std::uint64_t kFree = 10;
     static constexpr std::uint64_t kBitset = 16;
+    /// The owner word: owner, class and state as one u32.
+    static constexpr std::uint64_t kOwnerWord = kOwner;
+    /// The count word: hint and free counter as one u32.
+    static constexpr std::uint64_t kCountWord = kHint;
 };
 
 /// Life-cycle states of a slab (paper Fig. 4). Stored in SWcc metadata by

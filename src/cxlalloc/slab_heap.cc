@@ -15,6 +15,10 @@ namespace cxlalloc {
 using cxlcommon::align_up;
 using cxlsync::DcasWord;
 
+// The owner and count words pack their fields in offset order.
+static_assert(std::endian::native == std::endian::little,
+              "descriptor words assume a little-endian host");
+
 namespace {
 
 std::uint64_t
@@ -199,44 +203,40 @@ SlabHeap::set_prev_raw(cxl::MemSession& mem, std::uint32_t slab,
     mem.store<std::uint32_t>(desc(slab) + 12, raw);
 }
 
-cxl::ThreadId
-SlabHeap::owner(cxl::MemSession& mem, std::uint32_t slab)
+SlabHeap::OwnerWord
+SlabHeap::owner_word(cxl::MemSession& mem, std::uint32_t slab)
 {
-    return mem.load<cxl::ThreadId>(desc(slab) + DescField::kOwner);
+    auto raw = mem.load<std::uint32_t>(desc(slab) + DescField::kOwnerWord);
+    return OwnerWord{static_cast<cxl::ThreadId>(raw),
+                     static_cast<std::uint8_t>(raw >> 16),
+                     static_cast<SlabState>(raw >> 24)};
 }
 
 void
-SlabHeap::set_owner(cxl::MemSession& mem, std::uint32_t slab,
-                    cxl::ThreadId tid)
+SlabHeap::set_owner_word(cxl::MemSession& mem, std::uint32_t slab,
+                         OwnerWord w)
 {
-    mem.store<cxl::ThreadId>(desc(slab) + DescField::kOwner, tid);
+    mem.store<std::uint32_t>(
+        desc(slab) + DescField::kOwnerWord,
+        std::uint32_t{w.owner} | std::uint32_t{w.biased} << 16 |
+            std::uint32_t{static_cast<std::uint8_t>(w.state)} << 24);
 }
 
-std::uint8_t
-SlabHeap::class_biased(cxl::MemSession& mem, std::uint32_t slab)
+SlabHeap::CountWord
+SlabHeap::count_word(cxl::MemSession& mem, std::uint32_t slab)
 {
-    return mem.load<std::uint8_t>(desc(slab) + DescField::kClass);
-}
-
-void
-SlabHeap::set_class_biased(cxl::MemSession& mem, std::uint32_t slab,
-                           std::uint8_t biased)
-{
-    mem.store<std::uint8_t>(desc(slab) + DescField::kClass, biased);
-}
-
-SlabState
-SlabHeap::state(cxl::MemSession& mem, std::uint32_t slab)
-{
-    return static_cast<SlabState>(
-        mem.load<std::uint8_t>(desc(slab) + DescField::kState));
+    auto raw = mem.load<std::uint32_t>(desc(slab) + DescField::kCountWord);
+    return CountWord{static_cast<std::uint16_t>(raw),
+                     static_cast<std::uint16_t>(raw >> 16)};
 }
 
 void
-SlabHeap::set_state(cxl::MemSession& mem, std::uint32_t slab, SlabState s)
+SlabHeap::set_count_word(cxl::MemSession& mem, std::uint32_t slab,
+                         CountWord c)
 {
-    mem.store<std::uint8_t>(desc(slab) + DescField::kState,
-                            static_cast<std::uint8_t>(s));
+    mem.store<std::uint32_t>(desc(slab) + DescField::kCountWord,
+                             std::uint32_t{c.hint} | std::uint32_t{c.free}
+                                                         << 16);
 }
 
 void
@@ -271,19 +271,10 @@ SlabHeap::bitset_words(std::uint32_t cls) const
     return (blocks_of(cls) + 63) / 64;
 }
 
-std::uint32_t
-SlabHeap::free_blocks(cxl::MemSession& mem, std::uint32_t slab)
+cxl::HeapOffset
+SlabHeap::bitset_word_at(std::uint32_t slab, std::uint32_t block) const
 {
-    return mem.load<std::uint16_t>(desc(slab) + DescField::kFree);
-}
-
-void
-SlabHeap::set_free_blocks(cxl::MemSession& mem, std::uint32_t slab,
-                          std::uint32_t count)
-{
-    CXL_ASSERT(count <= 0xffff, "free-block count exceeds field width");
-    mem.store<std::uint16_t>(desc(slab) + DescField::kFree,
-                             static_cast<std::uint16_t>(count));
+    return desc(slab) + DescField::kBitset + (block / 64) * 8;
 }
 
 void
@@ -305,93 +296,58 @@ SlabHeap::bitset_fill(cxl::MemSession& mem, std::uint32_t slab,
         }
         mem.store<std::uint64_t>(base + w * 8, value);
     }
-    mem.store<std::uint16_t>(desc(slab) + DescField::kHint, 0);
-    set_free_blocks(mem, slab, blocks);
+    CXL_ASSERT(blocks <= 0xffff, "free-block count exceeds field width");
+    set_count_word(mem, slab,
+                   CountWord{0, static_cast<std::uint16_t>(blocks)});
 }
 
 std::uint32_t
-SlabHeap::bitset_peek(cxl::MemSession& mem, std::uint32_t slab,
-                      std::uint32_t cls, bool advance_hint)
+SlabHeap::bitset_scan(cxl::MemSession& mem, std::uint32_t slab,
+                      std::uint32_t cls, std::uint32_t from,
+                      std::uint64_t* word)
 {
-    cxl::HeapOffset d = desc(slab);
+    cxl::HeapOffset base = desc(slab) + DescField::kBitset;
     std::uint32_t words = bitset_words(cls);
-    std::uint32_t hint = mem.load<std::uint16_t>(d + DescField::kHint);
-    for (std::uint32_t w = hint; w < words; w++) {
-        std::uint64_t word = mem.load<std::uint64_t>(d + DescField::kBitset +
-                                                     w * 8);
-        if (word != 0) {
-            if (advance_hint && w != hint) {
-                mem.store<std::uint16_t>(d + DescField::kHint,
-                                         static_cast<std::uint16_t>(w));
-            }
-            return w * 64 + std::countr_zero(word);
+    for (std::uint32_t w = from; w < words; w++) {
+        *word = mem.load<std::uint64_t>(base + w * 8);
+        if (*word != 0) {
+            return w * 64 + std::countr_zero(*word);
         }
     }
     return kNoBlock;
 }
 
-std::uint32_t
-SlabHeap::bitset_clear(cxl::MemSession& mem, std::uint32_t slab,
-                       std::uint32_t block)
+void
+SlabHeap::bitset_flip(cxl::MemSession& mem, std::uint32_t slab,
+                      std::uint32_t block, std::uint64_t word, bool set,
+                      CountWord& count)
 {
-    cxl::HeapOffset at = desc(slab) + DescField::kBitset + (block / 64) * 8;
-    std::uint64_t word = mem.load<std::uint64_t>(at);
     std::uint64_t mask = std::uint64_t{1} << (block % 64);
-    std::uint32_t free = free_blocks(mem, slab);
-    // Idempotent redo may replay a clear that already landed: only touch
+    // Idempotent redo may replay a flip that already landed: only touch
     // the counter when the bit actually flips.
-    if ((word & mask) != 0) {
-        mem.store<std::uint64_t>(at, word & ~mask);
-        CXL_ASSERT(free > 0, "free-block counter underflow");
-        free--;
-        set_free_blocks(mem, slab, free);
+    if (((word & mask) != 0) == set) {
+        return;
     }
-    return free;
-}
-
-bool
-SlabHeap::bitset_test(cxl::MemSession& mem, std::uint32_t slab,
-                      std::uint32_t block)
-{
-    cxl::HeapOffset at = desc(slab) + DescField::kBitset + (block / 64) * 8;
-    return (mem.load<std::uint64_t>(at) >> (block % 64)) & 1;
+    mem.store<std::uint64_t>(bitset_word_at(slab, block), word ^ mask);
+    if (set) {
+        CXL_ASSERT(count.free < 0xffff, "free-block counter overflow");
+        count.free++;
+        count.hint = std::min<std::uint16_t>(
+            count.hint, static_cast<std::uint16_t>(block / 64));
+    } else {
+        CXL_ASSERT(count.free > 0, "free-block counter underflow");
+        count.free--;
+    }
+    set_count_word(mem, slab, count);
 }
 
 std::uint32_t
-SlabHeap::bitset_set(cxl::MemSession& mem, std::uint32_t slab,
-                     std::uint32_t block)
+SlabHeap::resync_count(cxl::MemSession& mem, std::uint32_t slab,
+                       std::uint32_t cls)
 {
-    cxl::HeapOffset d = desc(slab);
-    cxl::HeapOffset at = d + DescField::kBitset + (block / 64) * 8;
-    std::uint64_t word = mem.load<std::uint64_t>(at);
-    std::uint64_t mask = std::uint64_t{1} << (block % 64);
-    std::uint32_t free = free_blocks(mem, slab);
-    if ((word & mask) == 0) {
-        mem.store<std::uint64_t>(at, word | mask);
-        free++;
-        set_free_blocks(mem, slab, free);
-    }
-    // Keep the scan hint conservative: no set bit below word `hint`.
-    std::uint16_t hint = mem.load<std::uint16_t>(d + DescField::kHint);
-    if (block / 64 < hint) {
-        mem.store<std::uint16_t>(d + DescField::kHint,
-                                 static_cast<std::uint16_t>(block / 64));
-    }
+    auto free = static_cast<std::uint16_t>(bitset_count(mem, slab, cls));
+    set_count_word(mem, slab, CountWord{0, free});
     return free;
-}
-
-bool
-SlabHeap::bitset_none(cxl::MemSession& mem, std::uint32_t slab,
-                      std::uint32_t cls)
-{
-    cxl::HeapOffset base = desc(slab) + DescField::kBitset;
-    std::uint32_t words = bitset_words(cls);
-    for (std::uint32_t w = 0; w < words; w++) {
-        if (mem.load<std::uint64_t>(base + w * 8) != 0) {
-            return false;
-        }
-    }
-    return true;
 }
 
 std::uint32_t
@@ -451,7 +407,9 @@ SlabHeap::push_sized(cxl::MemSession& mem, std::uint32_t cls,
         set_prev_raw(mem, slab, tail);
         set_prev_raw(mem, head - 1, slab + 1);
     }
-    set_state(mem, slab, SlabState::TlSized);
+    set_owner_word(mem, slab,
+                   OwnerWord{mem.tid(), static_cast<std::uint8_t>(cls + 1),
+                             SlabState::TlSized});
 }
 
 void
@@ -483,7 +441,8 @@ SlabHeap::push_unsized(cxl::MemSession& mem, std::uint32_t slab)
     cxl::HeapOffset head = unsized_head_off(mem.tid());
     set_next_raw(mem, slab, mem.load<std::uint32_t>(head));
     mem.store<std::uint32_t>(head, slab + 1);
-    set_state(mem, slab, SlabState::TlUnsized);
+    set_owner_word(mem, slab,
+                   OwnerWord{mem.tid(), 0, SlabState::TlUnsized});
     cxl::HeapOffset cnt = unsized_count_off(mem.tid());
     mem.store<std::uint32_t>(cnt, mem.load<std::uint32_t>(cnt) + 1);
 }
@@ -556,8 +515,15 @@ SlabHeap::allocate(pod::ThreadContext& ctx, ThreadState& ts,
         CXL_ASSERT(headraw != 0, "refill left sized list empty");
     }
     std::uint32_t slab = headraw - 1;
-    std::uint32_t block = bitset_peek(mem, slab, cls, /*advance_hint=*/true);
+    // Each descriptor word once: the count word, then the bitset word the
+    // scan stops at, which the clear below updates without reloading it.
+    CountWord count = count_word(mem, slab);
+    std::uint64_t word = 0;
+    std::uint32_t block = bitset_scan(mem, slab, cls, count.hint, &word);
     CXL_ASSERT(block != kNoBlock, "sized list contained a full slab");
+    // The scan began at the hint, so no set bit lies below this word. The
+    // hint rides the counter's store.
+    count.hint = static_cast<std::uint16_t>(block / 64);
 
     // Local operation: the record needs no flush or fence (process-crash
     // recovery writes the cache back; see RecoveryLog's discipline note).
@@ -567,16 +533,15 @@ SlabHeap::allocate(pod::ThreadContext& ctx, ThreadState& ts,
                                   .version = ts.version,
                                   .index = slab});
     ctx.maybe_crash(crashpoint::kAfterRecord);
-    std::uint32_t left = bitset_clear(mem, slab, block);
+    bitset_flip(mem, slab, block, word, /*set=*/false, count);
     ctx.maybe_crash(crashpoint::kMidAlloc);
-    // The counter answers the post-alloc fullness check in one load where
-    // bitset_none used to rescan every word.
-    CXL_PARANOID_ASSERT(left == bitset_count(mem, slab, cls),
+    // The counter answers the post-alloc fullness check without a scan.
+    CXL_PARANOID_ASSERT(count.free == bitset_count(mem, slab, cls),
                         "free-block counter diverged from bitset");
     if (inst_.registry != nullptr) {
         inst_.registry->shard(mem.tid()).add(inst_.fullcheck_fast);
     }
-    if (left == 0) {
+    if (count.free == 0) {
         // Maintain the invariant that sized lists hold only non-full slabs.
         full_transition(ctx, slab, cls);
     }
@@ -632,7 +597,7 @@ SlabHeap::scavenge_warm_slab(pod::ThreadContext& ctx, ThreadState& ts)
             raw = next_raw(mem, slab);
             // Emptiness via the free counter: one load per candidate slab
             // instead of an O(words) popcount over its whole bitset.
-            if (free_blocks(mem, slab) == blocks_of(cls)) {
+            if (count_word(mem, slab).free == blocks_of(cls)) {
                 CXL_PARANOID_ASSERT(
                     bitset_count(mem, slab, cls) == blocks_of(cls),
                     "free-block counter diverged from bitset");
@@ -642,7 +607,6 @@ SlabHeap::scavenge_warm_slab(pod::ThreadContext& ctx, ThreadState& ts)
                                               .version = ts.version,
                                               .index = slab});
                 remove_sized(mem, cls, slab);
-                set_class_biased(mem, slab, 0);
                 push_unsized(mem, slab);
                 if (inst_.registry != nullptr) {
                     inst_.registry->shard(mem.tid()).add(inst_.scavenges);
@@ -668,8 +632,10 @@ SlabHeap::init_from_unsized(pod::ThreadContext& ctx, std::uint32_t slab,
     std::uint32_t popped = pop_unsized(mem);
     CXL_ASSERT(popped == slab, "unsized head changed underfoot");
     ctx.maybe_crash(crashpoint::kMidInit);
-    set_owner(mem, slab, mem.tid());
-    set_class_biased(mem, slab, static_cast<std::uint8_t>(cls + 1));
+    // Classed but still TlUnsized until push_sized's owner-word store.
+    set_owner_word(mem, slab,
+                   OwnerWord{mem.tid(), static_cast<std::uint8_t>(cls + 1),
+                             SlabState::TlUnsized});
     bitset_fill(mem, slab, cls);
     // Reset the remote-free down-counter to the block count. A plain store
     // suffices: the slab is unlinked and no other thread can reference it.
@@ -767,8 +733,13 @@ SlabHeap::acquire_to_unsized(pod::ThreadContext& ctx, std::uint32_t slab)
     cxl::MemSession& mem = ctx.mem();
     // Back the slab again in case it was decommitted on the global list.
     ctx.process().pod().device().note_committed(slab_data(slab), slab_size_);
-    set_owner(mem, slab, mem.tid());
-    set_class_biased(mem, slab, 0);
+    // The owner, then the class, before any link: a crash inside the
+    // acquire leaves the slab ours and on no list, which is why every redo
+    // that may owe an acquire asks on_unsized_list, not the owner (the
+    // window CrashRecovery.CrashInsideStealAcquireCompletesSteal pins).
+    // push_unsized's owner-word store ends it.
+    mem.store<cxl::ThreadId>(desc(slab) + DescField::kOwner, mem.tid());
+    mem.store<std::uint8_t>(desc(slab) + DescField::kClass, 0);
     push_unsized(mem, slab);
 }
 
@@ -789,7 +760,9 @@ SlabHeap::full_transition(pod::ThreadContext& ctx, std::uint32_t slab,
                                       .index = slab});
         ctx.maybe_crash(crashpoint::kAfterRecord);
         remove_sized(mem, cls, slab);
-        set_state(mem, slab, SlabState::Detached);
+        set_owner_word(mem, slab,
+                       OwnerWord{mem.tid(), static_cast<std::uint8_t>(cls + 1),
+                                 SlabState::Detached});
         ctx.maybe_crash(crashpoint::kMidDetach);
         // Ownership may change later (steal at counter zero): flush so no
         // dirty line of ours can clobber the stealer's writes.
@@ -804,8 +777,10 @@ SlabHeap::full_transition(pod::ThreadContext& ctx, std::uint32_t slab,
                                       .index = slab});
         ctx.maybe_crash(crashpoint::kAfterRecord);
         remove_sized(mem, cls, slab);
-        set_owner(mem, slab, cxl::kNoThread);
-        set_state(mem, slab, SlabState::Disowned);
+        set_owner_word(mem, slab,
+                       OwnerWord{cxl::kNoThread,
+                                 static_cast<std::uint8_t>(cls + 1),
+                                 SlabState::Disowned});
         ctx.maybe_crash(crashpoint::kMidDetach);
         flush_desc(mem, slab);
     }
@@ -821,14 +796,14 @@ SlabHeap::deallocate(pod::ThreadContext& ctx, ThreadState& ts,
                                            slab_size_);
     // The owner field may be read from our (possibly stale) cache without
     // flushing — the paper's §3.2.2 case analysis shows every outcome of a
-    // stale read is safe.
-    cxl::ThreadId who = owner(mem, slab);
-    if (who == mem.tid()) {
-        std::uint32_t cls = class_biased(mem, slab);
-        CXL_ASSERT(cls != 0, "freeing into classless slab");
+    // stale read is safe. Class and state come in the same load: while the
+    // slab is ours, only we write them.
+    OwnerWord w = owner_word(mem, slab);
+    if (w.owner == mem.tid()) {
+        CXL_ASSERT(w.biased != 0, "freeing into classless slab");
         auto block = static_cast<std::uint32_t>(
-            (offset - slab_data(slab)) / class_size_impl(large_, cls - 1));
-        free_local(ctx, ts, slab, block);
+            (offset - slab_data(slab)) / class_size_impl(large_, w.biased - 1));
+        free_local(ctx, ts, slab, block, w);
         return false;
     }
     if (mem.device()->mode() == cxl::CoherenceMode::NoHwcc) {
@@ -1055,36 +1030,37 @@ SlabHeap::reconcile_ring(pod::ThreadContext& ctx)
 
 void
 SlabHeap::free_local(pod::ThreadContext& ctx, ThreadState& ts,
-                     std::uint32_t slab, std::uint32_t block)
+                     std::uint32_t slab, std::uint32_t block, OwnerWord w)
 {
     cxl::MemSession& mem = ctx.mem();
-    std::uint32_t cls = class_biased(mem, slab) - 1;
-    CXL_ASSERT(!bitset_test(mem, slab, block), "double free (local)");
+    std::uint32_t cls = w.biased - 1;
+    // The double-free test loads the bitset word the set below updates.
+    std::uint64_t word = mem.load<std::uint64_t>(bitset_word_at(slab, block));
+    CXL_ASSERT(((word >> (block % 64)) & 1) == 0, "double free (local)");
     log_->log_local(mem, OpRecord{.op = Op::FreeLocal,
                                   .large_heap = large_,
                                   .aux = static_cast<std::uint16_t>(block),
                                   .version = ts.version,
                                   .index = slab});
     ctx.maybe_crash(crashpoint::kAfterRecord);
-    SlabState st = state(mem, slab);
-    CXL_ASSERT(st == SlabState::TlSized || st == SlabState::Detached,
+    CXL_ASSERT(w.state == SlabState::TlSized || w.state == SlabState::Detached,
                "local free into slab in unexpected state");
-    std::uint32_t free = bitset_set(mem, slab, block);
+    CountWord count = count_word(mem, slab);
+    bitset_flip(mem, slab, block, word, /*set=*/true, count);
     ctx.maybe_crash(crashpoint::kMidFreeLocal);
-    CXL_PARANOID_ASSERT(free == bitset_count(mem, slab, cls),
+    CXL_PARANOID_ASSERT(count.free == bitset_count(mem, slab, cls),
                         "free-block counter diverged from bitset");
-    if (st == SlabState::Detached) {
+    if (w.state == SlabState::Detached) {
         // Previously full: relink so it can serve allocations again, at the
         // tail. The slabs ahead of it have waited longer and gathered more
         // frees; at the head its one free block would refill it on the next
         // allocation, which detaches it again (flush + fence).
         push_sized(mem, cls, slab);
-    } else if (free == blocks_of(cls) && shares_class(mem, slab)) {
+    } else if (count.free == blocks_of(cls) && shares_class(mem, slab)) {
         // Slab is now completely empty and the class has other slabs:
         // recycle it as unsized. (Keeping the last slab warm avoids
         // re-initializing it on every alloc/free alternation.)
         remove_sized(mem, cls, slab);
-        set_class_biased(mem, slab, 0);
         push_unsized(mem, slab);
         trim_unsized(ctx, ts);
     }
@@ -1139,9 +1115,7 @@ SlabHeap::push_global_one(pod::ThreadContext& ctx, ThreadState& ts)
 {
     cxl::MemSession& mem = ctx.mem();
     std::uint32_t slab = pop_unsized(mem);
-    set_owner(mem, slab, cxl::kNoThread);
-    set_class_biased(mem, slab, 0);
-    set_state(mem, slab, SlabState::Global);
+    set_owner_word(mem, slab, OwnerWord{cxl::kNoThread, 0, SlabState::Global});
     // MADV_REMOVE analog (paper §3.3.1): heap extension is monotonic — the
     // mapping stays — but an empty slab's backing memory returns to the
     // device while it sits on the global free list.
@@ -1223,34 +1197,31 @@ SlabHeap::recover(pod::ThreadContext& ctx, ThreadState& ts,
         // never saw the pointer, so completing the clear only costs one
         // block (recoverable by the application's own log, paper Table 1
         // "App" strategy).
-        std::uint32_t cls = class_biased(mem, slab);
-        CXL_ASSERT(cls != 0, "Alloc record against classless slab");
-        bitset_clear(mem, slab, record.aux);
-        mem.store<std::uint16_t>(desc(slab) + DescField::kHint, 0);
-        // A crash (especially Host severity) can surface a counter line
-        // and bitset lines from different points in time: the bitset is
-        // the durable truth, so rebuild the counter from it.
-        std::uint32_t live = bitset_count(mem, slab, cls - 1);
-        set_free_blocks(mem, slab, live);
-        if (live == 0 && state(mem, slab) == SlabState::TlSized) {
-            full_transition(ctx, slab, cls - 1);
+        OwnerWord w = owner_word(mem, slab);
+        CXL_ASSERT(w.biased != 0, "Alloc record against classless slab");
+        CountWord count = count_word(mem, slab);
+        bitset_flip(mem, slab, record.aux,
+                    mem.load<std::uint64_t>(bitset_word_at(slab, record.aux)),
+                    /*set=*/false, count);
+        if (resync_count(mem, slab, w.biased - 1) == 0 &&
+            w.state == SlabState::TlSized) {
+            full_transition(ctx, slab, w.biased - 1);
         }
         break;
       }
       case Op::Init: {
         std::uint32_t cls = record.aux;
-        if (state(mem, slab) == SlabState::TlSized &&
-            class_biased(mem, slab) == cls + 1) {
-            // Completed; resync the counter with whatever bitset lines
-            // proved durable.
-            set_free_blocks(mem, slab, bitset_count(mem, slab, cls));
+        OwnerWord w = owner_word(mem, slab);
+        if (w.state == SlabState::TlSized && w.biased == cls + 1) {
+            resync_count(mem, slab, cls); // completed
             break;
         }
-        // The final state store never happened, so the slab is still
-        // TlUnsized and rebuild_lists kept it on the unsized list. No block
-        // was handed out: drop the half-written class and leave it there
-        // for the next refill.
-        set_class_biased(mem, slab, 0);
+        // push_sized's owner-word store never happened, so the slab is
+        // still TlUnsized and rebuild_lists kept it on the unsized list. No
+        // block was handed out: drop the half-written class and leave it
+        // there for the next refill.
+        w.biased = 0;
+        set_owner_word(mem, slab, w);
         break;
       }
       case Op::PopGlobal: {
@@ -1276,10 +1247,11 @@ SlabHeap::recover(pod::ThreadContext& ctx, ThreadState& ts,
         // Unfinished only while still TlSized and ours (rebuild_lists
         // relisted it). The record outlives the allocate call: a finished
         // detach's slab may have been stolen since.
-        if (state(mem, slab) == SlabState::TlSized &&
-            owner(mem, slab) == mem.tid()) {
+        OwnerWord w = owner_word(mem, slab);
+        if (w.state == SlabState::TlSized && w.owner == mem.tid()) {
             remove_sized(mem, record.aux, slab);
-            set_state(mem, slab, SlabState::Detached);
+            w.state = SlabState::Detached;
+            set_owner_word(mem, slab, w);
         }
         flush_desc(mem, slab);
         break;
@@ -1287,45 +1259,45 @@ SlabHeap::recover(pod::ThreadContext& ctx, ThreadState& ts,
       case Op::Disown: {
         // Unfinished only while still TlSized, and ours (rebuild_lists
         // relisted it) or nobody's (the owner store landed). As for Detach,
-        // a finished disown's slab may have been stolen since (state read
-        // first, as in rebuild_lists).
-        if (state(mem, slab) == SlabState::TlSized) {
-            cxl::ThreadId who = owner(mem, slab);
-            if (who == mem.tid()) {
+        // a finished disown's slab may have been stolen since (owner and
+        // state read together, as in rebuild_lists).
+        OwnerWord w = owner_word(mem, slab);
+        if (w.state == SlabState::TlSized) {
+            if (w.owner == mem.tid()) {
                 remove_sized(mem, record.aux, slab);
             }
-            if (who == mem.tid() || who == cxl::kNoThread) {
-                set_owner(mem, slab, cxl::kNoThread);
-                set_state(mem, slab, SlabState::Disowned);
+            if (w.owner == mem.tid() || w.owner == cxl::kNoThread) {
+                set_owner_word(mem, slab,
+                               OwnerWord{cxl::kNoThread, w.biased,
+                                         SlabState::Disowned});
             }
         }
         flush_desc(mem, slab);
         break;
       }
       case Op::FreeLocal: {
-        std::uint32_t cls = class_biased(mem, slab);
-        if (cls == 0) {
+        OwnerWord w = owner_word(mem, slab);
+        if (w.biased == 0) {
             // The free emptied the slab and was recycling it (or a trim
             // was pushing it on to the global list, whose own record comes
-            // after its owner store): finish on the unsized list.
-            if (owner(mem, slab) != mem.tid() ||
-                state(mem, slab) != SlabState::TlUnsized) {
+            // after its owner-word store): finish on the unsized list.
+            if (w.owner != mem.tid() || w.state != SlabState::TlUnsized) {
                 acquire_to_unsized(ctx, slab);
             }
             trim_unsized(ctx, ts);
             break;
         }
-        bitset_set(mem, slab, record.aux);
-        mem.store<std::uint16_t>(desc(slab) + DescField::kHint, 0);
-        set_free_blocks(mem, slab, bitset_count(mem, slab, cls - 1));
-        SlabState st = state(mem, slab);
-        if (st == SlabState::Detached) {
-            push_sized(mem, cls - 1, slab);
-        } else if (st == SlabState::TlSized &&
-                   free_blocks(mem, slab) == blocks_of(cls - 1) &&
-                   shares_class(mem, slab)) {
-            remove_sized(mem, cls - 1, slab);
-            set_class_biased(mem, slab, 0);
+        std::uint32_t cls = w.biased - 1u;
+        CountWord count = count_word(mem, slab);
+        bitset_flip(mem, slab, record.aux,
+                    mem.load<std::uint64_t>(bitset_word_at(slab, record.aux)),
+                    /*set=*/true, count);
+        std::uint32_t free = resync_count(mem, slab, cls);
+        if (w.state == SlabState::Detached) {
+            push_sized(mem, cls, slab);
+        } else if (w.state == SlabState::TlSized &&
+                   free == blocks_of(cls) && shares_class(mem, slab)) {
+            remove_sized(mem, cls, slab);
             push_unsized(mem, slab);
             trim_unsized(ctx, ts);
         }
@@ -1372,9 +1344,8 @@ SlabHeap::recover(pod::ThreadContext& ctx, ThreadState& ts,
         }
         // Slab was popped from our unsized list but never published:
         // finish the push.
-        set_owner(mem, slab, cxl::kNoThread);
-        set_class_biased(mem, slab, 0);
-        set_state(mem, slab, SlabState::Global);
+        set_owner_word(mem, slab,
+                       OwnerWord{cxl::kNoThread, 0, SlabState::Global});
         while (true) {
             std::uint64_t word = dcas_->read_word(mem, free_word_);
             std::uint32_t headraw = DcasWord::value(word);
@@ -1404,20 +1375,20 @@ SlabHeap::rebuild_lists(cxl::MemSession& mem)
     std::uint32_t unsized = 0;
     const std::uint32_t len = length(mem);
     for (std::uint32_t slab = 0; slab < len; slab++) {
-        // State before owner: a stealer of a slab that was ours writes the
-        // owner first and the state last, so it never reads as ours.
-        SlabState st = state(mem, slab);
-        if ((st != SlabState::TlUnsized && st != SlabState::TlSized) ||
-            owner(mem, slab) != tid) {
+        // Owner and state in one load: a stealer of a slab that was ours
+        // writes the owner before the state, so it never reads as ours.
+        OwnerWord w = owner_word(mem, slab);
+        if ((w.state != SlabState::TlUnsized &&
+             w.state != SlabState::TlSized) ||
+            w.owner != tid) {
             continue;
         }
         std::uint32_t list;
-        std::uint8_t biased = class_biased(mem, slab);
-        if (st == SlabState::TlUnsized) {
+        if (w.state == SlabState::TlUnsized) {
             list = num_classes_;
             unsized++;
-        } else if (biased != 0 && biased <= num_classes_) {
-            list = biased - 1u;
+        } else if (w.biased != 0 && w.biased <= num_classes_) {
+            list = w.biased - 1u;
             set_prev_raw(mem, slab, tail[list]); // the head's is set below
         } else {
             continue; // classless TlSized: the FreeLocal redo finishes it
@@ -1468,14 +1439,15 @@ SlabHeap::audit(cxl::MemSession& mem, cxl::DeviceId shard,
             break;
         }
         mem.flush(desc(slab), desc_stride_);
-        if (cxl::ThreadId who = owner(mem, slab); who != cxl::kNoThread) {
+        OwnerWord w = owner_word(mem, slab);
+        if (w.owner != cxl::kNoThread) {
             violate(slab, AuditLaw::GlobalList, "global slab owner",
-                    cxl::kNoThread, who);
+                    cxl::kNoThread, w.owner);
         }
-        if (SlabState st = state(mem, slab); st != SlabState::Global) {
+        if (w.state != SlabState::Global) {
             violate(slab, AuditLaw::GlobalList, "global slab state",
                     static_cast<std::uint64_t>(SlabState::Global),
-                    static_cast<std::uint64_t>(st));
+                    static_cast<std::uint64_t>(w.state));
         }
         raw = next_raw(mem, slab);
     }
@@ -1499,7 +1471,7 @@ SlabHeap::audit(cxl::MemSession& mem, cxl::DeviceId shard,
     // Classless (unsized, global) slabs keep stale bitsets by design.
     for (std::uint32_t slab = 0; slab < len; slab++) {
         mem.flush(desc(slab), desc_stride_);
-        std::uint32_t biased = class_biased(mem, slab);
+        std::uint32_t biased = owner_word(mem, slab).biased;
         if (biased == 0) {
             if (pending[slab] != 0) {
                 violate(slab, AuditLaw::RemoteBalance,
@@ -1508,7 +1480,7 @@ SlabHeap::audit(cxl::MemSession& mem, cxl::DeviceId shard,
             }
             continue;
         }
-        std::uint32_t free = free_blocks(mem, slab);
+        std::uint32_t free = count_word(mem, slab).free;
         std::uint32_t bits = bitset_count(mem, slab, biased - 1);
         if (free != bits) {
             violate(slab, AuditLaw::FreeCounter,
@@ -1535,8 +1507,9 @@ SlabHeap::check_local_invariants(cxl::MemSession& mem)
     while (raw != 0) {
         CXL_ASSERT(++count <= num_slabs_, "unsized list is cyclic");
         std::uint32_t slab = raw - 1;
-        CXL_ASSERT(owner(mem, slab) == tid, "unsized slab not owned");
-        CXL_ASSERT(state(mem, slab) == SlabState::TlUnsized,
+        OwnerWord w = owner_word(mem, slab);
+        CXL_ASSERT(w.owner == tid, "unsized slab not owned");
+        CXL_ASSERT(w.state == SlabState::TlUnsized,
                    "unsized slab in wrong state");
         raw = next_raw(mem, slab);
     }
@@ -1552,15 +1525,15 @@ SlabHeap::check_local_invariants(cxl::MemSession& mem)
         while (raw != 0) {
             CXL_ASSERT(++steps <= num_slabs_, "sized list is cyclic");
             std::uint32_t slab = raw - 1;
-            CXL_ASSERT(owner(mem, slab) == tid, "sized slab not owned");
-            CXL_ASSERT(class_biased(mem, slab) == cls + 1,
-                       "sized slab class mismatch");
-            CXL_ASSERT(state(mem, slab) == SlabState::TlSized,
+            OwnerWord w = owner_word(mem, slab);
+            CXL_ASSERT(w.owner == tid, "sized slab not owned");
+            CXL_ASSERT(w.biased == cls + 1, "sized slab class mismatch");
+            CXL_ASSERT(w.state == SlabState::TlSized,
                        "sized slab in wrong state");
-            CXL_ASSERT(free_blocks(mem, slab) == bitset_count(mem, slab, cls),
+            std::uint32_t free = count_word(mem, slab).free;
+            CXL_ASSERT(free == bitset_count(mem, slab, cls),
                        "free-block counter diverged from bitset");
-            CXL_ASSERT(free_blocks(mem, slab) != 0,
-                       "sized list contains a full slab");
+            CXL_ASSERT(free != 0, "sized list contains a full slab");
             CXL_ASSERT(raw == head || prev_raw(mem, slab) == prev,
                        "sized list prev link broken");
             prev = raw;
@@ -1586,13 +1559,13 @@ SlabHeap::set_metrics(obs::MetricsRegistry* registry)
 std::uint32_t
 SlabHeap::debug_free_blocks(cxl::MemSession& mem, std::uint32_t slab)
 {
-    return free_blocks(mem, slab);
+    return count_word(mem, slab).free;
 }
 
 std::uint32_t
 SlabHeap::debug_bitset_count(cxl::MemSession& mem, std::uint32_t slab)
 {
-    std::uint8_t biased = class_biased(mem, slab);
+    std::uint8_t biased = owner_word(mem, slab).biased;
     CXL_ASSERT(biased != 0, "bitset count of classless slab");
     return bitset_count(mem, slab, biased - 1);
 }
@@ -1600,7 +1573,7 @@ SlabHeap::debug_bitset_count(cxl::MemSession& mem, std::uint32_t slab)
 std::uint8_t
 SlabHeap::debug_class_biased(cxl::MemSession& mem, std::uint32_t slab)
 {
-    return class_biased(mem, slab);
+    return owner_word(mem, slab).biased;
 }
 
 std::uint32_t
@@ -1612,7 +1585,7 @@ SlabHeap::debug_remote_free(cxl::MemSession& mem, std::uint32_t slab)
 cxl::ThreadId
 SlabHeap::debug_owner(cxl::MemSession& mem, std::uint32_t slab)
 {
-    return owner(mem, slab);
+    return owner_word(mem, slab).owner;
 }
 
 SlabHeap::Stats

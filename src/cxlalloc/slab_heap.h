@@ -201,55 +201,72 @@ class SlabHeap {
     cxl::HeapOffset desc(std::uint32_t slab) const;
     cxl::HeapOffset hwcc(std::uint32_t slab) const;
 
+    /// The owner word: descriptor bytes 4-7 (DescField::kOwnerWord), one
+    /// u32 load or store.
+    struct OwnerWord {
+        cxl::ThreadId owner = cxl::kNoThread;
+        std::uint8_t biased = 0; ///< size class + 1; 0 = none
+        SlabState state = SlabState::Unmapped;
+    };
+
+    /// The count word: descriptor bytes 8-11 (DescField::kCountWord), one
+    /// u32 load or store.
+    struct CountWord {
+        std::uint16_t hint = 0; ///< first possibly-nonempty bitset word
+        std::uint16_t free = 0; ///< set bits in the bitset
+    };
+
     std::uint32_t next_raw(cxl::MemSession& mem, std::uint32_t slab);
     void set_next_raw(cxl::MemSession& mem, std::uint32_t slab,
                       std::uint32_t raw);
     std::uint32_t prev_raw(cxl::MemSession& mem, std::uint32_t slab);
     void set_prev_raw(cxl::MemSession& mem, std::uint32_t slab,
                       std::uint32_t raw);
-    cxl::ThreadId owner(cxl::MemSession& mem, std::uint32_t slab);
-    void set_owner(cxl::MemSession& mem, std::uint32_t slab,
-                   cxl::ThreadId tid);
-    /// Size class + 1; 0 = none.
-    std::uint8_t class_biased(cxl::MemSession& mem, std::uint32_t slab);
-    void set_class_biased(cxl::MemSession& mem, std::uint32_t slab,
-                          std::uint8_t biased);
-    SlabState state(cxl::MemSession& mem, std::uint32_t slab);
-    void set_state(cxl::MemSession& mem, std::uint32_t slab, SlabState s);
+    OwnerWord owner_word(cxl::MemSession& mem, std::uint32_t slab);
+    void set_owner_word(cxl::MemSession& mem, std::uint32_t slab,
+                        OwnerWord w);
+    CountWord count_word(cxl::MemSession& mem, std::uint32_t slab);
+    void set_count_word(cxl::MemSession& mem, std::uint32_t slab,
+                        CountWord c);
 
     /// Flush + fence the whole descriptor: required before any transition
     /// after which another thread may become the writer (paper §3.2.2).
     void flush_desc(cxl::MemSession& mem, std::uint32_t slab);
 
-    // ---- bitset + SWccDesc.free counter ----
+    // ---- bitset + count word ----
     // The owner-maintained free counter shadows the bitset popcount so
-    // full/empty transition checks are one 2-byte load instead of an
-    // O(words) scan. bitset_clear/bitset_set adjust it only when the bit
-    // actually flips (idempotent redo may replay them); crash recovery
-    // recomputes it from the bitset, which stays the durable truth.
+    // full/empty transition checks read the count word instead of an
+    // O(words) scan. bitset_flip adjusts it only when the bit actually
+    // flips (idempotent redo may replay a flip); crash recovery recomputes
+    // it from the bitset, which stays the durable truth.
     std::uint32_t blocks_of(std::uint32_t cls) const;
     std::uint32_t bitset_words(std::uint32_t cls) const;
-    std::uint32_t free_blocks(cxl::MemSession& mem, std::uint32_t slab);
-    void set_free_blocks(cxl::MemSession& mem, std::uint32_t slab,
-                         std::uint32_t count);
+    /// Offset of the bitset word holding @p block.
+    cxl::HeapOffset bitset_word_at(std::uint32_t slab,
+                                   std::uint32_t block) const;
     void bitset_fill(cxl::MemSession& mem, std::uint32_t slab,
                      std::uint32_t cls);
-    /// First free block, or kNoBlock. Stores the scan hint only when
-    /// @p advance_hint (callers about to clear the returned bit); pure
-    /// peeks must not dirty the SWcc line.
-    std::uint32_t bitset_peek(cxl::MemSession& mem, std::uint32_t slab,
-                              std::uint32_t cls, bool advance_hint);
-    /// Clears (resp. sets) @p block's bit; returns the slab's free-block
-    /// count after the operation. No-op on an already-clear (-set) bit.
-    std::uint32_t bitset_clear(cxl::MemSession& mem, std::uint32_t slab,
-                               std::uint32_t block);
-    bool bitset_test(cxl::MemSession& mem, std::uint32_t slab,
-                     std::uint32_t block);
-    std::uint32_t bitset_set(cxl::MemSession& mem, std::uint32_t slab,
-                             std::uint32_t block);
-    bool bitset_none(cxl::MemSession& mem, std::uint32_t slab,
-                     std::uint32_t cls);
+    /// First free block at or after bitset word @p from, or kNoBlock; the
+    /// bitset word holding it goes to @p word. Loads only.
+    std::uint32_t bitset_scan(cxl::MemSession& mem, std::uint32_t slab,
+                              std::uint32_t cls, std::uint32_t from,
+                              std::uint64_t* word);
+    /// Sets (@p set) or clears @p block's bit in @p word, the bitset word
+    /// holding it as loaded, and moves @p count with it: the counter
+    /// follows the bit, and a set below the hint lowers the hint (no set
+    /// bit lies below word `hint`). Stores the bitset word, then @p count,
+    /// only when the bit flips. The one bit-and-counter update: the fast
+    /// paths and the Alloc/FreeLocal redos all go through it.
+    void bitset_flip(cxl::MemSession& mem, std::uint32_t slab,
+                     std::uint32_t block, std::uint64_t word, bool set,
+                     CountWord& count);
     std::uint32_t bitset_count(cxl::MemSession& mem, std::uint32_t slab,
+                               std::uint32_t cls);
+    /// Recovery: rebuilds the count word from the bitset, the durable
+    /// truth (a crash, Host severity especially, can surface the counter
+    /// and bitset lines from different points in time), with a zero hint.
+    /// Returns the free count.
+    std::uint32_t resync_count(cxl::MemSession& mem, std::uint32_t slab,
                                std::uint32_t cls);
 
     static constexpr std::uint32_t kNoBlock = ~std::uint32_t{0};
@@ -267,8 +284,8 @@ class SlabHeap {
     // predecessor, except that the head's prev names the tail (a lone
     // head names itself).
 
-    /// Appends @p slab (unlinked) at the tail of @p cls's list and marks
-    /// it TlSized.
+    /// Appends @p slab (unlinked) at the tail of @p cls's list, then
+    /// stores its owner word: the caller, @p cls, TlSized.
     void push_sized(cxl::MemSession& mem, std::uint32_t cls,
                     std::uint32_t slab);
     /// Unlinks @p slab from @p cls's list, keeping the head's tail word
@@ -277,6 +294,8 @@ class SlabHeap {
                       std::uint32_t slab);
     /// True when @p slab (on a sized list) is not its class's only slab.
     bool shares_class(cxl::MemSession& mem, std::uint32_t slab);
+    /// Pushes @p slab on the unsized list, then stores its owner word: the
+    /// caller, no class, TlUnsized.
     void push_unsized(cxl::MemSession& mem, std::uint32_t slab);
     /// Pops the unsized head; list must be nonempty.
     std::uint32_t pop_unsized(cxl::MemSession& mem);
@@ -290,8 +309,9 @@ class SlabHeap {
     bool extend(pod::ThreadContext& ctx, ThreadState& ts);
     void full_transition(pod::ThreadContext& ctx, std::uint32_t slab,
                          std::uint32_t cls);
+    /// Local free of @p block; @p w is the owner word deallocate read.
     void free_local(pod::ThreadContext& ctx, ThreadState& ts,
-                    std::uint32_t slab, std::uint32_t block);
+                    std::uint32_t slab, std::uint32_t block, OwnerWord w);
     /// One serial decrement of @p slab's counter, stealing at zero (HWcc
     /// modes only: under NoHwcc every decrement lands through the drain).
     void free_remote(pod::ThreadContext& ctx, ThreadState& ts,
