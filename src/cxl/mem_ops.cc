@@ -21,106 +21,15 @@ covered_lines(HeapOffset offset, std::uint64_t len)
 
 } // namespace
 
-DirtyLineSet::DirtyLineSet() : slots_(kInitialSlots, kEmpty) {}
-
-std::size_t
-DirtyLineSet::slot_of(std::uint64_t line) const
+std::uint64_t*
+DirtyLineSet::add_chunk(std::uint64_t line)
 {
-    // Fibonacci hash, same rationale as ThreadCache::set_of: line offsets
-    // arrive with regular strides that plain modulo would pile up.
-    return static_cast<std::size_t>(
-               ((line >> cxlcommon::kCacheLineBits) *
-                0x9E3779B97F4A7C15ULL) >>
-               32) &
-           (slots_.size() - 1);
-}
-
-void
-DirtyLineSet::rehash(std::size_t new_slots)
-{
-    std::vector<std::uint64_t> old = std::move(slots_);
-    slots_.assign(new_slots, kEmpty);
-    size_ = 0;
-    used_ = 0;
-    for (std::uint64_t line : old) {
-        if (line != kEmpty && line != kTombstone) {
-            insert(line);
-        }
+    std::uint64_t chunk = (line >> cxlcommon::kCacheLineBits) / kChunkLines;
+    if (chunk >= chunks_.size()) {
+        chunks_.resize(chunk + 1);
     }
-}
-
-void
-DirtyLineSet::insert(std::uint64_t line)
-{
-    if (overflowed_) {
-        return;
-    }
-    if (used_ * 4 >= slots_.size() * 3) {
-        // Probe chains are loaded — but by what? Steady alloc/free churn
-        // erases every line it flushes, so most of `used_` can be
-        // tombstones. Growing (or latching) on tombstone pressure would
-        // ratchet a long-lived session into the conservative full-flush
-        // path for no live reason; instead, rehash in place to purge the
-        // tombstones and only grow/latch when LIVE entries genuinely load
-        // the table.
-        if (size_ * 4 >= slots_.size() * 3) {
-            if (slots_.size() >= kMaxSlots) {
-                // Latch: callers must now treat EVERY line as possibly
-                // dirty.
-                overflowed_ = true;
-                return;
-            }
-            rehash(slots_.size() * 2);
-        } else {
-            rehash(slots_.size());
-        }
-    }
-    std::size_t i = slot_of(line);
-    std::size_t first_tombstone = slots_.size();
-    while (slots_[i] != kEmpty) {
-        if (slots_[i] == line) {
-            return;
-        }
-        if (slots_[i] == kTombstone && first_tombstone == slots_.size()) {
-            first_tombstone = i;
-        }
-        i = (i + 1) & (slots_.size() - 1);
-    }
-    if (first_tombstone != slots_.size()) {
-        slots_[first_tombstone] = line;
-    } else {
-        slots_[i] = line;
-        used_++;
-    }
-    size_++;
-}
-
-bool
-DirtyLineSet::erase(std::uint64_t line)
-{
-    std::size_t i = slot_of(line);
-    while (slots_[i] != kEmpty) {
-        if (slots_[i] == line) {
-            slots_[i] = kTombstone;
-            size_--;
-            return true;
-        }
-        i = (i + 1) & (slots_.size() - 1);
-    }
-    return false;
-}
-
-bool
-DirtyLineSet::contains(std::uint64_t line) const
-{
-    std::size_t i = slot_of(line);
-    while (slots_[i] != kEmpty) {
-        if (slots_[i] == line) {
-            return true;
-        }
-        i = (i + 1) & (slots_.size() - 1);
-    }
-    return false;
+    chunks_[chunk] = std::make_unique<std::uint64_t[]>(kChunkWords);
+    return word_of(line);
 }
 
 MemSession::MemSession(Device* device, Nmp* nmp, ThreadId tid)
@@ -149,7 +58,6 @@ MemSession::set_pod_routing(const EdgeCost* row, std::uint32_t devices,
     host_ = host;
     edge_ops_.assign(devices, 0);
     edge_ns_.assign(devices, 0);
-    edge_hist_.assign(devices, obs::Histogram{});
 }
 
 void
@@ -170,12 +78,7 @@ MemSession::read_bytes(HeapOffset offset, void* out, std::uint64_t len)
         cache_.read(offset, out, len);
         return;
     }
-    if (model_ != nullptr) {
-        bool uncachable = device_->mode() == CoherenceMode::NoHwcc &&
-                          device_->in_sync_region(offset);
-        charge(lines * (uncachable ? model_->read_ns : model_->cached_ns));
-        charge_edge(offset, lines, len, /*write=*/false);
-    }
+    charge_access(offset, lines, len, /*write=*/false);
     std::memcpy(out, device_->raw(offset), len);
 }
 
@@ -195,12 +98,7 @@ MemSession::write_bytes(HeapOffset offset, const void* in, std::uint64_t len)
         note_dirty(offset, len);
         return;
     }
-    if (model_ != nullptr) {
-        bool uncachable = device_->mode() == CoherenceMode::NoHwcc &&
-                          device_->in_sync_region(offset);
-        charge(lines * (uncachable ? model_->write_ns : model_->cached_ns));
-        charge_edge(offset, lines, len, /*write=*/true);
-    }
+    charge_access(offset, lines, len, /*write=*/true);
     std::memcpy(device_->raw(offset), in, len);
     if (!device_->in_sync_region(offset)) {
         note_dirty(offset, len);
@@ -254,10 +152,6 @@ MemSession::flush_dirty(HeapOffset offset, std::uint64_t len)
     // reclaimed range whose lines happen to be clean would otherwise slip
     // past the guard and the TLB shootdown.
     check_access(offset, len);
-    if (dirty_.overflowed()) {
-        flush(offset, len);
-        return;
-    }
     std::uint64_t first = line_of(offset);
     std::uint64_t last = line_of(offset + len - 1);
     std::uint64_t run_start = 0;
@@ -370,7 +264,7 @@ MemSession::mcas_post(const McasOperand& op)
     // Staging writes the operand into the spwr ring: one posted store to
     // device memory.
     counters_.stores++;
-    charge_store(op.target);
+    charge_access(op.target, 1, 8, /*write=*/true);
     return nmp_->spwr_post(tid_, op);
 }
 
@@ -461,11 +355,9 @@ MemSession::publish_metrics(obs::MetricsRegistry& registry) const
                                       mcas_round_trip_ns_.snapshot());
         registry.absorb(hists);
     }
-    // Per-edge traffic from this session's host row: access counts, extra
-    // edge nanoseconds, and the edge-latency distribution (nonzero-cost
-    // accesses only — a zero-cost host-local edge has no distribution).
+    // Per-edge traffic from this session's host row: access counts and
+    // extra edge nanoseconds.
     if (edge_row_ != nullptr) {
-        obs::MetricsSnapshot hists;
         char name[64];
         for (std::uint32_t d = 0; d < edge_devices_; d++) {
             if (edge_ops_[d] != 0) {
@@ -478,15 +370,6 @@ MemSession::publish_metrics(obs::MetricsRegistry& registry) const
                               host_, d);
                 pub(name, edge_ns_[d]);
             }
-            if (edge_hist_[d].count() != 0) {
-                std::snprintf(name, sizeof name, "pod.edge.h%u.d%u.lat_ns",
-                              host_, d);
-                hists.histograms.emplace_back(name,
-                                              edge_hist_[d].snapshot());
-            }
-        }
-        if (!hists.histograms.empty()) {
-            registry.absorb(hists);
         }
     }
 }
@@ -499,7 +382,7 @@ MemSession::atomic_load64(HeapOffset offset)
     sched::hook(sched::Op::AtomicLoad, offset);
     check_access(offset, 8);
     counters_.loads++;
-    charge_load(offset);
+    charge_access(offset, 1, 8, /*write=*/false);
     return atomic_at<std::uint64_t>(offset).load(std::memory_order_acquire);
 }
 
@@ -511,7 +394,7 @@ MemSession::atomic_store64(HeapOffset offset, std::uint64_t value)
     sched::hook(sched::Op::AtomicStore, offset, value);
     check_access(offset, 8);
     counters_.stores++;
-    charge_store(offset);
+    charge_access(offset, 1, 8, /*write=*/true);
     atomic_at<std::uint64_t>(offset).store(value, std::memory_order_release);
 }
 

@@ -20,6 +20,7 @@
 #include <array>
 #include <atomic>
 #include <cstring>
+#include <memory>
 #include <type_traits>
 #include <vector>
 
@@ -180,44 +181,78 @@ class MappingGuard {
 
 /// Session-side record of which SWcc cachelines this thread has dirtied
 /// since it last flushed them: the index flush_dirty() consults to write
-/// back 1 line instead of 9 on the common descriptor publication. Open-
-/// addressed, fixed small footprint. Tombstone pressure from steady
-/// insert/erase churn is purged by rehashing in place; the table only
-/// grows when LIVE entries load it, and only if they exceed the size cap
-/// does it latch `overflowed`, degrading flush_dirty() to a conservative
-/// full-range flush (correctness never depends on the set being complete
-/// — only the elision's effectiveness does).
+/// back 1 line instead of 9 on the common descriptor publication. One bit
+/// per cacheline of the device, kept in 4 KiB chunks (2 MiB of device
+/// each) that are allocated on the first insert into their span — exact
+/// at any number of dirty lines, with no capacity limit.
 class DirtyLineSet {
   public:
-    DirtyLineSet();
+    /// Records a line-aligned offset as dirty.
+    void
+    insert(std::uint64_t line)
+    {
+        std::uint64_t* word = word_of(line);
+        if (word == nullptr) {
+            word = add_chunk(line);
+        }
+        std::uint64_t mask = bit_of(line);
+        size_ += (*word & mask) == 0;
+        *word |= mask;
+    }
 
-    /// Records a line-aligned offset as dirty. No-op after overflow.
-    void insert(std::uint64_t line);
+    /// Clears a line (a no-op if it is clean).
+    void
+    erase(std::uint64_t line)
+    {
+        std::uint64_t* word = word_of(line);
+        if (word != nullptr && (*word & bit_of(line)) != 0) {
+            *word &= ~bit_of(line);
+            size_--;
+        }
+    }
 
-    /// Clears a line; returns true if it was recorded dirty.
-    bool erase(std::uint64_t line);
+    bool
+    contains(std::uint64_t line) const
+    {
+        const std::uint64_t* word = word_of(line);
+        return word != nullptr && (*word & bit_of(line)) != 0;
+    }
 
-    bool contains(std::uint64_t line) const;
-    bool overflowed() const { return overflowed_; }
     std::size_t size() const { return size_; }
 
   private:
-    static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
-    static constexpr std::uint64_t kTombstone = ~std::uint64_t{0} - 1;
-    static constexpr std::size_t kInitialSlots = 1024;
-    static constexpr std::size_t kMaxSlots = 1 << 16;
+    static constexpr std::uint64_t kChunkWords = 512;
+    static constexpr std::uint64_t kChunkLines = kChunkWords * 64;
 
-    std::size_t slot_of(std::uint64_t line) const;
-    void rehash(std::size_t new_slots);
+    static std::uint64_t
+    bit_of(std::uint64_t line)
+    {
+        return std::uint64_t{1} << ((line >> cxlcommon::kCacheLineBits) % 64);
+    }
 
-    std::vector<std::uint64_t> slots_;
+    /// The bitmap word holding @p line, or null if its chunk is absent.
+    std::uint64_t*
+    word_of(std::uint64_t line) const
+    {
+        std::uint64_t index = line >> cxlcommon::kCacheLineBits;
+        std::uint64_t chunk = index / kChunkLines;
+        if (chunk >= chunks_.size() || chunks_[chunk] == nullptr) {
+            return nullptr;
+        }
+        return &chunks_[chunk][index / 64 % kChunkWords];
+    }
+
+    /// Allocates the zeroed chunk covering @p line; returns its word.
+    std::uint64_t* add_chunk(std::uint64_t line);
+
+    std::vector<std::unique_ptr<std::uint64_t[]>> chunks_;
     std::size_t size_ = 0;
-    std::size_t used_ = 0; ///< live + tombstoned slots (probe-chain load)
-    bool overflowed_ = false;
 };
 
-/// A thread's access session. Not thread-safe; one per thread.
-class MemSession {
+/// A thread's access session. Not thread-safe; one per thread. Every
+/// access reads and writes session fields, so a session starts and ends
+/// on cacheline boundaries: no other thread's data shares its lines.
+class alignas(cxlcommon::kCacheLine) MemSession {
   public:
     MemSession(Device* device, Nmp* nmp, ThreadId tid);
 
@@ -281,7 +316,7 @@ class MemSession {
             cache_.read(offset, &value, sizeof(T));
             return value;
         }
-        charge_load(offset);
+        charge_access(offset, 1, 8, /*write=*/false);
         return atomic_at<T>(offset).load(std::memory_order_relaxed);
     }
 
@@ -300,7 +335,7 @@ class MemSession {
             note_dirty(offset, sizeof(T));
             return;
         }
-        charge_store(offset);
+        charge_access(offset, 1, 8, /*write=*/true);
         atomic_at<T>(offset).store(value, std::memory_order_relaxed);
         if (!device_->in_sync_region(offset)) {
             note_dirty(offset, sizeof(T));
@@ -334,8 +369,7 @@ class MemSession {
     /// dirtied since their last flush — the paper's §3.2.2 observation
     /// that the owner already knows which descriptor fields it wrote.
     /// Counts one flush (and per-line latency) per contiguous dirty run;
-    /// clean lines cost nothing. Falls back to flush(offset, len) if the
-    /// dirty index overflowed. Guarded by litmus shape SwccPublishDirtyOnly
+    /// clean lines cost nothing. Guarded by litmus shape SwccPublishDirtyOnly
     /// and the sched publish oracle (flush-before-publish over the full
     /// descriptor range stays enforced).
     void flush_dirty(HeapOffset offset, std::uint64_t len);
@@ -418,7 +452,6 @@ class MemSession {
         for (std::uint32_t d = 0; d < edge_devices_; d++) {
             edge_ops_[d] = 0;
             edge_ns_[d] = 0;
-            edge_hist_[d].reset();
         }
     }
 
@@ -515,36 +548,28 @@ class MemSession {
         }
     }
 
+    /// Charges an access of @p lines cachelines / @p bytes bytes at
+    /// @p offset that bypasses the simulated cache: the base latency per
+    /// line plus the edge's. Device-biased memory is uncachable, so its
+    /// accesses go to the medium; everything else costs a cached access.
     void
-    charge_load(HeapOffset offset)
-    {
-        if (model_ == nullptr) {
-            return;
-        }
-        // Device-biased memory is uncachable: every load goes to the medium.
-        bool uncachable = device_->mode() == CoherenceMode::NoHwcc &&
-                          device_->in_sync_region(offset);
-        charge(uncachable ? model_->read_ns : model_->cached_ns);
-        charge_edge(offset, 1, 8, /*write=*/false);
-    }
-
-    void
-    charge_store(HeapOffset offset)
+    charge_access(HeapOffset offset, std::uint64_t lines, std::uint64_t bytes,
+                  bool write)
     {
         if (model_ == nullptr) {
             return;
         }
         bool uncachable = device_->mode() == CoherenceMode::NoHwcc &&
                           device_->in_sync_region(offset);
-        charge(uncachable ? model_->write_ns : model_->cached_ns);
-        charge_edge(offset, 1, 8, /*write=*/true);
+        std::uint64_t medium_ns = write ? model_->write_ns : model_->read_ns;
+        charge(lines * (uncachable ? medium_ns : model_->cached_ns));
+        charge_edge(offset, lines, bytes, write);
     }
 
     /// Adds the (host, device) edge cost of moving @p lines cachelines /
     /// @p bytes bytes at @p offset on top of the base model charge, and
-    /// folds it into the per-edge latency accounting. A no-op without pod
-    /// routing or a latency model, and free on zero-cost (host-local)
-    /// edges.
+    /// adds it to the edge's ns counter. A no-op without pod routing or a
+    /// latency model, and free on zero-cost (host-local) edges.
     void
     charge_edge(HeapOffset offset, std::uint64_t lines, std::uint64_t bytes,
                 bool write)
@@ -562,7 +587,6 @@ class MemSession {
         }
         charge(add);
         edge_ns_[dev] += add;
-        edge_hist_[dev].record(add);
     }
 
     /// Records the SWcc lines covering [offset, offset+len) as dirtied by
@@ -621,12 +645,11 @@ class MemSession {
     /// device_->window_bits(), set at construction (routing or not) so
     /// device_of() is right on every session.
     std::uint32_t window_bits_;
-    /// Per-device accounting for this session's host row: accesses, extra
-    /// edge nanoseconds, and the edge-latency distribution (published as
-    /// pod.edge.h<host>.d<dev>.* by publish_metrics).
+    /// Per-device accounting for this session's host row: accesses and
+    /// extra edge nanoseconds (published as pod.edge.h<host>.d<dev>.{ops,ns}
+    /// by publish_metrics).
     std::vector<std::uint64_t> edge_ops_;
     std::vector<std::uint64_t> edge_ns_;
-    std::vector<obs::Histogram> edge_hist_;
 };
 
 } // namespace cxl

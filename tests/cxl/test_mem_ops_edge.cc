@@ -17,8 +17,9 @@ using cxl::MemSession;
 using cxl::Nmp;
 
 struct Rig {
-    explicit Rig(CoherenceMode mode, bool sim = false)
-        : dev(DeviceConfig{.size = 1 << 20,
+    explicit Rig(CoherenceMode mode, bool sim = false,
+                 std::uint64_t size = 1 << 20)
+        : dev(DeviceConfig{.size = size,
                            .mode = mode,
                            .sync_region_size = 64 << 10,
                            .simulate_cache = sim}),
@@ -299,6 +300,32 @@ TEST(MemOpsEdge, FlushDirtyWritesBackOnlyDirtiedLines)
     EXPECT_EQ(s.counters().flushes, flushes);
 }
 
+TEST(MemOpsEdge, FlushDirtyStaysExactPastTheOldCapacity)
+{
+    // flush_dirty() stays exact however many lines are dirty: past 49,152
+    // of them (where a bounded index would have to give up and flush whole
+    // ranges), a 9-line range with 2 dirty lines still costs exactly 2
+    // one-line flushes.
+    constexpr std::uint64_t kLines = 49'153;
+    Rig rig(CoherenceMode::PartialHwcc, /*sim=*/false, 8 << 20);
+    MemSession s = rig.session(1);
+    const cxl::HeapOffset bulk = 1 << 20;
+    for (std::uint64_t i = 0; i < kLines; i++) {
+        s.store<std::uint64_t>(bulk + i * 64, i);
+    }
+    EXPECT_EQ(s.dirty_set().size(), kLines);
+
+    const cxl::HeapOffset base = 7 << 20;
+    s.store<std::uint64_t>(base, 1);
+    s.store<std::uint64_t>(base + 128, 2);
+    std::uint64_t flushes = s.counters().flushes;
+    std::uint64_t lines = s.counters().flushed_lines;
+    s.flush_dirty(base, 576);
+    EXPECT_EQ(s.counters().flushes - flushes, 2u);
+    EXPECT_EQ(s.counters().flushed_lines - lines, 2u);
+    EXPECT_EQ(s.dirty_set().size(), kLines);
+}
+
 TEST(MemOpsEdge, DirtyLineSetInsertEraseGrowOverflow)
 {
     cxl::DirtyLineSet set;
@@ -311,36 +338,13 @@ TEST(MemOpsEdge, DirtyLineSetInsertEraseGrowOverflow)
     set.erase(64);
     EXPECT_FALSE(set.contains(64));
     EXPECT_EQ(set.size(), 0u);
-    set.insert(128); // tombstone reuse
-    EXPECT_TRUE(set.contains(128));
-
-    // Growth keeps every entry findable.
-    for (std::uint64_t i = 0; i < 5000; i++) {
-        set.insert(i * 64);
-    }
-    for (std::uint64_t i = 0; i < 5000; i++) {
-        ASSERT_TRUE(set.contains(i * 64)) << i;
-    }
-    EXPECT_FALSE(set.overflowed());
-
-    // Past the size cap the set latches overflowed (flush_dirty then
-    // degrades to a conservative full-range flush).
-    for (std::uint64_t i = 0; i < 70000; i++) {
-        set.insert(i * 64);
-    }
-    EXPECT_TRUE(set.overflowed());
-    set.insert(1 << 30); // no-op after overflow; latch is sticky
-    EXPECT_TRUE(set.overflowed());
 }
 
 TEST(MemOpsEdge, DirtyLineSetChurnDoesNotLatchOverflow)
 {
-    // Regression: erase() left tombstones that counted toward the probe
-    // load forever, and growth was the only rehash — so steady alloc/free
-    // cycling (insert+erase of a small working set) latched `overflowed`
-    // once TOTAL traffic passed the cap, permanently degrading flush_dirty
-    // to conservative full-range flushes. Tombstones are now purged by an
-    // in-place rehash; only a genuinely large LIVE set may latch.
+    // Steady alloc/free cycling (insert + erase of a small working set)
+    // next to long-lived dirty lines: the count and every long-lived line
+    // survive the churn.
     cxl::DirtyLineSet set;
     for (std::uint64_t i = 0; i < 100; i++) {
         set.insert((1 << 20) + i * 64); // long-lived dirty lines
@@ -350,8 +354,6 @@ TEST(MemOpsEdge, DirtyLineSetChurnDoesNotLatchOverflow)
         set.insert(line);
         set.erase(line);
     }
-    EXPECT_FALSE(set.overflowed())
-        << "tombstone churn alone must never latch the overflow";
     EXPECT_EQ(set.size(), 100u);
     for (std::uint64_t i = 0; i < 100; i++) {
         ASSERT_TRUE(set.contains((1 << 20) + i * 64)) << i;

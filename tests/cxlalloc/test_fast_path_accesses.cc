@@ -2,13 +2,17 @@
 /// The slab heaps' fast paths touch each descriptor word once (layout.h,
 /// DescField): exact load/store/flush/fence counts for a warm allocation,
 /// a local free into a sized slab and a local free that relinks a
-/// Detached slab, in the small and the large heap. Then the crash side of
+/// Detached slab, in the small and the large heap. The two publications on
+/// the way (a detach, a trim's push to the global list) write back exactly
+/// the descriptor lines stored since their last flush. Then the crash side of
 /// the merged stores: registry crash sweeps at the points around them and
 /// deaths between the bitset store and the count-word store all recover to
 /// a clean audit (free counter == popcount) with a conservative scan hint.
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -26,6 +30,15 @@ struct HeapCase {
     const char* name;
     std::uint64_t size;
 };
+
+/// Prints the block size, not gtest's byte dump: the dump holds @c name's
+/// address, which moves with ASLR, and would change the listed test names
+/// (the ctest names) from one build to the next.
+void
+PrintTo(const HeapCase& h, std::ostream* os)
+{
+    *os << h.size << " B";
+}
 
 bool
 is_large(const HeapCase& h)
@@ -52,13 +65,101 @@ slab_of(Rig& rig, const HeapCase& h, cxl::HeapOffset p)
                     : (p - l.small_data()) / cxlalloc::kSmallSlabSize);
 }
 
+cxl::HeapOffset
+desc_of(Rig& rig, const HeapCase& h, std::uint32_t slab)
+{
+    const cxlalloc::Layout& l = rig.alloc.layout();
+    return is_large(h) ? l.large_swcc_desc(slab) : l.small_swcc_desc(slab);
+}
+
+/// Lines of a descriptor from its first line through the last bitset word
+/// of @p h's class: the owner, count and link words share line 0.
+std::uint64_t
+used_desc_lines(const HeapCase& h)
+{
+    std::uint64_t words = (blocks_per_slab(h) + 63) / 64;
+    return (cxlalloc::DescField::kBitset + words * 8 - 1) / 64 + 1;
+}
+
 /// Session accesses one operation made.
 struct Accesses {
     std::uint64_t loads = 0;
     std::uint64_t stores = 0;
     std::uint64_t flushes = 0;
     std::uint64_t fences = 0;
+    std::uint64_t flushed_lines = 0;
 };
+
+/// Follows the calling thread's hook events (installed for its lifetime):
+/// the lines stored since their last flush, and which of them each
+/// flush_dirty() request found dirty.
+class DirtyLines : public sched::Listener {
+  public:
+    DirtyLines() { sched::t_listener = this; }
+    ~DirtyLines() override { sched::t_listener = nullptr; }
+
+    void
+    on_event(const sched::Event& e) override
+    {
+        std::uint64_t first = cxlcommon::line_of(e.addr);
+        std::uint64_t end = e.addr + e.aux;
+        switch (e.op) {
+          case sched::Op::Store:
+          case sched::Op::WriteBytes:
+            for (std::uint64_t l = first; l < end; l += 64) {
+                dirty_.insert(l);
+            }
+            break;
+          case sched::Op::Flush:
+            for (std::uint64_t l = first; l < end; l += 64) {
+                dirty_.erase(l);
+            }
+            break;
+          case sched::Op::FlushDirty:
+            requested_at_ = e.addr;
+            requested_.assign(dirty_.lower_bound(first),
+                              dirty_.lower_bound(end));
+            break;
+          default:
+            break;
+        }
+    }
+
+    /// Start of the last flush_dirty() request.
+    cxl::HeapOffset requested_at() const { return requested_at_; }
+
+    /// Dirty lines inside the last flush_dirty() request, ascending.
+    const std::vector<std::uint64_t>& requested() const { return requested_; }
+
+    /// Contiguous runs among requested(): one flush each.
+    std::uint64_t
+    requested_runs() const
+    {
+        std::uint64_t runs = 0;
+        for (std::size_t i = 0; i < requested_.size(); i++) {
+            runs += i == 0 || requested_[i] != requested_[i - 1] + 64;
+        }
+        return runs;
+    }
+
+  private:
+    std::set<std::uint64_t> dirty_;
+    cxl::HeapOffset requested_at_ = 0;
+    std::vector<std::uint64_t> requested_;
+};
+
+/// flush_desc's write-back of @p dirty's last request over the descriptor
+/// at @p desc: one flush per dirty run plus the deferred record row's
+/// one-line flush, then one fence.
+void
+expect_desc_writeback(const Accesses& a, const DirtyLines& dirty,
+                      cxl::HeapOffset desc)
+{
+    EXPECT_EQ(dirty.requested_at(), desc);
+    EXPECT_EQ(a.flushes, dirty.requested_runs() + 1);
+    EXPECT_EQ(a.flushed_lines, dirty.requested().size() + 1);
+    EXPECT_EQ(a.fences, 1u);
+}
 
 /// CXL_PARANOID_ASSERT cross-checks the counter against a bitset rescan
 /// on the fast paths, which adds loads (only): exact load counts hold only
@@ -91,7 +192,8 @@ measure(cxl::MemSession& mem, Op op)
     const cxl::MemEventCounters& after = mem.counters();
     return Accesses{after.loads - before.loads, after.stores - before.stores,
                     after.flushes - before.flushes,
-                    after.fences - before.fences};
+                    after.fences - before.fences,
+                    after.flushed_lines - before.flushed_lines};
 }
 
 class FastPathAccesses : public ::testing::TestWithParam<HeapCase> {};
@@ -161,6 +263,66 @@ TEST_P(FastPathAccesses, LocalFreeIntoDetachedSlabRelinks)
     // the second slab's blocks.
     cxl::HeapOffset again = rig.alloc.allocate(*t, h.size);
     EXPECT_EQ(slab_of(rig, h, again), slab_of(rig, h, next));
+    rig.pod.release_thread(std::move(t));
+}
+
+TEST_P(FastPathAccesses, DetachWritesBackOnlyItsDirtyDescriptorLines)
+{
+    // The allocation that fills a fresh slab detaches it. Since the slab
+    // was acquired, its descriptor took the owner, count and link words
+    // (line 0) and every bitset word of the class (Init, then one word per
+    // allocation): flush_desc writes back exactly those lines.
+    const HeapCase& h = GetParam();
+    Rig rig;
+    auto t = rig.thread();
+    DirtyLines dirty;
+    cxl::HeapOffset first = rig.alloc.allocate(*t, h.size);
+    for (std::uint64_t i = 2; i < blocks_per_slab(h); i++) {
+        ASSERT_EQ(slab_of(rig, h, rig.alloc.allocate(*t, h.size)),
+                  slab_of(rig, h, first));
+    }
+    cxl::HeapOffset last = 0;
+    Accesses acc =
+        measure(t->mem(), [&] { last = rig.alloc.allocate(*t, h.size); });
+    ASSERT_EQ(slab_of(rig, h, last), slab_of(rig, h, first));
+    expect_desc_writeback(acc, dirty,
+                          desc_of(rig, h, slab_of(rig, h, first)));
+    EXPECT_EQ(dirty.requested().size(), used_desc_lines(h));
+    EXPECT_EQ(dirty.requested_runs(), 1u);
+    rig.pod.release_thread(std::move(t));
+}
+
+TEST_P(FastPathAccesses, TrimWritesBackOnlyItsDirtyDescriptorLines)
+{
+    // With no unsized slab kept, the local free that empties a slab sharing
+    // its class with another pushes it to the global list. Since its detach
+    // flush, the descriptor took the relink and every freed block's bitset
+    // word, count and link words: push_global_one writes back exactly
+    // those lines.
+    const HeapCase& h = GetParam();
+    cxltest::RigOptions opt;
+    opt.unsized_limit = 0;
+    Rig rig(opt);
+    auto t = rig.thread();
+    DirtyLines dirty;
+    std::vector<cxl::HeapOffset> full;
+    for (std::uint64_t i = 0; i < blocks_per_slab(h); i++) {
+        full.push_back(rig.alloc.allocate(*t, h.size));
+        ASSERT_EQ(slab_of(rig, h, full.back()), slab_of(rig, h, full[0]));
+    }
+    cxl::HeapOffset next = rig.alloc.allocate(*t, h.size);
+    ASSERT_NE(slab_of(rig, h, next), slab_of(rig, h, full[0]));
+    for (std::size_t i = 0; i + 1 < full.size(); i++) {
+        rig.alloc.deallocate(*t, full[i]);
+    }
+    Accesses acc =
+        measure(t->mem(), [&] { rig.alloc.deallocate(*t, full.back()); });
+    expect_desc_writeback(acc, dirty,
+                          desc_of(rig, h, slab_of(rig, h, full[0])));
+    EXPECT_EQ(dirty.requested().size(), used_desc_lines(h));
+    EXPECT_EQ(dirty.requested_runs(), 1u);
+    cxlalloc::CxlAllocator::Stats stats = rig.alloc.stats(t->mem());
+    EXPECT_EQ((is_large(h) ? stats.large : stats.small).global_free, 1u);
     rig.pod.release_thread(std::move(t));
 }
 
