@@ -95,6 +95,8 @@ struct Rig {
     std::uint64_t evacuated = 0;
     std::uint64_t rehomed = 0;
     std::uint64_t deaths_handled = 0;
+    /// The scripted batch's landing spent the whole injected stall.
+    bool stall_spent_at_step = false;
     char payload[kObjSize];
     char buf[kObjSize];
 
@@ -236,13 +238,16 @@ struct Rig {
     {
         Worker& w0 = workers[0];
         if (now == kStepNmpStall) {
-            // Remote free batch from host 0 into host 1's shard: the only
-            // cxlalloc path through the NMP doorbell, rung right after the
-            // stall armed — the session's retry ladder must absorb it.
+            // Remote free batch from host 0 into host 1's shard, landed by
+            // the cleanup right after it: its drain rings the NMP doorbell
+            // right after the stall armed — the session's retry ladder must
+            // absorb both swallowed doorbells here, not some later mCAS.
             b.heap->deallocate_batch(
                 *w0.ctx, stall_stash.data(),
                 static_cast<std::uint32_t>(stall_stash.size()));
             stall_stash.clear();
+            b.heap->cleanup(*w0.ctx);
+            stall_spent_at_step = b.pod->nmp().stall_remaining() == 0;
         }
         if (now == kStepLongFlap + 2) {
             // Frees aimed at the Down device: every one must park, none
@@ -437,6 +442,8 @@ main(int argc, char** argv)
     gate(rig.replayed >= plan.stash, "parked stash not fully replayed");
     gate(rig.b.pod->nmp().total_stalled_doorbells() >= 2,
          "doorbell stall never exercised the retry ladder");
+    gate(rig.stall_spent_at_step,
+         "the scripted batch's landing left the stall armed");
     failures += rig.drain_and_verify();
 
     std::uint64_t ops = rig.total_ops();

@@ -110,6 +110,9 @@ BM_AllocFreePair(benchmark::State& state, const std::string& name)
 }
 
 /// Remote-free round trip: thread A allocates a batch, thread B frees it.
+/// The per-op gauges cover a fixed run of batches after one untimed
+/// warm-up batch, ahead of the timed loop, so they read the same whatever
+/// iteration count google-benchmark picks.
 void
 BM_RemoteFreeBatch(benchmark::State& state, const std::string& name)
 {
@@ -121,19 +124,26 @@ BM_RemoteFreeBatch(benchmark::State& state, const std::string& name)
     auto producer = b.thread();
     auto consumer = b.thread();
     constexpr int kBatch = 64;
+    constexpr int kProbeBatches = 64;
     std::vector<cxl::HeapOffset> batch(kBatch);
-    MemOpsProbe probe(consumer->mem());
-    for (auto _ : state) {
+    auto round_trip = [&] {
         for (auto& p : batch) {
             p = b.alloc->allocate(*producer, 64);
         }
         for (auto p : batch) {
             b.alloc->deallocate(*consumer, p);
         }
+    };
+    round_trip();
+    MemOpsProbe probe(consumer->mem());
+    for (int i = 0; i < kProbeBatches; i++) {
+        round_trip();
+    }
+    probe.report(state, kProbeBatches * kBatch, "remote_free." + name);
+    for (auto _ : state) {
+        round_trip();
     }
     state.SetItemsProcessed(state.iterations() * kBatch * 2);
-    probe.report(state, state.iterations() * kBatch,
-                 "remote_free." + name);
     b.pod->release_thread(std::move(producer));
     b.pod->release_thread(std::move(consumer));
 }

@@ -170,41 +170,39 @@ CxlAllocator::allocate(pod::ThreadContext& ctx, std::uint64_t size)
     return off;
 }
 
+CxlAllocator::FreeKind
+CxlAllocator::free_one(pod::ThreadContext& ctx, ThreadState& ts,
+                       cxl::HeapOffset offset)
+{
+    CXL_ASSERT(offset != 0, "freeing null offset");
+    if (small_.contains(offset)) {
+        return small_.deallocate(ctx, ts, offset) ? kFreeRemote : kFreeLocal;
+    }
+    if (large_.contains(offset)) {
+        return large_.deallocate(ctx, ts, offset) ? kFreeRemote : kFreeLocal;
+    }
+    CXL_FATAL_IF(!huge_.contains(offset),
+                 "free of offset outside any heap region");
+    huge_.deallocate(ctx, ts, offset);
+    return kFreeHuge;
+}
+
 void
 CxlAllocator::deallocate(pod::ThreadContext& ctx, cxl::HeapOffset offset)
 {
-    CXL_ASSERT(offset != 0, "freeing null offset");
     ThreadState& ts = state_of(ctx);
     if (inst_.registry == nullptr) {
-        if (small_.contains(offset)) {
-            small_.deallocate(ctx, ts, offset);
-        } else if (large_.contains(offset)) {
-            large_.deallocate(ctx, ts, offset);
-        } else if (huge_.contains(offset)) {
-            huge_.deallocate(ctx, ts, offset);
-        } else {
-            CXL_FATAL("free of offset outside any heap region");
-        }
+        free_one(ctx, ts, offset);
         return;
     }
     std::uint64_t t0 = obs::now_ns();
-    bool remote = false;
-    bool huge = false;
-    if (small_.contains(offset)) {
-        remote = small_.deallocate(ctx, ts, offset);
-    } else if (large_.contains(offset)) {
-        remote = large_.deallocate(ctx, ts, offset);
-    } else if (huge_.contains(offset)) {
-        huge_.deallocate(ctx, ts, offset);
-        huge = true;
-    } else {
-        CXL_FATAL("free of offset outside any heap region");
-    }
+    FreeKind kind = free_one(ctx, ts, offset);
     std::uint64_t dt = obs::now_ns() - t0;
     obs::MetricsShard& sh = inst_.registry->shard(ctx.tid());
-    sh.add(huge ? inst_.free_huge
-                : (remote ? inst_.free_remote : inst_.free_local));
-    sh.record(remote ? inst_.remote_free_ns : inst_.free_ns, dt);
+    sh.add(kind == kFreeHuge
+               ? inst_.free_huge
+               : (kind == kFreeRemote ? inst_.free_remote : inst_.free_local));
+    sh.record(kind == kFreeRemote ? inst_.remote_free_ns : inst_.free_ns, dt);
     sh.trace().push({inst_.op_free, ctx.tid(), t0, dt, offset});
 }
 
@@ -218,45 +216,18 @@ CxlAllocator::deallocate_batch(pod::ThreadContext& ctx,
     }
     ThreadState& ts = state_of(ctx);
     std::uint64_t t0 = inst_.registry != nullptr ? obs::now_ns() : 0;
-    std::uint64_t remote = 0;
-    std::uint64_t huge_count = 0;
-    bool small_touched = false;
-    bool large_touched = false;
+    std::uint64_t frees[kFreeHuge + 1] = {};
     for (std::uint32_t i = 0; i < n; i++) {
-        cxl::HeapOffset offset = offsets[i];
-        CXL_ASSERT(offset != 0, "freeing null offset");
-        if (small_.contains(offset)) {
-            remote += small_.deallocate(ctx, ts, offset) ? 1 : 0;
-            small_touched = true;
-        } else if (large_.contains(offset)) {
-            remote += large_.deallocate(ctx, ts, offset) ? 1 : 0;
-            large_touched = true;
-        } else if (huge_.contains(offset)) {
-            huge_.deallocate(ctx, ts, offset);
-            huge_count++;
-        } else {
-            CXL_FATAL("free of offset outside any heap region");
-        }
-    }
-    // Every remote free of the call (and any deferred before) has landed
-    // when it returns: each slab heap it touched packs its distinct-slab
-    // decrements into shared doorbells.
-    if (pod_.device().mode() == cxl::CoherenceMode::NoHwcc) {
-        if (small_touched) {
-            small_.drain_pending(ctx, ts);
-        }
-        if (large_touched) {
-            large_.drain_pending(ctx, ts);
-        }
+        frees[free_one(ctx, ts, offsets[i])]++;
     }
     if (inst_.registry == nullptr) {
         return;
     }
     obs::MetricsShard& sh = inst_.registry->shard(ctx.tid());
     sh.add(inst_.free_batches);
-    sh.add(inst_.free_huge, huge_count);
-    sh.add(inst_.free_remote, remote);
-    sh.add(inst_.free_local, n - huge_count - remote);
+    sh.add(inst_.free_huge, frees[kFreeHuge]);
+    sh.add(inst_.free_remote, frees[kFreeRemote]);
+    sh.add(inst_.free_local, frees[kFreeLocal]);
     sh.record(inst_.free_batch_ns, obs::now_ns() - t0);
 }
 

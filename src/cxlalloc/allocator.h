@@ -69,11 +69,11 @@ class CxlAllocator : public pod::FaultResolver {
     /// Frees an allocation by offset (any attached thread/process).
     void deallocate(pod::ThreadContext& ctx, cxl::HeapOffset offset);
 
-    /// Frees @p n allocations: n deallocate() calls, after which (under
-    /// NoHwcc) each slab heap the call touched drains its pending remote
-    /// frees — this call's and any deferred before — as batched NMP
-    /// doorbells, one device round trip per ring of slabs (§4). Huge
-    /// frees and everything under HWcc modes take the serial paths.
+    /// Frees @p n allocations: n deallocate() calls, counted as one batch.
+    /// Under NoHwcc its remote frees wait in the thread's pending lists
+    /// like any other and land as full rings of slabs, one NMP doorbell
+    /// each (§4), when a list fills; the rest wait for refill exhaustion,
+    /// cleanup(), detach_thread() or recover().
     void deallocate_batch(pod::ThreadContext& ctx,
                           const cxl::HeapOffset* offsets, std::uint32_t n);
 
@@ -187,6 +187,13 @@ class CxlAllocator : public pod::FaultResolver {
 
     cxl::HeapOffset allocate_impl(pod::ThreadContext& ctx,
                                   std::uint64_t size);
+
+    /// Which free path one free took (indexes deallocate_batch's tally).
+    enum FreeKind : std::uint8_t { kFreeLocal, kFreeRemote, kFreeHuge };
+
+    /// Routes one free of @p offset to its heap.
+    FreeKind free_one(pod::ThreadContext& ctx, ThreadState& ts,
+                      cxl::HeapOffset offset);
 
     /// Resolved metric ids; valid only while registry != nullptr.
     struct Instruments {

@@ -224,27 +224,22 @@ PodShardedAllocator::free_or_park(pod::ThreadContext& ctx,
                                   const cxl::HeapOffset* offsets,
                                   std::uint32_t n)
 {
-    // Partition by owning window so each shard still sees one contiguous
-    // batch (one NMP doorbell per ring, as in the single-heap path).
-    std::vector<std::vector<cxl::HeapOffset>> parts(shards_.size());
-    for (std::uint32_t i = 0; i < n; i++) {
-        cxl::DeviceId d = pod_.device().device_of(offsets[i]);
-        CXL_ASSERT(d < shards_.size(), "free offset names no shard");
-        parts[d].push_back(offsets[i]);
-    }
+    // One walk: each run of offsets in one window is one batch of its
+    // shard, or parks whole behind a Down edge.
     auto host = static_cast<pod::HostId>(ctx.process().host());
     std::uint32_t parked = 0;
-    for (cxl::DeviceId d = 0; d < parts.size(); d++) {
-        auto k = static_cast<std::uint32_t>(parts[d].size());
-        if (k == 0) {
-            continue;
+    for (std::uint32_t i = 0, end; i < n; i = end) {
+        cxl::DeviceId d = pod_.device().device_of(offsets[i]);
+        CXL_ASSERT(d < shards_.size(), "free offset names no shard");
+        for (end = i + 1;
+             end < n && pod_.device().device_of(offsets[end]) == d; end++) {
         }
         if (pod_.topology().edge_state(host, d) == cxl::EdgeState::Down) {
-            park(parts[d].data(), k);
-            parked += k;
-            continue;
+            park(offsets + i, end - i);
+            parked += end - i;
+        } else {
+            shards_[d]->deallocate_batch(ctx, offsets + i, end - i);
         }
-        shards_[d]->deallocate_batch(ctx, parts[d].data(), k);
     }
     return parked;
 }
@@ -267,8 +262,8 @@ PodShardedAllocator::replay_parked(pod::ThreadContext& ctx)
     if (taken.empty()) {
         return 0;
     }
-    // The batch path keeps the NMP doorbell packing of a bulk drain and
-    // parks again whatever is still Down (a free is never lost).
+    // The batch path parks again whatever is still Down (a free is never
+    // lost).
     auto n = static_cast<std::uint32_t>(taken.size());
     std::uint32_t replayed = n - free_or_park(ctx, taken.data(), n);
     count(ctx, inst_.replayed, replayed);

@@ -112,8 +112,9 @@ class PodShardedAllocator : public pod::FaultResolver {
     /// Frees @p offset into the shard its window bits name.
     void deallocate(pod::ThreadContext& ctx, cxl::HeapOffset offset);
 
-    /// Batched free: offsets are partitioned by window and each shard
-    /// drains its part in one batch (NMP doorbell packing intact).
+    /// Batched free: each run of offsets in one window is one
+    /// CxlAllocator::deallocate_batch of its shard; a run behind a Down
+    /// edge parks.
     void deallocate_batch(pod::ThreadContext& ctx,
                           const cxl::HeapOffset* offsets, std::uint32_t n);
 

@@ -824,7 +824,7 @@ SlabHeap::defer_remote(pod::ThreadContext& ctx, ThreadState& ts,
     PendingList list = load_pending(mem, mem.tid());
     if (list.full()) {
         // Only after a drain threw (the last append drained otherwise).
-        drain_pending(ctx, ts);
+        drain_pending(ctx, ts, /*while_full=*/true);
         list = load_pending(mem, mem.tid());
     }
     // Local operation: no flush or fence. Recovery redoes the append iff
@@ -838,15 +838,18 @@ SlabHeap::defer_remote(pod::ThreadContext& ctx, ThreadState& ts,
     ctx.maybe_crash(crashpoint::kAfterRecord);
     list.add(slab, 1);
     store_pending(mem, list);
-    // Drain once the next append might not fit, so an append never waits
-    // for a drain (whose records would overwrite its own).
+    // Once the next append might not fit, land a ring of the oldest slab
+    // entries (another while the list is still full), so an append never
+    // waits for a drain (whose records would overwrite its own) and the
+    // newer entries keep coalescing blocks until the next full ring.
     if (list.full()) {
-        drain_pending(ctx, ts);
+        drain_pending(ctx, ts, /*while_full=*/true);
     }
 }
 
 void
-SlabHeap::drain_pending(pod::ThreadContext& ctx, ThreadState& ts)
+SlabHeap::drain_pending(pod::ThreadContext& ctx, ThreadState& ts,
+                        bool while_full)
 {
     cxl::MemSession& mem = ctx.mem();
     try {
@@ -858,7 +861,7 @@ SlabHeap::drain_pending(pod::ThreadContext& ctx, ThreadState& ts)
             list = load_pending(mem, mem.tid());
         }
         cxl::McasBackoff backoff;
-        while (list.n != 0) {
+        while (while_full ? list.full() : list.n != 0) {
             drain_round(ctx, ts, list, backoff);
         }
     } catch (const cxl::NmpStallError&) {

@@ -97,20 +97,23 @@ class SlabHeap {
     bool deallocate(pod::ThreadContext& ctx, ThreadState& ts,
                     cxl::HeapOffset offset);
 
-    /// Lands the calling thread's pending remote frees. Each round takes
-    /// up to a ring of slab entries; an entry of k blocks becomes ONE
-    /// operand cur -> cur - k, built from the counter word it read, and
-    /// the ring shares one NMP doorbell (one device round trip, §4). An
-    /// operand that lands a zero counter steals its slab. Durability: the
-    /// round's Op::FreeRemoteBatch record, then the list minus the staged
-    /// decrements (stamped out), share one flush + fence before the
-    /// doorbell; after it, the round's steals run, failed operands go back
-    /// into the list and the stamp is cleared (flush + fence), all before
-    /// any ring slot is released; the unsized-list trim comes last.
+    /// Lands the calling thread's pending remote frees: all of them, or
+    /// with @p while_full only rounds until the list is no longer full.
+    /// Each round takes up to a ring of the oldest slab entries; an entry
+    /// of k blocks becomes ONE operand cur -> cur - k, built from the
+    /// counter word it read, and the ring shares one NMP doorbell (one
+    /// device round trip, §4). An operand that lands a zero counter
+    /// steals its slab. Durability: the round's Op::FreeRemoteBatch
+    /// record, then the list minus the staged decrements (stamped out),
+    /// share one flush + fence before the doorbell; after it, the round's
+    /// steals run, failed operands go back into the list and the stamp is
+    /// cleared (flush + fence), all before any ring slot is released; the
+    /// unsized-list trim comes last.
     /// Conflicts retry after bounded exponential backoff. An NmpStallError
     /// / EdgeDownError is rethrown only after the round it interrupted is
     /// reconciled and the ring released.
-    void drain_pending(pod::ThreadContext& ctx, ThreadState& ts);
+    void drain_pending(pod::ThreadContext& ctx, ThreadState& ts,
+                       bool while_full = false);
 
     /// Recovery and drain helper: if the calling thread's list is stamped
     /// out, puts back every operand of that round still in its NMP ring

@@ -1,7 +1,8 @@
 /// Batched NMP engine tests: deterministic competing-batch interleavings,
 /// partial-batch conflicts, ring wrap-around and full-ring rejection at the
 /// engine level; then the allocator's drain of pending remote frees (one
-/// operand per slab, k decrements each), including real-thread drain races
+/// operand per slab, k decrements each; a full list lands its oldest ring,
+/// a batch's frees wait like any other), including real-thread drain races
 /// and crashes inside a half-submitted drain recovered through the §5.1
 /// machinery (the pending list is durable SWcc memory, the operand ring
 /// device memory; both survive the crash).
@@ -305,6 +306,16 @@ nohwcc_opts()
     return opt;
 }
 
+/// deallocate_batch, then cleanup: under NoHwcc the batch's remote frees
+/// wait in @p ctx's pending lists, and the cleanup's drain lands them.
+void
+free_and_land(Rig& rig, pod::ThreadContext& ctx,
+              const cxl::HeapOffset* offs, std::uint32_t n)
+{
+    rig.alloc.deallocate_batch(ctx, offs, n);
+    rig.alloc.cleanup(ctx);
+}
+
 TEST(DeallocateBatch, DistinctSlabsShareOneDoorbell)
 {
     Rig rig(nohwcc_opts());
@@ -320,8 +331,8 @@ TEST(DeallocateBatch, DistinctSlabsShareOneDoorbell)
     }
     const auto& before = t2->mem().counters();
     std::uint64_t batches0 = before.mcas_batches;
-    rig.alloc.deallocate_batch(*t2, offs.data(),
-                               static_cast<std::uint32_t>(offs.size()));
+    free_and_land(rig, *t2, offs.data(),
+                  static_cast<std::uint32_t>(offs.size()));
     const auto& after = t2->mem().counters();
     // One doorbell carried all eight decrements.
     EXPECT_EQ(after.mcas_batches - batches0, 1u);
@@ -349,8 +360,8 @@ TEST(DeallocateBatch, SameSlabFreesCoalesceIntoOneOperand)
     const auto& c = t2->mem().counters();
     std::uint64_t batches0 = c.mcas_batches;
     std::uint64_t ops0 = c.mcas_batch_ops;
-    rig.alloc.deallocate_batch(*t2, offs.data(),
-                               static_cast<std::uint32_t>(offs.size()));
+    free_and_land(rig, *t2, offs.data(),
+                  static_cast<std::uint32_t>(offs.size()));
     EXPECT_EQ(c.mcas_batches - batches0, 1u);
     EXPECT_EQ(c.mcas_batch_ops - ops0, 1u);
     EXPECT_EQ(c.mcas_conflicts, 0u);
@@ -400,7 +411,7 @@ TEST(DeallocateBatch, GroupEqualToItsCounterStealsInTheSameDoorbell)
         offs.push_back(p);
     }
     std::uint32_t len = rig.alloc.stats(t1->mem()).small.length;
-    rig.alloc.deallocate_batch(*t2, offs.data(), kBlocks);
+    free_and_land(rig, *t2, offs.data(), kBlocks);
     // All 32 decrements ride one operand (32 -> 0), and the round that
     // landed it steals: no serial mCAS runs.
     const cxl::MemEventCounters& c = t2->mem().counters();
@@ -459,8 +470,8 @@ TEST(DeallocateBatch, DisplacedTagsOfOneThreadRecordHelpOnce)
     rig.alloc.cleanup(*t3);
     CountOp help(sched::Op::DcasHelp);
     sched::t_listener = &help;
-    rig.alloc.deallocate_batch(*t2, offs.data(),
-                               static_cast<std::uint32_t>(offs.size()));
+    free_and_land(rig, *t2, offs.data(),
+                  static_cast<std::uint32_t>(offs.size()));
     sched::t_listener = nullptr;
     // One ring displaces all four tags: t3's newest version covers them.
     EXPECT_EQ(help.count(), 1u);
@@ -505,9 +516,9 @@ struct FreeTrace {
 /// small, large and huge blocks of its own. t2 then frees all of them —
 /// local and remote, small, large and huge, the full slab stolen on its
 /// last decrement — through one deallocate_batch call when @p batched, else
-/// a deallocate loop and detach_thread (which drains both slab heaps under
-/// NoHwcc, and is a no-op otherwise). Both threads then allocate again
-/// (t2 out of the stolen slab).
+/// a deallocate loop, and runs cleanup (which lands both slab heaps'
+/// pending frees under NoHwcc). Both threads then allocate again (t2 out
+/// of the stolen slab).
 FreeTrace
 run_free_script(cxl::CoherenceMode mode, bool batched)
 {
@@ -544,8 +555,8 @@ run_free_script(cxl::CoherenceMode mode, bool batched)
         for (cxl::HeapOffset p : frees) {
             rig.alloc.deallocate(*t2, p);
         }
-        rig.alloc.detach_thread(*t2);
     }
+    rig.alloc.cleanup(*t2);
     for (int i = 0; i < 32; i++) {
         out.offsets.push_back(rig.alloc.allocate(*t2, 1024));
     }
@@ -562,9 +573,9 @@ run_free_script(cxl::CoherenceMode mode, bool batched)
     return out;
 }
 
-/// deallocate_batch is its deallocate loop plus (NoHwcc) a drain of each
-/// slab heap the loop touched: same offsets afterwards, same memory
-/// operations and simulated time, same audit.
+/// deallocate_batch is its deallocate loop: followed by the same cleanup,
+/// same offsets afterwards, same memory operations and simulated time,
+/// same audit.
 void
 expect_batch_matches_loop(cxl::CoherenceMode mode)
 {
@@ -588,7 +599,7 @@ TEST(DeallocateBatch, MatchesADeallocateLoop)
     expect_batch_matches_loop(CoherenceMode::PartialHwcc);
 }
 
-TEST(DeallocateBatch, MatchesADeallocateLoopAndDetachUnderNoHwcc)
+TEST(DeallocateBatch, MatchesADeallocateLoopAndCleanupUnderNoHwcc)
 {
     expect_batch_matches_loop(CoherenceMode::NoHwcc);
 }
@@ -596,10 +607,10 @@ TEST(DeallocateBatch, MatchesADeallocateLoopAndDetachUnderNoHwcc)
 TEST(DeallocateBatch, ConcurrentCoalescedDrainsLandEveryFreeOnce)
 {
     // Real threads: three drainers free interleaved thirds of an owner's
-    // full 1 KiB slabs, 8 at a time, racing every slab's counter to zero
-    // (coalesced operands, retries, steals in the round). Each round must end
-    // with a clean audit and no live block, and stolen slabs recycle, so
-    // the heap stops growing.
+    // full 1 KiB slabs, 8 at a time, then land them with cleanup, racing
+    // every slab's counter to zero (coalesced operands, retries, steals in
+    // the round). Each round must end with a clean audit and no live
+    // block, and stolen slabs recycle, so the heap stops growing.
     Rig rig(nohwcc_opts());
     constexpr int kDrainers = 3;
     constexpr int kSlabs = 6;
@@ -634,6 +645,7 @@ TEST(DeallocateBatch, ConcurrentCoalescedDrainsLandEveryFreeOnce)
                         static_cast<std::uint32_t>(
                             std::min(kBatch, mine.size() - at)));
                 }
+                rig.alloc.cleanup(*drainers[d]);
             });
         }
         for (std::thread& t : threads) {
@@ -655,13 +667,13 @@ TEST(DeallocateBatch, ConcurrentCoalescedDrainsLandEveryFreeOnce)
 }
 
 /// Fills one 1 KiB-class slab from a victim thread, remote-frees most
-/// blocks in a batch, crashes the freeing thread at @p point inside a
-/// half-submitted batch, recovers via adoption (which lands the batch),
-/// frees the last block, and proves exactly-once decrement semantics by
-/// stealing the slab at counter zero: the final allocations must reuse the
-/// stolen slab (heap length unchanged). A lost decrement leaves the
-/// counter above zero (no steal, length grows); a doubled one
-/// underflow-asserts.
+/// blocks in a batch landed by cleanup, crashes the freeing thread at
+/// @p point inside the next batch's half-submitted drain round, recovers
+/// via adoption (which lands the batch), frees the last block, and proves
+/// exactly-once decrement semantics by stealing the slab at counter zero:
+/// the final allocations must reuse the stolen slab (heap length
+/// unchanged). A lost decrement leaves the counter above zero (no steal,
+/// length grows); a doubled one underflow-asserts.
 void
 batch_crash_roundtrip(int point)
 {
@@ -678,7 +690,7 @@ batch_crash_roundtrip(int point)
     std::uint32_t len_before = rig.alloc.stats(t1->mem()).small.length;
 
     // Free 24 of 32 remotely, leaving the counter at 8.
-    rig.alloc.deallocate_batch(*t2, offs.data(), 24);
+    free_and_land(rig, *t2, offs.data(), 24);
 
     // Overwrite t2's record with a completed serial op (alloc + local
     // free) so a kMidBatchStage crash finds a NON-batch record: recovery
@@ -689,12 +701,12 @@ batch_crash_roundtrip(int point)
     rig.alloc.deallocate(*t2, scratch);
     len_before = rig.alloc.stats(t1->mem()).small.length;
 
-    // Crash inside the next batch: 7 decrements of one slab, staged as
-    // ONE operand 8 -> 1.
+    // Crash inside the next batch's drain: 7 decrements of one slab,
+    // staged as ONE operand 8 -> 1.
     t2->arm_crash(point, 1);
     bool crashed = false;
     try {
-        rig.alloc.deallocate_batch(*t2, offs.data() + 24, 7);
+        free_and_land(rig, *t2, offs.data() + 24, 7);
     } catch (const ThreadCrashed&) {
         crashed = true;
     }
@@ -762,16 +774,22 @@ TEST(DeallocateBatchCrash, FailedOperandIsRedoneAfterALaterOneIsDisplaced)
     ASSERT_TRUE(a1 != 0 && a2 != 0 && b1 != 0 && b2 != 0);
     std::uint64_t live0 = rig.alloc.audit(t1->mem()).live_blocks;
 
+    // t3's remote frees wait in its pending list: each lands only through
+    // its cleanup.
     cxltest::FireOnce race(
         [](const sched::Event& e) { return e.op == sched::Op::McasPost; },
-        [&] { rig.alloc.deallocate(*t3, a2); });
+        [&] {
+            rig.alloc.deallocate(*t3, a2);
+            rig.alloc.cleanup(*t3);
+        });
     cxl::HeapOffset batch[] = {a1, b1};
     t2->arm_crash(cxlalloc::crashpoint::kMidBatchDrain, 1);
     sched::t_listener = &race;
-    EXPECT_THROW(rig.alloc.deallocate_batch(*t2, batch, 2), ThreadCrashed);
+    EXPECT_THROW(free_and_land(rig, *t2, batch, 2), ThreadCrashed);
     sched::t_listener = nullptr;
     ASSERT_TRUE(race.fired());
     rig.alloc.deallocate(*t3, b2); // displaces t2's tag on B
+    rig.alloc.cleanup(*t3);
 
     cxl::ThreadId tid = t2->tid();
     rig.pod.mark_crashed(std::move(t2));
@@ -800,10 +818,9 @@ TEST(DeallocateBatchCrash, FinalDecrementSurvivesACrashAfterTheDoorbell)
         ASSERT_NE(offs.back(), 0u);
     }
     std::uint64_t live0 = rig.alloc.audit(t1->mem()).live_blocks;
-    rig.alloc.deallocate_batch(*t2, offs.data(), 24);
+    free_and_land(rig, *t2, offs.data(), 24);
     t2->arm_crash(cxlalloc::crashpoint::kMidBatchDrain, 1);
-    EXPECT_THROW(rig.alloc.deallocate_batch(*t2, offs.data() + 24, 8),
-                 ThreadCrashed);
+    EXPECT_THROW(free_and_land(rig, *t2, offs.data() + 24, 8), ThreadCrashed);
     cxl::ThreadId tid = t2->tid();
     rig.pod.mark_crashed(std::move(t2));
     t2 = rig.pod.adopt_thread(rig.process, tid);
@@ -840,8 +857,8 @@ TEST(DeallocateBatchCrash, QueuedGroupSurvivesACrashInARoundsFinal)
     }
     std::uint64_t live0 = rig.alloc.audit(t1->mem()).live_blocks;
     t2->arm_crash(cxlalloc::crashpoint::kMidSteal, 1);
-    EXPECT_THROW(rig.alloc.deallocate_batch(
-                     *t2, offs.data(), static_cast<std::uint32_t>(offs.size())),
+    EXPECT_THROW(free_and_land(rig, *t2, offs.data(),
+                               static_cast<std::uint32_t>(offs.size())),
                  ThreadCrashed);
     ASSERT_EQ(rig.alloc.pending_record(*t2).op,
               cxlalloc::Op::FreeRemoteBatch);
@@ -884,8 +901,7 @@ TEST(DeallocateBatchCrash,
         },
         [] { throw ThreadCrashed{cxlalloc::crashpoint::kMidBatchDrain}; });
     sched::t_listener = &die;
-    EXPECT_THROW(rig.alloc.deallocate_batch(*t2, offs.data(), 32),
-                 ThreadCrashed);
+    EXPECT_THROW(free_and_land(rig, *t2, offs.data(), 32), ThreadCrashed);
     sched::t_listener = nullptr;
     ASSERT_TRUE(die.fired());
     std::uint32_t slab = small_slab_of(rig, offs[0]);
@@ -931,8 +947,7 @@ TEST(DeallocateBatchCrash, TrimmedStolenSlabIsNotStolenAgain)
     std::uint64_t live0 = rig.alloc.audit(t1->mem()).live_blocks;
     std::uint32_t global0 = rig.alloc.stats(t1->mem()).small.global_free;
     t2->arm_crash(cxlalloc::crashpoint::kMidPushGlobal, 1);
-    EXPECT_THROW(rig.alloc.deallocate_batch(*t2, offs.data(), 32),
-                 ThreadCrashed);
+    EXPECT_THROW(free_and_land(rig, *t2, offs.data(), 32), ThreadCrashed);
     cxl::ThreadId tid = t2->tid();
     ASSERT_EQ(rig.alloc.pending_record(*t2).op, cxlalloc::Op::PushGlobal);
     rig.pod.mark_crashed(std::move(t2));
@@ -954,10 +969,10 @@ TEST(DeallocateBatchCrash, SweepCountdownsThroughMixedBatches)
 {
     // §5.1-style sweep with exact accounting: one batch of a full 1 KiB
     // slab (its operand zeroes the counter and steals) plus two blocks in
-    // each of twelve classes — thirteen slab entries, so the drain takes
-    // two rounds — with the crash armed at each point of the free path —
-    // the FreeDeferred appends (kAfterRecord), the three batch points, the
-    // round's steal — at several countdowns. After recovery and
+    // each of twelve classes — thirteen slab entries, so the cleanup's
+    // drain takes two rounds — with the crash armed at each point of the
+    // free path — the FreeDeferred appends (kAfterRecord), the three batch
+    // points, the round's steal — at several countdowns. After recovery and
     // cleanup exactly the accepted frees have landed: every one when the
     // crash hit the drain, the first `countdown` appends when it hit the
     // appends (a logged append is redone, an unlogged one never happened).
@@ -1005,7 +1020,7 @@ TEST(DeallocateBatchCrash, SweepCountdownsThroughMixedBatches)
         std::uint32_t accepted = kFrees;
         t2->arm_crash(c.point, c.countdown);
         try {
-            rig.alloc.deallocate_batch(*t2, offs.data(), kFrees);
+            free_and_land(rig, *t2, offs.data(), kFrees);
             t2->disarm_crash();
         } catch (const ThreadCrashed&) {
             if (c.point == cxlalloc::crashpoint::kAfterRecord) {
@@ -1065,8 +1080,7 @@ TEST(DeallocateBatchCrash, FreshOccupantsFirstRoundIsNotItsPredecessors)
     auto b = rig.thread();
     ASSERT_EQ(b->tid(), tid);
     b->arm_crash(cxlalloc::crashpoint::kMidBatchStage, 1);
-    EXPECT_THROW(rig.alloc.deallocate_batch(*b, offs.data() + 2, 2),
-                 ThreadCrashed);
+    EXPECT_THROW(free_and_land(rig, *b, offs.data() + 2, 2), ThreadCrashed);
     rig.pod.mark_crashed(std::move(b));
     b = rig.pod.adopt_thread(rig.process, tid);
     rig.alloc.recover(*b);
@@ -1189,6 +1203,100 @@ TEST(DeallocateBatchStall, StalledZeroingOperandGoesBackIntoTheList)
     rig.pod.release_thread(std::move(t2));
 }
 
+/// @p ctx's small-heap pending list.
+cxlalloc::PendingList
+small_pending(Rig& rig, pod::ThreadContext& ctx)
+{
+    cxlalloc::PendingList list;
+    ctx.mem().read_bytes(rig.alloc.small_heap().pending_row(ctx.tid()), &list,
+                         sizeof list);
+    return list;
+}
+
+TEST(DeferredFrees, AFullListLandsItsOldestRingAndKeepsTheNewest)
+{
+    // Fifteen single-block appends, each into a slab of its own, fill the
+    // list's slots. The fifteenth lands one full ring of the eight oldest
+    // entries; the seven newest stay pending to gather more blocks.
+    Rig rig(nohwcc_opts());
+    auto t1 = rig.thread();
+    auto t2 = rig.thread();
+    constexpr std::uint32_t kSlots = cxlalloc::PendingList::kSlots;
+    std::vector<cxl::HeapOffset> offs = one_block_per_class(rig, *t1);
+    ASSERT_GE(offs.size(), kSlots);
+    std::uint64_t live0 = rig.alloc.audit(t1->mem()).live_blocks;
+    const cxl::MemEventCounters& c = t2->mem().counters();
+    for (std::uint32_t i = 0; i < kSlots; i++) {
+        EXPECT_EQ(c.mcas_batches, 0u) << "rang before the list filled";
+        rig.alloc.deallocate(*t2, offs[i]);
+    }
+    EXPECT_EQ(c.mcas_batches, 1u);
+    EXPECT_EQ(c.mcas_batch_ops, kNmpRingSlots);
+    cxlalloc::PendingList list = small_pending(rig, *t2);
+    ASSERT_EQ(list.n, kSlots - kNmpRingSlots);
+    for (std::uint32_t i = 0; i < list.n; i++) {
+        EXPECT_EQ(list.slab(i), small_slab_of(rig, offs[kNmpRingSlots + i]));
+        EXPECT_EQ(list.count(i), 1u);
+    }
+    cxlalloc::AuditReport r = rig.alloc.audit(t2->mem());
+    EXPECT_TRUE(r.ok()) << r.to_string();
+    EXPECT_EQ(r.pending_frees, kSlots - kNmpRingSlots);
+    EXPECT_EQ(live0 - r.live_blocks, kSlots);
+    rig.alloc.cleanup(*t2);
+    EXPECT_EQ(c.mcas_batches, 2u);
+    EXPECT_EQ(rig.alloc.audit(t2->mem()).pending_frees, 0u);
+    rig.pod.release_thread(std::move(t1));
+    rig.pod.release_thread(std::move(t2));
+}
+
+TEST(DeferredFrees, AListStillFullAfterARoundLandsASecond)
+{
+    // t2 appends eight blocks of each of eight slabs: the 64th block fills
+    // the list, whose oldest ring is all eight entries. t3 lands one free
+    // of each slab after t2 read the counters, so every operand of t2's
+    // round fails and goes back: the list still holds 64 blocks, and the
+    // same append lands a second round, built from fresh counter words.
+    Rig rig(nohwcc_opts());
+    auto t1 = rig.thread();
+    auto t2 = rig.thread();
+    auto t3 = rig.thread();
+    constexpr std::uint32_t kPerSlab =
+        cxlalloc::PendingList::kCapacity / kNmpRingSlots;
+    std::vector<cxl::HeapOffset> mine;
+    for (std::uint32_t c = 0; c < kNmpRingSlots; c++) {
+        std::uint64_t size = cxlalloc::small_class_size(c);
+        cxl::HeapOffset theirs = rig.alloc.allocate(*t1, size);
+        ASSERT_NE(theirs, 0u);
+        rig.alloc.deallocate(*t3, theirs);
+        for (std::uint32_t b = 0; b < kPerSlab; b++) {
+            mine.push_back(rig.alloc.allocate(*t1, size));
+            ASSERT_NE(mine.back(), 0u);
+        }
+    }
+    ASSERT_EQ(rig.alloc.audit(t3->mem()).pending_frees, kNmpRingSlots);
+    std::uint64_t live0 = rig.alloc.audit(t1->mem()).live_blocks;
+    cxltest::FireOnce race(
+        [](const sched::Event& e) { return e.op == sched::Op::McasPost; },
+        [&] { rig.alloc.cleanup(*t3); });
+    sched::t_listener = &race;
+    for (cxl::HeapOffset p : mine) {
+        rig.alloc.deallocate(*t2, p);
+    }
+    sched::t_listener = nullptr;
+    ASSERT_TRUE(race.fired());
+    const cxl::MemEventCounters& c = t2->mem().counters();
+    EXPECT_EQ(c.mcas_batches, 2u);
+    EXPECT_EQ(c.mcas_batch_ops, 2 * kNmpRingSlots);
+    EXPECT_EQ(small_pending(rig, *t2).n, 0u);
+    cxlalloc::AuditReport r = rig.alloc.audit(t2->mem());
+    EXPECT_TRUE(r.ok()) << r.to_string();
+    EXPECT_EQ(r.pending_frees, 0u);
+    EXPECT_EQ(live0 - r.live_blocks, mine.size());
+    rig.pod.release_thread(std::move(t1));
+    rig.pod.release_thread(std::move(t2));
+    rig.pod.release_thread(std::move(t3));
+}
+
 TEST(DeferredFrees, HostCrashLeaksAtMostTheUnflushedAppends)
 {
     // Appends since the last drain are plain stores in the freeing host's
@@ -1205,7 +1313,7 @@ TEST(DeferredFrees, HostCrashLeaksAtMostTheUnflushedAppends)
         ASSERT_NE(offs.back(), 0u);
     }
     std::uint64_t live0 = rig.alloc.audit(t1->mem()).live_blocks;
-    rig.alloc.deallocate_batch(*t2, offs.data(), 8); // drained: durable
+    free_and_land(rig, *t2, offs.data(), 8); // landed: durable
     for (int i = 8; i < 12; i++) {
         rig.alloc.deallocate(*t2, offs[i]); // pending, in t2's cache only
     }

@@ -1,11 +1,11 @@
 /// @file
 /// Coalesced remote-free drains under explored schedules (paper §3.2.1,
 /// §4): two drainers free interleaved halves of an owner's full slabs
-/// through deallocate_batch — one operand per slab per ring, the round
-/// that zeroes a counter stealing its slab — while the owner frees blocks
-/// of its own locally; and an owner whose frees into its own disowned
-/// slabs wait in its pending list (NoHwcc) while a neighbour batch-drains
-/// the same slabs.
+/// through deallocate_batch and land them with cleanup — one operand per
+/// slab per ring, the round that zeroes a counter stealing its slab —
+/// while the owner frees blocks of its own locally; and an owner whose
+/// frees into its own disowned slabs wait in its pending list (NoHwcc)
+/// while a neighbour batch-frees and lands the same slabs.
 /// With crash injection any participant dies at any yield, and a
 /// recoverer adopts and recovers its slot while the others keep running
 /// (until then the dead thread's staged operands doom every competing
@@ -225,6 +225,7 @@ spawn_workload(Run& run, const std::shared_ptr<DrainWorld>& w, bool killable)
                 w->alloc.deallocate_batch(*w->ctxs[d], mine.data() + at,
                                           kBatch);
             }
+            w->alloc.cleanup(*w->ctxs[d]);
         };
         run.spawn("drain" + std::to_string(d), participant(w, d, drain),
                   killable);
@@ -283,8 +284,8 @@ TEST(SchedBatch, KillAnyParticipantRecoverConcurrentlyAndAudit)
 
 /// The owner's frees into its own disowned slabs are remote, so under
 /// NoHwcc they wait in its pending list (landed by its cleanup) while a
-/// neighbour batch-drains the other half of the same slabs: both race
-/// every slab's counter to zero.
+/// neighbour batch-frees the other half of the same slabs and lands them
+/// with its own cleanup: both race every slab's counter to zero.
 struct DeferWorld {
     static constexpr int kOwner = 0;
     static constexpr int kNeighbour = 1;
@@ -310,6 +311,7 @@ struct DeferWorld {
         for (int s = 0; s < kSlabs; s++) {
             cxl::HeapOffset first = alloc.allocate(*ctxs[kOwner], 1024);
             alloc.deallocate_batch(*ctxs[kNeighbour], &first, 1);
+            alloc.cleanup(*ctxs[kNeighbour]);
             slabs.push_back(slab_of(alloc, first));
             for (int b = 1; b < kPerSlab; b++) {
                 cxl::HeapOffset p = alloc.allocate(*ctxs[kOwner], 1024);
@@ -352,6 +354,7 @@ defer_race(bool crash)
                                           mine.data() + at,
                                           DeferWorld::kBatch);
             }
+            w->alloc.cleanup(*w->ctxs[DeferWorld::kNeighbour]);
         };
         run.spawn("owner", participant(w, DeferWorld::kOwner, owner), crash);
         run.spawn("neighbour",
