@@ -26,7 +26,8 @@ class MemOpsProbe {
         : mem_(mem), loads0_(mem.counters().loads),
           stores0_(mem.counters().stores),
           fences0_(mem.counters().fences),
-          flushed0_(mem.counters().flushed_lines)
+          flushed0_(mem.counters().flushed_lines),
+          mcas0_(mem.counters().mcas_ops)
     {
     }
 
@@ -42,6 +43,7 @@ class MemOpsProbe {
         auto fences = static_cast<double>(mem_.counters().fences - fences0_);
         auto flushed =
             static_cast<double>(mem_.counters().flushed_lines - flushed0_);
+        auto mcas = static_cast<double>(mem_.counters().mcas_ops - mcas0_);
         auto n = static_cast<double>(ops);
         state.counters["loads_per_op"] = loads / n;
         state.counters["stores_per_op"] = stores / n;
@@ -51,6 +53,8 @@ class MemOpsProbe {
         // CI budget gate holds them down (verify_metrics_json --budget).
         state.counters["fences_per_op"] = fences / n;
         state.counters["flushed_lines_per_op"] = flushed / n;
+        // NMP mCAS operands, serial and batched (NoHwcc sessions only).
+        state.counters["mcas_ops_per_op"] = mcas / n;
         if (obs::MetricsRegistry* reg = bench::bundle_metrics()) {
             mem_.publish_metrics(*reg);
             obs::MetricsShard& sh = reg->shard(mem_.tid());
@@ -62,6 +66,20 @@ class MemOpsProbe {
             reg->set_gauge(
                 reg->gauge("gbench." + label + ".flushed_lines_per_op"),
                 flushed / n);
+            if (mem_.device()->mode() == cxl::CoherenceMode::NoHwcc) {
+                // The mCAS series split the access count: every counter
+                // read the NoHwcc drain makes is a load, and every help
+                // record a serial mCAS.
+                reg->set_gauge(
+                    reg->gauge("gbench." + label + ".loads_per_op"),
+                    loads / n);
+                reg->set_gauge(
+                    reg->gauge("gbench." + label + ".stores_per_op"),
+                    stores / n);
+                reg->set_gauge(
+                    reg->gauge("gbench." + label + ".mcas_ops_per_op"),
+                    mcas / n);
+            }
         }
     }
 
@@ -71,6 +89,7 @@ class MemOpsProbe {
     std::uint64_t stores0_;
     std::uint64_t fences0_;
     std::uint64_t flushed0_;
+    std::uint64_t mcas0_;
 };
 
 /// One untimed alloc+free pair before a probe starts: the slab acquisition
@@ -109,29 +128,36 @@ BM_AllocFreePair(benchmark::State& state, const std::string& name)
     b.pod->release_thread(std::move(ctx));
 }
 
-/// Remote-free round trip: thread A allocates a batch, thread B frees it.
-/// The per-op gauges cover a fixed run of batches after one untimed
-/// warm-up batch, ahead of the timed loop, so they read the same whatever
-/// iteration count google-benchmark picks.
+/// Remote-free round trip: thread A allocates a batch of blocks of the
+/// @p sizes, thread B frees it. Under mCAS memory mode B's remote frees
+/// wait in its pending list, so each batch ends with B's cleanup, whose
+/// drain round lands them. The per-op gauges cover a fixed run of batches
+/// after one untimed warm-up batch, ahead of the timed loop, so they read
+/// the same whatever iteration count google-benchmark picks.
 void
-BM_RemoteFreeBatch(benchmark::State& state, const std::string& name)
+BM_RemoteFreeBatch(benchmark::State& state, const std::string& name,
+                   bench::MemoryMode mode, std::vector<std::uint64_t> sizes)
 {
     bench::Geometry geom;
     geom.small_slabs = 512;
     geom.large_slabs = 8;
     geom.huge_regions = 2;
-    bench::Bundle b = bench::make_bundle(name, geom);
+    bench::Bundle b = bench::make_bundle(name, geom, mode);
     auto producer = b.thread();
     auto consumer = b.thread();
-    constexpr int kBatch = 64;
+    const bool drain = mode == bench::MemoryMode::CxlMcas;
+    const auto n = static_cast<std::int64_t>(sizes.size());
     constexpr int kProbeBatches = 64;
-    std::vector<cxl::HeapOffset> batch(kBatch);
+    std::vector<cxl::HeapOffset> batch(sizes.size());
     auto round_trip = [&] {
-        for (auto& p : batch) {
-            p = b.alloc->allocate(*producer, 64);
+        for (std::size_t i = 0; i < sizes.size(); i++) {
+            batch[i] = b.alloc->allocate(*producer, sizes[i]);
         }
         for (auto p : batch) {
             b.alloc->deallocate(*consumer, p);
+        }
+        if (drain) {
+            b.heap->cleanup(*consumer);
         }
     };
     round_trip();
@@ -139,11 +165,13 @@ BM_RemoteFreeBatch(benchmark::State& state, const std::string& name)
     for (int i = 0; i < kProbeBatches; i++) {
         round_trip();
     }
-    probe.report(state, kProbeBatches * kBatch, "remote_free." + name);
+    probe.report(state, kProbeBatches * n,
+                 "remote_free." + name +
+                     (drain ? "-mcas.slabs" + std::to_string(n) : ""));
     for (auto _ : state) {
         round_trip();
     }
-    state.SetItemsProcessed(state.iterations() * kBatch * 2);
+    state.SetItemsProcessed(state.iterations() * n * 2);
     b.pod->release_thread(std::move(producer));
     b.pod->release_thread(std::move(consumer));
 }
@@ -196,11 +224,28 @@ BENCHMARK_CAPTURE(BM_AllocFreePair, boost_like, std::string("boost-like"))
 BENCHMARK_CAPTURE(BM_AllocFreePair, lightning_like,
                   std::string("lightning-like"))
     ->Arg(64);
-BENCHMARK_CAPTURE(BM_RemoteFreeBatch, cxlalloc, std::string("cxlalloc"));
+const std::vector<std::uint64_t> kSixtyFourBlocksOf64B(64, 64);
+BENCHMARK_CAPTURE(BM_RemoteFreeBatch, cxlalloc, std::string("cxlalloc"),
+                  bench::MemoryMode::Local, kSixtyFourBlocksOf64B);
 BENCHMARK_CAPTURE(BM_RemoteFreeBatch, mimalloc_like,
-                  std::string("mimalloc-like"));
+                  std::string("mimalloc-like"), bench::MemoryMode::Local,
+                  kSixtyFourBlocksOf64B);
 BENCHMARK_CAPTURE(BM_RemoteFreeBatch, ralloc_like,
-                  std::string("ralloc-like"));
+                  std::string("ralloc-like"), bench::MemoryMode::Local,
+                  kSixtyFourBlocksOf64B);
+// One block in each of eight slabs (eight size classes): the cleanup lands
+// the batch as one full ring, and a counter read per operand would add a
+// load per op. One block in each of two slabs: a ring of two, where a help
+// mCAS per round would add half an mCAS per op. The batch's fixed costs
+// (the cleanup's huge-heap pass) hide the one at two slabs and the other
+// at eight, under the 15 % + 0.1 budget.
+BENCHMARK_CAPTURE(BM_RemoteFreeBatch, cxlalloc_mcas_8slabs,
+                  std::string("cxlalloc"), bench::MemoryMode::CxlMcas,
+                  std::vector<std::uint64_t>{8, 16, 32, 64, 128, 256, 512,
+                                             1024});
+BENCHMARK_CAPTURE(BM_RemoteFreeBatch, cxlalloc_mcas_2slabs,
+                  std::string("cxlalloc"), bench::MemoryMode::CxlMcas,
+                  std::vector<std::uint64_t>{64, 128});
 BENCHMARK(BM_CxlallocMcasFastPath);
 
 // Custom main instead of BENCHMARK_MAIN(): peel off the repo-wide metrics

@@ -7,7 +7,8 @@
 ///
 /// With --budget, additionally enforces the fence/flush-line budget: every
 /// per-op gauge in the baseline (gbench.*.{mem_ops,fences,flushed_lines}
-/// _per_op) must exist in the fresh snapshot and must not regress beyond
+/// _per_op, and the mCAS series' {loads,stores,mcas_ops}_per_op) must
+/// exist in the fresh snapshot and must not regress beyond
 /// kBudgetRatio (plus a small absolute epsilon for near-zero gauges). This
 /// is the CI gate that keeps the fence-elision work from silently rotting.
 /// Most budgeted gauges are lower-is-better; the few where more is better
@@ -82,8 +83,12 @@ budget_gauge(const std::string& name)
                name.compare(name.size() - s.size(), s.size(), s) == 0;
     };
     if (name.rfind("gbench.", 0) == 0) {
+        // Plus the mCAS series' split: loads, stores and NMP mCAS operands
+        // per op.
         return ends_with(".mem_ops_per_op") || ends_with(".fences_per_op") ||
-               ends_with(".flushed_lines_per_op");
+               ends_with(".flushed_lines_per_op") ||
+               ends_with(".loads_per_op") || ends_with(".stores_per_op") ||
+               ends_with(".mcas_ops_per_op");
     }
     if (name.rfind("tiered.", 0) == 0) {
         // Tiered-sweep rows: simulated ns/op per pattern and placement.

@@ -127,7 +127,7 @@ CxlAllocator::set_metrics(obs::MetricsRegistry* registry)
     inst_.free_batches = registry->counter("alloc.free_batches");
     inst_.free_batch_ns = registry->histogram("alloc.free_batch_ns");
     inst_.recoveries = registry->counter("alloc.recoveries");
-    inst_.cleanups = registry->counter("alloc.cleanup_passes");
+    inst_.cleanups = registry->counter("alloc.shard_cleanups");
     inst_.alloc_ns = registry->histogram("alloc.alloc_ns");
     inst_.free_ns = registry->histogram("alloc.free_ns");
     inst_.remote_free_ns = registry->histogram("alloc.remote_free_ns");
@@ -236,7 +236,9 @@ CxlAllocator::recover(pod::ThreadContext& ctx)
 {
     cxl::MemSession& mem = ctx.mem();
     PerThread& pt = threads_[ctx.tid()];
+    std::unique_ptr<DrainState> drain = std::move(pt.state.drain);
     pt.state = ThreadState{};
+    pt.state.drain = std::move(drain);
 
     OpRecord record = log_.read(mem, ctx.tid());
     // Resume the version counter past the interrupted operation so no

@@ -33,6 +33,10 @@ class_for_impl(bool large, std::uint64_t size)
     return large ? large_class_for(size) : small_class_for(size);
 }
 
+/// A thread's drain rounds refresh its own help entry at most once per
+/// this many of its versions, well inside did_succeed's 2^14 window.
+constexpr std::uint16_t kHelpRefreshVersions = 4096;
+
 } // namespace
 
 SlabHeap::SlabHeap(const Layout* layout, bool large,
@@ -450,16 +454,20 @@ SlabHeap::push_unsized(cxl::MemSession& mem, std::uint32_t slab)
 std::uint32_t
 SlabHeap::pop_unsized(cxl::MemSession& mem)
 {
-    cxl::HeapOffset head = unsized_head_off(mem.tid());
-    std::uint32_t raw = mem.load<std::uint32_t>(head);
+    std::uint32_t raw = mem.load<std::uint32_t>(unsized_head_off(mem.tid()));
     CXL_ASSERT(raw != 0, "pop from empty unsized list");
-    std::uint32_t slab = raw - 1;
-    mem.store<std::uint32_t>(head, next_raw(mem, slab));
+    unlink_unsized_head(mem, raw - 1);
+    return raw - 1;
+}
+
+void
+SlabHeap::unlink_unsized_head(cxl::MemSession& mem, std::uint32_t slab)
+{
+    mem.store<std::uint32_t>(unsized_head_off(mem.tid()), next_raw(mem, slab));
     set_next_raw(mem, slab, 0);
     cxl::HeapOffset cnt = unsized_count_off(mem.tid());
     std::uint32_t c = mem.load<std::uint32_t>(cnt);
     mem.store<std::uint32_t>(cnt, c == 0 ? 0 : c - 1);
-    return slab;
 }
 
 bool
@@ -897,6 +905,12 @@ SlabHeap::drain_round(pod::ThreadContext& ctx, ThreadState& ts,
                       PendingList& list, cxl::McasBackoff& backoff)
 {
     cxl::MemSession& mem = ctx.mem();
+    if (!ts.drain) {
+        ts.drain = std::make_unique<DrainState>();
+        ts.drain->refreshed_at = ts.version;
+    }
+    DrainState& drain = *ts.drain;
+    DrainState::Prediction* predicted = drain.slot[large_ ? 1 : 0];
     cxl::McasOperand ops[cxl::kNmpRingSlots];
     std::uint32_t slab_of[cxl::kNmpRingSlots];
     std::uint32_t k_of[cxl::kNmpRingSlots];
@@ -906,7 +920,16 @@ SlabHeap::drain_round(pod::ThreadContext& ctx, ThreadState& ts,
     for (std::uint32_t i = 0; i < staged; i++) {
         slab_of[i] = list.slab(i);
         k_of[i] = list.count(i);
-        std::uint64_t word = dcas_->read_word(mem, hwcc(slab_of[i]));
+        // Stage from the word this thread expects the counter to hold; the
+        // mCAS checks it. Read the counter only when there is none, or
+        // when it is below the entry's count.
+        const DrainState::Prediction& p =
+            predicted[slab_of[i] % DrainState::kSlots];
+        std::uint64_t word = p.word;
+        if (p.slab_plus1 != slab_of[i] + 1 ||
+            DcasWord::value(word) < k_of[i]) {
+            word = dcas_->read_word(mem, hwcc(slab_of[i]));
+        }
         std::uint32_t cur = DcasWord::value(word);
         CXL_ASSERT(cur >= k_of[i],
                    "remote-free counter underflow (double free?)");
@@ -914,9 +937,9 @@ SlabHeap::drain_round(pod::ThreadContext& ctx, ThreadState& ts,
         ops[i] = dcas_->stage_word(mem, hwcc(slab_of[i]), word,
                                    cur - k_of[i], ver);
     }
-    // Help before anything executes (the serial path's order), and before
-    // posting: the help CAS needs an empty ring.
-    dcas_->record_displaced(mem, ops, staged);
+    // No help records for the tags the operands displace: no recovery asks
+    // did_succeed of a slab counter under NoHwcc (reconcile_ring reads the
+    // slots). The thread's own entry is refreshed after the polls.
     for (std::uint32_t i = 0; i < staged; i++) {
         bool posted = mem.mcas_post(ops[i]);
         CXL_ASSERT(posted, "ring rejected a ring-bounded batch");
@@ -973,6 +996,29 @@ SlabHeap::drain_round(pod::ThreadContext& ctx, ThreadState& ts,
         bool polled = mem.mcas_poll(&r);
         CXL_ASSERT(polled, "doorbell executed fewer ops than staged");
         conflicted |= r.conflict;
+        DrainState::Prediction& p = predicted[slab_of[i] % DrainState::kSlots];
+        if (r.conflict) {
+            if (p.slab_plus1 == slab_of[i] + 1) {
+                p = {}; // the device read nothing to predict from
+            }
+        } else {
+            p = {slab_of[i] + 1, r.success ? ops[i].swap : r.previous};
+        }
+        if (r.success) {
+            drain.newest_landed = DcasWord::version(ops[i].swap);
+            drain.landed = true;
+        }
+    }
+    // The ring is empty. Nobody records help for the operands' tags, so
+    // the thread's own entry would stay where the last displacer of one of
+    // its tags left it: once 2^14 versions behind, did_succeed calls its
+    // next failed PopGlobal, Extend, PushGlobal or cell publish landed.
+    // Every kHelpRefreshVersions of its versions, record its newest landed
+    // operand's instead.
+    if (drain.landed && ((ts.version - drain.refreshed_at) &
+                         cxlsync::kVersionMask) >= kHelpRefreshVersions) {
+        dcas_->record_landed(mem, drain.newest_landed);
+        drain.refreshed_at = ts.version;
     }
     if (conflicted) {
         mem.charge(backoff.next_ns());
@@ -1117,7 +1163,23 @@ void
 SlabHeap::push_global_one(pod::ThreadContext& ctx, ThreadState& ts)
 {
     cxl::MemSession& mem = ctx.mem();
-    std::uint32_t slab = pop_unsized(mem);
+    std::uint32_t raw = mem.load<std::uint32_t>(unsized_head_off(mem.tid()));
+    CXL_ASSERT(raw != 0, "push from empty unsized list");
+    std::uint32_t slab = raw - 1;
+    // The record comes before the pop: from the pop on, the slab is on no
+    // list of ours, and only this record tells recovery to finish the push
+    // (whatever record the caller left, a drain round's included). Record
+    // + descriptor coalesce into flush_desc's single flush + fence (the
+    // record's flush_pending rides the same fence); on a CAS retry only
+    // the re-dirtied kNext line and record row are written back again —
+    // the owner-cached argument generalized.
+    std::uint16_t ver = ts.next_version();
+    log_->log_local(mem, OpRecord{.op = Op::PushGlobal,
+                                  .large_heap = large_,
+                                  .aux = 0,
+                                  .version = ver,
+                                  .index = slab});
+    unlink_unsized_head(mem, slab);
     set_owner_word(mem, slab, OwnerWord{cxl::kNoThread, 0, SlabState::Global});
     // MADV_REMOVE analog (paper §3.3.1): heap extension is monotonic — the
     // mapping stays — but an empty slab's backing memory returns to the
@@ -1128,16 +1190,6 @@ SlabHeap::push_global_one(pod::ThreadContext& ctx, ThreadState& ts)
         std::uint64_t word = dcas_->read_word(mem, free_word_);
         std::uint32_t headraw = DcasWord::value(word);
         set_next_raw(mem, slab, headraw);
-        std::uint16_t ver = ts.next_version();
-        // Record + descriptor coalesce into flush_desc's single flush +
-        // fence (the record's flush_pending rides the same fence); on a
-        // CAS retry only the re-dirtied kNext line and record row are
-        // written back again — the owner-cached argument generalized.
-        log_->log_local(mem, OpRecord{.op = Op::PushGlobal,
-                                      .large_heap = large_,
-                                      .aux = 0,
-                                      .version = ver,
-                                      .index = slab});
         // Ownership transfers to whoever pops: flush + fence first.
         if (!cxlcommon::test_faults::skip_swcc_publish_flush) {
             flush_desc(mem, slab);
@@ -1153,6 +1205,12 @@ SlabHeap::push_global_one(pod::ThreadContext& ctx, ThreadState& ts)
                 .success) {
             return;
         }
+        ver = ts.next_version();
+        log_->log_local(mem, OpRecord{.op = Op::PushGlobal,
+                                      .large_heap = large_,
+                                      .aux = 0,
+                                      .version = ver,
+                                      .index = slab});
     }
 }
 
@@ -1281,9 +1339,12 @@ SlabHeap::recover(pod::ThreadContext& ctx, ThreadState& ts,
       case Op::FreeLocal: {
         OwnerWord w = owner_word(mem, slab);
         if (w.biased == 0) {
-            // The free emptied the slab and was recycling it (or a trim
-            // was pushing it on to the global list, whose own record comes
-            // after its owner-word store): finish on the unsized list.
+            // The free emptied the slab and recycled it (push_unsized's
+            // owner-word store landed). A trim that went on to push it
+            // global logs its own record first, but a host crash inside
+            // that trim's flush_desc can leave its owner-word store durable
+            // without the record (the descriptor is written back first):
+            // finish on the unsized list.
             if (w.owner != mem.tid() || w.state != SlabState::TlUnsized) {
                 acquire_to_unsized(ctx, slab);
             }
@@ -1342,6 +1403,12 @@ SlabHeap::recover(pod::ThreadContext& ctx, ThreadState& ts,
         break;
       }
       case Op::PushGlobal: {
+        if (on_unsized_list(mem, slab)) {
+            // The pop or its owner-word store never happened, so
+            // rebuild_lists kept the slab on our unsized list: the push
+            // never started.
+            break;
+        }
         if (dcas_->did_succeed(mem, free_word_, record.version)) {
             break; // push landed
         }

@@ -302,6 +302,8 @@ class SlabHeap {
     void push_unsized(cxl::MemSession& mem, std::uint32_t slab);
     /// Pops the unsized head; list must be nonempty.
     std::uint32_t pop_unsized(cxl::MemSession& mem);
+    /// pop_unsized of a head the caller already loaded: @p slab.
+    void unlink_unsized_head(cxl::MemSession& mem, std::uint32_t slab);
     bool on_unsized_list(cxl::MemSession& mem, std::uint32_t slab);
 
     // ---- operations ----

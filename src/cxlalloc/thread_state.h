@@ -6,12 +6,38 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "cxlalloc/interval_set.h"
 #include "sync/detectable_cas.h"
 
 namespace cxlalloc {
+
+/// What a thread's NoHwcc drain rounds (SlabHeap::drain_round) remember
+/// between rounds, allocated on its first drain. Hints and bookkeeping
+/// only: the mCAS validates every predicted word, and no recovery reads
+/// any of it.
+struct DrainState {
+    /// Direct-mapped prediction slots per slab heap.
+    static constexpr std::uint32_t kSlots = 64;
+
+    /// The counter word the thread expects on one slab: the swap of its
+    /// last landed operand there, or the word its last failed one found.
+    struct Prediction {
+        std::uint32_t slab_plus1 = 0; ///< 0 = empty
+        std::uint64_t word = 0;
+    };
+
+    /// [large heap][slab % kSlots].
+    Prediction slot[2][kSlots];
+    /// The thread's version when it last refreshed its own help entry
+    /// (or when this state was allocated).
+    std::uint16_t refreshed_at = 0;
+    /// Version of the newest operand of the thread's that landed.
+    std::uint16_t newest_landed = 0;
+    bool landed = false;
+};
 
 struct ThreadState {
     /// Last detectable-CAS version used (15-bit circular). Restored from
@@ -25,6 +51,10 @@ struct ThreadState {
 
     /// Free huge descriptor indices from this thread's pool slice.
     std::vector<std::uint32_t> free_descs;
+
+    /// NoHwcc drain rounds' state; null until the first drain. Recovery
+    /// keeps the crashed thread's: its refresh countdown must not restart.
+    std::unique_ptr<DrainState> drain;
 
     /// Allocates the next CAS version.
     std::uint16_t

@@ -48,34 +48,6 @@ DetectableCas::cas_word(cxl::MemSession& mem, cxl::HeapOffset word_offset,
     return Result{false, DcasWord::value(seen)};
 }
 
-void
-DetectableCas::record_displaced(cxl::MemSession& mem,
-                                const cxl::McasOperand* ops, std::uint32_t n)
-{
-    if (!detectable_) {
-        return;
-    }
-    for (std::uint32_t i = 0; i < n; i++) {
-        cxl::ThreadId tid = DcasWord::tid(ops[i].expected);
-        bool covered = tid == cxl::kNoThread;
-        for (std::uint32_t j = 0; j < i && !covered; j++) {
-            covered = DcasWord::tid(ops[j].expected) == tid;
-        }
-        if (covered) {
-            continue; // untagged, or recorded with an earlier operand
-        }
-        std::uint16_t newest = DcasWord::version(ops[i].expected);
-        for (std::uint32_t j = i + 1; j < n; j++) {
-            std::uint16_t v = DcasWord::version(ops[j].expected);
-            if (DcasWord::tid(ops[j].expected) == tid &&
-                !version_geq(newest, v)) {
-                newest = v;
-            }
-        }
-        record_help(mem, tid, newest);
-    }
-}
-
 bool
 DetectableCas::did_succeed(cxl::MemSession& mem,
                            cxl::HeapOffset word_offset, std::uint16_t version)

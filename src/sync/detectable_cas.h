@@ -8,6 +8,9 @@
 /// before any thread displaces a tagged word, it records the displaced tag
 /// in the help array. A CAS by thread t with version v therefore succeeded
 /// iff the word still carries (t, v) or help[t] has advanced to >= v.
+/// Words no recovery asks about may skip the help record (stage_word); a
+/// thread whose tags nobody records keeps its own entry fresh with
+/// record_landed().
 ///
 /// Word format (64 bits, as in the paper — CAS targets are at most 32 bits,
 /// widened to 8 B of HWcc memory per slab):
@@ -99,10 +102,12 @@ class DetectableCas {
                         std::uint64_t expected_word, std::uint32_t desired,
                         std::uint16_t version);
 
-    /// The operand of a batched detectable CAS: swaps @p expected_word
-    /// (from read_word()) for the caller's tagged @p desired, like
-    /// try_cas_word, for MemSession::mcas_post. Builds it only; call
-    /// record_displaced() on the round's operands before posting any.
+    /// The operand of a batched CAS: swaps @p expected_word (from
+    /// read_word() or the caller's own prediction) for the caller's tagged
+    /// @p desired, like try_cas_word, for MemSession::mcas_post. It records
+    /// no help for the tag it displaces, so use it only on words no
+    /// recovery asks did_succeed() about (the NoHwcc drain's slab
+    /// counters, see SlabHeap::drain_round).
     cxl::McasOperand
     stage_word(const cxl::MemSession& mem, cxl::HeapOffset word_offset,
                std::uint64_t expected_word, std::uint32_t desired,
@@ -114,13 +119,18 @@ class DetectableCas {
             .swap = DcasWord::pack(desired, mem.tid(), version)};
     }
 
-    /// The help records of @p n staged operands, written BEFORE any of
-    /// them is posted (the serial path's help-before-execute order; the
-    /// help CAS itself needs an empty ring). One record per displaced
-    /// thread, at its newest displaced version: help entries only move
-    /// forward, so the newest covers the older ones.
-    void record_displaced(cxl::MemSession& mem, const cxl::McasOperand* ops,
-                          std::uint32_t n);
+    /// Records that the calling thread's CAS tagged @p version landed. A
+    /// thread whose CASes no displacer records (stage_word operands) calls
+    /// it to keep its own help entry inside did_succeed()'s window: an
+    /// entry 2^14 versions behind the thread reads as "landed" for its
+    /// next failed CAS. @p version must have landed, and no CAS of the
+    /// thread's may still be in flight (the help CAS needs an empty ring).
+    void record_landed(cxl::MemSession& mem, std::uint16_t version)
+    {
+        if (detectable_) {
+            record_help(mem, mem.tid(), version);
+        }
+    }
 
     /// Reads the 32-bit value currently stored at @p word_offset.
     std::uint32_t

@@ -432,25 +432,51 @@ TEST(DeallocateBatch, GroupEqualToItsCounterStealsInTheSameDoorbell)
     rig.pod.release_thread(std::move(t2));
 }
 
-/// Counts the hook events of one kind on the installing thread.
+/// Counts the hook events of one kind on the installing thread, at
+/// @p addr only when one is given.
 class CountOp : public sched::Listener {
   public:
-    explicit CountOp(sched::Op op) : op_(op) {}
+    static constexpr std::uint64_t kAnyAddr = ~std::uint64_t{0};
+
+    explicit CountOp(sched::Op op, std::uint64_t addr = kAnyAddr)
+        : op_(op), addr_(addr)
+    {
+    }
 
     void
     on_event(const sched::Event& event) override
     {
-        count_ += event.op == op_ ? 1 : 0;
+        count_ += event.op == op_ && (addr_ == kAnyAddr || event.addr == addr_)
+                      ? 1
+                      : 0;
     }
 
     std::uint32_t count() const { return count_; }
 
   private:
     sched::Op op_;
+    std::uint64_t addr_;
     std::uint32_t count_ = 0;
 };
 
-TEST(DeallocateBatch, DisplacedTagsOfOneThreadRecordHelpOnce)
+/// Thread @p tid's help entry in @p rig's heap: 0, or its version + 1.
+std::uint64_t
+help_entry(Rig& rig, pod::ThreadContext& ctx, cxl::ThreadId tid)
+{
+    return ctx.mem().atomic_load64(rig.alloc.layout().help_array() +
+                                   static_cast<cxl::HeapOffset>(tid) * 8);
+}
+
+/// Remote-frees @p p from @p ctx and lands it in a round of its own: one
+/// drained version.
+void
+free_one_round(Rig& rig, pod::ThreadContext& ctx, cxl::HeapOffset p)
+{
+    rig.alloc.deallocate(ctx, p);
+    rig.alloc.cleanup(ctx);
+}
+
+TEST(DeallocateBatch, DrainRecordsNoHelpButAnOwnRefreshPer4096Versions)
 {
     Rig rig(nohwcc_opts());
     auto t1 = rig.thread();
@@ -468,19 +494,121 @@ TEST(DeallocateBatch, DisplacedTagsOfOneThreadRecordHelpOnce)
         ASSERT_NE(offs.back(), 0u);
     }
     rig.alloc.cleanup(*t3);
+    // t2's drains: 4092 blocks in one 8 B-class slab of t1's, so no
+    // counter reaches zero.
+    std::vector<cxl::HeapOffset> eights;
+    for (int i = 0; i < 4092; i++) {
+        eights.push_back(rig.alloc.allocate(*t1, 8));
+        ASSERT_NE(eights.back(), 0u);
+    }
+    cxlalloc::ThreadState& ts = rig.alloc.thread_state(t2->tid());
+    const std::uint16_t v0 = ts.version;
+    auto drained = [&] {
+        return static_cast<std::uint32_t>((ts.version - v0) &
+                                          cxlsync::kVersionMask);
+    };
     CountOp help(sched::Op::DcasHelp);
     sched::t_listener = &help;
+    // One ring displaces all four of t3's tags, and records none of them:
+    // no recovery asks did_succeed of a slab counter.
     free_and_land(rig, *t2, offs.data(),
                   static_cast<std::uint32_t>(offs.size()));
-    sched::t_listener = nullptr;
-    // One ring displaces all four tags: t3's newest version covers them.
-    EXPECT_EQ(help.count(), 1u);
+    EXPECT_EQ(help.count(), 0u);
     EXPECT_EQ(t2->mem().counters().mcas_batches, 1u);
+    EXPECT_EQ(drained(), 4u);
+    // Nor does any later round until t2's versions have moved 4096 since
+    // its first drain.
+    std::size_t next = 0;
+    while (drained() < 4095) {
+        free_one_round(rig, *t2, eights.at(next++));
+    }
+    EXPECT_EQ(help.count(), 0u);
+    // The round that reaches 4096 refreshes t2's own entry with its newest
+    // landed version, once.
+    free_one_round(rig, *t2, eights.at(next++));
+    EXPECT_EQ(drained(), 4096u);
+    EXPECT_EQ(help.count(), 1u);
+    EXPECT_EQ(help_entry(rig, *t2, t2->tid()), ts.version + 1u);
+    while (next < eights.size()) {
+        free_one_round(rig, *t2, eights[next++]);
+    }
+    sched::t_listener = nullptr;
+    EXPECT_EQ(help.count(), 1u) << "refreshed again within 4096 versions";
+    EXPECT_EQ(t2->mem().counters().mcas_ops,
+              t2->mem().counters().mcas_batch_ops + 1)
+        << "a serial mCAS other than the refresh ran";
     cxlalloc::AuditReport r = rig.alloc.audit(t1->mem());
     EXPECT_TRUE(r.ok()) << r.to_string();
     rig.pod.release_thread(std::move(t1));
     rig.pod.release_thread(std::move(t2));
     rig.pod.release_thread(std::move(t3));
+}
+
+TEST(DeallocateBatch, StalePredictionFailsOnceThenLands)
+{
+    // t2 lands half of a full 1 KiB slab of t1's, so it predicts the
+    // counter at 16. t3 lands the other half: the counter reaches zero,
+    // t3 steals the slab and Init resets the counter untagged. t2's next
+    // operand on it is staged from the stale prediction and fails; the
+    // word the device found stages the next round's, which lands.
+    Rig rig(nohwcc_opts());
+    auto t1 = rig.thread();
+    auto t2 = rig.thread();
+    auto t3 = rig.thread();
+    std::vector<cxl::HeapOffset> offs;
+    for (int i = 0; i < 32; i++) {
+        offs.push_back(rig.alloc.allocate(*t1, 1024));
+        ASSERT_NE(offs.back(), 0u);
+    }
+    const std::uint32_t slab = small_slab_of(rig, offs[0]);
+    free_and_land(rig, *t2, offs.data(), 16);
+    free_and_land(rig, *t3, offs.data() + 16, 16);
+    ASSERT_EQ(unsized_links(rig, *t3, slab), 1u) << "t3 did not steal";
+    cxl::HeapOffset again = rig.alloc.allocate(*t3, 1024);
+    ASSERT_EQ(small_slab_of(rig, again), slab) << "Init took another slab";
+    cxlalloc::SlabHeap& heap = rig.alloc.small_heap();
+    ASSERT_EQ(heap.debug_remote_free(t3->mem(), slab), 32u);
+    std::uint64_t live0 = rig.alloc.audit(t1->mem()).live_blocks;
+    const cxl::MemEventCounters& c = t2->mem().counters();
+    std::uint64_t batches0 = c.mcas_batches;
+    CountOp reads(sched::Op::AtomicLoad,
+                  rig.alloc.layout().small_hwcc_desc(slab));
+    sched::t_listener = &reads;
+    free_one_round(rig, *t2, again);
+    sched::t_listener = nullptr;
+    EXPECT_EQ(c.mcas_batches - batches0, 2u) << "the stale operand landed";
+    EXPECT_EQ(c.mcas_conflicts, 0u);
+    EXPECT_EQ(reads.count(), 0u) << "a round read the counter";
+    EXPECT_EQ(heap.debug_remote_free(t3->mem(), slab), 31u);
+    cxlalloc::AuditReport r = rig.alloc.audit(t1->mem());
+    EXPECT_TRUE(r.ok()) << r.to_string();
+    EXPECT_EQ(r.pending_frees, 0u);
+    EXPECT_EQ(live0 - r.live_blocks, 1u) << "the free was lost";
+    rig.pod.release_thread(std::move(t1));
+    rig.pod.release_thread(std::move(t2));
+    rig.pod.release_thread(std::move(t3));
+}
+
+TEST(DeallocateBatchDeathTest, RemoteDoubleFreeUnderflowsThePredictedCounter)
+{
+    // t2 predicts the counter of t1's full 1 KiB slab at 16 after landing
+    // half of it. Its next entry holds the other 16 blocks plus one of them
+    // again: 17 > 16, so the round reads the counter, and the underflow
+    // check catches the double free.
+    EXPECT_DEATH(
+        {
+            Rig rig(nohwcc_opts());
+            auto t1 = rig.thread();
+            auto t2 = rig.thread();
+            std::vector<cxl::HeapOffset> offs;
+            for (int i = 0; i < 32; i++) {
+                offs.push_back(rig.alloc.allocate(*t1, 1024));
+            }
+            free_and_land(rig, *t2, offs.data(), 16);
+            offs.push_back(offs[20]);
+            free_and_land(rig, *t2, offs.data() + 16, 17);
+        },
+        "remote-free counter underflow");
 }
 
 TEST(DeallocateBatch, MixedLocalRemoteAndHugeMatchSerialSemantics)
@@ -963,6 +1091,153 @@ TEST(DeallocateBatchCrash, TrimmedStolenSlabIsNotStolenAgain)
     rig.alloc.check_local_invariants(t2->mem());
     rig.pod.release_thread(std::move(t1));
     rig.pod.release_thread(std::move(t2));
+}
+
+/// How often @p slab is linked on the small heap's global free list.
+std::uint32_t
+global_links(Rig& rig, pod::ThreadContext& ctx, std::uint32_t slab)
+{
+    const cxlalloc::Layout& l = rig.alloc.layout();
+    cxl::MemSession& mem = ctx.mem();
+    std::uint32_t raw =
+        cxlsync::DcasWord::value(mem.atomic_load64(l.small_free()));
+    std::uint32_t links = 0;
+    for (std::uint32_t steps = 0; raw != 0 && steps <= rig.config.small_slabs;
+         steps++) {
+        links += raw - 1 == slab ? 1 : 0;
+        cxl::HeapOffset next =
+            l.small_swcc_desc(raw - 1) + cxlalloc::DescField::kNext;
+        mem.flush(next, 4); // another thread's flushed link
+        raw = mem.load<std::uint32_t>(next);
+    }
+    return links;
+}
+
+TEST(DeallocateBatchCrash, KillBeforeATrimsRecordLosesNoSlab)
+{
+    // With unsized_limit 0 the round's steal is trimmed straight on to the
+    // global list. A kill at the first hook after the trim's owner-word
+    // store (state Global, no owner) finds the slab on no list: only the
+    // trim's PushGlobal record, logged before the pop, can tell recovery
+    // to finish the push. The drain round's record cannot: its stamp is
+    // already cleared.
+    RigOptions opt = nohwcc_opts();
+    opt.unsized_limit = 0;
+    Rig rig(opt);
+    auto t1 = rig.thread();
+    auto t2 = rig.thread();
+    std::vector<cxl::HeapOffset> offs;
+    for (int i = 0; i < 32; i++) { // a full 1 KiB-class slab
+        offs.push_back(rig.alloc.allocate(*t1, 1024));
+        ASSERT_NE(offs.back(), 0u);
+    }
+    const std::uint32_t slab = small_slab_of(rig, offs[0]);
+    std::uint64_t live0 = rig.alloc.audit(t1->mem()).live_blocks;
+    rig.alloc.deallocate_batch(*t2, offs.data(), 32);
+    // The steal's push_unsized stores the owner word, then the trim's
+    // push_global_one does.
+    const cxl::HeapOffset owner_word =
+        rig.alloc.layout().small_swcc_desc(slab) +
+        cxlalloc::DescField::kOwnerWord;
+    std::uint32_t owner_stores = 0;
+    cxltest::FireOnce die(
+        [&](const sched::Event& e) {
+            if (owner_stores == 2) {
+                return true;
+            }
+            owner_stores += e.op == sched::Op::Store &&
+                                    e.addr == owner_word && e.aux == 4
+                                ? 1
+                                : 0;
+            return false;
+        },
+        [] { throw ThreadCrashed{cxlalloc::crashpoint::kMidPushGlobal}; });
+    sched::t_listener = &die;
+    EXPECT_THROW(rig.alloc.cleanup(*t2), ThreadCrashed);
+    sched::t_listener = nullptr;
+    ASSERT_TRUE(die.fired());
+    cxl::ThreadId tid = t2->tid();
+    rig.pod.mark_crashed(std::move(t2));
+    t2 = rig.pod.adopt_thread(rig.process, tid);
+    rig.alloc.recover(*t2);
+    EXPECT_EQ(global_links(rig, *t2, slab) + unsized_links(rig, *t2, slab),
+              1u)
+        << "the trimmed slab is not on exactly one list";
+    cxlalloc::AuditReport r = rig.alloc.audit(t2->mem());
+    EXPECT_TRUE(r.ok()) << r.to_string();
+    EXPECT_EQ(r.pending_frees, 0u);
+    EXPECT_EQ(live0 - r.live_blocks, 32u);
+    rig.alloc.check_local_invariants(t2->mem());
+    rig.pod.release_thread(std::move(t1));
+    rig.pod.release_thread(std::move(t2));
+}
+
+TEST(DeallocateBatchCrash, PopGlobalAfter2To14DrainedVersionsIsNotCalledLanded)
+{
+    // t1's heap extension displaces t2's tag on the heap length, so
+    // help[t2] holds t2's first version. t2 then drains 17,000 versions,
+    // whose counter tags nobody records, and dies in a PopGlobal between
+    // its record and its CAS. Unless t2's drains refresh its own entry,
+    // the entry is over 2^14 versions behind, did_succeed calls the CAS
+    // landed, and recovery takes a slab that is still on the global list.
+    RigOptions opt = nohwcc_opts();
+    opt.unsized_limit = 0;
+    Rig rig(opt);
+    auto t1 = rig.thread();
+    auto t2 = rig.thread();
+    auto t3 = rig.thread();
+    ASSERT_NE(rig.alloc.allocate(*t2, 64), 0u);
+    ASSERT_NE(rig.alloc.allocate(*t1, 64), 0u);
+    const std::uint64_t help0 = help_entry(rig, *t2, t2->tid());
+    ASSERT_NE(help0, 0u);
+    std::vector<cxl::HeapOffset> full;
+    for (int i = 0; i < 32; i++) { // a full 1 KiB-class slab
+        full.push_back(rig.alloc.allocate(*t1, 1024));
+        ASSERT_NE(full.back(), 0u);
+    }
+    // Five 8 B-class slabs of t1's. t2 frees all but the first block of
+    // each, so no counter reaches zero and t2 never touches a list.
+    constexpr std::uint32_t kDrained = 17000;
+    std::vector<cxl::HeapOffset> eights;
+    std::vector<std::uint32_t> kept;
+    while (eights.size() < kDrained) {
+        cxl::HeapOffset p = rig.alloc.allocate(*t1, 8);
+        ASSERT_NE(p, 0u);
+        std::uint32_t s = small_slab_of(rig, p);
+        if (std::find(kept.begin(), kept.end(), s) == kept.end()) {
+            kept.push_back(s);
+        } else {
+            eights.push_back(p);
+        }
+    }
+    // t3 steals the full slab and trims it on to the global list.
+    free_and_land(rig, *t3, full.data(), 32);
+    const std::uint32_t slab = small_slab_of(rig, full[0]);
+    ASSERT_EQ(global_links(rig, *t3, slab), 1u);
+    for (cxl::HeapOffset p : eights) {
+        free_one_round(rig, *t2, p);
+    }
+    // t2's next slab comes from the global list.
+    t2->arm_crash(cxlalloc::crashpoint::kAfterRecord, 1);
+    EXPECT_THROW(rig.alloc.allocate(*t2, 1024), ThreadCrashed);
+    ASSERT_EQ(rig.alloc.pending_record(*t2).op, cxlalloc::Op::PopGlobal);
+    ASSERT_GT((rig.alloc.thread_state(t2->tid()).version - (help0 - 1)) &
+                  cxlsync::kVersionMask,
+              1u << 14)
+        << "t2's versions did not move past the window";
+    cxl::ThreadId tid = t2->tid();
+    rig.pod.mark_crashed(std::move(t2));
+    t2 = rig.pod.adopt_thread(rig.process, tid);
+    rig.alloc.recover(*t2);
+    EXPECT_EQ(global_links(rig, *t2, slab), 1u);
+    EXPECT_EQ(unsized_links(rig, *t2, slab), 0u)
+        << "recovery took a slab the PopGlobal never popped";
+    cxlalloc::AuditReport r = rig.alloc.audit(t2->mem());
+    EXPECT_TRUE(r.ok()) << r.to_string();
+    EXPECT_EQ(r.pending_frees, 0u);
+    rig.pod.release_thread(std::move(t1));
+    rig.pod.release_thread(std::move(t2));
+    rig.pod.release_thread(std::move(t3));
 }
 
 TEST(DeallocateBatchCrash, SweepCountdownsThroughMixedBatches)
