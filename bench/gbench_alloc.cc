@@ -10,6 +10,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "cxlalloc/size_class.h"
 #include "support.h"
 #include "workload/micro.h"
 
@@ -130,13 +131,15 @@ BM_AllocFreePair(benchmark::State& state, const std::string& name)
 
 /// Remote-free round trip: thread A allocates a batch of blocks of the
 /// @p sizes, thread B frees it. Under mCAS memory mode B's remote frees
-/// wait in its pending list, so each batch ends with B's cleanup, whose
-/// drain round lands them. The per-op gauges cover a fixed run of batches
-/// after one untimed warm-up batch, ahead of the timed loop, so they read
-/// the same whatever iteration count google-benchmark picks.
+/// wait in its pending lines, so each batch ends with B's cleanup, whose
+/// drain rounds land them. The per-op gauges (gbench.remote_free.<name>
+/// <series>.*) cover a fixed run of batches after one untimed warm-up
+/// batch, ahead of the timed loop, so they read the same whatever
+/// iteration count google-benchmark picks.
 void
 BM_RemoteFreeBatch(benchmark::State& state, const std::string& name,
-                   bench::MemoryMode mode, std::vector<std::uint64_t> sizes)
+                   bench::MemoryMode mode, std::vector<std::uint64_t> sizes,
+                   const std::string& series)
 {
     bench::Geometry geom;
     geom.small_slabs = 512;
@@ -165,9 +168,7 @@ BM_RemoteFreeBatch(benchmark::State& state, const std::string& name,
     for (int i = 0; i < kProbeBatches; i++) {
         round_trip();
     }
-    probe.report(state, kProbeBatches * n,
-                 "remote_free." + name +
-                     (drain ? "-mcas.slabs" + std::to_string(n) : ""));
+    probe.report(state, kProbeBatches * n, "remote_free." + name + series);
     for (auto _ : state) {
         round_trip();
     }
@@ -226,13 +227,14 @@ BENCHMARK_CAPTURE(BM_AllocFreePair, lightning_like,
     ->Arg(64);
 const std::vector<std::uint64_t> kSixtyFourBlocksOf64B(64, 64);
 BENCHMARK_CAPTURE(BM_RemoteFreeBatch, cxlalloc, std::string("cxlalloc"),
-                  bench::MemoryMode::Local, kSixtyFourBlocksOf64B);
+                  bench::MemoryMode::Local, kSixtyFourBlocksOf64B,
+                  std::string());
 BENCHMARK_CAPTURE(BM_RemoteFreeBatch, mimalloc_like,
                   std::string("mimalloc-like"), bench::MemoryMode::Local,
-                  kSixtyFourBlocksOf64B);
+                  kSixtyFourBlocksOf64B, std::string());
 BENCHMARK_CAPTURE(BM_RemoteFreeBatch, ralloc_like,
                   std::string("ralloc-like"), bench::MemoryMode::Local,
-                  kSixtyFourBlocksOf64B);
+                  kSixtyFourBlocksOf64B, std::string());
 // One block in each of eight slabs (eight size classes): the cleanup lands
 // the batch as one full ring, and a counter read per operand would add a
 // load per op. One block in each of two slabs: a ring of two, where a help
@@ -242,10 +244,34 @@ BENCHMARK_CAPTURE(BM_RemoteFreeBatch, ralloc_like,
 BENCHMARK_CAPTURE(BM_RemoteFreeBatch, cxlalloc_mcas_8slabs,
                   std::string("cxlalloc"), bench::MemoryMode::CxlMcas,
                   std::vector<std::uint64_t>{8, 16, 32, 64, 128, 256, 512,
-                                             1024});
+                                             1024},
+                  std::string("-mcas.slabs8"));
 BENCHMARK_CAPTURE(BM_RemoteFreeBatch, cxlalloc_mcas_2slabs,
                   std::string("cxlalloc"), bench::MemoryMode::CxlMcas,
-                  std::vector<std::uint64_t>{64, 128});
+                  std::vector<std::uint64_t>{64, 128},
+                  std::string("-mcas.slabs2"));
+
+/// One block of each small size class, @p times over, the classes
+/// interleaved: 24 slabs that each gather @p times blocks.
+std::vector<std::uint64_t>
+each_small_class(int times)
+{
+    std::vector<std::uint64_t> sizes;
+    for (int t = 0; t < times; t++) {
+        for (std::uint32_t c = 0; c < cxlalloc::kNumSmallClasses; c++) {
+            sizes.push_back(cxlalloc::small_class_size(c));
+        }
+    }
+    return sizes;
+}
+
+// Every small class three times over: a slab's blocks arrive 24 frees
+// apart. Pending lines that hold the 24 entries until the cleanup land
+// each slab's three blocks in one operand; a single 15-slot line lands
+// nearly every block on its own, in full rings along the way.
+BENCHMARK_CAPTURE(BM_RemoteFreeBatch, cxlalloc_mcas_small_classes_x3,
+                  std::string("cxlalloc"), bench::MemoryMode::CxlMcas,
+                  each_small_class(3), std::string("-mcas.small_classes_x3"));
 BENCHMARK(BM_CxlallocMcasFastPath);
 
 // Custom main instead of BENCHMARK_MAIN(): peel off the repo-wide metrics

@@ -69,6 +69,9 @@ CxlAllocator::attach_thread(pod::ThreadContext& ctx)
 {
     PerThread& pt = threads_[ctx.tid()];
     pt.state = ThreadState{};
+    // The slot's previous occupant may have left tags on words, and its
+    // detach_thread recorded its newest version: start past it.
+    pt.state.version = dcas_.recorded_version(ctx.mem());
     huge_.rebuild_thread_state(ctx, pt.state);
     pt.attached = true;
 }
@@ -79,6 +82,7 @@ CxlAllocator::detach_thread(pod::ThreadContext& ctx)
     PerThread& pt = threads_[ctx.tid()];
     if (pt.attached) {
         drain_pending(ctx, pt.state);
+        dcas_.record_landed(ctx.mem(), pt.state.version);
     }
 }
 
@@ -259,9 +263,9 @@ CxlAllocator::recover(pod::ThreadContext& ctx)
     large_.rebuild_lists(mem);
     // Staged NMP operands are device state: a crash can leave Posted slots
     // that doom every competing mCAS on their targets (Fig. 6(b)) until
-    // released. A drain round whose decrements are stamped out of its
-    // heap's pending list needs them: each heap puts its round's
-    // non-landed operands back into the list first. Everything else in
+    // released. A drain round whose decrements are stamped out of one of
+    // its heap's pending lines needs them: each heap puts its round's
+    // non-landed operands back into that line first. Everything else in
     // the ring never durably happened: discard it.
     small_.reconcile_ring(ctx);
     large_.reconcile_ring(ctx);

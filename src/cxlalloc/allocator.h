@@ -49,16 +49,20 @@ class CxlAllocator : public pod::FaultResolver {
     void attach(pod::Process& process);
 
     /// Per-thread setup: rebuilds the thread's volatile state from shared
-    /// metadata. Must be called once per ThreadContext before use (done
-    /// automatically on first allocate, but explicit is cheaper to reason
-    /// about in tests).
+    /// metadata, resuming CAS versions past the newest one the slot's help
+    /// entry records (one sync load). Must be called once per ThreadContext
+    /// before use (done automatically on first allocate, but explicit is
+    /// cheaper to reason about in tests).
     void attach_thread(pod::ThreadContext& ctx);
 
     /// Per-thread teardown before Pod::release_thread: under NoHwcc, lands
     /// the thread's pending remote frees (a remote free may wait in the
-    /// freeing thread's pending list until it drains). A no-op otherwise.
-    /// A slot released without it keeps its pending frees in its list
-    /// until the next occupant's first drain.
+    /// freeing thread's pending lines until it drains); then records the
+    /// thread's newest CAS version in its help entry, so the slot's next
+    /// occupant never reuses a version this one may have left on a word.
+    /// A slot released without it keeps its pending frees in its lines
+    /// until the next occupant's first drain, and the next occupant may
+    /// reuse its versions.
     void detach_thread(pod::ThreadContext& ctx);
 
     /// Allocates @p size bytes; returns the heap offset or 0 on
@@ -70,7 +74,7 @@ class CxlAllocator : public pod::FaultResolver {
     void deallocate(pod::ThreadContext& ctx, cxl::HeapOffset offset);
 
     /// Frees @p n allocations: n deallocate() calls, counted as one batch.
-    /// Under NoHwcc its remote frees wait in the thread's pending lists
+    /// Under NoHwcc its remote frees wait in the thread's pending rows
     /// like any other and land as full rings of slabs, one NMP doorbell
     /// each (§4), when a list fills; the rest wait for refill exhaustion,
     /// cleanup(), detach_thread() or recover().
@@ -87,7 +91,7 @@ class CxlAllocator : public pod::FaultResolver {
     }
 
     /// Recovers the crashed thread slot that @p ctx adopted: puts a drain
-    /// round's non-landed ring operands back into its pending lists and
+    /// round's non-landed ring operands back into its pending lines and
     /// finishes the round's steals, releases its NMP ring, idempotently redoes its interrupted
     /// operation, rebuilds volatile state, and (NoHwcc) lands its pending
     /// frees. Non-blocking: live threads keep allocating throughout.

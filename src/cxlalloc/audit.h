@@ -21,10 +21,13 @@ enum class AuditLaw : std::uint8_t {
     /// The global free list is acyclic, in range, and holds only unowned
     /// slabs in state Global.
     GlobalList,
+    /// A slab has at most one entry across the lines of one thread's
+    /// pending row.
+    PendingEntry,
     /// A classed slab's free counter equals its bitset popcount.
     FreeCounter,
     /// A classed slab's remote-free counter minus the frees pending for it
-    /// in every thread's pending list is >= its free counter: the
+    /// in every thread's pending row is >= its free counter: the
     /// difference is its live blocks, and less means a double free. Only
     /// classed, in-range slabs have pending frees.
     RemoteBalance,
@@ -49,7 +52,7 @@ struct AuditReport {
     /// free counter).
     std::uint64_t live_blocks = 0;
     /// Remote frees accepted but not yet landed: the blocks in every
-    /// thread's pending list (NoHwcc; drain_pending / cleanup land them).
+    /// thread's pending row (NoHwcc; drain_pending / cleanup land them).
     std::uint64_t pending_frees = 0;
     /// Frees parked behind a Down edge (PodShardedAllocator::audit only).
     std::uint64_t parked_frees = 0;

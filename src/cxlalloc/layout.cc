@@ -71,7 +71,7 @@ Layout::Layout(const Config& config)
     large_local_ = at;
     at += kRows * kLocalStride;
     small_pending_ = at;
-    at += kRows * kPendingStride;
+    at += kRows * kSmallPendingLines * kPendingStride;
     large_pending_ = at;
     at += kRows * kPendingStride;
     huge_local_ = at;

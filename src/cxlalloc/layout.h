@@ -242,13 +242,14 @@ class Layout {
         return large_local_ + static_cast<HeapOffset>(tid) * kLocalStride;
     }
 
-    /// Per-thread pending remote-free list of the small (resp. large) slab
-    /// heap: one owner-only SWcc line (see SlabHeap's PendingList). All
-    /// zero is the empty list.
+    /// Per-thread pending remote-free row of the small (resp. large) slab
+    /// heap: kSmallPendingLines (resp. one) owner-only SWcc lines, each a
+    /// SlabHeap PendingList. All zero is the empty row.
     HeapOffset
     small_pending(cxl::ThreadId tid) const
     {
-        return small_pending_ + static_cast<HeapOffset>(tid) * kPendingStride;
+        return small_pending_ + static_cast<HeapOffset>(tid) *
+                                    kSmallPendingLines * kPendingStride;
     }
 
     HeapOffset
@@ -340,9 +341,13 @@ class Layout {
     /// Stride of one per-thread local row (shared by small/large locals).
     static constexpr HeapOffset kLocalStride = 128;
 
-    /// Stride of one per-thread pending remote-free list: one cacheline,
-    /// so every rewrite of the list is one line store.
+    /// Stride of one pending remote-free line: one cacheline, so every
+    /// rewrite of a line is one line store.
     static constexpr HeapOffset kPendingStride = 64;
+
+    /// Pending lines per thread in the small heap (the large heap has one):
+    /// more lines keep a slab's entry long enough to coalesce its blocks.
+    static constexpr std::uint32_t kSmallPendingLines = 4;
 
     /// SWcc descriptor strides: header (16 B) + free bitset.
     static constexpr HeapOffset kSmallDescStride = 576; // 16 + 512, 64-align

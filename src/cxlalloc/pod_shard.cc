@@ -277,7 +277,7 @@ PodShardedAllocator::recover(pod::ThreadContext& ctx)
     // everything the dead thread touched — adopt recovery work on a host
     // wired at least as widely as the crashed one). The thread's NMP ring
     // holds at most one drain round, of one shard: that shard puts the
-    // round's non-landed operands back into its pending list, and every
+    // round's non-landed operands back into its pending line, and every
     // shard's recover() resets the ring, so the batch shard — the one the
     // ring's operands target — must go first. Redoing the remaining
     // shards' stale-but-completed records is idempotent by design.

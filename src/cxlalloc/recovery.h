@@ -21,11 +21,12 @@
 ///  - Operations that publish through a detectable CAS (PopGlobal,
 ///    Extend, FreeRemote[Batch], PushGlobal, Huge*) make the record
 ///    durable before the CAS: log() (store + flush + fence), or — where
-///    the pending list changes in the same step — log_local(), the list
-///    store, then flush_pending() + the list flush + one fence. After a HOST crash the record that
-///    described the CAS must be durable for `did_succeed` version
-///    reasoning to hold. Guarded by sched::RecordFlushOracle (and the
-///    skip_record_publish_flush fault shows the oracle has teeth).
+///    a pending line changes in the same step — log_local(), the line
+///    store, then flush_pending() + the line flush + one fence. After a
+///    HOST crash the record that described the CAS must be durable for
+///    `did_succeed` version reasoning to hold. Guarded by
+///    sched::RecordFlushOracle (and the skip_record_publish_flush fault
+///    shows the oracle has teeth).
 ///  - Purely local operations (Alloc, FreeLocal, FreeDeferred, scavenge,
 ///    and the Detach/Disown descriptor transitions) use log_local():
 ///    store only.
@@ -84,9 +85,9 @@ enum class Op : std::uint8_t {
     /// dcas versions, so recovery resumes versioning past the whole
     /// batch). The per-operand state — which slabs, how many blocks,
     /// which executed — lives in the thread's NMP operand ring, which is
-    /// device memory and survives the crash; the pending list's stamp
-    /// says whether the ring's operands are out of the list. See
-    /// SlabHeap::drain_pending and reconcile_ring.
+    /// device memory and survives the crash; the stamp of the pending
+    /// line the round drew from says whether the ring's operands are out
+    /// of it. See SlabHeap::drain_pending and reconcile_ring.
     FreeRemoteBatch = 13,
     /// An application (or migrator) reference-cell publish through the
     /// allocator's detectable CAS (CxlAllocator::cell_publish): consumes
@@ -95,10 +96,11 @@ enum class Op : std::uint8_t {
     /// an adopted slot could reuse the version and corrupt did_succeed
     /// reasoning (the help array may already have advanced to it).
     CellPublish = 14,
-    /// A NoHwcc remote free appended to the thread's pending list
-    /// (SlabHeap::defer_remote; aux: heap|list size after the append,
-    /// index: slab). Local: log_local, no flush. Recovery redoes the
-    /// append iff the list is exactly one block short of aux.
+    /// A NoHwcc remote free appended to one line of the thread's pending
+    /// row (SlabHeap::defer_remote; aux: heap|line << 8|that line's size
+    /// after the append, index: slab). Local: log_local, no flush.
+    /// Recovery redoes the append iff that line is exactly one block
+    /// short of the size.
     FreeDeferred = 15,
 };
 

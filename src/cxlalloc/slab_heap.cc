@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <numeric>
 #include <vector>
 
 #include "common/assert.h"
@@ -57,6 +58,8 @@ SlabHeap::SlabHeap(const Layout* layout, bool large,
         hwcc_base_ = layout->large_hwcc_desc(0);
         local_base_ = layout->large_local(0);
         pending_base_ = layout->large_pending(0);
+        lines_ = 1;
+        capacity_ = PendingList::kLargeCapacity;
     } else {
         num_slabs_ = cfg.small_slabs;
         num_classes_ = kNumSmallClasses;
@@ -69,6 +72,8 @@ SlabHeap::SlabHeap(const Layout* layout, bool large,
         hwcc_base_ = layout->small_hwcc_desc(0);
         local_base_ = layout->small_local(0);
         pending_base_ = layout->small_pending(0);
+        lines_ = Layout::kSmallPendingLines;
+        capacity_ = PendingList::kSmallCapacity;
     }
     CXL_FATAL_IF(num_slabs_ >= (1u << 24),
                  "slab index must fit a pending-list entry (24 bits)");
@@ -124,38 +129,120 @@ PendingList::sub(std::uint32_t s, std::uint32_t k)
     }
 }
 
-cxl::HeapOffset
-SlabHeap::pending_row(cxl::ThreadId tid) const
+std::uint32_t
+PendingRow::size() const
 {
+    std::uint32_t total = 0;
+    for (std::uint32_t i = 0; i < lines; i++) {
+        total += line[i].size();
+    }
+    return total;
+}
+
+bool
+PendingRow::full(std::uint32_t capacity) const
+{
+    std::uint32_t used = 0;
+    for (std::uint32_t i = 0; i < lines; i++) {
+        used += line[i].n;
+    }
+    return used == lines * PendingList::kSlots || size() >= capacity;
+}
+
+std::uint32_t
+PendingRow::fullest() const
+{
+    std::uint32_t best = 0;
+    for (std::uint32_t i = 1; i < lines; i++) {
+        if (line[i].size() > line[best].size()) {
+            best = i;
+        }
+    }
+    return best;
+}
+
+std::uint32_t
+PendingRow::line_for(std::uint32_t slab) const
+{
+    std::uint32_t free_line = lines;
+    for (std::uint32_t i = 0; i < lines; i++) {
+        if (line[i].find(slab) != PendingList::kSlots) {
+            return i;
+        }
+        if (free_line == lines && line[i].n < PendingList::kSlots) {
+            free_line = i;
+        }
+    }
+    CXL_ASSERT(free_line != lines, "pending row has no free slot");
+    return free_line;
+}
+
+std::uint32_t
+PendingRow::stamped_out() const
+{
+    for (std::uint32_t i = 0; i < lines; i++) {
+        if ((line[i].stamp & PendingList::kStampOut) != 0) {
+            return i;
+        }
+    }
+    return lines;
+}
+
+cxl::HeapOffset
+SlabHeap::pending_line(cxl::ThreadId tid, std::uint32_t line) const
+{
+    CXL_ASSERT(line < lines_, "pending line out of range");
     return pending_base_ +
-           static_cast<cxl::HeapOffset>(tid) * Layout::kPendingStride;
+           (static_cast<cxl::HeapOffset>(tid) * lines_ + line) *
+               Layout::kPendingStride;
 }
 
 PendingList
-SlabHeap::load_pending(cxl::MemSession& mem, cxl::ThreadId tid)
+SlabHeap::load_line(cxl::MemSession& mem, cxl::ThreadId tid, std::uint32_t i)
 {
-    PendingList list;
-    mem.read_bytes(pending_row(tid), &list, sizeof list);
-    return list;
+    PendingList line;
+    mem.read_bytes(pending_line(tid, i), &line, sizeof line);
+    return line;
+}
+
+PendingRow
+SlabHeap::load_row(cxl::MemSession& mem, ThreadState& ts)
+{
+    PendingRow row;
+    row.lines = lines_;
+    std::uint8_t& hint = ts.pending_hint[large_];
+    for (std::uint32_t i = 0; i < lines_; i++) {
+        if ((hint >> i & 1) == 0) {
+            continue;
+        }
+        row.line[i] = load_line(mem, mem.tid(), i);
+        if (row.line[i].n == 0 &&
+            (row.line[i].stamp & PendingList::kStampOut) == 0) {
+            hint &= static_cast<std::uint8_t>(~(1u << i));
+        }
+    }
+    return row;
 }
 
 void
-SlabHeap::store_pending(cxl::MemSession& mem, const PendingList& list)
+SlabHeap::store_line(cxl::MemSession& mem, std::uint32_t i,
+                     const PendingList& line)
 {
-    mem.write_bytes(pending_row(mem.tid()), &list, sizeof list);
+    mem.write_bytes(pending_line(mem.tid(), i), &line, sizeof line);
 }
 
 void
-SlabHeap::flush_pending_list(cxl::MemSession& mem)
+SlabHeap::flush_line(cxl::MemSession& mem, std::uint32_t i)
 {
-    mem.flush(pending_row(mem.tid()), sizeof(PendingList));
+    mem.flush(pending_line(mem.tid(), i), sizeof(PendingList));
 }
 
 void
-SlabHeap::persist_pending(cxl::MemSession& mem, const PendingList& list)
+SlabHeap::persist_line(cxl::MemSession& mem, std::uint32_t i,
+                       const PendingList& line)
 {
-    store_pending(mem, list);
-    flush_pending_list(mem);
+    store_line(mem, i, line);
+    flush_line(mem, i);
     mem.fence();
 }
 
@@ -579,7 +666,7 @@ SlabHeap::refill(pod::ThreadContext& ctx, ThreadState& ts, std::uint32_t cls)
         if (scavenge_warm_slab(ctx, ts)) {
             continue; // reclaimed an idle empty slab from another class
         }
-        if (load_pending(mem, mem.tid()).n != 0) {
+        if (load_row(mem, ts).size() != 0) {
             // Our own pending frees may hold the last decrements of slabs
             // that would come back to us (or the global list) once landed.
             drain_pending(ctx, ts);
@@ -829,28 +916,33 @@ SlabHeap::defer_remote(pod::ThreadContext& ctx, ThreadState& ts,
                        std::uint32_t slab)
 {
     cxl::MemSession& mem = ctx.mem();
-    PendingList list = load_pending(mem, mem.tid());
-    if (list.full()) {
+    PendingRow row = load_row(mem, ts);
+    if (row.full(capacity_)) {
         // Only after a drain threw (the last append drained otherwise).
         drain_pending(ctx, ts, /*while_full=*/true);
-        list = load_pending(mem, mem.tid());
+        row = load_row(mem, ts);
     }
+    const std::uint32_t i = row.line_for(slab);
+    PendingList& line = row.line[i];
     // Local operation: no flush or fence. Recovery redoes the append iff
-    // the list is exactly one block short of aux.
-    log_->log_local(mem,
-                    OpRecord{.op = Op::FreeDeferred,
-                             .large_heap = large_,
-                             .aux = static_cast<std::uint16_t>(list.size() + 1),
-                             .version = ts.version,
-                             .index = slab});
+    // line i is exactly one block short of aux's size.
+    log_->log_local(
+        mem, OpRecord{.op = Op::FreeDeferred,
+                      .large_heap = large_,
+                      .aux = static_cast<std::uint16_t>(i << 8 |
+                                                        (line.size() + 1)),
+                      .version = ts.version,
+                      .index = slab});
     ctx.maybe_crash(crashpoint::kAfterRecord);
-    list.add(slab, 1);
-    store_pending(mem, list);
-    // Once the next append might not fit, land a ring of the oldest slab
-    // entries (another while the list is still full), so an append never
-    // waits for a drain (whose records would overwrite its own) and the
-    // newer entries keep coalescing blocks until the next full ring.
-    if (list.full()) {
+    line.add(slab, 1);
+    store_line(mem, i, line);
+    ts.pending_hint[large_] |= static_cast<std::uint8_t>(1u << i);
+    // Once the next append might not fit, land a ring of the fullest
+    // line's oldest slab entries (another while the row is still full), so
+    // an append never waits for a drain (whose records would overwrite
+    // its own) and the newer entries keep coalescing blocks until the
+    // next full ring.
+    if (row.full(capacity_)) {
         drain_pending(ctx, ts, /*while_full=*/true);
     }
 }
@@ -861,16 +953,24 @@ SlabHeap::drain_pending(pod::ThreadContext& ctx, ThreadState& ts,
 {
     cxl::MemSession& mem = ctx.mem();
     try {
-        PendingList list = load_pending(mem, mem.tid());
-        if ((list.stamp & PendingList::kStampOut) != 0) {
-            // Left by a round whose put-back could not reach the list (see
+        PendingRow row = load_row(mem, ts);
+        if (row.stamped_out() != lines_) {
+            // Left by a round whose put-back could not reach its line (see
             // the handler below): clear it before this drain posts.
             reconcile_ring(ctx);
-            list = load_pending(mem, mem.tid());
+            row = load_row(mem, ts);
         }
         cxl::McasBackoff backoff;
-        while (while_full ? list.full() : list.n != 0) {
-            drain_round(ctx, ts, list, backoff);
+        if (while_full) {
+            while (row.full(capacity_)) {
+                drain_round(ctx, ts, row, row.fullest(), backoff);
+            }
+            return;
+        }
+        for (std::uint32_t i = 0; i < lines_; i++) {
+            while (row.line[i].n != 0) {
+                drain_round(ctx, ts, row, i, backoff);
+            }
         }
     } catch (const cxl::NmpStallError&) {
         settle_ring(ctx);
@@ -902,9 +1002,11 @@ SlabHeap::settle_ring(pod::ThreadContext& ctx)
 
 void
 SlabHeap::drain_round(pod::ThreadContext& ctx, ThreadState& ts,
-                      PendingList& list, cxl::McasBackoff& backoff)
+                      PendingRow& row, std::uint32_t line,
+                      cxl::McasBackoff& backoff)
 {
     cxl::MemSession& mem = ctx.mem();
+    PendingList& list = row.line[line];
     if (!ts.drain) {
         ts.drain = std::make_unique<DrainState>();
         ts.drain->refreshed_at = ts.version;
@@ -945,9 +1047,9 @@ SlabHeap::drain_round(pod::ThreadContext& ctx, ThreadState& ts,
         CXL_ASSERT(posted, "ring rejected a ring-bounded batch");
     }
     ctx.maybe_crash(crashpoint::kMidBatchStage);
-    // The record, then the list without the staged decrements, stamped
+    // The record, then the line without the staged decrements, stamped
     // out: both durable (record first) before the doorbell can land
-    // anything. Until the stamp, the list still holds the decrements and
+    // anything. Until the stamp, the line still holds the decrements and
     // recovery discards the ring.
     log_->log_local(mem, OpRecord{.op = Op::FreeRemoteBatch,
                                   .large_heap = large_,
@@ -958,16 +1060,16 @@ SlabHeap::drain_round(pod::ThreadContext& ctx, ThreadState& ts,
         list.sub(slab_of[i], k_of[i]);
     }
     list.stamp = PendingList::kStampOut | ver;
-    store_pending(mem, list);
+    store_line(mem, line, list);
     log_->flush_pending(mem);
-    flush_pending_list(mem);
+    flush_line(mem, line);
     mem.fence();
     ctx.maybe_crash(crashpoint::kMidBatchDoorbell);
     mem.mcas_doorbell();
     ctx.maybe_crash(crashpoint::kMidBatchDrain);
     // Read the results while the ring still holds them. A landed operand
     // that took its counter to zero steals the slab; a failed one goes back
-    // into the list. Both happen before the stamp is cleared, durably, and
+    // into its line. Both happen before the stamp is cleared, durably, and
     // before any slot is released: an out stamp always means the ring holds
     // exactly its round, and reconcile_ring can finish its steals.
     cxl::NmpSlotView views[cxl::kNmpRingSlots];
@@ -989,7 +1091,16 @@ SlabHeap::drain_round(pod::ThreadContext& ctx, ThreadState& ts,
         }
     }
     list.stamp = ver;
-    persist_pending(mem, list);
+    persist_line(mem, line, list);
+    if (list.n == 0) {
+        ts.pending_hint[large_] &= static_cast<std::uint8_t>(~(1u << line));
+    }
+    if (inst_.registry != nullptr) {
+        obs::MetricsShard& sh = inst_.registry->shard(mem.tid());
+        sh.add(inst_.drain_rounds);
+        sh.add(inst_.drain_blocks,
+               std::accumulate(k_of, k_of + staged, std::uint64_t{0}));
+    }
     bool conflicted = false;
     for (std::uint32_t i = 0; i < staged; i++) {
         cxl::McasResult r;
@@ -1036,9 +1147,16 @@ void
 SlabHeap::reconcile_ring(pod::ThreadContext& ctx)
 {
     cxl::MemSession& mem = ctx.mem();
-    PendingList list = load_pending(mem, mem.tid());
-    if ((list.stamp & PendingList::kStampOut) == 0) {
-        return; // no round of ours is out of the list
+    std::uint32_t line = 0;
+    PendingList list;
+    for (; line < lines_; line++) {
+        list = load_line(mem, mem.tid(), line);
+        if ((list.stamp & PendingList::kStampOut) != 0) {
+            break;
+        }
+    }
+    if (line == lines_) {
+        return; // no round of ours is out of its line
     }
     auto round = static_cast<std::uint16_t>(list.stamp & cxlsync::kVersionMask);
     cxl::NmpSlotView views[cxl::kNmpRingSlots];
@@ -1074,7 +1192,7 @@ SlabHeap::reconcile_ring(pod::ThreadContext& ctx)
         }
     }
     list.stamp = round;
-    persist_pending(mem, list);
+    persist_line(mem, line, list);
 }
 
 void
@@ -1391,14 +1509,16 @@ SlabHeap::recover(pod::ThreadContext& ctx, ThreadState& ts,
       }
       case Op::FreeRemoteBatch:
         // Before any redo, reconcile_ring put the round's non-landed
-        // operands back into the pending list and finished the steals its
+        // operands back into their pending line and finished the steals its
         // landed ones owed; the drain after recovery lands the rest.
         break;
       case Op::FreeDeferred: {
-        PendingList list = load_pending(mem, mem.tid());
-        if (list.size() + 1 == record.aux) {
-            list.add(slab, 1); // the append never happened: redo it
-            store_pending(mem, list);
+        const std::uint32_t i = record.aux >> 8;
+        CXL_ASSERT(i < lines_, "FreeDeferred names no pending line");
+        PendingList line = load_line(mem, mem.tid(), i);
+        if (line.size() + 1 == (record.aux & 0xffu)) {
+            line.add(slab, 1); // the append never happened: redo it
+            store_line(mem, i, line);
         }
         break;
       }
@@ -1522,20 +1642,31 @@ SlabHeap::audit(cxl::MemSession& mem, cxl::DeviceId shard,
         raw = next_raw(mem, slab);
     }
     // Every thread's pending frees, per slab: decrements accepted but not
-    // yet landed on the counter.
+    // yet landed on the counter. A slab has at most one entry in a
+    // thread's row (row_of[slab]: the last row that held one).
     std::vector<std::uint32_t> pending(len);
+    std::vector<std::uint32_t> row_of(len, ~std::uint32_t{0});
     for (cxl::ThreadId tid = 0; tid <= cxl::kMaxThreads; tid++) {
-        mem.flush(pending_row(tid), sizeof(PendingList));
-        PendingList list = load_pending(mem, tid);
-        for (std::uint32_t i = 0; i < list.n && i < PendingList::kSlots;
-             i++) {
-            if (list.slab(i) >= len) {
-                violate(list.slab(i), AuditLaw::RemoteBalance,
-                        "pending slab < heap length", len, list.slab(i));
-                continue;
+        mem.flush(pending_line(tid), lines_ * sizeof(PendingList));
+        for (std::uint32_t line = 0; line < lines_; line++) {
+            PendingList list = load_line(mem, tid, line);
+            for (std::uint32_t i = 0; i < list.n && i < PendingList::kSlots;
+                 i++) {
+                std::uint32_t slab = list.slab(i);
+                if (slab >= len) {
+                    violate(slab, AuditLaw::RemoteBalance,
+                            "pending slab < heap length", len, slab);
+                    continue;
+                }
+                if (row_of[slab] == tid) {
+                    violate(slab, AuditLaw::PendingEntry,
+                            "pending entries of a slab in one thread's row",
+                            1, 2);
+                }
+                row_of[slab] = tid;
+                pending[slab] += list.count(i);
+                report.pending_frees += list.count(i);
             }
-            pending[list.slab(i)] += list.count(i);
-            report.pending_frees += list.count(i);
         }
     }
     // Classless (unsized, global) slabs keep stale bitsets by design.
@@ -1624,6 +1755,8 @@ SlabHeap::set_metrics(obs::MetricsRegistry* registry)
     }
     inst_.fullcheck_fast = registry->counter("alloc.fullcheck_fast");
     inst_.scavenges = registry->counter("alloc.scavenges");
+    inst_.drain_rounds = registry->counter("alloc.drain_rounds");
+    inst_.drain_blocks = registry->counter("alloc.drain_blocks");
 }
 
 std::uint32_t

@@ -17,7 +17,7 @@
 ///  - 8-byte redo records before every operation, with idempotent redo
 ///    (§3.4.2) driven by detectable-CAS success queries;
 ///  - without HWcc, remote frees wait in a durable per-thread pending
-///    list (PendingList) and land in coalesced NMP doorbells (§4).
+///    row (PendingRow) and land in coalesced NMP doorbells (§4).
 
 #pragma once
 
@@ -35,20 +35,23 @@
 
 namespace cxlalloc {
 
-/// A thread's pending remote frees in one slab heap (NoHwcc only): the
-/// decrements it has accepted but not yet landed on their slabs' HWcc
-/// counters. One owner-only SWcc line (Layout::small_pending /
+/// One line of a thread's pending remote frees in one slab heap (NoHwcc
+/// only): decrements it has accepted but not yet landed on their slabs'
+/// HWcc counters. An owner-only SWcc line (Layout::small_pending /
 /// large_pending; all zero = empty), always rewritten whole by one line
-/// store, so a crash sees either the old or the new list, never half of
+/// store, so a crash sees either the old or the new line, never half of
 /// an update. Entries [0, n) are live; entry i packs (slab << 8) | count.
 struct PendingList {
     /// Entry slots in the line.
     static constexpr std::uint32_t kSlots = 15;
-    /// Pending blocks the list holds before it drains: the most a lost
-    /// (never written back) list can leak.
-    static constexpr std::uint32_t kCapacity = 64;
+    /// Pending blocks a thread's lines hold before a round must land: the
+    /// most a lost (never written back) row can leak. The small heap's is
+    /// the 8-bit entry count's limit; the large heap's is lower because a
+    /// pending large block keeps its 512 KiB slab from being stolen.
+    static constexpr std::uint32_t kSmallCapacity = 255;
+    static constexpr std::uint32_t kLargeCapacity = 64;
     /// Stamp flag: the decrements staged by the drain round whose version
-    /// is in the low 15 bits are out of the list, and the thread's NMP
+    /// is in the low 15 bits are out of the line, and the thread's NMP
     /// ring holds exactly that round. Cleared (version kept) before the
     /// round's slots are released.
     static constexpr std::uint16_t kStampOut = 0x8000;
@@ -60,7 +63,7 @@ struct PendingList {
 
     std::uint32_t slab(std::uint32_t i) const { return entry[i] >> 8; }
     std::uint32_t count(std::uint32_t i) const { return entry[i] & 0xff; }
-    /// Pending blocks: the FreeDeferred record's aux.
+    /// Pending blocks in the line.
     std::uint32_t size() const;
     /// Index of @p slab's entry, or kSlots.
     std::uint32_t find(std::uint32_t slab) const;
@@ -69,12 +72,35 @@ struct PendingList {
     /// Removes @p k of @p slab's pending blocks, dropping an emptied
     /// entry (order of the others kept).
     void sub(std::uint32_t slab, std::uint32_t k);
-    /// True when the next append might not fit: drain now.
-    bool full() const { return n == kSlots || size() >= kCapacity; }
 };
 
 static_assert(sizeof(PendingList) == Layout::kPendingStride,
               "a pending list is one cacheline");
+
+/// A thread's pending lines in one slab heap, as the thread loaded them
+/// (Layout::kSmallPendingLines in the small heap, one in the large). A
+/// line holds a slab's entry until a round lands it, and a new slab takes
+/// the first line with a free slot, so a slab has at most one entry in
+/// the row. A line its ThreadState::pending_hint bit calls empty is not
+/// loaded and reads all zero.
+struct PendingRow {
+    PendingList line[Layout::kSmallPendingLines];
+    std::uint32_t lines = 1;
+
+    /// Pending blocks in every line.
+    std::uint32_t size() const;
+    /// True when the next append might not fit (every slot used, or
+    /// @p capacity blocks): land a round now.
+    bool full(std::uint32_t capacity) const;
+    /// The line with the most blocks (the first of equals): full rows
+    /// land its oldest ring.
+    std::uint32_t fullest() const;
+    /// The line an append of @p slab goes to: the one holding its entry,
+    /// else the first with a free slot (the row must not be full).
+    std::uint32_t line_for(std::uint32_t slab) const;
+    /// The line whose stamp is out, or `lines`.
+    std::uint32_t stamped_out() const;
+};
 
 /// One slab heap (small or large).
 class SlabHeap {
@@ -92,35 +118,36 @@ class SlabHeap {
     /// remote path (the slab is owned by another thread), which observers
     /// count separately. Under HWcc modes a remote free is one detectable
     /// CAS on the slab's down-counter; under NoHwcc it is appended to the
-    /// thread's PendingList (an Op::FreeDeferred record, then one line
-    /// store) and lands in a later drain_pending().
+    /// thread's pending row (an Op::FreeDeferred record, then one store
+    /// of one of its lines) and lands in a later drain_pending().
     bool deallocate(pod::ThreadContext& ctx, ThreadState& ts,
                     cxl::HeapOffset offset);
 
-    /// Lands the calling thread's pending remote frees: all of them, or
-    /// with @p while_full only rounds until the list is no longer full.
-    /// Each round takes up to a ring of the oldest slab entries; an entry
-    /// of k blocks becomes ONE operand cur -> cur - k, built from the
-    /// counter word it read, and the ring shares one NMP doorbell (one
-    /// device round trip, §4). An operand that lands a zero counter
+    /// Lands the calling thread's pending remote frees: all of them, line
+    /// after line, or with @p while_full only rounds until the row is no
+    /// longer full, each from its fullest line. Each round takes up to a
+    /// ring of one line's oldest slab entries; an entry of k blocks
+    /// becomes ONE operand cur -> cur - k, built from the counter word the
+    /// thread predicts (or reads), and the ring shares one NMP doorbell
+    /// (one device round trip, §4). An operand that lands a zero counter
     /// steals its slab. Durability: the round's Op::FreeRemoteBatch
-    /// record, then the list minus the staged decrements (stamped out),
+    /// record, then the line minus the staged decrements (stamped out),
     /// share one flush + fence before the doorbell; after it, the round's
-    /// steals run, failed operands go back into the list and the stamp is
+    /// steals run, failed operands go back into the line and the stamp is
     /// cleared (flush + fence), all before any ring slot is released; the
-    /// unsized-list trim comes last.
+    /// unsized-list trim comes last. At most one line is stamped out.
     /// Conflicts retry after bounded exponential backoff. An NmpStallError
     /// / EdgeDownError is rethrown only after the round it interrupted is
     /// reconciled and the ring released.
     void drain_pending(pod::ThreadContext& ctx, ThreadState& ts,
                        bool while_full = false);
 
-    /// Recovery and drain helper: if the calling thread's list is stamped
-    /// out, puts back every operand of that round still in its NMP ring
-    /// that did not land, finishes the steal of every landed one that
-    /// zeroed its counter (unless the slab is on the unsized list), then
-    /// clears the stamp (flush + fence); a no-op otherwise. Leaves the
-    /// ring itself to the caller (Nmp::reset_ring).
+    /// Recovery and drain helper: if one of the calling thread's lines is
+    /// stamped out, puts back into it every operand of that round still
+    /// in its NMP ring that did not land, finishes the steal of every
+    /// landed one that zeroed its counter (unless the slab is on the
+    /// unsized list), then clears the stamp (flush + fence); a no-op
+    /// otherwise. Leaves the ring itself to the caller (Nmp::reset_ring).
     void reconcile_ring(pod::ThreadContext& ctx);
 
     /// True if @p offset lies in this heap's data region.
@@ -169,7 +196,8 @@ class SlabHeap {
     Stats stats(cxl::MemSession& mem);
 
     /// Enables heap-internal op counters ("alloc.fullcheck_fast",
-    /// "alloc.scavenges"), sharded by thread id. nullptr disables.
+    /// "alloc.scavenges", "alloc.drain_rounds", "alloc.drain_blocks"),
+    /// sharded by thread id. nullptr disables.
     void set_metrics(obs::MetricsRegistry* registry);
 
     std::uint64_t slab_size() const { return slab_size_; }
@@ -196,8 +224,9 @@ class SlabHeap {
     /// the caller, which is what HotSlabMigrator::rehome inspects).
     cxl::ThreadId debug_owner(cxl::MemSession& mem, std::uint32_t slab);
 
-    /// Offset of thread @p tid's PendingList line in this heap.
-    cxl::HeapOffset pending_row(cxl::ThreadId tid) const;
+    /// Offset of pending line @p line of thread @p tid's row in this heap.
+    cxl::HeapOffset pending_line(cxl::ThreadId tid,
+                                 std::uint32_t line = 0) const;
 
   private:
     // ---- descriptor field access (SWccDesc) ----
@@ -321,25 +350,32 @@ class SlabHeap {
     /// modes only: under NoHwcc every decrement lands through the drain).
     void free_remote(pod::ThreadContext& ctx, ThreadState& ts,
                      std::uint32_t slab);
-    /// Appends a remote free of @p slab to the thread's pending list.
+    /// Appends a remote free of @p slab to the thread's pending row.
     void defer_remote(pod::ThreadContext& ctx, ThreadState& ts,
                       std::uint32_t slab);
-    /// One drain_pending round over @p list (the thread's list, updated
-    /// to what the round leaves behind).
+    /// One drain_pending round over line @p line of @p row (the thread's
+    /// row, updated to what the round leaves behind).
     void drain_round(pod::ThreadContext& ctx, ThreadState& ts,
-                     PendingList& list, cxl::McasBackoff& backoff);
+                     PendingRow& row, std::uint32_t line,
+                     cxl::McasBackoff& backoff);
     /// After a drain threw NmpStallError / EdgeDownError: reconcile_ring,
     /// then release the ring (also when the reconcile itself throws).
     void settle_ring(pod::ThreadContext& ctx);
 
-    // ---- pending list (owner-only SWcc line) ----
-    PendingList load_pending(cxl::MemSession& mem, cxl::ThreadId tid);
-    /// One line store of the calling thread's list.
-    void store_pending(cxl::MemSession& mem, const PendingList& list);
-    /// Writes the calling thread's list back (flush only).
-    void flush_pending_list(cxl::MemSession& mem);
-    /// Stores the calling thread's list, then flush + fence.
-    void persist_pending(cxl::MemSession& mem, const PendingList& list);
+    // ---- pending row (owner-only SWcc lines) ----
+    PendingList load_line(cxl::MemSession& mem, cxl::ThreadId tid,
+                          std::uint32_t i);
+    /// The calling thread's row: loads each line @p ts's hint may find
+    /// entries in, and clears the bit of each it finds empty.
+    PendingRow load_row(cxl::MemSession& mem, ThreadState& ts);
+    /// One line store of the calling thread's line @p i.
+    void store_line(cxl::MemSession& mem, std::uint32_t i,
+                    const PendingList& line);
+    /// Writes the calling thread's line @p i back (flush only).
+    void flush_line(cxl::MemSession& mem, std::uint32_t i);
+    /// Stores the calling thread's line @p i, then flush + fence.
+    void persist_line(cxl::MemSession& mem, std::uint32_t i,
+                      const PendingList& line);
     /// Takes ownership of an unlinked, empty slab onto the unsized list.
     void acquire_to_unsized(pod::ThreadContext& ctx, std::uint32_t slab);
     /// Moves one slab from TL unsized to the global free list.
@@ -359,6 +395,8 @@ class SlabHeap {
         obs::MetricsRegistry* registry = nullptr;
         obs::MetricId fullcheck_fast = obs::kInvalidMetric;
         obs::MetricId scavenges = obs::kInvalidMetric;
+        obs::MetricId drain_rounds = obs::kInvalidMetric;
+        obs::MetricId drain_blocks = obs::kInvalidMetric;
     };
 
     const Layout* layout_;
@@ -377,6 +415,10 @@ class SlabHeap {
     cxl::HeapOffset hwcc_base_;
     cxl::HeapOffset local_base_;
     cxl::HeapOffset pending_base_;
+    /// Pending lines per thread row, and the blocks they hold before a
+    /// round must land (PendingList::kSmallCapacity / kLargeCapacity).
+    std::uint32_t lines_;
+    std::uint32_t capacity_;
 
     /// TL unsized lists longer than this spill to the global free list
     /// (Config::unsized_limit).

@@ -56,6 +56,12 @@ struct ThreadState {
     /// keeps the crashed thread's: its refresh countdown must not restart.
     std::unique_ptr<DrainState> drain;
 
+    /// Per slab heap ([large heap]), one bit per pending line (SlabHeap's
+    /// PendingRow): set when the line may hold entries or an out stamp. A
+    /// clear bit is exact, so appends and drains load only the lines whose
+    /// bit is set; a set bit may be stale. All set on attach and recovery.
+    std::uint8_t pending_hint[2] = {0xff, 0xff};
+
     /// Allocates the next CAS version.
     std::uint16_t
     next_version()

@@ -1,5 +1,7 @@
 #include "pod/process.h"
 
+#include <algorithm>
+
 #include "common/assert.h"
 #include "pod/pod.h"
 
@@ -104,10 +106,14 @@ Process::on_access(cxl::MemSession& mem, cxl::HeapOffset offset,
         // memory or a genuine bug.
         CXL_FATAL_IF(resolver_ == nullptr,
                      "segfault: unmapped access with no handler installed");
+        // The resolver gets the first byte the access touches in this page,
+        // as a SIGSEGV's si_addr: a page can straddle two heap regions
+        // (the small and large descriptor arrays are not page aligned), and
+        // only the faulting byte says which one it hit.
         in_fault_handler = true;
         MappedRange range;
-        bool handled =
-            resolver_->resolve_fault(*this, mem, page_offset, &range);
+        bool handled = resolver_->resolve_fault(
+            *this, mem, std::max(offset, page_offset), &range);
         in_fault_handler = false;
         CXL_FATAL_IF(!handled,
                      "segfault: access outside any heap mapping");

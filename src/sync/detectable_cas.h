@@ -123,13 +123,30 @@ class DetectableCas {
     /// thread whose CASes no displacer records (stage_word operands) calls
     /// it to keep its own help entry inside did_succeed()'s window: an
     /// entry 2^14 versions behind the thread reads as "landed" for its
-    /// next failed CAS. @p version must have landed, and no CAS of the
+    /// next failed CAS. A thread leaving its slot records its newest
+    /// version, landed or not (no recovery asks about it again), for the
+    /// slot's next occupant to resume past (recorded_version()). @p version
+    /// must have landed unless the thread is leaving, and no CAS of the
     /// thread's may still be in flight (the help CAS needs an empty ring).
     void record_landed(cxl::MemSession& mem, std::uint16_t version)
     {
         if (detectable_) {
             record_help(mem, mem.tid(), version);
         }
+    }
+
+    /// The newest version in the calling thread's help entry, or 0 when it
+    /// holds none. A fresh occupant of a thread slot starts its versions
+    /// past it: a tag its predecessor left on a word then never matches
+    /// one of the occupant's CASes, and did_succeed() never calls one of
+    /// them landed for the predecessor's sake.
+    std::uint16_t recorded_version(cxl::MemSession& mem)
+    {
+        if (!detectable_) {
+            return 0;
+        }
+        std::uint64_t help = mem.atomic_load64(help_entry(mem.tid()));
+        return help == 0 ? 0 : static_cast<std::uint16_t>(help - 1);
     }
 
     /// Reads the 32-bit value currently stored at @p word_offset.

@@ -1,11 +1,11 @@
 /// Batched NMP engine tests: deterministic competing-batch interleavings,
 /// partial-batch conflicts, ring wrap-around and full-ring rejection at the
 /// engine level; then the allocator's drain of pending remote frees (one
-/// operand per slab, k decrements each; a full list lands its oldest ring,
-/// a batch's frees wait like any other), including real-thread drain races
-/// and crashes inside a half-submitted drain recovered through the §5.1
-/// machinery (the pending list is durable SWcc memory, the operand ring
-/// device memory; both survive the crash).
+/// operand per slab, k decrements each; a full row lands its fullest
+/// line's oldest ring, a batch's frees wait like any other), including
+/// real-thread drain races and crashes inside a half-submitted drain
+/// recovered through the §5.1 machinery (the pending lines are durable
+/// SWcc memory, the operand ring device memory; both survive the crash).
 
 #include "cxl/nmp.h"
 
@@ -314,6 +314,17 @@ free_and_land(Rig& rig, pod::ThreadContext& ctx,
 {
     rig.alloc.deallocate_batch(ctx, offs, n);
     rig.alloc.cleanup(ctx);
+}
+
+/// Line @p line of @p ctx's small-heap pending row.
+cxlalloc::PendingList
+small_line(Rig& rig, pod::ThreadContext& ctx, std::uint32_t line = 0)
+{
+    cxlalloc::PendingList list;
+    ctx.mem().read_bytes(
+        rig.alloc.small_heap().pending_line(ctx.tid(), line), &list,
+        sizeof list);
+    return list;
 }
 
 TEST(DeallocateBatch, DistinctSlabsShareOneDoorbell)
@@ -1333,10 +1344,11 @@ TEST(DeallocateBatchCrash, SweepCountdownsThroughMixedBatches)
 
 TEST(DeallocateBatchCrash, FreshOccupantsFirstRoundIsNotItsPredecessors)
 {
-    // Occupant A of a thread slot drains one clean round at version 1 and
-    // leaves. B takes the same slot with a fresh version counter, so its
-    // first round is at version 1 too, and dies with it posted but not yet
-    // stamped: its decrements are still in the list, and recovery must not
+    // Occupant A of a thread slot drains one clean round and leaves, its
+    // line keeping the round's version. B takes the same slot and resumes
+    // its versions past A's (detach_thread recorded A's newest), so B's
+    // first round is not A's round, and B dies with it posted but not yet
+    // stamped: its decrements are still in the line, and recovery must not
     // fold them back in as A's round as well.
     Rig rig(nohwcc_opts());
     auto t1 = rig.thread();
@@ -1350,12 +1362,21 @@ TEST(DeallocateBatchCrash, FreshOccupantsFirstRoundIsNotItsPredecessors)
     std::uint64_t live0 = rig.alloc.audit(t1->mem()).live_blocks;
     rig.alloc.deallocate_batch(*a, offs.data(), 2);
     rig.alloc.detach_thread(*a);
+    std::uint16_t a_round = small_line(rig, *a).stamp;
+    ASSERT_NE(a_round, 0u);
+    ASSERT_EQ(a_round & cxlalloc::PendingList::kStampOut, 0u);
     rig.pod.release_thread(std::move(a));
 
     auto b = rig.thread();
     ASSERT_EQ(b->tid(), tid);
     b->arm_crash(cxlalloc::crashpoint::kMidBatchStage, 1);
     EXPECT_THROW(free_and_land(rig, *b, offs.data() + 2, 2), ThreadCrashed);
+    NmpSlotView posted;
+    ASSERT_EQ(rig.pod.nmp().ring_snapshot(tid, &posted, 1), 1u);
+    std::uint16_t b_round = cxlsync::DcasWord::version(posted.op.swap);
+    EXPECT_NE(b_round, a_round);
+    EXPECT_TRUE(cxlsync::version_geq(b_round, a_round))
+        << "B's first round reuses a version A used";
     rig.pod.mark_crashed(std::move(b));
     b = rig.pod.adopt_thread(rig.process, tid);
     rig.alloc.recover(*b);
@@ -1478,47 +1499,74 @@ TEST(DeallocateBatchStall, StalledZeroingOperandGoesBackIntoTheList)
     rig.pod.release_thread(std::move(t2));
 }
 
-/// @p ctx's small-heap pending list.
-cxlalloc::PendingList
-small_pending(Rig& rig, pod::ThreadContext& ctx)
+constexpr std::uint32_t kSmallCapacity =
+    cxlalloc::PendingList::kSmallCapacity;
+constexpr std::uint32_t kLineSlots = cxlalloc::PendingList::kSlots;
+
+/// A row that fills across two lines, in append order: blocks @p owner
+/// allocates, one slab per class. One block in each of the first fifteen
+/// classes (line 0: fifteen single-block entries), one in each of the
+/// other nine (line 1; the last class's entry is its newest), then more
+/// blocks of line 1's eight oldest slabs, round robin, until the row holds
+/// its capacity. The last append fills the row; the fullest line is line
+/// 1, and its oldest ring is exactly those eight slabs.
+std::vector<cxl::HeapOffset>
+two_line_row(Rig& rig, pod::ThreadContext& owner)
 {
-    cxlalloc::PendingList list;
-    ctx.mem().read_bytes(rig.alloc.small_heap().pending_row(ctx.tid()), &list,
-                         sizeof list);
-    return list;
+    std::vector<std::uint32_t> classes;
+    for (std::uint32_t c = 0; c < cxlalloc::kNumSmallClasses; c++) {
+        classes.push_back(c);
+    }
+    for (std::uint32_t j = 0; classes.size() < kSmallCapacity; j++) {
+        classes.push_back(kLineSlots + j % kNmpRingSlots);
+    }
+    std::vector<cxl::HeapOffset> offs;
+    for (std::uint32_t c : classes) {
+        offs.push_back(
+            rig.alloc.allocate(owner, cxlalloc::small_class_size(c)));
+        EXPECT_NE(offs.back(), 0u);
+    }
+    return offs;
 }
 
 TEST(DeferredFrees, AFullListLandsItsOldestRingAndKeepsTheNewest)
 {
-    // Fifteen single-block appends, each into a slab of its own, fill the
-    // list's slots. The fifteenth lands one full ring of the eight oldest
-    // entries; the seven newest stay pending to gather more blocks.
+    // The row fills (capacity blocks) with fifteen single-block entries in
+    // line 0 and nine heavier ones in line 1. The last append lands one
+    // ring: the eight oldest entries of the fullest line, line 1. Line 1's
+    // newest entry and all of line 0 stay pending to gather more blocks.
     Rig rig(nohwcc_opts());
     auto t1 = rig.thread();
     auto t2 = rig.thread();
-    constexpr std::uint32_t kSlots = cxlalloc::PendingList::kSlots;
-    std::vector<cxl::HeapOffset> offs = one_block_per_class(rig, *t1);
-    ASSERT_GE(offs.size(), kSlots);
+    std::vector<cxl::HeapOffset> offs = two_line_row(rig, *t1);
     std::uint64_t live0 = rig.alloc.audit(t1->mem()).live_blocks;
     const cxl::MemEventCounters& c = t2->mem().counters();
-    for (std::uint32_t i = 0; i < kSlots; i++) {
-        EXPECT_EQ(c.mcas_batches, 0u) << "rang before the list filled";
-        rig.alloc.deallocate(*t2, offs[i]);
+    for (cxl::HeapOffset p : offs) {
+        EXPECT_EQ(c.mcas_batches, 0u) << "rang before the row filled";
+        rig.alloc.deallocate(*t2, p);
     }
     EXPECT_EQ(c.mcas_batches, 1u);
     EXPECT_EQ(c.mcas_batch_ops, kNmpRingSlots);
-    cxlalloc::PendingList list = small_pending(rig, *t2);
-    ASSERT_EQ(list.n, kSlots - kNmpRingSlots);
-    for (std::uint32_t i = 0; i < list.n; i++) {
-        EXPECT_EQ(list.slab(i), small_slab_of(rig, offs[kNmpRingSlots + i]));
-        EXPECT_EQ(list.count(i), 1u);
+    cxlalloc::PendingList line0 = small_line(rig, *t2, 0);
+    ASSERT_EQ(line0.n, kLineSlots);
+    for (std::uint32_t i = 0; i < kLineSlots; i++) {
+        EXPECT_EQ(line0.slab(i), small_slab_of(rig, offs[i]));
+        EXPECT_EQ(line0.count(i), 1u);
     }
+    cxlalloc::PendingList line1 = small_line(rig, *t2, 1);
+    ASSERT_EQ(line1.n, 1u);
+    EXPECT_EQ(line1.slab(0),
+              small_slab_of(rig, offs[cxlalloc::kNumSmallClasses - 1]));
+    EXPECT_EQ(line1.count(0), 1u);
+    EXPECT_EQ(small_line(rig, *t2, 2).n, 0u);
     cxlalloc::AuditReport r = rig.alloc.audit(t2->mem());
     EXPECT_TRUE(r.ok()) << r.to_string();
-    EXPECT_EQ(r.pending_frees, kSlots - kNmpRingSlots);
-    EXPECT_EQ(live0 - r.live_blocks, kSlots);
+    EXPECT_EQ(r.pending_frees, kLineSlots + 1);
+    EXPECT_EQ(live0 - r.live_blocks, kSmallCapacity);
+    // The lines land one after another: line 0 in two rounds, line 1 in
+    // one.
     rig.alloc.cleanup(*t2);
-    EXPECT_EQ(c.mcas_batches, 2u);
+    EXPECT_EQ(c.mcas_batches, 4u);
     EXPECT_EQ(rig.alloc.audit(t2->mem()).pending_frees, 0u);
     rig.pod.release_thread(std::move(t1));
     rig.pod.release_thread(std::move(t2));
@@ -1526,28 +1574,31 @@ TEST(DeferredFrees, AFullListLandsItsOldestRingAndKeepsTheNewest)
 
 TEST(DeferredFrees, AListStillFullAfterARoundLandsASecond)
 {
-    // t2 appends eight blocks of each of eight slabs: the 64th block fills
-    // the list, whose oldest ring is all eight entries. t3 lands one free
-    // of each slab after t2 read the counters, so every operand of t2's
-    // round fails and goes back: the list still holds 64 blocks, and the
-    // same append lands a second round, built from fresh counter words.
+    // t2 appends blocks of eight slabs, slab after slab, until its row
+    // holds its capacity: one line of eight entries, whose oldest ring is
+    // all eight. t3 lands one free of each slab after t2 read the
+    // counters, so every operand of t2's round fails and goes back: the
+    // row still holds capacity blocks, and the same append lands a second
+    // round, built from fresh counter words.
     Rig rig(nohwcc_opts());
     auto t1 = rig.thread();
     auto t2 = rig.thread();
     auto t3 = rig.thread();
-    constexpr std::uint32_t kPerSlab =
-        cxlalloc::PendingList::kCapacity / kNmpRingSlots;
     std::vector<cxl::HeapOffset> mine;
     for (std::uint32_t c = 0; c < kNmpRingSlots; c++) {
         std::uint64_t size = cxlalloc::small_class_size(c);
         cxl::HeapOffset theirs = rig.alloc.allocate(*t1, size);
         ASSERT_NE(theirs, 0u);
         rig.alloc.deallocate(*t3, theirs);
-        for (std::uint32_t b = 0; b < kPerSlab; b++) {
+        // The first slabs take one block more: kSmallCapacity in all.
+        std::uint32_t blocks = kSmallCapacity / kNmpRingSlots +
+                               (c < kSmallCapacity % kNmpRingSlots ? 1 : 0);
+        for (std::uint32_t b = 0; b < blocks; b++) {
             mine.push_back(rig.alloc.allocate(*t1, size));
             ASSERT_NE(mine.back(), 0u);
         }
     }
+    ASSERT_EQ(mine.size(), kSmallCapacity);
     ASSERT_EQ(rig.alloc.audit(t3->mem()).pending_frees, kNmpRingSlots);
     std::uint64_t live0 = rig.alloc.audit(t1->mem()).live_blocks;
     cxltest::FireOnce race(
@@ -1562,7 +1613,7 @@ TEST(DeferredFrees, AListStillFullAfterARoundLandsASecond)
     const cxl::MemEventCounters& c = t2->mem().counters();
     EXPECT_EQ(c.mcas_batches, 2u);
     EXPECT_EQ(c.mcas_batch_ops, 2 * kNmpRingSlots);
-    EXPECT_EQ(small_pending(rig, *t2).n, 0u);
+    EXPECT_EQ(small_line(rig, *t2).n, 0u);
     cxlalloc::AuditReport r = rig.alloc.audit(t2->mem());
     EXPECT_TRUE(r.ok()) << r.to_string();
     EXPECT_EQ(r.pending_frees, 0u);
@@ -1570,6 +1621,115 @@ TEST(DeferredFrees, AListStillFullAfterARoundLandsASecond)
     rig.pod.release_thread(std::move(t1));
     rig.pod.release_thread(std::move(t2));
     rig.pod.release_thread(std::move(t3));
+}
+
+TEST(DeferredFrees, LargeHeapKeepsOneLineOf64Blocks)
+{
+    // The large heap's row is one line with a 64-block capacity: fifteen
+    // single-block slabs fill its slots and land the eight oldest, and 64
+    // blocks of one slab land as one operand, each exactly when the old
+    // single-list rule did.
+    Rig rig(nohwcc_opts());
+    auto t1 = rig.thread();
+    auto t2 = rig.thread();
+    std::vector<cxl::HeapOffset> singles;
+    for (std::uint32_t c = 0; c < kLineSlots; c++) {
+        singles.push_back(
+            rig.alloc.allocate(*t1, cxlalloc::large_class_size(c)));
+        ASSERT_NE(singles.back(), 0u);
+    }
+    const cxl::MemEventCounters& c = t2->mem().counters();
+    for (cxl::HeapOffset p : singles) {
+        EXPECT_EQ(c.mcas_batches, 0u) << "rang before the line filled";
+        rig.alloc.deallocate(*t2, p);
+    }
+    EXPECT_EQ(c.mcas_batches, 1u);
+    EXPECT_EQ(c.mcas_batch_ops, kNmpRingSlots);
+    rig.alloc.cleanup(*t2);
+    std::vector<cxl::HeapOffset> many;
+    for (std::uint32_t b = 0; b < cxlalloc::PendingList::kLargeCapacity; b++) {
+        many.push_back(rig.alloc.allocate(*t1, 4096));
+        ASSERT_NE(many.back(), 0u);
+    }
+    std::uint64_t batches0 = c.mcas_batches;
+    std::uint64_t ops0 = c.mcas_batch_ops;
+    for (cxl::HeapOffset p : many) {
+        EXPECT_EQ(c.mcas_batches, batches0) << "rang before 64 blocks";
+        rig.alloc.deallocate(*t2, p);
+    }
+    EXPECT_EQ(c.mcas_batches - batches0, 1u);
+    EXPECT_EQ(c.mcas_batch_ops - ops0, 1u);
+    cxlalloc::AuditReport r = rig.alloc.audit(t2->mem());
+    EXPECT_TRUE(r.ok()) << r.to_string();
+    EXPECT_EQ(r.pending_frees, 0u);
+    rig.pod.release_thread(std::move(t1));
+    rig.pod.release_thread(std::move(t2));
+}
+
+TEST(DeferredFrees, CrashSweepOverRoundsDrawnFromEitherLine)
+{
+    // The two-line row, then cleanup: four rounds, the first drawn from
+    // line 1 while line 0 holds fifteen entries, then two from line 0 and
+    // one from line 1. A crash at each batch point of each round, and at
+    // the appends into line 1 (whose FreeDeferred records name line 1),
+    // recovers exactly the accepted frees: all of them when the crash hit
+    // a round, the first `countdown` when it hit an append.
+    struct Case {
+        int point;
+        std::uint32_t countdown;
+    };
+    std::vector<Case> cases;
+    for (int point : {cxlalloc::crashpoint::kMidBatchStage,
+                      cxlalloc::crashpoint::kMidBatchDoorbell,
+                      cxlalloc::crashpoint::kMidBatchDrain}) {
+        for (std::uint32_t countdown = 1; countdown <= 4; countdown++) {
+            cases.push_back({point, countdown});
+        }
+    }
+    for (std::uint32_t countdown :
+         {kLineSlots + 1, kSmallCapacity - 1, kSmallCapacity}) {
+        cases.push_back({cxlalloc::crashpoint::kAfterRecord, countdown});
+    }
+    for (const Case& c : cases) {
+        SCOPED_TRACE("point " + std::to_string(c.point) + " countdown " +
+                     std::to_string(c.countdown));
+        Rig rig(nohwcc_opts());
+        auto t1 = rig.thread();
+        auto t2 = rig.thread();
+        std::vector<cxl::HeapOffset> offs = two_line_row(rig, *t1);
+        std::uint64_t live0 = rig.alloc.audit(t1->mem()).live_blocks;
+        std::uint32_t accepted = kSmallCapacity;
+        t2->arm_crash(c.point, c.countdown);
+        try {
+            free_and_land(rig, *t2, offs.data(),
+                          static_cast<std::uint32_t>(offs.size()));
+            ADD_FAILURE() << "the crash never fired";
+            t2->disarm_crash();
+        } catch (const ThreadCrashed&) {
+            if (c.point == cxlalloc::crashpoint::kAfterRecord) {
+                accepted = c.countdown;
+            } else if (c.countdown == 1) {
+                // The first round is line 1's (stamped out once staged),
+                // with line 0's fifteen entries pending.
+                EXPECT_EQ(small_line(rig, *t2, 0).n, kLineSlots);
+                EXPECT_EQ((small_line(rig, *t2, 1).stamp &
+                           cxlalloc::PendingList::kStampOut) != 0,
+                          c.point != cxlalloc::crashpoint::kMidBatchStage);
+            }
+            cxl::ThreadId tid = t2->tid();
+            rig.pod.mark_crashed(std::move(t2));
+            t2 = rig.pod.adopt_thread(rig.process, tid);
+            rig.alloc.recover(*t2);
+        }
+        rig.alloc.cleanup(*t2);
+        cxlalloc::AuditReport r = rig.alloc.audit(t2->mem());
+        ASSERT_TRUE(r.ok()) << r.to_string();
+        EXPECT_EQ(r.pending_frees, 0u);
+        EXPECT_EQ(live0 - r.live_blocks, accepted);
+        rig.alloc.check_local_invariants(t2->mem());
+        rig.pod.release_thread(std::move(t1));
+        rig.pod.release_thread(std::move(t2));
+    }
 }
 
 TEST(DeferredFrees, HostCrashLeaksAtMostTheUnflushedAppends)
@@ -1612,11 +1772,46 @@ TEST(DeferredFrees, HostCrashLeaksAtMostTheUnflushedAppends)
     rig.pod.release_thread(std::move(t2));
 }
 
+TEST(DeferredFrees, HostCrashAcrossTwoLinesLeaksAtMostTheRowsCapacity)
+{
+    // Five blocks short of a full row, across two lines, and no round has
+    // written a line back: a host crash may lose every append (a leak
+    // bounded by the row's capacity), but recovery never lands a free
+    // twice.
+    RigOptions opt = nohwcc_opts();
+    opt.simulate_cache = true;
+    Rig rig(opt);
+    auto t1 = rig.thread();
+    auto t2 = rig.thread();
+    std::vector<cxl::HeapOffset> offs = two_line_row(rig, *t1);
+    offs.resize(kSmallCapacity - 5);
+    std::uint64_t live0 = rig.alloc.audit(t1->mem()).live_blocks;
+    for (cxl::HeapOffset p : offs) {
+        rig.alloc.deallocate(*t2, p);
+    }
+    EXPECT_EQ(t2->mem().counters().mcas_batches, 0u);
+    EXPECT_EQ(small_line(rig, *t2, 0).n, kLineSlots);
+    EXPECT_NE(small_line(rig, *t2, 1).n, 0u);
+    cxl::ThreadId tid = t2->tid();
+    rig.pod.mark_crashed(std::move(t2), pod::Pod::CrashSeverity::Host);
+    t2 = rig.pod.adopt_thread(rig.process, tid);
+    rig.alloc.recover(*t2);
+    cxlalloc::AuditReport r = rig.alloc.audit(t1->mem());
+    EXPECT_TRUE(r.ok()) << r.to_string();
+    EXPECT_EQ(r.pending_frees, 0u);
+    std::uint64_t landed = live0 - r.live_blocks;
+    EXPECT_LE(landed, offs.size()) << "a free landed twice";
+    EXPECT_LE(offs.size() - landed, kSmallCapacity)
+        << "more than the row's capacity leaked";
+    rig.pod.release_thread(std::move(t1));
+    rig.pod.release_thread(std::move(t2));
+}
+
 TEST(DeferredFrees, TwoThreadsFreeIntoEachOthersSlabsAndDrainViaCleanup)
 {
     // Real threads (the TSan job runs this): each thread frees the other's
     // blocks — every free is remote, so it waits in the freeing thread's
-    // pending list (drained when the list fills) — then lands the rest
+    // pending row (drained when the row fills) — then lands the rest
     // with cleanup. Every round must end with a clean audit, nothing
     // pending and no live block.
     Rig rig(nohwcc_opts());

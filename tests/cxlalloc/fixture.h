@@ -18,6 +18,7 @@ struct RigOptions {
     bool checked_mappings = false;
     bool recoverable = true;
     std::uint32_t small_slabs = 128; // 4 MiB small data
+    std::uint32_t large_slabs = 16;  // 8 MiB large data
     std::uint32_t unsized_limit = cxlalloc::Config{}.unsized_limit;
 };
 
@@ -65,7 +66,7 @@ struct Rig {
     {
         cxlalloc::Config cfg;
         cfg.small_slabs = opt.small_slabs;
-        cfg.large_slabs = 16;            // 8 MiB large data
+        cfg.large_slabs = opt.large_slabs;
         cfg.huge_regions = 8;
         cfg.huge_region_size = 4 << 20;  // 32 MiB huge data
         cfg.huge_descs_per_thread = 16;

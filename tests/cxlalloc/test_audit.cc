@@ -107,13 +107,44 @@ TEST(Audit, PendingEntryBeyondItsCounterBreaksTheRemoteBalance)
     // A doctored pending-list entry claims more frees of the slab than its
     // counter has blocks outstanding: landing it would double free.
     AuditRig r;
-    cxl::HeapOffset row = r.rig.alloc.small_heap().pending_row(r.t->tid());
+    cxl::HeapOffset row = r.rig.alloc.small_heap().pending_line(r.t->tid());
     cxlalloc::PendingList list;
     list.add(r.slab, 2); // the slab has one live block
     r.mem.write_bytes(row, &list, sizeof list);
     AuditReport report = r.audit();
     expect_only(report, AuditHeap::Small, r.slab, AuditLaw::RemoteBalance);
     EXPECT_EQ(report.pending_frees, 2u);
+}
+
+TEST(Audit, SecondEntryOfASlabInAnotherLineBreaksThePendingEntryLaw)
+{
+    // A NoHwcc remote free leaves one entry of the slab in line 0 of the
+    // freer's row; a raw store of line 1 with a second entry of the same
+    // slab breaks the one-entry-per-row law (and nothing else: the slab
+    // has blocks enough for both).
+    cxltest::RigOptions opt;
+    opt.mode = cxl::CoherenceMode::NoHwcc;
+    cxltest::Rig rig(opt);
+    auto owner = rig.thread();
+    auto freer = rig.thread();
+    cxl::HeapOffset a = rig.alloc.allocate(*owner, 64);
+    cxl::HeapOffset b = rig.alloc.allocate(*owner, 64);
+    ASSERT_TRUE(a != 0 && b != 0);
+    const cxlalloc::Layout& l = rig.alloc.layout();
+    auto slab = static_cast<std::uint32_t>((a - l.small_data()) /
+                                           cxlalloc::kSmallSlabSize);
+    rig.alloc.deallocate(*freer, a);
+    cxlalloc::PendingList line;
+    line.add(slab, 1);
+    freer->mem().write_bytes(
+        rig.alloc.small_heap().pending_line(freer->tid(), 1), &line,
+        sizeof line);
+    AuditReport report = rig.alloc.audit(owner->mem());
+    expect_only(report, AuditHeap::Small, slab, AuditLaw::PendingEntry);
+    EXPECT_EQ(report.pending_frees, 2u);
+    EXPECT_EQ(report.live_blocks, 0u);
+    rig.pod.release_thread(std::move(owner));
+    rig.pod.release_thread(std::move(freer));
 }
 
 TEST(Audit, CyclicGlobalListBreaksTheGlobalListLaw)

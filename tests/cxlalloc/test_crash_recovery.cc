@@ -450,6 +450,50 @@ TEST(CrashRecovery, CrashDuringPushGlobalFinishesPush)
     rig.pod.release_thread(std::move(t));
 }
 
+TEST(CrashRecovery, FreshOccupantsFailedPopGlobalIsNotCalledLanded)
+{
+    // Occupant A of slot s extends the heap at its version 1, and t1's
+    // extension displaces A's tag, recording help[s] = 1. A detaches and
+    // leaves; B takes slot s and dies in its first PopGlobal between the
+    // record and the CAS. Had B's versions restarted at 0, that pop would
+    // be B's version 1, which help[s] calls landed: recovery would link a
+    // slab still on the global list into B's unsized list.
+    RigOptions opt;
+    opt.unsized_limit = 0; // an emptied spare slab goes straight global
+    Rig rig(opt);
+    auto t1 = rig.thread();
+    auto a = rig.thread();
+    cxl::ThreadId tid = a->tid();
+    ASSERT_NE(rig.alloc.allocate(*a, 1024), 0u); // A's Extend
+    // t1 fills one 1 KiB slab and opens a second (both Extends), then
+    // empties the first: it spills to the global list.
+    std::vector<cxl::HeapOffset> first;
+    for (int i = 0; i < 32; i++) {
+        first.push_back(rig.alloc.allocate(*t1, 1024));
+        ASSERT_NE(first.back(), 0u);
+    }
+    ASSERT_NE(rig.alloc.allocate(*t1, 1024), 0u);
+    for (cxl::HeapOffset p : first) {
+        rig.alloc.deallocate(*t1, p);
+    }
+    ASSERT_EQ(rig.alloc.stats(t1->mem()).small.global_free, 1u);
+    rig.alloc.detach_thread(*a);
+    rig.pod.release_thread(std::move(a));
+
+    auto b = rig.thread();
+    ASSERT_EQ(b->tid(), tid);
+    ASSERT_TRUE(crash_and_recover(
+        rig, b, [&](pod::ThreadContext& c) { rig.alloc.allocate(c, 64); },
+        kAfterRecord));
+    cxlalloc::AuditReport r = rig.alloc.audit(b->mem());
+    EXPECT_TRUE(r.ok()) << r.to_string();
+    EXPECT_EQ(rig.alloc.stats(b->mem()).small.global_free, 1u)
+        << "the failed pop took the slab off the global list";
+    verify_consistent(rig, *b);
+    rig.pod.release_thread(std::move(t1));
+    rig.pod.release_thread(std::move(b));
+}
+
 TEST(CrashRecovery, CrashDuringHugeAllocCompletesAllocation)
 {
     Rig rig;

@@ -472,9 +472,11 @@ loser_free_that_trims(cxl::CoherenceMode mode)
     auto maker = w.thread();
     // Cell 0's object is the first block of a 64 B slab the maker fills;
     // the migrating thread remote-frees every other block, so the loser's
-    // free is the slab's last decrement. Under NoHwcc 63 of those frees are
-    // still pending (no cleanup): the loser's append fills the list, and
-    // the drain it sets off steals and trims.
+    // free is the slab's last decrement. Under NoHwcc the full rows along
+    // the way land all but the last of those frees, and frees of one 8 B
+    // slab then fill the row to one block short of its capacity (no
+    // cleanup): the loser's append fills it, and the drain it sets off
+    // lands both entries of the row's only line, steals and trims.
     cxl::HeapOffset obj = w.make_object(*maker, 0, 0x4b);
     std::vector<cxl::HeapOffset> rest;
     for (std::uint64_t i = 1; i < cxlalloc::kSmallSlabSize / kObjSize; i++) {
@@ -486,6 +488,17 @@ loser_free_that_trims(cxl::CoherenceMode mode)
     cxl::ThreadId tid = ctx->tid();
     for (cxl::HeapOffset p : rest) {
         w.alloc->deallocate(*ctx, p);
+    }
+    constexpr std::uint64_t kCapacity = cxlalloc::PendingList::kSmallCapacity;
+    std::uint64_t pending = w.alloc->audit(maker->mem()).pending_frees;
+    ASSERT_EQ(pending, mode == cxl::CoherenceMode::NoHwcc ? 1u : 0u);
+    for (std::uint64_t i = pending; i + 1 < kCapacity; i++) {
+        cxl::HeapOffset pad = w.alloc->allocate(*maker, 8);
+        ASSERT_NE(pad, 0u);
+        w.alloc->deallocate(*ctx, pad);
+    }
+    if (mode == cxl::CoherenceMode::NoHwcc) {
+        ASSERT_EQ(w.alloc->audit(maker->mem()).pending_frees, kCapacity - 1);
     }
     cxl::DeviceId other = w.home() == 0 ? 1 : 0;
     cxltest::FireOnce arm(

@@ -145,6 +145,32 @@ TEST(MultiProcess, HeapExtensionVisibleViaFaults)
     rig.pod.release_thread(std::move(tb));
 }
 
+TEST(MultiProcess, LargeDescriptorOnTheSmallArraysLastPageFaultsIn)
+{
+    // The large descriptor array starts mid-page, right after the small
+    // one. Process B's first touch of large slab 0's descriptor faults on
+    // that shared page, whose first byte is a small descriptor past the
+    // small heap's length: the fault resolves by the byte B touched, not
+    // by the page start. (With the default 16 large slabs the whole array
+    // shares the eagerly mapped page of the huge descriptors.)
+    RigOptions opt = checked();
+    opt.large_slabs = 128;
+    Rig rig(opt);
+    ASSERT_NE(rig.alloc.layout().large_swcc_desc(0) % cxl::kPageSize, 0u)
+        << "the descriptor arrays share no page";
+    auto* proc_b = rig.new_process();
+    auto ta = rig.thread();
+    auto tb = rig.thread(proc_b);
+    cxl::HeapOffset p = rig.alloc.allocate(*ta, 4096);
+    ASSERT_TRUE(rig.alloc.layout().in_large_data(p));
+    std::uint64_t faults_before = proc_b->faults_resolved();
+    rig.alloc.deallocate(*tb, p); // a remote free: loads the owner word
+    EXPECT_GT(proc_b->faults_resolved(), faults_before);
+    rig.alloc.check_invariants(ta->mem());
+    rig.pod.release_thread(std::move(ta));
+    rig.pod.release_thread(std::move(tb));
+}
+
 TEST(MultiProcess, ConcurrentProcessesChurnConcurrently)
 {
     Rig rig(checked());
