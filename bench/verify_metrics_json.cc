@@ -1,7 +1,9 @@
 /// CI gate for the --metrics-json export: parses a snapshot produced by a
 /// bench run and asserts the cross-layer wiring actually fired — MemSession
 /// event counters, allocator op counters, and at least one populated
-/// latency histogram with ordered interpolated percentiles.
+/// latency histogram with ordered interpolated percentiles. A scoped
+/// snapshot (every counter under one "<scope>." component, as
+/// fig11_mcas's cells are) needs only its cells' MemSession counters.
 ///
 /// Usage: verify_metrics_json <snapshot.json> [--budget <baseline.json>]
 ///
@@ -20,7 +22,9 @@
 /// stealing where home placement used to suffice, fails the budget. The
 /// tiered sweep budgets each row's simulated ns/op (tiered.<pattern>.<row>
 /// .ns_op), not the tiered-over-pure-CXL ratios: a speed-up that helps
-/// every row passes, and any one row getting slower fails by name.
+/// every row passes, and any one row getting slower fails by name. Fig.
+/// 11 budgets its single-thread rows (fig11.hw_cas.t1.p50_ns, and the
+/// engine's fig11.*.t1.kops, higher-is-better).
 
 #include <cmath>
 #include <cstdio>
@@ -44,20 +48,44 @@ check(bool ok, const char* what)
     }
 }
 
-/// Sums all counters whose name starts with @p prefix.
+/// Sums all counters whose name starts with @p prefix (or, with
+/// @p anywhere, contains it).
 std::uint64_t
-prefixed_sum(const obs::json::Value& counters, const std::string& prefix)
+prefixed_sum(const obs::json::Value& counters, const std::string& prefix,
+             bool anywhere = false)
 {
     std::uint64_t total = 0;
     if (counters.kind() != obs::json::Kind::Object) {
         return 0;
     }
     for (const auto& [name, value] : counters.as_object()) {
-        if (name.rfind(prefix, 0) == 0) {
+        if (anywhere ? name.find(prefix) != std::string::npos
+                     : name.rfind(prefix, 0) == 0) {
             total += value.as_uint();
         }
     }
     return total;
+}
+
+/// The first name component every counter shares when the snapshot is
+/// scoped, as fig11_mcas's is ("fig11.<impl>.t<N>.<metric>": each cell
+/// its own sessions, no allocator and no harness); "" otherwise.
+std::string
+counter_scope(const obs::json::Value& counters)
+{
+    std::string scope;
+    if (counters.kind() != obs::json::Kind::Object) {
+        return scope;
+    }
+    for (const auto& [name, value] : counters.as_object()) {
+        std::string first = name.substr(0, name.find('.'));
+        if (first == "mem" || first == "alloc" || first == "run" ||
+            (!scope.empty() && first != scope)) {
+            return "";
+        }
+        scope = first;
+    }
+    return scope;
 }
 
 /// Allowed regression: 15% relative plus an absolute slack of 0.1 events
@@ -71,7 +99,13 @@ constexpr double kBudgetEpsilon = 0.1;
 bool
 higher_is_better(const std::string& name)
 {
-    return name == "alloc.tier_dram_ratio" || name == "migrate.promotions";
+    auto ends_with = [&](const char* suffix) {
+        std::string s(suffix);
+        return name.size() >= s.size() &&
+               name.compare(name.size() - s.size(), s.size(), s) == 0;
+    };
+    return name == "alloc.tier_dram_ratio" || name == "migrate.promotions" ||
+           (name.rfind("fig11.", 0) == 0 && ends_with(".kops"));
 }
 
 bool
@@ -89,6 +123,11 @@ budget_gauge(const std::string& name)
                ends_with(".flushed_lines_per_op") ||
                ends_with(".loads_per_op") || ends_with(".stores_per_op") ||
                ends_with(".mcas_ops_per_op");
+    }
+    if (name.rfind("fig11.", 0) == 0) {
+        // Fig. 11's single-thread rows (BENCH_fig11.json): hw_cas p50 ns,
+        // engine Kops/s.
+        return true;
     }
     if (name.rfind("tiered.", 0) == 0) {
         // Tiered-sweep rows: simulated ns/op per pattern and placement.
@@ -215,7 +254,10 @@ main(int argc, char** argv)
 
     const obs::json::Value* counters = root.find("counters");
     check(counters != nullptr, "counters object present");
-    if (counters != nullptr) {
+    if (counters != nullptr && !counter_scope(*counters).empty()) {
+        check(prefixed_sum(*counters, ".mem.", /*anywhere=*/true) > 0,
+              "scoped MemSession event counters (<scope>.*.mem.*) nonzero");
+    } else if (counters != nullptr) {
         check(prefixed_sum(*counters, "mem.") > 0,
               "MemSession event counters (mem.*) nonzero");
         check(prefixed_sum(*counters, "alloc.") > 0,

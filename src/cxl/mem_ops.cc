@@ -197,6 +197,8 @@ MemSession::cas64(HeapOffset offset, std::uint64_t& expected,
 {
     CXL_ASSERT(device_->in_sync_region(offset),
                "CAS outside the HWcc/device-biased region");
+    // The ring must be empty: harvest the thread's round first.
+    finish_mcas_round();
     // aux carries the desired word so publication oracles can decode what
     // is about to become reachable.
     sched::hook(sched::Op::Cas, offset, desired);
@@ -204,13 +206,15 @@ MemSession::cas64(HeapOffset offset, std::uint64_t& expected,
     if (device_->mode() == CoherenceMode::NoHwcc) {
         counters_.mcas_ops++;
         // A one-operand ring: post the operand, then climb the same bounded
-        // stall-retry ladder mcas_doorbell() uses before escalating.
+        // stall-retry ladder mcas_doorbell() uses before escalating. Its
+        // result is read at once, so the whole trip is charged here.
         bool posted = nmp_->spwr_post(
             tid_, McasOperand{.target = offset, .expected = expected,
                               .swap = desired});
         CXL_ASSERT(posted, "cas64 while a previous batch is still staged");
         (void)posted;
         doorbell_with_ladder();
+        charge(nmp_->take_injected_delay_ns());
         McasResult result;
         bool completed = nmp_->poll(tid_, &result);
         CXL_ASSERT(completed, "doorbell produced no completion");
@@ -255,6 +259,7 @@ MemSession::cas64(HeapOffset offset, std::uint64_t& expected,
 bool
 MemSession::mcas_post(const McasOperand& op)
 {
+    finish_mcas_round();
     CXL_ASSERT(device_->mode() == CoherenceMode::NoHwcc,
                "mcas_post requires the NMP engine (NoHwcc mode)");
     CXL_ASSERT(device_->in_sync_region(op.target),
@@ -292,10 +297,6 @@ MemSession::doorbell_with_ladder()
             throw NmpStallError(tid_);
         }
     }
-    if (executed > 0) {
-        // Injected engine slowdowns surface here as extra simulated ns.
-        charge(nmp_->take_injected_delay_ns());
-    }
     return executed;
 }
 
@@ -309,12 +310,19 @@ MemSession::mcas_doorbell()
     counters_.mcas_ops += executed;
     counters_.mcas_batches++;
     counters_.mcas_batch_ops += executed;
+    // Injected engine slowdowns lengthen the trip.
+    std::uint64_t trip = nmp_->take_injected_delay_ns();
     if (model_ != nullptr) {
-        std::uint64_t trip = model_->mcas_ns +
-                             (executed - 1) * model_->mcas_batch_slot_ns;
-        charge(trip);
-        mcas_round_trip_ns_.record(trip);
+        std::uint64_t modeled = model_->mcas_ns +
+                                (executed - 1) * model_->mcas_batch_slot_ns;
+        mcas_round_trip_ns_.record(modeled);
+        trip += modeled;
     }
+    // Results are ready one trip from now; the first harvest waits for
+    // what is left of it (an earlier doorbell's wait is paid first).
+    mcas_wait();
+    mcas_trip_ns_ += trip;
+    mcas_ready_ns_ = sim_ns_ + trip;
     return executed;
 }
 
@@ -322,6 +330,7 @@ bool
 MemSession::mcas_poll(McasResult* out)
 {
     sched::hook(sched::Op::McasPoll);
+    mcas_wait();
     if (!nmp_->poll(tid_, out)) {
         return false;
     }
@@ -349,6 +358,8 @@ MemSession::publish_metrics(obs::MetricsRegistry& registry) const
     }
     pub("cache.evictions", cache_.evictions());
     pub("mem.sim_ns", sim_ns_);
+    pub("mem.mcas_trip_ns", mcas_trip_ns_);
+    pub("mem.mcas_wait_ns", mcas_wait_ns_);
     if (mcas_round_trip_ns_.count() != 0) {
         obs::MetricsSnapshot hists;
         hists.histograms.emplace_back("mem.mcas_round_trip_ns",

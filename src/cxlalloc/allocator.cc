@@ -243,10 +243,16 @@ CxlAllocator::recover(pod::ThreadContext& ctx)
     std::unique_ptr<DrainState> drain = std::move(pt.state.drain);
     pt.state = ThreadState{};
     pt.state.drain = std::move(drain);
+    if (pt.state.drain) {
+        // The dead thread's out round, if any: reconcile_ring below
+        // finishes it from its stamped line and the ring.
+        pt.state.drain->out = {};
+    }
 
     OpRecord record = log_.read(mem, ctx.tid());
     // Resume the version counter past the interrupted operation so no
-    // future CAS reuses its tag.
+    // future CAS reuses its tag: every record carries a version at least
+    // the thread's newest, a cleared one included.
     pt.state.version = (record.version + 1) & cxlsync::kVersionMask;
     // Huge-heap volatile state must exist before huge redo logic runs.
     huge_.rebuild_thread_state(ctx, pt.state);
@@ -299,7 +305,7 @@ CxlAllocator::recover(pod::ThreadContext& ctx)
     // The adopted slot's pending frees land now: nobody else may touch
     // its lists.
     drain_pending(ctx, pt.state);
-    log_.clear(mem);
+    log_.clear(mem, pt.state.version);
     if (inst_.registry != nullptr) {
         inst_.registry->shard(ctx.tid()).add(inst_.recoveries);
     }
@@ -314,7 +320,17 @@ CxlAllocator::pending_record(pod::ThreadContext& ctx)
 void
 CxlAllocator::quiesce_record(pod::ThreadContext& ctx)
 {
-    log_.clear(ctx.mem());
+    PerThread& pt = threads_[ctx.tid()];
+    // The migrator reads the next operation's record as that operation's
+    // own. Under NoHwcc a free could first land a round and log its
+    // records: while one is out, or a row is full. Land them now.
+    if (pt.attached &&
+        pod_.device().mode() == cxl::CoherenceMode::NoHwcc &&
+        (small_.lands_before_append(ctx.mem(), pt.state) ||
+         large_.lands_before_append(ctx.mem(), pt.state))) {
+        drain_pending(ctx, pt.state);
+    }
+    log_.clear(ctx.mem(), pt.state.version);
 }
 
 std::uint16_t

@@ -108,6 +108,9 @@ class CxlAllocator : public pod::FaultResolver {
     /// + fence). The migrator quiesces a shard's record before a stage
     /// whose recovery inspects it, so a stale record of an earlier
     /// completed operation can never be misattributed to the migration.
+    /// Under NoHwcc it first lands the thread's pending frees when its
+    /// next free could land a round before logging its own record
+    /// (SlabHeap::lands_before_append).
     void quiesce_record(pod::ThreadContext& ctx);
 
     /// Publishes a detectable CAS on an application reference cell: logs

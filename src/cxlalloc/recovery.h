@@ -15,7 +15,9 @@
 /// The record is single-writer (its thread) and written before the
 /// operation's first shared-visible step; the next operation overwrites
 /// it, so on recovery exactly one — possibly interrupted, possibly
-/// completed — operation needs an idempotent redo.
+/// completed — operation needs an idempotent redo. Every record, a
+/// cleared one (Op::None) included, carries a version at least the
+/// thread's newest: recovery resumes past it (RECOVERY.md §2).
 ///
 /// Durability discipline (the fence-elision case analysis):
 ///  - Operations that publish through a detectable CAS (PopGlobal,
@@ -198,12 +200,15 @@ class RecoveryLog {
         return OpRecord::unpack(mem.load<std::uint64_t>(row));
     }
 
-    /// Clears the record after a completed recovery.
+    /// Clears the record after a completed recovery (or a quiesce): an
+    /// Op::None record that keeps the thread's current @p version, so a
+    /// recovery that reads it still resumes past every version used.
     void
-    clear(cxl::MemSession& mem)
+    clear(cxl::MemSession& mem, std::uint16_t version)
     {
         cxl::HeapOffset row = layout_->recovery_row(mem.tid());
-        mem.store<std::uint64_t>(row, 0);
+        mem.store<std::uint64_t>(
+            row, OpRecord{.op = Op::None, .version = version}.pack());
         mem.flush(row, 8);
         mem.fence();
         pending_[mem.tid()] = false;

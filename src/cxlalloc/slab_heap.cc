@@ -211,8 +211,12 @@ SlabHeap::load_row(cxl::MemSession& mem, ThreadState& ts)
     PendingRow row;
     row.lines = lines_;
     std::uint8_t& hint = ts.pending_hint[large_];
+    const DrainState::Round* out = out_round(ts);
     for (std::uint32_t i = 0; i < lines_; i++) {
         if ((hint >> i & 1) == 0) {
+            if (out != nullptr && out->line == i) {
+                row.line[i] = out->list; // emptied by its launch, stamped
+            }
             continue;
         }
         row.line[i] = load_line(mem, mem.tid(), i);
@@ -638,7 +642,7 @@ SlabHeap::allocate(pod::ThreadContext& ctx, ThreadState& ts,
     }
     if (count.free == 0) {
         // Maintain the invariant that sized lists hold only non-full slabs.
-        full_transition(ctx, slab, cls);
+        full_transition(ctx, ts, slab, cls);
     }
     return slab_data(slab) + static_cast<cxl::HeapOffset>(block) *
                                  class_size_impl(large_, cls);
@@ -654,8 +658,14 @@ SlabHeap::refill(pod::ThreadContext& ctx, ThreadState& ts, std::uint32_t cls)
         std::uint32_t uh = mem.load<std::uint32_t>(
             unsized_head_off(mem.tid()));
         if (uh != 0) {
-            init_from_unsized(ctx, uh - 1, cls);
+            init_from_unsized(ctx, ts, uh - 1, cls);
             return true;
+        }
+        if (mem.mcas_round_out()) {
+            // Its steals serve the refill that needs them: finish it before
+            // looking past the unsized list.
+            land_out_round(ctx, ts);
+            continue;
         }
         if (pop_global(ctx, ts)) {
             continue; // slab landed on the unsized list
@@ -714,14 +724,16 @@ SlabHeap::scavenge_warm_slab(pod::ThreadContext& ctx, ThreadState& ts)
 }
 
 void
-SlabHeap::init_from_unsized(pod::ThreadContext& ctx, std::uint32_t slab,
-                            std::uint32_t cls)
+SlabHeap::init_from_unsized(pod::ThreadContext& ctx, ThreadState& ts,
+                            std::uint32_t slab, std::uint32_t cls)
 {
     cxl::MemSession& mem = ctx.mem();
+    // No CAS in this transition: the version only carries the thread's
+    // (RECOVERY.md §2).
     log_->log(mem, OpRecord{.op = Op::Init,
                             .large_heap = large_,
                             .aux = static_cast<std::uint16_t>(cls),
-                            .version = 0, // no CAS in this transition
+                            .version = ts.version,
                             .index = slab});
     ctx.maybe_crash(crashpoint::kAfterRecord);
     std::uint32_t popped = pop_unsized(mem);
@@ -839,8 +851,8 @@ SlabHeap::acquire_to_unsized(pod::ThreadContext& ctx, std::uint32_t slab)
 }
 
 void
-SlabHeap::full_transition(pod::ThreadContext& ctx, std::uint32_t slab,
-                          std::uint32_t cls)
+SlabHeap::full_transition(pod::ThreadContext& ctx, ThreadState& ts,
+                          std::uint32_t slab, std::uint32_t cls)
 {
     cxl::MemSession& mem = ctx.mem();
     std::uint32_t remote = dcas_->read(mem, hwcc(slab));
@@ -851,7 +863,7 @@ SlabHeap::full_transition(pod::ThreadContext& ctx, std::uint32_t slab,
         log_->log_local(mem, OpRecord{.op = Op::Detach,
                                       .large_heap = large_,
                                       .aux = static_cast<std::uint16_t>(cls),
-                                      .version = 0,
+                                      .version = ts.version,
                                       .index = slab});
         ctx.maybe_crash(crashpoint::kAfterRecord);
         remove_sized(mem, cls, slab);
@@ -868,7 +880,7 @@ SlabHeap::full_transition(pod::ThreadContext& ctx, std::uint32_t slab,
         log_->log_local(mem, OpRecord{.op = Op::Disown,
                                       .large_heap = large_,
                                       .aux = static_cast<std::uint16_t>(cls),
-                                      .version = 0,
+                                      .version = ts.version,
                                       .index = slab});
         ctx.maybe_crash(crashpoint::kAfterRecord);
         remove_sized(mem, cls, slab);
@@ -917,12 +929,32 @@ SlabHeap::defer_remote(pod::ThreadContext& ctx, ThreadState& ts,
 {
     cxl::MemSession& mem = ctx.mem();
     PendingRow row = load_row(mem, ts);
-    if (row.full(capacity_)) {
-        // Only after a drain threw (the last append drained otherwise).
-        drain_pending(ctx, ts, /*while_full=*/true);
+    PendingRow with_out;
+    const PendingRow* seen = &row;
+    std::uint32_t room = appends_see(row, ts, with_out, seen);
+    // The append must fit the row as the out round may leave it, its
+    // slab's entry included (a count is 8 bits). When it might not (after
+    // a drain threw, as the last append drained otherwise; or when the out
+    // round's operands coming back could overfill the row), finish that
+    // round first, which logs nothing, and drain only if still needed.
+    auto fits = [&] {
+        if (seen->full(room)) {
+            return false;
+        }
+        const PendingList& l = seen->line[seen->line_for(slab)];
+        std::uint32_t e = l.find(slab);
+        return e == PendingList::kSlots || l.count(e) < 0xff;
+    };
+    while (!fits()) {
+        if (out_round(ts) != nullptr) {
+            mem.finish_mcas_round();
+        } else {
+            drain_pending(ctx, ts, /*while_full=*/true);
+        }
         row = load_row(mem, ts);
+        room = appends_see(row, ts, with_out, seen);
     }
-    const std::uint32_t i = row.line_for(slab);
+    const std::uint32_t i = seen->line_for(slab);
     PendingList& line = row.line[i];
     // Local operation: no flush or fence. Recovery redoes the append iff
     // line i is exactly one block short of aux's size.
@@ -936,15 +968,52 @@ SlabHeap::defer_remote(pod::ThreadContext& ctx, ThreadState& ts,
     ctx.maybe_crash(crashpoint::kAfterRecord);
     line.add(slab, 1);
     store_line(mem, i, line);
+    if (seen != &row) {
+        with_out.line[i].add(slab, 1);
+    }
+    if (DrainState::Round* out = out_round(ts); out && out->line == i) {
+        out->list = line;
+    }
     ts.pending_hint[large_] |= static_cast<std::uint8_t>(1u << i);
     // Once the next append might not fit, land a ring of the fullest
     // line's oldest slab entries (another while the row is still full), so
     // an append never waits for a drain (whose records would overwrite
     // its own) and the newer entries keep coalescing blocks until the
     // next full ring.
-    if (row.full(capacity_)) {
+    if (seen->full(room)) {
         drain_pending(ctx, ts, /*while_full=*/true);
     }
+}
+
+bool
+SlabHeap::lands_before_append(cxl::MemSession& mem, ThreadState& ts)
+{
+    return mem.mcas_round_out() || load_row(mem, ts).full(capacity_);
+}
+
+DrainState::Round*
+SlabHeap::out_round(const ThreadState& ts) const
+{
+    return ts.drain && ts.drain->out.heap == this ? &ts.drain->out : nullptr;
+}
+
+std::uint32_t
+SlabHeap::appends_see(const PendingRow& row, const ThreadState& ts,
+                      PendingRow& with_out, const PendingRow*& seen) const
+{
+    const DrainState::Round* out = out_round(ts);
+    if (out == nullptr) {
+        seen = &row;
+        return capacity_;
+    }
+    with_out = row;
+    seen = &with_out;
+    std::uint32_t room = capacity_;
+    for (std::uint32_t i = 0; i < out->staged; i++) {
+        with_out.line[out->line].add(out->slab_of[i], out->k_of[i]);
+        room += out->k_of[i];
+    }
+    return room;
 }
 
 void
@@ -953,6 +1022,7 @@ SlabHeap::drain_pending(pod::ThreadContext& ctx, ThreadState& ts,
 {
     cxl::MemSession& mem = ctx.mem();
     try {
+        land_out_round(ctx, ts);
         PendingRow row = load_row(mem, ts);
         if (row.stamped_out() != lines_) {
             // Left by a round whose put-back could not reach its line (see
@@ -960,16 +1030,28 @@ SlabHeap::drain_pending(pod::ThreadContext& ctx, ThreadState& ts,
             reconcile_ring(ctx);
             row = load_row(mem, ts);
         }
-        cxl::McasBackoff backoff;
+        // Finish the round just launched on line @p i, back into the row.
+        auto land = [&](std::uint32_t i) {
+            land_out_round(ctx, ts);
+            row.line[i] = ts.drain->out.list;
+        };
         if (while_full) {
+            // A round that leaves the row full lands at once: its
+            // put-backs decide whether another is needed. The last stays
+            // out.
             while (row.full(capacity_)) {
-                drain_round(ctx, ts, row, row.fullest(), backoff);
+                const std::uint32_t i = row.fullest();
+                launch_round(ctx, ts, row, i);
+                if (row.full(capacity_)) {
+                    land(i);
+                }
             }
             return;
         }
         for (std::uint32_t i = 0; i < lines_; i++) {
             while (row.line[i].n != 0) {
-                drain_round(ctx, ts, row, i, backoff);
+                launch_round(ctx, ts, row, i);
+                land(i);
             }
         }
     } catch (const cxl::NmpStallError&) {
@@ -1001,9 +1083,8 @@ SlabHeap::settle_ring(pod::ThreadContext& ctx)
 }
 
 void
-SlabHeap::drain_round(pod::ThreadContext& ctx, ThreadState& ts,
-                      PendingRow& row, std::uint32_t line,
-                      cxl::McasBackoff& backoff)
+SlabHeap::launch_round(pod::ThreadContext& ctx, ThreadState& ts,
+                       PendingRow& row, std::uint32_t line)
 {
     cxl::MemSession& mem = ctx.mem();
     PendingList& list = row.line[line];
@@ -1012,36 +1093,37 @@ SlabHeap::drain_round(pod::ThreadContext& ctx, ThreadState& ts,
         ts.drain->refreshed_at = ts.version;
     }
     DrainState& drain = *ts.drain;
+    DrainState::Round& out = drain.out;
+    CXL_ASSERT(out.heap == nullptr && !mem.mcas_round_out(),
+               "a drain round is still out");
     DrainState::Prediction* predicted = drain.slot[large_ ? 1 : 0];
     cxl::McasOperand ops[cxl::kNmpRingSlots];
-    std::uint32_t slab_of[cxl::kNmpRingSlots];
-    std::uint32_t k_of[cxl::kNmpRingSlots];
     const std::uint32_t staged =
         std::min<std::uint32_t>(list.n, cxl::kNmpRingSlots);
     std::uint16_t ver = 0;
     for (std::uint32_t i = 0; i < staged; i++) {
-        slab_of[i] = list.slab(i);
-        k_of[i] = list.count(i);
+        const std::uint32_t slab = list.slab(i);
+        const std::uint32_t k = list.count(i);
         // Stage from the word this thread expects the counter to hold; the
         // mCAS checks it. Read the counter only when there is none, or
         // when it is below the entry's count.
         const DrainState::Prediction& p =
-            predicted[slab_of[i] % DrainState::kSlots];
+            predicted[slab % DrainState::kSlots];
         std::uint64_t word = p.word;
-        if (p.slab_plus1 != slab_of[i] + 1 ||
-            DcasWord::value(word) < k_of[i]) {
-            word = dcas_->read_word(mem, hwcc(slab_of[i]));
+        if (p.slab_plus1 != slab + 1 || DcasWord::value(word) < k) {
+            word = dcas_->read_word(mem, hwcc(slab));
         }
         std::uint32_t cur = DcasWord::value(word);
-        CXL_ASSERT(cur >= k_of[i],
-                   "remote-free counter underflow (double free?)");
+        CXL_ASSERT(cur >= k, "remote-free counter underflow (double free?)");
         ver = ts.next_version();
-        ops[i] = dcas_->stage_word(mem, hwcc(slab_of[i]), word,
-                                   cur - k_of[i], ver);
+        ops[i] = dcas_->stage_word(mem, hwcc(slab), word, cur - k, ver);
+        out.slab_of[i] = slab;
+        out.k_of[i] = k;
+        out.swap_of[i] = ops[i].swap;
     }
     // No help records for the tags the operands displace: no recovery asks
     // did_succeed of a slab counter under NoHwcc (reconcile_ring reads the
-    // slots). The thread's own entry is refreshed after the polls.
+    // slots). The thread's own entry is refreshed after its finishes.
     for (std::uint32_t i = 0; i < staged; i++) {
         bool posted = mem.mcas_post(ops[i]);
         CXL_ASSERT(posted, "ring rejected a ring-bounded batch");
@@ -1055,9 +1137,9 @@ SlabHeap::drain_round(pod::ThreadContext& ctx, ThreadState& ts,
                                   .large_heap = large_,
                                   .aux = static_cast<std::uint16_t>(staged),
                                   .version = ver,
-                                  .index = slab_of[0]});
+                                  .index = out.slab_of[0]});
     for (std::uint32_t i = 0; i < staged; i++) {
-        list.sub(slab_of[i], k_of[i]);
+        list.sub(out.slab_of[i], out.k_of[i]);
     }
     list.stamp = PendingList::kStampOut | ver;
     store_line(mem, line, list);
@@ -1066,60 +1148,116 @@ SlabHeap::drain_round(pod::ThreadContext& ctx, ThreadState& ts,
     mem.fence();
     ctx.maybe_crash(crashpoint::kMidBatchDoorbell);
     mem.mcas_doorbell();
-    ctx.maybe_crash(crashpoint::kMidBatchDrain);
-    // Read the results while the ring still holds them. A landed operand
-    // that took its counter to zero steals the slab; a failed one goes back
-    // into its line. Both happen before the stamp is cleared, durably, and
-    // before any slot is released: an out stamp always means the ring holds
-    // exactly its round, and reconcile_ring can finish its steals.
-    cxl::NmpSlotView views[cxl::kNmpRingSlots];
-    std::uint32_t live =
-        ctx.process().pod().nmp().ring_snapshot(mem.tid(), views, staged);
-    CXL_ASSERT(live == staged, "doorbell lost staged operands");
-    bool stole = false;
-    for (std::uint32_t i = 0; i < staged; i++) {
-        if (views[i].state != cxl::NmpSlotState::Executed ||
-            !views[i].result.success) {
-            list.add(slab_of[i], k_of[i]);
-        } else if (DcasWord::value(ops[i].swap) == 0) {
-            // Every block was remotely freed: the slab is detached or
-            // disowned and unlinked, so stealing needs no coordination
-            // with the previous owner (paper §3.2.1).
-            ctx.maybe_crash(crashpoint::kMidSteal);
-            acquire_to_unsized(ctx, slab_of[i]);
-            stole = true;
-        }
-    }
-    list.stamp = ver;
-    persist_line(mem, line, list);
     if (list.n == 0) {
+        // Appends need not load it: the round's copy stands in for it.
         ts.pending_hint[large_] &= static_cast<std::uint8_t>(~(1u << line));
     }
-    if (inst_.registry != nullptr) {
-        obs::MetricsShard& sh = inst_.registry->shard(mem.tid());
-        sh.add(inst_.drain_rounds);
-        sh.add(inst_.drain_blocks,
-               std::accumulate(k_of, k_of + staged, std::uint64_t{0}));
-    }
-    bool conflicted = false;
-    for (std::uint32_t i = 0; i < staged; i++) {
-        cxl::McasResult r;
-        bool polled = mem.mcas_poll(&r);
-        CXL_ASSERT(polled, "doorbell executed fewer ops than staged");
-        conflicted |= r.conflict;
-        DrainState::Prediction& p = predicted[slab_of[i] % DrainState::kSlots];
-        if (r.conflict) {
-            if (p.slab_plus1 == slab_of[i] + 1) {
-                p = {}; // the device read nothing to predict from
+    out.heap = this;
+    out.ctx = &ctx;
+    out.ts = &ts;
+    out.line = line;
+    out.staged = staged;
+    out.ver = ver;
+    out.list = list;
+    mem.set_mcas_finisher(&drain);
+    ctx.maybe_crash(crashpoint::kMidBatchDrain);
+}
+
+void
+DrainState::finish_mcas_round()
+{
+    out.heap->finish_round(*out.ctx, *out.ts);
+}
+
+void
+SlabHeap::finish_round(pod::ThreadContext& ctx, ThreadState& ts)
+{
+    cxl::MemSession& mem = ctx.mem();
+    DrainState& drain = *ts.drain;
+    DrainState::Round& out = drain.out;
+    out.heap = nullptr;
+    try {
+        // Read the results while the ring still holds them, once the trip
+        // is over. A landed operand that took its counter to zero steals
+        // the slab; a failed one goes back into its line. Both happen
+        // before the stamp is cleared, durably, and before any slot is
+        // released: an out stamp always means the ring holds exactly its
+        // round, and reconcile_ring can finish its steals.
+        mem.mcas_wait();
+        cxl::NmpSlotView views[cxl::kNmpRingSlots];
+        std::uint32_t live = ctx.process().pod().nmp().ring_snapshot(
+            mem.tid(), views, out.staged);
+        CXL_ASSERT(live == out.staged, "doorbell lost staged operands");
+        PendingList& list = out.list;
+        for (std::uint32_t i = 0; i < out.staged; i++) {
+            if (views[i].state != cxl::NmpSlotState::Executed ||
+                !views[i].result.success) {
+                list.add(out.slab_of[i], out.k_of[i]);
+            } else if (DcasWord::value(out.swap_of[i]) == 0) {
+                // Every block was remotely freed: the slab is detached or
+                // disowned and unlinked, so stealing needs no coordination
+                // with the previous owner (paper §3.2.1).
+                ctx.maybe_crash(crashpoint::kMidSteal);
+                acquire_to_unsized(ctx, out.slab_of[i]);
+                drain.trim_owed[large_] = true;
             }
+        }
+        list.stamp = out.ver;
+        persist_line(mem, out.line, list);
+        const auto bit = static_cast<std::uint8_t>(1u << out.line);
+        if (list.n == 0) {
+            ts.pending_hint[large_] &= static_cast<std::uint8_t>(~bit);
         } else {
-            p = {slab_of[i] + 1, r.success ? ops[i].swap : r.previous};
+            ts.pending_hint[large_] |= bit;
         }
-        if (r.success) {
-            drain.newest_landed = DcasWord::version(ops[i].swap);
-            drain.landed = true;
+        if (inst_.registry != nullptr) {
+            obs::MetricsShard& sh = inst_.registry->shard(mem.tid());
+            sh.add(inst_.drain_rounds);
+            sh.add(inst_.drain_blocks,
+                   std::accumulate(out.k_of, out.k_of + out.staged,
+                                   std::uint64_t{0}));
         }
+        DrainState::Prediction* predicted = drain.slot[large_ ? 1 : 0];
+        bool conflicted = false;
+        for (std::uint32_t i = 0; i < out.staged; i++) {
+            cxl::McasResult r;
+            bool polled = mem.mcas_poll(&r);
+            CXL_ASSERT(polled, "doorbell executed fewer ops than staged");
+            conflicted |= r.conflict;
+            const std::uint32_t slab = out.slab_of[i];
+            DrainState::Prediction& p = predicted[slab % DrainState::kSlots];
+            if (r.conflict) {
+                if (p.slab_plus1 == slab + 1) {
+                    p = {}; // the device read nothing to predict from
+                }
+            } else {
+                p = {slab + 1, r.success ? out.swap_of[i] : r.previous};
+            }
+            if (r.success) {
+                drain.newest_landed = DcasWord::version(out.swap_of[i]);
+                drain.landed = true;
+            }
+        }
+        if (conflicted) {
+            mem.charge(drain.backoff.next_ns());
+        } else {
+            drain.backoff.reset();
+        }
+    } catch (const cxl::EdgeDownError&) {
+        settle_ring(ctx);
+        throw;
     }
+}
+
+void
+SlabHeap::land_out_round(pod::ThreadContext& ctx, ThreadState& ts)
+{
+    cxl::MemSession& mem = ctx.mem();
+    mem.finish_mcas_round();
+    if (!ts.drain) {
+        return;
+    }
+    DrainState& drain = *ts.drain;
     // The ring is empty. Nobody records help for the operands' tags, so
     // the thread's own entry would stay where the last displacer of one of
     // its tags left it: once 2^14 versions behind, did_succeed calls its
@@ -1131,14 +1269,10 @@ SlabHeap::drain_round(pod::ThreadContext& ctx, ThreadState& ts,
         dcas_->record_landed(mem, drain.newest_landed);
         drain.refreshed_at = ts.version;
     }
-    if (conflicted) {
-        mem.charge(backoff.next_ns());
-    } else {
-        backoff.reset();
-    }
-    // Only now: a trim can move a stolen slab off the unsized list, which
-    // is what reconcile_ring checks while the stamp is out.
-    if (stole) {
+    // Only after the stamp cleared: a trim can move a stolen slab off the
+    // unsized list, which is what reconcile_ring checks while it is out.
+    if (drain.trim_owed[large_]) {
+        drain.trim_owed[large_] = false;
         trim_unsized(ctx, ts);
     }
 }
@@ -1384,7 +1518,7 @@ SlabHeap::recover(pod::ThreadContext& ctx, ThreadState& ts,
                     /*set=*/false, count);
         if (resync_count(mem, slab, w.biased - 1) == 0 &&
             w.state == SlabState::TlSized) {
-            full_transition(ctx, slab, w.biased - 1);
+            full_transition(ctx, ts, slab, w.biased - 1);
         }
         break;
       }
@@ -1666,6 +1800,28 @@ SlabHeap::audit(cxl::MemSession& mem, cxl::DeviceId shard,
                 row_of[slab] = tid;
                 pending[slab] += list.count(i);
                 report.pending_frees += list.count(i);
+            }
+            if ((list.stamp & PendingList::kStampOut) == 0) {
+                continue;
+            }
+            // A round out of this line: the decrements its operands did
+            // not land are still pending (its finish, or recovery, puts
+            // them back). The thread's ring holds exactly that round.
+            cxl::NmpSlotView views[cxl::kNmpRingSlots];
+            std::uint32_t live =
+                mem.nmp()->ring_snapshot(tid, views, cxl::kNmpRingSlots);
+            for (std::uint32_t i = 0; i < live; i++) {
+                const cxl::NmpSlotView& v = views[i];
+                if (v.op.target < hwcc_base_ ||
+                    (v.op.target - hwcc_base_) / 8 >= len ||
+                    (v.state == cxl::NmpSlotState::Executed &&
+                     v.result.success)) {
+                    continue;
+                }
+                std::uint32_t k = DcasWord::value(v.op.expected) -
+                                  DcasWord::value(v.op.swap);
+                pending[(v.op.target - hwcc_base_) / 8] += k;
+                report.pending_frees += k;
             }
         }
     }

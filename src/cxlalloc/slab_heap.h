@@ -102,6 +102,70 @@ struct PendingRow {
     std::uint32_t stamped_out() const;
 };
 
+class SlabHeap;
+
+/// What a thread's NoHwcc drain rounds remember between rounds, allocated
+/// on its first drain: predictions, the help-refresh countdown, the
+/// conflict backoff, and the round it launched but has not finished.
+/// Hints and bookkeeping only: the mCAS validates every predicted word,
+/// and no recovery reads any of it (an out round's durable state is its
+/// stamped line and the thread's NMP ring). While a round is out, this
+/// state is its session's finisher.
+struct DrainState final : cxl::McasFinisher {
+    /// Direct-mapped prediction slots per slab heap.
+    static constexpr std::uint32_t kSlots = 64;
+
+    /// The counter word the thread expects on one slab: the swap of its
+    /// last landed operand there, or the word its last failed one found.
+    struct Prediction {
+        std::uint32_t slab_plus1 = 0; ///< 0 = empty
+        std::uint64_t word = 0;
+    };
+
+    /// A launched round: up to a ring of one line's oldest entries, staged
+    /// and rung, whose results the finish harvests.
+    struct Round {
+        SlabHeap* heap = nullptr; ///< null: no round out
+        pod::ThreadContext* ctx = nullptr;
+        ThreadState* ts = nullptr;
+        std::uint32_t line = 0;
+        std::uint32_t staged = 0;
+        /// Its last operand's version: the line's stamp.
+        std::uint16_t ver = 0;
+        /// Its line as the thread last stored it (the launch, then any
+        /// append): the finish puts the failed operands back into it.
+        PendingList list;
+        std::uint32_t slab_of[cxl::kNmpRingSlots] = {};
+        std::uint32_t k_of[cxl::kNmpRingSlots] = {};
+        std::uint64_t swap_of[cxl::kNmpRingSlots] = {};
+    };
+
+    /// [large heap][slab % kSlots].
+    Prediction slot[2][kSlots];
+    /// The thread's version when it last refreshed its own help entry
+    /// (or when this state was allocated).
+    std::uint16_t refreshed_at = 0;
+    /// Version of the newest operand of the thread's that landed.
+    std::uint16_t newest_landed = 0;
+    bool landed = false;
+    /// [large heap]: a finish stole a slab. The finish may run inside
+    /// another operation, so the unsized-list trim it owes waits for the
+    /// thread's next launch or cleanup in that heap (or a refill that
+    /// finishes a round).
+    bool trim_owed[2] = {false, false};
+    /// Waits after rounds with conflicts, escalating round over round.
+    cxl::McasBackoff backoff;
+    Round out;
+
+    DrainState() = default;
+    /// The session holds its address while a round is out.
+    DrainState(const DrainState&) = delete;
+    DrainState& operator=(const DrainState&) = delete;
+
+    /// Runs the out round's finish (MemSession calls it).
+    void finish_mcas_round() override;
+};
+
 /// One slab heap (small or large).
 class SlabHeap {
   public:
@@ -130,17 +194,32 @@ class SlabHeap {
     /// becomes ONE operand cur -> cur - k, built from the counter word the
     /// thread predicts (or reads), and the ring shares one NMP doorbell
     /// (one device round trip, §4). An operand that lands a zero counter
-    /// steals its slab. Durability: the round's Op::FreeRemoteBatch
-    /// record, then the line minus the staged decrements (stamped out),
-    /// share one flush + fence before the doorbell; after it, the round's
-    /// steals run, failed operands go back into the line and the stamp is
-    /// cleared (flush + fence), all before any ring slot is released; the
-    /// unsized-list trim comes last. At most one line is stamped out.
-    /// Conflicts retry after bounded exponential backoff. An NmpStallError
-    /// / EdgeDownError is rethrown only after the round it interrupted is
-    /// reconciled and the ring released.
+    /// steals its slab.
+    ///
+    /// A round is a launch and a finish. The launch: the round's
+    /// Op::FreeRemoteBatch record, then the line minus the staged
+    /// decrements (stamped out), share one flush + fence before the
+    /// doorbell. The finish, at the thread's next use of its ring (its
+    /// session runs it before any cas64 or mcas_post; the next launch and
+    /// cleanup run it first, and a refill before it looks past an empty
+    /// unsized list): the wait for what is left of the
+    /// trip, the round's steals, failed operands back into the line, and
+    /// the stamp cleared (flush + fence), all before any ring slot is
+    /// released. At most one round per thread is out, pod-wide, and at
+    /// most one line stamped out. A drain of every line finishes each of
+    /// its rounds at once; a @p while_full drain leaves its last round
+    /// out, so the thread's work until then hides its trip. The trim after
+    /// a steal and the help refresh run at the next launch or cleanup (or
+    /// a refill that finishes a round). Conflicts retry after bounded exponential backoff. An
+    /// NmpStallError / EdgeDownError is rethrown only after the round it
+    /// interrupted is reconciled and the ring released.
     void drain_pending(pod::ThreadContext& ctx, ThreadState& ts,
                        bool while_full = false);
+
+    /// NoHwcc: true when the calling thread's next remote free could land
+    /// a round, and log its records, before its own record: a round of the
+    /// thread's is out (of any heap or shard), or this heap's row is full.
+    bool lands_before_append(cxl::MemSession& mem, ThreadState& ts);
 
     /// Recovery and drain helper: if one of the calling thread's lines is
     /// stamped out, puts back into it every operand of that round still
@@ -178,7 +257,9 @@ class SlabHeap {
                  const OpRecord& record);
 
     /// Adds this heap's slab-law violations, live blocks and pending frees
-    /// (audit.h), as shard @p shard, to @p report. Requires quiescence.
+    /// (audit.h), as shard @p shard, to @p report. Requires quiescence. A
+    /// round out of a line (launched, not finished) counts its operands
+    /// that did not land, read from the thread's ring, as pending.
     void audit(cxl::MemSession& mem, cxl::DeviceId shard,
                AuditReport& report);
 
@@ -337,12 +418,12 @@ class SlabHeap {
 
     // ---- operations ----
     bool refill(pod::ThreadContext& ctx, ThreadState& ts, std::uint32_t cls);
-    void init_from_unsized(pod::ThreadContext& ctx, std::uint32_t slab,
-                           std::uint32_t cls);
+    void init_from_unsized(pod::ThreadContext& ctx, ThreadState& ts,
+                           std::uint32_t slab, std::uint32_t cls);
     bool pop_global(pod::ThreadContext& ctx, ThreadState& ts);
     bool extend(pod::ThreadContext& ctx, ThreadState& ts);
-    void full_transition(pod::ThreadContext& ctx, std::uint32_t slab,
-                         std::uint32_t cls);
+    void full_transition(pod::ThreadContext& ctx, ThreadState& ts,
+                         std::uint32_t slab, std::uint32_t cls);
     /// Local free of @p block; @p w is the owner word deallocate read.
     void free_local(pod::ThreadContext& ctx, ThreadState& ts,
                     std::uint32_t slab, std::uint32_t block, OwnerWord w);
@@ -353,11 +434,29 @@ class SlabHeap {
     /// Appends a remote free of @p slab to the thread's pending row.
     void defer_remote(pod::ThreadContext& ctx, ThreadState& ts,
                       std::uint32_t slab);
-    /// One drain_pending round over line @p line of @p row (the thread's
-    /// row, updated to what the round leaves behind).
-    void drain_round(pod::ThreadContext& ctx, ThreadState& ts,
-                     PendingRow& row, std::uint32_t line,
-                     cxl::McasBackoff& backoff);
+    /// Points @p seen at the row appends must fit: @p row itself, or while
+    /// @p ts has a round of this heap out, @p row with every staged operand
+    /// back in its line as if all had failed (a put-back needs its slot,
+    /// and a staged slab's next append joins that entry), built in
+    /// @p with_out. Returns the blocks @p seen may hold: the capacity plus
+    /// the round's, which @p row does not hold.
+    std::uint32_t appends_see(const PendingRow& row, const ThreadState& ts,
+                              PendingRow& with_out,
+                              const PendingRow*& seen) const;
+    /// @p ts's out round if this heap launched it, else null.
+    DrainState::Round* out_round(const ThreadState& ts) const;
+    /// Launches a drain_pending round over line @p line of @p row (the
+    /// thread's row, updated to what the launch leaves behind) and
+    /// registers @p ts's DrainState as its session's finisher.
+    void launch_round(pod::ThreadContext& ctx, ThreadState& ts,
+                      PendingRow& row, std::uint32_t line);
+    /// Finishes @p ts's out round of this heap (DrainState::Round): logs
+    /// no record and posts no operand.
+    void finish_round(pod::ThreadContext& ctx, ThreadState& ts);
+    /// Finishes the thread's out round, whichever heap or shard launched
+    /// it, then runs what this heap's finishes left: the trim after a
+    /// steal, and the help refresh once per kHelpRefreshVersions.
+    void land_out_round(pod::ThreadContext& ctx, ThreadState& ts);
     /// After a drain threw NmpStallError / EdgeDownError: reconcile_ring,
     /// then release the ring (also when the reconcile itself throws).
     void settle_ring(pod::ThreadContext& ctx);
@@ -425,6 +524,8 @@ class SlabHeap {
     std::uint32_t unsized_limit_;
 
     Instruments inst_;
+
+    friend struct DrainState;
 };
 
 } // namespace cxlalloc

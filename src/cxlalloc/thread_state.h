@@ -14,30 +14,8 @@
 
 namespace cxlalloc {
 
-/// What a thread's NoHwcc drain rounds (SlabHeap::drain_round) remember
-/// between rounds, allocated on its first drain. Hints and bookkeeping
-/// only: the mCAS validates every predicted word, and no recovery reads
-/// any of it.
-struct DrainState {
-    /// Direct-mapped prediction slots per slab heap.
-    static constexpr std::uint32_t kSlots = 64;
-
-    /// The counter word the thread expects on one slab: the swap of its
-    /// last landed operand there, or the word its last failed one found.
-    struct Prediction {
-        std::uint32_t slab_plus1 = 0; ///< 0 = empty
-        std::uint64_t word = 0;
-    };
-
-    /// [large heap][slab % kSlots].
-    Prediction slot[2][kSlots];
-    /// The thread's version when it last refreshed its own help entry
-    /// (or when this state was allocated).
-    std::uint16_t refreshed_at = 0;
-    /// Version of the newest operand of the thread's that landed.
-    std::uint16_t newest_landed = 0;
-    bool landed = false;
-};
+/// What a thread's NoHwcc drain rounds remember (slab_heap.h).
+struct DrainState;
 
 struct ThreadState {
     /// Last detectable-CAS version used (15-bit circular). Restored from
@@ -54,12 +32,15 @@ struct ThreadState {
 
     /// NoHwcc drain rounds' state; null until the first drain. Recovery
     /// keeps the crashed thread's: its refresh countdown must not restart.
+    /// Complete where a ThreadState is destroyed (slab_heap.h).
     std::unique_ptr<DrainState> drain;
 
     /// Per slab heap ([large heap]), one bit per pending line (SlabHeap's
-    /// PendingRow): set when the line may hold entries or an out stamp. A
-    /// clear bit is exact, so appends and drains load only the lines whose
-    /// bit is set; a set bit may be stale. All set on attach and recovery.
+    /// PendingRow): set when the line may hold entries or an out stamp,
+    /// except that a line its out round emptied reads from the round's
+    /// copy (DrainState). A clear bit is exact, so appends and drains load
+    /// only the lines whose bit is set; a set bit may be stale. All set on
+    /// attach and recovery.
     std::uint8_t pending_hint[2] = {0xff, 0xff};
 
     /// Allocates the next CAS version.

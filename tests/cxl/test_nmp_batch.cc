@@ -12,13 +12,17 @@
 #include <gtest/gtest.h>
 #include <algorithm>
 #include <atomic>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "../cxlalloc/fixture.h"
 #include "cxl/latency_model.h"
+#include "cxl/mem_ops.h"
+#include "cxlalloc/pod_shard.h"
 #include "cxlalloc/size_class.h"
+#include "pod/topology.h"
 
 namespace {
 
@@ -290,6 +294,135 @@ TEST_F(NmpBatchTest, ConcurrentBatchesLinearize)
         total += word(8192 + s * 64);
     }
     EXPECT_EQ(total, static_cast<std::uint64_t>(kThreads) * kIncrements);
+}
+
+// --------------------------- the deferred wait ----------------------------
+
+/// A session on the fixture's engine with the mCAS latency model: a ring
+/// of @p k operands on distinct words is posted and rung.
+class McasWaitTest : public NmpBatchTest {
+  protected:
+    McasWaitTest() : mem_(&dev_, &nmp_, 1)
+    {
+        mem_.set_latency_model(&model_);
+    }
+
+    void
+    ring(std::uint32_t k)
+    {
+        for (std::uint32_t i = 0; i < k; i++) {
+            ASSERT_TRUE(mem_.mcas_post(op(next_, 0, 1)));
+            next_ += 8;
+        }
+        ASSERT_EQ(mem_.mcas_doorbell(), k);
+    }
+
+    void
+    harvest(std::uint32_t k)
+    {
+        for (std::uint32_t i = 0; i < k; i++) {
+            McasResult r;
+            ASSERT_TRUE(mem_.mcas_poll(&r));
+            EXPECT_TRUE(r.success);
+        }
+    }
+
+    std::uint64_t
+    trip(std::uint32_t k) const
+    {
+        return model_.mcas_ns + (k - 1) * model_.mcas_batch_slot_ns;
+    }
+
+    cxl::LatencyModel model_ = cxl::LatencyModel::cxl_mcas();
+    cxl::MemSession mem_;
+    cxl::HeapOffset next_ = 0; ///< the next operand's (zero) word
+};
+
+TEST_F(McasWaitTest, ImmediateHarvestChargesTheWholeTrip)
+{
+    ring(3);
+    std::uint64_t rung = mem_.sim_ns();
+    harvest(3);
+    EXPECT_EQ(mem_.sim_ns() - rung, trip(3));
+    EXPECT_EQ(mem_.mcas_trip_ns(), trip(3));
+    EXPECT_EQ(mem_.mcas_wait_ns(), trip(3));
+}
+
+TEST_F(McasWaitTest, HarvestAfterOtherWorkPaysOnlyWhatIsLeft)
+{
+    // Work charged since the doorbell hides that much of the trip...
+    ring(2);
+    std::uint64_t rung = mem_.sim_ns();
+    mem_.charge(1000);
+    harvest(2);
+    EXPECT_EQ(mem_.sim_ns() - rung, trip(2));
+    EXPECT_EQ(mem_.mcas_wait_ns(), trip(2) - 1000);
+    // ... and all of it once the work outlasts it.
+    ring(2);
+    rung = mem_.sim_ns();
+    mem_.charge(trip(2) + 500);
+    harvest(2);
+    EXPECT_EQ(mem_.sim_ns() - rung, trip(2) + 500);
+    EXPECT_EQ(mem_.mcas_trip_ns(), 2 * trip(2));
+    EXPECT_EQ(mem_.mcas_wait_ns(), trip(2) - 1000);
+}
+
+TEST_F(McasWaitTest, InjectedDelayExtendsTheWait)
+{
+    nmp_.inject_delay(900, 1);
+    ring(1);
+    std::uint64_t rung = mem_.sim_ns();
+    mem_.charge(400);
+    harvest(1);
+    EXPECT_EQ(mem_.sim_ns() - rung, trip(1) + 900);
+    EXPECT_EQ(mem_.mcas_trip_ns(), trip(1) + 900);
+    EXPECT_EQ(mem_.mcas_wait_ns(), trip(1) + 900 - 400);
+}
+
+/// Harvests a ring of @p k left out, the way the slab heap's finish does.
+struct RingFinisher final : cxl::McasFinisher {
+    RingFinisher(cxl::MemSession& mem, std::uint32_t k) : mem(mem), k(k) {}
+
+    void
+    finish_mcas_round() override
+    {
+        runs++;
+        for (std::uint32_t i = 0; i < k; i++) {
+            McasResult r;
+            EXPECT_TRUE(mem.mcas_poll(&r));
+        }
+    }
+
+    cxl::MemSession& mem;
+    std::uint32_t k;
+    int runs = 0;
+};
+
+TEST_F(McasWaitTest, Cas64FinishesTheUnharvestedRoundFirst)
+{
+    // A round left out, then a raw cas64 on another word: the session
+    // runs the round's finisher first, which empties the ring for the
+    // cas64's own operand, and pays the round's wait.
+    ring(kNmpRingSlots);
+    RingFinisher finisher(mem_, kNmpRingSlots);
+    mem_.set_mcas_finisher(&finisher);
+    EXPECT_TRUE(mem_.mcas_round_out());
+    std::uint64_t expected = word(0x1000);
+    EXPECT_TRUE(mem_.cas64(0x1000, expected, expected + 1));
+    EXPECT_EQ(finisher.runs, 1);
+    EXPECT_FALSE(mem_.mcas_round_out());
+    EXPECT_EQ(nmp_.ring_occupancy(1), 0u);
+    EXPECT_EQ(mem_.mcas_wait_ns(), trip(kNmpRingSlots));
+    // mcas_post does the same; a finished round is not run again.
+    ring(1);
+    mem_.set_mcas_finisher(&finisher);
+    finisher.k = 1;
+    ASSERT_TRUE(mem_.mcas_post(op(next_, 0, 1)));
+    EXPECT_EQ(finisher.runs, 2);
+    mem_.finish_mcas_round();
+    EXPECT_EQ(finisher.runs, 2);
+    ASSERT_EQ(mem_.mcas_doorbell(), 1u);
+    harvest(1);
 }
 
 // ------------------------- allocator batched drain ------------------------
@@ -1577,13 +1710,18 @@ TEST(DeferredFrees, AListStillFullAfterARoundLandsASecond)
     // t2 appends blocks of eight slabs, slab after slab, until its row
     // holds its capacity: one line of eight entries, whose oldest ring is
     // all eight. t3 lands one free of each slab after t2 read the
-    // counters, so every operand of t2's round fails and goes back: the
-    // row still holds capacity blocks, and the same append lands a second
-    // round, built from fresh counter words.
+    // counters, so every operand of t2's round fails. The round stays out
+    // after the append that launched it, until t2's next cas64 finishes
+    // it: all eight go back, and the row holds its capacity again. So
+    // t2's next append lands a second round, built from fresh counter
+    // words, before it appends.
     Rig rig(nohwcc_opts());
     auto t1 = rig.thread();
     auto t2 = rig.thread();
     auto t3 = rig.thread();
+    cxl::HeapOffset next = rig.alloc.allocate(
+        *t1, cxlalloc::small_class_size(kNmpRingSlots));
+    ASSERT_NE(next, 0u);
     std::vector<cxl::HeapOffset> mine;
     for (std::uint32_t c = 0; c < kNmpRingSlots; c++) {
         std::uint64_t size = cxlalloc::small_class_size(c);
@@ -1611,16 +1749,332 @@ TEST(DeferredFrees, AListStillFullAfterARoundLandsASecond)
     sched::t_listener = nullptr;
     ASSERT_TRUE(race.fired());
     const cxl::MemEventCounters& c = t2->mem().counters();
+    EXPECT_EQ(c.mcas_batches, 1u);
+    EXPECT_EQ(c.mcas_batch_ops, kNmpRingSlots);
+    EXPECT_TRUE(t2->mem().mcas_round_out());
+    // The out round's failed operands count as pending.
+    EXPECT_EQ(rig.alloc.audit(t2->mem()).pending_frees, mine.size());
+    cxl::HeapOffset len = rig.alloc.layout().small_len();
+    std::uint64_t word = t2->mem().atomic_load64(len);
+    EXPECT_TRUE(t2->mem().cas64(len, word, word));
+    EXPECT_FALSE(t2->mem().mcas_round_out());
+    EXPECT_EQ(small_line(rig, *t2).size(), kSmallCapacity);
+    rig.alloc.deallocate(*t2, next);
     EXPECT_EQ(c.mcas_batches, 2u);
     EXPECT_EQ(c.mcas_batch_ops, 2 * kNmpRingSlots);
-    EXPECT_EQ(small_line(rig, *t2).n, 0u);
+    cxlalloc::PendingList line = small_line(rig, *t2);
+    ASSERT_EQ(line.n, 1u);
+    EXPECT_EQ(line.slab(0), small_slab_of(rig, next));
     cxlalloc::AuditReport r = rig.alloc.audit(t2->mem());
     EXPECT_TRUE(r.ok()) << r.to_string();
-    EXPECT_EQ(r.pending_frees, 0u);
-    EXPECT_EQ(live0 - r.live_blocks, mine.size());
+    EXPECT_EQ(r.pending_frees, 1u);
+    EXPECT_EQ(live0 - r.live_blocks, mine.size() + 1);
     rig.pod.release_thread(std::move(t1));
     rig.pod.release_thread(std::move(t2));
     rig.pod.release_thread(std::move(t3));
+}
+
+/// t1 allocates blocks of eight classes, one slab each, and @p t2 frees
+/// them until its row holds its capacity (one line of eight entries,
+/// whose oldest ring is all eight): the last append launches a round of
+/// all eight, which stays out. Before t2 posts it, @p race runs. Returns
+/// the blocks freed.
+std::vector<cxl::HeapOffset>
+round_of_eight_out(Rig& rig, pod::ThreadContext& t1, pod::ThreadContext& t2,
+                   const std::function<void()>& race)
+{
+    std::vector<cxl::HeapOffset> mine;
+    for (std::uint32_t c = 0; c < kNmpRingSlots; c++) {
+        std::uint32_t blocks = kSmallCapacity / kNmpRingSlots +
+                               (c < kSmallCapacity % kNmpRingSlots ? 1 : 0);
+        for (std::uint32_t b = 0; b < blocks; b++) {
+            mine.push_back(
+                rig.alloc.allocate(t1, cxlalloc::small_class_size(c)));
+            EXPECT_NE(mine.back(), 0u);
+        }
+    }
+    cxltest::FireOnce fire(
+        [](const sched::Event& e) { return e.op == sched::Op::McasPost; },
+        race);
+    sched::t_listener = &fire;
+    for (cxl::HeapOffset p : mine) {
+        rig.alloc.deallocate(t2, p);
+    }
+    sched::t_listener = nullptr;
+    EXPECT_TRUE(fire.fired());
+    EXPECT_TRUE(t2.mem().mcas_round_out());
+    EXPECT_EQ(t2.mem().counters().mcas_batches, 1u);
+    return mine;
+}
+
+TEST(DeferredFrees, AnOutRoundsFailedOperandIsPendingNotLive)
+{
+    // t3 lands a free of the first slab after t2 read its counter, so that
+    // operand of t2's round fails. While the round is out, the audit
+    // counts its blocks as pending, not live: live_blocks reads what it
+    // reads once cleanup has put them back and landed them.
+    Rig rig(nohwcc_opts());
+    auto t1 = rig.thread();
+    auto t2 = rig.thread();
+    auto t3 = rig.thread();
+    cxl::HeapOffset theirs =
+        rig.alloc.allocate(*t1, cxlalloc::small_class_size(0));
+    ASSERT_NE(theirs, 0u);
+    rig.alloc.deallocate(*t3, theirs);
+    round_of_eight_out(rig, *t1, *t2, [&] { rig.alloc.cleanup(*t3); });
+    const std::uint32_t failed = kSmallCapacity / kNmpRingSlots + 1;
+    cxlalloc::AuditReport out = rig.alloc.audit(t2->mem());
+    EXPECT_TRUE(out.ok()) << out.to_string();
+    EXPECT_EQ(out.pending_frees, failed);
+    rig.alloc.cleanup(*t2);
+    EXPECT_EQ(t2->mem().counters().mcas_batches, 2u);
+    cxlalloc::AuditReport landed = rig.alloc.audit(t2->mem());
+    EXPECT_TRUE(landed.ok()) << landed.to_string();
+    EXPECT_EQ(landed.pending_frees, 0u);
+    EXPECT_EQ(out.live_blocks, landed.live_blocks);
+    rig.pod.release_thread(std::move(t1));
+    rig.pod.release_thread(std::move(t2));
+    rig.pod.release_thread(std::move(t3));
+}
+
+TEST(DeferredFrees, Cas64OnASessionWithARoundOutFinishesItFirst)
+{
+    // perfbench's calibration shape: a raw cas64 on the session of a
+    // thread whose drain round is out. The session finishes the round
+    // (stamp cleared, ring released) before the cas64 posts, and the
+    // heap stays exact.
+    Rig rig(nohwcc_opts());
+    auto t1 = rig.thread();
+    auto t2 = rig.thread();
+    round_of_eight_out(rig, *t1, *t2, [] {});
+    EXPECT_NE(small_line(rig, *t2).stamp & cxlalloc::PendingList::kStampOut,
+              0u);
+    cxl::MemSession& mem = t2->mem();
+    cxl::HeapOffset len = rig.alloc.layout().small_len();
+    std::uint64_t word = mem.atomic_load64(len);
+    EXPECT_TRUE(mem.cas64(len, word, word));
+    EXPECT_FALSE(mem.mcas_round_out());
+    EXPECT_EQ(small_line(rig, *t2).stamp & cxlalloc::PendingList::kStampOut,
+              0u);
+    EXPECT_EQ(rig.pod.nmp().ring_occupancy(t2->tid()), 0u);
+    cxlalloc::AuditReport r = rig.alloc.audit(mem);
+    EXPECT_TRUE(r.ok()) << r.to_string();
+    EXPECT_EQ(r.pending_frees, 0u);
+    rig.pod.release_thread(std::move(t1));
+    rig.pod.release_thread(std::move(t2));
+}
+
+TEST(DeferredFrees, LocalWorkWithARoundOutSurvivesAKillAnywhere)
+{
+    // The two-line row's last append launches line 1's oldest ring, which
+    // stays out (all eight operands land) while t2 works locally: it fills
+    // a 1 KiB slab (Alloc, then Detach), frees a block of it (FreeLocal,
+    // relinking the slab), appends a free of a slab of the round (into
+    // line 1) and of a slab of line 0, then allocates a class it has no
+    // slab of: the refill inits a slab from its unsized list (Init). A
+    // kill at each step's crash points, at several countdowns, recovers to
+    // a clean audit, nothing pending, and exactly the accepted frees
+    // landed: the interrupted operation counts when its record made it.
+    namespace cp = cxlalloc::crashpoint;
+    for (int point : {cp::kAfterRecord, cp::kMidAlloc, cp::kMidDetach,
+                      cp::kMidFreeLocal, cp::kMidInit}) {
+        std::uint32_t kills = 0;
+        for (std::uint32_t countdown = 1; countdown <= 7; countdown++) {
+            SCOPED_TRACE("point " + std::to_string(point) + " countdown " +
+                         std::to_string(countdown));
+            Rig rig(nohwcc_opts());
+            auto t1 = rig.thread();
+            auto t2 = rig.thread();
+            // t2's own slabs: a 1 KiB slab one block short of full, and an
+            // empty 64 B slab on its unsized list.
+            std::vector<cxl::HeapOffset> held;
+            for (int i = 0; i < 31; i++) {
+                held.push_back(rig.alloc.allocate(*t2, 1024));
+            }
+            std::vector<cxl::HeapOffset> spill;
+            const std::uint64_t per_slab = cxlalloc::kSmallSlabSize / 64;
+            for (std::uint64_t i = 0; i <= per_slab; i++) {
+                spill.push_back(rig.alloc.allocate(*t2, 64));
+            }
+            held.push_back(spill.back());
+            spill.pop_back();
+            for (cxl::HeapOffset p : spill) {
+                rig.alloc.deallocate(*t2, p);
+            }
+            std::vector<cxl::HeapOffset> offs = two_line_row(rig, *t1);
+            // One more block of the round's first slab, and of line 0's.
+            cxl::HeapOffset of_round = rig.alloc.allocate(
+                *t1, cxlalloc::small_class_size(kLineSlots));
+            cxl::HeapOffset of_line0 =
+                rig.alloc.allocate(*t1, cxlalloc::small_class_size(0));
+            for (cxl::HeapOffset p : offs) {
+                rig.alloc.deallocate(*t2, p);
+            }
+            ASSERT_TRUE(t2->mem().mcas_round_out());
+            held.push_back(of_round);
+            held.push_back(of_line0);
+            ASSERT_EQ(rig.alloc.audit(t1->mem()).live_blocks, held.size());
+
+            enum Kind { kAlloc, kFree } kind = kAlloc;
+            std::uint64_t expected = 0;
+            t2->arm_crash(point, countdown);
+            try {
+                cxl::HeapOffset last = rig.alloc.allocate(*t2, 1024);
+                held.push_back(last);
+                kind = kFree;
+                held.erase(std::find(held.begin(), held.end(), last));
+                rig.alloc.deallocate(*t2, last); // relinks the slab
+                for (cxl::HeapOffset p : {of_round, of_line0}) {
+                    held.erase(std::find(held.begin(), held.end(), p));
+                    rig.alloc.deallocate(*t2, p);
+                }
+                EXPECT_TRUE(t2->mem().mcas_round_out());
+                EXPECT_EQ(small_line(rig, *t2, 1).find(small_slab_of(
+                              rig, of_round)),
+                          1u);
+                EXPECT_EQ(small_line(rig, *t2, 0).count(0), 2u);
+                kind = kAlloc;
+                held.push_back(rig.alloc.allocate(*t2, 512)); // Init
+                EXPECT_TRUE(t2->mem().mcas_round_out());
+                t2->disarm_crash();
+                expected = held.size();
+            } catch (const ThreadCrashed&) {
+                cxlalloc::Op op = rig.alloc.pending_record(*t2).op;
+                bool started =
+                    kind == kAlloc
+                        ? op == cxlalloc::Op::Alloc ||
+                              op == cxlalloc::Op::Detach
+                        : op == cxlalloc::Op::FreeLocal ||
+                              op == cxlalloc::Op::FreeDeferred;
+                // A started allocation's block is live and nobody holds
+                // it; a free that never started leaves its block live.
+                expected =
+                    held.size() + (kind == kAlloc ? started : !started);
+                kills++;
+                cxl::ThreadId tid = t2->tid();
+                rig.pod.mark_crashed(std::move(t2));
+                t2 = rig.pod.adopt_thread(rig.process, tid);
+                rig.alloc.recover(*t2);
+            }
+            rig.alloc.cleanup(*t2);
+            cxlalloc::AuditReport r = rig.alloc.audit(t2->mem());
+            ASSERT_TRUE(r.ok()) << r.to_string();
+            EXPECT_EQ(r.pending_frees, 0u);
+            EXPECT_EQ(r.live_blocks, expected);
+            rig.pod.release_thread(std::move(t1));
+            rig.pod.release_thread(std::move(t2));
+        }
+        // Seven records (Alloc, Detach, FreeLocal, two FreeDeferred,
+        // Init, Alloc), two allocations, one each of Detach and FreeLocal,
+        // and Init's two points.
+        EXPECT_EQ(kills, point == cp::kAfterRecord ? 7u
+                         : point == cp::kMidAlloc ||
+                                 point == cp::kMidInit
+                             ? 2u
+                             : 1u)
+            << "point " << point;
+    }
+}
+
+/// A 2x2 dense NoHwcc pod, one shard per device, whose emptied spare
+/// slabs go straight to the global list (unsized_limit 0).
+struct TwoShardWorld {
+    TwoShardWorld()
+        : topo(pod::Topology::dense(2, 2, cxl::EdgeCost{}, cxl::EdgeCost{}))
+    {
+        cfg.small_slabs = 8;
+        cfg.large_slabs = 4;
+        cfg.huge_regions = 2;
+        cfg.huge_region_size = 1 << 20;
+        cfg.huge_descs_per_thread = 4;
+        cfg.hazard_slots_per_thread = 4;
+        cfg.unsized_limit = 0;
+        pod::PodConfig pc;
+        pc.device = cxlalloc::PodShardedAllocator::device_config(
+            cfg, topo, cxl::CoherenceMode::NoHwcc);
+        pc.topology = topo;
+        pod = std::make_unique<pod::Pod>(pc);
+        alloc = std::make_unique<cxlalloc::PodShardedAllocator>(*pod, cfg);
+        process = pod->create_process(0);
+        alloc->attach(*process);
+    }
+
+    std::unique_ptr<pod::ThreadContext>
+    thread()
+    {
+        auto ctx = pod->create_thread(process);
+        alloc->attach_thread(*ctx);
+        return ctx;
+    }
+
+    cxlalloc::Config cfg;
+    pod::Topology topo;
+    std::unique_ptr<pod::Pod> pod;
+    std::unique_ptr<cxlalloc::PodShardedAllocator> alloc;
+    pod::Process* process = nullptr;
+};
+
+TEST(DeferredFrees, RefillInAnotherShardFinishesTheOutRoundFirst)
+{
+    // The ring belongs to the thread, not to a shard. t's round is out in
+    // shard 1 (a large row of 64 frees of one slab, whose operand zeroes
+    // the counter: a steal). A refill in shard 0 pops its global list, and
+    // finishes the round, steal included, before the pop reads the list.
+    TwoShardWorld w;
+    cxlalloc::CxlAllocator& a = w.alloc->shard(1);
+    cxlalloc::CxlAllocator& b = w.alloc->shard(0);
+    auto u = w.thread();
+    auto t = w.thread();
+    // u spills a 1 KiB slab on to shard 0's global list.
+    std::vector<cxl::HeapOffset> first;
+    for (int i = 0; i < 32; i++) {
+        first.push_back(b.allocate(*u, 1024));
+        ASSERT_NE(first.back(), 0u);
+    }
+    ASSERT_NE(b.allocate(*u, 1024), 0u);
+    for (cxl::HeapOffset p : first) {
+        b.deallocate(*u, p);
+    }
+    ASSERT_EQ(b.stats(u->mem()).small.global_free, 1u);
+    // u fills one 8 KiB-class large slab of shard 1; t frees all of it.
+    constexpr std::uint64_t kSize = 8 << 10;
+    std::vector<cxl::HeapOffset> large;
+    for (std::uint64_t i = 0; i < cxlalloc::kLargeSlabSize / kSize; i++) {
+        large.push_back(a.allocate(*u, kSize));
+        ASSERT_NE(large.back(), 0u);
+    }
+    for (cxl::HeapOffset p : large) {
+        a.deallocate(*t, p);
+    }
+    ASSERT_TRUE(t->mem().mcas_round_out());
+    const cxl::HeapOffset b_free = b.layout().small_free();
+    bool ring_empty_at_pop = false;
+    cxltest::FireOnce pop(
+        [&](const sched::Event& e) {
+            return e.op == sched::Op::AtomicLoad && e.addr == b_free;
+        },
+        [&] {
+            ring_empty_at_pop =
+                w.pod->nmp().ring_occupancy(t->tid()) == 0 &&
+                !t->mem().mcas_round_out();
+        });
+    sched::t_listener = &pop;
+    EXPECT_NE(b.allocate(*t, 64), 0u);
+    sched::t_listener = nullptr;
+    ASSERT_TRUE(pop.fired());
+    EXPECT_TRUE(ring_empty_at_pop);
+    EXPECT_EQ(b.stats(t->mem()).small.global_free, 0u);
+    auto slab = static_cast<std::uint32_t>(
+        (large[0] - a.layout().large_data()) / cxlalloc::kLargeSlabSize);
+    EXPECT_EQ(a.large_heap().debug_owner(t->mem(), slab), t->tid())
+        << "the round's steal was not finished";
+    w.alloc->cleanup(*t);
+    w.alloc->cleanup(*u);
+    cxlalloc::AuditReport r = w.alloc->audit(t->mem());
+    EXPECT_TRUE(r.ok()) << r.to_string();
+    EXPECT_EQ(r.pending_frees, 0u);
+    w.pod->release_thread(std::move(u));
+    w.pod->release_thread(std::move(t));
 }
 
 TEST(DeferredFrees, LargeHeapKeepsOneLineOf64Blocks)

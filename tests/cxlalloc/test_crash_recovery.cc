@@ -494,6 +494,95 @@ TEST(CrashRecovery, FreshOccupantsFailedPopGlobalIsNotCalledLanded)
     rig.pod.release_thread(std::move(b));
 }
 
+/// Slot @p a extends the heap twice (versions 1 and 2, the second for a
+/// 1 KiB slab); t1's first extension displaces A's tag, recording
+/// help[A] = 2; t1 then fills a 1 KiB slab, opens a second and empties
+/// the first, which spills to the global list (unsized_limit 0). Returns
+/// A's first 64 B block.
+cxl::HeapOffset
+help_entry_at_two(Rig& rig, pod::ThreadContext& a, pod::ThreadContext& t1)
+{
+    cxl::HeapOffset small = rig.alloc.allocate(a, 64);
+    EXPECT_NE(rig.alloc.allocate(a, 1024), 0u);
+    std::vector<cxl::HeapOffset> first;
+    for (int i = 0; i < 32; i++) {
+        first.push_back(rig.alloc.allocate(t1, 1024));
+        EXPECT_NE(first.back(), 0u);
+    }
+    EXPECT_NE(rig.alloc.allocate(t1, 1024), 0u);
+    for (cxl::HeapOffset p : first) {
+        rig.alloc.deallocate(t1, p);
+    }
+    EXPECT_EQ(rig.alloc.stats(t1.mem()).small.global_free, 1u);
+    return small;
+}
+
+/// The slot's next PopGlobal dies between its record and its CAS: its
+/// version must be past help[A] = 2, or recovery calls it landed and links
+/// a slab still on the global list.
+void
+failed_pop_is_not_called_landed(Rig& rig,
+                                std::unique_ptr<pod::ThreadContext>& a)
+{
+    ASSERT_TRUE(crash_and_recover(
+        rig, a, [&](pod::ThreadContext& c) { rig.alloc.allocate(c, 512); },
+        kAfterRecord));
+    cxlalloc::AuditReport r = rig.alloc.audit(a->mem());
+    EXPECT_TRUE(r.ok()) << r.to_string();
+    EXPECT_EQ(rig.alloc.stats(a->mem()).small.global_free, 1u)
+        << "the failed pop took the slab off the global list";
+}
+
+TEST(CrashRecovery, VersionlessRecordDoesNotRestartVersionsBelowHelp)
+{
+    // A's full transition logs Detach, a record without a CAS. A dies
+    // after it: recovery resumes past that record's version, which must
+    // be A's newest (2), not 0.
+    RigOptions opt;
+    opt.unsized_limit = 0;
+    Rig rig(opt);
+    auto t1 = rig.thread();
+    auto a = rig.thread();
+    help_entry_at_two(rig, *a, *t1);
+    ASSERT_TRUE(crash_and_recover(
+        rig, a,
+        [&](pod::ThreadContext& c) {
+            for (int i = 0; i < 31; i++) {
+                rig.alloc.allocate(c, 1024); // fills the slab: Detach
+            }
+        },
+        kMidDetach));
+    EXPECT_EQ(rig.alloc.pending_record(*a).op, cxlalloc::Op::None);
+    failed_pop_is_not_called_landed(rig, a);
+    verify_consistent(rig, *a);
+    rig.pod.release_thread(std::move(t1));
+    rig.pod.release_thread(std::move(a));
+}
+
+TEST(CrashRecovery, SecondAdopterDoesNotRestartVersionsBelowHelp)
+{
+    // A dies in a local free (version 2 recorded); its adopter recovers
+    // and dies before logging anything. The cleared record must keep the
+    // version, or the next adopter restarts at 1.
+    RigOptions opt;
+    opt.unsized_limit = 0;
+    Rig rig(opt);
+    auto t1 = rig.thread();
+    auto a = rig.thread();
+    cxl::HeapOffset small = help_entry_at_two(rig, *a, *t1);
+    ASSERT_TRUE(crash_and_recover(
+        rig, a, [&](pod::ThreadContext& c) { rig.alloc.deallocate(c, small); },
+        kMidFreeLocal));
+    cxl::ThreadId tid = a->tid();
+    rig.pod.mark_crashed(std::move(a));
+    a = rig.pod.adopt_thread(rig.process, tid);
+    rig.alloc.recover(*a);
+    failed_pop_is_not_called_landed(rig, a);
+    verify_consistent(rig, *a);
+    rig.pod.release_thread(std::move(t1));
+    rig.pod.release_thread(std::move(a));
+}
+
 TEST(CrashRecovery, CrashDuringHugeAllocCompletesAllocation)
 {
     Rig rig;

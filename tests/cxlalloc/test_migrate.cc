@@ -462,11 +462,15 @@ TEST(MigrateCrash, DeferredLoserFreeIsNotRefreedUnderNoHwcc)
 
 /// The loser's own free steals its slab, and with unsized_limit 0 the trim
 /// pushes the slab straight on to the global list: the freeing shard's
-/// record ends as Op::PushGlobal. A crash there (the loser's free has
-/// happened) must not make Free-stage recovery free the loser again.
+/// record ends as Op::PushGlobal. Under NoHwcc the free's append launches
+/// the round that lands its decrement, and the round is still out when
+/// the free returns: the record ends as Op::FreeRemoteBatch. A crash there
+/// (the loser's free has happened) must not make Free-stage recovery free
+/// the loser again.
 void
 loser_free_that_trims(cxl::CoherenceMode mode)
 {
+    const bool nohwcc = mode == cxl::CoherenceMode::NoHwcc;
     TieredWorld w(/*dram_percent=*/0, /*tiered=*/false, /*hosts=*/1, mode,
                   /*unsized_limit=*/0);
     auto maker = w.thread();
@@ -475,8 +479,9 @@ loser_free_that_trims(cxl::CoherenceMode mode)
     // free is the slab's last decrement. Under NoHwcc the full rows along
     // the way land all but the last of those frees, and frees of one 8 B
     // slab then fill the row to one block short of its capacity (no
-    // cleanup): the loser's append fills it, and the drain it sets off
-    // lands both entries of the row's only line, steals and trims.
+    // cleanup): the loser's append fills it, and the round it launches
+    // lands both entries of the row's only line. Recovery finishes the
+    // round's steal.
     cxl::HeapOffset obj = w.make_object(*maker, 0, 0x4b);
     std::vector<cxl::HeapOffset> rest;
     for (std::uint64_t i = 1; i < cxlalloc::kSmallSlabSize / kObjSize; i++) {
@@ -491,13 +496,13 @@ loser_free_that_trims(cxl::CoherenceMode mode)
     }
     constexpr std::uint64_t kCapacity = cxlalloc::PendingList::kSmallCapacity;
     std::uint64_t pending = w.alloc->audit(maker->mem()).pending_frees;
-    ASSERT_EQ(pending, mode == cxl::CoherenceMode::NoHwcc ? 1u : 0u);
+    ASSERT_EQ(pending, nohwcc ? 1u : 0u);
     for (std::uint64_t i = pending; i + 1 < kCapacity; i++) {
         cxl::HeapOffset pad = w.alloc->allocate(*maker, 8);
         ASSERT_NE(pad, 0u);
         w.alloc->deallocate(*ctx, pad);
     }
-    if (mode == cxl::CoherenceMode::NoHwcc) {
+    if (nohwcc) {
         ASSERT_EQ(w.alloc->audit(maker->mem()).pending_frees, kCapacity - 1);
     }
     cxl::DeviceId other = w.home() == 0 ? 1 : 0;
@@ -507,14 +512,19 @@ loser_free_that_trims(cxl::CoherenceMode mode)
                    e.aux == static_cast<std::uint64_t>(
                                 cxlalloc::migratepoint::kMidFree);
         },
-        [&] { ctx->arm_crash(cxlalloc::crashpoint::kMidPushGlobal, 1); });
+        [&] {
+            ctx->arm_crash(nohwcc ? cxlalloc::crashpoint::kMidBatchDrain
+                                  : cxlalloc::crashpoint::kMidPushGlobal,
+                           1);
+        });
     sched::t_listener = &arm;
     EXPECT_THROW(w.migrator->debug_migrate_cell(*ctx, w.cell(0), other),
                  ThreadCrashed);
     sched::t_listener = nullptr;
     ASSERT_TRUE(arm.fired());
     EXPECT_EQ(w.alloc->shard(w.home()).pending_record(*ctx).op,
-              cxlalloc::Op::PushGlobal);
+              nohwcc ? cxlalloc::Op::FreeRemoteBatch
+                     : cxlalloc::Op::PushGlobal);
     w.pod->mark_crashed(std::move(ctx));
 
     auto rescuer = w.pod->adopt_thread(w.procs[0], tid);

@@ -6,7 +6,9 @@
 /// while the owner frees blocks of its own locally; and an owner whose
 /// frees into its own disowned slabs wait in its pending list (NoHwcc)
 /// while a neighbour batch-frees and lands the same slabs.
-/// With crash injection any participant dies at any yield, and a
+/// A drainer keeps allocating, freeing and appending with its round out
+/// (launched, not finished) while a neighbour lands frees of the same
+/// slabs. With crash injection any participant dies at any yield, and a
 /// recoverer adopts and recovers its slot while the others keep running
 /// (until then the dead thread's staged operands doom every competing
 /// mCAS on their targets). The end oracle is the heap audit plus: every
@@ -392,6 +394,156 @@ TEST(SchedBatch, DeferredFreesSurviveAKillAnywhereRecoveredConcurrently)
     opt.crash = true;
     opt.crash_horizon = 400;
     Result r = Explorer(opt).run(defer_race(/*crash=*/true));
+    EXPECT_TRUE(r.ok) << r.summary();
+    EXPECT_GT(r.kills, 0u);
+    EXPECT_EQ(r.truncated, 0u);
+}
+
+/// The drainer's round stays out while it keeps working: its last append
+/// launches a round of four slabs' decrements, then it appends one more
+/// free of a round slab (into the round's line), allocates and frees
+/// blocks of its own, and lands everything with cleanup. Meanwhile a
+/// neighbour batch-frees other blocks of the same four slabs and lands
+/// them with its cleanup, racing the round's counters.
+struct OutRoundWorld {
+    static constexpr int kDrainer = 0;
+    static constexpr int kNeighbour = 1;
+    static constexpr int kOwner = 2; // fills the slabs; not a vthread
+    static constexpr int kSlabs = 4;
+    static constexpr std::uint64_t kSize = 256;
+    static constexpr int kBlocks = cxlalloc::kSmallSlabSize / kSize;
+    static constexpr int kMine = 64;   // per slab, the drainer's frees
+    static constexpr int kTheirs = 16; // per slab, the neighbour's
+    static constexpr std::uint32_t kBatch = 16;
+    static constexpr int kLocal = 4;
+    static_assert(kSlabs * kMine ==
+                      cxlalloc::PendingList::kSmallCapacity + 1,
+                  "the drainer's last free but one fills its row");
+    static_assert(kSlabs * kTheirs % kBatch == 0,
+                  "the neighbour's share splits into whole batches");
+
+    OutRoundWorld()
+        : cfg(DrainWorld::make_config()), pod(DrainWorld::make_pod(cfg)),
+          alloc(pod, cfg)
+    {
+        process = pod.create_process();
+        alloc.attach(*process);
+        for (int i = 0; i <= kOwner; i++) {
+            ctxs.push_back(pod.create_thread(process));
+            alloc.attach_thread(*ctxs.back());
+            tids.push_back(ctxs.back()->tid());
+        }
+        // Unhooked pre-state: the owner fills the slabs, the drainer frees
+        // all of its share but the last two (its row one block short of
+        // full) and holds a warm 64 B slab.
+        std::vector<cxl::HeapOffset> full;
+        for (int n = 0; n < kSlabs * kBlocks; n++) {
+            full.push_back(alloc.allocate(*ctxs[kOwner], kSize));
+        }
+        for (int b = 0; b < kMine + kTheirs; b++) {
+            for (int s = 0; s < kSlabs; s++) {
+                cxl::HeapOffset p = full[s * kBlocks + b];
+                (b < kMine ? mine : theirs).push_back(p);
+            }
+        }
+        for (std::size_t i = 0; i + 2 < mine.size(); i++) {
+            alloc.deallocate(*ctxs[kDrainer], mine[i]);
+        }
+        warm = alloc.allocate(*ctxs[kDrainer], 64);
+    }
+
+    cxlalloc::Config cfg;
+    pod::Pod pod;
+    cxlalloc::CxlAllocator alloc;
+    pod::Process* process;
+    std::vector<std::unique_ptr<pod::ThreadContext>> ctxs;
+    std::vector<cxl::ThreadId> tids;
+    std::vector<cxl::HeapOffset> mine;
+    std::vector<cxl::HeapOffset> theirs;
+    cxl::HeapOffset warm = 0;
+    int finished = 0;
+    std::uint32_t dead = kNoVthread;
+};
+
+/// The out-round race; with @p crash one participant dies at a random
+/// yield.
+std::function<void(sched::Run&)>
+out_round_race(bool crash)
+{
+    return [crash](sched::Run& run) {
+        auto w = std::make_shared<OutRoundWorld>();
+        auto drainer = [w] {
+            pod::ThreadContext& ctx = *w->ctxs[OutRoundWorld::kDrainer];
+            const std::size_t n = w->mine.size();
+            w->alloc.deallocate(ctx, w->mine[n - 2]); // launches the round
+            w->alloc.deallocate(ctx, w->mine[n - 1]);
+            std::vector<cxl::HeapOffset> local;
+            for (int i = 0; i < OutRoundWorld::kLocal; i++) {
+                local.push_back(w->alloc.allocate(ctx, 64));
+            }
+            for (cxl::HeapOffset p : local) {
+                w->alloc.deallocate(ctx, p);
+            }
+            w->alloc.cleanup(ctx);
+        };
+        auto neighbour = [w] {
+            const auto& theirs = w->theirs;
+            for (std::size_t at = 0; at < theirs.size();
+                 at += OutRoundWorld::kBatch) {
+                w->alloc.deallocate_batch(
+                    *w->ctxs[OutRoundWorld::kNeighbour], theirs.data() + at,
+                    OutRoundWorld::kBatch);
+            }
+            w->alloc.cleanup(*w->ctxs[OutRoundWorld::kNeighbour]);
+        };
+        run.spawn("drainer", participant(w, OutRoundWorld::kDrainer, drainer),
+                  crash);
+        run.spawn("neighbour",
+                  participant(w, OutRoundWorld::kNeighbour, neighbour),
+                  crash);
+        spawn_recoverer(run, w, 2);
+        run.at_end([w](const sched::RunEnd& end) {
+            cxl::MemSession& mem = w->ctxs[OutRoundWorld::kOwner]->mem();
+            cxlalloc::AuditReport report = w->alloc.audit(mem);
+            sched::fail_unless_ok(report);
+            if (report.pending_frees != 0) {
+                throw OracleFailure(std::to_string(report.pending_frees) +
+                                    " pending frees never landed");
+            }
+            // Without a kill, exactly the owner's unfreed blocks and the
+            // drainer's warm one stay live.
+            const std::uint64_t live =
+                OutRoundWorld::kSlabs *
+                    (OutRoundWorld::kBlocks - OutRoundWorld::kMine -
+                     OutRoundWorld::kTheirs) +
+                1;
+            if (end.killed == kNoVthread && report.live_blocks != live) {
+                throw OracleFailure(std::to_string(report.live_blocks) +
+                                    " live blocks, expected " +
+                                    std::to_string(live));
+            }
+        });
+    };
+}
+
+TEST(SchedBatch, DrainerWorksWithItsRoundOutWhileANeighbourFrees)
+{
+    Options opt;
+    opt.seed = 103;
+    opt.schedules = 48;
+    Result r = Explorer(opt).run(out_round_race(/*crash=*/false));
+    EXPECT_TRUE(r.ok) << r.summary();
+    EXPECT_EQ(r.truncated, 0u);
+}
+
+TEST(SchedBatch, OutRoundSurvivesAKillAnywhereRecoveredConcurrently)
+{
+    Options opt;
+    opt.seed = 107;
+    opt.schedules = 96;
+    opt.crash = true;
+    opt.crash_horizon = 800;
+    Result r = Explorer(opt).run(out_round_race(/*crash=*/true));
     EXPECT_TRUE(r.ok) << r.summary();
     EXPECT_GT(r.kills, 0u);
     EXPECT_EQ(r.truncated, 0u);
