@@ -20,11 +20,14 @@ namespace {
 /// and reports mem-ops/op next to google-benchmark's ns/op. When metrics
 /// are enabled (--metrics-json), also publishes the session counters and a
 /// per-series gauge into the global registry so the exported snapshot
-/// carries the per-op numbers.
+/// carries the per-op numbers. The session's counters run from its
+/// creation to the report; so do the heap's (alloc.*): the report stops
+/// them, so a ratio across the two (alloc.drain_blocks /
+/// mem.mcas_batch_ops, blocks per drain operand) means what it says.
 class MemOpsProbe {
   public:
-    explicit MemOpsProbe(cxl::MemSession& mem)
-        : mem_(mem), loads0_(mem.counters().loads),
+    MemOpsProbe(bench::Bundle& b, cxl::MemSession& mem)
+        : bundle_(b), mem_(mem), loads0_(mem.counters().loads),
           stores0_(mem.counters().stores),
           fences0_(mem.counters().fences),
           flushed0_(mem.counters().flushed_lines),
@@ -81,10 +84,14 @@ class MemOpsProbe {
                     reg->gauge("gbench." + label + ".mcas_ops_per_op"),
                     mcas / n);
             }
+            if (bundle_.heap) {
+                bundle_.heap->set_metrics(nullptr);
+            }
         }
     }
 
   private:
+    bench::Bundle& bundle_;
     cxl::MemSession& mem_;
     std::uint64_t loads0_;
     std::uint64_t stores0_;
@@ -117,7 +124,7 @@ BM_AllocFreePair(benchmark::State& state, const std::string& name)
     bench::Bundle b = bench::make_bundle(name, geom);
     auto ctx = b.thread();
     warm_up_pair(b, *ctx, size);
-    MemOpsProbe probe(ctx->mem());
+    MemOpsProbe probe(b, ctx->mem());
     for (auto _ : state) {
         cxl::HeapOffset p = b.alloc->allocate(*ctx, size);
         benchmark::DoNotOptimize(p);
@@ -164,7 +171,7 @@ BM_RemoteFreeBatch(benchmark::State& state, const std::string& name,
         }
     };
     round_trip();
-    MemOpsProbe probe(consumer->mem());
+    MemOpsProbe probe(b, consumer->mem());
     for (int i = 0; i < kProbeBatches; i++) {
         round_trip();
     }
@@ -175,6 +182,43 @@ BM_RemoteFreeBatch(benchmark::State& state, const std::string& name,
     state.SetItemsProcessed(state.iterations() * n * 2);
     b.pod->release_thread(std::move(producer));
     b.pod->release_thread(std::move(consumer));
+}
+
+/// One slab fill per op: the 32 allocations of a 1 KiB-class slab, the
+/// last of which detaches it, then their 32 local frees, the first of
+/// which relinks it (the class's lone slab stays warm, so no op inits
+/// one). The owner's pin keeps a Detached slab its own, so a detach
+/// writes nothing back: fences and flushed lines per op read 0 (a detach
+/// that wrote back its descriptor and record would read 1 and 2).
+void
+BM_SlabFill(benchmark::State& state)
+{
+    constexpr std::uint64_t kSize = 1024;
+    bench::Geometry geom;
+    geom.small_slabs = 512;
+    geom.large_slabs = 8;
+    geom.huge_regions = 2;
+    bench::Bundle b = bench::make_bundle("cxlalloc", geom);
+    auto ctx = b.thread();
+    std::vector<cxl::HeapOffset> fill(cxlalloc::small_blocks_per_slab(
+        cxlalloc::small_class_for(kSize)));
+    auto one_fill = [&] {
+        for (cxl::HeapOffset& p : fill) {
+            p = b.alloc->allocate(*ctx, kSize);
+        }
+        for (cxl::HeapOffset p : fill) {
+            b.alloc->deallocate(*ctx, p);
+        }
+    };
+    one_fill(); // the slab's Init stays out of the gauges
+    MemOpsProbe probe(b, ctx->mem());
+    for (auto _ : state) {
+        one_fill();
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(fill.size()) * 2);
+    probe.report(state, state.iterations(), "slab_fill.cxlalloc.sz1024");
+    b.pod->release_thread(std::move(ctx));
 }
 
 /// cxlalloc fast path under mCAS memory mode (no HWcc): local operations
@@ -190,7 +234,7 @@ BM_CxlallocMcasFastPath(benchmark::State& state)
         bench::make_bundle("cxlalloc", geom, bench::MemoryMode::CxlMcas);
     auto ctx = b.thread();
     warm_up_pair(b, *ctx, 64);
-    MemOpsProbe probe(ctx->mem());
+    MemOpsProbe probe(b, ctx->mem());
     for (auto _ : state) {
         cxl::HeapOffset p = b.alloc->allocate(*ctx, 64);
         benchmark::DoNotOptimize(p);
@@ -272,6 +316,7 @@ each_small_class(int times)
 BENCHMARK_CAPTURE(BM_RemoteFreeBatch, cxlalloc_mcas_small_classes_x3,
                   std::string("cxlalloc"), bench::MemoryMode::CxlMcas,
                   each_small_class(3), std::string("-mcas.small_classes_x3"));
+BENCHMARK(BM_SlabFill);
 BENCHMARK(BM_CxlallocMcasFastPath);
 
 // Custom main instead of BENCHMARK_MAIN(): peel off the repo-wide metrics

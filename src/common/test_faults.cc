@@ -6,6 +6,7 @@ bool skip_swcc_publish_flush = false;
 bool skip_hazard_publish_flush = false;
 bool skip_record_publish_flush = false;
 bool skip_dirty_line_tracking = false;
+bool free_pin_at_detach = false;
 
 void
 reset()
@@ -14,6 +15,7 @@ reset()
     skip_hazard_publish_flush = false;
     skip_record_publish_flush = false;
     skip_dirty_line_tracking = false;
+    free_pin_at_detach = false;
 }
 
 } // namespace cxlcommon::test_faults

@@ -37,6 +37,13 @@ extern bool skip_record_publish_flush;
 /// stale publication.
 extern bool skip_dirty_line_tracking;
 
+/// SlabHeap::full_transition: a detach frees the owner's pin at once (as
+/// one remote free of its own) while it still holds the descriptor's
+/// lines dirty, so the slab's last remote free can steal it from under
+/// its owner. The zero-counter oracle in tests/sched/test_sched_pin.cc
+/// must catch it.
+extern bool free_pin_at_detach;
+
 /// Restores every flag to its default (off); tests call this from their
 /// fixture teardown so a failing test cannot poison its neighbours.
 void reset();

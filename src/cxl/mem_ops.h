@@ -730,4 +730,11 @@ class alignas(cxlcommon::kCacheLine) MemSession {
     McasFinisher* finisher_ = nullptr;
 };
 
+// The session's size is a performance contract no simulated counter shows:
+// 40 B more, and nothing else, cost tiered_hot_shift 12-15 % of its
+// operations per 10 s (EXPERIMENTS.md, perfbench trajectory, "drain rounds
+// finish late"). Grow it only with a measurement.
+static_assert(sizeof(MemSession) == 8448,
+              "MemSession's size moved: measure tiered_hot_shift first");
+
 } // namespace cxl

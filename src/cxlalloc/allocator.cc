@@ -82,6 +82,10 @@ CxlAllocator::detach_thread(pod::ThreadContext& ctx)
     PerThread& pt = threads_[ctx.tid()];
     if (pt.attached) {
         drain_pending(ctx, pt.state);
+        // A slab keeps its owner's pin until the owner gives it up: hand
+        // every slab back, or it would outlive the slot.
+        small_.release(ctx, pt.state);
+        large_.release(ctx, pt.state);
         dcas_.record_landed(ctx.mem(), pt.state.version);
     }
 }
@@ -371,6 +375,8 @@ CxlAllocator::cleanup(pod::ThreadContext& ctx)
 {
     ThreadState& ts = state_of(ctx);
     drain_pending(ctx, ts);
+    small_.reclaim(ctx, ts);
+    large_.reclaim(ctx, ts);
     huge_.cleanup(ctx, ts);
     if (inst_.registry != nullptr) {
         inst_.registry->shard(ctx.tid()).add(inst_.cleanups);

@@ -57,12 +57,14 @@ class CxlAllocator : public pod::FaultResolver {
 
     /// Per-thread teardown before Pod::release_thread: under NoHwcc, lands
     /// the thread's pending remote frees (a remote free may wait in the
-    /// freeing thread's pending lines until it drains); then records the
-    /// thread's newest CAS version in its help entry, so the slot's next
-    /// occupant never reuses a version this one may have left on a word.
-    /// A slot released without it keeps its pending frees in its lines
-    /// until the next occupant's first drain, and the next occupant may
-    /// reuse its versions.
+    /// freeing thread's pending lines until it drains); hands back every
+    /// small and large slab the thread holds (SlabHeap::release: an empty
+    /// slab to the global list, any other disowned with its pin freed);
+    /// then records the thread's newest CAS version in its help entry, so
+    /// the slot's next occupant never reuses a version this one may have
+    /// left on a word. A slot released without it keeps its pending frees
+    /// in its lines and its slabs on its lists until the next occupant
+    /// uses them, and the next occupant may reuse its versions.
     void detach_thread(pod::ThreadContext& ctx);
 
     /// Allocates @p size bytes; returns the heap offset or 0 on
@@ -140,8 +142,9 @@ class CxlAllocator : public pod::FaultResolver {
     cxl::HeapOffset record_block_offset(cxl::MemSession& mem,
                                         const OpRecord& record);
 
-    /// Lands the calling thread's pending remote frees (NoHwcc), then runs
-    /// the huge heap's asynchronous reclamation pass for it.
+    /// Lands the calling thread's pending remote frees (NoHwcc), takes back
+    /// its Detached slabs that hold only the pin (SlabHeap::reclaim), then
+    /// runs the huge heap's asynchronous reclamation pass for it.
     void cleanup(pod::ThreadContext& ctx);
 
     /// Block-accounting audit (paper §5.1) of the small, large and huge

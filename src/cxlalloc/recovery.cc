@@ -16,7 +16,7 @@ register_crash_points()
     reg.add(cp::kAfterDcas, "slab.after_dcas", "SlabHeap (dcas applied)");
     reg.add(cp::kMidSteal, "slab.mid_steal",
             "SlabHeap::free_remote, SlabHeap::drain_pending");
-    reg.add(cp::kMidDetach, "slab.mid_detach", "SlabHeap::detach_full");
+    reg.add(cp::kMidDetach, "slab.mid_detach", "SlabHeap::full_transition");
     reg.add(cp::kMidFreeLocal, "slab.mid_free_local", "SlabHeap::free_local");
     reg.add(cp::kMidPushGlobal, "slab.mid_push_global",
             "SlabHeap::push_global_one");
@@ -30,6 +30,9 @@ register_crash_points()
             "SlabHeap::drain_pending");
     reg.add(cp::kMidBatchDrain, "slab.mid_batch_drain",
             "SlabHeap::drain_pending");
+    reg.add(cp::kMidUnpin, "slab.mid_unpin", "SlabHeap::disown");
+    reg.add(cp::kMidReclaim, "slab.mid_reclaim", "SlabHeap::reclaim");
+    reg.add(cp::kMidRelease, "slab.mid_release", "SlabHeap::release");
 }
 
 const char*

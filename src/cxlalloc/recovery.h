@@ -73,10 +73,16 @@ enum class Op : std::uint8_t {
     Init = 2,       ///< unsized -> sized slab init     (aux: heap|class)
     PopGlobal = 3,  ///< global -> TL unsized           (dcas)
     Extend = 4,     ///< grow heap length               (dcas)
-    Detach = 5,     ///< full slab, no remote frees
-    Disown = 6,     ///< full slab with remote frees
+    /// Full slab, no remote frees (aux 0); or a NoHwcc release step that
+    /// marks free blocks allocated and defers their remote frees (aux:
+    /// the slab's free blocks before it).
+    Detach = 5,
+    /// Full slab with remote frees, or a released slab (aux: the free
+    /// blocks it marks allocated); the pin is freed after it.
+    Disown = 6,
     FreeLocal = 7,  ///< set one block bit              (aux: heap|block)
-    FreeRemote = 8, ///< HWcc remote-counter decrement  (dcas; may steal)
+    FreeRemote = 8, ///< HWcc remote-counter decrement  (dcas; may steal;
+                    ///< aux: the decrement minus one)
     PushGlobal = 9, ///< TL unsized overflow -> global  (dcas)
     HugeReserve = 10, ///< claim a reservation region   (dcas)
     HugeAlloc = 11,   ///< build + link huge descriptor
@@ -98,11 +104,10 @@ enum class Op : std::uint8_t {
     /// an adopted slot could reuse the version and corrupt did_succeed
     /// reasoning (the help array may already have advanced to it).
     CellPublish = 14,
-    /// A NoHwcc remote free appended to one line of the thread's pending
+    /// NoHwcc remote frees appended to one line of the thread's pending
     /// row (SlabHeap::defer_remote; aux: heap|line << 8|that line's size
     /// after the append, index: slab). Local: log_local, no flush.
-    /// Recovery redoes the append iff that line is exactly one block
-    /// short of the size.
+    /// Recovery redoes the append iff that line is short of the size.
     FreeDeferred = 15,
 };
 
@@ -179,7 +184,7 @@ class RecoveryLog {
 
     /// Writes back a deferred record (flush only — the caller's fence
     /// completes it). flush_desc calls this right before its fence, so a
-    /// Detach/Disown/PushGlobal record rides the descriptor publication's
+    /// Disown/PushGlobal record rides the descriptor publication's
     /// existing ordering at zero extra fences.
     void
     flush_pending(cxl::MemSession& mem)
@@ -229,7 +234,7 @@ inline constexpr int kAfterRecord = 1;     ///< record flushed, op not begun
 inline constexpr int kMidInit = 2;         ///< popped unsized, not pushed
 inline constexpr int kAfterDcas = 3;       ///< dcas applied, post-work not
 inline constexpr int kMidSteal = 4;        ///< counter hit 0, steal not done
-inline constexpr int kMidDetach = 5;       ///< desc flushed, not unlinked
+inline constexpr int kMidDetach = 5;       ///< owner word stored, not written back
 inline constexpr int kMidFreeLocal = 6;    ///< bit set, lists not fixed
 inline constexpr int kMidPushGlobal = 7;   ///< desc flushed, dcas not done
 inline constexpr int kMidHugeAlloc = 8;    ///< desc written, not linked
@@ -239,6 +244,9 @@ inline constexpr int kMidAlloc = 11;       ///< bit cleared, not returned
 inline constexpr int kMidBatchStage = 12;  ///< ring staged, record not logged
 inline constexpr int kMidBatchDoorbell = 13; ///< record logged, doorbell not rung
 inline constexpr int kMidBatchDrain = 14;  ///< doorbell rung, results not drained
+inline constexpr int kMidUnpin = 15;       ///< disown written back, pin not freed
+inline constexpr int kMidReclaim = 16;     ///< pin-only slab found, not relinked
+inline constexpr int kMidRelease = 17;     ///< released blocks appended, not landed
 
 } // namespace crashpoint
 

@@ -334,6 +334,12 @@ SlabHeap::set_count_word(cxl::MemSession& mem, std::uint32_t slab,
                                                          << 16);
 }
 
+std::uint32_t
+SlabHeap::pin_of(OwnerWord w)
+{
+    return w.biased != 0 && w.state != SlabState::Disowned ? 1 : 0;
+}
+
 void
 SlabHeap::flush_desc(cxl::MemSession& mem, std::uint32_t slab)
 {
@@ -344,7 +350,7 @@ SlabHeap::flush_desc(cxl::MemSession& mem, std::uint32_t slab)
     // guard this elision: the full descriptor range must be clean at the
     // publishing CAS.
     mem.flush_dirty(desc(slab), desc_stride_);
-    // A deferred local-op record (Detach/Disown/FreeLocal/...) rides this
+    // A deferred local-op record (Disown/FreeLocal/...) rides this
     // publication's fence instead of paying its own — guarded by the
     // RecordFlushOracle suites in tests/sched/test_sched_record.cc.
     log_->flush_pending(mem);
@@ -443,6 +449,32 @@ SlabHeap::resync_count(cxl::MemSession& mem, std::uint32_t slab,
     auto free = static_cast<std::uint16_t>(bitset_count(mem, slab, cls));
     set_count_word(mem, slab, CountWord{0, free});
     return free;
+}
+
+void
+SlabHeap::mark_allocated(cxl::MemSession& mem, std::uint32_t slab,
+                         std::uint32_t cls, std::uint32_t n)
+{
+    if (n == 0) {
+        return;
+    }
+    CountWord count = count_word(mem, slab);
+    cxl::HeapOffset base = desc(slab) + DescField::kBitset;
+    std::uint32_t words = bitset_words(cls);
+    for (std::uint32_t w = 0; w < words && n != 0; w++) {
+        std::uint64_t word = mem.load<std::uint64_t>(base + w * 8);
+        if (word == 0) {
+            continue;
+        }
+        for (; word != 0 && n != 0; n--) {
+            word &= word - 1; // the lowest set bit
+            CXL_ASSERT(count.free > 0, "free-block counter underflow");
+            count.free--;
+        }
+        mem.store<std::uint64_t>(base + w * 8, word);
+    }
+    // Clearing bits leaves no set bit below the hint.
+    set_count_word(mem, slab, count);
 }
 
 std::uint32_t
@@ -623,6 +655,17 @@ SlabHeap::allocate(pod::ThreadContext& ctx, ThreadState& ts,
     // The scan began at the hint, so no set bit lies below this word. The
     // hint rides the counter's store.
     count.hint = static_cast<std::uint16_t>(block / 64);
+    if (count.free == 1 &&
+        mem.device()->mode() == cxl::CoherenceMode::NoHwcc) [[unlikely]] {
+        // This allocation fills the slab, which may disown it. The pin's
+        // append must then fit the row without a drain, whose records
+        // would overwrite the Alloc and Disown records: land what it would
+        // need landed now, before the Alloc record.
+        PendingRow row;
+        PendingRow with_out;
+        const PendingRow* seen = nullptr;
+        room_for(ctx, ts, slab, 1, row, with_out, seen);
+    }
 
     // Local operation: the record needs no flush or fence (process-crash
     // recovery writes the cache back; see RecoveryLog's discipline note).
@@ -670,8 +713,14 @@ SlabHeap::refill(pod::ThreadContext& ctx, ThreadState& ts, std::uint32_t cls)
         if (pop_global(ctx, ts)) {
             continue; // slab landed on the unsized list
         }
+        if (reclaim(ctx, ts, /*all=*/false)) {
+            continue; // the next Detached slab of ours held only the pin
+        }
         if (extend(ctx, ts)) {
             continue;
+        }
+        if (reclaim(ctx, ts)) {
+            continue; // the heap is full: every candidate
         }
         if (scavenge_warm_slab(ctx, ts)) {
             continue; // reclaimed an idle empty slab from another class
@@ -744,11 +793,16 @@ SlabHeap::init_from_unsized(pod::ThreadContext& ctx, ThreadState& ts,
                    OwnerWord{mem.tid(), static_cast<std::uint8_t>(cls + 1),
                              SlabState::TlUnsized});
     bitset_fill(mem, slab, cls);
-    // Reset the remote-free down-counter to the block count. A plain store
-    // suffices: the slab is unlinked and no other thread can reference it.
-    mem.atomic_store64(hwcc(slab), DcasWord::pack(blocks_of(cls), 0, 0));
+    // Reset the remote-free down-counter to the block count plus the
+    // owner's pin. A plain store suffices: the slab is unlinked and no
+    // other thread can reference it.
+    mem.atomic_store64(hwcc(slab), DcasWord::pack(blocks_of(cls) + 1, 0, 0));
     ctx.maybe_crash(crashpoint::kMidInit);
     push_sized(mem, cls, slab);
+    // The pin defers every other write-back of the descriptor to a disown,
+    // a release or a trim, but another thread (the migrator's walk_cell)
+    // sizes blocks by the class: write the owner-word line back now.
+    mem.flush(desc(slab) + DescField::kOwnerWord, 4);
 }
 
 bool
@@ -855,42 +909,222 @@ SlabHeap::full_transition(pod::ThreadContext& ctx, ThreadState& ts,
                           std::uint32_t slab, std::uint32_t cls)
 {
     cxl::MemSession& mem = ctx.mem();
-    std::uint32_t remote = dcas_->read(mem, hwcc(slab));
-    if (remote == blocks_of(cls)) {
-        // No remote frees yet: keep ownership but unlink (detached state).
-        // A later local free will relink it to the sized list.
-        // Deferred: flush_desc below folds the record into its fence.
-        log_->log_local(mem, OpRecord{.op = Op::Detach,
-                                      .large_heap = large_,
-                                      .aux = static_cast<std::uint16_t>(cls),
-                                      .version = ts.version,
-                                      .index = slab});
-        ctx.maybe_crash(crashpoint::kAfterRecord);
-        remove_sized(mem, cls, slab);
-        set_owner_word(mem, slab,
-                       OwnerWord{mem.tid(), static_cast<std::uint8_t>(cls + 1),
-                                 SlabState::Detached});
-        ctx.maybe_crash(crashpoint::kMidDetach);
-        // Ownership may change later (steal at counter zero): flush so no
-        // dirty line of ours can clobber the stealer's writes.
-        flush_desc(mem, slab);
-    } else {
+    OwnerWord w{mem.tid(), static_cast<std::uint8_t>(cls + 1),
+                SlabState::TlSized};
+    if (dcas_->read(mem, hwcc(slab)) != blocks_of(cls) + 1) {
         // Mixed local/remote frees: give the slab up so every future free
         // takes the remote path and the whole slab is eventually stolen.
-        log_->log_local(mem, OpRecord{.op = Op::Disown,
-                                      .large_heap = large_,
-                                      .aux = static_cast<std::uint16_t>(cls),
-                                      .version = ts.version,
-                                      .index = slab});
-        ctx.maybe_crash(crashpoint::kAfterRecord);
-        remove_sized(mem, cls, slab);
-        set_owner_word(mem, slab,
-                       OwnerWord{cxl::kNoThread,
-                                 static_cast<std::uint8_t>(cls + 1),
-                                 SlabState::Disowned});
-        ctx.maybe_crash(crashpoint::kMidDetach);
-        flush_desc(mem, slab);
+        disown(ctx, ts, slab, w);
+        return;
     }
+    // No remote frees yet: keep ownership but unlink (detached state). A
+    // later local free will relink it to the sized list. The pin keeps
+    // every other thread from taking the slab, so nothing is written back
+    // and the record stays deferred, like Alloc's.
+    log_->log_local(mem, OpRecord{.op = Op::Detach,
+                                  .large_heap = large_,
+                                  .aux = 0,
+                                  .version = ts.version,
+                                  .index = slab});
+    ctx.maybe_crash(crashpoint::kAfterRecord);
+    remove_sized(mem, cls, slab);
+    w.state = SlabState::Detached;
+    set_owner_word(mem, slab, w);
+    note_detached(ts, slab, true);
+    ctx.maybe_crash(crashpoint::kMidDetach);
+    if (cxlcommon::test_faults::free_pin_at_detach) {
+        unpin(ctx, ts, slab, 1); // deliberately broken: no write-back first
+    }
+}
+
+void
+SlabHeap::disown(pod::ThreadContext& ctx, ThreadState& ts, std::uint32_t slab,
+                 OwnerWord w)
+{
+    cxl::MemSession& mem = ctx.mem();
+    const std::uint32_t cls = w.biased - 1;
+    // A full slab's disown marks nothing allocated; a release's marks every
+    // free block, fewer than the class's blocks, so the count fits aux.
+    const std::uint32_t free = count_word(mem, slab).free;
+    log_->log_local(mem, OpRecord{.op = Op::Disown,
+                                  .large_heap = large_,
+                                  .aux = static_cast<std::uint16_t>(free),
+                                  .version = ts.version,
+                                  .index = slab});
+    ctx.maybe_crash(crashpoint::kAfterRecord);
+    if (w.state == SlabState::TlSized) {
+        remove_sized(mem, cls, slab);
+    }
+    mark_allocated(mem, slab, cls, free);
+    set_owner_word(mem, slab,
+                   OwnerWord{cxl::kNoThread, w.biased, SlabState::Disowned});
+    ctx.maybe_crash(crashpoint::kMidDetach);
+    // Everything this thread wrote goes back before the pin does: from then
+    // on the slab's last remote free steals it, and no dirty line of ours
+    // may clobber the stealer's writes.
+    flush_desc(mem, slab);
+    ctx.maybe_crash(crashpoint::kMidUnpin);
+    unpin(ctx, ts, slab, free + 1);
+}
+
+void
+SlabHeap::unpin(pod::ThreadContext& ctx, ThreadState& ts, std::uint32_t slab,
+                std::uint32_t k)
+{
+    if (ctx.mem().device()->mode() == cxl::CoherenceMode::NoHwcc) {
+        defer_remote(ctx, ts, slab, k);
+    } else {
+        free_remote(ctx, ts, slab, k);
+    }
+}
+
+void
+SlabHeap::note_detached(ThreadState& ts, std::uint32_t slab, bool on) const
+{
+    if (!ts.detached_known[large_]) {
+        return; // the next reclaim scans the heap
+    }
+    std::uint64_t& word = ts.detached[large_][slab / 64];
+    const std::uint64_t bit = std::uint64_t{1} << (slab % 64);
+    word = on ? word | bit : word & ~bit;
+}
+
+bool
+SlabHeap::reclaim(pod::ThreadContext& ctx, ThreadState& ts, bool all)
+{
+    cxl::MemSession& mem = ctx.mem();
+    std::vector<std::uint64_t>& bits = ts.detached[large_];
+    const auto words = static_cast<std::uint32_t>((num_slabs_ + 63) / 64);
+    if (!ts.detached_known[large_]) {
+        // Attach or recovery: the slot may hold Detached slabs already.
+        bits.assign(words, 0);
+        const std::uint32_t len = length(mem);
+        for (std::uint32_t slab = 0; slab < len; slab++) {
+            OwnerWord w = owner_word(mem, slab);
+            if (w.owner == mem.tid() && w.state == SlabState::Detached) {
+                bits[slab / 64] |= std::uint64_t{1} << (slab % 64);
+            }
+        }
+        ts.detached_known[large_] = true;
+    }
+    // Candidates from the cursor on, wrapping once: the word holding the
+    // cursor is visited twice, its upper bits first.
+    std::uint32_t& cursor = ts.detached_cursor[large_];
+    bool took = false;
+    for (std::uint32_t i = 0; i <= words; i++) {
+        const std::uint32_t at = (cursor / 64 + i) % words;
+        std::uint64_t word = bits[at];
+        const std::uint64_t upper = ~std::uint64_t{0} << (cursor % 64);
+        word &= i == 0 ? upper : (i == words ? ~upper : ~std::uint64_t{0});
+        for (; word != 0; word &= word - 1) {
+            const std::uint32_t slab =
+                at * 64 + static_cast<std::uint32_t>(std::countr_zero(word));
+            const std::uint64_t bit = std::uint64_t{1} << (slab % 64);
+            // Our own descriptors are never stale in our cache: only we
+            // write a slab while it holds our pin.
+            OwnerWord w = owner_word(mem, slab);
+            if (w.owner != mem.tid() || w.state != SlabState::Detached) {
+                bits[at] &= ~bit; // relinked or given up since
+                continue;
+            }
+            if (dcas_->read(mem, hwcc(slab)) == 1) {
+                // Every block was freed remotely and landed, so no free of
+                // one can still come: the slab is empty, and ours.
+                ctx.maybe_crash(crashpoint::kMidReclaim);
+                bits[at] &= ~bit;
+                push_unsized(mem, slab);
+                took = true;
+            }
+            if (!all) {
+                cursor = (slab + 1) % num_slabs_;
+                if (took) {
+                    trim_unsized(ctx, ts);
+                }
+                return took;
+            }
+        }
+    }
+    if (took) {
+        trim_unsized(ctx, ts);
+    }
+    return took;
+}
+
+void
+SlabHeap::release(pod::ThreadContext& ctx, ThreadState& ts)
+{
+    cxl::MemSession& mem = ctx.mem();
+    const bool deferred = mem.device()->mode() == cxl::CoherenceMode::NoHwcc;
+    const std::uint32_t len = length(mem);
+    for (std::uint32_t slab = 0; slab < len; slab++) {
+        OwnerWord w = owner_word(mem, slab);
+        if (w.owner != mem.tid() || pin_of(w) == 0 ||
+            (w.state != SlabState::TlSized &&
+             w.state != SlabState::Detached)) {
+            continue;
+        }
+        const std::uint32_t cls = w.biased - 1;
+        CountWord count = count_word(mem, slab);
+        if (dcas_->read(mem, hwcc(slab)) == count.free + 1u) {
+            // No live block and no pending free: the slab comes back whole.
+            if (w.state == SlabState::TlSized) {
+                // As a scavenge: the FreeLocal redo of a free block's bit
+                // finishes or undoes it.
+                std::uint64_t word = 0;
+                log_->log_local(
+                    mem,
+                    OpRecord{.op = Op::FreeLocal,
+                             .large_heap = large_,
+                             .aux = static_cast<std::uint16_t>(bitset_scan(
+                                 mem, slab, cls, count.hint, &word)),
+                             .version = ts.version,
+                             .index = slab});
+                remove_sized(mem, cls, slab);
+            }
+            push_unsized(mem, slab);
+            continue;
+        }
+        if (deferred) {
+            // The disown's frees must fit one pending entry within the
+            // row's capacity: defer the rest first, a row at a time.
+            while (count.free + 1u > capacity_) {
+                release_blocks(ctx, ts, slab, cls);
+                count = count_word(mem, slab);
+            }
+            drain_pending(ctx, ts); // an empty row takes the disown's append
+        }
+        disown(ctx, ts, slab, w);
+        ctx.maybe_crash(crashpoint::kMidRelease);
+    }
+    if (deferred) {
+        drain_pending(ctx, ts); // its steals land on our unsized list
+    }
+    while (mem.load<std::uint32_t>(unsized_count_off(mem.tid())) != 0) {
+        push_global_one(ctx, ts);
+    }
+    ts.detached[large_].assign((num_slabs_ + 63) / 64, 0);
+    ts.detached_known[large_] = true;
+}
+
+void
+SlabHeap::release_blocks(pod::ThreadContext& ctx, ThreadState& ts,
+                         std::uint32_t slab, std::uint32_t cls)
+{
+    cxl::MemSession& mem = ctx.mem();
+    drain_pending(ctx, ts);
+    const std::uint32_t free = count_word(mem, slab).free;
+    const std::uint32_t k = std::min(capacity_, free + 1 - capacity_);
+    log_->log_local(mem, OpRecord{.op = Op::Detach,
+                                  .large_heap = large_,
+                                  .aux = static_cast<std::uint16_t>(free),
+                                  .version = ts.version,
+                                  .index = slab});
+    ctx.maybe_crash(crashpoint::kAfterRecord);
+    mark_allocated(mem, slab, cls, k);
+    // Written back before their frees can land, as a disown's.
+    flush_desc(mem, slab);
+    ctx.maybe_crash(crashpoint::kMidRelease);
+    defer_remote(ctx, ts, slab, k);
 }
 
 bool
@@ -923,14 +1157,13 @@ SlabHeap::deallocate(pod::ThreadContext& ctx, ThreadState& ts,
     return true;
 }
 
-void
-SlabHeap::defer_remote(pod::ThreadContext& ctx, ThreadState& ts,
-                       std::uint32_t slab)
+std::uint32_t
+SlabHeap::room_for(pod::ThreadContext& ctx, ThreadState& ts,
+                   std::uint32_t slab, std::uint32_t k, PendingRow& row,
+                   PendingRow& with_out, const PendingRow*& seen)
 {
     cxl::MemSession& mem = ctx.mem();
-    PendingRow row = load_row(mem, ts);
-    PendingRow with_out;
-    const PendingRow* seen = &row;
+    row = load_row(mem, ts);
     std::uint32_t room = appends_see(row, ts, with_out, seen);
     // The append must fit the row as the out round may leave it, its
     // slab's entry included (a count is 8 bits). When it might not (after
@@ -943,33 +1176,48 @@ SlabHeap::defer_remote(pod::ThreadContext& ctx, ThreadState& ts,
         }
         const PendingList& l = seen->line[seen->line_for(slab)];
         std::uint32_t e = l.find(slab);
-        return e == PendingList::kSlots || l.count(e) < 0xff;
+        return l.size() + k <= 0xff &&
+               (e == PendingList::kSlots || l.count(e) + k <= 0xff);
     };
     while (!fits()) {
         if (out_round(ts) != nullptr) {
             mem.finish_mcas_round();
         } else {
-            drain_pending(ctx, ts, /*while_full=*/true);
+            // A row too full for a bulk append that is not full lands
+            // whole.
+            drain_pending(ctx, ts, /*while_full=*/seen->full(room));
         }
         row = load_row(mem, ts);
         room = appends_see(row, ts, with_out, seen);
     }
+    return room;
+}
+
+void
+SlabHeap::defer_remote(pod::ThreadContext& ctx, ThreadState& ts,
+                       std::uint32_t slab, std::uint32_t k)
+{
+    cxl::MemSession& mem = ctx.mem();
+    PendingRow row;
+    PendingRow with_out;
+    const PendingRow* seen = nullptr;
+    const std::uint32_t room = room_for(ctx, ts, slab, k, row, with_out, seen);
     const std::uint32_t i = seen->line_for(slab);
     PendingList& line = row.line[i];
     // Local operation: no flush or fence. Recovery redoes the append iff
-    // line i is exactly one block short of aux's size.
+    // line i is short of aux's size.
     log_->log_local(
         mem, OpRecord{.op = Op::FreeDeferred,
                       .large_heap = large_,
                       .aux = static_cast<std::uint16_t>(i << 8 |
-                                                        (line.size() + 1)),
+                                                        (line.size() + k)),
                       .version = ts.version,
                       .index = slab});
     ctx.maybe_crash(crashpoint::kAfterRecord);
-    line.add(slab, 1);
+    line.add(slab, k);
     store_line(mem, i, line);
     if (seen != &row) {
-        with_out.line[i].add(slab, 1);
+        with_out.line[i].add(slab, k);
     }
     if (DrainState::Round* out = out_round(ts); out && out->line == i) {
         out->list = line;
@@ -1194,9 +1442,9 @@ SlabHeap::finish_round(pod::ThreadContext& ctx, ThreadState& ts)
                 !views[i].result.success) {
                 list.add(out.slab_of[i], out.k_of[i]);
             } else if (DcasWord::value(out.swap_of[i]) == 0) {
-                // Every block was remotely freed: the slab is detached or
-                // disowned and unlinked, so stealing needs no coordination
-                // with the previous owner (paper §3.2.1).
+                // Every block was remotely freed, and the pin with them:
+                // the slab is disowned and written back, so stealing needs
+                // no coordination with the previous owner (paper §3.2.1).
                 ctx.maybe_crash(crashpoint::kMidSteal);
                 acquire_to_unsized(ctx, out.slab_of[i]);
                 drain.trim_owed[large_] = true;
@@ -1355,8 +1603,9 @@ SlabHeap::free_local(pod::ThreadContext& ctx, ThreadState& ts,
         // Previously full: relink so it can serve allocations again, at the
         // tail. The slabs ahead of it have waited longer and gathered more
         // frees; at the head its one free block would refill it on the next
-        // allocation, which detaches it again (flush + fence).
+        // allocation, which detaches it again.
         push_sized(mem, cls, slab);
+        note_detached(ts, slab, false);
     } else if (count.free == blocks_of(cls) && shares_class(mem, slab)) {
         // Slab is now completely empty and the class has other slabs:
         // recycle it as unsized. (Keeping the last slab warm avoids
@@ -1369,7 +1618,7 @@ SlabHeap::free_local(pod::ThreadContext& ctx, ThreadState& ts,
 
 void
 SlabHeap::free_remote(pod::ThreadContext& ctx, ThreadState& ts,
-                      std::uint32_t slab)
+                      std::uint32_t slab, std::uint32_t k)
 {
     cxl::MemSession& mem = ctx.mem();
     CXL_ASSERT(mem.device()->mode() != cxl::CoherenceMode::NoHwcc,
@@ -1377,22 +1626,22 @@ SlabHeap::free_remote(pod::ThreadContext& ctx, ThreadState& ts,
     while (true) {
         std::uint64_t word = dcas_->read_word(mem, hwcc(slab));
         std::uint32_t cur = DcasWord::value(word);
-        CXL_ASSERT(cur > 0, "remote-free counter underflow (double free?)");
+        CXL_ASSERT(cur >= k, "remote-free counter underflow (double free?)");
         std::uint16_t ver = ts.next_version();
         log_->log(mem, OpRecord{.op = Op::FreeRemote,
                                 .large_heap = large_,
-                                .aux = 0,
+                                .aux = static_cast<std::uint16_t>(k - 1),
                                 .version = ver,
                                 .index = slab});
         ctx.maybe_crash(crashpoint::kAfterRecord);
-        auto r = dcas_->try_cas_word(mem, hwcc(slab), word, cur - 1, ver);
+        auto r = dcas_->try_cas_word(mem, hwcc(slab), word, cur - k, ver);
         if (!r.success) {
             continue;
         }
-        if (cur - 1 == 0) {
-            // Every block was remotely freed: the slab is detached or
-            // disowned and unlinked, so stealing needs no coordination
-            // with the previous owner (paper §3.2.1).
+        if (cur == k) {
+            // Every block was remotely freed, and the pin with them: the
+            // slab is disowned and written back, so stealing needs no
+            // coordination with the previous owner (paper §3.2.1).
             ctx.maybe_crash(crashpoint::kMidSteal);
             acquire_to_unsized(ctx, slab);
             trim_unsized(ctx, ts);
@@ -1527,6 +1776,7 @@ SlabHeap::recover(pod::ThreadContext& ctx, ThreadState& ts,
         OwnerWord w = owner_word(mem, slab);
         if (w.state == SlabState::TlSized && w.biased == cls + 1) {
             resync_count(mem, slab, cls); // completed
+            mem.flush(desc(slab) + DescField::kOwnerWord, 4);
             break;
         }
         // push_sized's owner-word store never happened, so the slab is
@@ -1557,35 +1807,46 @@ SlabHeap::recover(pod::ThreadContext& ctx, ThreadState& ts,
         break;
       }
       case Op::Detach: {
-        // Unfinished only while still TlSized and ours (rebuild_lists
-        // relisted it). The record outlives the allocate call: a finished
-        // detach's slab may have been stolen since.
         OwnerWord w = owner_word(mem, slab);
-        if (w.state == SlabState::TlSized && w.owner == mem.tid()) {
-            remove_sized(mem, record.aux, slab);
-            w.state = SlabState::Detached;
-            set_owner_word(mem, slab, w);
+        if (w.owner != mem.tid() || w.biased == 0) {
+            break; // taken back since (reclaim logs no record)
         }
-        flush_desc(mem, slab);
+        if (record.aux == 0) {
+            // A full slab's detach: unfinished only while still TlSized
+            // (rebuild_lists relisted it). The pin kept it ours.
+            if (w.state == SlabState::TlSized) {
+                remove_sized(mem, w.biased - 1u, slab);
+                w.state = SlabState::Detached;
+                set_owner_word(mem, slab, w);
+            }
+            break;
+        }
+        // A release step: the free blocks it marked allocated are not
+        // appended yet (the append's own record would be the latest).
+        std::uint32_t free = resync_count(mem, slab, w.biased - 1u);
+        if (free < record.aux) {
+            flush_desc(mem, slab);
+            unpin(ctx, ts, slab, record.aux - free);
+        }
         break;
       }
       case Op::Disown: {
-        // Unfinished only while still TlSized, and ours (rebuild_lists
-        // relisted it) or nobody's (the owner store landed). As for Detach,
-        // a finished disown's slab may have been stolen since (owner and
-        // state read together, as in rebuild_lists).
+        // The pin is still held: a disown logs its unpin's record next. A
+        // TlSized slab was relisted by rebuild_lists.
         OwnerWord w = owner_word(mem, slab);
-        if (w.state == SlabState::TlSized) {
-            if (w.owner == mem.tid()) {
-                remove_sized(mem, record.aux, slab);
+        CXL_ASSERT(w.biased != 0, "Disown record against classless slab");
+        if (w.state != SlabState::Disowned) {
+            if (w.state == SlabState::TlSized) {
+                remove_sized(mem, w.biased - 1u, slab);
             }
-            if (w.owner == mem.tid() || w.owner == cxl::kNoThread) {
-                set_owner_word(mem, slab,
-                               OwnerWord{cxl::kNoThread, w.biased,
-                                         SlabState::Disowned});
-            }
+            resync_count(mem, slab, w.biased - 1u);
+            mark_allocated(mem, slab, w.biased - 1u, record.aux);
+            set_owner_word(mem, slab,
+                           OwnerWord{cxl::kNoThread, w.biased,
+                                     SlabState::Disowned});
         }
         flush_desc(mem, slab);
+        unpin(ctx, ts, slab, record.aux + 1u);
         break;
       }
       case Op::FreeLocal: {
@@ -1623,7 +1884,7 @@ SlabHeap::recover(pod::ThreadContext& ctx, ThreadState& ts,
         if (!dcas_->did_succeed(mem, hwcc(slab), record.version)) {
             // The decrement never landed; the block is still marked
             // allocated. Complete the free now.
-            free_remote(ctx, ts, slab);
+            free_remote(ctx, ts, slab, record.aux + 1u);
             break;
         }
         std::uint64_t word = mem.atomic_load64(hwcc(slab));
@@ -1650,8 +1911,10 @@ SlabHeap::recover(pod::ThreadContext& ctx, ThreadState& ts,
         const std::uint32_t i = record.aux >> 8;
         CXL_ASSERT(i < lines_, "FreeDeferred names no pending line");
         PendingList line = load_line(mem, mem.tid(), i);
-        if (line.size() + 1 == (record.aux & 0xffu)) {
-            line.add(slab, 1); // the append never happened: redo it
+        const std::uint32_t size = record.aux & 0xffu;
+        if (line.size() < size) {
+            // The append never happened: redo it.
+            line.add(slab, size - line.size());
             store_line(mem, i, line);
         }
         break;
@@ -1828,7 +2091,8 @@ SlabHeap::audit(cxl::MemSession& mem, cxl::DeviceId shard,
     // Classless (unsized, global) slabs keep stale bitsets by design.
     for (std::uint32_t slab = 0; slab < len; slab++) {
         mem.flush(desc(slab), desc_stride_);
-        std::uint32_t biased = owner_word(mem, slab).biased;
+        OwnerWord w = owner_word(mem, slab);
+        std::uint32_t biased = w.biased;
         if (biased == 0) {
             if (pending[slab] != 0) {
                 violate(slab, AuditLaw::RemoteBalance,
@@ -1843,13 +2107,15 @@ SlabHeap::audit(cxl::MemSession& mem, cxl::DeviceId shard,
             violate(slab, AuditLaw::FreeCounter,
                     "free counter == bitset popcount", bits, free);
         }
+        // The counter holds the owner's pin until a disown frees it.
         std::uint32_t remote = dcas_->read(mem, hwcc(slab));
-        if (remote < free + pending[slab]) {
+        std::uint32_t held = free + pending[slab] + pin_of(w);
+        if (remote < held) {
             violate(slab, AuditLaw::RemoteBalance,
-                    "remote-free counter - pending >= free counter",
-                    free + pending[slab], remote);
+                    "remote-free counter - pin - pending >= free counter",
+                    held, remote);
         } else {
-            report.live_blocks += remote - free - pending[slab];
+            report.live_blocks += remote - held;
         }
     }
 }
@@ -1938,7 +2204,8 @@ SlabHeap::debug_class_biased(cxl::MemSession& mem, std::uint32_t slab)
 std::uint32_t
 SlabHeap::debug_remote_free(cxl::MemSession& mem, std::uint32_t slab)
 {
-    return dcas_->read(mem, hwcc(slab));
+    std::uint32_t remote = dcas_->read(mem, hwcc(slab));
+    return remote - std::min(remote, pin_of(owner_word(mem, slab)));
 }
 
 cxl::ThreadId

@@ -8,9 +8,15 @@
 ///    slab's owner (no synchronization on the hot path);
 ///  - a per-slab HWcc remote-free *down-counter* (2 B in the paper, widened
 ///    to one detectable-CAS word): remote frees decrement it, and whoever
-///    takes it to zero steals the fully-remotely-freed slab;
+///    takes it to zero steals the fully-remotely-freed slab. Init sets it
+///    to the block count plus one, the owner's *pin*: it reaches zero only
+///    after the owner gives the pin up, which a disown or a release does
+///    after writing the descriptor back;
 ///  - the detached / disowned states (paper Fig. 4) that let full slabs
-///    leave the free lists without blocking reclamation;
+///    leave the free lists without blocking reclamation. A detach keeps
+///    the pin, so it writes nothing back; a Detached slab whose every
+///    block was freed remotely holds only the pin, and its owner takes it
+///    back (reclaim());
 ///  - the SWcc protocol (§3.2.2): descriptors are flushed+fenced exactly
 ///    when ownership may change; readers of SWccDesc.owner may use stale
 ///    cached values safely (the case analysis in the paper);
@@ -229,6 +235,25 @@ class SlabHeap {
     /// otherwise. Leaves the ring itself to the caller (Nmp::reset_ring).
     void reconcile_ring(pod::ThreadContext& ctx);
 
+    /// Takes back the calling thread's Detached slabs that hold only the
+    /// pin (every block was freed remotely), onto its unsized list: with
+    /// @p all every candidate (ThreadState::detached), else the next one in
+    /// turn. Returns true if it took any. refill checks one candidate
+    /// before it extends the heap and all of them once the heap is full;
+    /// cleanup checks all. Logs no record: a kill before a slab's
+    /// owner-word store leaves it Detached for the next check, and
+    /// rebuild_lists links it once that store landed.
+    bool reclaim(pod::ThreadContext& ctx, ThreadState& ts, bool all = true);
+
+    /// Hands back every slab the calling thread holds, for a thread that
+    /// is leaving its slot (after its pending frees landed): a slab with
+    /// no live block and no pending free goes to the global list, and any
+    /// other classed slab is disowned, its free blocks marked allocated
+    /// and freed remotely together with the pin. Under NoHwcc those frees
+    /// are pending entries of at most a row's capacity each; the caller's
+    /// drain lands the last of them.
+    void release(pod::ThreadContext& ctx, ThreadState& ts);
+
     /// True if @p offset lies in this heap's data region.
     bool contains(cxl::HeapOffset offset) const;
 
@@ -296,8 +321,10 @@ class SlabHeap {
     std::uint32_t debug_bitset_count(cxl::MemSession& mem, std::uint32_t slab);
     /// Size class + 1; 0 = classless (bitset and counter are meaningless).
     std::uint8_t debug_class_biased(cxl::MemSession& mem, std::uint32_t slab);
-    /// Raw HWcc remote-free down-counter of @p slab: the class's block
-    /// count minus its remote frees (see AuditLaw::RemoteBalance).
+    /// HWcc remote-free down-counter of @p slab without the owner's pin
+    /// while the slab holds it (classed and not Disowned): the class's
+    /// block count minus its landed remote frees (see
+    /// AuditLaw::RemoteBalance).
     std::uint32_t debug_remote_free(cxl::MemSession& mem, std::uint32_t slab);
 
     /// Owning thread of @p slab (cxl::kNoThread once the slab has been
@@ -342,6 +369,12 @@ class SlabHeap {
     void set_count_word(cxl::MemSession& mem, std::uint32_t slab,
                         CountWord c);
 
+    /// 1 while a slab with owner word @p w holds its owner's pin in the
+    /// remote-free counter (classed and not Disowned), else 0.
+    static std::uint32_t pin_of(OwnerWord w);
+    /// Sets or clears @p slab's ThreadState::detached bit (once known).
+    void note_detached(ThreadState& ts, std::uint32_t slab, bool on) const;
+
     /// Flush + fence the whole descriptor: required before any transition
     /// after which another thread may become the writer (paper §3.2.2).
     void flush_desc(cxl::MemSession& mem, std::uint32_t slab);
@@ -381,6 +414,10 @@ class SlabHeap {
     /// Returns the free count.
     std::uint32_t resync_count(cxl::MemSession& mem, std::uint32_t slab,
                                std::uint32_t cls);
+    /// Marks the @p n lowest free blocks of @p slab allocated (all of them
+    /// when @p n is at least the free count) and stores the count word.
+    void mark_allocated(cxl::MemSession& mem, std::uint32_t slab,
+                        std::uint32_t cls, std::uint32_t n);
 
     static constexpr std::uint32_t kNoBlock = ~std::uint32_t{0};
 
@@ -424,16 +461,44 @@ class SlabHeap {
     bool extend(pod::ThreadContext& ctx, ThreadState& ts);
     void full_transition(pod::ThreadContext& ctx, ThreadState& ts,
                          std::uint32_t slab, std::uint32_t cls);
+    /// Gives up @p slab (owner word @p w: ours, TlSized or Detached): an
+    /// Op::Disown record (aux: its free blocks), the unlink, every free
+    /// block marked allocated, the Disowned owner word, the write-back,
+    /// then unpin() of the free blocks and the pin. Under NoHwcc the
+    /// row must take that append without a drain.
+    void disown(pod::ThreadContext& ctx, ThreadState& ts, std::uint32_t slab,
+                OwnerWord w);
+    /// @p k remote frees of the calling thread into @p slab, whose
+    /// descriptor it wrote back: the pin and the blocks a disown marked
+    /// allocated. free_remote under HWcc modes, one pending append under
+    /// NoHwcc.
+    void unpin(pod::ThreadContext& ctx, ThreadState& ts, std::uint32_t slab,
+               std::uint32_t k);
+    /// NoHwcc release step: marks a row's capacity of the free blocks of
+    /// @p slab (ours, TlSized or Detached) allocated and appends their
+    /// remote frees to the emptied row, after an Op::Detach record whose
+    /// aux is the free count before. The pin keeps the slab ours until its
+    /// disown.
+    void release_blocks(pod::ThreadContext& ctx, ThreadState& ts,
+                        std::uint32_t slab, std::uint32_t cls);
     /// Local free of @p block; @p w is the owner word deallocate read.
     void free_local(pod::ThreadContext& ctx, ThreadState& ts,
                     std::uint32_t slab, std::uint32_t block, OwnerWord w);
-    /// One serial decrement of @p slab's counter, stealing at zero (HWcc
-    /// modes only: under NoHwcc every decrement lands through the drain).
+    /// One serial decrement of @p slab's counter by @p k, stealing at zero
+    /// (HWcc modes only: under NoHwcc every decrement lands through the
+    /// drain). Its Op::FreeRemote record's aux is k - 1.
     void free_remote(pod::ThreadContext& ctx, ThreadState& ts,
-                     std::uint32_t slab);
-    /// Appends a remote free of @p slab to the thread's pending row.
+                     std::uint32_t slab, std::uint32_t k = 1);
+    /// Appends @p k remote frees of @p slab to the thread's pending row.
     void defer_remote(pod::ThreadContext& ctx, ThreadState& ts,
-                      std::uint32_t slab);
+                      std::uint32_t slab, std::uint32_t k = 1);
+    /// Lands what the next append of @p k blocks of @p slab needs landed
+    /// first (the out round finished, rounds of a full row), then loads
+    /// the row into @p row. Returns what appends_see returns for it.
+    std::uint32_t room_for(pod::ThreadContext& ctx, ThreadState& ts,
+                           std::uint32_t slab, std::uint32_t k,
+                           PendingRow& row, PendingRow& with_out,
+                           const PendingRow*& seen);
     /// Points @p seen at the row appends must fit: @p row itself, or while
     /// @p ts has a round of this heap out, @p row with every staged operand
     /// back in its line as if all had failed (a put-back needs its slot,

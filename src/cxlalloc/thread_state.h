@@ -43,6 +43,17 @@ struct ThreadState {
     /// attach and recovery.
     std::uint8_t pending_hint[2] = {0xff, 0xff};
 
+    /// Per slab heap ([large heap]), one bit per slab the thread may hold
+    /// Detached: the candidates SlabHeap::reclaim checks for a slab that
+    /// holds only the owner's pin. Set by a detach, cleared by a relink or
+    /// a check that finds the slab elsewhere. A clear bit is exact once
+    /// `detached_known`; attach and recovery start unknown, and the next
+    /// reclaim scans the heap's owner words.
+    std::vector<std::uint64_t> detached[2];
+    bool detached_known[2] = {false, false};
+    /// Where the next single-candidate reclaim check starts (round robin).
+    std::uint32_t detached_cursor[2] = {0, 0};
+
     /// Allocates the next CAS version.
     std::uint16_t
     next_version()

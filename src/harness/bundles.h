@@ -306,7 +306,10 @@ struct RunResult {
 /// evenly over the pod's hosts in index order: worker w runs on host
 /// w * hosts / nthreads, so hosts x k threads give each host k
 /// consecutive workers. @p body returns the number of operations it
-/// performed.
+/// performed. A thread's simulated clock and counters are read when its
+/// body returns: the teardown after it (detach_thread, which lands the
+/// frees cxlalloc deferred and hands its slabs back) is not the
+/// workload's.
 inline RunResult
 run_threads(Bundle& b, std::uint32_t nthreads,
             const std::function<std::uint64_t(pod::ThreadContext&,
@@ -323,13 +326,13 @@ run_threads(Bundle& b, std::uint32_t nthreads,
             auto host = static_cast<pod::HostId>(w * hosts / nthreads);
             auto ctx = b.thread(host);
             ops[w] = body(*ctx, w);
-            b.alloc->detach_thread(*ctx);
             sim[w] = ctx->mem().sim_ns();
             events[w] = ctx->mem().counters();
             if (obs::MetricsRegistry* reg = bundle_metrics()) {
                 ctx->mem().publish_metrics(*reg);
                 reg->shard(ctx->tid()).add(reg->counter("run.ops"), ops[w]);
             }
+            b.alloc->detach_thread(*ctx);
             b.pod->release_thread(std::move(ctx));
         });
     }

@@ -82,6 +82,10 @@ class DirtyLineTracker {
         return it != dirty_.end() && !it->second.empty();
     }
 
+    /// Drops every dirty line of @p vthread: its cache was written back
+    /// (recovery from its process crash does that).
+    void written_back(std::uint32_t vthread) { dirty_.erase(vthread); }
+
   private:
     void
     mark_dirty(std::uint32_t vthread, std::uint64_t addr, std::uint64_t len)

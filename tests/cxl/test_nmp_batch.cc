@@ -547,17 +547,19 @@ TEST(DeallocateBatch, GroupEqualToItsCounterStealsInTheSameDoorbell)
     Rig rig(nohwcc_opts());
     auto t1 = rig.thread();
     auto t2 = rig.thread();
-    constexpr int kBlocks = 32; // a full 1 KiB-class slab: counter 32
+    constexpr int kBlocks = 32; // a full 1 KiB-class slab
     std::vector<cxl::HeapOffset> offs;
     for (int i = 0; i < kBlocks; i++) {
         cxl::HeapOffset p = rig.alloc.allocate(*t1, 1024);
         ASSERT_NE(p, 0u);
         offs.push_back(p);
     }
+    rig.alloc.detach_thread(*t1); // its full slab: disowned, pin landed
     std::uint32_t len = rig.alloc.stats(t1->mem()).small.length;
     free_and_land(rig, *t2, offs.data(), kBlocks);
-    // All 32 decrements ride one operand (32 -> 0), and the round that
-    // landed it steals: no serial mCAS runs.
+    // t1 gave the slab up, so its counter holds 32. All 32 decrements
+    // ride one operand (32 -> 0), and the round that landed it steals: no
+    // serial mCAS runs.
     const cxl::MemEventCounters& c = t2->mem().counters();
     EXPECT_EQ(c.mcas_batches, 1u);
     EXPECT_EQ(c.mcas_batch_ops, 1u);
@@ -690,7 +692,7 @@ TEST(DeallocateBatch, DrainRecordsNoHelpButAnOwnRefreshPer4096Versions)
 
 TEST(DeallocateBatch, StalePredictionFailsOnceThenLands)
 {
-    // t2 lands half of a full 1 KiB slab of t1's, so it predicts the
+    // t2 lands half of a full 1 KiB slab t1 gave up, so it predicts the
     // counter at 16. t3 lands the other half: the counter reaches zero,
     // t3 steals the slab and Init resets the counter untagged. t2's next
     // operand on it is staged from the stale prediction and fails; the
@@ -704,6 +706,7 @@ TEST(DeallocateBatch, StalePredictionFailsOnceThenLands)
         offs.push_back(rig.alloc.allocate(*t1, 1024));
         ASSERT_NE(offs.back(), 0u);
     }
+    rig.alloc.detach_thread(*t1); // its full slab: disowned, pin landed
     const std::uint32_t slab = small_slab_of(rig, offs[0]);
     free_and_land(rig, *t2, offs.data(), 16);
     free_and_land(rig, *t3, offs.data() + 16, 16);
@@ -735,8 +738,9 @@ TEST(DeallocateBatch, StalePredictionFailsOnceThenLands)
 
 TEST(DeallocateBatchDeathTest, RemoteDoubleFreeUnderflowsThePredictedCounter)
 {
-    // t2 predicts the counter of t1's full 1 KiB slab at 16 after landing
-    // half of it. Its next entry holds the other 16 blocks plus one of them
+    // t2 predicts the counter of a full 1 KiB slab t1 gave up at 16 after
+    // landing half of it (on a slab that still held its owner's pin, the
+    // pin would absorb the double free). Its next entry holds the other 16 blocks plus one of them
     // again: 17 > 16, so the round reads the counter, and the underflow
     // check catches the double free.
     EXPECT_DEATH(
@@ -748,6 +752,7 @@ TEST(DeallocateBatchDeathTest, RemoteDoubleFreeUnderflowsThePredictedCounter)
             for (int i = 0; i < 32; i++) {
                 offs.push_back(rig.alloc.allocate(*t1, 1024));
             }
+            rig.alloc.detach_thread(*t1);
             free_and_land(rig, *t2, offs.data(), 16);
             offs.push_back(offs[20]);
             free_and_land(rig, *t2, offs.data() + 16, 17);
@@ -959,6 +964,7 @@ batch_crash_roundtrip(int point)
         ASSERT_NE(p, 0u);
         offs.push_back(p);
     }
+    rig.alloc.detach_thread(*t1); // its full slab: disowned, pin landed
     std::uint32_t len_before = rig.alloc.stats(t1->mem()).small.length;
 
     // Free 24 of 32 remotely, leaving the counter at 8.
@@ -1089,6 +1095,7 @@ TEST(DeallocateBatchCrash, FinalDecrementSurvivesACrashAfterTheDoorbell)
         offs.push_back(rig.alloc.allocate(*t1, 1024));
         ASSERT_NE(offs.back(), 0u);
     }
+    rig.alloc.detach_thread(*t1); // its full slab: disowned, pin landed
     std::uint64_t live0 = rig.alloc.audit(t1->mem()).live_blocks;
     free_and_land(rig, *t2, offs.data(), 24);
     t2->arm_crash(cxlalloc::crashpoint::kMidBatchDrain, 1);
@@ -1127,6 +1134,7 @@ TEST(DeallocateBatchCrash, QueuedGroupSurvivesACrashInARoundsFinal)
         offs.push_back(rig.alloc.allocate(*t1, size));
         ASSERT_NE(offs.back(), 0u);
     }
+    rig.alloc.detach_thread(*t1); // every slab of t1's: disowned
     std::uint64_t live0 = rig.alloc.audit(t1->mem()).live_blocks;
     t2->arm_crash(cxlalloc::crashpoint::kMidSteal, 1);
     EXPECT_THROW(free_and_land(rig, *t2, offs.data(),
@@ -1162,6 +1170,7 @@ TEST(DeallocateBatchCrash,
         offs.push_back(rig.alloc.allocate(*t1, 1024));
         ASSERT_NE(offs.back(), 0u);
     }
+    rig.alloc.detach_thread(*t1); // its full slab: disowned, pin landed
     std::uint64_t live0 = rig.alloc.audit(t1->mem()).live_blocks;
     // After the doorbell, the round's first list store is the one that
     // clears the stamp; the steal's stores come before it.
@@ -1215,6 +1224,7 @@ TEST(DeallocateBatchCrash, TrimmedStolenSlabIsNotStolenAgain)
         offs.push_back(rig.alloc.allocate(*t1, 1024));
         ASSERT_NE(offs.back(), 0u);
     }
+    rig.alloc.detach_thread(*t1); // its full slab: disowned, pin landed
     std::uint32_t slab = small_slab_of(rig, offs[0]);
     std::uint64_t live0 = rig.alloc.audit(t1->mem()).live_blocks;
     std::uint32_t global0 = rig.alloc.stats(t1->mem()).small.global_free;
@@ -1275,6 +1285,7 @@ TEST(DeallocateBatchCrash, KillBeforeATrimsRecordLosesNoSlab)
         offs.push_back(rig.alloc.allocate(*t1, 1024));
         ASSERT_NE(offs.back(), 0u);
     }
+    rig.alloc.detach_thread(*t1); // its full slab: disowned, pin landed
     const std::uint32_t slab = small_slab_of(rig, offs[0]);
     std::uint64_t live0 = rig.alloc.audit(t1->mem()).live_blocks;
     rig.alloc.deallocate_batch(*t2, offs.data(), 32);
@@ -1339,8 +1350,10 @@ TEST(DeallocateBatchCrash, PopGlobalAfter2To14DrainedVersionsIsNotCalledLanded)
         full.push_back(rig.alloc.allocate(*t1, 1024));
         ASSERT_NE(full.back(), 0u);
     }
-    // Five 8 B-class slabs of t1's. t2 frees all but the first block of
-    // each, so no counter reaches zero and t2 never touches a list.
+    rig.alloc.detach_thread(*t1); // the full slab: disowned, pin landed
+    // Five 8 B-class slabs of t1's (it stays attached). t2 frees all but
+    // the first block of each, so no counter reaches zero and t2 never
+    // touches a list.
     constexpr std::uint32_t kDrained = 17000;
     std::vector<cxl::HeapOffset> eights;
     std::vector<std::uint32_t> kept;
@@ -1435,6 +1448,7 @@ TEST(DeallocateBatchCrash, SweepCountdownsThroughMixedBatches)
         for (cxl::HeapOffset p : offs) {
             ASSERT_NE(p, 0u);
         }
+        rig.alloc.detach_thread(*t1); // every slab of t1's: disowned
         std::uint64_t live0 = rig.alloc.audit(t1->mem()).live_blocks;
         std::uint32_t accepted = kFrees;
         t2->arm_crash(c.point, c.countdown);
@@ -1612,6 +1626,7 @@ TEST(DeallocateBatchStall, StalledZeroingOperandGoesBackIntoTheList)
         offs.push_back(rig.alloc.allocate(*t1, 1024));
         ASSERT_NE(offs.back(), 0u);
     }
+    rig.alloc.detach_thread(*t1); // its full slab: disowned, pin landed
     std::uint32_t slab = small_slab_of(rig, offs[0]);
     std::uint64_t live0 = rig.alloc.audit(t1->mem()).live_blocks;
     stall_a_drain(rig, *t2, offs, 32);
@@ -2036,13 +2051,15 @@ TEST(DeferredFrees, RefillInAnotherShardFinishesTheOutRoundFirst)
         b.deallocate(*u, p);
     }
     ASSERT_EQ(b.stats(u->mem()).small.global_free, 1u);
-    // u fills one 8 KiB-class large slab of shard 1; t frees all of it.
+    // u fills one 8 KiB-class large slab of shard 1 and gives it up; t
+    // frees all of it.
     constexpr std::uint64_t kSize = 8 << 10;
     std::vector<cxl::HeapOffset> large;
     for (std::uint64_t i = 0; i < cxlalloc::kLargeSlabSize / kSize; i++) {
         large.push_back(a.allocate(*u, kSize));
         ASSERT_NE(large.back(), 0u);
     }
+    a.detach_thread(*u); // the full slab: disowned, pin landed
     for (cxl::HeapOffset p : large) {
         a.deallocate(*t, p);
     }

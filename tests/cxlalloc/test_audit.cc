@@ -75,6 +75,24 @@ TEST(Audit, LoweredRemoteCounterBreaksTheRemoteBalance)
     expect_only(r.audit(), AuditHeap::Small, r.slab, AuditLaw::RemoteBalance);
 }
 
+TEST(Audit, PinnedSlabThatLostItsPinBreaksTheRemoteBalance)
+{
+    // An owned slab's counter holds one more than its outstanding blocks:
+    // its owner's pin. An empty owned slab whose counter reads just its
+    // free blocks has lost it, and its last remote free could steal it
+    // from under its owner.
+    AuditRig r;
+    r.rig.alloc.deallocate(*r.t, r.block); // empty, still owned (warm)
+    ASSERT_TRUE(r.audit().ok()) << r.audit().to_string();
+    auto free = r.mem.load<std::uint16_t>(r.free_at);
+    r.mem.atomic_store64(r.l.small_hwcc_desc(r.slab),
+                         DcasWord::pack(free, 0, 0));
+    AuditReport report = r.audit();
+    expect_only(report, AuditHeap::Small, r.slab, AuditLaw::RemoteBalance);
+    EXPECT_EQ(report.violations[0].expected, free + 1u);
+    EXPECT_EQ(report.violations[0].actual, free);
+}
+
 TEST(Audit, PendingFreeIsNeitherLiveNorLanded)
 {
     // A NoHwcc remote free waits in the freeing thread's pending list: the

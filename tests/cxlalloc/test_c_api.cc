@@ -124,9 +124,9 @@ TEST(CApi, UnbindLandsPendingRemoteFrees)
 {
     // Without HWcc a remote free waits in the freeing thread's pending
     // list; a clean unbind must land it. Thread B frees a whole slab of
-    // the main thread's 1 KiB blocks and unbinds: its slab is stolen by
-    // B's slot, so the next thread on that slot reuses it instead of
-    // growing the heap.
+    // the main thread's 1 KiB blocks and unbinds: once its frees land, the
+    // slab holds only its owner's pin, so the main thread's next slab of
+    // 1 KiB blocks takes it back instead of growing the heap.
     cxlalloc_options_t o = small_options();
     o.coherence = 2;
     PodGuard g(&o);
@@ -137,31 +137,24 @@ TEST(CApi, UnbindLandsPendingRemoteFrees)
         p = cxlalloc_malloc(1024);
         ASSERT_NE(p, 0u);
     }
-    uint16_t freer = 0;
     std::thread b([&] {
-        freer = cxlalloc_thread_bind(proc);
+        ASSERT_GT(cxlalloc_thread_bind(proc), 0);
         for (uint64_t p : blocks) {
             cxlalloc_free(p);
         }
         cxlalloc_thread_unbind();
     });
     b.join();
-    uint32_t used = 0;
-    uint32_t grown = 0;
-    std::thread c([&] {
-        ASSERT_EQ(cxlalloc_thread_bind(proc), freer);
-        cxlalloc_stats_t stats;
-        ASSERT_EQ(cxlalloc_stats_get(&stats), 0);
-        used = stats.small_slabs_used;
-        for (int i = 0; i < 32; i++) {
-            ASSERT_NE(cxlalloc_malloc(1024), 0u);
-        }
-        ASSERT_EQ(cxlalloc_stats_get(&stats), 0);
-        grown = stats.small_slabs_used;
-        cxlalloc_thread_unbind();
-    });
-    c.join();
-    EXPECT_EQ(grown, used) << "the freed slab was not reclaimed at unbind";
+    cxlalloc_stats_t stats;
+    ASSERT_EQ(cxlalloc_stats_get(&stats), 0);
+    const uint32_t used = stats.small_slabs_used;
+    for (int i = 0; i < 32; i++) {
+        ASSERT_NE(cxlalloc_malloc(1024), 0u);
+    }
+    ASSERT_EQ(cxlalloc_stats_get(&stats), 0);
+    EXPECT_EQ(stats.small_slabs_used, used)
+        << "the freed slab was not reclaimed: the unbind did not land B's "
+           "frees";
     cxlalloc_thread_unbind();
     cxlalloc_process_detach(proc);
 }

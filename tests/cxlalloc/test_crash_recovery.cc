@@ -194,9 +194,9 @@ TEST(CrashRecovery, HostCrashEvictionCannotResurrectStaleRecord)
     auto t = rig.thread();
     const cxlalloc::Layout& layout = rig.alloc.layout();
 
-    // Fill one 256 B slab completely: the final allocation's Detach
-    // transition flush_descs the whole descriptor, making the class byte
-    // and the all-zero bitset durable.
+    // Fill one 256 B slab completely (the final allocation detaches it,
+    // writing nothing back), then write its descriptor's first line back,
+    // making the class byte and the all-zero first bitset word durable.
     constexpr int kBlocks = 128; // 32 KiB slab / 256 B blocks
     std::vector<cxl::HeapOffset> warm;
     for (int i = 0; i < kBlocks; i++) {
@@ -206,6 +206,7 @@ TEST(CrashRecovery, HostCrashEvictionCannotResurrectStaleRecord)
     auto slab = static_cast<std::uint32_t>(
         (warm[0] - layout.small_data()) / cxlalloc::kSmallSlabSize);
     cxl::HeapOffset desc = layout.small_swcc_desc(slab);
+    t->mem().flush(desc, cxlcommon::kCacheLine);
     cxl::HeapOffset record_row = layout.recovery_row(t->tid());
     std::uint32_t record_set = cxl::ThreadCache::set_of(record_row);
     std::uint32_t desc_set = cxl::ThreadCache::set_of(desc);
@@ -288,12 +289,14 @@ TEST(CrashRecovery, CrashMidStealCompletesSteal)
     Rig rig;
     auto owner = rig.thread();
     auto other = rig.thread();
-    // Fill one whole 512 B slab (64 blocks) and remote-free all of it;
-    // the final decrement triggers the steal, where we crash.
+    // Fill one whole 512 B slab (64 blocks), give it up (its owner leaves:
+    // disowned, pin freed) and remote-free all of it; the final decrement
+    // triggers the steal, where we crash.
     std::vector<cxl::HeapOffset> ptrs;
     for (int i = 0; i < 64; i++) {
         ptrs.push_back(rig.alloc.allocate(*owner, 512));
     }
+    rig.alloc.detach_thread(*owner);
     for (int i = 0; i < 63; i++) {
         rig.alloc.deallocate(*other, ptrs[i]);
     }
@@ -325,23 +328,40 @@ die_idle_and_recover(Rig& rig, std::unique_ptr<pod::ThreadContext>& ctx)
     rig.alloc.recover(*ctx);
 }
 
-TEST(CrashRecovery, FinishedDetachRecordLeavesTheStolenSlabAlone)
+TEST(CrashRecovery, FinishedDetachRecordLeavesTheReclaimableSlabAlone)
 {
     Rig rig;
     auto owner = rig.thread();
     auto other = rig.thread();
     // The 64th allocation fills the slab and detaches it: the owner's
-    // record stays Detach while the other thread frees every block and
-    // steals the slab onto its own unsized list.
+    // record stays Detach while the other thread frees every block. The
+    // owner's pin keeps the slab from being stolen: it holds only the pin.
     std::vector<cxl::HeapOffset> ptrs;
     for (int i = 0; i < 64; i++) {
         ptrs.push_back(rig.alloc.allocate(*owner, 512));
     }
+    const std::uint32_t slab = static_cast<std::uint32_t>(
+        (ptrs[0] - rig.alloc.layout().small_data()) /
+        cxlalloc::kSmallSlabSize);
     for (cxl::HeapOffset p : ptrs) {
         rig.alloc.deallocate(*other, p);
     }
+    cxlalloc::SlabHeap& heap = rig.alloc.small_heap();
+    ASSERT_EQ(heap.debug_owner(other->mem(), slab), owner->tid())
+        << "a remote freer stole a pinned slab";
+    ASSERT_EQ(heap.debug_remote_free(other->mem(), slab), 0u);
     die_idle_and_recover(rig, owner);
     rig.alloc.check_local_invariants(other->mem());
+    rig.alloc.check_invariants(owner->mem());
+    // The recovered owner takes the slab back before growing the heap: a
+    // slab's worth of 512 B blocks reuses it.
+    std::uint32_t len = rig.alloc.stats(owner->mem()).small.length;
+    for (int i = 0; i < 64; i++) {
+        cxl::HeapOffset p = rig.alloc.allocate(*owner, 512);
+        ASSERT_NE(p, 0u);
+        EXPECT_EQ(p, ptrs[static_cast<std::size_t>(i)]);
+    }
+    EXPECT_EQ(rig.alloc.stats(owner->mem()).small.length, len);
     verify_consistent(rig, *owner);
     rig.pod.release_thread(std::move(owner));
     rig.pod.release_thread(std::move(other));
@@ -382,6 +402,7 @@ TEST(CrashRecovery, CrashInsideStealAcquireCompletesSteal)
     for (int i = 0; i < 64; i++) {
         ptrs.push_back(rig.alloc.allocate(*owner, 512));
     }
+    rig.alloc.detach_thread(*owner);
     for (int i = 0; i < 63; i++) {
         rig.alloc.deallocate(*other, ptrs[i]);
     }

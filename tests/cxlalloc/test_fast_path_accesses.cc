@@ -2,9 +2,10 @@
 /// The slab heaps' fast paths touch each descriptor word once (layout.h,
 /// DescField): exact load/store/flush/fence counts for a warm allocation,
 /// a local free into a sized slab and a local free that relinks a
-/// Detached slab, in the small and the large heap. The two publications on
-/// the way (a detach, a trim's push to the global list) write back exactly
-/// the descriptor lines stored since their last flush. Then the crash side of
+/// Detached slab, in the small and the large heap. A detach writes
+/// nothing back (the owner's pin keeps the slab its own); a trim's push to
+/// the global list writes back exactly the descriptor lines stored since
+/// the slab's Init. Then the crash side of
 /// the merged stores: registry crash sweeps at the points around them and
 /// deaths between the bitset store and the count-word store all recover to
 /// a clean audit (free counter == popcount) with a conservative scan hint.
@@ -266,16 +267,16 @@ TEST_P(FastPathAccesses, LocalFreeIntoDetachedSlabRelinks)
     rig.pod.release_thread(std::move(t));
 }
 
-TEST_P(FastPathAccesses, DetachWritesBackOnlyItsDirtyDescriptorLines)
+TEST_P(FastPathAccesses, DetachWritesBackNothing)
 {
-    // The allocation that fills a fresh slab detaches it. Since the slab
-    // was acquired, its descriptor took the owner, count and link words
-    // (line 0) and every bitset word of the class (Init, then one word per
-    // allocation): flush_desc writes back exactly those lines.
+    // The allocation that fills a fresh slab detaches it: the owner's pin
+    // in the remote-free counter keeps every other thread from taking the
+    // slab, so the detach only unlinks it and stores its owner word. No
+    // line is written back and no fence runs; the Detach record stays
+    // deferred, like Alloc's.
     const HeapCase& h = GetParam();
     Rig rig;
     auto t = rig.thread();
-    DirtyLines dirty;
     cxl::HeapOffset first = rig.alloc.allocate(*t, h.size);
     for (std::uint64_t i = 2; i < blocks_per_slab(h); i++) {
         ASSERT_EQ(slab_of(rig, h, rig.alloc.allocate(*t, h.size)),
@@ -285,20 +286,24 @@ TEST_P(FastPathAccesses, DetachWritesBackOnlyItsDirtyDescriptorLines)
     Accesses acc =
         measure(t->mem(), [&] { last = rig.alloc.allocate(*t, h.size); });
     ASSERT_EQ(slab_of(rig, h, last), slab_of(rig, h, first));
-    expect_desc_writeback(acc, dirty,
-                          desc_of(rig, h, slab_of(rig, h, first)));
-    EXPECT_EQ(dirty.requested().size(), used_desc_lines(h));
-    EXPECT_EQ(dirty.requested_runs(), 1u);
+    EXPECT_EQ(acc.flushed_lines, 0u);
+    EXPECT_EQ(acc.flushes, 0u);
+    EXPECT_EQ(acc.fences, 0u);
+    EXPECT_EQ(rig.alloc.pending_record(*t).op, cxlalloc::Op::Detach);
+    cxlalloc::SlabHeap& heap =
+        is_large(h) ? rig.alloc.large_heap() : rig.alloc.small_heap();
+    EXPECT_EQ(heap.debug_owner(t->mem(), slab_of(rig, h, first)), t->tid());
     rig.pod.release_thread(std::move(t));
 }
 
 TEST_P(FastPathAccesses, TrimWritesBackOnlyItsDirtyDescriptorLines)
 {
     // With no unsized slab kept, the local free that empties a slab sharing
-    // its class with another pushes it to the global list. Since its detach
-    // flush, the descriptor took the relink and every freed block's bitset
-    // word, count and link words: push_global_one writes back exactly
-    // those lines.
+    // its class with another pushes it to the global list. Nothing wrote
+    // the descriptor back since Init's owner-word line: it took every
+    // block's bitset word (allocated, then freed), the count and link
+    // words, and the detach. push_global_one writes back exactly those
+    // lines.
     const HeapCase& h = GetParam();
     cxltest::RigOptions opt;
     opt.unsized_limit = 0;

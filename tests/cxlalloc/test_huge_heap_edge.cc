@@ -140,6 +140,7 @@ TEST(HugeEdge, LargeHeapRemoteFreesAndSteal)
         EXPECT_TRUE(rig.alloc.layout().in_large_data(p));
         ptrs.push_back(p);
     }
+    rig.alloc.detach_thread(*owner); // the full slab: disowned, unpinned
     std::uint32_t len = rig.alloc.stats(owner->mem()).large.length;
     for (auto p : ptrs) {
         rig.alloc.deallocate(*other, p); // all remote -> steal

@@ -489,6 +489,9 @@ loser_free_that_trims(cxl::CoherenceMode mode)
         ASSERT_GT(rest.back(), obj);
         ASSERT_LT(rest.back(), obj + cxlalloc::kSmallSlabSize);
     }
+    // The maker gives the full slab up (disowned, pin freed): the last
+    // remote free then steals it.
+    w.alloc->detach_thread(*maker);
     auto ctx = w.thread();
     cxl::ThreadId tid = ctx->tid();
     for (cxl::HeapOffset p : rest) {
@@ -538,6 +541,79 @@ loser_free_that_trims(cxl::CoherenceMode mode)
     w.alloc->deallocate(*rescuer, winner);
     w.pod->release_thread(std::move(rescuer));
     w.pod->release_thread(std::move(maker));
+}
+
+TEST(Migrate, MovesABlockOfAStolenSlabAtItsNewClass)
+{
+    // Under the cache model the migrator reads a slab's class from the
+    // device. An owner fills a 1 KiB-class slab and leaves, a thief frees
+    // every block, steals the slab and inits it for 64 B objects. Init
+    // writes the owner-word line back, so the migrator sizes the thief's
+    // object by the 64 B class, not by the class the device held before.
+    cxlalloc::Config cfg;
+    cfg.small_slabs = 4;
+    cfg.large_slabs = 2;
+    cfg.huge_regions = 2;
+    cfg.huge_region_size = 1 << 20;
+    cfg.huge_descs_per_thread = 4;
+    cfg.hazard_slots_per_thread = 4;
+    cfg.app_sync_bytes = kCells * 8;
+    const Topology topo = Topology::dense(1, 2, cxl::EdgeCost{}, far_edge());
+    PodConfig pc;
+    pc.device = PodShardedAllocator::device_config(
+        cfg, topo, cxl::CoherenceMode::PartialHwcc, /*simulate_cache=*/true);
+    pc.topology = topo;
+    Pod pod(pc);
+    PodShardedAllocator alloc(pod, cfg);
+    pod::Process* proc = pod.create_process(0);
+    alloc.attach(*proc);
+    HotSlabMigrator migrator(alloc);
+    const cxl::DeviceId home = topo.home_of(0);
+    const cxl::DeviceId other = home == 0 ? 1 : 0;
+    const cxl::HeapOffset cell = alloc.shard(home).layout().app_sync();
+    migrator.set_cell_table(cell, kCells);
+    auto thread = [&] {
+        auto ctx = pod.create_thread(proc);
+        alloc.attach_thread(*ctx);
+        return ctx;
+    };
+    auto owner = thread();
+    auto thief = thread();
+    auto mover = thread();
+    const cxlalloc::Layout& hl = alloc.shard(home).layout();
+    auto slab_in = [](const cxlalloc::Layout& l, cxl::HeapOffset p) {
+        return static_cast<std::uint32_t>((p - l.small_data()) /
+                                          cxlalloc::kSmallSlabSize);
+    };
+    std::vector<cxl::HeapOffset> big;
+    for (int i = 0; i < 32; i++) { // one full 1 KiB-class slab
+        big.push_back(alloc.allocate(*owner, 1024));
+        ASSERT_EQ(slab_in(hl, big.back()), slab_in(hl, big[0]));
+    }
+    alloc.detach_thread(*owner);
+    for (cxl::HeapOffset p : big) {
+        alloc.deallocate(*thief, p); // the last one steals the slab
+    }
+    cxl::HeapOffset obj = alloc.allocate(*thief, kObjSize);
+    ASSERT_EQ(slab_in(hl, obj), slab_in(hl, big[0])) << "no steal and Init";
+    ASSERT_TRUE(alloc.shard(home)
+                    .cell_publish(*thief, cell, 0,
+                                  static_cast<std::uint32_t>(obj >> 3))
+                    .success);
+    ASSERT_TRUE(migrator.debug_migrate_cell(*mover, cell, other));
+    auto moved = static_cast<cxl::HeapOffset>(
+                     alloc.shard(home).dcas().read(mover->mem(), cell))
+                 << 3;
+    ASSERT_EQ(pod.device().device_of(moved), other);
+    const cxlalloc::Layout& ol = alloc.shard(other).layout();
+    std::uint8_t biased = alloc.shard(other).small_heap().debug_class_biased(
+        mover->mem(), slab_in(ol, moved));
+    ASSERT_NE(biased, 0u);
+    EXPECT_EQ(cxlalloc::small_class_size(biased - 1u), kObjSize)
+        << "the migrator sized the copy by the slab's previous class";
+    pod.release_thread(std::move(owner));
+    pod.release_thread(std::move(thief));
+    pod.release_thread(std::move(mover));
 }
 
 TEST(MigrateCrash, LoserFreeThatTrimsIsNotRefreed)

@@ -4,7 +4,10 @@
 /// interrupted-operation states far beyond the targeted white-box tests.
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -119,6 +122,149 @@ TEST_P(CrashEverywhere, SweepCountdownRange)
 
 INSTANTIATE_TEST_SUITE_P(Depths, CrashEverywhere,
                          ::testing::Values(1, 41, 81, 121));
+
+/// The owner's pin, window by window: thread A fills a 512 B slab (a
+/// detach, no write-back) and B frees every block of it, so it holds only
+/// the pin and A's next refill takes it back (reclaim); A fills a 256 B
+/// slab after B freed one block of it (a disown, then the unpin); A holds
+/// blocks of a 1 KiB and an 8 B slab and a 64 B slab with no live block,
+/// and leaves (the release). B frees every block A handed it.
+enum class PinWindow { Reclaim, DisownUnpin, Release };
+
+/// One run with A's crash armed at (@p point, @p countdown) over
+/// @p window only. Returns true if it fired. The end: a clean audit, no
+/// pending free, and no live block but the one an interrupted allocation
+/// may have kept (the application never saw its pointer).
+bool
+pin_life(cxl::CoherenceMode mode, PinWindow window, int point,
+         std::uint32_t countdown)
+{
+    cxltest::RigOptions opt;
+    opt.mode = mode;
+    Rig rig(opt);
+    auto a = rig.thread();
+    auto b = rig.thread();
+    std::vector<cxl::HeapOffset> handed;
+    bool crashed = false;
+    bool in_alloc = false;
+    auto land = [&] { rig.alloc.cleanup(*b); };
+    // Runs @p step as A, with the crash armed when @p w is the window.
+    auto as_a = [&](PinWindow w, bool allocating, auto step) {
+        if (w == window && !crashed) {
+            a->arm_crash(point, countdown);
+        }
+        try {
+            step();
+            a->disarm_crash();
+        } catch (const ThreadCrashed&) {
+            crashed = true;
+            in_alloc = allocating;
+            cxl::ThreadId tid = a->tid();
+            rig.pod.mark_crashed(std::move(a));
+            a = rig.pod.adopt_thread(rig.process, tid);
+            rig.alloc.recover(*a);
+            cxlalloc::AuditReport r = rig.alloc.audit(a->mem());
+            EXPECT_TRUE(r.ok()) << r.to_string();
+            rig.alloc.check_local_invariants(a->mem());
+            if (w == PinWindow::Release) {
+                rig.alloc.detach_thread(*a); // the slot is still leaving
+            }
+        }
+    };
+    auto alloc_a = [&](std::uint64_t size) {
+        cxl::HeapOffset p = rig.alloc.allocate(*a, size);
+        EXPECT_NE(p, 0u);
+        handed.push_back(p);
+    };
+    for (int i = 0; i < 64; i++) {
+        alloc_a(512);
+    }
+    for (cxl::HeapOffset p : handed) {
+        rig.alloc.deallocate(*b, p);
+    }
+    handed.clear();
+    land();
+    as_a(PinWindow::Reclaim, true, [&] { alloc_a(1024); });
+    for (int i = 0; i < 3; i++) {
+        alloc_a(1024);
+    }
+    for (int i = 0; i < 127; i++) {
+        alloc_a(256);
+    }
+    rig.alloc.deallocate(*b, handed[4]);
+    handed.erase(handed.begin() + 4);
+    land();
+    as_a(PinWindow::DisownUnpin, true, [&] { alloc_a(256); }); // fills it
+    for (int i = 0; i < 3; i++) {
+        alloc_a(8);
+    }
+    // A 64 B slab whose one block B frees: it comes back whole.
+    alloc_a(64);
+    rig.alloc.deallocate(*b, handed.back());
+    handed.pop_back();
+    land();
+    as_a(PinWindow::Release, false, [&] { rig.alloc.detach_thread(*a); });
+    for (cxl::HeapOffset p : handed) {
+        rig.alloc.deallocate(*b, p);
+    }
+    land();
+    cxlalloc::AuditReport r = rig.alloc.audit(b->mem());
+    EXPECT_TRUE(r.ok()) << r.to_string();
+    EXPECT_EQ(r.pending_frees, 0u);
+    EXPECT_LE(r.live_blocks, in_alloc ? 1u : 0u);
+    rig.alloc.check_local_invariants(b->mem());
+    for (int i = 0; i < 40; i++) {
+        cxl::HeapOffset p = rig.alloc.allocate(*b, 64 + i);
+        EXPECT_NE(p, 0u);
+        rig.alloc.deallocate(*b, p);
+    }
+    rig.pod.release_thread(std::move(a));
+    rig.pod.release_thread(std::move(b));
+    return crashed;
+}
+
+class PinWindows : public ::testing::TestWithParam<cxl::CoherenceMode> {};
+
+TEST_P(PinWindows, EveryPointRecoversToACleanAudit)
+{
+    using cxlalloc::crashpoint::kMidReclaim;
+    using cxlalloc::crashpoint::kMidRelease;
+    using cxlalloc::crashpoint::kMidUnpin;
+    std::vector<std::pair<PinWindow, int>> fired;
+    for (PinWindow window : {PinWindow::Reclaim, PinWindow::DisownUnpin,
+                             PinWindow::Release}) {
+        for (int point : allocator_crash_points()) {
+            for (std::uint32_t countdown = 1; countdown <= 8; countdown++) {
+                SCOPED_TRACE("window " +
+                             std::to_string(static_cast<int>(window)) +
+                             " point " + std::to_string(point) +
+                             " countdown " + std::to_string(countdown));
+                if (pin_life(GetParam(), window, point, countdown)) {
+                    fired.emplace_back(window, point);
+                } else {
+                    break; // the window reaches this point fewer times
+                }
+            }
+        }
+    }
+    auto hit = [&](PinWindow w, int point) {
+        return std::find(fired.begin(), fired.end(),
+                         std::make_pair(w, point)) != fired.end();
+    };
+    EXPECT_TRUE(hit(PinWindow::Reclaim, kMidReclaim));
+    EXPECT_TRUE(hit(PinWindow::DisownUnpin, kMidUnpin));
+    EXPECT_TRUE(hit(PinWindow::Release, kMidUnpin));
+    EXPECT_TRUE(hit(PinWindow::Release, kMidRelease));
+}
+
+INSTANTIATE_TEST_SUITE_P(Modes, PinWindows,
+                         ::testing::Values(cxl::CoherenceMode::PartialHwcc,
+                                           cxl::CoherenceMode::NoHwcc),
+                         [](const auto& info) {
+                             return info.param == cxl::CoherenceMode::NoHwcc
+                                        ? std::string("NoHwcc")
+                                        : std::string("PartialHwcc");
+                         });
 
 TEST(CrashEverywhere, RepeatedCrashRecoverCyclesOnOneSlot)
 {

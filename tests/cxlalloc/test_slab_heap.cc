@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 #include <set>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -204,12 +206,14 @@ TEST(SlabAlloc, RemoteFreeDecrementsAndStealReclaims)
     Rig rig;
     auto producer = rig.thread();
     auto consumer = rig.thread();
-    // Producer fills one whole slab (32 KiB / 512 B = 64 blocks) and hands
-    // every block to the consumer.
+    // Producer fills one whole slab (32 KiB / 512 B = 64 blocks), hands
+    // every block to the consumer and leaves: its slab is disowned and its
+    // pin freed.
     std::vector<cxl::HeapOffset> ptrs;
     for (int i = 0; i < 64; i++) {
         ptrs.push_back(rig.alloc.allocate(*producer, 512));
     }
+    rig.alloc.detach_thread(*producer);
     std::uint32_t len_before = rig.alloc.stats(producer->mem()).small.length;
     // Consumer remote-frees everything; the last free steals the slab.
     for (auto p : ptrs) {
@@ -226,6 +230,81 @@ TEST(SlabAlloc, RemoteFreeDecrementsAndStealReclaims)
     rig.pod.release_thread(std::move(producer));
     rig.pod.release_thread(std::move(consumer));
 }
+
+class ReleasedSlabs : public ::testing::TestWithParam<cxl::CoherenceMode> {};
+
+TEST_P(ReleasedSlabs, ServeAnotherThreadOnceTheirBlocksAreFreed)
+{
+    // A leaving thread holds a full (Detached) 512 B slab, a partly free
+    // 1 KiB slab and an 8 B slab with 4093 of its 4096 blocks free. Its
+    // release disowns all three: free blocks marked allocated and freed
+    // remotely with the pin (under NoHwcc in pending entries of at most a
+    // row's capacity). Once another thread frees every live block, it
+    // steals each slab, and they serve it without growing the heap.
+    cxltest::RigOptions opt;
+    opt.mode = GetParam();
+    Rig rig(opt);
+    auto leaver = rig.thread();
+    auto other = rig.thread();
+    std::vector<cxl::HeapOffset> live;
+    std::vector<std::uint32_t> slabs;
+    for (auto [size, n] : {std::pair<std::uint64_t, int>{512, 64},
+                           {1024, 4},
+                           {8, 3}}) {
+        for (int i = 0; i < n; i++) {
+            live.push_back(rig.alloc.allocate(*leaver, size));
+            ASSERT_NE(live.back(), 0u);
+        }
+        slabs.push_back(static_cast<std::uint32_t>(
+            (live.back() - rig.alloc.layout().small_data()) /
+            cxlalloc::kSmallSlabSize));
+    }
+    cxlalloc::SlabHeap& heap = rig.alloc.small_heap();
+    ASSERT_EQ(heap.debug_owner(leaver->mem(), slabs[0]), leaver->tid());
+    rig.alloc.detach_thread(*leaver);
+    for (std::uint32_t slab : slabs) {
+        EXPECT_EQ(heap.debug_owner(leaver->mem(), slab), cxl::kNoThread);
+        EXPECT_EQ(heap.debug_free_blocks(leaver->mem(), slab), 0u);
+    }
+    cxlalloc::AuditReport r = rig.alloc.audit(other->mem());
+    EXPECT_TRUE(r.ok()) << r.to_string();
+    EXPECT_EQ(r.live_blocks, live.size());
+    EXPECT_EQ(r.pending_frees, 0u);
+    rig.pod.release_thread(std::move(leaver));
+    const std::uint32_t len = rig.alloc.stats(other->mem()).small.length;
+    for (cxl::HeapOffset p : live) {
+        rig.alloc.deallocate(*other, p);
+    }
+    rig.alloc.cleanup(*other);
+    r = rig.alloc.audit(other->mem());
+    EXPECT_TRUE(r.ok()) << r.to_string();
+    EXPECT_EQ(r.live_blocks, 0u);
+    EXPECT_EQ(r.pending_frees, 0u);
+    for (std::uint32_t slab : slabs) {
+        EXPECT_EQ(heap.debug_owner(other->mem(), slab), other->tid())
+            << "slab " << slab << " was not stolen";
+    }
+    for (auto [size, n] : {std::pair<std::uint64_t, int>{512, 64},
+                           {1024, 32},
+                           {8, 4096}}) {
+        for (int i = 0; i < n; i++) {
+            ASSERT_NE(rig.alloc.allocate(*other, size), 0u);
+        }
+    }
+    EXPECT_EQ(rig.alloc.stats(other->mem()).small.length, len)
+        << "the released slabs did not serve the other thread";
+    rig.alloc.check_local_invariants(other->mem());
+    rig.pod.release_thread(std::move(other));
+}
+
+INSTANTIATE_TEST_SUITE_P(Modes, ReleasedSlabs,
+                         ::testing::Values(cxl::CoherenceMode::PartialHwcc,
+                                           cxl::CoherenceMode::NoHwcc),
+                         [](const auto& info) {
+                             return info.param == cxl::CoherenceMode::NoHwcc
+                                        ? std::string("NoHwcc")
+                                        : std::string("PartialHwcc");
+                         });
 
 TEST(SlabAlloc, MixedLocalRemoteFreesDisownAndReclaim)
 {
@@ -471,6 +550,7 @@ TEST(SlabAlloc, ProducerConsumerPipeline)
             queue[i] = p;
             produced.store(i + 1, std::memory_order_release);
         }
+        rig.alloc.detach_thread(*t);
         rig.pod.release_thread(std::move(t));
     });
     std::thread consumer([&] {
@@ -480,6 +560,7 @@ TEST(SlabAlloc, ProducerConsumerPipeline)
             }
             rig.alloc.deallocate(*t, queue[i]);
         }
+        rig.alloc.detach_thread(*t);
         rig.pod.release_thread(std::move(t));
     });
     producer.join();
@@ -491,8 +572,9 @@ TEST(SlabAlloc, ProducerConsumerPipeline)
     // scheduling lag (on one core the producer can run ahead of the
     // consumer, so the bound is the full footprint: 20000 * 64 B = 40
     // slabs). Crucially, every fully-remotely-freed slab must have been
-    // stolen and recycled: after the run they sit on free lists instead of
-    // being leaked in the disowned/detached limbo.
+    // reclaimed, stolen or handed back when its thread left: after the run
+    // they sit on free lists instead of being leaked in the
+    // disowned/detached limbo.
     EXPECT_LE(stats.small.length, 41u);
     EXPECT_GT(stats.small.global_free, 0u)
         << "consumer's steals never recycled slabs to the global list";

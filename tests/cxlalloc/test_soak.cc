@@ -92,6 +92,7 @@ TEST(Soak, EverythingAtOnce)
                 }
                 t->disarm_crash();
                 rig.alloc.check_local_invariants(t->mem());
+                rig.alloc.detach_thread(*t);
                 rig.pod.release_thread(std::move(t));
             });
         }

@@ -78,6 +78,7 @@ TEST(SwccProtocol, StealAcrossIncoherentCaches)
     for (int i = 0; i < 64; i++) {
         ptrs.push_back(rig.alloc.allocate(*owner, 512));
     }
+    rig.alloc.detach_thread(*owner); // disowned, written back, unpinned
     for (auto p : ptrs) {
         rig.alloc.deallocate(*thief, p);
     }

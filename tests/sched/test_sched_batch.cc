@@ -114,12 +114,14 @@ struct DrainWorld {
             alloc.attach_thread(*ctxs.back());
             tids.push_back(ctxs.back()->tid());
         }
-        // Unhooked pre-state: the owner fills kSlabs slabs (detached
-        // full) and holds a few blocks it will free locally.
+        // Unhooked pre-state: the owner fills kSlabs slabs and gives them
+        // up (disowned, pins landed: detach_thread), then holds a few
+        // blocks it will free locally.
         std::vector<cxl::HeapOffset> full;
         for (int n = 0; n < kSlabs * kPerSlab; n++) {
             full.push_back(alloc.allocate(*ctxs[0], 1024));
         }
+        alloc.detach_thread(*ctxs[0]);
         for (int n = 0; n < kLocal; n++) {
             local.push_back(alloc.allocate(*ctxs[0], 64));
         }
