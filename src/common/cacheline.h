@@ -29,11 +29,4 @@ align_up(std::uint64_t n, std::uint64_t align)
     return (n + align - 1) & ~(align - 1);
 }
 
-/// True if @p n is a power of two (and nonzero).
-constexpr bool
-is_pow2(std::uint64_t n)
-{
-    return n != 0 && (n & (n - 1)) == 0;
-}
-
 } // namespace cxlcommon

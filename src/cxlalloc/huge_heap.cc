@@ -252,7 +252,15 @@ HugeHeap::allocate(pod::ThreadContext& ctx, ThreadState& ts,
     publish_desc(mem, index);
     ctx.maybe_crash(crashpoint::kMidHugeAlloc);
     link_desc(mem, index);
+    return allocate_tail(ctx, ts, index, start, size) ? start : 0;
+}
 
+bool
+HugeHeap::allocate_tail(pod::ThreadContext& ctx, ThreadState& ts,
+                        std::uint32_t index, std::uint64_t start,
+                        std::uint64_t size)
+{
+    cxl::MemSession& mem = ctx.mem();
     // Hazard-offset rule 1: publish before mapping. A full row means this
     // thread holds its configured maximum of concurrent mappings; reclaim
     // freed ones and retry before failing the allocation.
@@ -267,12 +275,12 @@ HugeHeap::allocate(pod::ThreadContext& ctx, ThreadState& ts,
             publish_desc(mem, index);
             ts.free_descs.push_back(index);
             ts.huge_free.insert(start, size);
-            return 0;
+            return false;
         }
     }
     ctx.maybe_crash(crashpoint::kMidHugeMap);
     ctx.process().install_mapping(start, size);
-    return start;
+    return true;
 }
 
 void
@@ -296,7 +304,13 @@ HugeHeap::deallocate(pod::ThreadContext& ctx, ThreadState& ts,
                             .version = ts.version,
                             .index = index});
     ctx.maybe_crash(crashpoint::kAfterRecord);
+    deallocate_tail(ctx, index);
+}
 
+void
+HugeHeap::deallocate_tail(pod::ThreadContext& ctx, std::uint32_t index)
+{
+    cxl::MemSession& mem = ctx.mem();
     std::uint64_t start = desc_offset(mem, index);
     std::uint64_t size = desc_size(mem, index);
     // "Setting the free bit does not require CAS because huge descriptors
@@ -474,45 +488,37 @@ HugeHeap::recover(pod::ThreadContext& ctx, ThreadState& ts,
       case Op::HugeAlloc: {
         std::uint32_t index = record.index;
         refetch_desc(mem, index);
-        std::uint32_t flags = desc_flags(mem, index);
-        if (flags == 0) {
-            break; // descriptor publish never landed: nothing allocated
+        if (desc_flags(mem, index) == 0) {
+            break; // descriptor publish never landed, or rolled back
         }
-        // Complete the allocation (the pointer never reached the
-        // application; its own recovery log reclaims the object).
+        // Complete the allocation, or roll it back as allocate would (the
+        // pointer never reached the application; its own recovery log
+        // reclaims the object).
         if (!on_desc_list(mem, mem.tid(), index)) {
             link_desc(mem, index);
+            // Rebuilt before the link, the thread state counted the range
+            // free: the roll-back would return it twice.
+            rebuild_thread_state(ctx, ts);
         }
+        // A hazard still published means the tail ran: rebuild_thread_state
+        // dropped each of ours that this process has not mapped.
         std::uint64_t start = desc_offset(mem, index);
         if (!hazards_.is_published(mem, start)) {
-            hazards_.publish(mem, start);
+            allocate_tail(ctx, ts, index, start, desc_size(mem, index));
         }
-        ctx.process().install_mapping(start, desc_size(mem, index));
         break;
       }
       case Op::HugeFree: {
         std::uint32_t index = record.index;
         refetch_desc(mem, index);
-        std::uint32_t flags = desc_flags(mem, index);
-        if (flags == 0) {
-            break; // already reclaimed
+        if (desc_flags(mem, index) & HugeDescField::kFlagAllocated) {
+            deallocate_tail(ctx, index);
         }
-        if (flags & HugeDescField::kFlagAllocated) {
-            std::uint64_t start = desc_offset(mem, index);
-            std::uint64_t size = desc_size(mem, index);
-            mem.store<std::uint32_t>(desc(index) + HugeDescField::kFlags,
-                                     HugeDescField::kFlagAllocated |
-                                         HugeDescField::kFlagFree);
-            publish_desc(mem, index);
-            ctx.process().remove_mapping(start, size);
-            hazards_.remove_value(mem, start);
-        }
-        break;
+        break; // flags 0: already reclaimed
       }
       default:
         CXL_PANIC("huge heap asked to recover a non-huge operation");
     }
-    (void)ts;
 }
 
 // -------------------------------------------------------------- diagnostics

@@ -88,6 +88,15 @@ class HugeHeap {
     cxlsync::HazardOffsets& hazards() { return hazards_; }
 
   private:
+    /// allocate's steps after the link of @p index, and the HugeAlloc
+    /// redo's: the hazard, then the mapping, or (row still full after a
+    /// cleanup) the roll-back. False after a roll-back.
+    bool allocate_tail(pod::ThreadContext& ctx, ThreadState& ts,
+                       std::uint32_t index, std::uint64_t start,
+                       std::uint64_t size);
+    /// deallocate's steps after its record, and the HugeFree redo's.
+    void deallocate_tail(pod::ThreadContext& ctx, std::uint32_t index);
+
     // Descriptor field access (flush-after-write / flush-before-read).
     cxl::HeapOffset desc(std::uint32_t index) const;
     std::uint32_t desc_next(cxl::MemSession& mem, std::uint32_t index);

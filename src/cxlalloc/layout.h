@@ -7,7 +7,7 @@
 ///     mCAS) configurations only need coherence over a small prefix
 ///     (paper §3.2).
 ///  2. All-zero memory is a valid, empty heap (paper §4): every list link
-///     uses the OptIndex +1 bias, thread id 0 means "no owner", length 0
+///     stores index + 1 (0 = none), thread id 0 means "no owner", length 0
 ///     means "no slabs", and the huge descriptor "allocated" flag is
 ///     0 = free. No process ever runs an initialization step; the first
 ///     allocation finds a consistent empty heap.
@@ -80,7 +80,7 @@ struct Config {
 
 /// Slab descriptor geometry (SWccDesc, paper Fig. 3). Field offsets within
 /// one descriptor:
-///   +0  next   u32  (OptIndex raw: intrusive free-list link)
+///   +0  next   u32  (index + 1, 0 = none: intrusive free-list link)
 ///   +4  owner  u16  (ThreadId; 0 = no owner)
 ///   +6  class  u8   (size class + 1; 0 = none)
 ///   +7  state  u8   (SlabState; 0 = Unmapped)
@@ -89,7 +89,7 @@ struct Config {
 ///        full/empty transition checks O(1) instead of O(words). Zeroed
 ///        memory is still a valid empty heap: 0 free blocks matches an
 ///        all-zero bitset. Rebuilt from the bitset by crash recovery.)
-///   +12 prev   u32  (OptIndex raw, sized lists only: the predecessor,
+///   +12 prev   u32  (index + 1, sized lists only: the predecessor,
 ///        except that a list head names the tail, so a lone head names
 ///        itself; owner-only list state, rebuilt by crash recovery)
 ///   +16 free bitset (u64 words; bit set = block free)
@@ -139,7 +139,8 @@ enum class SlabState : std::uint8_t {
 const char* to_string(SlabState s);
 
 /// Huge descriptor geometry (paper Fig. 5 HugeDesc). 32 bytes:
-///   +0  next   u32 (OptIndex raw: link in the owner's descriptor list)
+///   +0  next   u32 (index + 1, 0 = none: link in the owner's descriptor
+///        list)
 ///   +4  flags  u32 (bit0: allocated, bit1: free-requested)
 ///   +8  offset u64 (start of the backing mapping, device offset)
 ///   +16 size   u64 (mapping length in bytes)
@@ -179,7 +180,7 @@ class Layout {
 
     /// Small heap length (detectable-CAS word; value = number of slabs).
     HeapOffset small_len() const { return small_global_; }
-    /// Small heap global free list head (dcas word; value = OptIndex raw).
+    /// Small heap global free list head (dcas word; value = index + 1).
     HeapOffset small_free() const { return small_global_ + 8; }
     HeapOffset large_len() const { return large_global_; }
     HeapOffset large_free() const { return large_global_ + 8; }
@@ -258,7 +259,7 @@ class Layout {
         return large_pending_ + static_cast<HeapOffset>(tid) * kPendingStride;
     }
 
-    /// Per-thread HugeLocal: +0 descriptor list head (u32 OptIndex raw).
+    /// Per-thread HugeLocal: +0 descriptor list head (u32 index + 1).
     HeapOffset
     huge_local(cxl::ThreadId tid) const
     {

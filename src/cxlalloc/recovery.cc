@@ -15,7 +15,7 @@ register_crash_points()
     reg.add(cp::kMidInit, "slab.mid_init", "SlabHeap::init_slab");
     reg.add(cp::kAfterDcas, "slab.after_dcas", "SlabHeap (dcas applied)");
     reg.add(cp::kMidSteal, "slab.mid_steal",
-            "SlabHeap::free_remote, SlabHeap::drain_pending");
+            "SlabHeap::free_remote, SlabHeap::settle_round");
     reg.add(cp::kMidDetach, "slab.mid_detach", "SlabHeap::full_transition");
     reg.add(cp::kMidFreeLocal, "slab.mid_free_local", "SlabHeap::free_local");
     reg.add(cp::kMidPushGlobal, "slab.mid_push_global",

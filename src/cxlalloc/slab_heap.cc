@@ -927,7 +927,15 @@ SlabHeap::full_transition(pod::ThreadContext& ctx, ThreadState& ts,
                                   .version = ts.version,
                                   .index = slab});
     ctx.maybe_crash(crashpoint::kAfterRecord);
-    remove_sized(mem, cls, slab);
+    detach_tail(ctx, ts, slab, w);
+}
+
+void
+SlabHeap::detach_tail(pod::ThreadContext& ctx, ThreadState& ts,
+                      std::uint32_t slab, OwnerWord w)
+{
+    cxl::MemSession& mem = ctx.mem();
+    remove_sized(mem, w.biased - 1u, slab);
     w.state = SlabState::Detached;
     set_owner_word(mem, slab, w);
     note_detached(ts, slab, true);
@@ -942,7 +950,6 @@ SlabHeap::disown(pod::ThreadContext& ctx, ThreadState& ts, std::uint32_t slab,
                  OwnerWord w)
 {
     cxl::MemSession& mem = ctx.mem();
-    const std::uint32_t cls = w.biased - 1;
     // A full slab's disown marks nothing allocated; a release's marks every
     // free block, fewer than the class's blocks, so the count fits aux.
     const std::uint32_t free = count_word(mem, slab).free;
@@ -952,13 +959,24 @@ SlabHeap::disown(pod::ThreadContext& ctx, ThreadState& ts, std::uint32_t slab,
                                   .version = ts.version,
                                   .index = slab});
     ctx.maybe_crash(crashpoint::kAfterRecord);
-    if (w.state == SlabState::TlSized) {
-        remove_sized(mem, cls, slab);
+    disown_tail(ctx, ts, slab, w, free);
+}
+
+void
+SlabHeap::disown_tail(pod::ThreadContext& ctx, ThreadState& ts,
+                      std::uint32_t slab, OwnerWord w, std::uint32_t free)
+{
+    cxl::MemSession& mem = ctx.mem();
+    if (w.state != SlabState::Disowned) {
+        const std::uint32_t cls = w.biased - 1u;
+        if (w.state == SlabState::TlSized) {
+            remove_sized(mem, cls, slab);
+        }
+        mark_allocated(mem, slab, cls, free);
+        set_owner_word(mem, slab, OwnerWord{cxl::kNoThread, w.biased,
+                                            SlabState::Disowned});
+        ctx.maybe_crash(crashpoint::kMidDetach);
     }
-    mark_allocated(mem, slab, cls, free);
-    set_owner_word(mem, slab,
-                   OwnerWord{cxl::kNoThread, w.biased, SlabState::Disowned});
-    ctx.maybe_crash(crashpoint::kMidDetach);
     // Everything this thread wrote goes back before the pin does: from then
     // on the slab's last remote free steals it, and no dirty line of ours
     // may clobber the stealer's writes.
@@ -1113,14 +1131,25 @@ SlabHeap::release_blocks(pod::ThreadContext& ctx, ThreadState& ts,
     cxl::MemSession& mem = ctx.mem();
     drain_pending(ctx, ts);
     const std::uint32_t free = count_word(mem, slab).free;
-    const std::uint32_t k = std::min(capacity_, free + 1 - capacity_);
     log_->log_local(mem, OpRecord{.op = Op::Detach,
                                   .large_heap = large_,
                                   .aux = static_cast<std::uint16_t>(free),
                                   .version = ts.version,
                                   .index = slab});
     ctx.maybe_crash(crashpoint::kAfterRecord);
-    mark_allocated(mem, slab, cls, k);
+    release_tail(ctx, ts, slab, cls, free, free);
+}
+
+void
+SlabHeap::release_tail(pod::ThreadContext& ctx, ThreadState& ts,
+                       std::uint32_t slab, std::uint32_t cls,
+                       std::uint32_t before, std::uint32_t free)
+{
+    cxl::MemSession& mem = ctx.mem();
+    const std::uint32_t k = std::min(capacity_, before + 1 - capacity_);
+    CXL_ASSERT(free <= before && before - free <= k,
+               "release step marked more than its blocks");
+    mark_allocated(mem, slab, cls, k - (before - free));
     // Written back before their frees can land, as a disown's.
     flush_desc(mem, slab);
     ctx.maybe_crash(crashpoint::kMidRelease);
@@ -1405,7 +1434,6 @@ SlabHeap::launch_round(pod::ThreadContext& ctx, ThreadState& ts,
     out.ts = &ts;
     out.line = line;
     out.staged = staged;
-    out.ver = ver;
     out.list = list;
     mem.set_mcas_finisher(&drain);
     ctx.maybe_crash(crashpoint::kMidBatchDrain);
@@ -1425,33 +1453,14 @@ SlabHeap::finish_round(pod::ThreadContext& ctx, ThreadState& ts)
     DrainState::Round& out = drain.out;
     out.heap = nullptr;
     try {
-        // Read the results while the ring still holds them, once the trip
-        // is over. A landed operand that took its counter to zero steals
-        // the slab; a failed one goes back into its line. Both happen
-        // before the stamp is cleared, durably, and before any slot is
-        // released: an out stamp always means the ring holds exactly its
-        // round, and reconcile_ring can finish its steals.
+        // Settle the round while the ring still holds it, once the trip is
+        // over, before any slot is released: an out stamp always means the
+        // ring holds exactly its round, and reconcile_ring can settle it.
         mem.mcas_wait();
-        cxl::NmpSlotView views[cxl::kNmpRingSlots];
-        std::uint32_t live = ctx.process().pod().nmp().ring_snapshot(
-            mem.tid(), views, out.staged);
-        CXL_ASSERT(live == out.staged, "doorbell lost staged operands");
         PendingList& list = out.list;
-        for (std::uint32_t i = 0; i < out.staged; i++) {
-            if (views[i].state != cxl::NmpSlotState::Executed ||
-                !views[i].result.success) {
-                list.add(out.slab_of[i], out.k_of[i]);
-            } else if (DcasWord::value(out.swap_of[i]) == 0) {
-                // Every block was remotely freed, and the pin with them:
-                // the slab is disowned and written back, so stealing needs
-                // no coordination with the previous owner (paper §3.2.1).
-                ctx.maybe_crash(crashpoint::kMidSteal);
-                acquire_to_unsized(ctx, out.slab_of[i]);
-                drain.trim_owed[large_] = true;
-            }
+        if (settle_round(ctx, out.line, list, /*redo=*/false)) {
+            drain.trim_owed[large_] = true;
         }
-        list.stamp = out.ver;
-        persist_line(mem, out.line, list);
         const auto bit = static_cast<std::uint8_t>(1u << out.line);
         if (list.n == 0) {
             ts.pending_hint[large_] &= static_cast<std::uint8_t>(~bit);
@@ -1529,21 +1538,26 @@ void
 SlabHeap::reconcile_ring(pod::ThreadContext& ctx)
 {
     cxl::MemSession& mem = ctx.mem();
-    std::uint32_t line = 0;
-    PendingList list;
-    for (; line < lines_; line++) {
-        list = load_line(mem, mem.tid(), line);
+    for (std::uint32_t line = 0; line < lines_; line++) {
+        PendingList list = load_line(mem, mem.tid(), line);
         if ((list.stamp & PendingList::kStampOut) != 0) {
-            break;
+            settle_round(ctx, line, list, /*redo=*/true);
+            return; // at most one line of a row is out
         }
     }
-    if (line == lines_) {
-        return; // no round of ours is out of its line
-    }
-    auto round = static_cast<std::uint16_t>(list.stamp & cxlsync::kVersionMask);
+}
+
+bool
+SlabHeap::settle_round(pod::ThreadContext& ctx, std::uint32_t line,
+                       PendingList& list, bool redo)
+{
+    cxl::MemSession& mem = ctx.mem();
+    const auto round =
+        static_cast<std::uint16_t>(list.stamp & cxlsync::kVersionMask);
     cxl::NmpSlotView views[cxl::kNmpRingSlots];
-    std::uint32_t live = ctx.process().pod().nmp().ring_snapshot(
+    const std::uint32_t live = ctx.process().pod().nmp().ring_snapshot(
         mem.tid(), views, cxl::kNmpRingSlots);
+    bool stole = false;
     for (std::uint32_t i = 0; i < live; i++) {
         const cxl::NmpSlotView& v = views[i];
         if (v.op.target < hwcc_base_ ||
@@ -1565,16 +1579,21 @@ SlabHeap::reconcile_ring(pod::ThreadContext& ctx)
             list.add(slab, DcasWord::value(v.op.expected) -
                                DcasWord::value(v.op.swap));
         } else if (DcasWord::value(v.op.swap) == 0 &&
-                   !on_unsized_list(mem, slab)) {
-            // It took its counter to zero: the round owes this steal. No
-            // trim runs before the stamp clears, so the unsized list tells
-            // whether the steal already happened (not the owner field: an
-            // interrupted acquire writes it before linking).
+                   !(redo && on_unsized_list(mem, slab))) {
+            // Every block was remotely freed, and the pin with them: the
+            // slab is disowned and written back, so stealing needs no
+            // coordination with its owner (paper §3.2.1). No trim runs
+            // before the stamp clears, so the unsized list tells a redo
+            // whether the steal is done (an interrupted acquire writes the
+            // owner field before linking).
+            ctx.maybe_crash(crashpoint::kMidSteal);
             acquire_to_unsized(ctx, slab);
+            stole = true;
         }
     }
     list.stamp = round;
     persist_line(mem, line, list);
+    return stole;
 }
 
 void
@@ -1582,7 +1601,6 @@ SlabHeap::free_local(pod::ThreadContext& ctx, ThreadState& ts,
                      std::uint32_t slab, std::uint32_t block, OwnerWord w)
 {
     cxl::MemSession& mem = ctx.mem();
-    std::uint32_t cls = w.biased - 1;
     // The double-free test loads the bitset word the set below updates.
     std::uint64_t word = mem.load<std::uint64_t>(bitset_word_at(slab, block));
     CXL_ASSERT(((word >> (block % 64)) & 1) == 0, "double free (local)");
@@ -1597,8 +1615,17 @@ SlabHeap::free_local(pod::ThreadContext& ctx, ThreadState& ts,
     CountWord count = count_word(mem, slab);
     bitset_flip(mem, slab, block, word, /*set=*/true, count);
     ctx.maybe_crash(crashpoint::kMidFreeLocal);
-    CXL_PARANOID_ASSERT(count.free == bitset_count(mem, slab, cls),
+    CXL_PARANOID_ASSERT(count.free == bitset_count(mem, slab, w.biased - 1u),
                         "free-block counter diverged from bitset");
+    free_local_tail(ctx, ts, slab, w, count.free);
+}
+
+void
+SlabHeap::free_local_tail(pod::ThreadContext& ctx, ThreadState& ts,
+                          std::uint32_t slab, OwnerWord w, std::uint32_t free)
+{
+    cxl::MemSession& mem = ctx.mem();
+    const std::uint32_t cls = w.biased - 1u;
     if (w.state == SlabState::Detached) {
         // Previously full: relink so it can serve allocations again, at the
         // tail. The slabs ahead of it have waited longer and gathered more
@@ -1606,7 +1633,7 @@ SlabHeap::free_local(pod::ThreadContext& ctx, ThreadState& ts,
         // allocation, which detaches it again.
         push_sized(mem, cls, slab);
         note_detached(ts, slab, false);
-    } else if (count.free == blocks_of(cls) && shares_class(mem, slab)) {
+    } else if (free == blocks_of(cls) && shares_class(mem, slab)) {
         // Slab is now completely empty and the class has other slabs:
         // recycle it as unsized. (Keeping the last slab warm avoids
         // re-initializing it on every alloc/free alternation.)
@@ -1787,20 +1814,16 @@ SlabHeap::recover(pod::ThreadContext& ctx, ThreadState& ts,
         set_owner_word(mem, slab, w);
         break;
       }
-      case Op::PopGlobal: {
-        if (!dcas_->did_succeed(mem, free_word_, record.version)) {
+      case Op::PopGlobal:
+      case Op::Extend: {
+        const bool pop = record.op == Op::PopGlobal;
+        if (!dcas_->did_succeed(mem, pop ? free_word_ : len_word_,
+                                record.version)) {
             break; // CAS never took effect; the allocation was abandoned
         }
-        if (!on_unsized_list(mem, slab)) {
-            acquire_to_unsized(ctx, slab);
+        if (!pop) {
+            install_slab_mappings(ctx, slab);
         }
-        break;
-      }
-      case Op::Extend: {
-        if (!dcas_->did_succeed(mem, len_word_, record.version)) {
-            break;
-        }
-        install_slab_mappings(ctx, slab);
         if (!on_unsized_list(mem, slab)) {
             acquire_to_unsized(ctx, slab);
         }
@@ -1815,19 +1838,14 @@ SlabHeap::recover(pod::ThreadContext& ctx, ThreadState& ts,
             // A full slab's detach: unfinished only while still TlSized
             // (rebuild_lists relisted it). The pin kept it ours.
             if (w.state == SlabState::TlSized) {
-                remove_sized(mem, w.biased - 1u, slab);
-                w.state = SlabState::Detached;
-                set_owner_word(mem, slab, w);
+                detach_tail(ctx, ts, slab, w);
             }
             break;
         }
-        // A release step: the free blocks it marked allocated are not
-        // appended yet (the append's own record would be the latest).
-        std::uint32_t free = resync_count(mem, slab, w.biased - 1u);
-        if (free < record.aux) {
-            flush_desc(mem, slab);
-            unpin(ctx, ts, slab, record.aux - free);
-        }
+        // A release step: its append is not done (the append's own record
+        // would be the latest). Finish marking what it had not marked.
+        release_tail(ctx, ts, slab, w.biased - 1u, record.aux,
+                     resync_count(mem, slab, w.biased - 1u));
         break;
       }
       case Op::Disown: {
@@ -1836,17 +1854,9 @@ SlabHeap::recover(pod::ThreadContext& ctx, ThreadState& ts,
         OwnerWord w = owner_word(mem, slab);
         CXL_ASSERT(w.biased != 0, "Disown record against classless slab");
         if (w.state != SlabState::Disowned) {
-            if (w.state == SlabState::TlSized) {
-                remove_sized(mem, w.biased - 1u, slab);
-            }
             resync_count(mem, slab, w.biased - 1u);
-            mark_allocated(mem, slab, w.biased - 1u, record.aux);
-            set_owner_word(mem, slab,
-                           OwnerWord{cxl::kNoThread, w.biased,
-                                     SlabState::Disowned});
         }
-        flush_desc(mem, slab);
-        unpin(ctx, ts, slab, record.aux + 1u);
+        disown_tail(ctx, ts, slab, w, record.aux);
         break;
       }
       case Op::FreeLocal: {
@@ -1864,20 +1874,12 @@ SlabHeap::recover(pod::ThreadContext& ctx, ThreadState& ts,
             trim_unsized(ctx, ts);
             break;
         }
-        std::uint32_t cls = w.biased - 1u;
         CountWord count = count_word(mem, slab);
         bitset_flip(mem, slab, record.aux,
                     mem.load<std::uint64_t>(bitset_word_at(slab, record.aux)),
                     /*set=*/true, count);
-        std::uint32_t free = resync_count(mem, slab, cls);
-        if (w.state == SlabState::Detached) {
-            push_sized(mem, cls, slab);
-        } else if (w.state == SlabState::TlSized &&
-                   free == blocks_of(cls) && shares_class(mem, slab)) {
-            remove_sized(mem, cls, slab);
-            push_unsized(mem, slab);
-            trim_unsized(ctx, ts);
-        }
+        free_local_tail(ctx, ts, slab, w,
+                        resync_count(mem, slab, w.biased - 1u));
         break;
       }
       case Op::FreeRemote: {
@@ -1920,30 +1922,18 @@ SlabHeap::recover(pod::ThreadContext& ctx, ThreadState& ts,
         break;
       }
       case Op::PushGlobal: {
-        if (on_unsized_list(mem, slab)) {
-            // The pop or its owner-word store never happened, so
-            // rebuild_lists kept the slab on our unsized list: the push
-            // never started.
+        // A slab still on the rebuilt unsized list never left it (the pop
+        // or its owner-word store never happened); a landed CAS finished
+        // the push.
+        if (on_unsized_list(mem, slab) ||
+            dcas_->did_succeed(mem, free_word_, record.version)) {
             break;
         }
-        if (dcas_->did_succeed(mem, free_word_, record.version)) {
-            break; // push landed
-        }
-        // Slab was popped from our unsized list but never published:
-        // finish the push.
-        set_owner_word(mem, slab,
-                       OwnerWord{cxl::kNoThread, 0, SlabState::Global});
-        while (true) {
-            std::uint64_t word = dcas_->read_word(mem, free_word_);
-            std::uint32_t headraw = DcasWord::value(word);
-            set_next_raw(mem, slab, headraw);
-            flush_desc(mem, slab);
-            std::uint16_t ver = ts.next_version();
-            if (dcas_->try_cas_word(mem, free_word_, word, slab + 1, ver)
-                    .success) {
-                break;
-            }
-        }
+        // Popped but never published: take it back, as the PopGlobal and
+        // Extend redos do, and the trim pushes it again under a record of
+        // its own, whose version its CAS carries.
+        acquire_to_unsized(ctx, slab);
+        trim_unsized(ctx, ts);
         break;
       }
       default:

@@ -136,10 +136,9 @@ struct DrainState final : cxl::McasFinisher {
         ThreadState* ts = nullptr;
         std::uint32_t line = 0;
         std::uint32_t staged = 0;
-        /// Its last operand's version: the line's stamp.
-        std::uint16_t ver = 0;
-        /// Its line as the thread last stored it (the launch, then any
-        /// append): the finish puts the failed operands back into it.
+        /// Its line as the thread last stored it (the launch, stamped with
+        /// its last operand's version, then any append): the finish puts
+        /// the failed operands back into it.
         PendingList list;
         std::uint32_t slab_of[cxl::kNmpRingSlots] = {};
         std::uint32_t k_of[cxl::kNmpRingSlots] = {};
@@ -228,10 +227,8 @@ class SlabHeap {
     bool lands_before_append(cxl::MemSession& mem, ThreadState& ts);
 
     /// Recovery and drain helper: if one of the calling thread's lines is
-    /// stamped out, puts back into it every operand of that round still
-    /// in its NMP ring that did not land, finishes the steal of every
-    /// landed one that zeroed its counter (unless the slab is on the
-    /// unsized list), then clears the stamp (flush + fence); a no-op
+    /// stamped out, settles that round from the line and the thread's NMP
+    /// ring (settle_round, skipping steals already done); a no-op
     /// otherwise. Leaves the ring itself to the caller (Nmp::reset_ring).
     void reconcile_ring(pod::ThreadContext& ctx);
 
@@ -305,8 +302,6 @@ class SlabHeap {
     /// "alloc.scavenges", "alloc.drain_rounds", "alloc.drain_blocks"),
     /// sharded by thread id. nullptr disables.
     void set_metrics(obs::MetricsRegistry* registry);
-
-    std::uint64_t slab_size() const { return slab_size_; }
 
     /// Data offset of slab @p slab.
     cxl::HeapOffset slab_data(std::uint32_t slab) const;
@@ -461,13 +456,20 @@ class SlabHeap {
     bool extend(pod::ThreadContext& ctx, ThreadState& ts);
     void full_transition(pod::ThreadContext& ctx, ThreadState& ts,
                          std::uint32_t slab, std::uint32_t cls);
+    /// A full slab's detach after its record, and the Detach redo's: the
+    /// unlink and the Detached owner word (@p w: the TlSized one).
+    void detach_tail(pod::ThreadContext& ctx, ThreadState& ts,
+                     std::uint32_t slab, OwnerWord w);
     /// Gives up @p slab (owner word @p w: ours, TlSized or Detached): an
-    /// Op::Disown record (aux: its free blocks), the unlink, every free
-    /// block marked allocated, the Disowned owner word, the write-back,
-    /// then unpin() of the free blocks and the pin. Under NoHwcc the
-    /// row must take that append without a drain.
+    /// Op::Disown record (aux: its free blocks), then disown_tail. Under
+    /// NoHwcc the row must take the unpin's append without a drain.
     void disown(pod::ThreadContext& ctx, ThreadState& ts, std::uint32_t slab,
                 OwnerWord w);
+    /// A disown after its record, and the Disown redo's: unless @p w is
+    /// Disowned, the unlink, @p free blocks marked allocated and the
+    /// Disowned owner word; then the write-back and unpin(free + 1).
+    void disown_tail(pod::ThreadContext& ctx, ThreadState& ts,
+                     std::uint32_t slab, OwnerWord w, std::uint32_t free);
     /// @p k remote frees of the calling thread into @p slab, whose
     /// descriptor it wrote back: the pin and the blocks a disown marked
     /// allocated. free_remote under HWcc modes, one pending append under
@@ -481,9 +483,19 @@ class SlabHeap {
     /// disown.
     void release_blocks(pod::ThreadContext& ctx, ThreadState& ts,
                         std::uint32_t slab, std::uint32_t cls);
+    /// A release step after its record (aux @p before), and the Detach
+    /// redo's: marks its k blocks allocated, less the before - @p free
+    /// already marked; the write-back; the append of all k.
+    void release_tail(pod::ThreadContext& ctx, ThreadState& ts,
+                      std::uint32_t slab, std::uint32_t cls,
+                      std::uint32_t before, std::uint32_t free);
     /// Local free of @p block; @p w is the owner word deallocate read.
     void free_local(pod::ThreadContext& ctx, ThreadState& ts,
                     std::uint32_t slab, std::uint32_t block, OwnerWord w);
+    /// A local free after its bit flip, and the FreeLocal redo's: the
+    /// relink of a Detached slab, or the recycle of an emptied one.
+    void free_local_tail(pod::ThreadContext& ctx, ThreadState& ts,
+                         std::uint32_t slab, OwnerWord w, std::uint32_t free);
     /// One serial decrement of @p slab's counter by @p k, stealing at zero
     /// (HWcc modes only: under NoHwcc every decrement lands through the
     /// drain). Its Op::FreeRemote record's aux is k - 1.
@@ -518,6 +530,13 @@ class SlabHeap {
     /// Finishes @p ts's out round of this heap (DrainState::Round): logs
     /// no record and posts no operand.
     void finish_round(pod::ThreadContext& ctx, ThreadState& ts);
+    /// Settles the round stamped out of line @p line (@p list) from the
+    /// thread's ring: failed operands go back into @p list, landed ones
+    /// that zeroed their counters steal (a @p redo skips slabs on the
+    /// unsized list), then the stamp clears (flush + fence). True if it
+    /// stole.
+    bool settle_round(pod::ThreadContext& ctx, std::uint32_t line,
+                      PendingList& list, bool redo);
     /// Finishes the thread's out round, whichever heap or shard launched
     /// it, then runs what this heap's finishes left: the trim after a
     /// steal, and the help refresh once per kHelpRefreshVersions.

@@ -14,9 +14,11 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 #include "common/cacheline.h"
 #include "sched/explorer.h"
@@ -75,13 +77,6 @@ class DirtyLineTracker {
         return false;
     }
 
-    bool
-    any_dirty(std::uint32_t vthread) const
-    {
-        auto it = dirty_.find(vthread);
-        return it != dirty_.end() && !it->second.empty();
-    }
-
     /// Drops every dirty line of @p vthread: its cache was written back
     /// (recovery from its process crash does that).
     void written_back(std::uint32_t vthread) { dirty_.erase(vthread); }
@@ -136,55 +131,100 @@ require_flushed(const DirtyLineTracker& tracker, std::uint32_t vthread,
 /// operations (a process crash writes the cache back, so recovery still
 /// reads the newest record), but before any detectable CAS the record
 /// must be durable — after a HOST crash, `did_succeed` reasoning needs
-/// the record that described the CAS, not a stale predecessor. The
-/// oracle watches each vthread's recovery-record row and fails the
-/// schedule if a DcasTry fires while the row is dirty. Every allocator
-/// publication funnels through DetectableCas::try_cas, so hooking
-/// Op::DcasTry covers pop_global / extend / free_remote / push_global and
-/// the batch drain alike.
+/// the record that described the CAS, not a stale predecessor, and its
+/// version must be the CAS's, or recovery calls a landed CAS failed. The
+/// oracle fails the schedule if a DcasTry fires while the vthread's row
+/// is dirty, or if the word its CAS installs (the desired word of its next
+/// Op::Cas on that address) carries another version than the durable
+/// record. Every allocator publication funnels through
+/// DetectableCas::try_cas, so hooking Op::DcasTry covers pop_global /
+/// extend / free_remote / push_global and the redos that call them.
 class RecordFlushOracle {
   public:
-    /// Watches record rows inside the device range [rows_begin, rows_end).
-    RecordFlushOracle(std::uint64_t rows_begin, std::uint64_t rows_end)
-        : tracker_(rows_begin, rows_end)
+    /// The version field of the record held by the row at the given
+    /// device offset, as the device (not any cache) holds it.
+    using DurableVersion = std::function<std::uint16_t(std::uint64_t row)>;
+
+    /// Watches record rows inside the device range [rows_begin, rows_end);
+    /// @p durable_version reads a bound row's durable record.
+    RecordFlushOracle(std::uint64_t rows_begin, std::uint64_t rows_end,
+                      DurableVersion durable_version)
+        : tracker_(rows_begin, rows_end),
+          durable_version_(std::move(durable_version))
     {
     }
 
-    /// Binds @p vthread to its recovery-record row [row, row + len).
+    /// Binds @p vthread to its recovery-record row [row, row + len) in the
+    /// shard whose window is [window_begin, window_end): the row that
+    /// governs its CASes on words in that window.
     void
     bind(std::uint32_t vthread, std::uint64_t row,
-         std::uint64_t len = cxlcommon::kCacheLine)
+         std::uint64_t len = cxlcommon::kCacheLine,
+         std::uint64_t window_begin = 0,
+         std::uint64_t window_end = ~std::uint64_t{0})
     {
-        rows_[vthread] = {row, row + len};
+        rows_[vthread].push_back({row, row + len, window_begin, window_end});
     }
+
+    /// Drops every dirty line of @p vthread: a dead thread's cache was
+    /// written back before an adopter runs on the same vthread.
+    void written_back(std::uint32_t vthread) { tracker_.written_back(vthread); }
 
     void
     observe(std::uint32_t vthread, const Event& event)
     {
         tracker_.observe(vthread, event);
-        if (event.op != Op::DcasTry) {
+        auto due = due_.find(vthread);
+        if (event.op == Op::Cas && due != due_.end() &&
+            due->second.first == event.addr) {
+            // The desired word: [value:32|tid:16|version:16].
+            const auto tagged = static_cast<std::uint16_t>(event.aux);
+            const std::uint16_t recorded = durable_version_(due->second.second);
+            due_.erase(due);
+            if (tagged != recorded) {
+                throw OracleFailure(
+                    "record-names-CAS violated: vthread " +
+                    std::to_string(vthread) + " CASes word " +
+                    std::to_string(event.addr) + " under version " +
+                    std::to_string(tagged) + ", its durable record holds " +
+                    std::to_string(recorded));
+            }
+        }
+        auto rows = rows_.find(vthread);
+        if (event.op != Op::DcasTry || rows == rows_.end()) {
             return;
         }
-        auto it = rows_.find(vthread);
-        if (it == rows_.end()) {
-            return;
-        }
-        if (tracker_.dirty_in(vthread, it->second.first,
-                              it->second.second)) {
-            throw OracleFailure(
-                "record-durable-before-CAS violated: vthread " +
-                std::to_string(vthread) +
-                " attempted a detectable CAS with a dirty recovery "
-                "record row at " +
-                std::to_string(it->second.first));
+        for (const Row& row : rows->second) {
+            if (event.addr < row.window_begin || event.addr >= row.window_end) {
+                continue;
+            }
+            due_[vthread] = {event.addr, row.begin};
+            if (tracker_.dirty_in(vthread, row.begin, row.end)) {
+                throw OracleFailure(
+                    "record-durable-before-CAS violated: vthread " +
+                    std::to_string(vthread) +
+                    " attempted a detectable CAS with a dirty recovery "
+                    "record row at " +
+                    std::to_string(row.begin));
+            }
         }
     }
 
   private:
+    struct Row {
+        std::uint64_t begin;
+        std::uint64_t end;
+        std::uint64_t window_begin;
+        std::uint64_t window_end;
+    };
+
     DirtyLineTracker tracker_;
-    std::unordered_map<std::uint32_t,
-                       std::pair<std::uint64_t, std::uint64_t>>
-        rows_;
+    DurableVersion durable_version_;
+    std::unordered_map<std::uint32_t, std::vector<Row>> rows_;
+    /// Per vthread: the word of its DcasTry whose Op::Cas is due, and the
+    /// record row that governs it.
+    std::unordered_map<std::uint32_t, std::pair<std::uint64_t, std::uint64_t>>
+        due_;
 };
 
 } // namespace sched

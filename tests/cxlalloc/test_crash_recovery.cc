@@ -471,6 +471,100 @@ TEST(CrashRecovery, CrashDuringPushGlobalFinishesPush)
     rig.pod.release_thread(std::move(t));
 }
 
+/// Adopts @p ctx's dead slot in a fresh context and recovers it.
+void
+adopt_and_recover(Rig& rig, std::unique_ptr<pod::ThreadContext>& ctx)
+{
+    cxl::ThreadId tid = ctx->tid();
+    rig.pod.mark_crashed(std::move(ctx));
+    ctx = rig.pod.adopt_thread(rig.process, tid);
+    rig.alloc.recover(*ctx);
+}
+
+class AdopterDeath : public ::testing::TestWithParam<cxl::CoherenceMode> {};
+
+TEST_P(AdopterDeath, RepushedSlabIsNotPushedAgainBySecondAdopter)
+{
+    // A trim dies between its pop and its CAS (kMidPushGlobal). Its
+    // adopter pushes the slab, then dies at its next record-row store,
+    // before the record is cleared. The second adopter must find the push
+    // landed: a CAS under a version no record holds would look failed to
+    // it, and pushing the slab again would link it to itself.
+    RigOptions opt;
+    opt.mode = GetParam();
+    opt.unsized_limit = 0; // an emptied spare slab goes straight global
+    Rig rig(opt);
+    auto t = rig.thread();
+    std::vector<cxl::HeapOffset> ptrs;
+    for (int i = 0; i < 40; i++) {
+        ptrs.push_back(rig.alloc.allocate(*t, 1024)); // 32 + 8 blocks
+    }
+    t->arm_crash(kMidPushGlobal, 1);
+    EXPECT_THROW(
+        {
+            for (int i = 0; i < 32; i++) {
+                rig.alloc.deallocate(*t, ptrs[i]); // empties the first
+            }
+        },
+        ThreadCrashed);
+    t->disarm_crash();
+    cxl::ThreadId tid = t->tid();
+    const cxlalloc::Layout& l = rig.alloc.layout();
+    bool cas_seen = false;
+    cxltest::FireOnce die(
+        [&](const sched::Event& e) {
+            cas_seen |= e.op == sched::Op::Cas && e.addr == l.small_free();
+            return cas_seen && e.op == sched::Op::Store &&
+                   e.addr == l.recovery_row(tid);
+        },
+        [] { throw ThreadCrashed{-1}; });
+    rig.pod.mark_crashed(std::move(t));
+    t = rig.pod.adopt_thread(rig.process, tid);
+    sched::t_listener = &die;
+    EXPECT_THROW(rig.alloc.recover(*t), ThreadCrashed);
+    sched::t_listener = nullptr;
+    ASSERT_TRUE(die.fired());
+    adopt_and_recover(rig, t);
+    cxlalloc::AuditReport r = rig.alloc.audit(t->mem());
+    EXPECT_TRUE(r.ok()) << r.to_string();
+    EXPECT_EQ(rig.alloc.stats(t->mem()).small.global_free, 1u);
+    verify_consistent(rig, *t);
+    rig.pod.release_thread(std::move(t));
+}
+
+INSTANTIATE_TEST_SUITE_P(Modes, AdopterDeath,
+                         ::testing::Values(cxl::CoherenceMode::PartialHwcc,
+                                           cxl::CoherenceMode::NoHwcc),
+                         [](const auto& info) {
+                             return info.param == cxl::CoherenceMode::NoHwcc
+                                        ? std::string("NoHwcc")
+                                        : std::string("PartialHwcc");
+                         });
+
+TEST(CrashRecovery, HugeAllocRedoWithAFullHazardRowRollsBack)
+{
+    // Eight live huge allocations fill the rig's eight hazard slots, and
+    // the ninth dies between its descriptor publish and its link. Its
+    // redo must take allocate's own path: a cleanup that frees no slot,
+    // then the roll-back, not an abort on the full row.
+    Rig rig;
+    auto t = rig.thread();
+    ASSERT_EQ(rig.config.hazard_slots_per_thread, 8u);
+    for (int i = 0; i < 8; i++) {
+        ASSERT_NE(rig.alloc.allocate(*t, 1 << 20), 0u);
+    }
+    ASSERT_TRUE(crash_and_recover(
+        rig, t, [&](pod::ThreadContext& c) { rig.alloc.allocate(c, 1 << 20); },
+        kMidHugeAlloc));
+    cxlalloc::AuditReport r = rig.alloc.audit(t->mem());
+    EXPECT_TRUE(r.ok()) << r.to_string();
+    EXPECT_EQ(rig.alloc.stats(t->mem()).huge.live_allocations, 8u)
+        << "the ninth allocation was not rolled back";
+    EXPECT_EQ(rig.alloc.allocate(*t, 1 << 20), 0u) << "the row is still full";
+    verify_consistent(rig, *t);
+    rig.pod.release_thread(std::move(t));
+}
+
 TEST(CrashRecovery, FreshOccupantsFailedPopGlobalIsNotCalledLanded)
 {
     // Occupant A of slot s extends the heap at its version 1, and t1's

@@ -266,6 +266,203 @@ INSTANTIATE_TEST_SUITE_P(Modes, PinWindows,
                                         : std::string("PartialHwcc");
                          });
 
+/// Thread A's scripted life, which reaches every registered slab and
+/// huge crash point (the drain round's only under NoHwcc), with A's crash
+/// armed at the @p countdown-th hit of @p point. unsized_limit 0 sends
+/// every emptied spare slab to the global list. Returns true once A died:
+/// the rest of the life is skipped, and A's slot waits for its adopter.
+bool
+scripted_life(Rig& rig, std::unique_ptr<pod::ThreadContext>& a, int point,
+              std::uint32_t countdown)
+{
+    auto b = rig.thread();
+    a->arm_crash(point, countdown);
+    try {
+        // A huge allocation (HugeReserve, HugeAlloc), then a full 512 B
+        // slab (Extend, Init, Alloc, the full slab's Detach).
+        cxl::HeapOffset huge = rig.alloc.allocate(*a, 1 << 20);
+        std::vector<cxl::HeapOffset> x;
+        for (int i = 0; i < 64; i++) {
+            x.push_back(rig.alloc.allocate(*a, 512));
+        }
+        // B frees every block of it: it holds only the pin, and A's next
+        // refill takes it back (reclaim), then trims it to the global
+        // list (PushGlobal), from which the refill pops it.
+        for (cxl::HeapOffset p : x) {
+            rig.alloc.deallocate(*b, p);
+        }
+        rig.alloc.cleanup(*b);
+        std::vector<cxl::HeapOffset> y;
+        for (int i = 0; i < 40; i++) {
+            y.push_back(rig.alloc.allocate(*a, 1024));
+        }
+        // Local frees relink the full first 1 KiB slab, then empty it.
+        for (int i = 0; i < 32; i++) {
+            rig.alloc.deallocate(*a, y[i]);
+        }
+        rig.alloc.deallocate(*a, huge); // HugeFree
+        // A fills a 128 B slab after B freed one of its blocks: a disown,
+        // then the unpin.
+        std::vector<cxl::HeapOffset> z;
+        for (int i = 0; i < 255; i++) {
+            z.push_back(rig.alloc.allocate(*a, 128));
+        }
+        rig.alloc.deallocate(*b, z[0]);
+        rig.alloc.cleanup(*b);
+        rig.alloc.allocate(*a, 128);
+        // C leaves with 16 live 256 B blocks (its slab disowned), and A
+        // frees them: the last decrement steals the slab (a drain round
+        // under NoHwcc).
+        auto c = rig.thread();
+        std::vector<cxl::HeapOffset> w;
+        for (int i = 0; i < 16; i++) {
+            w.push_back(rig.alloc.allocate(*c, 256));
+        }
+        rig.alloc.detach_thread(*c);
+        rig.pod.release_thread(std::move(c));
+        for (cxl::HeapOffset p : w) {
+            rig.alloc.deallocate(*a, p);
+        }
+        rig.alloc.cleanup(*a);
+        // A leaves holding one 64 B block: under NoHwcc its slab's 511
+        // free blocks are deferred a row at a time before the disown.
+        rig.alloc.allocate(*a, 64);
+        rig.alloc.detach_thread(*a);
+        a->disarm_crash();
+    } catch (const ThreadCrashed&) {
+        rig.alloc.detach_thread(*b);
+        rig.pod.release_thread(std::move(b));
+        return true;
+    }
+    rig.alloc.detach_thread(*b);
+    rig.pod.release_thread(std::move(b));
+    return false;
+}
+
+/// Throws ThreadCrashed at the installing thread's @p k-th hook event.
+class KillAt : public sched::Listener {
+  public:
+    explicit KillAt(std::uint64_t k) : k_(k) {}
+
+    void
+    on_event(const sched::Event&) override
+    {
+        if (++seen_ == k_) {
+            throw ThreadCrashed{-1};
+        }
+    }
+
+  private:
+    std::uint64_t k_;
+    std::uint64_t seen_ = 0;
+};
+
+struct DeathCase {
+    cxl::CoherenceMode mode;
+    int point;
+};
+
+class RecoveryDeath : public ::testing::TestWithParam<DeathCase> {};
+
+TEST_P(RecoveryDeath, SecondAdopterMatchesASingleRecovery)
+{
+    // For each of the first 16 hits of the point, then the 32nd, 64th, ...
+    // while the life reaches it: the state A's death there leaves,
+    // recovered once, is the reference. Then, for every k until recovery
+    // completes (every k up to kEveryK, sampled past it), its adopter dies
+    // at its k-th hook event inside recover() and a second adopter
+    // recovers: the audit must be clean, with the live blocks and pending
+    // frees of the reference.
+    constexpr std::uint64_t kEveryK = 256;
+    cxltest::RigOptions opt;
+    opt.mode = GetParam().mode;
+    opt.unsized_limit = 0;
+    std::uint32_t countdown = 1;
+    bool reached = true;
+    auto recovered = [&](std::uint64_t kill_at, bool* killed) {
+        auto rig = std::make_unique<Rig>(opt);
+        auto a = rig->thread();
+        reached = scripted_life(*rig, a, GetParam().point, countdown);
+        if (!reached) {
+            rig->pod.release_thread(std::move(a));
+            return cxlalloc::AuditReport{};
+        }
+        cxl::ThreadId tid = a->tid();
+        rig->pod.mark_crashed(std::move(a));
+        a = rig->pod.adopt_thread(rig->process, tid);
+        KillAt kill(kill_at);
+        sched::t_listener = &kill;
+        *killed = false;
+        try {
+            rig->alloc.recover(*a);
+        } catch (const ThreadCrashed&) {
+            *killed = true;
+        }
+        sched::t_listener = nullptr;
+        if (*killed) {
+            rig->pod.mark_crashed(std::move(a));
+            a = rig->pod.adopt_thread(rig->process, tid);
+            rig->alloc.recover(*a);
+        }
+        cxlalloc::AuditReport r = rig->alloc.audit(a->mem());
+        rig->alloc.check_local_invariants(a->mem());
+        rig->pod.release_thread(std::move(a));
+        return r;
+    };
+    for (; ; countdown += countdown < 16 ? 1 : countdown) {
+        SCOPED_TRACE("hit " + std::to_string(countdown) + " of the point");
+        bool killed = false;
+        cxlalloc::AuditReport ref = recovered(0, &killed);
+        if (!reached) {
+            break;
+        }
+        ASSERT_TRUE(ref.ok()) << ref.to_string();
+        std::uint64_t k = 0;
+        do {
+            k += k < kEveryK ? 1 : k / 16;
+            SCOPED_TRACE("adopter killed at hook event " + std::to_string(k));
+            cxlalloc::AuditReport r = recovered(k, &killed);
+            ASSERT_TRUE(r.ok()) << r.to_string();
+            ASSERT_EQ(r.live_blocks, ref.live_blocks);
+            ASSERT_EQ(r.pending_frees, ref.pending_frees);
+        } while (killed);
+        EXPECT_GT(k, 8u) << "recovery ran too few hook events to kill";
+    }
+    EXPECT_GT(countdown, 1u) << "the life never reaches the point";
+}
+
+std::vector<DeathCase>
+death_cases()
+{
+    std::vector<DeathCase> cases;
+    for (cxl::CoherenceMode mode : {cxl::CoherenceMode::PartialHwcc,
+                                    cxl::CoherenceMode::NoHwcc}) {
+        for (int point : allocator_crash_points()) {
+            const bool batch =
+                point == cxlalloc::crashpoint::kMidBatchStage ||
+                point == cxlalloc::crashpoint::kMidBatchDoorbell ||
+                point == cxlalloc::crashpoint::kMidBatchDrain;
+            if (!batch || mode == cxl::CoherenceMode::NoHwcc) {
+                cases.push_back({mode, point});
+            }
+        }
+    }
+    return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Points, RecoveryDeath, ::testing::ValuesIn(death_cases()),
+    [](const ::testing::TestParamInfo<DeathCase>& info) {
+        std::string name = info.param.mode == cxl::CoherenceMode::NoHwcc
+                               ? "NoHwcc_"
+                               : "PartialHwcc_";
+        name += pod::CrashPointRegistry::instance()
+                    .find(info.param.point)
+                    ->name;
+        std::replace(name.begin(), name.end(), '.', '_');
+        return name;
+    });
+
 TEST(CrashEverywhere, RepeatedCrashRecoverCyclesOnOneSlot)
 {
     // The same slot crashes and recovers many times in a row; versions,

@@ -7,18 +7,22 @@
 /// be durable BEFORE the CAS fires, or `did_succeed` reasoning breaks
 /// after a host crash. sched::RecordFlushOracle watches every vthread's
 /// recovery-record row and fails any schedule where an Op::DcasTry fires
-/// while the row is dirty. The correct allocator must pass; the
-/// skip_record_publish_flush fault (defer where deferral is unsound) must
-/// be caught within the CI budget and replay bit-for-bit.
+/// while the row is dirty, or where the CAS it begins tags the word with
+/// a version other than the durable record's. The correct allocator must
+/// pass, its recovery redos included; the skip_record_publish_flush fault
+/// (defer where deferral is unsound) must be caught within the CI budget
+/// and replay bit-for-bit.
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/test_faults.h"
 #include "cxlalloc/allocator.h"
+#include "cxlalloc/recovery.h"
 #include "pod/pod.h"
 #include "sched/explorer.h"
 #include "sched/oracles.h"
@@ -43,7 +47,12 @@ struct RecordWorld {
     RecordWorld()
         : cfg(make_config()), pod(make_pod(cfg)), alloc(pod, cfg),
           oracle(alloc.layout().recovery_row(0),
-                 alloc.layout().recovery_row(cxl::kMaxThreads) + 64)
+                 alloc.layout().recovery_row(cxl::kMaxThreads) + 64,
+                 [this](std::uint64_t row) {
+                     std::uint64_t word = 0;
+                     std::memcpy(&word, pod.device().raw(row), sizeof word);
+                     return cxlalloc::OpRecord::unpack(word).version;
+                 })
     {
         process = pod.create_process();
         alloc.attach(*process);
@@ -123,6 +132,61 @@ record_factory(const std::shared_ptr<std::uint64_t>& cas_total)
             }
         });
     };
+}
+
+/// vthread 0 empties a 1 KiB slab that shares its class, and the trim
+/// that follows dies between its pop and its CAS (kMidPushGlobal). Its
+/// adopter recovers on the same vthread, so the oracle watches the redo's
+/// CAS, while vthread 1 churns.
+std::function<void(Run&)>
+redo_factory()
+{
+    return [](Run& run) {
+        auto w = std::make_shared<RecordWorld>();
+        auto ptrs = std::make_shared<std::vector<cxl::HeapOffset>>();
+        for (int n = 0; n < 40; n++) {
+            ptrs->push_back(w->alloc.allocate(*w->ctxs[0], 1024));
+        }
+        for (int i = 0; i < kVthreads; i++) {
+            w->oracle.bind(static_cast<std::uint32_t>(i),
+                           w->alloc.layout().recovery_row(w->tids[i]), 8);
+        }
+        run.spawn("trim", [w, ptrs] {
+            pod::ThreadContext& ctx = *w->ctxs[0];
+            ctx.arm_crash(cxlalloc::crashpoint::kMidPushGlobal, 1);
+            try {
+                for (int n = 0; n < 32; n++) {
+                    w->alloc.deallocate(ctx, (*ptrs)[n]);
+                }
+                throw OracleFailure("the trim never reached its CAS");
+            } catch (const pod::ThreadCrashed&) {
+            }
+            cxl::ThreadId tid = ctx.tid();
+            w->pod.mark_crashed(std::move(w->ctxs[0]));
+            w->oracle.written_back(0);
+            w->ctxs[0] = w->pod.adopt_thread(w->process, tid);
+            w->alloc.recover(*w->ctxs[0]);
+        });
+        run.spawn("churn", [w] { churn(*w, 1); });
+        run.on_event([w](std::uint32_t vthread, const Event& e) {
+            w->oracle.observe(vthread, e);
+        });
+        run.at_end([w](const sched::RunEnd&) {
+            sched::fail_unless_ok(w->alloc.audit(w->ctxs[1]->mem()));
+        });
+    };
+}
+
+TEST(SchedRecord, RedoCasCarriesItsRecordsVersion)
+{
+    // The PushGlobal redo pushes the slab through the trim, under a record
+    // of its own: a CAS at a version no record holds would look failed to
+    // a second adopter, which would push the slab again.
+    Options opt;
+    opt.seed = 71;
+    opt.schedules = 8;
+    Result r = Explorer(opt).run(redo_factory());
+    EXPECT_TRUE(r.ok) << r.summary();
 }
 
 TEST(SchedRecord, DeferredRecordsAreDurableBeforeEveryCas)
