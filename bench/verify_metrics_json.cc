@@ -13,8 +13,9 @@
 /// exist in the fresh snapshot and must not regress beyond
 /// kBudgetRatio (plus a small absolute epsilon for near-zero gauges). This
 /// is the CI gate that keeps the fence-elision work from silently rotting.
-/// Most budgeted gauges are lower-is-better; the few where more is better
-/// (higher_is_better) fail when they drop below the baseline instead.
+/// One table (kDirections) names the budgeted gauges and the direction
+/// each regresses in: most are lower-is-better, and the few where more is
+/// better fail when they drop below the baseline instead.
 ///
 /// Pod-topology runs add pod.* summary gauges (pod.remote_op_ratio,
 /// pod.steal_per_op — see docs/POD_TOPOLOGY.md) to the same gate: a change
@@ -27,6 +28,7 @@
 /// engine's fig11.*.t1.kops, higher-is-better).
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -93,76 +95,72 @@ counter_scope(const obs::json::Value& counters)
 constexpr double kBudgetRatio = 1.15;
 constexpr double kBudgetEpsilon = 0.1;
 
-/// Budgeted gauges that regress by shrinking: the tier split's DRAM share
-/// and the migrator's promotion volume (BENCH_tiered.json). A placement
-/// change that quietly stops using the DRAM tier fails the budget.
-bool
-higher_is_better(const std::string& name)
-{
-    auto ends_with = [&](const char* suffix) {
-        std::string s(suffix);
-        return name.size() >= s.size() &&
-               name.compare(name.size() - s.size(), s.size(), s) == 0;
-    };
-    return name == "alloc.tier_dram_ratio" || name == "migrate.promotions" ||
-           (name.rfind("fig11.", 0) == 0 && ends_with(".kops"));
-}
+enum class Direction : std::uint8_t { Unbudgeted, Lower, Higher };
 
-bool
-budget_gauge(const std::string& name)
+/// Which gauges --budget holds, and which way each regresses: the first
+/// row whose prefix starts the gauge's name and whose suffix ends it wins
+/// (an empty suffix ends every name). A lower-is-better gauge fails above
+/// its baseline, a higher-is-better one below it; unmatched gauges are
+/// reported, not budgeted.
+struct DirectionRow {
+    const char* prefix;
+    const char* suffix;
+    Direction direction;
+};
+
+constexpr DirectionRow kDirections[] = {
+    // gbench_alloc: the fence-elision budget, and the mCAS series' split
+    // into loads, stores and NMP mCAS operands per op.
+    {"gbench.", ".mem_ops_per_op", Direction::Lower},
+    {"gbench.", ".fences_per_op", Direction::Lower},
+    {"gbench.", ".flushed_lines_per_op", Direction::Lower},
+    {"gbench.", ".loads_per_op", Direction::Lower},
+    {"gbench.", ".stores_per_op", Direction::Lower},
+    {"gbench.", ".mcas_ops_per_op", Direction::Lower},
+    // Fig. 11's single-thread rows (BENCH_fig11.json): engine Kops/s, and
+    // hw_cas p50 ns.
+    {"fig11.", ".kops", Direction::Higher},
+    {"fig11.", "", Direction::Lower},
+    // Tiered-sweep rows: simulated ns/op per pattern and placement.
+    {"tiered.", ".ns_op", Direction::Lower},
+    // Win ratios divide two moving rows: a speed-up that helps pure CXL
+    // more than tiered raises them although no row got slower. The rows
+    // are budgeted one by one instead.
+    {"pod.tiered.", "", Direction::Unbudgeted},
+    // Placement quality: ratios and per-op rates (the pod.scale.*
+    // throughput gauges are informational), plus the fault storm's exact
+    // edge-down op count.
+    {"pod.", "_ratio", Direction::Lower},
+    {"pod.", "_per_op", Direction::Lower},
+    {"pod.edge_down_ops", "", Direction::Lower},
+    // Fault-storm health (BENCH_fault_storm.json): false-suspect volume
+    // and evacuation work per op. A detector that starts suspecting
+    // healthy hosts, or an evacuation whose per-op block traffic
+    // balloons, fails.
+    {"liveness.", "", Direction::Lower},
+    {"evac.", "", Direction::Lower},
+    // Tier split and migration (BENCH_tiered.json). The DRAM share and
+    // the promotion volume regress by shrinking: a placement change that
+    // quietly stops using the DRAM tier fails. The demotion rate per op
+    // regresses by growing.
+    {"alloc.tier_dram_ratio", "", Direction::Higher},
+    {"alloc.", "_ratio", Direction::Lower},
+    {"migrate.promotions", "", Direction::Higher},
+    {"migrate.", "", Direction::Lower},
+};
+
+Direction
+direction_of(const std::string& name)
 {
-    auto ends_with = [&](const char* suffix) {
-        std::string s(suffix);
-        return name.size() >= s.size() &&
-               name.compare(name.size() - s.size(), s.size(), s) == 0;
-    };
-    if (name.rfind("gbench.", 0) == 0) {
-        // Plus the mCAS series' split: loads, stores and NMP mCAS operands
-        // per op.
-        return ends_with(".mem_ops_per_op") || ends_with(".fences_per_op") ||
-               ends_with(".flushed_lines_per_op") ||
-               ends_with(".loads_per_op") || ends_with(".stores_per_op") ||
-               ends_with(".mcas_ops_per_op");
+    for (const DirectionRow& row : kDirections) {
+        const std::string suffix = row.suffix;
+        if (name.rfind(row.prefix, 0) == 0 && name.size() >= suffix.size() &&
+            name.compare(name.size() - suffix.size(), suffix.size(),
+                         suffix) == 0) {
+            return row.direction;
+        }
     }
-    if (name.rfind("fig11.", 0) == 0) {
-        // Fig. 11's single-thread rows (BENCH_fig11.json): hw_cas p50 ns,
-        // engine Kops/s.
-        return true;
-    }
-    if (name.rfind("tiered.", 0) == 0) {
-        // Tiered-sweep rows: simulated ns/op per pattern and placement.
-        return ends_with(".ns_op");
-    }
-    if (name.rfind("pod.tiered.", 0) == 0) {
-        // Win ratios divide two moving rows: a speed-up that helps pure
-        // CXL more than tiered raises them although no row got slower.
-        // The rows are budgeted one by one instead.
-        return false;
-    }
-    if (name.rfind("pod.", 0) == 0) {
-        // Placement-quality gauges: ratios and per-op rates only (the
-        // pod.scale.* throughput gauges are informational, not budgeted) —
-        // plus the fault storm's exact edge-down op count.
-        return ends_with("_ratio") || ends_with("_per_op") ||
-               name == "pod.edge_down_ops";
-    }
-    if (name.rfind("liveness.", 0) == 0 || name.rfind("evac.", 0) == 0) {
-        // Fault-storm health gauges (BENCH_fault_storm.json): false-suspect
-        // volume and evacuation work per op. A detector change that starts
-        // suspecting healthy hosts, or an evacuation that balloons its
-        // per-op block traffic, fails the budget.
-        return true;
-    }
-    if (name.rfind("alloc.", 0) == 0) {
-        // Tier-split quality (alloc.tier_dram_ratio).
-        return ends_with("_ratio");
-    }
-    if (name.rfind("migrate.", 0) == 0) {
-        // Migration effectiveness: promotion volume and the per-op
-        // demotion rate of the tiered sweep (BENCH_tiered.json).
-        return true;
-    }
-    return false;
+    return Direction::Unbudgeted;
 }
 
 obs::json::Value
@@ -187,7 +185,7 @@ load_json(const char* path)
 
 /// Every budget gauge in @p baseline must be present in @p fresh and no
 /// worse than ratio * baseline + epsilon (baseline / ratio - epsilon for a
-/// higher_is_better gauge).
+/// higher-is-better gauge).
 void
 check_budget(const obs::json::Value& fresh, const obs::json::Value& baseline)
 {
@@ -204,7 +202,8 @@ check_budget(const obs::json::Value& fresh, const obs::json::Value& baseline)
     }
     std::size_t compared = 0;
     for (const auto& [name, base_value] : base_g->as_object()) {
-        if (!budget_gauge(name)) {
+        const Direction direction = direction_of(name);
+        if (direction == Direction::Unbudgeted) {
             continue;
         }
         const obs::json::Value* now = new_g->find(name);
@@ -215,7 +214,7 @@ check_budget(const obs::json::Value& fresh, const obs::json::Value& baseline)
         }
         double base = base_value.as_number();
         double cur = now->as_number();
-        bool higher = higher_is_better(name);
+        bool higher = direction == Direction::Higher;
         double limit = higher ? base / kBudgetRatio - kBudgetEpsilon
                               : base * kBudgetRatio + kBudgetEpsilon;
         compared++;

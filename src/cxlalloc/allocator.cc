@@ -407,13 +407,6 @@ CxlAllocator::audit(cxl::MemSession& mem, AuditReport report)
     return report;
 }
 
-void
-CxlAllocator::check_local_invariants(cxl::MemSession& mem)
-{
-    small_.check_local_invariants(mem);
-    large_.check_local_invariants(mem);
-}
-
 CxlAllocator::Stats
 CxlAllocator::stats(cxl::MemSession& mem)
 {

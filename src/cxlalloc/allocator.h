@@ -155,9 +155,6 @@ class CxlAllocator : public pod::FaultResolver {
     /// audit(), panicking with the report unless it is ok.
     void check_invariants(cxl::MemSession& mem) { audit(mem).require_ok(); }
 
-    /// Owner-side checks of @p mem's thread's local lists.
-    void check_local_invariants(cxl::MemSession& mem);
-
     /// Aggregate statistics.
     struct Stats {
         SlabHeap::Stats small;

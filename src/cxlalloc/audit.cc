@@ -9,9 +9,9 @@ AuditReport::to_string() const
 {
     static constexpr const char* kHeaps[] = {"small slab", "large slab",
                                              "huge desc"};
-    static constexpr const char* kLaws[] = {"global-list", "pending-entry",
-                                            "free-counter", "remote-balance",
-                                            "huge-desc"};
+    static constexpr const char* kLaws[] = {
+        "global-list",  "local-list",     "pending-entry", "slab-home",
+        "free-counter", "remote-balance", "huge-desc"};
     std::string out = "audit: " + std::to_string(violations.size()) +
                       " violation(s), " + std::to_string(live_blocks) +
                       " live block(s), " + std::to_string(pending_frees) +

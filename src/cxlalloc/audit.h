@@ -18,12 +18,20 @@ enum class AuditHeap : std::uint8_t { Small, Large, Huge };
 
 /// The laws, in walk order.
 enum class AuditLaw : std::uint8_t {
-    /// The global free list is acyclic, in range, and holds only unowned
-    /// slabs in state Global.
+    /// The global free list is acyclic, in range, and holds only unowned,
+    /// classless slabs in state Global.
     GlobalList,
+    /// Each thread's unsized and sized lists are acyclic, in range and its
+    /// own: unsized slabs classless and TlUnsized, as many as its stored
+    /// count; sized slabs TlSized, of the list's class and not full, each
+    /// prev naming its predecessor and the head's the tail.
+    LocalList,
     /// A slab has at most one entry across the lines of one thread's
     /// pending row.
     PendingEntry,
+    /// A Global, TlUnsized or TlSized slab below the heap length is on
+    /// exactly one list; any other slab is on none.
+    SlabHome,
     /// A classed slab's free counter equals its bitset popcount.
     FreeCounter,
     /// A classed slab's remote-free counter minus the frees pending for it

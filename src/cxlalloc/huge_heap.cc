@@ -9,6 +9,37 @@ namespace cxlalloc {
 using cxlcommon::align_up;
 using cxlsync::DcasWord;
 
+namespace {
+
+// A HugeFree record holds its descriptor in the index's low 16 bits, and
+// the generation of the allocation it frees (HugeDescField::kGen) in the
+// index's high 16 bits (generation bits 12-27) and aux (bits 0-11).
+
+OpRecord
+huge_free_record(std::uint32_t index, std::uint32_t gen,
+                 std::uint16_t version)
+{
+    return OpRecord{.op = Op::HugeFree,
+                    .large_heap = false,
+                    .aux = static_cast<std::uint16_t>(gen & OpRecord::kAuxMask),
+                    .version = version,
+                    .index = index | (gen >> 12) << 16};
+}
+
+std::uint32_t
+freed_desc(const OpRecord& record)
+{
+    return record.index & 0xffffu;
+}
+
+std::uint32_t
+freed_gen(const OpRecord& record)
+{
+    return (record.index >> 16) << 12 | record.aux;
+}
+
+} // namespace
+
 HugeHeap::HugeHeap(const Layout* layout, cxlsync::DetectableCas* dcas,
                    RecoveryLog* log)
     : layout_(layout), dcas_(dcas), log_(log),
@@ -19,6 +50,8 @@ HugeHeap::HugeHeap(const Layout* layout, cxlsync::DetectableCas* dcas,
       data_base_(layout->huge_data()),
       descs_per_thread_(layout->config().huge_descs_per_thread)
 {
+    CXL_ASSERT(layout->huge_desc_count() <= 1u << 16,
+               "a HugeFree record holds 16 bits of descriptor index");
 }
 
 // ------------------------------------------------------- descriptor access
@@ -67,6 +100,12 @@ std::uint64_t
 HugeHeap::desc_size(cxl::MemSession& mem, std::uint32_t index)
 {
     return mem.load<std::uint64_t>(desc(index) + HugeDescField::kSize);
+}
+
+std::uint32_t
+HugeHeap::desc_gen(cxl::MemSession& mem, std::uint32_t index)
+{
+    return mem.load<std::uint32_t>(desc(index) + HugeDescField::kGen);
 }
 
 // ------------------------------------------------------------------ regions
@@ -247,6 +286,11 @@ HugeHeap::allocate(pod::ThreadContext& ctx, ThreadState& ts,
     cxl::HeapOffset d = desc(index);
     mem.store<std::uint64_t>(d + HugeDescField::kOffset, start);
     mem.store<std::uint64_t>(d + HugeDescField::kSize, size);
+    // Only the owner fills its descriptors, so its own view of the
+    // generation is current.
+    mem.store<std::uint32_t>(
+        d + HugeDescField::kGen,
+        (desc_gen(mem, index) + 1) & HugeDescField::kGenMask);
     mem.store<std::uint32_t>(d + HugeDescField::kFlags,
                              HugeDescField::kFlagAllocated);
     publish_desc(mem, index);
@@ -298,11 +342,7 @@ HugeHeap::deallocate(pod::ThreadContext& ctx, ThreadState& ts,
                                     /*require_live=*/true);
     CXL_ASSERT(index != kNoDesc, "huge free of unknown allocation");
 
-    log_->log(mem, OpRecord{.op = Op::HugeFree,
-                            .large_heap = false,
-                            .aux = 0,
-                            .version = ts.version,
-                            .index = index});
+    log_->log(mem, huge_free_record(index, desc_gen(mem, index), ts.version));
     ctx.maybe_crash(crashpoint::kAfterRecord);
     deallocate_tail(ctx, index);
 }
@@ -509,12 +549,15 @@ HugeHeap::recover(pod::ThreadContext& ctx, ThreadState& ts,
         break;
       }
       case Op::HugeFree: {
-        std::uint32_t index = record.index;
+        const std::uint32_t index = freed_desc(record);
         refetch_desc(mem, index);
-        if (desc_flags(mem, index) & HugeDescField::kFlagAllocated) {
+        // Flags 0: already reclaimed. Another generation: reclaimed and
+        // filled again by its owner since, with another allocation.
+        if ((desc_flags(mem, index) & HugeDescField::kFlagAllocated) != 0 &&
+            desc_gen(mem, index) == freed_gen(record)) {
             deallocate_tail(ctx, index);
         }
-        break; // flags 0: already reclaimed
+        break;
       }
       default:
         CXL_PANIC("huge heap asked to recover a non-huge operation");

@@ -103,6 +103,7 @@ class HugeHeap {
     std::uint32_t desc_flags(cxl::MemSession& mem, std::uint32_t index);
     std::uint64_t desc_offset(cxl::MemSession& mem, std::uint32_t index);
     std::uint64_t desc_size(cxl::MemSession& mem, std::uint32_t index);
+    std::uint32_t desc_gen(cxl::MemSession& mem, std::uint32_t index);
     void refetch_desc(cxl::MemSession& mem, std::uint32_t index);
     void publish_desc(cxl::MemSession& mem, std::uint32_t index);
 

@@ -144,16 +144,21 @@ const char* to_string(SlabState s);
 ///   +4  flags  u32 (bit0: allocated, bit1: free-requested)
 ///   +8  offset u64 (start of the backing mapping, device offset)
 ///   +16 size   u64 (mapping length in bytes)
-///   +24 pad
+///   +24 gen    u32 (generation: each allocation that fills the descriptor
+///        bumps it, mod 2^28, so a HugeFree record names the allocation it
+///        frees, not a later one in the same descriptor)
+///   +28 pad
 struct HugeDescField {
     static constexpr std::uint64_t kNext = 0;
     static constexpr std::uint64_t kFlags = 4;
     static constexpr std::uint64_t kOffset = 8;
     static constexpr std::uint64_t kSize = 16;
+    static constexpr std::uint64_t kGen = 24;
     static constexpr std::uint64_t kStride = 32;
 
     static constexpr std::uint32_t kFlagAllocated = 1u << 0;
     static constexpr std::uint32_t kFlagFree = 1u << 1;
+    static constexpr std::uint32_t kGenMask = (1u << 28) - 1;
 };
 
 /// All heap offsets, derived deterministically from a Config.

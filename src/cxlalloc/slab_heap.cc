@@ -2000,33 +2000,80 @@ SlabHeap::audit(cxl::MemSession& mem, cxl::DeviceId shard,
         report.violations.push_back(
             {shard, heap, slab, law, what, expected, actual});
     };
-    std::uint32_t len = length(mem);
-    // At most len distinct in-range slabs: a longer walk has looped.
-    std::uint32_t raw = DcasWord::value(mem.atomic_load64(free_word_));
-    for (std::uint32_t steps = 1; raw != 0; steps++) {
-        std::uint32_t slab = raw - 1;
-        if (steps > len) {
-            violate(slab, AuditLaw::GlobalList,
-                    "global list length <= heap length", len, steps);
-            break;
+    const std::uint32_t len = length(mem);
+    // The lists holding each slab, and the last walk that reached it: a
+    // walk that reaches a slab twice has looped, and counts it once.
+    std::vector<std::uint32_t> homes(len);
+    std::vector<std::uint32_t> walk_of(len);
+    std::uint32_t walks = 0;
+    // Walks the list from raw head @p head, whose slabs carry owner word
+    // @p want; a sized list's slabs also hold a free block and name their
+    // predecessor in prev (the head, the tail). Returns the list's length.
+    auto walk = [&](std::uint32_t head, AuditLaw law, OwnerWord want) {
+        const bool sized = want.state == SlabState::TlSized;
+        std::uint32_t slabs = 0;
+        std::uint32_t pred = 0;
+        walks++;
+        for (std::uint32_t raw = head; raw != 0; slabs++) {
+            const std::uint32_t slab = raw - 1;
+            if (slab >= len) {
+                violate(slab, law, "listed slab < heap length", len, slab);
+                break;
+            }
+            if (walk_of[slab] == walks) {
+                violate(slab, law, "visits of a slab in one list", 1, 2);
+                break;
+            }
+            walk_of[slab] = walks;
+            homes[slab]++;
+            mem.flush(desc(slab), desc_stride_);
+            OwnerWord w = owner_word(mem, slab);
+            if (w.owner != want.owner) {
+                violate(slab, law, "listed slab owner", want.owner, w.owner);
+            }
+            if (w.state != want.state) {
+                violate(slab, law, "listed slab state",
+                        static_cast<std::uint64_t>(want.state),
+                        static_cast<std::uint64_t>(w.state));
+            }
+            if (w.biased != want.biased) {
+                violate(slab, law, "listed slab class + 1", want.biased,
+                        w.biased);
+            }
+            if (sized && count_word(mem, slab).free == 0) {
+                violate(slab, law, "free blocks of a sized slab > 0", 1, 0);
+            }
+            if (sized && raw != head && prev_raw(mem, slab) != pred) {
+                violate(slab, law, "sized prev names its predecessor", pred,
+                        prev_raw(mem, slab));
+            }
+            pred = raw;
+            raw = next_raw(mem, slab);
         }
-        if (slab >= len) {
-            violate(slab, AuditLaw::GlobalList, "global slab < heap length",
-                    len, slab);
-            break;
+        if (sized && pred != 0 && prev_raw(mem, head - 1) != pred) {
+            violate(head - 1, law, "sized head names its tail", pred,
+                    prev_raw(mem, head - 1));
         }
-        mem.flush(desc(slab), desc_stride_);
-        OwnerWord w = owner_word(mem, slab);
-        if (w.owner != cxl::kNoThread) {
-            violate(slab, AuditLaw::GlobalList, "global slab owner",
-                    cxl::kNoThread, w.owner);
+        return slabs;
+    };
+    walk(DcasWord::value(mem.atomic_load64(free_word_)), AuditLaw::GlobalList,
+         OwnerWord{cxl::kNoThread, 0, SlabState::Global});
+    for (cxl::ThreadId tid = 0; tid <= cxl::kMaxThreads; tid++) {
+        mem.flush(local_row(tid), Layout::kLocalStride);
+        const auto head = mem.load<std::uint32_t>(unsized_head_off(tid));
+        const auto count = mem.load<std::uint32_t>(unsized_count_off(tid));
+        const std::uint32_t slabs = walk(
+            head, AuditLaw::LocalList, OwnerWord{tid, 0, SlabState::TlUnsized});
+        if (count != slabs) { // named after the head, ~0 when empty
+            violate(head - 1, AuditLaw::LocalList, "unsized count", slabs,
+                    count);
         }
-        if (w.state != SlabState::Global) {
-            violate(slab, AuditLaw::GlobalList, "global slab state",
-                    static_cast<std::uint64_t>(SlabState::Global),
-                    static_cast<std::uint64_t>(w.state));
+        for (std::uint32_t cls = 0; cls < num_classes_; cls++) {
+            walk(mem.load<std::uint32_t>(sized_head_off(tid, cls)),
+                 AuditLaw::LocalList,
+                 OwnerWord{tid, static_cast<std::uint8_t>(cls + 1),
+                           SlabState::TlSized});
         }
-        raw = next_raw(mem, slab);
     }
     // Every thread's pending frees, per slab: decrements accepted but not
     // yet landed on the counter. A slab has at most one entry in a
@@ -2082,8 +2129,14 @@ SlabHeap::audit(cxl::MemSession& mem, cxl::DeviceId shard,
     for (std::uint32_t slab = 0; slab < len; slab++) {
         mem.flush(desc(slab), desc_stride_);
         OwnerWord w = owner_word(mem, slab);
-        std::uint32_t biased = w.biased;
-        if (biased == 0) {
+        const std::uint32_t listed = w.state == SlabState::Global ||
+                                     w.state == SlabState::TlUnsized ||
+                                     w.state == SlabState::TlSized;
+        if (homes[slab] != listed) {
+            violate(slab, AuditLaw::SlabHome, "lists holding the slab",
+                    listed, homes[slab]);
+        }
+        if (w.biased == 0) {
             if (pending[slab] != 0) {
                 violate(slab, AuditLaw::RemoteBalance,
                         "pending frees of a classless slab", 0,
@@ -2092,7 +2145,7 @@ SlabHeap::audit(cxl::MemSession& mem, cxl::DeviceId shard,
             continue;
         }
         std::uint32_t free = count_word(mem, slab).free;
-        std::uint32_t bits = bitset_count(mem, slab, biased - 1);
+        std::uint32_t bits = bitset_count(mem, slab, w.biased - 1u);
         if (free != bits) {
             violate(slab, AuditLaw::FreeCounter,
                     "free counter == bitset popcount", bits, free);
@@ -2107,53 +2160,6 @@ SlabHeap::audit(cxl::MemSession& mem, cxl::DeviceId shard,
         } else {
             report.live_blocks += remote - held;
         }
-    }
-}
-
-void
-SlabHeap::check_local_invariants(cxl::MemSession& mem)
-{
-    cxl::ThreadId tid = mem.tid();
-    // Unsized list: owned, classless, acyclic; count matches.
-    std::uint32_t raw = mem.load<std::uint32_t>(unsized_head_off(tid));
-    std::uint32_t count = 0;
-    while (raw != 0) {
-        CXL_ASSERT(++count <= num_slabs_, "unsized list is cyclic");
-        std::uint32_t slab = raw - 1;
-        OwnerWord w = owner_word(mem, slab);
-        CXL_ASSERT(w.owner == tid, "unsized slab not owned");
-        CXL_ASSERT(w.state == SlabState::TlUnsized,
-                   "unsized slab in wrong state");
-        raw = next_raw(mem, slab);
-    }
-    CXL_ASSERT(mem.load<std::uint32_t>(unsized_count_off(tid)) == count,
-               "unsized count out of sync");
-    // Sized lists: owned, correctly classed, never full, doubly linked,
-    // the head's prev naming the tail.
-    for (std::uint32_t cls = 0; cls < num_classes_; cls++) {
-        std::uint32_t head = mem.load<std::uint32_t>(sized_head_off(tid, cls));
-        raw = head;
-        std::uint32_t prev = 0;
-        std::uint32_t steps = 0;
-        while (raw != 0) {
-            CXL_ASSERT(++steps <= num_slabs_, "sized list is cyclic");
-            std::uint32_t slab = raw - 1;
-            OwnerWord w = owner_word(mem, slab);
-            CXL_ASSERT(w.owner == tid, "sized slab not owned");
-            CXL_ASSERT(w.biased == cls + 1, "sized slab class mismatch");
-            CXL_ASSERT(w.state == SlabState::TlSized,
-                       "sized slab in wrong state");
-            std::uint32_t free = count_word(mem, slab).free;
-            CXL_ASSERT(free == bitset_count(mem, slab, cls),
-                       "free-block counter diverged from bitset");
-            CXL_ASSERT(free != 0, "sized list contains a full slab");
-            CXL_ASSERT(raw == head || prev_raw(mem, slab) == prev,
-                       "sized list prev link broken");
-            prev = raw;
-            raw = next_raw(mem, slab);
-        }
-        CXL_ASSERT(head == 0 || prev_raw(mem, head - 1) == prev,
-                   "sized list head does not name its tail");
     }
 }
 

@@ -285,10 +285,6 @@ class SlabHeap {
     void audit(cxl::MemSession& mem, cxl::DeviceId shard,
                AuditReport& report);
 
-    /// Invariants over @p mem's thread's local lists: sized slabs are
-    /// non-full, owned, correctly classed; lists acyclic.
-    void check_local_invariants(cxl::MemSession& mem);
-
     /// Aggregate statistics for benchmarks.
     struct Stats {
         std::uint32_t length = 0;       ///< slabs ever created

@@ -108,7 +108,7 @@ TEST(Threadtest, RunsExactWorkAmount)
     std::uint64_t pairs = run_threadtest(*b.alloc, *t, /*rounds=*/10,
                                          /*batch=*/100, /*size=*/64);
     EXPECT_EQ(pairs, 1000u);
-    b.heap->shard(0).check_local_invariants(t->mem());
+    b.heap->check_invariants(t->mem());
     b.pod->release_thread(std::move(t));
 }
 

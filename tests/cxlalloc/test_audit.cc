@@ -1,9 +1,10 @@
 /// @file
 /// Every audit law fires: one raw store breaks one law, and the report
-/// holds exactly that violation; a leaked block is one live block.
+/// holds exactly its violations; a leaked block is one live block.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "cxlalloc/size_class.h"
@@ -30,6 +31,33 @@ struct AuditRig {
     cxl::MemSession& mem = t->mem();
 
     AuditReport audit() { return rig.alloc.audit(mem); }
+
+    /// Fills and empties eight 1 KiB slabs: one stays warm on its sized
+    /// list, the unsized list keeps its limit and the rest spill onto the
+    /// global list. Returns the global list's slabs, head first.
+    std::vector<std::uint32_t>
+    spill()
+    {
+        std::vector<cxl::HeapOffset> blocks;
+        for (int i = 0; i < 8 * 32; i++) {
+            blocks.push_back(rig.alloc.allocate(*t, 1024));
+        }
+        for (cxl::HeapOffset p : blocks) {
+            rig.alloc.deallocate(*t, p);
+        }
+        std::vector<std::uint32_t> global;
+        for (auto raw = DcasWord::value(mem.atomic_load64(l.small_free()));
+             raw != 0; raw = mem.load<std::uint32_t>(next_at(raw - 1))) {
+            global.push_back(raw - 1);
+        }
+        return global;
+    }
+
+    cxl::HeapOffset
+    next_at(std::uint32_t s) const
+    {
+        return l.small_swcc_desc(s) + cxlalloc::DescField::kNext;
+    }
 };
 
 /// @p report holds exactly one violation: shard 0, @p heap, @p slab, @p law.
@@ -165,23 +193,91 @@ TEST(Audit, SecondEntryOfASlabInAnotherLineBreaksThePendingEntryLaw)
     rig.pod.release_thread(std::move(freer));
 }
 
+/// @p report holds, after @p first others, one SlabHome violation per slab
+/// of @p cut (listed, on no list), in slab order.
+void
+expect_homeless(const AuditReport& report, std::size_t first,
+                std::vector<std::uint32_t> cut)
+{
+    std::sort(cut.begin(), cut.end());
+    ASSERT_EQ(report.violations.size(), first + cut.size())
+        << report.to_string();
+    for (std::size_t i = 0; i < cut.size(); i++) {
+        const cxlalloc::AuditViolation& v = report.violations[first + i];
+        EXPECT_TRUE(v.slab == cut[i] && v.law == AuditLaw::SlabHome &&
+                    v.expected == 1 && v.actual == 0)
+            << report.to_string();
+    }
+}
+
 TEST(Audit, CyclicGlobalListBreaksTheGlobalListLaw)
 {
-    // Filling and emptying eight 1 KiB slabs spills the unsized surplus
-    // onto the global list; then its head links to itself.
+    // The global list's head links to itself: the walk stops at the loop,
+    // counting the head once, and the slabs behind it are on no list.
     AuditRig r;
-    std::vector<cxl::HeapOffset> blocks;
-    for (int i = 0; i < 8 * 32; i++) {
-        blocks.push_back(r.rig.alloc.allocate(*r.t, 1024));
+    std::vector<std::uint32_t> global = r.spill();
+    ASSERT_GE(global.size(), 2u) << "too few slabs reached the global list";
+    r.mem.store(r.next_at(global[0]), global[0] + 1);
+    AuditReport report = r.audit();
+    ASSERT_FALSE(report.violations.empty());
+    const cxlalloc::AuditViolation& v = report.violations[0];
+    EXPECT_TRUE(v.slab == global[0] && v.law == AuditLaw::GlobalList)
+        << report.to_string();
+    expect_homeless(report, 1, {global.begin() + 1, global.end()});
+}
+
+TEST(Audit, ClearedGlobalNextBreaksTheSlabHomeLaw)
+{
+    // The head's next word cleared: the list ends at the head, and each
+    // slab that followed it is a Global slab on no list.
+    AuditRig r;
+    std::vector<std::uint32_t> global = r.spill();
+    ASSERT_GE(global.size(), 2u) << "too few slabs reached the global list";
+    ASSERT_TRUE(r.audit().ok()) << r.audit().to_string();
+    r.mem.store<std::uint32_t>(r.next_at(global[0]), 0);
+    expect_homeless(r.audit(), 0, {global.begin() + 1, global.end()});
+}
+
+TEST(Audit, SizedHeadNamingItselfBreaksTheLocalListLaw)
+{
+    // Two full 1 KiB slabs, each relinked by one free: the class's list
+    // holds the first (head) then the second (tail), and the head's prev
+    // word names the tail. Point it at the head itself.
+    AuditRig r;
+    std::vector<cxl::HeapOffset> ptrs;
+    for (int i = 0; i < 64; i++) {
+        ptrs.push_back(r.rig.alloc.allocate(*r.t, 1024));
     }
-    for (cxl::HeapOffset p : blocks) {
-        r.rig.alloc.deallocate(*r.t, p);
-    }
-    std::uint32_t head = DcasWord::value(r.mem.atomic_load64(r.l.small_free()));
-    ASSERT_NE(head, 0u) << "no slab reached the global list";
-    r.mem.store(r.l.small_swcc_desc(head - 1) + cxlalloc::DescField::kNext,
-                head);
-    expect_only(r.audit(), AuditHeap::Small, head - 1, AuditLaw::GlobalList);
+    r.rig.alloc.deallocate(*r.t, ptrs[0]);
+    r.rig.alloc.deallocate(*r.t, ptrs[32]);
+    ASSERT_TRUE(r.audit().ok()) << r.audit().to_string();
+    auto slab_of = [&](cxl::HeapOffset p) {
+        return static_cast<std::uint32_t>((p - r.l.small_data()) /
+                                          cxlalloc::kSmallSlabSize);
+    };
+    const std::uint32_t head = slab_of(ptrs[0]);
+    r.mem.store<std::uint32_t>(r.l.small_swcc_desc(head) + 12, head + 1);
+    AuditReport report = r.audit();
+    expect_only(report, AuditHeap::Small, head, AuditLaw::LocalList);
+    EXPECT_EQ(report.violations[0].expected, slab_of(ptrs[32]) + 1u);
+    EXPECT_EQ(report.violations[0].actual, head + 1u);
+}
+
+TEST(Audit, WrongUnsizedCountBreaksTheLocalListLaw)
+{
+    AuditRig r;
+    r.spill();
+    const cxl::HeapOffset row = r.l.small_local(r.t->tid());
+    const cxl::HeapOffset count_at =
+        row + 4 + 4 * static_cast<cxl::HeapOffset>(cxlalloc::kNumSmallClasses);
+    const auto count = r.mem.load<std::uint32_t>(count_at);
+    ASSERT_GT(count, 0u);
+    r.mem.store<std::uint32_t>(count_at, count + 1);
+    AuditReport report = r.audit();
+    expect_only(report, AuditHeap::Small,
+                r.mem.load<std::uint32_t>(row) - 1u, AuditLaw::LocalList);
+    EXPECT_EQ(report.violations[0].expected, count);
+    EXPECT_EQ(report.violations[0].actual, count + 1u);
 }
 
 TEST(Audit, ForeignRegionOwnerBreaksTheHugeDescLaw)

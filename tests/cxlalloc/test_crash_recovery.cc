@@ -60,7 +60,6 @@ void
 verify_consistent(Rig& rig, pod::ThreadContext& ctx)
 {
     rig.alloc.check_invariants(ctx.mem());
-    rig.alloc.check_local_invariants(ctx.mem());
     // The heap must still be fully usable from the recovered slot.
     cxl::HeapOffset p = rig.alloc.allocate(ctx, 64);
     ASSERT_NE(p, 0u);
@@ -252,7 +251,6 @@ TEST(CrashRecovery, HostCrashEvictionCannotResurrectStaleRecord)
     t = rig.pod.adopt_thread(rig.process, tid);
     rig.alloc.recover(*t);
     rig.alloc.check_invariants(t->mem());
-    rig.alloc.check_local_invariants(t->mem());
 
     // Block 0 is live application memory across the crash. Replaying a
     // stale FreeLocal would mark it free again — a double allocation.
@@ -351,7 +349,6 @@ TEST(CrashRecovery, FinishedDetachRecordLeavesTheReclaimableSlabAlone)
         << "a remote freer stole a pinned slab";
     ASSERT_EQ(heap.debug_remote_free(other->mem(), slab), 0u);
     die_idle_and_recover(rig, owner);
-    rig.alloc.check_local_invariants(other->mem());
     rig.alloc.check_invariants(owner->mem());
     // The recovered owner takes the slab back before growing the heap: a
     // slab's worth of 512 B blocks reuses it.
@@ -384,7 +381,6 @@ TEST(CrashRecovery, FinishedDisownRecordLeavesTheStolenSlabAlone)
         rig.alloc.deallocate(*other, p);
     }
     die_idle_and_recover(rig, owner);
-    rig.alloc.check_local_invariants(other->mem());
     verify_consistent(rig, *owner);
     rig.pod.release_thread(std::move(owner));
     rig.pod.release_thread(std::move(other));
@@ -723,6 +719,33 @@ TEST(CrashRecovery, CrashDuringHugeAllocCompletesAllocation)
     rig.pod.release_thread(std::move(t));
 }
 
+TEST(CrashRecovery, HugeFreeRedoLeavesTheReusedDescriptorAlone)
+{
+    // The freer dies idle after its free, its record still HugeFree. The
+    // owner's cleanup reclaims the descriptor, and its next allocation
+    // takes the same descriptor and range back. The freer's redo must see
+    // that the descriptor now holds another allocation.
+    Rig rig;
+    auto owner = rig.thread();
+    auto freer = rig.thread();
+    cxl::HeapOffset p = rig.alloc.allocate(*owner, 1 << 20);
+    ASSERT_NE(p, 0u);
+    rig.alloc.deallocate(*freer, p);
+    cxl::ThreadId dead = freer->tid();
+    rig.pod.mark_crashed(std::move(freer));
+    rig.alloc.cleanup(*owner);
+    cxl::HeapOffset q = rig.alloc.allocate(*owner, 1 << 20);
+    ASSERT_EQ(q, p) << "the allocation did not reuse the range";
+    freer = rig.pod.adopt_thread(rig.process, dead);
+    rig.alloc.recover(*freer);
+    EXPECT_EQ(rig.alloc.stats(owner->mem()).huge.live_allocations, 1u);
+    rig.alloc.deallocate(*owner, q);
+    rig.alloc.cleanup(*owner);
+    rig.alloc.check_invariants(owner->mem());
+    rig.pod.release_thread(std::move(owner));
+    rig.pod.release_thread(std::move(freer));
+}
+
 TEST(CrashRecovery, CrashDuringHugeFreeCompletesFree)
 {
     Rig rig;
@@ -764,7 +787,7 @@ TEST(CrashRecovery, LiveThreadsNeverBlockOnCrashedThread)
     for (auto p : ptrs) {
         rig.alloc.deallocate(*live, p);
     }
-    rig.alloc.check_local_invariants(live->mem());
+    rig.alloc.check_invariants(live->mem());
     rig.pod.release_thread(std::move(live));
 }
 
@@ -801,7 +824,6 @@ TEST(CrashRecovery, BlackBoxRandomCrashes)
             t = rig.pod.adopt_thread(rig.process, tid);
             rig.alloc.recover(*t);
             rig.alloc.check_invariants(t->mem());
-            rig.alloc.check_local_invariants(t->mem());
             // Semantics after recovery: an interrupted allocation leaks at
             // most its in-flight block (never entered `live`); an
             // interrupted free is COMPLETED by recovery, so the offset

@@ -233,7 +233,7 @@ TEST_P(FastPathAccesses, LocalFreeIntoSizedSlab)
     // prev loads, and keeps the slab warm (the alloc/free pair's free).
     acc = measure(t->mem(), [&] { rig.alloc.deallocate(*t, b); });
     expect_accesses(acc, 5, 3);
-    rig.alloc.check_local_invariants(t->mem());
+    rig.alloc.check_invariants(t->mem());
     rig.pod.release_thread(std::move(t));
 }
 
@@ -258,7 +258,7 @@ TEST_P(FastPathAccesses, LocalFreeIntoDetachedSlabRelinks)
     Accesses acc =
         measure(t->mem(), [&] { rig.alloc.deallocate(*t, full[0]); });
     expect_accesses(acc, 5, 8);
-    rig.alloc.check_local_invariants(t->mem());
+    rig.alloc.check_invariants(t->mem());
 
     // The relinked slab sits behind the second: allocation keeps taking
     // the second slab's blocks.
@@ -377,7 +377,6 @@ expect_clean(Rig& rig, cxl::MemSession& mem)
     cxlalloc::AuditReport audit = rig.alloc.audit(mem);
     EXPECT_TRUE(audit.ok()) << audit.to_string();
     expect_hints_conservative(rig, mem);
-    rig.alloc.check_local_invariants(mem);
 }
 
 /// Recovers the crashed slot of @p t in place.

@@ -64,7 +64,7 @@ TEST(SwccProtocol, RemoteFreeWithStaleOwnerIsSafe)
     rig.alloc.deallocate(*freer, p2);
     // Remote free of p with whatever cached owner value the freer holds.
     rig.alloc.deallocate(*freer, p);
-    rig.alloc.check_local_invariants(owner->mem());
+    rig.alloc.check_invariants(owner->mem());
     rig.pod.release_thread(std::move(owner));
     rig.pod.release_thread(std::move(freer));
 }

@@ -1,20 +1,18 @@
 /// @file
 /// A thread's local slab lists under crash injection: one owner edits its
 /// sized and unsized lists (relink, detach, recycle, init) and is killed at
-/// an arbitrary yield; recovery adopts the slot. The shared-heap audit
-/// cannot see a half-done list edit, so the end oracle first walks the
-/// adopted slot's own lists (links, tail word, count, owner, state,
-/// class), then audits, checks local invariants and allocates.
+/// an arbitrary yield; recovery adopts the slot. The end oracle is the
+/// audit, whose list walk checks the adopted slot's lists (links, tail
+/// word, count, owner, state, class) and gives each slab one home; it
+/// audits, allocates, and audits again.
 
 #include <gtest/gtest.h>
 
 #include <functional>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "cxlalloc/allocator.h"
-#include "cxlalloc/size_class.h"
 #include "pod/pod.h"
 #include "sched/explorer.h"
 
@@ -26,9 +24,6 @@ using sched::Options;
 using sched::OracleFailure;
 using sched::Result;
 using sched::Run;
-
-/// Offset of a sized slab's prev word in its descriptor (layout.h).
-constexpr std::uint64_t kPrevWord = 12;
 
 struct ListWorld {
     explicit ListWorld(int preload)
@@ -62,7 +57,7 @@ struct ListWorld {
     make_pod(const cxlalloc::Config& cfg)
     {
         pod::PodConfig pc;
-        // No cache simulation: the oracle reads descriptors directly.
+        // No cache simulation: the audit reads the device directly.
         pc.device = cxlalloc::Layout(cfg).device_config(
             cxl::CoherenceMode::PartialHwcc, /*simulate_cache=*/false);
         return pc;
@@ -77,96 +72,8 @@ struct ListWorld {
     std::vector<cxl::HeapOffset> blocks;
 };
 
-/// Walks @p tid's small-heap lists through @p mem and throws OracleFailure
-/// at the first broken link, count, owner, state or class.
-void
-walk_small_lists(cxl::MemSession& mem, const cxlalloc::Layout& l,
-                 cxl::ThreadId tid)
-{
-    using cxlalloc::DescField;
-    using cxlalloc::SlabState;
-    const std::uint32_t slabs = l.config().small_slabs;
-    auto fail = [](const std::string& what) { throw OracleFailure(what); };
-    auto field = [&](std::uint32_t slab, std::uint64_t at) {
-        return l.small_swcc_desc(slab) + at;
-    };
-    auto state = [&](std::uint32_t slab) {
-        return static_cast<SlabState>(
-            mem.load<std::uint8_t>(field(slab, DescField::kState)));
-    };
-    auto check_owned = [&](std::uint32_t slab, SlabState want,
-                           std::uint8_t biased, const char* list) {
-        if (slab >= slabs) {
-            fail(std::string(list) + " link past the heap: " +
-                 std::to_string(slab));
-        }
-        auto who = mem.load<cxl::ThreadId>(field(slab, DescField::kOwner));
-        if (who != tid) {
-            fail(std::string(list) + " slab " + std::to_string(slab) +
-                 " owned by " + std::to_string(who));
-        }
-        if (state(slab) != want) {
-            fail(std::string(list) + " slab " + std::to_string(slab) +
-                 " in state " + cxlalloc::to_string(state(slab)));
-        }
-        auto cls = mem.load<std::uint8_t>(field(slab, DescField::kClass));
-        if (cls != biased) {
-            fail(std::string(list) + " slab " + std::to_string(slab) +
-                 " class " + std::to_string(cls) + " != " +
-                 std::to_string(biased));
-        }
-    };
-
-    const cxl::HeapOffset row = l.small_local(tid);
-    std::uint32_t raw = mem.load<std::uint32_t>(row);
-    std::uint32_t count = 0;
-    while (raw != 0) {
-        if (++count > slabs) {
-            fail("unsized list is cyclic");
-        }
-        check_owned(raw - 1, SlabState::TlUnsized, 0, "unsized");
-        raw = mem.load<std::uint32_t>(field(raw - 1, DescField::kNext));
-    }
-    auto stored = mem.load<std::uint32_t>(
-        row + 4 + 4 * static_cast<cxl::HeapOffset>(cxlalloc::kNumSmallClasses));
-    if (stored != count) {
-        fail("unsized count " + std::to_string(stored) + " != list " +
-             std::to_string(count));
-    }
-
-    for (std::uint32_t cls = 0; cls < cxlalloc::kNumSmallClasses; cls++) {
-        const auto head = mem.load<std::uint32_t>(row + 4 + 4 * cls);
-        std::uint32_t prev = 0;
-        std::uint32_t steps = 0;
-        for (raw = head; raw != 0;) {
-            if (++steps > slabs) {
-                fail("sized list of class " + std::to_string(cls) +
-                     " is cyclic");
-            }
-            const std::uint32_t slab = raw - 1;
-            check_owned(slab, SlabState::TlSized,
-                        static_cast<std::uint8_t>(cls + 1), "sized");
-            if (mem.load<std::uint16_t>(field(slab, DescField::kFree)) == 0) {
-                fail("sized slab " + std::to_string(slab) + " is full");
-            }
-            if (raw != head &&
-                mem.load<std::uint32_t>(field(slab, kPrevWord)) != prev) {
-                fail("prev link broken at slab " + std::to_string(slab));
-            }
-            prev = raw;
-            raw = mem.load<std::uint32_t>(field(slab, DescField::kNext));
-        }
-        if (head != 0 &&
-            mem.load<std::uint32_t>(field(head - 1, kPrevWord)) != prev) {
-            fail("head of class " + std::to_string(cls) +
-                 " does not name its tail " + std::to_string(prev - 1));
-        }
-    }
-}
-
 /// Runs @p body as the one killable owner; the end oracle recovers a
-/// killed slot, walks its lists, audits, checks local invariants and
-/// allocates 8 blocks.
+/// killed slot, audits, allocates 8 blocks and audits again.
 std::function<void(Run&)>
 killed_owner(int preload, std::function<void(ListWorld&)> body)
 {
@@ -188,15 +95,13 @@ killed_owner(int preload, std::function<void(ListWorld&)> body)
                 w->alloc.recover(*w->ctx);
             }
             cxl::MemSession& mem = w->ctx->mem();
-            walk_small_lists(mem, w->alloc.layout(), w->tid);
             sched::fail_unless_ok(w->alloc.audit(mem));
-            w->alloc.check_local_invariants(mem);
             for (int n = 0; n < 8; n++) {
                 if (w->alloc.allocate(*w->ctx, n % 2 == 0 ? 1024 : 64) == 0) {
                     throw OracleFailure("allocation failed after recovery");
                 }
             }
-            w->alloc.check_local_invariants(mem);
+            sched::fail_unless_ok(w->alloc.audit(mem));
         });
     };
 }

@@ -230,9 +230,6 @@ pin_race(bool killable, Totals& totals)
                 ctx->mem().cache().writeback_all();
             }
             sched::fail_unless_ok(w->alloc.audit(w->ctxs[0]->mem()));
-            for (auto& ctx : w->ctxs) {
-                w->alloc.check_local_invariants(ctx->mem());
-            }
         });
     };
 }

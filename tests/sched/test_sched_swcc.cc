@@ -217,7 +217,13 @@ TEST(SchedSwcc, KillDuringChurnThenRecoveryKeepsHeapUsable)
                 throw OracleFailure("allocation failed after recovery");
             }
             w->alloc.deallocate(*adopted, p);
-            w->alloc.check_local_invariants(adopted->mem());
+            // The survivor's cache back too: the audit reads the device.
+            for (auto& ctx : w->ctxs) {
+                if (ctx != nullptr) {
+                    ctx->mem().cache().writeback_all();
+                }
+            }
+            sched::fail_unless_ok(w->alloc.audit(adopted->mem()));
         });
     });
     EXPECT_TRUE(r.ok) << r.summary();
