@@ -444,12 +444,16 @@ main(int argc, char** argv)
          "doorbell stall never exercised the retry ladder");
     gate(rig.stall_spent_at_step,
          "the scripted batch's landing left the stall armed");
+    // The sessions' counters are the storm's: the closing frees, replays,
+    // cleanups and audit below are teardown.
+    if (obs::MetricsRegistry* reg = bench::bundle_metrics()) {
+        rig.workers[0].ctx->mem().publish_metrics(*reg);
+        rig.monitor->mem().publish_metrics(*reg);
+    }
     failures += rig.drain_and_verify();
 
     std::uint64_t ops = rig.total_ops();
     if (obs::MetricsRegistry* reg = bench::bundle_metrics()) {
-        rig.workers[0].ctx->mem().publish_metrics(*reg);
-        rig.monitor->mem().publish_metrics(*reg);
         reg->shard(rig.workers[0].ctx->tid())
             .add(reg->counter("run.ops"), ops);
         reg->set_gauge(reg->gauge("pod.edge_down_ops"),

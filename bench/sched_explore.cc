@@ -5,7 +5,7 @@
 /// ("sched.schedules", "sched.steps", "sched.schedules_per_sec") so the
 /// metrics pipeline covers the sched subsystem end to end.
 ///
-///   sched_explore [--smoke] [--metrics-json <path>] [--metrics-csv <path>]
+///   sched_explore [--smoke] [--metrics-json <path>]
 
 #include <chrono>
 #include <cstdio>

@@ -4,12 +4,11 @@
 /// command-line surface every bench binary exposes:
 ///
 ///   --metrics-json <path>   dump a machine-readable registry snapshot
-///   --metrics-csv <path>    same, as CSV rows
 ///   --smoke                 shrink the run matrix (CI smoke tests)
 ///   --pod                   run the multi-host pod variant (benches that
 ///                           support one; see docs/POD_TOPOLOGY.md)
 ///
-/// Passing either --metrics-* flag turns on bundle instrumentation
+/// Passing --metrics-json turns on bundle instrumentation
 /// (bench::bundle_metrics), so un-flagged runs keep uninstrumented hot
 /// paths.
 
@@ -26,7 +25,6 @@ namespace bench {
 
 struct Options {
     std::string metrics_json;
-    std::string metrics_csv;
     bool smoke = false;
     bool pod = false;
 };
@@ -46,8 +44,6 @@ parse_options(int argc, char** argv)
         };
         if (a == "--metrics-json") {
             o.metrics_json = path_arg("--metrics-json");
-        } else if (a == "--metrics-csv") {
-            o.metrics_csv = path_arg("--metrics-csv");
         } else if (a == "--smoke") {
             o.smoke = true;
         } else if (a == "--pod") {
@@ -55,18 +51,18 @@ parse_options(int argc, char** argv)
         } else {
             std::fprintf(stderr,
                          "unknown argument '%s' (supported: --metrics-json "
-                         "<path>, --metrics-csv <path>, --smoke, --pod)\n",
+                         "<path>, --smoke, --pod)\n",
                          a.c_str());
             std::exit(2);
         }
     }
-    if (!o.metrics_json.empty() || !o.metrics_csv.empty()) {
+    if (!o.metrics_json.empty()) {
         bundle_metrics() = &obs::MetricsRegistry::global();
     }
     return o;
 }
 
-/// Dumps the global registry snapshot to the paths requested in @p o.
+/// Dumps the global registry snapshot to the path requested in @p o.
 /// Call once, at the end of main().
 inline void
 finish_metrics(const Options& o)
@@ -74,16 +70,10 @@ finish_metrics(const Options& o)
     if (bundle_metrics() == nullptr) {
         return;
     }
-    obs::MetricsSnapshot snap = bundle_metrics()->snapshot();
-    if (!o.metrics_json.empty() &&
-        obs::write_file(o.metrics_json, obs::to_json(snap))) {
+    if (obs::write_file(o.metrics_json,
+                        obs::to_json(bundle_metrics()->snapshot()))) {
         std::printf("metrics: wrote JSON snapshot to %s\n",
                     o.metrics_json.c_str());
-    }
-    if (!o.metrics_csv.empty() &&
-        obs::write_file(o.metrics_csv, obs::to_csv(snap))) {
-        std::printf("metrics: wrote CSV snapshot to %s\n",
-                    o.metrics_csv.c_str());
     }
 }
 

@@ -1,85 +1,18 @@
 /// @file
 /// Offset pointers (paper §2.3): the pointer-alternative that provides
-/// spatial pointer consistency (PC-S) across processes.
-///
-/// Two flavours are provided:
-///  - HeapOffset: a plain 64-bit byte offset into the shared device/heap,
-///    resolved against a per-process base. This is the representation the
-///    allocator trades in and what applications should store in shared
-///    data structures.
-///  - OffsetPtr<T>: a self-relative pointer (stores `target - this`),
-///    usable inside shared memory even when each process maps the heap at a
-///    different virtual address, as long as intra-heap distances are stable.
+/// spatial pointer consistency (PC-S) across processes. A HeapOffset is a
+/// plain 64-bit byte offset into the shared device/heap, resolved against
+/// a per-process base. It is the representation the allocator trades in
+/// and what applications should store in shared data structures.
 
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
-
-#include "common/assert.h"
 
 namespace cxlcommon {
 
 /// A byte offset into the shared heap. Offset 0 is reserved as null; the
 /// heap layout guarantees no allocation is ever handed out at offset 0.
 using HeapOffset = std::uint64_t;
-
-inline constexpr HeapOffset kNullOffset = 0;
-
-/// Self-relative pointer: stores the signed distance from its own address to
-/// the target. Distance 0 (pointing at itself) encodes null, which makes a
-/// zero-filled OffsetPtr null — required for zero-is-valid heap layouts.
-template <typename T>
-class OffsetPtr {
-  public:
-    OffsetPtr() : delta_(0) {}
-
-    OffsetPtr(const OffsetPtr& other) { set(other.get()); }
-
-    OffsetPtr&
-    operator=(const OffsetPtr& other)
-    {
-        set(other.get());
-        return *this;
-    }
-
-    OffsetPtr& operator=(T* ptr)
-    {
-        set(ptr);
-        return *this;
-    }
-
-    /// Resolves to an absolute pointer in this process.
-    T*
-    get() const
-    {
-        if (delta_ == 0) {
-            return nullptr;
-        }
-        auto self = reinterpret_cast<std::intptr_t>(this);
-        return reinterpret_cast<T*>(self + delta_);
-    }
-
-    /// Points this OffsetPtr at @p ptr (or null).
-    void
-    set(T* ptr)
-    {
-        if (ptr == nullptr) {
-            delta_ = 0;
-            return;
-        }
-        auto self = reinterpret_cast<std::intptr_t>(this);
-        auto target = reinterpret_cast<std::intptr_t>(ptr);
-        CXL_ASSERT(target != self, "self-relative pointer cannot target itself");
-        delta_ = target - self;
-    }
-
-    T* operator->() const { return get(); }
-    T& operator*() const { return *get(); }
-    explicit operator bool() const { return delta_ != 0; }
-
-  private:
-    std::intptr_t delta_;
-};
 
 } // namespace cxlcommon

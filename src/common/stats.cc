@@ -1,59 +1,9 @@
 #include "common/stats.h"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
 
-#include "common/assert.h"
-
 namespace cxlcommon {
-
-std::uint64_t
-LatencyRecorder::percentile(double p)
-{
-    CXL_ASSERT(!samples_.empty(), "percentile of empty recorder");
-    CXL_ASSERT(p >= 0.0 && p <= 100.0, "percentile outside [0, 100]");
-    if (!sorted_) {
-        std::sort(samples_.begin(), samples_.end());
-        sorted_ = true;
-    }
-    // Linear interpolation between adjacent ranks; flooring the rank biases
-    // high percentiles (p99, p99.9) low on small sample counts.
-    double rank = p / 100.0 * static_cast<double>(samples_.size() - 1);
-    auto lo = static_cast<std::size_t>(rank);
-    double frac = rank - static_cast<double>(lo);
-    std::uint64_t base = samples_[lo];
-    if (frac <= 0.0 || lo + 1 >= samples_.size()) {
-        return base;
-    }
-    double interp = static_cast<double>(base) +
-                    frac * static_cast<double>(samples_[lo + 1] - base);
-    return static_cast<std::uint64_t>(std::llround(interp));
-}
-
-void
-LatencyRecorder::merge(const LatencyRecorder& other)
-{
-    samples_.insert(samples_.end(), other.samples_.begin(),
-                    other.samples_.end());
-    sorted_ = false;
-}
-
-std::string
-LatencyRecorder::summary()
-{
-    char buf[160];
-    if (samples_.empty()) {
-        return "(no samples)";
-    }
-    std::snprintf(buf, sizeof buf,
-                  "p50=%lluns p90=%lluns p99=%lluns p99.9=%lluns",
-                  static_cast<unsigned long long>(percentile(50)),
-                  static_cast<unsigned long long>(percentile(90)),
-                  static_cast<unsigned long long>(percentile(99)),
-                  static_cast<unsigned long long>(percentile(99.9)));
-    return buf;
-}
 
 void
 RunningStat::add(double x)

@@ -1,43 +1,14 @@
 /// @file
-/// Measurement helpers: latency percentile summaries (paper Fig. 11 reports
-/// p50/p90/p99/p99.9) and mean/stddev summaries (paper §5 "error bars for
-/// standard deviation").
+/// Measurement helpers: mean/stddev summaries (paper §5 "error bars for
+/// standard deviation") and formatters for bench output.
 
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 namespace cxlcommon {
-
-/// Collects raw samples and reports percentiles.
-class LatencyRecorder {
-  public:
-    void
-    record(std::uint64_t ns)
-    {
-        samples_.push_back(ns);
-        sorted_ = false;
-    }
-
-    void reserve(std::size_t n) { samples_.reserve(n); }
-
-    std::size_t count() const { return samples_.size(); }
-
-    /// Percentile in [0, 100]; sorts on demand.
-    std::uint64_t percentile(double p);
-
-    /// Merges another recorder's samples into this one.
-    void merge(const LatencyRecorder& other);
-
-    /// "p50=… p90=… p99=… p99.9=…" for bench output.
-    std::string summary();
-
-  private:
-    std::vector<std::uint64_t> samples_;
-    bool sorted_ = false;
-};
 
 /// Online mean/stddev (Welford).
 class RunningStat {

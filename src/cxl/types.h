@@ -12,7 +12,6 @@
 namespace cxl {
 
 using cxlcommon::HeapOffset;
-using cxlcommon::kNullOffset;
 
 /// Pod-global thread identifier. 0 means "no thread" so that zero-filled
 /// owner fields decode as unowned (zero-is-valid heap initialization).

@@ -205,27 +205,29 @@ SlabHeap::load_line(cxl::MemSession& mem, cxl::ThreadId tid, std::uint32_t i)
     return line;
 }
 
-PendingRow
-SlabHeap::load_row(cxl::MemSession& mem, ThreadState& ts)
+PendingRow&
+SlabHeap::host_row(cxl::MemSession& mem, ThreadState& ts)
 {
-    PendingRow row;
-    row.lines = lines_;
-    std::uint8_t& hint = ts.pending_hint[large_];
-    const DrainState::Round* out = out_round(ts);
-    for (std::uint32_t i = 0; i < lines_; i++) {
-        if ((hint >> i & 1) == 0) {
-            if (out != nullptr && out->line == i) {
-                row.line[i] = out->list; // emptied by its launch, stamped
-            }
-            continue;
+    if (!ts.pending) {
+        ts.pending = std::make_unique<PendingRow[]>(2);
+    }
+    PendingRow& row = ts.pending[large_ ? 1 : 0];
+    if (row.lines == 0) {
+        CXL_ASSERT(out_round(ts) == nullptr, "row loaded with a round out");
+        for (std::uint32_t i = 0; i < lines_; i++) {
+            row.line[i] = load_line(mem, mem.tid(), i);
         }
-        row.line[i] = load_line(mem, mem.tid(), i);
-        if (row.line[i].n == 0 &&
-            (row.line[i].stamp & PendingList::kStampOut) == 0) {
-            hint &= static_cast<std::uint8_t>(~(1u << i));
-        }
+        row.lines = lines_;
     }
     return row;
+}
+
+void
+SlabHeap::drop_row(ThreadState& ts) const
+{
+    if (ts.pending) {
+        ts.pending[large_ ? 1 : 0].lines = 0;
+    }
 }
 
 void
@@ -661,10 +663,7 @@ SlabHeap::allocate(pod::ThreadContext& ctx, ThreadState& ts,
         // append must then fit the row without a drain, whose records
         // would overwrite the Alloc and Disown records: land what it would
         // need landed now, before the Alloc record.
-        PendingRow row;
-        PendingRow with_out;
-        const PendingRow* seen = nullptr;
-        room_for(ctx, ts, slab, 1, row, with_out, seen);
+        room_for(ctx, ts, slab, 1);
     }
 
     // Local operation: the record needs no flush or fence (process-crash
@@ -725,7 +724,7 @@ SlabHeap::refill(pod::ThreadContext& ctx, ThreadState& ts, std::uint32_t cls)
         if (scavenge_warm_slab(ctx, ts)) {
             continue; // reclaimed an idle empty slab from another class
         }
-        if (load_row(mem, ts).size() != 0) {
+        if (host_row(mem, ts).size() != 0) {
             // Our own pending frees may hold the last decrements of slabs
             // that would come back to us (or the global list) once landed.
             drain_pending(ctx, ts);
@@ -1186,24 +1185,22 @@ SlabHeap::deallocate(pod::ThreadContext& ctx, ThreadState& ts,
     return true;
 }
 
-std::uint32_t
+PendingRow&
 SlabHeap::room_for(pod::ThreadContext& ctx, ThreadState& ts,
-                   std::uint32_t slab, std::uint32_t k, PendingRow& row,
-                   PendingRow& with_out, const PendingRow*& seen)
+                   std::uint32_t slab, std::uint32_t k)
 {
     cxl::MemSession& mem = ctx.mem();
-    row = load_row(mem, ts);
-    std::uint32_t room = appends_see(row, ts, with_out, seen);
+    PendingRow& row = host_row(mem, ts);
     // The append must fit the row as the out round may leave it, its
     // slab's entry included (a count is 8 bits). When it might not (after
     // a drain threw, as the last append drained otherwise; or when the out
     // round's operands coming back could overfill the row), finish that
     // round first, which logs nothing, and drain only if still needed.
     auto fits = [&] {
-        if (seen->full(room)) {
+        if (row.full(room(ts))) {
             return false;
         }
-        const PendingList& l = seen->line[seen->line_for(slab)];
+        const PendingList& l = row.line[row.line_for(slab)];
         std::uint32_t e = l.find(slab);
         return l.size() + k <= 0xff &&
                (e == PendingList::kSlots || l.count(e) + k <= 0xff);
@@ -1214,12 +1211,19 @@ SlabHeap::room_for(pod::ThreadContext& ctx, ThreadState& ts,
         } else {
             // A row too full for a bulk append that is not full lands
             // whole.
-            drain_pending(ctx, ts, /*while_full=*/seen->full(room));
+            drain_pending(ctx, ts, /*while_full=*/row.full(capacity_));
         }
-        row = load_row(mem, ts);
-        room = appends_see(row, ts, with_out, seen);
     }
-    return room;
+    return row;
+}
+
+std::uint32_t
+SlabHeap::room(const ThreadState& ts) const
+{
+    const DrainState::Round* out = out_round(ts);
+    return out == nullptr ? capacity_
+                          : std::accumulate(out->k_of, out->k_of + out->staged,
+                                            capacity_);
 }
 
 void
@@ -1227,12 +1231,12 @@ SlabHeap::defer_remote(pod::ThreadContext& ctx, ThreadState& ts,
                        std::uint32_t slab, std::uint32_t k)
 {
     cxl::MemSession& mem = ctx.mem();
-    PendingRow row;
-    PendingRow with_out;
-    const PendingRow* seen = nullptr;
-    const std::uint32_t room = room_for(ctx, ts, slab, k, row, with_out, seen);
-    const std::uint32_t i = seen->line_for(slab);
-    PendingList& line = row.line[i];
+    PendingRow& row = room_for(ctx, ts, slab, k);
+    const std::uint32_t i = row.line_for(slab);
+    // The line as stored: the out round's copy if the round is out of it.
+    DrainState::Round* out = out_round(ts);
+    PendingList& stored = out && out->line == i ? out->list : row.line[i];
+    PendingList line = stored;
     // Local operation: no flush or fence. Recovery redoes the append iff
     // line i is short of aux's size.
     log_->log_local(
@@ -1245,19 +1249,18 @@ SlabHeap::defer_remote(pod::ThreadContext& ctx, ThreadState& ts,
     ctx.maybe_crash(crashpoint::kAfterRecord);
     line.add(slab, k);
     store_line(mem, i, line);
-    if (seen != &row) {
-        with_out.line[i].add(slab, k);
+    // The host copies change only once the store did: a store that throws
+    // (its edge went Down) leaves the free to its caller's retry.
+    stored = line;
+    if (&stored != &row.line[i]) {
+        row.line[i].add(slab, k);
     }
-    if (DrainState::Round* out = out_round(ts); out && out->line == i) {
-        out->list = line;
-    }
-    ts.pending_hint[large_] |= static_cast<std::uint8_t>(1u << i);
     // Once the next append might not fit, land a ring of the fullest
     // line's oldest slab entries (another while the row is still full), so
     // an append never waits for a drain (whose records would overwrite
     // its own) and the newer entries keep coalescing blocks until the
     // next full ring.
-    if (seen->full(room)) {
+    if (row.full(room(ts))) {
         drain_pending(ctx, ts, /*while_full=*/true);
     }
 }
@@ -1265,32 +1268,13 @@ SlabHeap::defer_remote(pod::ThreadContext& ctx, ThreadState& ts,
 bool
 SlabHeap::lands_before_append(cxl::MemSession& mem, ThreadState& ts)
 {
-    return mem.mcas_round_out() || load_row(mem, ts).full(capacity_);
+    return mem.mcas_round_out() || host_row(mem, ts).full(capacity_);
 }
 
 DrainState::Round*
 SlabHeap::out_round(const ThreadState& ts) const
 {
     return ts.drain && ts.drain->out.heap == this ? &ts.drain->out : nullptr;
-}
-
-std::uint32_t
-SlabHeap::appends_see(const PendingRow& row, const ThreadState& ts,
-                      PendingRow& with_out, const PendingRow*& seen) const
-{
-    const DrainState::Round* out = out_round(ts);
-    if (out == nullptr) {
-        seen = &row;
-        return capacity_;
-    }
-    with_out = row;
-    seen = &with_out;
-    std::uint32_t room = capacity_;
-    for (std::uint32_t i = 0; i < out->staged; i++) {
-        with_out.line[out->line].add(out->slab_of[i], out->k_of[i]);
-        room += out->k_of[i];
-    }
-    return room;
 }
 
 void
@@ -1300,48 +1284,46 @@ SlabHeap::drain_pending(pod::ThreadContext& ctx, ThreadState& ts,
     cxl::MemSession& mem = ctx.mem();
     try {
         land_out_round(ctx, ts);
-        PendingRow row = load_row(mem, ts);
-        if (row.stamped_out() != lines_) {
+        if (host_row(mem, ts).stamped_out() != lines_) {
             // Left by a round whose put-back could not reach its line (see
             // the handler below): clear it before this drain posts.
             reconcile_ring(ctx);
-            row = load_row(mem, ts);
+            drop_row(ts);
         }
-        // Finish the round just launched on line @p i, back into the row.
-        auto land = [&](std::uint32_t i) {
-            land_out_round(ctx, ts);
-            row.line[i] = ts.drain->out.list;
-        };
+        PendingRow& row = host_row(mem, ts);
         if (while_full) {
-            // A round that leaves the row full lands at once: its
-            // put-backs decide whether another is needed. The last stays
-            // out.
+            // A round that leaves the row full, as the device holds it,
+            // lands at once: its put-backs decide whether another is
+            // needed. The last stays out.
             while (row.full(capacity_)) {
                 const std::uint32_t i = row.fullest();
                 launch_round(ctx, ts, row, i);
-                if (row.full(capacity_)) {
-                    land(i);
+                PendingRow left = row;
+                left.line[i] = ts.drain->out.list;
+                if (!left.full(capacity_)) {
+                    return;
                 }
+                land_out_round(ctx, ts);
             }
             return;
         }
         for (std::uint32_t i = 0; i < lines_; i++) {
             while (row.line[i].n != 0) {
                 launch_round(ctx, ts, row, i);
-                land(i);
+                land_out_round(ctx, ts);
             }
         }
     } catch (const cxl::NmpStallError&) {
-        settle_ring(ctx);
+        settle_ring(ctx, ts);
         throw;
     } catch (const cxl::EdgeDownError&) {
-        settle_ring(ctx);
+        settle_ring(ctx, ts);
         throw;
     }
 }
 
 void
-SlabHeap::settle_ring(pod::ThreadContext& ctx)
+SlabHeap::settle_ring(pod::ThreadContext& ctx, ThreadState& ts)
 {
     // Before any append can refill the list: the round's non-landed
     // decrements go back into it, the steals it owes are finished, and the
@@ -1349,6 +1331,7 @@ SlabHeap::settle_ring(pod::ThreadContext& ctx)
     // itself cannot reach the list (its edge went Down mid-round), those
     // decrements and steals are lost: their slabs leak, nothing is freed
     // twice.
+    drop_row(ts);
     cxl::Nmp& nmp = ctx.process().pod().nmp();
     try {
         reconcile_ring(ctx);
@@ -1361,10 +1344,10 @@ SlabHeap::settle_ring(pod::ThreadContext& ctx)
 
 void
 SlabHeap::launch_round(pod::ThreadContext& ctx, ThreadState& ts,
-                       PendingRow& row, std::uint32_t line)
+                       const PendingRow& row, std::uint32_t line)
 {
     cxl::MemSession& mem = ctx.mem();
-    PendingList& list = row.line[line];
+    PendingList list = row.line[line];
     if (!ts.drain) {
         ts.drain = std::make_unique<DrainState>();
         ts.drain->refreshed_at = ts.version;
@@ -1425,10 +1408,6 @@ SlabHeap::launch_round(pod::ThreadContext& ctx, ThreadState& ts,
     mem.fence();
     ctx.maybe_crash(crashpoint::kMidBatchDoorbell);
     mem.mcas_doorbell();
-    if (list.n == 0) {
-        // Appends need not load it: the round's copy stands in for it.
-        ts.pending_hint[large_] &= static_cast<std::uint8_t>(~(1u << line));
-    }
     out.heap = this;
     out.ctx = &ctx;
     out.ts = &ts;
@@ -1457,16 +1436,10 @@ SlabHeap::finish_round(pod::ThreadContext& ctx, ThreadState& ts)
         // over, before any slot is released: an out stamp always means the
         // ring holds exactly its round, and reconcile_ring can settle it.
         mem.mcas_wait();
-        PendingList& list = out.list;
-        if (settle_round(ctx, out.line, list, /*redo=*/false)) {
+        if (settle_round(ctx, out.line, out.list, /*redo=*/false)) {
             drain.trim_owed[large_] = true;
         }
-        const auto bit = static_cast<std::uint8_t>(1u << out.line);
-        if (list.n == 0) {
-            ts.pending_hint[large_] &= static_cast<std::uint8_t>(~bit);
-        } else {
-            ts.pending_hint[large_] |= bit;
-        }
+        ts.pending[large_ ? 1 : 0].line[out.line] = out.list;
         if (inst_.registry != nullptr) {
             obs::MetricsShard& sh = inst_.registry->shard(mem.tid());
             sh.add(inst_.drain_rounds);
@@ -1501,7 +1474,7 @@ SlabHeap::finish_round(pod::ThreadContext& ctx, ThreadState& ts)
             drain.backoff.reset();
         }
     } catch (const cxl::EdgeDownError&) {
-        settle_ring(ctx);
+        settle_ring(ctx, ts);
         throw;
     }
 }

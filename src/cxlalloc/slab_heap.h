@@ -83,15 +83,18 @@ struct PendingList {
 static_assert(sizeof(PendingList) == Layout::kPendingStride,
               "a pending list is one cacheline");
 
-/// A thread's pending lines in one slab heap, as the thread loaded them
+/// A thread's pending lines in one slab heap, as the thread knows them
 /// (Layout::kSmallPendingLines in the small heap, one in the large). A
 /// line holds a slab's entry until a round lands it, and a new slab takes
 /// the first line with a free slot, so a slab has at most one entry in
-/// the row. A line its ThreadState::pending_hint bit calls empty is not
-/// loaded and reads all zero.
+/// the row. The host copy (ThreadState::pending) holds each line as the
+/// thread last stored it, except the line a round of the thread is out
+/// of: there it also holds the round's operands, as if all had failed (a
+/// put-back needs its slot, and a staged slab's next append joins that
+/// entry). That is the row appends must fit.
 struct PendingRow {
     PendingList line[Layout::kSmallPendingLines];
-    std::uint32_t lines = 1;
+    std::uint32_t lines = 0; ///< 0: not loaded
 
     /// Pending blocks in every line.
     std::uint32_t size() const;
@@ -501,28 +504,21 @@ class SlabHeap {
     void defer_remote(pod::ThreadContext& ctx, ThreadState& ts,
                       std::uint32_t slab, std::uint32_t k = 1);
     /// Lands what the next append of @p k blocks of @p slab needs landed
-    /// first (the out round finished, rounds of a full row), then loads
-    /// the row into @p row. Returns what appends_see returns for it.
-    std::uint32_t room_for(pod::ThreadContext& ctx, ThreadState& ts,
-                           std::uint32_t slab, std::uint32_t k,
-                           PendingRow& row, PendingRow& with_out,
-                           const PendingRow*& seen);
-    /// Points @p seen at the row appends must fit: @p row itself, or while
-    /// @p ts has a round of this heap out, @p row with every staged operand
-    /// back in its line as if all had failed (a put-back needs its slot,
-    /// and a staged slab's next append joins that entry), built in
-    /// @p with_out. Returns the blocks @p seen may hold: the capacity plus
-    /// the round's, which @p row does not hold.
-    std::uint32_t appends_see(const PendingRow& row, const ThreadState& ts,
-                              PendingRow& with_out,
-                              const PendingRow*& seen) const;
+    /// first (the out round finished, rounds of a full row). Returns the
+    /// thread's host row.
+    PendingRow& room_for(pod::ThreadContext& ctx, ThreadState& ts,
+                         std::uint32_t slab, std::uint32_t k);
+    /// The blocks the host row may hold before a round must land: the
+    /// capacity, plus those of @p ts's out round of this heap, which the
+    /// row holds as if they had failed.
+    std::uint32_t room(const ThreadState& ts) const;
     /// @p ts's out round if this heap launched it, else null.
     DrainState::Round* out_round(const ThreadState& ts) const;
     /// Launches a drain_pending round over line @p line of @p row (the
-    /// thread's row, updated to what the launch leaves behind) and
-    /// registers @p ts's DrainState as its session's finisher.
+    /// thread's host row, which keeps the staged operands) and registers
+    /// @p ts's DrainState as its session's finisher.
     void launch_round(pod::ThreadContext& ctx, ThreadState& ts,
-                      PendingRow& row, std::uint32_t line);
+                      const PendingRow& row, std::uint32_t line);
     /// Finishes @p ts's out round of this heap (DrainState::Round): logs
     /// no record and posts no operand.
     void finish_round(pod::ThreadContext& ctx, ThreadState& ts);
@@ -538,15 +534,18 @@ class SlabHeap {
     /// steal, and the help refresh once per kHelpRefreshVersions.
     void land_out_round(pod::ThreadContext& ctx, ThreadState& ts);
     /// After a drain threw NmpStallError / EdgeDownError: reconcile_ring,
-    /// then release the ring (also when the reconcile itself throws).
-    void settle_ring(pod::ThreadContext& ctx);
+    /// then release the ring (also when the reconcile itself throws). The
+    /// host row is dropped: its next use loads what the device holds.
+    void settle_ring(pod::ThreadContext& ctx, ThreadState& ts);
 
     // ---- pending row (owner-only SWcc lines) ----
     PendingList load_line(cxl::MemSession& mem, cxl::ThreadId tid,
                           std::uint32_t i);
-    /// The calling thread's row: loads each line @p ts's hint may find
-    /// entries in, and clears the bit of each it finds empty.
-    PendingRow load_row(cxl::MemSession& mem, ThreadState& ts);
+    /// The calling thread's host row (ThreadState::pending), loaded from
+    /// the device on its first use after attach, recovery or a drop.
+    PendingRow& host_row(cxl::MemSession& mem, ThreadState& ts);
+    /// Drops the host row after its lines were rewritten from the device.
+    void drop_row(ThreadState& ts) const;
     /// One line store of the calling thread's line @p i.
     void store_line(cxl::MemSession& mem, std::uint32_t i,
                     const PendingList& line);

@@ -16,6 +16,8 @@ namespace cxlalloc {
 
 /// What a thread's NoHwcc drain rounds remember (slab_heap.h).
 struct DrainState;
+/// A thread's NoHwcc pending lines in one slab heap (slab_heap.h).
+struct PendingRow;
 
 struct ThreadState {
     /// Last detectable-CAS version used (15-bit circular). Restored from
@@ -35,13 +37,12 @@ struct ThreadState {
     /// Complete where a ThreadState is destroyed (slab_heap.h).
     std::unique_ptr<DrainState> drain;
 
-    /// Per slab heap ([large heap]), one bit per pending line (SlabHeap's
-    /// PendingRow): set when the line may hold entries or an out stamp,
-    /// except that a line its out round emptied reads from the round's
-    /// copy (DrainState). A clear bit is exact, so appends and drains load
-    /// only the lines whose bit is set; a set bit may be stale. All set on
-    /// attach and recovery.
-    std::uint8_t pending_hint[2] = {0xff, 0xff};
+    /// NoHwcc pending rows on the host ([large heap]), null until their
+    /// first use. Each row is loaded from the device on its first use and
+    /// kept from then on, so appends and drains read no pending line back
+    /// (SlabHeap::host_row). Attach and recovery start without one.
+    /// Complete where a ThreadState is destroyed (slab_heap.h).
+    std::unique_ptr<PendingRow[]> pending;
 
     /// Per slab heap ([large heap]), one bit per slab the thread may hold
     /// Detached: the candidates SlabHeap::reclaim checks for a slab that

@@ -41,7 +41,7 @@
 namespace bench {
 
 /// Process-wide metrics switch. When non-null (bench::parse_options sets it
-/// for --metrics-json/--metrics-csv runs), make_bundle wires cxlalloc's op
+/// for --metrics-json runs), make_bundle wires cxlalloc's op
 /// instrumentation into this registry and run_threads publishes each
 /// session's MemSession counters and sim_ns into it. Null (the default)
 /// keeps all hot paths uninstrumented.

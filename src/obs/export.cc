@@ -159,33 +159,6 @@ to_json(const MetricsSnapshot& snap)
 }
 
 std::string
-to_csv(const MetricsSnapshot& snap)
-{
-    std::string out = "kind,name,count,min,max,mean,p50,p90,p99,p999\n";
-    char buf[256];
-    for (const auto& [name, v] : snap.counters) {
-        std::snprintf(buf, sizeof buf, "counter,%s,%" PRIu64 ",,,,,,,\n",
-                      name.c_str(), v);
-        out += buf;
-    }
-    for (const auto& [name, v] : snap.gauges) {
-        std::snprintf(buf, sizeof buf, "gauge,%s,%.17g,,,,,,,\n",
-                      name.c_str(), v);
-        out += buf;
-    }
-    for (const auto& [name, h] : snap.histograms) {
-        std::snprintf(buf, sizeof buf,
-                      "histogram,%s,%" PRIu64 ",%" PRIu64 ",%" PRIu64
-                      ",%.1f,%.1f,%.1f,%.1f,%.1f\n",
-                      name.c_str(), h.count(), h.min(), h.max(), h.mean(),
-                      h.percentile(50), h.percentile(90), h.percentile(99),
-                      h.percentile(99.9));
-        out += buf;
-    }
-    return out;
-}
-
-std::string
 summary(const Histogram& h)
 {
     if (h.count() == 0) {

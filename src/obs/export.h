@@ -1,6 +1,6 @@
 /// @file
-/// Machine-readable snapshot export: JSON (schema "cxlalloc-metrics-v1")
-/// and CSV, plus the one-line percentile summary benches print per row.
+/// Machine-readable snapshot export: JSON (schema "cxlalloc-metrics-v1"),
+/// plus the one-line percentile summary benches print per row.
 ///
 /// JSON shape:
 ///   {
@@ -24,9 +24,6 @@ namespace obs {
 
 /// Serializes @p snap as pretty-stable JSON (sorted by insertion order).
 std::string to_json(const MetricsSnapshot& snap);
-
-/// Serializes @p snap as "kind,name,..." CSV rows.
-std::string to_csv(const MetricsSnapshot& snap);
 
 /// "p50=… p90=… p99=… p99.9=…" (values in ns) for bench rows.
 std::string summary(const Histogram& h);

@@ -107,7 +107,7 @@ class DetectableCas {
     /// @p desired, like try_cas_word, for MemSession::mcas_post. It records
     /// no help for the tag it displaces, so use it only on words no
     /// recovery asks did_succeed() about (the NoHwcc drain's slab
-    /// counters, see SlabHeap::drain_round).
+    /// counters, see SlabHeap::launch_round).
     cxl::McasOperand
     stage_word(const cxl::MemSession& mem, cxl::HeapOffset word_offset,
                std::uint64_t expected_word, std::uint32_t desired,

@@ -4,67 +4,7 @@
 
 namespace {
 
-using cxlcommon::LatencyRecorder;
 using cxlcommon::RunningStat;
-
-TEST(LatencyRecorder, PercentilesOfKnownDistribution)
-{
-    LatencyRecorder rec;
-    for (std::uint64_t i = 1; i <= 100; i++) {
-        rec.record(i * 10);
-    }
-    EXPECT_EQ(rec.count(), 100u);
-    EXPECT_NEAR(static_cast<double>(rec.percentile(50)), 500, 10);
-    EXPECT_NEAR(static_cast<double>(rec.percentile(99)), 990, 10);
-    EXPECT_EQ(rec.percentile(0), 10u);
-    EXPECT_EQ(rec.percentile(100), 1000u);
-}
-
-TEST(LatencyRecorder, PercentileInterpolatesBetweenSamples)
-{
-    LatencyRecorder rec;
-    for (std::uint64_t v : {10u, 20u, 30u, 40u}) {
-        rec.record(v);
-    }
-    // rank(p50) = 0.5 * 3 = 1.5 -> halfway between 20 and 30.
-    EXPECT_EQ(rec.percentile(50), 25u);
-    // rank(p25) = 0.75 -> 10 + 0.75 * 10 = 17.5, rounds to 18.
-    EXPECT_EQ(rec.percentile(25), 18u);
-    // rank(p99) = 2.97 -> 30 + 0.97 * 10 = 39.7, rounds to 40.
-    EXPECT_EQ(rec.percentile(99), 40u);
-    EXPECT_EQ(rec.percentile(0), 10u);
-    EXPECT_EQ(rec.percentile(100), 40u);
-}
-
-TEST(LatencyRecorder, PercentileNoLongerFloorTruncates)
-{
-    // Two samples: the median is their midpoint, not whichever sample the
-    // truncated index used to land on.
-    LatencyRecorder rec;
-    rec.record(0);
-    rec.record(100);
-    EXPECT_EQ(rec.percentile(50), 50u);
-}
-
-TEST(LatencyRecorder, RecordAfterPercentileResorts)
-{
-    LatencyRecorder rec;
-    rec.record(100);
-    EXPECT_EQ(rec.percentile(50), 100u);
-    rec.record(1);
-    EXPECT_EQ(rec.percentile(0), 1u);
-}
-
-TEST(LatencyRecorder, MergeCombinesSamples)
-{
-    LatencyRecorder a;
-    LatencyRecorder b;
-    a.record(1);
-    b.record(3);
-    a.merge(b);
-    EXPECT_EQ(a.count(), 2u);
-    EXPECT_EQ(a.percentile(100), 3u);
-}
 
 TEST(RunningStat, MeanAndStddev)
 {

@@ -427,6 +427,7 @@ TEST_F(McasWaitTest, Cas64FinishesTheUnharvestedRoundFirst)
 
 // ------------------------- allocator batched drain ------------------------
 
+using cxltest::host_rows_match;
 using cxltest::Rig;
 using cxltest::RigOptions;
 using pod::ThreadCrashed;
@@ -1567,10 +1568,12 @@ TEST(DeallocateBatchStall, EscalatedRoundIsBackBeforeTheListRefills)
     std::vector<cxl::HeapOffset> offs = one_block_per_class(rig, *t1);
     std::uint64_t live0 = rig.alloc.audit(t1->mem()).live_blocks;
     stall_a_drain(rig, *t2, offs, 8);
+    EXPECT_TRUE(host_rows_match(rig.alloc, t1->mem(), t2->tid()));
     for (std::uint32_t i = 8; i < 8 + 15; i++) {
         rig.alloc.deallocate(*t2, offs[i]);
     }
     rig.alloc.cleanup(*t2);
+    EXPECT_TRUE(host_rows_match(rig.alloc, t1->mem(), t2->tid()));
     cxlalloc::AuditReport r = rig.alloc.audit(t2->mem());
     EXPECT_TRUE(r.ok()) << r.to_string();
     EXPECT_EQ(r.pending_frees, 0u);
@@ -1590,12 +1593,14 @@ TEST(DeallocateBatchStall, AppendLoggedAfterAStallIsRedone)
     std::vector<cxl::HeapOffset> offs = one_block_per_class(rig, *t1);
     std::uint64_t live0 = rig.alloc.audit(t1->mem()).live_blocks;
     stall_a_drain(rig, *t2, offs, 8);
+    EXPECT_TRUE(host_rows_match(rig.alloc, t1->mem(), t2->tid()));
     t2->arm_crash(cxlalloc::crashpoint::kAfterRecord, 1);
     EXPECT_THROW(rig.alloc.deallocate(*t2, offs[8]), ThreadCrashed);
     cxl::ThreadId tid = t2->tid();
     rig.pod.mark_crashed(std::move(t2));
     t2 = rig.pod.adopt_thread(rig.process, tid);
     rig.alloc.recover(*t2);
+    EXPECT_TRUE(host_rows_match(rig.alloc, t1->mem(), tid));
     cxlalloc::AuditReport r = rig.alloc.audit(t2->mem());
     EXPECT_TRUE(r.ok()) << r.to_string();
     EXPECT_EQ(r.pending_frees, 0u);
@@ -1622,9 +1627,11 @@ TEST(DeallocateBatchStall, StalledZeroingOperandGoesBackIntoTheList)
     std::uint32_t slab = small_slab_of(rig, offs[0]);
     std::uint64_t live0 = rig.alloc.audit(t1->mem()).live_blocks;
     stall_a_drain(rig, *t2, offs, 32);
+    EXPECT_TRUE(host_rows_match(rig.alloc, t1->mem(), t2->tid()));
     EXPECT_EQ(rig.alloc.small_heap().debug_remote_free(t2->mem(), slab), 32u);
     EXPECT_EQ(unsized_links(rig, *t2, slab), 0u) << "stolen before landing";
     rig.alloc.cleanup(*t2);
+    EXPECT_TRUE(host_rows_match(rig.alloc, t1->mem(), t2->tid()));
     cxlalloc::AuditReport r = rig.alloc.audit(t2->mem());
     EXPECT_TRUE(r.ok()) << r.to_string();
     EXPECT_EQ(r.pending_frees, 0u);
@@ -1708,6 +1715,69 @@ TEST(DeferredFrees, AFullListLandsItsOldestRingAndKeepsTheNewest)
     rig.alloc.cleanup(*t2);
     EXPECT_EQ(c.mcas_batches, 4u);
     EXPECT_EQ(rig.alloc.audit(t2->mem()).pending_frees, 0u);
+    rig.pod.release_thread(std::move(t1));
+    rig.pod.release_thread(std::move(t2));
+}
+
+/// Counts the installing thread's Load and ReadBytes events that touch
+/// the bytes [@p lo, @p hi).
+class CountReads : public sched::Listener {
+  public:
+    CountReads(std::uint64_t lo, std::uint64_t hi) : lo_(lo), hi_(hi) {}
+
+    void
+    on_event(const sched::Event& event) override
+    {
+        const bool read = event.op == sched::Op::Load ||
+                          event.op == sched::Op::ReadBytes;
+        count_ += read && event.addr < hi_ && event.addr + event.aux > lo_
+                      ? 1
+                      : 0;
+    }
+
+    std::uint32_t count() const { return count_; }
+
+  private:
+    std::uint64_t lo_;
+    std::uint64_t hi_;
+    std::uint32_t count_ = 0;
+};
+
+TEST(DeferredFrees, AppendsAndRoundsReadNoneOfTheThreadsOwnLines)
+{
+    // Once t2's first free loaded its row, t2 knows its lines: the rest of
+    // the two-line row's appends, the round the last one launches, the
+    // appends while that round is out (one into the round's line) and the
+    // cleanup's rounds read none of its pending lines back.
+    Rig rig(nohwcc_opts());
+    auto t1 = rig.thread();
+    auto t2 = rig.thread();
+    std::vector<cxl::HeapOffset> offs = two_line_row(rig, *t1);
+    cxl::HeapOffset of_round =
+        rig.alloc.allocate(*t1, cxlalloc::small_class_size(kLineSlots));
+    cxl::HeapOffset of_line0 =
+        rig.alloc.allocate(*t1, cxlalloc::small_class_size(0));
+    rig.alloc.deallocate(*t2, offs[0]);
+    const cxl::HeapOffset row =
+        rig.alloc.small_heap().pending_line(t2->tid(), 0);
+    CountReads reads(row, row + cxlalloc::Layout::kSmallPendingLines *
+                                    sizeof(cxlalloc::PendingList));
+    sched::t_listener = &reads;
+    for (std::size_t i = 1; i < offs.size(); i++) {
+        rig.alloc.deallocate(*t2, offs[i]);
+    }
+    const bool out = t2->mem().mcas_round_out();
+    rig.alloc.deallocate(*t2, of_round);
+    rig.alloc.deallocate(*t2, of_line0);
+    rig.alloc.cleanup(*t2);
+    sched::t_listener = nullptr;
+    EXPECT_TRUE(out) << "the full row launched no round";
+    EXPECT_GE(t2->mem().counters().mcas_batches, 2u);
+    EXPECT_EQ(reads.count(), 0u);
+    EXPECT_TRUE(host_rows_match(rig.alloc, t1->mem(), t2->tid()));
+    cxlalloc::AuditReport r = rig.alloc.audit(t2->mem());
+    EXPECT_TRUE(r.ok()) << r.to_string();
+    EXPECT_EQ(r.pending_frees, 0u);
     rig.pod.release_thread(std::move(t1));
     rig.pod.release_thread(std::move(t2));
 }
@@ -1962,6 +2032,7 @@ TEST(DeferredFrees, LocalWorkWithARoundOutSurvivesAKillAnywhere)
                 rig.pod.mark_crashed(std::move(t2));
                 t2 = rig.pod.adopt_thread(rig.process, tid);
                 rig.alloc.recover(*t2);
+                EXPECT_TRUE(host_rows_match(rig.alloc, t1->mem(), tid));
             }
             rig.alloc.cleanup(*t2);
             cxlalloc::AuditReport r = rig.alloc.audit(t2->mem());

@@ -3,6 +3,8 @@
 
 #pragma once
 
+#include <gtest/gtest.h>
+#include <cstring>
 #include <functional>
 #include <memory>
 
@@ -50,6 +52,39 @@ class FireOnce : public sched::Listener {
     std::function<void()> fire_;
     bool fired_ = false;
 };
+
+/// Whether thread @p tid's host pending rows in @p alloc (those it has
+/// loaded) equal its pending lines as the device holds them, read through
+/// @p mem, another thread's session. For a quiescent point with no round
+/// of the thread out (its out line's host copy holds the round's operands).
+inline testing::AssertionResult
+host_rows_match(cxlalloc::CxlAllocator& alloc, cxl::MemSession& mem,
+                cxl::ThreadId tid)
+{
+    const cxlalloc::ThreadState& ts = alloc.thread_state(tid);
+    if (!ts.pending) {
+        return testing::AssertionSuccess() << "no host row";
+    }
+    for (int large = 0; large < 2; large++) {
+        const cxlalloc::PendingRow& row = ts.pending[large];
+        cxlalloc::SlabHeap& heap =
+            large != 0 ? alloc.large_heap() : alloc.small_heap();
+        for (std::uint32_t i = 0; i < row.lines; i++) {
+            cxlalloc::PendingList device;
+            mem.read_bytes(heap.pending_line(tid, i), &device, sizeof device);
+            const cxlalloc::PendingList& host = row.line[i];
+            if (std::memcmp(&host, &device, sizeof device) != 0) {
+                return testing::AssertionFailure()
+                       << (large != 0 ? "large" : "small") << " line " << i
+                       << ": host n " << int{host.n} << " size "
+                       << host.size() << " stamp " << host.stamp
+                       << ", device n " << int{device.n} << " size "
+                       << device.size() << " stamp " << device.stamp;
+            }
+        }
+    }
+    return testing::AssertionSuccess();
+}
 
 struct Rig {
     explicit Rig(const RigOptions& opt = RigOptions{})

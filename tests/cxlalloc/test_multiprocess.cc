@@ -3,10 +3,10 @@
 /// processes — all with per-access PC-T checking enabled.
 
 #include <gtest/gtest.h>
+#include <cstdint>
 #include <thread>
 #include <vector>
 
-#include "common/offset_ptr.h"
 #include "common/random.h"
 #include "fixture.h"
 
@@ -87,15 +87,16 @@ TEST(MultiProcess, SharedLinkedListAcrossFourProcesses)
 
 TEST(MultiProcess, SelfRelativeOffsetPtrInSharedHeap)
 {
-    // OffsetPtr<T> works inside allocator-served shared memory: built in
-    // one process, resolved in another.
+    // A self-relative link (the distance from the link to its target)
+    // works inside allocator-served shared memory: built in one process,
+    // resolved in another.
     Rig rig(checked());
     auto* proc2 = rig.new_process();
     auto t1 = rig.thread();
     auto t2 = rig.thread(proc2);
     struct Cell {
         int value;
-        cxlcommon::OffsetPtr<Cell> next;
+        std::intptr_t next; // target - &next
     };
     cxl::HeapOffset a = rig.alloc.allocate(*t1, sizeof(Cell));
     cxl::HeapOffset c = rig.alloc.allocate(*t1, sizeof(Cell));
@@ -105,12 +106,15 @@ TEST(MultiProcess, SelfRelativeOffsetPtrInSharedHeap)
         rig.alloc.pointer(*t1, c, sizeof(Cell)));
     cell_a->value = 1;
     cell_c->value = 2;
-    cell_a->next = cell_c;
-    // Process 2 resolves the self-relative pointer through its own view.
+    cell_a->next = reinterpret_cast<std::intptr_t>(cell_c) -
+                   reinterpret_cast<std::intptr_t>(&cell_a->next);
+    // Process 2 resolves the self-relative link through its own view.
     auto* seen = reinterpret_cast<Cell*>(
         rig.alloc.pointer(*t2, a, sizeof(Cell)));
-    ASSERT_TRUE(seen->next);
-    EXPECT_EQ(seen->next->value, 2);
+    ASSERT_NE(seen->next, 0);
+    auto* next = reinterpret_cast<Cell*>(
+        reinterpret_cast<std::intptr_t>(&seen->next) + seen->next);
+    EXPECT_EQ(next->value, 2);
     rig.alloc.deallocate(*t2, a);
     rig.alloc.deallocate(*t2, c);
     rig.pod.release_thread(std::move(t1));

@@ -334,16 +334,62 @@ TEST(PodDegraded, DrainCutByAnEdgeOutageIsSettledByTheNextDrain)
     ASSERT_TRUE(outage.fired());
     EXPECT_EQ(w.pod->nmp().ring_occupancy(c0->tid()), 0u);
     w.topo.set_edge_state(0, 1, EdgeState::Up);
+    // The device line is still stamped out, without the round's
+    // decrements: c0's host row must not keep its row from before the
+    // round (it is dropped, and its next use loads the device's).
+    cxlalloc::CxlAllocator& shard = w.alloc->shard(1);
+    EXPECT_TRUE(cxltest::host_rows_match(shard, c1->mem(), c0->tid()));
 
     w.alloc->deallocate(*c0, far[2]);
+    EXPECT_TRUE(cxltest::host_rows_match(shard, c1->mem(), c0->tid()));
     c0->arm_crash(cxlalloc::crashpoint::kMidBatchStage, 1);
     EXPECT_THROW(w.alloc->cleanup(*c0), pod::ThreadCrashed);
     cxl::ThreadId tid = c0->tid();
     w.pod->mark_crashed(std::move(c0));
     c0 = w.pod->adopt_thread(w.procs[0], tid);
     w.alloc->recover(*c0);
+    EXPECT_TRUE(cxltest::host_rows_match(shard, c1->mem(), tid));
     cxlalloc::AuditReport audit = w.alloc->audit(c0->mem());
     EXPECT_EQ(audit.pending_frees, 0u);
+    w.expect_drained(c0->mem());
+    w.pod->release_thread(std::move(c0));
+    w.pod->release_thread(std::move(c1));
+}
+
+/// The edge goes Down at a remote free's line store, after its record: the
+/// free throws before its line holds it. The thread's host row must not
+/// hold it either, or the caller's retry would land it twice.
+TEST(PodDegraded, AppendCutByAnEdgeOutageLeavesNoEntryBehind)
+{
+    DegradedWorld w(cxl::CoherenceMode::NoHwcc);
+    auto c0 = w.thread(0);
+    auto c1 = w.thread(1);
+    std::vector<cxl::HeapOffset> far;
+    for (int i = 0; i < 2; i++) {
+        cxl::HeapOffset p = w.alloc->allocate(*c1, 1024);
+        ASSERT_NE(p, 0u);
+        ASSERT_EQ(w.device_of(p), 1);
+        far.push_back(p);
+    }
+    w.alloc->deallocate(*c0, far[0]);
+    cxlalloc::CxlAllocator& shard = w.alloc->shard(1);
+    const cxl::HeapOffset row = shard.small_heap().pending_line(c0->tid(), 0);
+    cxltest::FireOnce outage(
+        [&](const sched::Event& e) {
+            return e.op == sched::Op::WriteBytes && e.addr >= row &&
+                   e.addr < row + cxlalloc::Layout::kSmallPendingLines *
+                                      sizeof(cxlalloc::PendingList);
+        },
+        [&] { w.topo.set_edge_state(0, 1, EdgeState::Down); });
+    sched::t_listener = &outage;
+    EXPECT_THROW(w.alloc->deallocate(*c0, far[1]), cxl::EdgeDownError);
+    sched::t_listener = nullptr;
+    ASSERT_TRUE(outage.fired());
+    w.topo.set_edge_state(0, 1, EdgeState::Up);
+    EXPECT_TRUE(cxltest::host_rows_match(shard, c1->mem(), c0->tid()));
+
+    w.alloc->deallocate(*c0, far[1]);
+    w.alloc->cleanup(*c0);
     w.expect_drained(c0->mem());
     w.pod->release_thread(std::move(c0));
     w.pod->release_thread(std::move(c1));

@@ -179,10 +179,6 @@ TEST(Registry, JsonExportParsesBack)
     ASSERT_EQ(trace.size(), 1u);
     EXPECT_EQ(trace[0].find("op")->as_string(), "alloc");
     EXPECT_EQ(trace[0].find("arg")->as_uint(), 64u);
-
-    // CSV comes out non-empty with one row per metric at minimum.
-    EXPECT_NE(obs::to_csv(reg.snapshot()).find("mem.loads"),
-              std::string::npos);
 }
 
 } // namespace
